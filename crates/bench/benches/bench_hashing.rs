@@ -1,6 +1,7 @@
 //! Criterion: the Fx-style hasher vs the default SipHash on the workloads
-//! that dominate blocking (token maps, pair keys) — the DESIGN.md hashing
-//! ablation.
+//! that dominate blocking (token maps, pair keys): the hashing ablation.
+//! One of the criterion benches of `crates/bench` (`README.md`, "Workspace
+//! layout"); the repo's performance benchmark is `benchmark/README.md`.
 
 use blast_datamodel::hash::FastMap;
 use criterion::{criterion_group, criterion_main, Criterion};

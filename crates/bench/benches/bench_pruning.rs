@@ -1,5 +1,7 @@
 //! Criterion: pruning-algorithm ablation — WEP/CEP/WNP/CNP vs BLAST's
-//! local-max pruning, plus the c-constant sweep called out in DESIGN.md.
+//! local-max pruning, plus a sweep of BLAST's threshold divisor c. One of
+//! the criterion benches of `crates/bench` (`README.md`, "Workspace
+//! layout"); the repo's performance benchmark is `benchmark/README.md`.
 
 use blast_blocking::filtering::BlockFiltering;
 use blast_blocking::purging::BlockPurging;

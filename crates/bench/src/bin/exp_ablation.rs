@@ -1,4 +1,4 @@
-//! Ablation sweeps for the design choices DESIGN.md §5 calls out:
+//! Ablation sweeps for the design choices the defaults rest on:
 //! the pruning constants c and d (§3.3.2), the glue cluster (§4.4), and the
 //! two Block Purging policies. Not a paper table — supporting evidence for
 //! the defaults.

@@ -3,20 +3,20 @@
 //!
 //! Each `experiments::table*` / `experiments::fig*` function returns the
 //! formatted experiment output; the `exp_*` binaries are thin wrappers and
-//! `run_all` executes the whole suite (feeding `EXPERIMENTS.md`).
+//! `run_all` executes the whole suite. (The repo's own performance
+//! benchmark is a separate package: see `benchmark/README.md`.)
 //!
 //! All experiments honour the `BLAST_SCALE` environment variable: entity
-//! counts are multiplied by it. The default is 0.25 — the scale the numbers
-//! in `EXPERIMENTS.md` were recorded at, finishing the whole suite in a few
-//! minutes. `BLAST_SCALE=1.0` runs the full Table 2 sizes,
+//! counts are multiplied by it. The default is 0.25, which finishes the
+//! whole suite in a few minutes. `BLAST_SCALE=1.0` runs the full Table 2 sizes,
 //! `BLAST_SCALE=0.05` is a quick smoke pass.
 
 pub mod experiments;
 pub mod graph_engine;
 pub mod methods;
 
-/// The dataset scale factor from `BLAST_SCALE` (default 0.25, the scale
-/// used for the results recorded in `EXPERIMENTS.md`).
+/// The dataset scale factor from `BLAST_SCALE` (default 0.25; see the
+/// crate docs).
 pub fn scale() -> f64 {
     std::env::var("BLAST_SCALE")
         .ok()

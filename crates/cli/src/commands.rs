@@ -233,6 +233,7 @@ fn trace_event(
         .field_u64("retained", out.retained_len as u64)
         .field_u64("blocks", out.blocks as u64)
         .field_u64("dirty_nodes", out.stats.dirty_nodes as u64)
+        .field_u64("scratch_loads", out.stats.scratch_loads as u64)
         .field_u64("patched_rows", out.stats.patched_rows as u64)
         .field_u64("retention_flips", out.stats.retention_flips as u64)
         .field_u64("threshold_crossers", out.stats.threshold_crossers as u64)
@@ -390,10 +391,11 @@ pub fn stream(args: &Args) -> Result<String, String> {
         if show_stats {
             let _ = writeln!(
                 report,
-                "    repair: dirty nodes = {}, patched CSR rows = {}, patched slots = {}, tier = {}, \
+                "    repair: dirty nodes = {}, scratch loads = {}, patched CSR rows = {}, patched slots = {}, tier = {}, \
                  edges re-weighed = {}, swept = {} ({} re-keyed), retention flips = {}, threshold crossers = {}, \
                  phases = {}",
                 out.stats.dirty_nodes,
+                out.stats.scratch_loads,
                 out.stats.patched_rows,
                 out.stats.patched_slots,
                 out.stats.tier.label(),

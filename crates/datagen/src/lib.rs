@@ -8,8 +8,9 @@
 //! differently-schema'd views of a canonical entity, and non-matching
 //! profiles that collide on frequent (Zipf-headed) tokens. That is exactly
 //! the regime redundancy-based blocking and meta-blocking operate in, so the
-//! relative behaviour of the compared techniques is preserved (see
-//! DESIGN.md §3 for the substitution rationale).
+//! relative behaviour of the compared techniques is preserved
+//! (`benchmark/README.md` says which presets the repo benchmark runs, and
+//! at what size).
 //!
 //! * [`vocab`] / [`zipf`] — deterministic vocabularies and Zipf sampling.
 //! * [`noise`] — the per-source corruption model (token drops/swaps, typos,
@@ -21,7 +22,7 @@
 //!   attributes (cddb's track01…).
 //! * [`clean_clean`] / [`dirty`] — the two ER settings, with ground truth.
 //! * [`presets`] — one preset per paper dataset, sizes from Table 2
-//!   (dbp scaled down; see DESIGN.md).
+//!   (dbp scaled down; see [`presets`]).
 //! * [`stats`] — the Table 2 characteristics of a generated dataset.
 
 pub mod clean_clean;

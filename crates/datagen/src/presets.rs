@@ -1,6 +1,6 @@
 //! One preset per paper dataset (Table 2 and Table 7), with the schema
 //! views and noise levels that give each benchmark its character. `dbp` is
-//! scaled down (documented in DESIGN.md §3): the original is 1.2M × 2.2M
+//! scaled down: the original is 1.2M × 2.2M
 //! profiles with 30k × 50k attributes; the preset keeps the structural
 //! traits (heterogeneous pooled property space, partial mappability, high
 //! nvp) at laptop scale.

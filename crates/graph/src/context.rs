@@ -20,12 +20,13 @@
 //! keeps incremental repair bit-identical to batch (pinned by
 //! `tests/snapshot_maintenance.rs`).
 
-use crate::traversal::with_diag_scratch;
+use crate::traversal::NodeScratch;
 use blast_blocking::collection::BlockCollection;
 use blast_blocking::index::ProfileBlockIndex;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::hash::FastMap;
 use blast_datamodel::parallel::default_threads;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-edge accumulator gathered while scanning a node's blocks: everything
 /// any weighting scheme needs about the pair.
@@ -131,6 +132,9 @@ pub struct GraphSnapshot {
     /// Two-tier slot residency (bounded-memory streaming); `None` until a
     /// pipeline enables a memory budget.
     residency: Option<Box<SlotResidency>>,
+    /// Adjacency loads run against this snapshot (see
+    /// [`GraphSnapshot::scratch_loads`]).
+    scratch_loads: AtomicU64,
 }
 
 /// Cold-tier state of the snapshot's block memberships: per-slot frame
@@ -211,6 +215,7 @@ impl GraphSnapshot {
             threads_override: None,
             version: 0,
             residency: None,
+            scratch_loads: AtomicU64::new(0),
         }
     }
 
@@ -239,6 +244,7 @@ impl GraphSnapshot {
             threads_override: None,
             version: 0,
             residency: None,
+            scratch_loads: AtomicU64::new(0),
         }
     }
 
@@ -393,6 +399,20 @@ impl GraphSnapshot {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// How many node adjacencies have been accumulated from this
+    /// snapshot's blocks ([`NodeScratch::load`]) by passes that have
+    /// finished — every pass driver and [`GraphSnapshot::edge`] report
+    /// here. An exact count of block traversals: the difference across a
+    /// commit is what the repair re-read, whichever primitive did it.
+    pub fn scratch_loads(&self) -> u64 {
+        self.scratch_loads.load(Ordering::Relaxed)
+    }
+
+    /// Where a returning [`crate::traversal::ScratchLease`] adds its loads.
+    pub(crate) fn scratch_load_sink(&self) -> &AtomicU64 {
+        &self.scratch_loads
     }
 
     /// Estimated resident heap footprint in bytes: slot memberships, slot
@@ -763,14 +783,13 @@ impl GraphSnapshot {
     }
 
     /// Convenience (tests/diagnostics): the accumulator of one edge, if it
-    /// exists. Runs on the dense scratch engine with a **lock-free
-    /// thread-local scratch** — repeated probes neither re-allocate a
-    /// profile-sized array nor serialise concurrent callers on a mutex.
+    /// exists. Runs on the dense scratch engine with a pooled scratch —
+    /// repeated probes neither re-allocate a profile-sized array nor
+    /// serialise concurrent callers for the length of a probe.
     pub fn edge(&self, u: u32, v: u32) -> Option<EdgeAccum> {
-        with_diag_scratch(self.total_profiles as usize, |scratch| {
-            scratch.load(self, u);
-            scratch.get(v)
-        })
+        let mut scratch = NodeScratch::lease(self);
+        scratch.load(self, u);
+        scratch.get(v)
     }
 }
 

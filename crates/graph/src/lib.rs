@@ -58,8 +58,9 @@
 //!   the owned graph state and its patch protocol.
 //! * [`traversal`] — the dense scratch-array engine every pass runs on:
 //!   per-worker [`traversal::NodeScratch`] adjacency accumulation with
-//!   work-stealing scheduling, bit-exact across thread counts; diagnostics
-//!   reuse a lock-free thread-local scratch.
+//!   work-stealing scheduling, bit-exact across thread counts; workers and
+//!   diagnostics lease their scratches from one pool
+//!   ([`traversal::NodeScratch::lease`]), grown and never re-allocated.
 //! * [`weights`] — the five traditional weighting schemes of \[20\]
 //!   (ARCS, CBS, ECBS, JS, EJS) behind the [`weights::EdgeWeigher`] trait,
 //!   which `blast-core` also implements for its χ²·entropy weighting, plus

@@ -67,7 +67,13 @@ impl PruningAlgorithm {
     /// node count — the quadratic adjacency traversal is *not* repeated, so
     /// sweeps over several prunings of the same weighted graph pay the
     /// materialisation once. Results are identical to
-    /// [`PruningAlgorithm::prune`].
+    /// [`PruningAlgorithm::prune`] for the edge-centric prunings under any
+    /// weigher, and for the node-centric ones (WNP, CNP) under
+    /// orientation-symmetric weighers (CBS, ARCS, JS). Under ECBS, EJS or
+    /// χ² the list's one weight per edge and the node pass's node-side
+    /// weights differ in the last bit for some edges (see
+    /// [`Wnp::thresholds_from_edges`]), so a pair sitting exactly on a
+    /// node's threshold or top-k boundary can fall the other way.
     pub fn prune_edges(&self, ctx: &GraphSnapshot, edges: &[(u32, u32, f64)]) -> RetainedPairs {
         let n = ctx.total_profiles() as usize;
         match self {

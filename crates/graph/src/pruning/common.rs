@@ -9,7 +9,7 @@
 //! across thread counts.
 
 use crate::context::{EdgeAccum, GraphSnapshot};
-use crate::traversal::{chunk_len, node_chunks, owner_chunks, NodeScratch};
+use crate::traversal::{chunk_len, node_chunks, owner_chunks, NodeScratch, ScratchLease};
 use crate::weights::EdgeWeigher;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
@@ -138,49 +138,127 @@ where
     out
 }
 
-/// Like [`node_pass`] but restricted to `nodes` (the dirty-neighbourhood
-/// entry point of incremental repair): runs `per_node(node, adjacency)` for
-/// exactly the listed nodes, returning results aligned with `nodes`. The
-/// per-node adjacency is computed on the same dense scratch engine as the
-/// full pass, so results are bit-identical to the corresponding slots of
-/// [`node_pass`].
-pub fn node_pass_subset<R, F>(
+/// What one [`touching_pass`] produced.
+#[derive(Debug)]
+pub struct TouchingPass<E, A> {
+    /// Every edge with a marked endpoint, once, in canonical orientation
+    /// (smaller id first — the batch owner side on dirty and clean-clean
+    /// graphs alike), ascending by pair.
+    pub edges: Vec<E>,
+    /// `artefact(node, adjacency)` of every listed node, aligned with the
+    /// node list; empty when no artefact function was given.
+    pub artefacts: Vec<A>,
+}
+
+/// The repair pass of the incremental tiers that re-read blocks: **one**
+/// adjacency load per listed node yields both the marked-incident edges and
+/// the nodes' own artefacts.
+///
+/// `nodes` lists the marked nodes strictly ascending and `mask` is their
+/// membership mask (`mask.contains(n) == nodes.contains(&n)`). Per node the
+/// loaded adjacency is weighed from the node's side — `weigher.weight(ctx,
+/// node, v, acc)`, the orientation [`node_pass`] uses — and handed to
+/// `artefact`, so thresholds and top-k lists carry the bits a batch node
+/// pass gives them. Each edge is emitted through `edge(u, v, w, acc)` with
+/// `u < v` and `w = weigher.weight(ctx, u, v, acc)`, the orientation of
+/// [`collect_edges`]; the two orientations are separate calls because
+/// their bits differ for weighers that multiply per-endpoint factors
+/// (`(c·a)·b ≠ (c·b)·a` under ECBS, EJS, χ²). Without an artefact function
+/// the node-side weights of edges a marked smaller endpoint already emits
+/// are never computed.
+///
+/// Nothing already ordered is sorted ([`ordered_emission`]): nodes ascend
+/// and every adjacency ascends, so the edges emitted from their smaller
+/// endpoint form a sorted run as they come, and only the remainder is
+/// sorted. With every node marked the remainder is empty.
+pub fn touching_pass<E, A>(
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
     nodes: &[u32],
-    per_node: F,
-) -> Vec<R>
+    mask: &EpochMask,
+    edge: impl Fn(u32, u32, f64, &EdgeAccum) -> E + Sync,
+    pair_of: impl Fn(&E) -> (u32, u32),
+    artefact: Option<impl Fn(u32, &[(u32, f64)]) -> A + Sync>,
+) -> TouchingPass<E, A>
 where
-    R: Send,
-    F: Fn(u32, &[(u32, f64)]) -> R + Sync,
+    E: Send,
+    A: Send,
 {
+    assert!(
+        nodes.windows(2).all(|w| w[0] < w[1]),
+        "touching_pass: the node list must ascend"
+    );
     let len = nodes.len();
+    let with_artefacts = artefact.is_some();
     let chunks = parallel_work_steal(
         len,
         ctx.threads(),
         chunk_len(len),
-        || (NodeScratch::new(ctx), Vec::new()),
-        |(scratch, weighted): &mut (NodeScratch, Vec<(u32, f64)>), range| {
-            let mut out = Vec::with_capacity(range.len());
-            for i in range {
-                let node = nodes[i];
-                scratch.load(ctx, node);
+        || (NodeScratch::lease(ctx), Vec::new()),
+        |(scratch, weighted): &mut (ScratchLease, Vec<(u32, f64)>), range| {
+            let mut from_smaller = Vec::new();
+            let mut from_larger = Vec::new();
+            let mut artefacts = Vec::with_capacity(if with_artefacts { range.len() } else { 0 });
+            for &d in &nodes[range] {
+                scratch.load(ctx, d);
+                from_smaller.reserve(scratch.len());
                 weighted.clear();
-                weighted.extend(
-                    scratch
-                        .iter()
-                        .map(|(v, acc)| (v, weigher.weight(ctx, node, v, &acc))),
-                );
-                out.push(per_node(node, weighted));
+                for (v, acc) in scratch.iter() {
+                    if d < v {
+                        let w = weigher.weight(ctx, d, v, &acc);
+                        from_smaller.push(edge(d, v, w, &acc));
+                        if with_artefacts {
+                            weighted.push((v, w));
+                        }
+                    } else {
+                        if with_artefacts {
+                            weighted.push((v, weigher.weight(ctx, d, v, &acc)));
+                        }
+                        // A marked smaller endpoint emits the edge itself.
+                        if !mask.contains(v) {
+                            from_larger.push(edge(v, d, weigher.weight(ctx, v, d, &acc), &acc));
+                        }
+                    }
+                }
+                if let Some(artefact) = &artefact {
+                    artefacts.push(artefact(d, weighted));
+                }
             }
-            out
+            (from_smaller, from_larger, artefacts)
         },
     );
-    let mut out = Vec::with_capacity(len);
-    for c in chunks {
-        out.extend(c);
+    let (mut n_smaller, mut n_larger) = (0, 0);
+    for (s, l, _) in &chunks {
+        n_smaller += s.len();
+        n_larger += l.len();
     }
-    out
+    let mut from_smaller = Vec::with_capacity(n_smaller);
+    let mut from_larger = Vec::with_capacity(n_larger);
+    let mut artefacts = Vec::with_capacity(if with_artefacts { len } else { 0 });
+    for (s, l, a) in chunks {
+        from_smaller.extend(s);
+        from_larger.extend(l);
+        artefacts.extend(a);
+    }
+    TouchingPass {
+        edges: ordered_emission(from_smaller, from_larger, pair_of),
+        artefacts,
+    }
+}
+
+/// Puts an *ordered emission* into canonical pair order. When marked nodes
+/// are visited ascending and each reads an ascending row, the pairs read
+/// from their smaller endpoint (`from_smaller`) are sorted as they come;
+/// only the remainder read from the larger endpoint — the smaller one is
+/// unmarked — arrives out of order. So only `from_larger` is sorted, and the
+/// two runs are merged: nothing already ordered is sorted again.
+pub fn ordered_emission<T, K: Ord>(
+    from_smaller: Vec<T>,
+    mut from_larger: Vec<T>,
+    key: impl Fn(&T) -> K,
+) -> Vec<T> {
+    from_larger.sort_unstable_by_key(&key);
+    merge_sorted_runs(vec![from_smaller, from_larger], key)
 }
 
 /// Materialises exactly the weighted edges with at least one endpoint in the
@@ -189,81 +267,99 @@ where
 /// owner orientation, sorted ascending by `(u, v)`, with the weight computed
 /// from the same accumulation path as the full pass (bit-identical).
 ///
-/// A convenience wrapper for tests and diagnostics — the incremental repair
-/// ladder runs on [`collect_accums_touching`] directly (it must patch
-/// degrees between accumulation and weighting, and weighs in parallel).
-///
-/// `nodes` lists the marked node ids and `mask` is the corresponding
-/// epoch-stamped membership mask (`mask.contains(n) == nodes.contains(&n)`).
+/// A convenience wrapper over [`touching_pass`] for tests and diagnostics;
+/// `nodes` and `mask` as there.
 pub fn collect_edges_touching(
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
     nodes: &[u32],
     mask: &EpochMask,
 ) -> Vec<(u32, u32, f64)> {
-    collect_accums_touching(ctx, nodes, mask)
-        .into_iter()
-        .map(|(u, v, acc)| (u, v, weigher.weight(ctx, u, v, &acc)))
-        .collect()
+    touching_pass(
+        ctx,
+        weigher,
+        nodes,
+        mask,
+        |u, v, w, _| (u, v, w),
+        |e| (e.0, e.1),
+        NO_ARTEFACT,
+    )
+    .edges
 }
 
+/// "No artefacts" for [`touching_pass`], with the type spelled out.
+const NO_ARTEFACT: Option<ArtefactFn> = None;
+type ArtefactFn = fn(u32, &[(u32, f64)]);
+
 /// Like [`collect_edges_touching`] but returns the raw accumulators instead
-/// of weights: each marked-incident edge once, canonical owner orientation,
-/// sorted ascending by `(u, v)`. This is the artefact-stage primitive of
-/// the incremental repair ladder — the accumulators are cached per edge so
-/// a later global-statistic drift can re-derive the weight (weight =
-/// f(accumulator, O(1) snapshot statistics)) without re-traversing any
-/// block, and so degree maintenance can diff edge existence *before* any
-/// weight is computed.
+/// of weights — [`touching_pass`] for a weigher that cannot run yet: a
+/// degree-reading scheme (EJS) must diff edge existence and patch the
+/// snapshot's degrees *between* accumulation and weighing, so its repair
+/// takes the accumulators here, weighs afterwards, and reads its per-node
+/// artefacts back from the cached rows it has just patched.
 pub fn collect_accums_touching(
     ctx: &GraphSnapshot,
     nodes: &[u32],
     mask: &EpochMask,
 ) -> Vec<(u32, u32, EdgeAccum)> {
-    let clean = ctx.is_clean_clean();
-    let sep = ctx.separator();
-    let len = nodes.len();
-    let chunks = parallel_work_steal(
-        len,
-        ctx.threads(),
-        chunk_len(len),
-        || NodeScratch::new(ctx),
-        |scratch: &mut NodeScratch, range| {
-            let mut out = Vec::new();
-            for i in range {
-                let d = nodes[i];
-                scratch.load(ctx, d);
-                for (v, acc) in scratch.iter() {
-                    // Canonical owner orientation: the E1-side endpoint for
-                    // clean-clean graphs, the smaller id for dirty ones.
-                    let (owner, other) = if clean {
-                        if d < sep {
-                            (d, v)
-                        } else {
-                            (v, d)
-                        }
-                    } else if d < v {
-                        (d, v)
-                    } else {
-                        (v, d)
-                    };
-                    // Emit from the owner endpoint when it is marked;
-                    // otherwise from the marked non-owner (exactly once).
-                    if owner != d && mask.contains(owner) {
-                        continue;
-                    }
-                    out.push((owner, other, acc));
+    struct Unweighed;
+    impl EdgeWeigher for Unweighed {
+        fn weight(&self, _: &GraphSnapshot, _: u32, _: u32, _: &EdgeAccum) -> f64 {
+            0.0
+        }
+    }
+    touching_pass(
+        ctx,
+        &Unweighed,
+        nodes,
+        mask,
+        |u, v, _, acc| (u, v, *acc),
+        |e| (e.0, e.1),
+        NO_ARTEFACT,
+    )
+    .edges
+}
+
+/// Merges runs that are each sorted by `key` into one sequence sorted by
+/// `key` — the order one scan over the union would have produced. Keys must
+/// be unique across runs (canonical edges are), so the merge order is total
+/// and the output deterministic whatever partitioned the input. The run
+/// with the smallest head is drained up to the next-smallest head, so a
+/// long run beside a sparse one (an ordered emission and its sorted
+/// remainder) moves in stretches at one comparison per element; choosing
+/// the run costs O(runs), and the callers have two runs or one per shard.
+pub fn merge_sorted_runs<T, K: Ord>(mut runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
+    runs.retain(|r| !r.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
+        runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut out = Vec::with_capacity(total);
+    loop {
+        // The smallest head and, as the bound of its stretch, the next one.
+        let mut best: Option<(usize, K)> = None;
+        let mut bound: Option<K> = None;
+        for (i, it) in iters.iter_mut().enumerate() {
+            let Some(head) = it.peek() else { continue };
+            let k = key(head);
+            if best.as_ref().is_none_or(|(_, bk)| k < *bk) {
+                bound = best.replace((i, k)).map(|(_, bk)| bk);
+            } else if bound.as_ref().is_none_or(|b| k < *b) {
+                bound = Some(k);
+            }
+        }
+        let Some((i, _)) = best else { return out };
+        match bound {
+            Some(b) => {
+                while let Some(x) = iters[i].next_if(|x| key(x) < b) {
+                    out.push(x);
                 }
             }
-            out
-        },
-    );
-    let mut out: Vec<(u32, u32, EdgeAccum)> = Vec::new();
-    for c in chunks {
-        out.extend(c);
+            None => out.extend(iters[i].by_ref()),
+        }
     }
-    out.sort_unstable_by_key(|&(u, v, _)| (u, v));
-    out
 }
 
 /// Enumerates every edge exactly once (u < v), calling `f(u, v, w)` and
@@ -380,6 +476,100 @@ mod tests {
     fn ids(v: &[u32]) -> Vec<ProfileId> {
         v.iter().map(|&i| ProfileId(i)).collect()
     }
+
+    /// The two-pass, sort-everything repair primitives [`touching_pass`]
+    /// replaced, kept as the reference it must equal bit for bit.
+    mod reference {
+        use super::super::*;
+
+        /// Runs `per_node(node, adjacency)` for exactly the listed nodes (any
+        /// order), node-orientation weights, results aligned with `nodes`.
+        pub fn node_pass_subset<R, F>(
+            ctx: &GraphSnapshot,
+            weigher: &dyn EdgeWeigher,
+            nodes: &[u32],
+            per_node: F,
+        ) -> Vec<R>
+        where
+            R: Send,
+            F: Fn(u32, &[(u32, f64)]) -> R + Sync,
+        {
+            let len = nodes.len();
+            let chunks = parallel_work_steal(
+                len,
+                ctx.threads(),
+                chunk_len(len),
+                || (NodeScratch::new(ctx), Vec::new()),
+                |(scratch, weighted): &mut (NodeScratch, Vec<(u32, f64)>), range| {
+                    let mut out = Vec::with_capacity(range.len());
+                    for i in range {
+                        let node = nodes[i];
+                        scratch.load(ctx, node);
+                        weighted.clear();
+                        weighted.extend(
+                            scratch
+                                .iter()
+                                .map(|(v, acc)| (v, weigher.weight(ctx, node, v, &acc))),
+                        );
+                        out.push(per_node(node, weighted));
+                    }
+                    out
+                },
+            );
+            chunks.into_iter().flatten().collect()
+        }
+
+        /// Each marked-incident edge once, canonical owner orientation,
+        /// everything pushed in emission order and then sorted.
+        pub fn collect_accums_touching(
+            ctx: &GraphSnapshot,
+            nodes: &[u32],
+            mask: &EpochMask,
+        ) -> Vec<(u32, u32, EdgeAccum)> {
+            let clean = ctx.is_clean_clean();
+            let sep = ctx.separator();
+            let len = nodes.len();
+            let chunks = parallel_work_steal(
+                len,
+                ctx.threads(),
+                chunk_len(len),
+                || NodeScratch::new(ctx),
+                |scratch: &mut NodeScratch, range| {
+                    let mut out = Vec::new();
+                    for i in range {
+                        let d = nodes[i];
+                        scratch.load(ctx, d);
+                        for (v, acc) in scratch.iter() {
+                            // Canonical owner orientation: the E1-side endpoint for
+                            // clean-clean graphs, the smaller id for dirty ones.
+                            let (owner, other) = if clean {
+                                if d < sep {
+                                    (d, v)
+                                } else {
+                                    (v, d)
+                                }
+                            } else if d < v {
+                                (d, v)
+                            } else {
+                                (v, d)
+                            };
+                            // Emit from the owner endpoint when it is marked;
+                            // otherwise from the marked non-owner (exactly once).
+                            if owner != d && mask.contains(owner) {
+                                continue;
+                            }
+                            out.push((owner, other, acc));
+                        }
+                    }
+                    out
+                },
+            );
+            let mut out: Vec<(u32, u32, EdgeAccum)> = chunks.into_iter().flatten().collect();
+            out.sort_unstable_by_key(|&(u, v, _)| (u, v));
+            out
+        }
+    }
+    use reference::node_pass_subset;
 
     fn dirty_triangle() -> BlockCollection {
         let blocks = vec![
@@ -538,6 +728,138 @@ mod tests {
             weight_rank_bits(0.0),
             "batch deciders compare f64s, where -0.0 == 0.0"
         );
+    }
+
+    /// Bits of a weighted adjacency, for exact comparison.
+    fn adjacency_bits(node: u32, adj: &[(u32, f64)]) -> (u32, Vec<(u32, u64)>) {
+        (node, adj.iter().map(|&(v, w)| (v, w.to_bits())).collect())
+    }
+
+    /// `touching_pass` ≡ the reference pair (sort-based accumulate, weigh in
+    /// owner orientation, second traversal for the node adjacencies) on one
+    /// collection and marked set, bit for bit.
+    fn assert_pass_matches_reference(blocks: &BlockCollection, nodes: &[u32], full: bool) {
+        let n = blocks.total_profiles() as usize;
+        let mut mask = EpochMask::new();
+        mask.begin(n);
+        if full {
+            mask.mark_all();
+        } else {
+            for &u in nodes {
+                mask.mark(u);
+            }
+        }
+        for threads in [1usize, 4] {
+            let ctx = GraphSnapshot::build(blocks).with_threads(threads);
+            for scheme in [
+                WeightingScheme::Cbs,
+                WeightingScheme::Arcs,
+                WeightingScheme::Js,
+                WeightingScheme::Ecbs,
+            ] {
+                let label = format!("{} threads={threads}", scheme.name());
+                let accs = reference::collect_accums_touching(&ctx, nodes, &mask);
+                let expect_edges: Vec<(u32, u32, u64, EdgeAccum)> = accs
+                    .iter()
+                    .map(|&(u, v, acc)| (u, v, scheme.weight(&ctx, u, v, &acc).to_bits(), acc))
+                    .collect();
+                let expect_adj = node_pass_subset(&ctx, &scheme, nodes, adjacency_bits);
+
+                let pass = touching_pass(
+                    &ctx,
+                    &scheme,
+                    nodes,
+                    &mask,
+                    |u, v, w, acc| (u, v, w.to_bits(), *acc),
+                    |e| (e.0, e.1),
+                    Some(adjacency_bits),
+                );
+                assert_eq!(pass.edges, expect_edges, "{label}: edges");
+                assert_eq!(pass.artefacts, expect_adj, "{label}: node adjacencies");
+
+                assert_eq!(
+                    collect_accums_touching(&ctx, nodes, &mask),
+                    accs,
+                    "{label}: accumulators"
+                );
+                let weighted = collect_edges_touching(&ctx, &scheme, nodes, &mask);
+                assert_eq!(weighted.len(), expect_edges.len());
+                for (got, want) in weighted.iter().zip(&expect_edges) {
+                    assert_eq!((got.0, got.1, got.2.to_bits()), (want.0, want.1, want.2));
+                }
+            }
+        }
+    }
+
+    /// A marked subset from selector bits (ascending), or every node.
+    fn marked_nodes(n: u32, picks: &[u8], full: bool) -> Vec<u32> {
+        (0..n)
+            .filter(|&u| full || picks[u as usize % picks.len()] == 1)
+            .collect()
+    }
+
+    mod pass_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn prop_touching_pass_equals_two_pass_reference_dirty(
+                memberships in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..24, 0..10), 1..24),
+                picks in proptest::collection::vec(0u8..2, 1..24),
+                full in 0u8..3,
+            ) {
+                let blocks: Vec<Block> = memberships
+                    .iter()
+                    .enumerate()
+                    .map(|(i, set)| Block::new(
+                        format!("b{i}"),
+                        ClusterId::GLUE,
+                        set.iter().map(|&p| ProfileId(p)).collect(),
+                        u32::MAX,
+                    ))
+                    .collect();
+                let collection = BlockCollection::new(blocks, false, 24, 24);
+                let full = full == 0;
+                assert_pass_matches_reference(&collection, &marked_nodes(24, &picks, full), full);
+            }
+
+            #[test]
+            fn prop_touching_pass_equals_two_pass_reference_clean_clean(
+                memberships in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..20, 0..8), 1..20),
+                picks in proptest::collection::vec(0u8..2, 1..20),
+                full in 0u8..3,
+            ) {
+                let separator = 10u32;
+                let blocks: Vec<Block> = memberships
+                    .iter()
+                    .enumerate()
+                    .map(|(i, set)| Block::new(
+                        format!("b{i}"),
+                        ClusterId::GLUE,
+                        set.iter().map(|&p| ProfileId(p)).collect(),
+                        separator,
+                    ))
+                    .collect();
+                let collection = BlockCollection::new(blocks, true, separator, 20);
+                let full = full == 0;
+                assert_pass_matches_reference(&collection, &marked_nodes(20, &picks, full), full);
+            }
+        }
+    }
+
+    #[test]
+    fn merged_runs_restore_one_sorted_sequence() {
+        let merged = merge_sorted_runs(
+            vec![vec![(0, 2), (3, 4)], vec![], vec![(0, 1), (5, 6)]],
+            |&p| p,
+        );
+        assert_eq!(merged, vec![(0, 1), (0, 2), (3, 4), (5, 6)]);
+        assert!(merge_sorted_runs(Vec::<Vec<u32>>::new(), |&p| p).is_empty());
     }
 
     #[test]

@@ -65,9 +65,19 @@ impl Wnp {
     /// The per-node thresholds derived from an already-materialised weighted
     /// edge list in canonical `(u, v)` ascending order. For each node the
     /// incident weights are accumulated in the same ascending-neighbour
-    /// order as the adjacency pass of [`Wnp::thresholds`], so the means are
-    /// bit-identical (edges `(x, n)` with `x < n` precede the `(n, v)` run,
-    /// both ascending).
+    /// order as the adjacency pass of [`Wnp::thresholds`] (edges `(x, n)`
+    /// with `x < n` precede the `(n, v)` run, both ascending), so the means
+    /// are bit-identical **for orientation-symmetric weighers** — CBS,
+    /// ARCS, JS: `weight(u, v)` and `weight(v, u)` are the same bits. A
+    /// weigher that multiplies per-endpoint factors is not: ECBS computes
+    /// `(c·ln(|B|/|B_u|))·ln(|B|/|B_v|)` from `u`'s side and
+    /// `(c·ln(|B|/|B_v|))·ln(|B|/|B_u|)` from `v`'s, which differ in the
+    /// last bit for about a fifth of the edges (likewise EJS and χ²). The
+    /// list carries one orientation per edge, [`Wnp::thresholds`] weighs
+    /// every edge from the node's own side, so under such a weigher the two
+    /// means can differ in their last bits (pinned by a test below) — which
+    /// is why incremental repair takes its thresholds from node-side
+    /// weights and never from its edge list.
     pub fn thresholds_from_edges(n_nodes: usize, edges: &[(u32, u32, f64)]) -> Vec<f64> {
         let mut sums = vec![0.0f64; n_nodes];
         let mut counts = vec![0u32; n_nodes];
@@ -210,6 +220,59 @@ mod tests {
         assert!(
             t[0] < 2.0,
             "threshold dropped because of unrelated profiles"
+        );
+    }
+
+    /// The last-bit gap the `thresholds_from_edges` docs describe: on one
+    /// fixed pseudo-random collection every CBS threshold has the same bits
+    /// from the edge list as from the node pass, while under ECBS — whose
+    /// factor product depends on which endpoint weighs — some do not
+    /// (though none by more than rounding).
+    #[test]
+    fn from_edges_thresholds_match_node_pass_only_for_symmetric_weighers() {
+        use crate::pruning::common::collect_weighted_edges;
+        // Dense enough that most pairs share three or more blocks: with a
+        // shared-block count of 1 or 2 (a power of two) the ECBS product
+        // rounds the same from either side.
+        let n = 14u32;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let blocks: Vec<Block> = (0..60)
+            .map(|i| {
+                let mut members = std::collections::BTreeSet::new();
+                for _ in 0..2 + i % 5 {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    members.insert((x >> 33) as u32 % n);
+                }
+                let members: Vec<u32> = members.into_iter().collect();
+                Block::new(format!("b{i}"), ClusterId::GLUE, ids(&members), u32::MAX)
+            })
+            .collect();
+        let ctx = GraphSnapshot::build(&BlockCollection::new(blocks, false, n, n));
+        let differing = |scheme: WeightingScheme| {
+            let by_node = Wnp::redefined().thresholds(&ctx, &scheme);
+            let by_edge =
+                Wnp::thresholds_from_edges(n as usize, &collect_weighted_edges(&ctx, &scheme));
+            for (a, b) in by_node.iter().zip(&by_edge) {
+                assert!(
+                    a == b || (a - b).abs() <= 1e-12 * a.abs(),
+                    "{}: {a} vs {b} is more than rounding",
+                    scheme.name()
+                );
+            }
+            by_node
+                .iter()
+                .zip(&by_edge)
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count()
+        };
+        assert_eq!(differing(WeightingScheme::Cbs), 0);
+        assert_eq!(differing(WeightingScheme::Arcs), 0);
+        assert_eq!(differing(WeightingScheme::Js), 0);
+        assert!(
+            differing(WeightingScheme::Ecbs) > 0,
+            "ECBS thresholds should show the orientation gap on this collection"
         );
     }
 

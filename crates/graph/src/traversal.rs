@@ -45,16 +45,20 @@
 
 use crate::context::{EdgeAccum, GraphSnapshot};
 use blast_datamodel::parallel::parallel_work_steal;
-use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A worker-local dense adjacency accumulator (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NodeScratch {
     /// One accumulator slot per profile; all-default except touched slots.
     accum: Vec<EdgeAccum>,
     /// Neighbour ids of the currently loaded node, sorted ascending after
     /// [`NodeScratch::load`] returns.
     touched: Vec<u32>,
+    /// [`NodeScratch::load`] calls since the scratch was leased.
+    loads: u64,
 }
 
 impl NodeScratch {
@@ -68,6 +72,38 @@ impl NodeScratch {
         Self {
             accum: vec![EdgeAccum::default(); n],
             touched: Vec::new(),
+            loads: 0,
+        }
+    }
+
+    /// Borrows a scratch covering every node of `ctx` from the process-wide
+    /// pool — what every pass driver hands its workers. A pooled scratch is
+    /// *grown*, never re-allocated, so the `total_profiles × 24 B`
+    /// zero-fill is paid once per worker per process instead of once per
+    /// worker per pass per commit (the commit path is sublinear; that term
+    /// was not). The scratch-reset invariant makes reuse across nodes,
+    /// passes and snapshots safe: every `load` resets exactly the slots the
+    /// previous one touched. A scratch left over from a much larger
+    /// snapshot is reallocated down (with a generous floor) so a one-off
+    /// pass over a huge collection does not pin its profile-sized buffer
+    /// for the rest of the process.
+    ///
+    /// When the lease drops, its load count is added to
+    /// [`GraphSnapshot::scratch_loads`].
+    pub fn lease(ctx: &GraphSnapshot) -> ScratchLease<'_> {
+        const SHRINK_FLOOR: usize = 1 << 20;
+        let n = ctx.total_profiles() as usize;
+        // A poisoned pool is treated as empty, here and on return.
+        let pooled = SCRATCH_POOL.lock().ok().and_then(|mut pool| pool.pop());
+        let mut scratch = match pooled {
+            Some(s) if !(s.accum.len() > SHRINK_FLOOR && s.accum.len() / 4 > n) => s,
+            _ => NodeScratch::with_capacity(n),
+        };
+        scratch.ensure_capacity(n);
+        scratch.loads = 0;
+        ScratchLease {
+            scratch,
+            sink: ctx.scratch_load_sink(),
         }
     }
 
@@ -83,6 +119,7 @@ impl NodeScratch {
     /// Afterwards [`NodeScratch::iter`] yields `(neighbour, accum)` in
     /// ascending neighbour order.
     pub fn load(&mut self, ctx: &GraphSnapshot, node: u32) {
+        self.loads += 1;
         for &v in &self.touched {
             self.accum[v as usize] = EdgeAccum::default();
         }
@@ -138,31 +175,43 @@ impl NodeScratch {
     }
 }
 
-thread_local! {
-    /// Per-thread scratch behind [`GraphSnapshot::edge`] diagnostics — a
-    /// lock-free replacement for the former `Mutex<Option<NodeScratch>>`:
-    /// concurrent diagnostic probes no longer serialise, and the
-    /// profile-sized array is still allocated once per thread, not per call.
-    static DIAG_SCRATCH: RefCell<Option<NodeScratch>> = const { RefCell::new(None) };
+/// Idle scratches between leases (see [`NodeScratch::lease`]). The lock
+/// is held for one push or pop, never while a scratch is in use, so
+/// concurrent passes and diagnostic probes do not serialise on it.
+static SCRATCH_POOL: Mutex<Vec<NodeScratch>> = Mutex::new(Vec::new());
+
+/// A pooled [`NodeScratch`] on loan to one worker; returned on drop.
+#[derive(Debug)]
+pub struct ScratchLease<'a> {
+    scratch: NodeScratch,
+    sink: &'a AtomicU64,
 }
 
-/// Runs `f` with this thread's diagnostic scratch, grown to cover `n`
-/// profiles. The scratch-reset invariant makes reuse across snapshots safe:
-/// every `load` resets exactly the slots the previous load touched. A
-/// scratch left over from a much larger snapshot is reallocated down (with
-/// a generous floor) so a one-off probe of a huge collection does not pin
-/// its profile-sized buffer for the rest of the thread's life.
-pub(crate) fn with_diag_scratch<R>(n: usize, f: impl FnOnce(&mut NodeScratch) -> R) -> R {
-    const SHRINK_FLOOR: usize = 1 << 20;
-    DIAG_SCRATCH.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let scratch = slot.get_or_insert_with(|| NodeScratch::with_capacity(n));
-        if scratch.accum.len() > SHRINK_FLOOR && scratch.accum.len() / 4 > n {
-            *scratch = NodeScratch::with_capacity(n);
+impl Deref for ScratchLease<'_> {
+    type Target = NodeScratch;
+    fn deref(&self) -> &NodeScratch {
+        &self.scratch
+    }
+}
+
+impl DerefMut for ScratchLease<'_> {
+    fn deref_mut(&mut self) -> &mut NodeScratch {
+        &mut self.scratch
+    }
+}
+
+impl Drop for ScratchLease<'_> {
+    fn drop(&mut self) {
+        // A statistic that publishes no other data.
+        self.sink.fetch_add(self.scratch.loads, Ordering::Relaxed);
+        // A worker that panicked mid-load may have broken the reset
+        // invariant: let its scratch go instead of pooling it.
+        if !std::thread::panicking() {
+            if let Ok(mut pool) = SCRATCH_POOL.lock() {
+                pool.push(std::mem::take(&mut self.scratch));
+            }
         }
-        scratch.ensure_capacity(n);
-        f(scratch)
-    })
+    }
 }
 
 /// Work-stealing chunk length for an `len`-node pass. A function of the
@@ -186,7 +235,7 @@ where
         len,
         ctx.threads(),
         chunk_len(len),
-        || (NodeScratch::new(ctx), Vec::new()),
+        || (NodeScratch::lease(ctx), Vec::new()),
         |(scratch, weighted), range| per_chunk(scratch, weighted, range),
     )
 }
@@ -206,7 +255,7 @@ where
         len,
         ctx.threads(),
         chunk_len(len),
-        || NodeScratch::new(ctx),
+        || NodeScratch::lease(ctx),
         |scratch, range| {
             per_chunk(
                 scratch,
@@ -316,6 +365,64 @@ mod tests {
         // An empty reload leaves a clean scratch.
         scratch.load(&ctx, 3);
         assert_eq!(scratch.len(), 1);
+    }
+
+    /// A pooled scratch that served a small snapshot is grown — not
+    /// replaced — for a larger one, and still yields exactly the adjacency
+    /// a fresh scratch does, stale slots of its earlier life included.
+    #[test]
+    fn leased_scratch_reused_after_growth_matches_fresh() {
+        let small = BlockCollection::new(
+            vec![Block::new("s", ClusterId::GLUE, ids(&[0, 1, 2]), u32::MAX)],
+            false,
+            3,
+            3,
+        );
+        let large = BlockCollection::new(
+            vec![
+                Block::new("l0", ClusterId::GLUE, ids(&[0, 2, 7, 9]), u32::MAX),
+                Block::new("l1", ClusterId::GLUE, ids(&[2, 9, 11]), u32::MAX),
+            ],
+            false,
+            12,
+            12,
+        );
+        let small_ctx = GraphSnapshot::build(&small);
+        let large_ctx = GraphSnapshot::build(&large);
+
+        // Drive the reuse by hand (the pool is shared with every other
+        // test thread, so a lease cannot be told to return *this* one).
+        let mut reused = NodeScratch::new(&small_ctx);
+        reused.load(&small_ctx, 1);
+        assert_eq!(reused.len(), 2, "slots 0 and 2 are now stale");
+        reused.ensure_capacity(large_ctx.total_profiles() as usize);
+        let mut fresh = NodeScratch::new(&large_ctx);
+        for node in 0..large_ctx.total_profiles() {
+            reused.load(&large_ctx, node);
+            fresh.load(&large_ctx, node);
+            let a: Vec<(u32, EdgeAccum)> = reused.iter().collect();
+            let b: Vec<(u32, EdgeAccum)> = fresh.iter().collect();
+            assert_eq!(a, b, "adjacency of node {node}");
+        }
+
+        // And through the pool itself: whatever scratch a lease hands out,
+        // in whatever state its last user left it, a pass over the larger
+        // snapshot reads the same graph — and its loads are counted.
+        drop(NodeScratch::lease(&small_ctx));
+        let before = large_ctx.scratch_loads();
+        let pooled = collect_weighted_edges(&large_ctx, &WeightingScheme::Arcs);
+        assert_eq!(large_ctx.scratch_loads() - before, 12, "one load per owner");
+        let mut direct = Vec::new();
+        for u in 0..large_ctx.total_profiles() {
+            fresh.load(&large_ctx, u);
+            direct.extend(
+                fresh
+                    .iter()
+                    .filter(|&(v, _)| v > u)
+                    .map(|(v, acc)| (u, v, acc.arcs)),
+            );
+        }
+        assert_eq!(pooled, direct);
     }
 
     #[test]

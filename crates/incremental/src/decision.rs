@@ -32,13 +32,15 @@
 //! the key, so the tree shape — and every traversal order — is a function
 //! of the key *set*, independent of insertion history.
 
-use crate::shard::{merge_shard_runs, ShardPlan, ShardStats};
+use crate::shard::{ShardPlan, ShardStats};
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
 use blast_graph::cold::{decode_u32s, encode_u32s, get_f64, get_varint, put_f64, put_varint};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
-use blast_graph::pruning::common::{weight_rank_bits, EpochMask};
+use blast_graph::pruning::common::{
+    merge_sorted_runs, ordered_emission, weight_rank_bits, EpochMask,
+};
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
@@ -959,22 +961,26 @@ impl EdgeAdjacency {
 
     /// The live edges with at least one endpoint in the mask, canonical
     /// `(min, max, old weight)`, each exactly once, sorted — the old-side
-    /// counterpart of `collect_edges_touching`.
+    /// counterpart of `collect_edges_touching`, read in the same
+    /// [`ordered_emission`] (`dirty` ascends and so does every row), so
+    /// only the edges read from their larger endpoint are sorted.
     pub fn collect_touching(&self, dirty: &[u32], mask: &EpochMask) -> Vec<(u32, u32, f64)> {
-        let mut out = Vec::new();
+        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
+        let mut from_smaller = Vec::new();
+        let mut from_larger = Vec::new();
         for &u in dirty {
             self.with_row(u, |row, _| {
                 for e in row {
-                    // Emit once: from the smaller endpoint when both are
-                    // dirty, from the dirty endpoint otherwise.
-                    if u < e.v || !mask.contains(e.v) {
-                        out.push((u.min(e.v), u.max(e.v), e.w));
+                    if u < e.v {
+                        from_smaller.push((u, e.v, e.w));
+                    } else if !mask.contains(e.v) {
+                        // A dirty smaller endpoint emits the edge itself.
+                        from_larger.push((e.v, u, e.w));
                     }
                 }
             });
         }
-        out.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        out
+        ordered_emission(from_smaller, from_larger, |&(a, b, _)| (a, b))
     }
 
     /// Every live edge once, canonical `(u, v, weight)`, sorted ascending.
@@ -1190,7 +1196,7 @@ impl EdgeAdjacency {
     /// functions of the cached accumulator plus O(1) snapshot statistics).
     /// The per-shard runs — each already in canonical `(u, v)` order — are
     /// then reduced at the **merge frontier**
-    /// ([`crate::shard::merge_shard_runs`]) into the single canonical
+    /// ([`merge_sorted_runs`], one run per shard) into the single canonical
     /// sequence the serial sweep produces, and the re-keyed weights are
     /// applied to the mirrored rows in that canonical order. Cross-shard
     /// edges are accounted to `ShardStats::frontier_pairs` along the way.
@@ -1250,7 +1256,7 @@ impl EdgeAdjacency {
         debug_assert!(runs
             .iter()
             .all(|r| r.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))));
-        let swept = merge_shard_runs(runs, |&(u, v, _, _)| (u, v));
+        let swept = merge_sorted_runs(runs, |&(u, v, _, _)| (u, v));
         // Apply the re-keyed weights in canonical order (mirrored rows).
         for &(u, v, ow, nw) in &swept {
             if nw.to_bits() != ow.to_bits() {

@@ -5,8 +5,9 @@
 //! accumulator changes only through a block that contains *both* endpoints,
 //! and such blocks make both endpoints graph-dirty. The repair therefore
 //! recomputes per-node pruning artefacts (thresholds, top-k lists) and edge
-//! weights **only** for the dirty nodes on the dense scratch engine — and
-//! takes the pruning *decisions* incrementally too. A commit lands on one
+//! weights **only** for the dirty nodes on the dense scratch engine — in a
+//! single traversal of their blocks — and takes the pruning *decisions*
+//! incrementally too. A commit lands on one
 //! of three tiers ([`RepairTier`]), chosen by what actually moved:
 //!
 //! 1. **Dirty** — no global statistic any weight reads moved: the classic
@@ -35,7 +36,46 @@
 //!    Runs the **identical flip-emitting code path** with every node
 //!    marked.
 //!
-//! The decision stage runs on the structures of [`crate::decision`]:
+//! ## The accumulate stage: one traversal, nothing sorted twice
+//!
+//! Tiers 1 and 3 re-read blocks, and they read each dirty node's blocks
+//! **once** ([`touching_pass`]). The dirty nodes are visited ascending; one
+//! adjacency load per node yields
+//!
+//! * the node's **artefact** — WNP's mean, BLAST's max/c, CNP's top-k —
+//!   folded over the weights *as seen from the node*
+//!   (`weight(ctx, node, v, acc)`), exactly as the batch node passes fold
+//!   them; and
+//! * the node's share of the **fresh edge list**, each edge once, weighed in
+//!   canonical `(smaller, larger)` orientation as the batch edge pass
+//!   weighs it.
+//!
+//! The two orientations are separate `weight()` calls and neither may stand
+//! in for the other: a weigher that multiplies per-endpoint factors (ECBS,
+//! EJS, χ²) gives `(c·a)·b` from one side and `(c·b)·a` from the other,
+//! which differ in the last bit for about a fifth of ECBS edges — and
+//! bit-identity with batch is the invariant. Edges emitted from their
+//! smaller endpoint form a sorted run as they come (nodes ascend,
+//! adjacencies ascend); only the remainder — edges whose smaller endpoint
+//! is clean — is sorted, and the two runs are merged. The old sides of the
+//! flip diffs are read off their rows in the same two-run order
+//! ([`EdgeAdjacency::collect_touching`], `node_flips`), so no list of all
+//! dirty-incident edges or pairs is ever sorted. Variants with no edge
+//! cache to patch carry `(u, v, w)` only: the pass output *is* the decision
+//! list.
+//!
+//! Two cases take their artefacts from the **cache rows** instead
+//! ([`EdgeAdjacency::for_each_node_weight`], once the rows are patched): a
+//! degree-reading weigher (EJS), whose edge-existence diff must patch the
+//! snapshot's degrees *between* accumulating and weighing — it takes
+//! accumulators from the pass and weighs afterwards; and the reweigh tier,
+//! whose recompute set is every node, not just the traversed ones. Either
+//! way a tier-1 commit performs exactly `dirty_nodes` adjacency loads
+//! ([`RepairStats::scratch_loads`], counted by the snapshot itself).
+//!
+//! ## The decision stage
+//!
+//! It runs on the structures of [`crate::decision`]:
 //!
 //! * **WEP / CEP** — the live edge list sits in an
 //!   [`crate::decision::OrderedWeightIndex`] (order-statistic treap keyed
@@ -46,12 +86,16 @@
 //!   exactly the keys between the old and new frontier — enumerated in
 //!   O(log |E| + flips) on the dirty tier (the reweigh tier decides its
 //!   swept edges explicitly instead).
-//! * **WNP / BLAST** — per-node thresholds; the survivors live in a
+//! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
+//!   set from the artefacts above; every fresh edge is decided against
+//!   them. The survivors live in a
 //!   [`blast_graph::retained::RetainedIndex`], so the old side of the flip
-//!   diff is read off the recomputed rows alone.
-//! * **CNP** — per-node top-k lists; the global union is maintained as a
+//!   diff is the recomputed nodes' rows alone — read in two-run order and
+//!   merge-joined with the decided list; only the flips touch the index.
+//! * **CNP** — per-node top-k lists, replaced for the recompute set from
+//!   the artefacts above; the global union is maintained as a
 //!   [`crate::decision::ContainmentIndex`] (per-pair 0/1/2 listing
-//!   counters) updated only from recomputed nodes' list *diffs*; retention
+//!   counters) updated only from those nodes' list *diffs*; retention
 //!   flips are counter threshold crossings.
 //!
 //! The [`PairDelta`] is emitted directly from the flips — there is no
@@ -87,7 +131,9 @@ use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::meta::PruningAlgorithm;
-use blast_graph::pruning::common::{collect_accums_touching, node_pass_subset, EpochMask};
+use blast_graph::pruning::common::{
+    collect_accums_touching, ordered_emission, touching_pass, EpochMask,
+};
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
@@ -201,8 +247,13 @@ pub struct RepairStats {
     /// Block slots the snapshot patched this commit.
     pub patched_slots: usize,
     /// Edge weights re-accumulated from the blocks this commit (the
-    /// dirty-incident edges the artefact stage re-materialised).
+    /// dirty-incident edges the accumulate stage re-materialised).
     pub edges_reweighed: usize,
+    /// Node adjacencies re-accumulated from the blocks this commit
+    /// ([`GraphSnapshot::scratch_loads`] across the repair) — exactly
+    /// `dirty_nodes` on tier 1: one traversal of the dirty neighbourhood
+    /// yields both its edges and its per-node artefacts.
+    pub scratch_loads: usize,
     /// Clean edges whose weight was re-derived from the cached
     /// accumulators by the reweigh tier (zero on tiers 1 and 3).
     pub edges_swept: usize,
@@ -255,6 +306,54 @@ pub struct DirtyScope {
     pub lists_changed: Vec<u32>,
     /// Whether the cleaned |B| moved.
     pub total_blocks_changed: bool,
+}
+
+/// Which per-node artefact a node-centric variant keeps.
+#[derive(Debug, Clone, Copy)]
+enum ArtefactRule {
+    /// WNP: the mean adjacent weight.
+    Mean,
+    /// BLAST: the maximum adjacent weight over `c`.
+    MaxOver(f64),
+    /// CNP: the k heaviest neighbours.
+    TopK(usize),
+}
+
+/// One node's artefact under an [`ArtefactRule`].
+#[derive(Debug)]
+enum Artefact {
+    /// WNP/BLAST threshold (+∞ for an isolated node: it accepts nothing).
+    Threshold(f64),
+    /// CNP top-k list.
+    List(Vec<u32>),
+}
+
+impl ArtefactRule {
+    /// The artefact of a node from its **node-orientation** weighted
+    /// adjacency (ascending neighbours) — the same fold, in the same
+    /// order, as the batch node passes (`Wnp::thresholds`,
+    /// `BlastPruning::thresholds`, `Cnp::top_k_lists`).
+    fn of(self, adj: &[(u32, f64)]) -> Artefact {
+        match self {
+            ArtefactRule::Mean => Artefact::Threshold(if adj.is_empty() {
+                f64::INFINITY
+            } else {
+                adj.iter().map(|(_, w)| *w).sum::<f64>() / adj.len() as f64
+            }),
+            ArtefactRule::MaxOver(c) => {
+                let max = adj
+                    .iter()
+                    .map(|(_, w)| *w)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                Artefact::Threshold(if max.is_finite() {
+                    max / c
+                } else {
+                    f64::INFINITY
+                })
+            }
+            ArtefactRule::TopK(k) => Artefact::List(cnp::top_k_neighbours(adj, k)),
+        }
+    }
 }
 
 /// WEP/CEP decision state: ordered weight index + retention frontier.
@@ -484,6 +583,20 @@ impl IncrementalMetaBlocker {
         }
     }
 
+    /// The per-node artefact this variant keeps (none for WEP/CEP).
+    fn artefact_rule(&self, cnp_budget: Option<usize>) -> Option<ArtefactRule> {
+        match self.pruning {
+            IncrementalPruning::Traditional(PruningAlgorithm::Wep | PruningAlgorithm::Cep) => None,
+            IncrementalPruning::Traditional(PruningAlgorithm::Wnp1 | PruningAlgorithm::Wnp2) => {
+                Some(ArtefactRule::Mean)
+            }
+            IncrementalPruning::Blast { c, .. } => Some(ArtefactRule::MaxOver(c)),
+            IncrementalPruning::Traditional(PruningAlgorithm::Cnp1 | PruningAlgorithm::Cnp2) => {
+                Some(ArtefactRule::TopK(cnp_budget.expect("cnp budget computed")))
+            }
+        }
+    }
+
     /// Repairs the candidate set after a micro-batch. `ctx` is the graph
     /// context over the *cleaned* snapshot (mutable: the repair patches
     /// the delta-maintained degrees before weighting); `scope` is the
@@ -564,16 +677,6 @@ impl IncrementalMetaBlocker {
             d
         };
 
-        // ---- artefact stage: re-accumulate the dirty-incident edges ----
-        // Prefetch the dirty neighbourhood's snapshot slots before any
-        // pass runs: the accumulation and node passes read slots under
-        // `&ctx` from parallel workers, which must never fault a cold
-        // slot in.
-        if !structural {
-            ctx.ensure_node_slots_resident(dirty.iter());
-        }
-        let fresh_accs = collect_accums_touching(ctx, &dirty, &self.mask);
-
         // The old dirty-incident edges (old weights), read off the cached
         // adjacency rows: the old side of every flip diff, the treap
         // un-keying source, and the degree maintainer's edge-existence
@@ -604,14 +707,43 @@ impl IncrementalMetaBlocker {
             None => Vec::new(),
         };
 
-        // ---- degree maintenance (EJS): the edge-existence diff patches
-        // the snapshot's delta-maintained degrees *before* any weight is
-        // computed, so EJS never needs a full degree pass again. ----
-        let t_degrees = Instant::now();
+        // ---- accumulate stage: ONE traversal of the dirty neighbourhood
+        // yields the fresh edges and the dirty nodes' own artefacts ----
+        // Prefetch the dirty neighbourhood's snapshot slots before the
+        // pass runs: it reads slots under `&ctx` from parallel workers,
+        // which must never fault a cold slot in.
+        if !structural {
+            ctx.ensure_node_slots_resident(dirty.iter());
+        }
+        let loads_before = ctx.scratch_loads();
+        // Drift that is known before any edge is accumulated (a degree
+        // move shows only in the edge diff below).
+        let drifted_early = (deps.total_blocks && scope.total_blocks_changed) || budget_moved;
+        // The per-node artefacts come out of the pass itself, from the
+        // node-orientation weights — unless degrees must be patched
+        // between accumulating and weighing (EJS), or the commit is
+        // already known to reweigh (every node's artefact is re-derived
+        // then, not just the dirty ones'); both read them back from the
+        // patched cache rows instead.
+        let rule = self.artefact_rule(cnp_budget);
+        let in_pass = rule.filter(|_| !needs_degrees && (structural || !drifted_early));
+        let artefact = in_pass.map(|rule| move |_: u32, adj: &[(u32, f64)]| rule.of(adj));
+        let mut artefacts: Option<Vec<Artefact>> = None;
+        // Fresh edges of the variants that keep an edge cache to patch
+        // (weight + accumulator), and the decision list `(u, v, w)` —
+        // which *is* the pass output where there is no cache.
+        let mut fresh: Vec<FreshEdge> = Vec::new();
+        let mut decide: Vec<(u32, u32, f64)> = Vec::new();
+        let mut degree_secs = 0.0;
         let mut degrees_moved = false;
         if needs_degrees {
+            // Degree maintenance (EJS): the edge-existence diff patches
+            // the snapshot's delta-maintained degrees *before* any weight
+            // is computed, so EJS never needs a full degree pass again.
+            let accs = collect_accums_touching(ctx, &dirty, &self.mask);
+            let t_degrees = Instant::now();
             if ctx.degrees_maintained() {
-                degrees_moved = patch_degrees(ctx, &old, &fresh_accs);
+                degrees_moved = patch_degrees(ctx, &old, &accs);
             } else {
                 debug_assert!(
                     structural,
@@ -619,38 +751,33 @@ impl IncrementalMetaBlocker {
                 );
                 ctx.begin_degree_maintenance();
             }
-        }
-        let degree_secs = t_degrees.elapsed().as_secs_f64();
-
-        // ---- weights of the fresh edges (globals now current) ----
-        // Work-stealing parallel like the accumulation itself: on the full
-        // tier this is every edge, and per-edge weights are independent, so
-        // chunk-ordered merging keeps the output bit-identical.
-        let fresh: Vec<FreshEdge> = {
-            let len = fresh_accs.len();
-            let chunks = parallel_work_steal(
-                len,
-                ctx.threads(),
-                (len / 128).clamp(32, 4096),
-                || (),
-                |_, range| {
-                    fresh_accs[range]
-                        .iter()
-                        .map(|&(u, v, acc)| FreshEdge {
-                            u,
-                            v,
-                            w: weigher.weight(ctx, u, v, &acc),
-                            acc,
-                        })
-                        .collect::<Vec<_>>()
-                },
+            degree_secs = t_degrees.elapsed().as_secs_f64();
+            fresh = weigh_accums(ctx, weigher, &accs);
+        } else if cache_edges {
+            let pass = touching_pass(
+                ctx,
+                weigher,
+                &dirty,
+                &self.mask,
+                |u, v, w, acc| FreshEdge { u, v, w, acc: *acc },
+                fresh_pair,
+                artefact,
             );
-            let mut out = Vec::with_capacity(len);
-            for c in chunks {
-                out.extend(c);
-            }
-            out
-        };
+            fresh = pass.edges;
+            artefacts = in_pass.map(|_| pass.artefacts);
+        } else {
+            let pass = touching_pass(
+                ctx,
+                weigher,
+                &dirty,
+                &self.mask,
+                |u, v, w, _| (u, v, w),
+                edge_pair,
+                artefact,
+            );
+            decide = pass.edges;
+            artefacts = in_pass.map(|_| pass.artefacts);
+        }
 
         // ---- tier selection ----
         // Any degree event promotes a degree-reading weigher: a dirty
@@ -660,12 +787,9 @@ impl IncrementalMetaBlocker {
         // that weight — so the artefacts of nodes outside the dirty set go
         // stale even when |E_G| itself is unchanged (balanced birth +
         // death in one commit).
-        let drifted = (deps.total_blocks && scope.total_blocks_changed)
-            || (needs_degrees && degrees_moved)
-            || budget_moved;
         let tier = if structural {
             RepairTier::Full
-        } else if drifted {
+        } else if drifted_early || degrees_moved {
             RepairTier::Reweigh
         } else {
             RepairTier::Dirty
@@ -673,7 +797,12 @@ impl IncrementalMetaBlocker {
 
         let mut stats = RepairStats {
             dirty_nodes: dirty.len(),
-            edges_reweighed: fresh.len(),
+            edges_reweighed: if cache_edges {
+                fresh.len()
+            } else {
+                decide.len()
+            },
+            scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
             shards: self.plan.shards(),
             ..RepairStats::default()
@@ -682,8 +811,12 @@ impl IncrementalMetaBlocker {
         // tier does this much; the reweigh tier adds its sweep below.
         let plan = self.plan;
         let mut shard_stats = ShardStats::new(&plan);
-        for e in &fresh {
-            shard_stats.record_edge(&plan, e.u, e.v);
+        for (u, v) in fresh
+            .iter()
+            .map(fresh_pair)
+            .chain(decide.iter().map(edge_pair))
+        {
+            shard_stats.record_edge(&plan, u, v);
         }
 
         // ---- reweigh tier: re-derive every clean edge from its cached
@@ -691,7 +824,6 @@ impl IncrementalMetaBlocker {
         // the full recompute set. ----
         let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
         let recompute: Vec<u32>;
-        let decide: Vec<(u32, u32, f64)>;
         match tier {
             RepairTier::Reweigh => {
                 let t_sweep = Instant::now();
@@ -718,11 +850,9 @@ impl IncrementalMetaBlocker {
                 // The edge variants never read the decide list outside the
                 // reweigh tier (their flips walk old/fresh directly) — skip
                 // the copy there.
-                decide = if edge_variant {
-                    Vec::new()
-                } else {
-                    fresh.iter().map(|e| (e.u, e.v, e.w)).collect()
-                };
+                if cache_edges && !edge_variant {
+                    decide = fresh.iter().map(|e| (e.u, e.v, e.w)).collect();
+                }
                 stats.reweigh_secs = degree_secs;
             }
         }
@@ -731,7 +861,7 @@ impl IncrementalMetaBlocker {
         stats.shard_imbalance_permille = shard_stats.imbalance_permille();
 
         let (added, retracted) = self.repair(
-            ctx, weigher, &recompute, &old, &fresh, &swept, &decide, cnp_budget, &mut stats,
+            ctx, weigher, &recompute, &old, &fresh, &swept, &decide, rule, artefacts, &mut stats,
         );
         stats.retention_flips = added.len() + retracted.len();
         self.retained_len += added.len();
@@ -751,11 +881,15 @@ impl IncrementalMetaBlocker {
 
     /// The per-variant decision pass. `recompute` is the node set whose
     /// artefacts are recomputed (the dirty set on tier 1, every node on
-    /// tiers 2–3), `decide` the corresponding fresh edge list (ascending
-    /// `(u, v)`, new weights), `old`/`fresh`/`swept` the flip-diff inputs
-    /// described in [`IncrementalMetaBlocker::refresh`]. Returns the
-    /// (sorted) added/retracted flips; updates `stats` with the
-    /// decision-stage counters and wall-clock.
+    /// tiers 2–3), ascending; `decide` the corresponding fresh edge list
+    /// (ascending `(u, v)`, new weights); `old`/`fresh`/`swept` the
+    /// flip-diff inputs described in [`IncrementalMetaBlocker::refresh`].
+    /// `artefacts` are the recompute set's artefacts under `rule` where
+    /// the accumulate pass produced them; `None` re-derives them from the
+    /// cache rows once those are patched (`rule` is `None` for WEP/CEP,
+    /// which keep no per-node artefact). Returns the (sorted)
+    /// added/retracted flips; updates `stats` with the decision-stage
+    /// counters and wall-clock.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn repair(
         &mut self,
@@ -766,7 +900,8 @@ impl IncrementalMetaBlocker {
         fresh: &[FreshEdge],
         swept: &[(u32, u32, f64, f64)],
         decide: &[(u32, u32, f64)],
-        cnp_budget: Option<usize>,
+        rule: Option<ArtefactRule>,
+        artefacts: Option<Vec<Artefact>>,
         stats: &mut RepairStats,
     ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>) {
         let n = ctx.total_profiles() as usize;
@@ -792,6 +927,19 @@ impl IncrementalMetaBlocker {
                 }
             }
         }
+        // Artefacts the accumulate pass did not produce come from the
+        // cache rows, now that they are current.
+        let artefacts = match (artefacts, rule) {
+            (Some(artefacts), _) => artefacts,
+            (None, Some(rule)) => {
+                let adj = self
+                    .adj
+                    .as_ref()
+                    .expect("a reweigh commit or a degree-reading weigher always keeps the cache");
+                cached_artefacts(adj, ctx, weigher, recompute, rule)
+            }
+            (None, None) => Vec::new(),
+        };
 
         match self.pruning {
             IncrementalPruning::Traditional(
@@ -951,72 +1099,21 @@ impl IncrementalMetaBlocker {
                 );
             }
             IncrementalPruning::Traditional(PruningAlgorithm::Wnp1)
-            | IncrementalPruning::Traditional(PruningAlgorithm::Wnp2) => {
-                let mode = self.node_centric_mode();
+            | IncrementalPruning::Traditional(PruningAlgorithm::Wnp2)
+            | IncrementalPruning::Blast { .. } => {
+                let wnp = Wnp {
+                    mode: self.node_centric_mode(),
+                };
+                let pruning = self.pruning;
                 let DecisionState::Node { retained } = &mut self.decision else {
-                    unreachable!("node-centric pruning carries a retained index")
+                    unreachable!("threshold pruning carries a retained index")
                 };
                 self.thresholds.resize(n, f64::INFINITY);
-                let theta = node_artefacts(
-                    self.adj.as_ref(),
-                    tier,
-                    ctx,
-                    weigher,
-                    recompute,
-                    |_, adj| {
-                        if adj.is_empty() {
-                            f64::INFINITY
-                        } else {
-                            adj.iter().map(|(_, w)| *w).sum::<f64>() / adj.len() as f64
-                        }
-                    },
-                );
-                for (&u, &t) in recompute.iter().zip(&theta) {
-                    self.thresholds[u as usize] = t;
-                }
-
-                let t0 = Instant::now();
-                let wnp = Wnp { mode };
-                let thresholds = &self.thresholds;
-                node_flips(
-                    retained,
-                    recompute,
-                    mask,
-                    n,
-                    decide
-                        .iter()
-                        .filter(|&&(u, v, w)| wnp.decide(thresholds, u, v, w))
-                        .map(|&(u, v, _)| (u, v)),
-                    &mut added,
-                    &mut retracted,
-                );
-                stats.decision_secs = t0.elapsed().as_secs_f64();
-            }
-            IncrementalPruning::Blast { c, d } => {
-                let DecisionState::Node { retained } = &mut self.decision else {
-                    unreachable!("blast pruning carries a retained index")
-                };
-                self.thresholds.resize(n, f64::INFINITY);
-                let theta = node_artefacts(
-                    self.adj.as_ref(),
-                    tier,
-                    ctx,
-                    weigher,
-                    recompute,
-                    |_, adj| {
-                        let max = adj
-                            .iter()
-                            .map(|(_, w)| *w)
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        if max.is_finite() {
-                            max / c
-                        } else {
-                            f64::INFINITY
-                        }
-                    },
-                );
-                for (&u, &t) in recompute.iter().zip(&theta) {
-                    self.thresholds[u as usize] = t;
+                for (&u, artefact) in recompute.iter().zip(artefacts) {
+                    let Artefact::Threshold(theta) = artefact else {
+                        unreachable!("threshold pruning keeps thresholds")
+                    };
+                    self.thresholds[u as usize] = theta;
                 }
 
                 let t0 = Instant::now();
@@ -1028,9 +1125,12 @@ impl IncrementalMetaBlocker {
                     n,
                     decide
                         .iter()
-                        .filter(|&&(u, v, w)| {
-                            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
-                            w > 0.0 && w >= theta
+                        .filter(|&&(u, v, w)| match pruning {
+                            IncrementalPruning::Blast { d, .. } => {
+                                let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
+                                w > 0.0 && w >= theta
+                            }
+                            _ => wnp.decide(thresholds, u, v, w),
                         })
                         .map(|&(u, v, _)| (u, v)),
                     &mut added,
@@ -1044,16 +1144,7 @@ impl IncrementalMetaBlocker {
                 let DecisionState::Lists { counts } = &mut self.decision else {
                     unreachable!("cnp carries containment counters")
                 };
-                let k = cnp_budget.expect("cnp budget computed");
                 self.lists.resize_with(n, Vec::new);
-                let fresh_lists = node_artefacts(
-                    self.adj.as_ref(),
-                    tier,
-                    ctx,
-                    weigher,
-                    recompute,
-                    |_, adj| cnp::top_k_neighbours(adj, k),
-                );
 
                 let t0 = Instant::now();
                 counts.ensure_nodes(n);
@@ -1063,7 +1154,10 @@ impl IncrementalMetaBlocker {
                 let mut touched: BTreeMap<(u32, u32), u8> = BTreeMap::new();
                 let mut old_sorted: Vec<u32> = Vec::new();
                 let mut new_sorted: Vec<u32> = Vec::new();
-                for (&u, new_list) in recompute.iter().zip(fresh_lists) {
+                for (&u, artefact) in recompute.iter().zip(artefacts) {
+                    let Artefact::List(new_list) = artefact else {
+                        unreachable!("cnp keeps top-k lists")
+                    };
                     let old_list = std::mem::replace(&mut self.lists[u as usize], new_list);
                     old_sorted.clear();
                     old_sorted.extend_from_slice(&old_list);
@@ -1192,54 +1286,80 @@ fn merge_decide_edges(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge]) -> Ve
     out
 }
 
-/// Runs `per_node(node, &[(v, w)])` over the recompute set with the
-/// **node-orientation** weighted adjacency — the artefact primitive of the
-/// node-centric variants. On the accumulate tiers (1 and 3) it is the
-/// scratch-engine pass ([`node_pass_subset`]), exactly as batch computes
-/// per-node thresholds and top-k lists. On the reweigh tier the same
-/// adjacency is re-derived from the cached accumulators
-/// ([`EdgeAdjacency::for_each_node_weight`]): the accumulator is
-/// orientation-symmetric bitwise, and the weight is re-computed from the
-/// row owner's side — the batch orientation — so the artefacts stay
-/// bit-identical without touching a single block.
-fn node_artefacts<R: Send>(
-    adj: Option<&EdgeAdjacency>,
-    tier: RepairTier,
+/// Weighs freshly accumulated edges once the snapshot's globals are
+/// current — the degree-reading weighers' separate weighing step.
+/// Work-stealing parallel like the accumulation itself: on the full tier
+/// this is every edge, and per-edge weights are independent, so
+/// chunk-ordered merging keeps the output bit-identical.
+fn weigh_accums(
+    ctx: &GraphSnapshot,
+    weigher: &dyn EdgeWeigher,
+    accs: &[(u32, u32, EdgeAccum)],
+) -> Vec<FreshEdge> {
+    let len = accs.len();
+    let chunks = parallel_work_steal(
+        len,
+        ctx.threads(),
+        (len / 128).clamp(32, 4096),
+        || (),
+        |_, range| {
+            accs[range]
+                .iter()
+                .map(|&(u, v, acc)| FreshEdge {
+                    u,
+                    v,
+                    w: weigher.weight(ctx, u, v, &acc),
+                    acc,
+                })
+                .collect::<Vec<_>>()
+        },
+    );
+    let mut out = Vec::with_capacity(len);
+    for c in chunks {
+        out.extend(c);
+    }
+    out
+}
+
+/// The recompute set's artefacts re-derived from the cached accumulators
+/// ([`EdgeAdjacency::for_each_node_weight`]) instead of from the blocks:
+/// the accumulator is orientation-symmetric bitwise, and the weight is
+/// re-computed from the row owner's side — the batch node-pass orientation
+/// — so the artefacts are bit-identical to a scratch pass without touching
+/// a single block. The reweigh tier runs on this (its recompute set is
+/// every node), and so do the degree-reading weighers on every tier (their
+/// rows are patched, degrees current, by the time this runs).
+fn cached_artefacts(
+    adj: &EdgeAdjacency,
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
     recompute: &[u32],
-    per_node: impl Fn(u32, &[(u32, f64)]) -> R + Sync,
-) -> Vec<R> {
-    if tier == RepairTier::Reweigh {
-        let adj = adj.expect("reweigh tier runs on the cache");
-        // Same work-stealing shape as the scratch pass: chunk geometry
-        // depends only on the length, results merge in chunk order, so
-        // the output is bit-identical across thread counts.
-        let len = recompute.len();
-        let chunks = parallel_work_steal(
-            len,
-            ctx.threads(),
-            (len / 128).clamp(32, 4096),
-            Vec::new,
-            |buf: &mut Vec<(u32, f64)>, range| {
-                let mut out = Vec::with_capacity(range.len());
-                for i in range {
-                    let u = recompute[i];
-                    buf.clear();
-                    adj.for_each_node_weight(u, ctx, weigher, |v, w| buf.push((v, w)));
-                    out.push(per_node(u, buf));
-                }
-                out
-            },
-        );
-        let mut out = Vec::with_capacity(len);
-        for c in chunks {
-            out.extend(c);
-        }
-        out
-    } else {
-        node_pass_subset(ctx, weigher, recompute, per_node)
+    rule: ArtefactRule,
+) -> Vec<Artefact> {
+    // Same work-stealing shape as the scratch pass: chunk geometry
+    // depends only on the length, results merge in chunk order, so
+    // the output is bit-identical across thread counts.
+    let len = recompute.len();
+    let chunks = parallel_work_steal(
+        len,
+        ctx.threads(),
+        (len / 128).clamp(32, 4096),
+        Vec::new,
+        |buf: &mut Vec<(u32, f64)>, range| {
+            let mut out = Vec::with_capacity(range.len());
+            for &u in &recompute[range] {
+                buf.clear();
+                adj.for_each_node_weight(u, ctx, weigher, |v, w| buf.push((v, w)));
+                out.push(rule.of(buf));
+            }
+            out
+        },
+    );
+    let mut out = Vec::with_capacity(len);
+    for c in chunks {
+        out.extend(c);
     }
+    out
 }
 
 /// One step of a [`merge_join`]: the key was on both sides, departed
@@ -1327,7 +1447,9 @@ fn edge_flips(
 /// recomputed nodes (read off the [`RetainedIndex`] rows — clean survivors
 /// are never visited on the dirty tier) against the freshly decided pairs,
 /// applies the flips to the index and pushes them (sorted) onto `added` /
-/// `retracted`.
+/// `retracted`. `dirty` ascends, and so does every row, so the old pairs
+/// are read as an [`ordered_emission`] like the accumulate pass's edges:
+/// only those read from their larger endpoint are sorted.
 fn node_flips(
     retained: &mut RetainedIndex,
     dirty: &[u32],
@@ -1338,17 +1460,20 @@ fn node_flips(
     retracted: &mut Vec<(u32, u32)>,
 ) {
     retained.ensure_nodes(n);
-    let mut old: Vec<(u32, u32)> = Vec::new();
+    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
+    let mut from_smaller: Vec<(u32, u32)> = Vec::new();
+    let mut from_larger: Vec<(u32, u32)> = Vec::new();
     for &u in dirty {
         for &v in retained.neighbours(u) {
-            // Emit once: from the smaller endpoint when both are dirty,
-            // from the dirty endpoint otherwise.
-            if u < v || !mask.contains(v) {
-                old.push((u.min(v), u.max(v)));
+            if u < v {
+                from_smaller.push((u, v));
+            } else if !mask.contains(v) {
+                // A dirty smaller endpoint emits the pair itself.
+                from_larger.push((v, u));
             }
         }
     }
-    old.sort_unstable();
+    let old = ordered_emission(from_smaller, from_larger, |&p| p);
     let fresh: Vec<(u32, u32)> = fresh.collect();
     debug_assert!(fresh.windows(2).all(|w| w[0] < w[1]));
     merge_join(
@@ -1461,6 +1586,65 @@ mod tests {
         assert_eq!(retracted, vec![(1, 2)]);
         assert_eq!(retained.len(), 3);
         assert!(retained.contains(0, 1), "clean survivor untouched");
+    }
+
+    /// Every shape the two-run old side takes: a pair with both endpoints
+    /// dirty (read once, from the smaller), a clean endpoint below the
+    /// dirty one (read from the larger endpoint, the sorted remainder) and
+    /// above it (the ordered run), and a dirty row that empties.
+    #[test]
+    fn node_flips_merge_ordered_and_remainder_runs() {
+        let mut retained = RetainedIndex::new();
+        retained.ensure_nodes(8);
+        for (a, b) in [(0, 1), (1, 4), (2, 5), (3, 5), (4, 5), (5, 7), (4, 6)] {
+            retained.insert(a, b);
+        }
+        // Dirty: 4, 5, 6. Clean below: 1, 2, 3; clean above: 7.
+        let mut mask = EpochMask::new();
+        mask.begin(8);
+        for u in [4, 5, 6] {
+            mask.mark(u);
+        }
+        let (mut added, mut retracted) = (Vec::new(), Vec::new());
+        // Freshly decided, ascending: (2,5) and (5,7) survive, (3,4) is
+        // new below, (4,5) survives with both endpoints dirty, (1,4),
+        // (3,5) go — and (4,6) goes, which empties row 6.
+        node_flips(
+            &mut retained,
+            &[4, 5, 6],
+            &mask,
+            8,
+            [(2, 5), (3, 4), (4, 5), (5, 7)].into_iter(),
+            &mut added,
+            &mut retracted,
+        );
+        assert_eq!(added, vec![(3, 4)]);
+        assert_eq!(retracted, vec![(1, 4), (3, 5), (4, 6)], "sorted, each once");
+        assert!(retained.neighbours(6).is_empty(), "row 6 emptied");
+        assert!(retained.contains(0, 1), "clean–clean pair untouched");
+        assert_eq!(
+            retained.to_pairs().pairs(),
+            [(0, 1), (2, 5), (3, 4), (4, 5), (5, 7)]
+                .map(|(a, b)| (ProfileId(a), ProfileId(b)))
+                .as_slice()
+        );
+
+        // A second pass over an already-empty dirty row and an unchanged
+        // one emits nothing.
+        mask.begin(8);
+        mask.mark(4);
+        mask.mark(6);
+        let (mut added, mut retracted) = (Vec::new(), Vec::new());
+        node_flips(
+            &mut retained,
+            &[4, 6],
+            &mask,
+            8,
+            [(3, 4), (4, 5)].into_iter(),
+            &mut added,
+            &mut retracted,
+        );
+        assert!(added.is_empty() && retracted.is_empty());
     }
 
     #[test]

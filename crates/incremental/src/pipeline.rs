@@ -574,6 +574,7 @@ impl IncrementalPipeline {
             patched_rows: stats.patched_rows as u64,
             patched_slots: stats.patched_slots as u64,
             edges_reweighed: stats.edges_reweighed as u64,
+            scratch_loads: stats.scratch_loads as u64,
             edges_swept: stats.edges_swept as u64,
             edges_rekeyed: stats.edges_rekeyed as u64,
             retention_flips: stats.retention_flips as u64,

@@ -19,9 +19,10 @@
 //!    O(1) snapshot statistics (the factored-weight contract), so *where*
 //!    an edge is computed cannot change its bits;
 //! 2. each shard emits its results sorted in the canonical `(u, v)` order
-//!    (it scans its owned rows ascending), so [`merge_shard_runs`] — an
-//!    S-way merge on the canonical key — reproduces exactly the sequence a
-//!    single-shard scan would have produced;
+//!    (it scans its owned rows ascending), so the merge frontier's
+//!    reduction — `merge_sorted_runs`, the merge the repair passes use
+//!    for their ordered emission, here with one run per shard — reproduces
+//!    exactly the sequence a single-shard scan would have produced;
 //! 3. order-sensitive global state is order-free by construction: the
 //!    ordered-weight treap's shape is canonical in its key set, and the
 //!    exact-sum WEP threshold accumulates in an integer superaccumulator
@@ -150,37 +151,10 @@ impl ShardStats {
     }
 }
 
-/// The merge frontier's reduction: merges per-shard result runs — each
-/// already sorted by `key` — into one sequence sorted by `key`, exactly
-/// the order a single-shard scan would have produced. Keys must be unique
-/// across runs (canonical edges are), so the merge order is total and the
-/// output deterministic whatever partitioned the input. O(total · S)
-/// repeated-min over the run heads; S is small (shards, not threads).
-pub fn merge_shard_runs<T, K: Ord>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
-        runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(usize, K)> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some(head) = it.peek() {
-                let k = key(head);
-                if best.as_ref().is_none_or(|(_, bk)| k < *bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        match best {
-            Some((i, _)) => out.push(iters[i].next().expect("peeked head exists")),
-            None => return out,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blast_graph::pruning::common::merge_sorted_runs;
 
     #[test]
     fn round_robin_ownership_spreads_consecutive_ids() {
@@ -237,7 +211,7 @@ mod tests {
         for &(u, v) in &edges {
             runs[plan.shard_of(u)].push((u, v));
         }
-        let merged = merge_shard_runs(runs, |&(u, v)| (u, v));
+        let merged = merge_sorted_runs(runs, |&(u, v)| (u, v));
         let mut sorted = edges.clone();
         sorted.sort_unstable();
         assert_eq!(merged, sorted);

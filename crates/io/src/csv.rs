@@ -1,8 +1,9 @@
 //! A minimal RFC-4180 CSV reader/writer.
 //!
 //! Supports quoted fields containing separators, newlines and escaped
-//! quotes (`""`). Kept dependency-free on purpose: the workspace's external
-//! dependency set stays at the five crates listed in DESIGN.md.
+//! quotes (`""`). Kept dependency-free on purpose: the workspace builds
+//! offline, and its only external dependencies are the stand-ins vendored
+//! under `vendor/` (see `README.md`, "Workspace layout").
 
 use std::io::{self, BufRead, Write};
 

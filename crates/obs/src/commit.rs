@@ -142,6 +142,8 @@ pub struct CommitRecord<'a> {
     pub patched_slots: u64,
     /// Edges re-accumulated from the blocks.
     pub edges_reweighed: u64,
+    /// Node adjacencies re-accumulated from the blocks.
+    pub scratch_loads: u64,
     /// Clean edges re-derived from cached accumulators.
     pub edges_swept: u64,
     /// Swept edges whose weight bits moved.
@@ -198,17 +200,18 @@ pub struct CommitMetrics {
     total_secs: Arc<Histogram>,
     phase_hists: [Arc<Histogram>; 6],
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 17],
+    counters: [Arc<Counter>; 18],
     gauges: [Arc<Gauge>; 7],
 }
 
 /// Index order of `CommitMetrics::counters` (kept private; the names are
 /// the contract).
-const COUNTER_NAMES: [&str; 17] = [
+const COUNTER_NAMES: [&str; 18] = [
     names::REPAIR_DIRTY_NODES,
     names::SNAPSHOT_PATCHED_ROWS,
     names::SNAPSHOT_PATCHED_SLOTS,
     names::REPAIR_EDGES_REWEIGHED,
+    names::REPAIR_SCRATCH_LOADS,
     names::REPAIR_EDGES_SWEPT,
     names::REPAIR_EDGES_REKEYED,
     names::DECISION_RETENTION_FLIPS,
@@ -303,6 +306,7 @@ impl CommitMetrics {
             r.patched_rows,
             r.patched_slots,
             r.edges_reweighed,
+            r.scratch_loads,
             r.edges_swept,
             r.edges_rekeyed,
             r.retention_flips,
@@ -363,6 +367,8 @@ pub struct CommitTotals {
     pub patched_slots: u64,
     /// Edges re-accumulated from the blocks.
     pub edges_reweighed: u64,
+    /// Node adjacencies re-accumulated from the blocks.
+    pub scratch_loads: u64,
     /// Clean edges swept by the reweigh tier.
     pub edges_swept: u64,
     /// Swept edges whose weight bits moved.
@@ -402,6 +408,7 @@ impl CommitTotals {
             patched_rows: s.counter(names::SNAPSHOT_PATCHED_ROWS),
             patched_slots: s.counter(names::SNAPSHOT_PATCHED_SLOTS),
             edges_reweighed: s.counter(names::REPAIR_EDGES_REWEIGHED),
+            scratch_loads: s.counter(names::REPAIR_SCRATCH_LOADS),
             edges_swept: s.counter(names::REPAIR_EDGES_SWEPT),
             edges_rekeyed: s.counter(names::REPAIR_EDGES_REKEYED),
             retention_flips: s.counter(names::DECISION_RETENTION_FLIPS),
@@ -455,6 +462,7 @@ mod tests {
             phases: Some(&phases),
             tier: 1,
             dirty_nodes: 4,
+            scratch_loads: 4,
             patched_rows: 7,
             retention_flips: 2,
             pairs_added: 2,
@@ -472,6 +480,7 @@ mod tests {
             phases: Some(&phases),
             tier: 0,
             dirty_nodes: 1,
+            scratch_loads: 1,
             retained: 12,
             live_edges: 31,
             shard_imbalance_permille: 1000,
@@ -482,6 +491,7 @@ mod tests {
         assert_eq!(t.commits, 2);
         assert_eq!(t.tier_commits, [1, 1, 0]);
         assert_eq!(t.dirty_nodes, 5);
+        assert_eq!(t.scratch_loads, 5);
         assert_eq!(t.patched_rows, 7);
         assert_eq!(t.retention_flips, 2);
         assert_eq!(t.pairs_added, 2);

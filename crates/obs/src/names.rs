@@ -43,6 +43,9 @@ pub const REPAIR_TIER_FULL: &str = "repair.tier.full";
 pub const REPAIR_DIRTY_NODES: &str = "repair.dirty_nodes";
 /// Edges re-accumulated from the blocks (counter).
 pub const REPAIR_EDGES_REWEIGHED: &str = "repair.edges_reweighed";
+/// Node adjacencies re-accumulated from the blocks (counter) — one per
+/// dirty node on the dirty tier; a second traversal would double it.
+pub const REPAIR_SCRATCH_LOADS: &str = "repair.scratch_loads";
 /// Clean edges re-derived from cached accumulators (counter).
 pub const REPAIR_EDGES_SWEPT: &str = "repair.edges_swept";
 /// Swept edges whose weight bits moved (counter).

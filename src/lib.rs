@@ -7,8 +7,9 @@
 //!
 //! This crate is the facade: it re-exports the workspace crates under a
 //! single namespace so applications (and the `examples/`) can depend on one
-//! crate. See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
-//! the reproduced tables and figures.
+//! crate. See `README.md` for the system inventory and `benchmark/README.md`
+//! for the measured workloads; the `exp_*` binaries of `crates/bench`
+//! regenerate the paper's tables and figures.
 //!
 //! ## Quick start
 //!

@@ -547,6 +547,82 @@ fn balanced_degree_churn_promotes_ejs_to_reweigh() {
     }
 }
 
+/// One traversal per dirty node: on a tier-1 commit the repair loads
+/// exactly `dirty_nodes` adjacencies from the blocks — edges *and* per-node
+/// artefacts come out of the same load — for every pruning variant and
+/// every kind of weigher (local, |B|-reading, degree-reading). The count
+/// is read off the snapshot itself, so a second traversal of the dirty
+/// neighbourhood cannot come back unnoticed whatever primitive runs it;
+/// the registry carries the same figure.
+#[test]
+fn tier1_commit_loads_each_dirty_node_once() {
+    use blast_obs::CommitTotals;
+    let rows = [
+        "alpha beta gamma",
+        "alpha beta delta",
+        "gamma delta epsilon",
+        "alpha gamma zeta",
+        "beta epsilon eta",
+        "alpha delta eta",
+        "gamma zeta theta",
+        "alpha beta gamma delta",
+        "epsilon zeta eta theta",
+        "alpha epsilon",
+    ];
+    for scheme in [
+        WeightingScheme::Cbs,
+        WeightingScheme::Js,
+        WeightingScheme::Ecbs,
+        WeightingScheme::Ejs,
+    ] {
+        for pruning in all_prunings() {
+            let label = format!("{}/{}", scheme.name(), pruning.label());
+            // No cleaning: repeated tokens re-use blocks, so |B| and the
+            // CNP budget hold still often enough for tier-1 commits under
+            // every scheme.
+            let mut p = IncrementalPipeline::dirty(scheme, pruning, CleaningConfig::none());
+            let (mut tier1, mut loads) = (0usize, 0u64);
+            let mut check = |out: blast_incremental::CommitOutcome, step: &str| {
+                loads += out.stats.scratch_loads as u64;
+                if out.stats.tier == RepairTier::Dirty {
+                    tier1 += 1;
+                    assert!(out.stats.dirty_nodes > 0, "{label}: {step} dirties nodes");
+                    assert_eq!(
+                        out.stats.scratch_loads, out.stats.dirty_nodes,
+                        "{label}: {step} traversed the dirty neighbourhood more (or less) \
+                         than once"
+                    );
+                }
+            };
+            for round in 0..3 {
+                for (i, row) in rows.iter().enumerate() {
+                    p.insert(SourceId(0), &format!("r{round}p{i}"), [("text", *row)]);
+                    check(p.commit(), &format!("round {round} row {i}"));
+                }
+            }
+            // A mutation that moves accumulators but no global: x3 joins
+            // the existing block u2 = {x1, x2}, both already its neighbours
+            // through u1 — no block or edge is born, so even EJS stays on
+            // tier 1. (x0 keeps CNP's budget, ⌊assignments / profiles⌋,
+            // clear of an integer boundary the update would cross.)
+            p.insert(SourceId(0), "x0", [("text", "alpha beta")]);
+            p.insert(SourceId(0), "x1", [("text", "u1 u2")]);
+            p.insert(SourceId(0), "x2", [("text", "u1 u2")]);
+            let x3 = p.insert(SourceId(0), "x3", [("text", "u1 u3")]);
+            check(p.commit(), "the x seed");
+            p.update(x3, [("text", "u1 u2 u3")]);
+            check(p.commit(), "the x3 update");
+            assert!(tier1 > 0, "{label}: the history never reached tier 1");
+            assert_eq!(
+                CommitTotals::from_snapshot(&p.metrics().snapshot()).scratch_loads,
+                loads,
+                "{label}: registry total"
+            );
+            assert_eq!(p.retained().pairs(), p.batch_retained().pairs(), "{label}");
+        }
+    }
+}
+
 /// The degraded-full tier itself, exercised on demand: now that EJS/χ²
 /// drift no longer reaches it, [`IncrementalPipeline::force_full_repair`]
 /// pins the flip-emitting fallback against batch so it cannot rot —
