@@ -112,6 +112,10 @@ struct RunResult {
     /// Clean edges swept / re-keyed by the reweigh tier across the run.
     edges_swept: usize,
     edges_rekeyed: usize,
+    /// Commits that built the ordered weight index from a deferred state
+    /// (WEP/CEP). CI asserts `<= commits_dirty + 1`: a reweigh commit
+    /// never builds one.
+    treap_materialisations: usize,
     /// The batch-equivalence contract: incremental candidate set ==
     /// from-scratch batch run on the final collection (asserted by CI off
     /// the JSON as well as by this process).
@@ -232,6 +236,7 @@ fn run_config(
         tier_commits: totals.tier_commits.map(|c| c as usize),
         edges_swept: totals.edges_swept as usize,
         edges_rekeyed: totals.edges_rekeyed as usize,
+        treap_materialisations: totals.treap_materialisations as usize,
         equivalent,
     }
 }
@@ -251,6 +256,8 @@ struct MulticoreRun {
     /// Tier split (dirty / reweigh / full) — the sweep is configured to be
     /// reweigh-heavy so the sharded sweep actually runs.
     tier_commits: [usize; 3],
+    /// Ordered-index builds from a deferred state across the run.
+    treap_materialisations: usize,
     final_candidates: usize,
     /// The tentpole contract: retained set bit-identical to the
     /// single-thread run AND to a from-scratch batch run.
@@ -314,6 +321,7 @@ fn multicore_phase(rows: &[(String, Vec<(String, String)>)]) -> Vec<MulticoreRun
             speedup: baseline / secs.max(1e-12),
             frontier_pairs: totals.frontier_pairs,
             tier_commits: totals.tier_commits.map(|c| c as usize),
+            treap_materialisations: totals.treap_materialisations as usize,
             final_candidates: retained.len(),
             equivalent,
         });
@@ -781,7 +789,7 @@ fn main() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"scheme\": \"{}\", \"pruning\": \"{}\", \"batch_size\": {}, \"commits\": {}, \"incremental_secs\": {:.6}, \"full_recompute_secs\": {:.6}, \"speedup\": {:.3}, \"final_candidates\": {}, \"patched_csr_rows\": {}, \"retention_flips\": {}, \"threshold_crossers\": {}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"edges_swept\": {}, \"edges_rekeyed\": {}, \"equivalent\": {}, \"phases\": {}, \"per_commit_first_half\": {}, \"per_commit_second_half\": {}}}{comma}",
+            "    {{\"scheme\": \"{}\", \"pruning\": \"{}\", \"batch_size\": {}, \"commits\": {}, \"incremental_secs\": {:.6}, \"full_recompute_secs\": {:.6}, \"speedup\": {:.3}, \"final_candidates\": {}, \"patched_csr_rows\": {}, \"retention_flips\": {}, \"threshold_crossers\": {}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"edges_swept\": {}, \"edges_rekeyed\": {}, \"treap_materialisations\": {}, \"equivalent\": {}, \"phases\": {}, \"per_commit_first_half\": {}, \"per_commit_second_half\": {}}}{comma}",
             r.scheme,
             r.pruning,
             r.batch_size,
@@ -798,6 +806,7 @@ fn main() {
             r.tier_commits[2],
             r.edges_swept,
             r.edges_rekeyed,
+            r.treap_materialisations,
             r.equivalent,
             r.phases.bench_json(),
             r.phases_first_half.bench_json(),
@@ -813,7 +822,7 @@ fn main() {
         let comma = if i + 1 == multicore.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"scheme\": \"EJS\", \"pruning\": \"wep\", \"threads\": {}, \"shards\": {}, \"commits\": {}, \"secs\": {:.6}, \"speedup\": {:.3}, \"frontier_pairs\": {}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"final_candidates\": {}, \"equivalent\": {}}}{comma}",
+            "    {{\"scheme\": \"EJS\", \"pruning\": \"wep\", \"threads\": {}, \"shards\": {}, \"commits\": {}, \"secs\": {:.6}, \"speedup\": {:.3}, \"frontier_pairs\": {}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"treap_materialisations\": {}, \"final_candidates\": {}, \"equivalent\": {}}}{comma}",
             r.threads,
             r.shards,
             r.commits,
@@ -823,6 +832,7 @@ fn main() {
             r.tier_commits[0],
             r.tier_commits[1],
             r.tier_commits[2],
+            r.treap_materialisations,
             r.final_candidates,
             r.equivalent,
         );

@@ -237,6 +237,8 @@ fn trace_event(
         .field_u64("patched_rows", out.stats.patched_rows as u64)
         .field_u64("retention_flips", out.stats.retention_flips as u64)
         .field_u64("threshold_crossers", out.stats.threshold_crossers as u64)
+        .field_bool("index_deferred", out.stats.index_deferred)
+        .field_bool("index_materialised", out.stats.index_materialised)
         .field_u64("shards", out.stats.shards as u64)
         .field_u64("frontier_pairs", out.stats.frontier_pairs as u64)
         .field_u64(
@@ -406,6 +408,17 @@ pub fn stream(args: &Args) -> Result<String, String> {
                 out.stats.threshold_crossers,
                 out.timings.human_micros(),
             );
+            if out.stats.index_deferred || out.stats.index_materialised {
+                let _ = writeln!(
+                    report,
+                    "    ordered index: {}",
+                    if out.stats.index_deferred {
+                        "deferred (every edge decided explicitly; tree dropped, sum and count kept)"
+                    } else {
+                        "materialised from the adjacency rows"
+                    },
+                );
+            }
             if out.stats.shards > 1 {
                 let _ = writeln!(
                     report,

@@ -17,7 +17,13 @@
 //!   [`Frontier`]; when a commit moves the frontier, the clean edges whose
 //!   retention flips are exactly the keys *between* the old and new
 //!   frontier — enumerated by [`OrderedWeightIndex::for_each_between`] in
-//!   O(log |E| + flips), never by re-scanning the edge list.
+//!   O(log |E| + flips), never by re-scanning the edge list. The tree is a
+//!   **lazily materialised view**: Σw and the edge count are always
+//!   current, but a commit that decides every edge explicitly (the reweigh
+//!   tier) reads no order at all, so it drops the tree
+//!   ([`OrderedWeightIndex::defer`]) and the next commit that needs band
+//!   enumeration builds it once from the adjacency rows
+//!   ([`OrderedWeightIndex::materialise`]).
 //! * [`EdgeAdjacency`] — per-node rows of `(neighbour, weight)` for every
 //!   live edge, so a commit can enumerate the *old* dirty-incident edges
 //!   (and their old weights, needed to unkey them from the treap) without
@@ -46,9 +52,10 @@ use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
 use blast_obs::{names, LazyCounter};
 
-/// Bulk treap rebuilds (degraded-full and heavy-drift paths), recorded
-/// into the process-wide registry — a healthy incremental stream should
-/// show this staying near zero while commits climb.
+/// Bulk treap builds (the degraded-full tier, and the first dirty-tier
+/// commit after a run of reweigh commits left the tree deferred), recorded
+/// into the process-wide registry. No reweigh commit builds a tree, so a
+/// healthy stream shows this staying near zero while commits climb.
 static TREAP_BULK_REBUILDS: LazyCounter = LazyCounter::new(names::TREAP_BULK_REBUILDS);
 
 /// The total retention order of the decision stage: ascending `rank` is
@@ -124,14 +131,25 @@ fn priority(key: &EdgeKey) -> u64 {
 }
 
 /// The live edge list as an order-statistic treap over [`EdgeKey`] with a
-/// running exact weight sum (see module docs).
-#[derive(Debug, Default)]
+/// running exact weight sum (see module docs). Σw and `len` describe the
+/// live edge set at all times; the tree itself may be absent
+/// ([`OrderedWeightIndex::is_built`]), in which case only those two
+/// aggregates can be read.
+#[derive(Debug)]
 pub struct OrderedWeightIndex {
     nodes: Vec<TreapNode>,
     free: Vec<u32>,
     root: u32,
     sum: ExactSum,
     len: usize,
+    /// Whether the tree holds the live edge set (false = deferred).
+    built: bool,
+}
+
+impl Default for OrderedWeightIndex {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OrderedWeightIndex {
@@ -143,7 +161,52 @@ impl OrderedWeightIndex {
             root: NIL,
             sum: ExactSum::new(),
             len: 0,
+            built: true,
         }
+    }
+
+    /// Whether the tree is present. A deferred index answers
+    /// [`OrderedWeightIndex::sum`] and [`OrderedWeightIndex::len`] only;
+    /// the order queries panic until it is materialised.
+    #[inline]
+    pub fn is_built(&self) -> bool {
+        self.built
+    }
+
+    /// Drops the tree (and its slab) and restates the aggregates from the
+    /// live edge weights: what a commit that decides every edge explicitly
+    /// does instead of re-keying. The exact accumulator is order-free, so
+    /// Σw is bit-identical to the one a key-by-key maintained index holds.
+    /// While deferred, [`OrderedWeightIndex::insert`] and
+    /// [`OrderedWeightIndex::remove`] keep the aggregates current.
+    pub fn defer(&mut self, weights: impl IntoIterator<Item = f64>) {
+        self.nodes = Vec::new();
+        self.free = Vec::new();
+        self.root = NIL;
+        self.built = false;
+        let mut len = 0;
+        self.sum = ExactSum::of(weights.into_iter().inspect(|_| len += 1));
+        self.len = len;
+    }
+
+    /// Builds the tree of a deferred index from the live edge list its
+    /// aggregates describe (any order) — through
+    /// [`OrderedWeightIndex::rebuild`], so the result is the canonical
+    /// tree of that key set.
+    pub fn materialise(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
+        debug_assert!(!self.built, "materialising a built index");
+        let deferred = (self.sum.round().to_bits(), self.len);
+        self.rebuild(edges);
+        debug_assert_eq!(
+            (self.sum.round().to_bits(), self.len),
+            deferred,
+            "the materialised edge set must be the one the deferred aggregates describe"
+        );
+    }
+
+    #[inline]
+    fn assert_built(&self) {
+        assert!(self.built, "order query on a deferred index");
     }
 
     /// Number of live edges.
@@ -158,7 +221,8 @@ impl OrderedWeightIndex {
         self.len == 0
     }
 
-    /// Estimated resident heap footprint in bytes (node-slab capacity).
+    /// Estimated resident heap footprint in bytes: the node-slab capacity
+    /// actually held — nothing while the tree is deferred.
     pub fn resident_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<TreapNode>()
             + self.free.capacity() * std::mem::size_of::<u32>()
@@ -177,10 +241,11 @@ impl OrderedWeightIndex {
         self.root = NIL;
         self.sum.clear();
         self.len = 0;
+        self.built = true;
     }
 
     /// Rebuilds the whole index from an edge list in one pass — the bulk
-    /// path of the degraded-full and heavy-drift rebuilds. One flat key
+    /// path of the degraded-full tier and of materialisation. One flat key
     /// sort plus an O(n) right-spine construction replaces n split/merge
     /// inserts (~6× a flat sort in treap pointer churn), and the result is
     /// **bit-identical** to inserting the same edges one by one: with the
@@ -278,6 +343,7 @@ impl OrderedWeightIndex {
     /// (a BST's pre-order determines its structure): diagnostics and the
     /// bulk-vs-incremental construction property tests.
     pub fn for_each_preorder(&self, f: &mut impl FnMut(EdgeKey, f64)) {
+        self.assert_built();
         let mut stack = Vec::new();
         if self.root != NIL {
             stack.push(self.root);
@@ -373,6 +439,11 @@ impl OrderedWeightIndex {
     /// Inserts the edge `(u, v)` at weight `w`. The key must not be
     /// present (each live edge appears once).
     pub fn insert(&mut self, u: u32, v: u32, w: f64) {
+        self.sum.add(w);
+        self.len += 1;
+        if !self.built {
+            return;
+        }
         let key = EdgeKey::new(u, v, w);
         let node = self.alloc(key, w);
         let (a, b) = self.split(self.root, &key);
@@ -386,21 +457,23 @@ impl OrderedWeightIndex {
         }
         let ab = self.merge(a, node);
         self.root = self.merge(ab, b);
-        self.sum.add(w);
-        self.len += 1;
     }
 
     /// Removes the edge `(u, v)` that was inserted at weight `w` (the old
-    /// weight keys it). Panics in debug builds when absent.
+    /// weight keys it). Panics in debug builds when absent (a deferred
+    /// index has no tree to check against).
     pub fn remove(&mut self, u: u32, v: u32, w: f64) {
-        let key = EdgeKey::new(u, v, w);
-        let (removed, root) = self.erase(self.root, &key);
-        debug_assert!(removed, "removing an edge that is not indexed");
-        if removed {
+        if self.built {
+            let key = EdgeKey::new(u, v, w);
+            let (removed, root) = self.erase(self.root, &key);
+            debug_assert!(removed, "removing an edge that is not indexed");
+            if !removed {
+                return;
+            }
             self.root = root;
-            self.sum.sub(w);
-            self.len -= 1;
         }
+        self.sum.sub(w);
+        self.len -= 1;
     }
 
     fn erase(&mut self, t: u32, key: &EdgeKey) -> (bool, u32) {
@@ -435,6 +508,7 @@ impl OrderedWeightIndex {
     /// The key at 0-based `rank` in the retention order (rank 0 = heaviest
     /// edge, best `(u, v)`), or `None` past the end — CEP's cutoff cursor.
     pub fn select(&self, rank: usize) -> Option<EdgeKey> {
+        self.assert_built();
         if rank >= self.len {
             return None;
         }
@@ -456,6 +530,7 @@ impl OrderedWeightIndex {
 
     /// Number of keys ≤ `bound` (the size of a retention prefix).
     pub fn prefix_len(&self, bound: EdgeKey) -> usize {
+        self.assert_built();
         let mut t = self.root;
         let mut count = 0usize;
         while t != NIL {
@@ -474,6 +549,7 @@ impl OrderedWeightIndex {
     /// band. `lo = None` means unbounded below (visit the whole prefix of
     /// `hi`). O(log |E| + visited).
     pub fn for_each_between(&self, lo: Frontier, hi: EdgeKey, f: &mut impl FnMut(EdgeKey, f64)) {
+        self.assert_built();
         self.band_visit(self.root, lo, hi, f);
     }
 
@@ -983,21 +1059,28 @@ impl EdgeAdjacency {
         ordered_emission(from_smaller, from_larger, |&(a, b, _)| (a, b))
     }
 
-    /// Every live edge once, canonical `(u, v, weight)`, sorted ascending.
-    /// A diagnostics/verification view (the repair ladder builds its
-    /// decision input from the sweep + dirty merge instead); O(|E|), never
-    /// on the dirty-neighbourhood tier.
-    pub fn all_edges(&self) -> Vec<(u32, u32, f64)> {
-        let mut out = Vec::new();
+    /// Visits every live edge once, canonical `(u, v, weight)`, ascending
+    /// `(u, v)`. O(|E|); cold rows decode transiently. What reads the
+    /// retention prefix off the rows while the ordered index is deferred.
+    pub fn for_each_edge(&self, mut f: impl FnMut(u32, u32, f64)) {
         for u in 0..self.rows.len() as u32 {
             self.with_row(u, |row, _| {
                 for e in row {
                     if e.v > u {
-                        out.push((u, e.v, e.w));
+                        f(u, e.v, e.w);
                     }
                 }
             });
         }
+    }
+
+    /// Every live edge once, canonical `(u, v, weight)`, sorted ascending —
+    /// the source a deferred ordered index is materialised from, and a
+    /// verification view. O(|E|): a commit reads it at most once, and only
+    /// the first dirty-tier commit after a reweigh.
+    pub fn all_edges(&self) -> Vec<(u32, u32, f64)> {
+        let mut out = Vec::with_capacity(self.live_edges());
+        self.for_each_edge(|u, v, w| out.push((u, v, w)));
         out
     }
 

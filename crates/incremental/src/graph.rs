@@ -20,10 +20,13 @@
 //!    per-edge accumulator plus O(1) snapshot statistics (the
 //!    factored-weight contract of [`EdgeWeigher`]), so the clean edges are
 //!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean`]) —
-//!    no block traversal, no quadratic re-accumulation — and only the
-//!    bit-changed keys are pushed through the ordered-index/retained-index
-//!    /containment-counter flip machinery. EJS never forces a full pass
-//!    any more: node degrees are a delta-maintained field of
+//!    no block traversal, no quadratic re-accumulation — and the decision
+//!    stage decides every edge explicitly. For WEP/CEP that makes the
+//!    ordered index's total order dead weight: the commit drops the tree
+//!    and keeps only Σw and the edge count
+//!    ([`OrderedWeightIndex::defer`]) — one arm, no drift threshold. The
+//!    rule is "tier 2 never builds, tier 1 builds if absent". EJS never
+//!    forces a full pass: node degrees are a delta-maintained field of
 //!    [`GraphSnapshot`], patched from this module's edge-existence diffs
 //!    (exact integer removal) before any weight is computed. Neither does
 //!    CNP: a budget move re-derives every top-k list from the cached
@@ -84,8 +87,16 @@
 //!   [`Wep::mean_from_sum`]) or cutoff (rank-K order statistic) becomes a
 //!   retention [`Frontier`], and the clean edges whose retention flips are
 //!   exactly the keys between the old and new frontier — enumerated in
-//!   O(log |E| + flips) on the dirty tier (the reweigh tier decides its
-//!   swept edges explicitly instead).
+//!   O(log |E| + flips) on the dirty tier. The reweigh tier decides its
+//!   swept edges explicitly instead (old key vs old frontier, new key vs
+//!   new frontier), and both frontiers are aggregates of the weight
+//!   multiset — the mean needs Σw and the count, the rank-K key a
+//!   `select_nth_unstable` over the commit's keys — so it builds no tree
+//!   at all and leaves the index deferred
+//!   ([`RepairStats::index_deferred`]). The first dirty-tier commit after
+//!   it materialises the tree once from the patched adjacency rows
+//!   ([`RepairStats::index_materialised`]); a `retained()` read in
+//!   between filters those rows by the frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
 //!   set from the artefacts above; every fresh edge is decided against
 //!   them. The survivors live in a
@@ -119,7 +130,11 @@
 //! [`EdgeWeigher::global_deps`]: schemes reading per-node block counts
 //! (JS, χ²) additionally dirty the co-members of every node whose cleaned
 //! block list changed, because all of that node's incident edge weights
-//! moved even where the accumulators did not.
+//! moved even where the accumulators did not — and a clean neighbour's
+//! threshold or top-k list folds over such a weight. Where no artefact can
+//! go stale that way the expansion is skipped: WEP/CEP keep none, and a
+//! commit known to reweigh before accumulating re-derives them all from
+//! the cache.
 
 use crate::decision::{
     retained_under, ContainmentIndex, EdgeAdjacency, EdgeKey, FreshEdge, Frontier,
@@ -257,8 +272,9 @@ pub struct RepairStats {
     /// Clean edges whose weight was re-derived from the cached
     /// accumulators by the reweigh tier (zero on tiers 1 and 3).
     pub edges_swept: usize,
-    /// Swept clean edges whose weight bits actually moved (re-keyed
-    /// through the decision indexes).
+    /// Swept clean edges whose weight bits actually moved — a count of
+    /// changed weights, whether or not any index key was re-keyed for
+    /// them (WEP/CEP drop their ordered index on this tier instead).
     pub edges_rekeyed: usize,
     /// Candidate pairs whose retention flipped (|added| + |retracted|).
     pub retention_flips: usize,
@@ -278,6 +294,14 @@ pub struct RepairStats {
     pub decision_secs: f64,
     /// The repair-ladder tier this commit landed on.
     pub tier: RepairTier,
+    /// WEP/CEP only: this commit decided every edge explicitly and left
+    /// the ordered weight index deferred (tree dropped, Σw and count
+    /// current) — every reweigh-tier commit of an edge-centric variant.
+    pub index_deferred: bool,
+    /// WEP/CEP only: this commit found the ordered weight index deferred
+    /// and built it from the adjacency rows — the first dirty-tier commit
+    /// after a run of reweigh commits.
+    pub index_materialised: bool,
     /// Shard count of the plan this commit ran under (1 = canonical
     /// single-shard engine).
     pub shards: usize,
@@ -481,7 +505,21 @@ impl IncrementalMetaBlocker {
     /// lazily from the decision state (cached until the next commit).
     pub fn retained(&self) -> &RetainedPairs {
         self.cache.get_or_init(|| match &self.decision {
-            DecisionState::Edge(state) => state.index.prefix_pairs(state.frontier),
+            DecisionState::Edge(state) if state.index.is_built() => {
+                state.index.prefix_pairs(state.frontier)
+            }
+            // Deferred: the prefix is read off the adjacency rows, which
+            // visit the edges in the flat view's own `(u, v)` order.
+            DecisionState::Edge(state) => {
+                let adj = self.adj.as_ref().expect("edge variant carries the cache");
+                let mut pairs = Vec::with_capacity(self.retained_len);
+                adj.for_each_edge(|u, v, w| {
+                    if retained_under(state.frontier, EdgeKey::new(u, v, w)) {
+                        pairs.push((ProfileId(u), ProfileId(v)));
+                    }
+                });
+                RetainedPairs::from_sorted(pairs)
+            }
             DecisionState::Node { retained } => retained.to_pairs(),
             DecisionState::Lists { counts } => {
                 counts.to_pairs(self.node_centric_mode().required_listings())
@@ -637,11 +675,23 @@ impl IncrementalMetaBlocker {
         let budget_moved = !structural && cnp_budget != self.prev_cnp_budget;
         self.prev_cnp_budget = cnp_budget;
         self.initialised = true;
+        // Drift that is known before any edge is accumulated (a degree
+        // move shows only in the edge diff below).
+        let drifted_early = (deps.total_blocks && scope.total_blocks_changed) || budget_moved;
 
         // The dirty set, under the reusable epoch mask: collected from the
         // cleaning scope (plus co-members of |B_u|-changed nodes for
         // schemes reading per-node block counts) — never by scanning all n
         // nodes, except on the degraded-full path where dirty *is* all.
+        //
+        // The co-member expansion exists for the per-node artefacts: a
+        // |B_u| move re-weighs every edge at `u` — `u` itself is in
+        // `scope.nodes` (`lists_changed` is a subset), so those edges are
+        // re-accumulated either way — and a *clean* neighbour's threshold
+        // or top-k list folds over that moved weight. WEP/CEP keep no such
+        // artefact, and a commit already known to reweigh re-derives every
+        // node's artefact from the cache: both skip the expansion (the
+        // neighbours' other edges read only their own endpoints' |B|).
         self.mask.begin(n);
         let dirty: Vec<u32> = if structural {
             // The structural pass reads every block: rehydrate the whole
@@ -656,7 +706,7 @@ impl IncrementalMetaBlocker {
                     d.push(u);
                 }
             }
-            if deps.node_blocks {
+            if deps.node_blocks && !edge_variant && !drifted_early {
                 // The co-member expansion below walks these nodes' block
                 // slots — rehydrate them first.
                 ctx.ensure_node_slots_resident(scope.lists_changed.iter());
@@ -716,9 +766,6 @@ impl IncrementalMetaBlocker {
             ctx.ensure_node_slots_resident(dirty.iter());
         }
         let loads_before = ctx.scratch_loads();
-        // Drift that is known before any edge is accumulated (a degree
-        // move shows only in the edge diff below).
-        let drifted_early = (deps.total_blocks && scope.total_blocks_changed) || budget_moved;
         // The per-node artefacts come out of the pass itself, from the
         // node-orientation weights — unless degrees must be patched
         // between accumulating and weighing (EJS), or the commit is
@@ -839,17 +886,21 @@ impl IncrementalMetaBlocker {
                     .count();
                 // From here on the decision stage recomputes everything:
                 // the mask covers all nodes and the decide list every live
-                // edge at its new weight.
+                // edge at its new weight. WEP/CEP keep no per-node artefact
+                // and decide `swept` and `fresh` where they lie.
                 self.mask.mark_all();
-                recompute = (0..n as u32).collect();
-                decide = merge_decide_edges(&swept, &fresh);
+                if edge_variant {
+                    recompute = Vec::new();
+                } else {
+                    recompute = (0..n as u32).collect();
+                    decide = merge_decide_edges(&swept, &fresh);
+                }
                 stats.reweigh_secs = degree_secs + t_sweep.elapsed().as_secs_f64();
             }
             _ => {
                 recompute = dirty;
-                // The edge variants never read the decide list outside the
-                // reweigh tier (their flips walk old/fresh directly) — skip
-                // the copy there.
+                // The edge variants never read the decide list (their flips
+                // walk old/fresh directly) — skip the copy.
                 if cache_edges && !edge_variant {
                     decide = fresh.iter().map(|e| (e.u, e.v, e.w)).collect();
                 }
@@ -882,7 +933,8 @@ impl IncrementalMetaBlocker {
     /// The per-variant decision pass. `recompute` is the node set whose
     /// artefacts are recomputed (the dirty set on tier 1, every node on
     /// tiers 2–3), ascending; `decide` the corresponding fresh edge list
-    /// (ascending `(u, v)`, new weights); `old`/`fresh`/`swept` the
+    /// (ascending `(u, v)`, new weights) — both empty for WEP/CEP, which
+    /// read neither; `old`/`fresh`/`swept` the
     /// flip-diff inputs described in [`IncrementalMetaBlocker::refresh`].
     /// `artefacts` are the recompute set's artefacts under `rule` where
     /// the accumulate pass produced them; `None` re-derives them from the
@@ -958,22 +1010,24 @@ impl IncrementalMetaBlocker {
                         index.rebuild(fresh.iter().map(|e| (e.u, e.v, e.w)));
                         adj.load(fresh);
                     }
-                    // A heavy drift (many keys moved — the WEP/ECBS case,
-                    // where a |B| shift re-ranks essentially every edge)
-                    // rebuilds the index from the decide list outright: the
-                    // bulk from-sorted-array construction (one flat sort +
-                    // an O(|E|) spine build) beats 2·rekeys split/merge
-                    // churn well before rekeys approach |E|, and the
-                    // canonical treap shape + exact Σw make the two
-                    // constructions indistinguishable. The adjacency still
-                    // takes the dirty merge.
-                    RepairTier::Reweigh
-                        if (stats.edges_rekeyed + fresh.len()) * 4 >= index.len().max(1) =>
-                    {
-                        index.rebuild(decide.iter().copied());
+                    // Every live edge is decided explicitly below — the
+                    // swept ones old key vs old frontier, new key vs new —
+                    // and both frontiers are aggregates of the weight
+                    // multiset, so nothing reads a total order: the tree is
+                    // dropped, not re-keyed (a |B| shift re-ranks
+                    // essentially every ECBS edge), and only Σw and the
+                    // count are restated.
+                    RepairTier::Reweigh => {
                         patch_adjacency(adj, old, fresh);
+                        index.defer(
+                            swept
+                                .iter()
+                                .map(|&(_, _, _, nw)| nw)
+                                .chain(fresh.iter().map(|e| e.w)),
+                        );
+                        stats.index_deferred = true;
                     }
-                    _ => {
+                    RepairTier::Dirty => {
                         // One merge walk patches both structures: the
                         // adjacency cache takes every dirty edge's fresh
                         // weight + accumulator; the ordered index re-keys
@@ -981,7 +1035,9 @@ impl IncrementalMetaBlocker {
                         // dirtiness is conservative (a new profile dirties
                         // every co-member, but most mutual weights are
                         // untouched), so the true key delta is usually far
-                        // smaller than the dirty-incident set.
+                        // smaller than the dirty-incident set. (On a
+                        // deferred index the re-keys move Σw and the count
+                        // only.)
                         merge_join(old, fresh, edge_pair, fresh_pair, |step| match step {
                             Joined::Both(&(a, b, ow), e) => {
                                 adj.set_edge(a, b, e.w, e.acc);
@@ -999,34 +1055,28 @@ impl IncrementalMetaBlocker {
                                 index.insert(e.u, e.v, e.w);
                             }
                         });
-                        // The reweigh tier's swept clean edges re-key the
-                        // same way — only the bit-changed ones (their
-                        // adjacency rows were already updated in place by
-                        // the sweep).
-                        for &(u, v, ow, nw) in swept {
-                            if ow.to_bits() != nw.to_bits() {
-                                index.remove(u, v, ow);
-                                index.insert(u, v, nw);
-                            }
+                        // The band enumeration below needs the tree: build
+                        // it, once, if the reweigh tier left it deferred.
+                        if !index.is_built() {
+                            index.materialise(adj.all_edges());
+                            stats.index_materialised = true;
                         }
                     }
                 }
 
-                // The new retention frontier: WEP's mean over the running
-                // exact Σw, or CEP's rank-K order statistic.
+                // The new retention frontier: WEP's mean over the exact Σw,
+                // or CEP's rank-K order statistic — off the tree when it is
+                // there, by selection over the commit's keys when not.
                 let old_frontier = *frontier;
                 let new_frontier = match algorithm {
                     PruningAlgorithm::Wep => {
                         Wep::mean_from_sum(index.sum(), index.len()).map(EdgeKey::mean_bound)
                     }
-                    _ => {
-                        let k = Cep::new().budget(ctx) as usize;
-                        if k == 0 {
-                            None
-                        } else {
-                            index.select(k.min(index.len()).wrapping_sub(1))
-                        }
-                    }
+                    _ => match (Cep::new().budget(ctx) as usize).min(index.len()) {
+                        0 => None,
+                        k if index.is_built() => index.select(k - 1),
+                        k => Some(rank_key(swept, fresh, k - 1)),
+                    },
                 };
                 *frontier = new_frontier;
 
@@ -1041,10 +1091,10 @@ impl IncrementalMetaBlocker {
                     &mut retracted,
                 );
                 match tier {
+                    // Clean flips: exactly the keys between the two
+                    // frontiers (skipped on the other tiers — every edge is
+                    // decided explicitly there).
                     RepairTier::Dirty => {
-                        // Clean flips: exactly the keys between the two
-                        // frontiers (skipped on the other tiers — every
-                        // edge is decided explicitly there).
                         if old_frontier != new_frontier {
                             let lo = old_frontier.min(new_frontier);
                             if let Some(hi) = old_frontier.max(new_frontier) {
@@ -1093,7 +1143,17 @@ impl IncrementalMetaBlocker {
                 }
                 stats.decision_secs = t0.elapsed().as_secs_f64();
                 debug_assert_eq!(
-                    new_frontier.map_or(0, |f| index.prefix_len(f)),
+                    match new_frontier {
+                        None => 0,
+                        Some(f) if index.is_built() => index.prefix_len(f),
+                        Some(f) => {
+                            let mut prefix = 0;
+                            adj.for_each_edge(|u, v, w| {
+                                prefix += usize::from(EdgeKey::new(u, v, w) <= f);
+                            });
+                            prefix
+                        }
+                    },
                     self.retained_len + added.len() - retracted.len(),
                     "frontier prefix must equal the flip-maintained count"
                 );
@@ -1284,6 +1344,20 @@ fn merge_decide_edges(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge]) -> Ve
     out.extend(swept[i..].iter().map(|&(u, v, _, nw)| (u, v, nw)));
     out.extend(fresh[j..].iter().map(|e| (e.u, e.v, e.w)));
     out
+}
+
+/// CEP's rank-`rank` key (0-based) on a commit whose ordered index is
+/// deferred: the same order statistic `OrderedWeightIndex::select` reads
+/// off the tree, by O(|E|) selection over the commit's own keys — the
+/// swept clean edges at their new weights plus the fresh dirty-incident
+/// ones are exactly the live edge set.
+fn rank_key(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge], rank: usize) -> EdgeKey {
+    let mut keys: Vec<EdgeKey> = swept
+        .iter()
+        .map(|&(u, v, _, nw)| EdgeKey::new(u, v, nw))
+        .chain(fresh.iter().map(|e| EdgeKey::new(e.u, e.v, e.w)))
+        .collect();
+    *keys.select_nth_unstable(rank).1
 }
 
 /// Weighs freshly accumulated edges once the snapshot's globals are

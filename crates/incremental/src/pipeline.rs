@@ -579,6 +579,8 @@ impl IncrementalPipeline {
             edges_rekeyed: stats.edges_rekeyed as u64,
             retention_flips: stats.retention_flips as u64,
             threshold_crossers: stats.threshold_crossers as u64,
+            index_deferred: u64::from(stats.index_deferred),
+            index_materialised: u64::from(stats.index_materialised),
             pairs_added: delta.added.len() as u64,
             pairs_retracted: delta.retracted.len() as u64,
             cleaner_dirty_keys: drained_keys as u64,

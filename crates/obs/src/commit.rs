@@ -152,6 +152,10 @@ pub struct CommitRecord<'a> {
     pub retention_flips: u64,
     /// Clean-edge frontier crossers.
     pub threshold_crossers: u64,
+    /// 1 when this commit left the ordered weight index deferred.
+    pub index_deferred: u64,
+    /// 1 when this commit materialised a deferred ordered weight index.
+    pub index_materialised: u64,
     /// Candidate pairs added this commit.
     pub pairs_added: u64,
     /// Candidate pairs retracted this commit.
@@ -200,13 +204,13 @@ pub struct CommitMetrics {
     total_secs: Arc<Histogram>,
     phase_hists: [Arc<Histogram>; 6],
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 18],
+    counters: [Arc<Counter>; 20],
     gauges: [Arc<Gauge>; 7],
 }
 
 /// Index order of `CommitMetrics::counters` (kept private; the names are
 /// the contract).
-const COUNTER_NAMES: [&str; 18] = [
+const COUNTER_NAMES: [&str; 20] = [
     names::REPAIR_DIRTY_NODES,
     names::SNAPSHOT_PATCHED_ROWS,
     names::SNAPSHOT_PATCHED_SLOTS,
@@ -216,6 +220,8 @@ const COUNTER_NAMES: [&str; 18] = [
     names::REPAIR_EDGES_REKEYED,
     names::DECISION_RETENTION_FLIPS,
     names::DECISION_THRESHOLD_CROSSERS,
+    names::TREAP_DEFERRED_COMMITS,
+    names::TREAP_MATERIALISATIONS,
     names::COMMIT_PAIRS_ADDED,
     names::COMMIT_PAIRS_RETRACTED,
     names::CLEANER_DIRTY_KEYS,
@@ -311,6 +317,8 @@ impl CommitMetrics {
             r.edges_rekeyed,
             r.retention_flips,
             r.threshold_crossers,
+            r.index_deferred,
+            r.index_materialised,
             r.pairs_added,
             r.pairs_retracted,
             r.cleaner_dirty_keys,
@@ -377,6 +385,10 @@ pub struct CommitTotals {
     pub retention_flips: u64,
     /// Clean-edge frontier crossers.
     pub threshold_crossers: u64,
+    /// Commits that left the ordered weight index deferred.
+    pub treap_deferred_commits: u64,
+    /// Commits that materialised a deferred ordered weight index.
+    pub treap_materialisations: u64,
     /// Candidate pairs added.
     pub pairs_added: u64,
     /// Candidate pairs retracted.
@@ -413,6 +425,8 @@ impl CommitTotals {
             edges_rekeyed: s.counter(names::REPAIR_EDGES_REKEYED),
             retention_flips: s.counter(names::DECISION_RETENTION_FLIPS),
             threshold_crossers: s.counter(names::DECISION_THRESHOLD_CROSSERS),
+            treap_deferred_commits: s.counter(names::TREAP_DEFERRED_COMMITS),
+            treap_materialisations: s.counter(names::TREAP_MATERIALISATIONS),
             pairs_added: s.counter(names::COMMIT_PAIRS_ADDED),
             pairs_retracted: s.counter(names::COMMIT_PAIRS_RETRACTED),
             cleaner_dirty_keys: s.counter(names::CLEANER_DIRTY_KEYS),
@@ -429,7 +443,8 @@ impl CommitTotals {
         let _ = write!(
             out,
             "repair totals: {} dirty nodes, {} patched CSR rows, {} retention flips \
-             ({} threshold crossers), tiers = {}/{}/{} dirty/reweigh/full of {}",
+             ({} threshold crossers), tiers = {}/{}/{} dirty/reweigh/full of {}, \
+             ordered index deferred on {} commits, materialised on {}",
             self.dirty_nodes,
             self.patched_rows,
             self.retention_flips,
@@ -438,6 +453,8 @@ impl CommitTotals {
             self.tier_commits[1],
             self.tier_commits[2],
             self.commits,
+            self.treap_deferred_commits,
+            self.treap_materialisations,
         );
         out
     }
@@ -468,6 +485,7 @@ mod tests {
             pairs_added: 2,
             retained: 11,
             live_edges: 30,
+            index_deferred: 1,
             sharded_commits: 1,
             frontier_pairs: 9,
             shard_imbalance_permille: 1250,
@@ -481,6 +499,7 @@ mod tests {
             tier: 0,
             dirty_nodes: 1,
             scratch_loads: 1,
+            index_materialised: 1,
             retained: 12,
             live_edges: 31,
             shard_imbalance_permille: 1000,
@@ -513,7 +532,12 @@ mod tests {
             Some(1000),
             "last set wins"
         );
+        assert_eq!(t.treap_deferred_commits, 1);
+        assert_eq!(t.treap_materialisations, 1);
         assert!(t.repair_summary().contains("tiers = 1/1/0"));
+        assert!(t
+            .repair_summary()
+            .contains("deferred on 1 commits, materialised on 1"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Two registries exist: the **per-pipeline** registry every
 //! [`crate::CommitMetrics`] owns (commit/repair/decision/cleaner/pipeline
-//! families — isolated per stream, exact in tests), and the
+//! families plus the per-commit `treap.deferred_commits` /
+//! `treap.materialisations` — isolated per stream, exact in tests), and the
 //! **process-wide** [`crate::global`] registry that crate-internal
 //! instruments record into through `Lazy*` handles (scheduler/csr/treap
 //! families — structures too deep to plumb a handle into).
@@ -48,7 +49,8 @@ pub const REPAIR_EDGES_REWEIGHED: &str = "repair.edges_reweighed";
 pub const REPAIR_SCRATCH_LOADS: &str = "repair.scratch_loads";
 /// Clean edges re-derived from cached accumulators (counter).
 pub const REPAIR_EDGES_SWEPT: &str = "repair.edges_swept";
-/// Swept edges whose weight bits moved (counter).
+/// Swept edges whose weight bits moved (counter) — changed weights, not
+/// index operations: WEP/CEP re-key nothing on the reweigh tier.
 pub const REPAIR_EDGES_REKEYED: &str = "repair.edges_rekeyed";
 
 /// Retention flips emitted by the decision stage (counter).
@@ -79,8 +81,17 @@ pub const PIPELINE_CACHED_ACCUMULATORS: &str = "pipeline.cached_accumulators";
 /// Distinct token symbols interned by the block index (gauge).
 pub const INTERNER_SYMBOLS: &str = "interner.symbols";
 
-/// Bulk `OrderedWeightIndex` treap rebuilds (counter, process-wide).
+/// Bulk `OrderedWeightIndex` treap builds (counter, process-wide): the
+/// degraded-full tier plus every materialisation of a deferred index. No
+/// reweigh commit builds one, so a healthy stream shows this near zero.
 pub const TREAP_BULK_REBUILDS: &str = "treap.bulk_rebuilds";
+/// WEP/CEP commits that decided every edge explicitly and left the ordered
+/// weight index deferred — tree dropped, Σw and count kept (counter).
+pub const TREAP_DEFERRED_COMMITS: &str = "treap.deferred_commits";
+/// Commits that found the ordered weight index deferred and built it from
+/// the adjacency rows (counter) — at most one per reweigh→dirty
+/// transition, never on a reweigh commit.
+pub const TREAP_MATERIALISATIONS: &str = "treap.materialisations";
 
 /// Mutable-CSR row splices (counter, process-wide).
 pub const CSR_SPLICES: &str = "csr.splices";

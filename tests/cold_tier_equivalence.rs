@@ -309,6 +309,92 @@ fn sharded_commits_match_under_budget() {
     }
 }
 
+/// The ordered weight index's deferred state under a budget. A reweigh
+/// commit of WEP/CEP leaves the treap unbuilt; with every adjacency row
+/// evicted after every commit, the read of `retained()` on that commit and
+/// the materialisation on the next dirty-tier commit both go through cold
+/// rows. Reweigh steps insert a fresh two-member block (|B| and the
+/// degrees move); the dirty step toggles `x3` in and out of block `u2`,
+/// whose members it already neighbours through `u1` (no global moves).
+/// Checked against the batch run and the unbudgeted pipeline at every
+/// commit.
+#[test]
+fn deferred_index_reads_and_materialises_through_cold_rows() {
+    let seed = [
+        ("r0", "alpha beta gamma"),
+        ("r1", "alpha beta delta"),
+        ("r2", "gamma delta epsilon"),
+        ("r3", "alpha gamma epsilon"),
+        ("x1", "u1 u2 alpha"),
+        ("x2", "u1 u2"),
+        ("x4", "u1 u3 beta"),
+        ("x3", "u1 u3"),
+    ];
+    for spill in [false, true] {
+        let policy = ResidencyPolicy {
+            budget_bytes: 0,
+            idle_commits: 0,
+            spill,
+        };
+        for algorithm in [PruningAlgorithm::Wep, PruningAlgorithm::Cep] {
+            for scheme in [WeightingScheme::Ecbs, WeightingScheme::Ejs] {
+                let label = format!("{}/{} spill={spill}", scheme.name(), algorithm.label());
+                let pruning = IncrementalPruning::Traditional(algorithm);
+                let budgeted = IncrementalPipeline::dirty(scheme, pruning, CleaningConfig::none())
+                    .with_residency(policy);
+                let reference = IncrementalPipeline::dirty(scheme, pruning, CleaningConfig::none());
+                let mut both = [budgeted, reference];
+                let mut x3 = ProfileId(0);
+                for p in &mut both {
+                    for (id, text) in seed {
+                        x3 = p.insert(SourceId(0), id, [("text", text)]);
+                    }
+                    p.commit();
+                }
+                let (mut deferred, mut materialised) = (0usize, 0usize);
+                // Reweigh, reweigh, dirty — twice: built→deferred,
+                // deferred→deferred and deferred→built, all over cold rows.
+                for k in 0..6usize {
+                    let mut flags = [(false, false); 2];
+                    for (p, flag) in both.iter_mut().zip(&mut flags) {
+                        if k % 3 == 2 {
+                            p.update(x3, [("text", if k == 2 { "u1 u2 u3" } else { "u1 u3" })]);
+                        } else {
+                            for side in ["a", "b"] {
+                                p.insert(
+                                    SourceId(0),
+                                    &format!("{side}{k}"),
+                                    [("text", &*format!("u1 n{k}"))],
+                                );
+                            }
+                        }
+                        let out = p.commit();
+                        *flag = (out.stats.index_deferred, out.stats.index_materialised);
+                    }
+                    let [budgeted, reference] = &both;
+                    assert_eq!(flags[0], flags[1], "{label}: commit {k}");
+                    assert_eq!(flags[0], (k % 3 != 2, k % 3 == 2), "{label}: commit {k}");
+                    deferred += usize::from(flags[0].0);
+                    materialised += usize::from(flags[0].1);
+                    assert_eq!(
+                        budgeted.retained().pairs(),
+                        budgeted.batch_retained().pairs(),
+                        "{label}: budgeted retained() diverged from batch at commit {k}"
+                    );
+                    assert_eq!(
+                        budgeted.retained().pairs(),
+                        reference.retained().pairs(),
+                        "{label}: commit {k}"
+                    );
+                }
+                assert_eq!((deferred, materialised), (4, 2), "{label}");
+                let cold = both[0].cold_stats();
+                assert!(cold.evictions > 0 && cold.rehydrations > 0, "{label}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

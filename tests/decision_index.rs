@@ -12,7 +12,10 @@
 //! * the running Σw is exact, so WEP's mean is bit-identical to the batch
 //!   accumulator whatever mutation history produced the live edge set;
 //! * `for_each_between(old, new)` enumerates exactly the edges whose
-//!   mean-threshold retention flips when Θ moves.
+//!   mean-threshold retention flips when Θ moves;
+//! * the tree is a lazily materialised view: a deferred index keeps Σw and
+//!   `len` exact under any further mutation, and materialising it yields
+//!   the very tree key-by-key maintenance would have produced.
 
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::weight_rank_bits;
@@ -224,6 +227,59 @@ proptest! {
         prop_assert_eq!(bulk.sum().round().to_bits(), inc.sum().round().to_bits());
     }
 
+    /// Defer → arbitrary mutations → materialise is indistinguishable from
+    /// key-by-key maintenance: while the tree is gone the aggregates track
+    /// every insert / remove / re-weight exactly (Σw bits, `len`, hence
+    /// WEP's mean), and the materialised tree has the same pre-order shape
+    /// and answers every `select` / `prefix_len` query identically —
+    /// duplicate weights, negative weights and `-0.0` ties included.
+    /// `defer` itself restates the aggregates from the weights it is
+    /// given, whatever the index held before.
+    #[test]
+    fn prop_deferred_index_materialises_to_keywise_maintained_tree(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u8..255, 0u8..255, 0u8..16), 0..60),
+        extra in proptest::collection::vec(
+            (0u8..3, 0u8..255, 0u8..255, 0u8..16), 0..24),
+    ) {
+        let mut inc = OrderedWeightIndex::new();
+        let mut live = drive_signed(&ops, &mut inc);
+
+        // Stale content the deferral must not leak into the aggregates.
+        let mut lazy = OrderedWeightIndex::new();
+        lazy.insert(0, 1, 7.25);
+        lazy.insert(2, 3, -0.0);
+        lazy.defer(live.iter().map(|&(_, _, w)| w));
+        prop_assert!(!lazy.is_built());
+        prop_assert_eq!(lazy.resident_bytes(), 0, "a deferred index holds no slab");
+        prop_assert_eq!(lazy.len(), inc.len());
+        prop_assert_eq!(lazy.sum().round().to_bits(), inc.sum().round().to_bits());
+
+        // Aggregate-only maintenance while deferred.
+        let mut live_lazy = live.clone();
+        apply_signed(&extra, &mut inc, &mut live);
+        apply_signed(&extra, &mut lazy, &mut live_lazy);
+        prop_assert!(!lazy.is_built(), "mutation must not build the tree");
+        prop_assert_eq!(lazy.len(), inc.len());
+        prop_assert_eq!(
+            Wep::mean_from_sum(lazy.sum(), lazy.len()).map(f64::to_bits),
+            Wep::mean_from_sum(inc.sum(), inc.len()).map(f64::to_bits),
+            "WEP's frontier needs Σw and len only"
+        );
+
+        lazy.materialise(live_lazy.iter().copied());
+        prop_assert!(lazy.is_built());
+        prop_assert_eq!(shape(&lazy), shape(&inc), "pre-order fingerprint");
+        prop_assert_eq!(lazy.sum().round().to_bits(), inc.sum().round().to_bits());
+        for rank in 0..=inc.len() {
+            let key = inc.select(rank);
+            prop_assert_eq!(lazy.select(rank), key, "rank {}", rank);
+            if let Some(key) = key {
+                prop_assert_eq!(lazy.prefix_len(key), rank + 1);
+            }
+        }
+    }
+
     /// Mean-threshold crossing enumeration: when Θ moves from θ_old to
     /// θ_new, `for_each_between` yields exactly the edges whose `w ≥ Θ`
     /// retention flips — no clean survivor, no non-crosser.
@@ -326,4 +382,17 @@ fn bit_order_corner_cases() {
         blast_datamodel::entity::ProfileId(5),
         blast_datamodel::entity::ProfileId(6)
     ));
+}
+
+/// A deferred index has no order to read: the order queries refuse rather
+/// than answer from an empty tree (a silent 0 from `prefix_len`, or an
+/// empty band, would drop retention flips).
+#[test]
+#[should_panic(expected = "order query on a deferred index")]
+fn order_query_on_a_deferred_index_panics() {
+    let mut idx = OrderedWeightIndex::new();
+    idx.insert(0, 1, 1.0);
+    idx.defer([1.0]);
+    assert_eq!((idx.len(), idx.sum().round()), (1, 1.0), "aggregates stay");
+    idx.prefix_len(EdgeKey::mean_bound(0.5));
 }

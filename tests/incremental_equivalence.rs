@@ -623,6 +623,286 @@ fn tier1_commit_loads_each_dirty_node_once() {
     }
 }
 
+/// The tier a step of [`alternating_tier_stream`] is built to land on
+/// under a weigher that reads |B| (ECBS) or the degrees (EJS).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// A new two-member block and new edges: |B| and the degrees move,
+    /// and the member that already existed has co-members in untouched
+    /// blocks.
+    Reweigh,
+    /// A profile joins or leaves a block whose members are all its
+    /// neighbours already: accumulators and its |B_u| move, no global does.
+    Dirty,
+}
+
+/// Streams commits that alternate between the reweigh and the dirty tier
+/// in every order — built→deferred, deferred→deferred, deferred→built and
+/// built→built transitions of the ordered weight index — calling `check`
+/// after each with the step and the one before it (`None` after the
+/// initialising full pass). Cleaning is off so the tiers are scripted, not
+/// incidental. A dirty step toggles `x3` in and out of block `u2`, whose
+/// members share block `u1` with it, so the toggle never creates an edge —
+/// and under a |B_u|-reading weigher its co-member closure is the whole
+/// `u1` block, which every reweigh step grows by one. A reweigh step pairs
+/// that new profile with `r7` in a fresh block `n<k>`: `r7`'s co-members
+/// (the epsilon/zeta/eta/theta blocks) are outside the cleaner's scope.
+fn alternating_tier_stream(
+    p: &mut IncrementalPipeline,
+    mut check: impl FnMut(
+        &mut IncrementalPipeline,
+        blast_incremental::CommitOutcome,
+        Step,
+        Option<Step>,
+    ),
+) {
+    let rows = [
+        "alpha beta gamma",
+        "alpha beta delta",
+        "gamma delta epsilon",
+        "alpha gamma zeta",
+        "beta epsilon eta",
+        "alpha delta eta",
+        "gamma zeta theta",
+        "epsilon zeta eta theta",
+    ];
+    let mut r7 = None;
+    for (i, row) in rows.iter().enumerate() {
+        r7 = Some(p.insert(SourceId(0), &format!("r{i}"), [("text", *row)]));
+    }
+    let r7 = r7.expect("rows is not empty");
+    let mut r7_text = rows[rows.len() - 1].to_string();
+    p.insert(SourceId(0), "x1", [("text", "u1 u2 alpha")]);
+    p.insert(SourceId(0), "x2", [("text", "u1 u2")]);
+    let x3 = p.insert(SourceId(0), "x3", [("text", "u1 u3")]);
+    p.insert(SourceId(0), "x4", [("text", "u1 u3 beta")]);
+    // Every reweigh step adds one profile and three assignments; this
+    // one-assignment profile keeps CNP's budget ⌊assignments / profiles⌋
+    // off the integer boundary a toggle's ±1 would otherwise cross.
+    p.insert(SourceId(0), "pad", [("text", "alpha")]);
+    p.commit();
+    assert_eq!(p.retained().pairs(), p.batch_retained().pairs(), "seed");
+
+    use Step::{Dirty, Reweigh};
+    let mut in_u2 = false;
+    let mut previous = None;
+    for (k, step) in [
+        Reweigh, Reweigh, Dirty, Dirty, Reweigh, Dirty, Reweigh, Reweigh, Dirty,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        match step {
+            Reweigh => {
+                p.insert(
+                    SourceId(0),
+                    &format!("a{k}"),
+                    [("text", &*format!("u1 n{k}"))],
+                );
+                r7_text.push_str(&format!(" n{k}"));
+                p.update(r7, [("text", r7_text.as_str())]);
+            }
+            Dirty => {
+                in_u2 = !in_u2;
+                p.update(x3, [("text", if in_u2 { "u1 u2 u3" } else { "u1 u3" })]);
+            }
+        }
+        let out = p.commit();
+        check(p, out, step, previous);
+        previous = Some(step);
+    }
+}
+
+/// The built↔deferred transitions of the ordered weight index, both
+/// directions, for WEP **and CEP**: a reweigh commit decides every edge
+/// explicitly and leaves the index deferred (WEP's frontier from Σw alone,
+/// CEP's by selection over the commit's keys); the next dirty-tier commit
+/// materialises it from the patched adjacency rows for the band
+/// enumeration. `retained()` is read after every commit — off the rows
+/// while deferred, off the tree otherwise — and must equal the batch run,
+/// at 1 and 2 shards. JS (|B_u| only: never reweighs) rides along as the
+/// edge-centric dirty-tier case of the co-member skip.
+#[test]
+fn alternating_tiers_defer_and_materialise_the_ordered_index() {
+    for shards in [1usize, 2] {
+        for algorithm in [PruningAlgorithm::Wep, PruningAlgorithm::Cep] {
+            for scheme in [
+                WeightingScheme::Ecbs,
+                WeightingScheme::Ejs,
+                WeightingScheme::Js,
+            ] {
+                let label = format!("{}/{} shards={shards}", scheme.name(), algorithm.label());
+                let drifts = !matches!(scheme, WeightingScheme::Js);
+                let mut p = IncrementalPipeline::dirty(
+                    scheme,
+                    IncrementalPruning::Traditional(algorithm),
+                    CleaningConfig::none(),
+                )
+                .with_shards(shards);
+                let (mut deferred, mut materialised) = (0usize, 0usize);
+                let mut deferred_blocker_bytes = 0usize;
+                alternating_tier_stream(&mut p, |p, out, step, previous| {
+                    let label = format!("{label}: {step:?} after {previous:?}");
+                    // Before `retained()` caches its flat view: the
+                    // footprint reports the slab actually held. A toggle
+                    // creates no edge, so between a deferred commit and the
+                    // materialising one only the treap slab appears.
+                    let fp = p.footprint();
+                    if out.stats.index_deferred {
+                        deferred_blocker_bytes = fp.blocker_bytes;
+                    } else if out.stats.index_materialised {
+                        assert!(
+                            fp.blocker_bytes >= deferred_blocker_bytes + fp.live_edges * 40,
+                            "{label}: {} B deferred, {} B built over {} edges",
+                            deferred_blocker_bytes,
+                            fp.blocker_bytes,
+                            fp.live_edges
+                        );
+                    }
+                    assert_eq!(
+                        p.retained().pairs(),
+                        p.batch_retained().pairs(),
+                        "{label}: retained() diverged from batch"
+                    );
+                    assert_eq!(p.retained().len(), out.retained_len, "{label}");
+                    let reweighs = drifts && step == Step::Reweigh;
+                    assert_eq!(
+                        out.stats.tier,
+                        if reweighs {
+                            RepairTier::Reweigh
+                        } else {
+                            RepairTier::Dirty
+                        },
+                        "{label}"
+                    );
+                    assert_eq!(out.stats.index_deferred, reweighs, "{label}: deferred");
+                    assert_eq!(
+                        out.stats.index_materialised,
+                        drifts && step == Step::Dirty && previous == Some(Step::Reweigh),
+                        "{label}: materialised"
+                    );
+                    deferred += usize::from(out.stats.index_deferred);
+                    materialised += usize::from(out.stats.index_materialised);
+                });
+                let totals = blast_obs::CommitTotals::from_snapshot(&p.metrics().snapshot());
+                assert_eq!(totals.treap_deferred_commits as usize, deferred, "{label}");
+                assert_eq!(
+                    totals.treap_materialisations as usize, materialised,
+                    "{label}"
+                );
+                assert_eq!(
+                    (deferred, materialised),
+                    if drifts { (5, 3) } else { (0, 0) }
+                );
+            }
+        }
+    }
+}
+
+/// Where the co-member dirty-set expansion of a |B_u|-reading weigher must
+/// stay and where it must go, on [`alternating_tier_stream`].
+///
+/// * A node-centric variant on a commit that drifts no global (WNP/CNP ×
+///   JS — `node_blocks` without `total_blocks` — on every step; ECBS on the
+///   toggles) still expands: every co-member of a |B_u|-changed node folds
+///   the moved weight into its threshold or top-k list. A toggle dirties
+///   the whole `u1` block — the counts the parent commit reports.
+/// * WEP keeps no per-node artefact: its dirty set is the cleaner's own
+///   scope on every step (a toggle: `u2`'s members and `x3`).
+/// * A commit already known to reweigh re-derives every artefact from the
+///   cache: ECBS's reweigh steps dirty the cleaner's scope only, WNP or
+///   WEP, leaving `r7`'s co-members to the sweep — and the ECBS/WEP stream
+///   as a whole re-accumulates fewer nodes than at the parent commit, for
+///   the identical flips.
+#[test]
+fn co_member_expansion_stays_for_artefacts_and_goes_elsewhere() {
+    /// Per-step `(step, tier, dirty_nodes)` and the stream's total flips.
+    fn run(
+        scheme: WeightingScheme,
+        algorithm: PruningAlgorithm,
+    ) -> (Vec<(Step, RepairTier, usize)>, usize) {
+        let mut p = IncrementalPipeline::dirty(
+            scheme,
+            IncrementalPruning::Traditional(algorithm),
+            CleaningConfig::none(),
+        );
+        let (mut per_step, mut flips) = (Vec::new(), 0usize);
+        alternating_tier_stream(&mut p, |p, out, step, _| {
+            assert_eq!(p.retained().pairs(), p.batch_retained().pairs());
+            per_step.push((step, out.stats.tier, out.stats.dirty_nodes));
+            flips += out.stats.retention_flips;
+        });
+        (per_step, flips)
+    }
+    fn dirty_nodes_of(per_step: &[(Step, RepairTier, usize)], wanted: Step) -> Vec<usize> {
+        per_step
+            .iter()
+            .filter(|(step, ..)| *step == wanted)
+            .map(|&(_, _, n)| n)
+            .collect()
+    }
+    let all_on = |per_step: &[(Step, RepairTier, usize)], wanted: Step, tier: RepairTier| {
+        per_step
+            .iter()
+            .all(|&(step, t, _)| step != wanted || t == tier)
+    };
+
+    let (js_wep, _) = run(WeightingScheme::Js, PruningAlgorithm::Wep);
+    let (ecbs_wnp, _) = run(WeightingScheme::Ecbs, PruningAlgorithm::Wnp1);
+    let (ecbs_wep, ecbs_wep_flips) = run(WeightingScheme::Ecbs, PruningAlgorithm::Wep);
+    assert!(all_on(&js_wep, Step::Reweigh, RepairTier::Dirty));
+    assert!(all_on(&ecbs_wnp, Step::Reweigh, RepairTier::Reweigh));
+    assert!(all_on(&ecbs_wnp, Step::Dirty, RepairTier::Dirty));
+
+    // The u1 block when each toggle runs: x1..x4 plus one profile per
+    // earlier reweigh step (2, 2, 3 and 5 of them).
+    let u1_block = vec![6, 6, 7, 9];
+    // The cleaner's scope of a reweigh step: the grown u1 block and r7.
+    let scope = vec![6, 7, 8, 9, 10];
+    for algorithm in [PruningAlgorithm::Wnp1, PruningAlgorithm::Cnp1] {
+        let (js, _) = run(WeightingScheme::Js, algorithm);
+        let label = format!("js/{}", algorithm.label());
+        assert!(
+            js.iter().all(|&(_, tier, _)| tier == RepairTier::Dirty),
+            "{label}: nothing drifts"
+        );
+        assert_eq!(
+            dirty_nodes_of(&js, Step::Dirty),
+            u1_block,
+            "{label}: toggles"
+        );
+        assert_eq!(
+            dirty_nodes_of(&js, Step::Reweigh),
+            vec![11, 12, 13, 14, 15],
+            "{label}: r7's co-members ride along on a non-drifting commit"
+        );
+    }
+    assert_eq!(
+        dirty_nodes_of(&ecbs_wnp, Step::Dirty),
+        u1_block,
+        "ecbs/wnp1"
+    );
+    assert_eq!(
+        dirty_nodes_of(&js_wep, Step::Dirty),
+        vec![3, 3, 3, 3],
+        "js/wep"
+    );
+    assert_eq!(dirty_nodes_of(&ecbs_wep, Step::Dirty), vec![3, 3, 3, 3]);
+    assert_eq!(dirty_nodes_of(&js_wep, Step::Reweigh), scope, "js/wep");
+    assert_eq!(dirty_nodes_of(&ecbs_wep, Step::Reweigh), scope, "ecbs/wep");
+    assert_eq!(dirty_nodes_of(&ecbs_wnp, Step::Reweigh), scope, "ecbs/wnp1");
+
+    // At the parent commit (eeb9b3b), which expanded every |B_u| move to
+    // its co-members, the ECBS/WEP stream re-accumulated 93 nodes for 36
+    // retention flips.
+    let total: usize = ecbs_wep.iter().map(|&(_, _, n)| n).sum();
+    assert_eq!(
+        total, 52,
+        "ecbs/wep: fewer dirty nodes than the parent's 93"
+    );
+    assert_eq!(ecbs_wep_flips, 36, "ecbs/wep: the same decisions");
+}
+
 /// The degraded-full tier itself, exercised on demand: now that EJS/χ²
 /// drift no longer reaches it, [`IncrementalPipeline::force_full_repair`]
 /// pins the flip-emitting fallback against batch so it cannot rot —
