@@ -241,20 +241,17 @@ fn run_config(
     }
 }
 
-/// One multi-core run: the sharded commit path at a pinned thread count.
+/// One multi-core run: the commit path at a pinned thread count.
 struct MulticoreRun {
     threads: usize,
-    shards: usize,
     commits: usize,
     secs: f64,
     /// Wall-clock speedup vs the single-thread run of the same sweep
     /// (recorded as measured; CI gates on the equivalence flags, not on
     /// magnitudes, so oversubscribed runners stay green).
     speedup: f64,
-    /// Merge-frontier (cross-shard) pairs processed across the run.
-    frontier_pairs: u64,
     /// Tier split (dirty / reweigh / full) — the sweep is configured to be
-    /// reweigh-heavy so the sharded sweep actually runs.
+    /// reweigh-heavy so the parallel reweigh sweep actually runs.
     tier_commits: [usize; 3],
     /// Ordered-index builds from a deferred state across the run.
     treap_materialisations: usize,
@@ -266,14 +263,13 @@ struct MulticoreRun {
 
 /// Multi-core phase: stream one reweigh-heavy configuration (EJS / WEP —
 /// every commit that drifts a degree re-derives all clean edges, the
-/// sharded sweep's hot path) at 1/2/4/8 worker threads over 4 owner
-/// shards, asserting bit-identical outcomes against the single-thread run
-/// and the batch pipeline.
+/// reweigh sweep's hot path) at 1/2/4/8 worker threads, asserting
+/// bit-identical outcomes against the single-thread run and the batch
+/// pipeline.
 fn multicore_phase(rows: &[(String, Vec<(String, String)>)]) -> Vec<MulticoreRun> {
     let weigher = BenchWeigher::Scheme(WeightingScheme::Ejs);
     let pruning = IncrementalPruning::Traditional(PruningAlgorithm::Wep);
     let batch_size = 8usize;
-    let shards = 4usize;
     let seed_len = rows.len() / 2;
     let streamed = (rows.len() - seed_len).min(MAX_STREAMED);
 
@@ -281,8 +277,7 @@ fn multicore_phase(rows: &[(String, Vec<(String, String)>)]) -> Vec<MulticoreRun
     let mut reference: Option<blast_graph::retained::RetainedPairs> = None;
     for threads in [1usize, 2, 4, 8] {
         let mut pipeline = IncrementalPipeline::dirty(weigher, pruning, CleaningConfig::default())
-            .with_threads(threads)
-            .with_shards(shards);
+            .with_threads(threads);
         for (id, pairs) in &rows[..seed_len] {
             pipeline.insert(
                 SourceId(0),
@@ -315,11 +310,9 @@ fn multicore_phase(rows: &[(String, Vec<(String, String)>)]) -> Vec<MulticoreRun
         let baseline = runs.first().map_or(secs, |r| r.secs);
         runs.push(MulticoreRun {
             threads,
-            shards,
             commits,
             secs,
             speedup: baseline / secs.max(1e-12),
-            frontier_pairs: totals.frontier_pairs,
             tier_commits: totals.tier_commits.map(|c| c as usize),
             treap_materialisations: totals.treap_materialisations as usize,
             final_candidates: retained.len(),
@@ -749,22 +742,21 @@ fn main() {
         );
     }
 
-    // Multi-core phase: the sharded commit path at 1/2/4/8 worker threads.
+    // Multi-core phase: the commit path at 1/2/4/8 worker threads.
     println!();
-    println!("## Sharded multi-core commit path (EJS / wep, 4 owner shards)");
+    println!("## Multi-core commit path (EJS / wep)");
     println!(
-        "{:<8} {:>8} {:>10} {:>9} {:>15} {:>12} {:>11}",
-        "threads", "commits", "secs", "speedup", "frontier pairs", "tiers d/r/f", "equivalent"
+        "{:<8} {:>8} {:>10} {:>9} {:>12} {:>11}",
+        "threads", "commits", "secs", "speedup", "tiers d/r/f", "equivalent"
     );
     let multicore = multicore_phase(&rows);
     for r in &multicore {
         println!(
-            "{:<8} {:>8} {:>10.4} {:>8.2}x {:>15} {:>8}/{}/{} {:>11}",
+            "{:<8} {:>8} {:>10.4} {:>8.2}x {:>8}/{}/{} {:>11}",
             r.threads,
             r.commits,
             r.secs,
             r.speedup,
-            r.frontier_pairs,
             r.tier_commits[0],
             r.tier_commits[1],
             r.tier_commits[2],
@@ -814,7 +806,7 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    // The multi-core section: per-thread-count sharded runs. Each line
+    // The multi-core section: per-thread-count runs. Each line
     // carries the same `"scheme"`/`"equivalent"`/`"commits_full"` keys the
     // run lines do, so CI's count-matching greps cover these runs too.
     let _ = writeln!(json, "  \"multicore\": [");
@@ -822,13 +814,11 @@ fn main() {
         let comma = if i + 1 == multicore.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"scheme\": \"EJS\", \"pruning\": \"wep\", \"threads\": {}, \"shards\": {}, \"commits\": {}, \"secs\": {:.6}, \"speedup\": {:.3}, \"frontier_pairs\": {}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"treap_materialisations\": {}, \"final_candidates\": {}, \"equivalent\": {}}}{comma}",
+            "    {{\"scheme\": \"EJS\", \"pruning\": \"wep\", \"threads\": {}, \"commits\": {}, \"secs\": {:.6}, \"speedup\": {:.3}, \"commits_dirty\": {}, \"commits_reweigh\": {}, \"commits_full\": {}, \"treap_materialisations\": {}, \"final_candidates\": {}, \"equivalent\": {}}}{comma}",
             r.threads,
-            r.shards,
             r.commits,
             r.secs,
             r.speedup,
-            r.frontier_pairs,
             r.tier_commits[0],
             r.tier_commits[1],
             r.tier_commits[2],
@@ -844,7 +834,7 @@ fn main() {
     for r in &multicore {
         assert!(
             r.equivalent,
-            "sharded multi-core run at {} threads diverged from the single-thread run or batch",
+            "multi-core run at {} threads diverged from the single-thread run or batch",
             r.threads
         );
     }

@@ -135,19 +135,6 @@ impl ProfileBlockIndex {
         self.assignments
     }
 
-    /// Block assignments per owner shard under round-robin profile
-    /// ownership (`shard = p mod shards`) — the CSR slice sizes of the
-    /// sharded commit path, and the load figures behind its imbalance
-    /// gauge. O(profiles); a diagnostics view, not a commit-path call.
-    pub fn shard_assignment_counts(&self, shards: usize) -> Vec<u64> {
-        let shards = shards.max(1);
-        let mut counts = vec![0u64; shards];
-        for (p, row) in self.rows.iter().enumerate() {
-            counts[p % shards] += row.len as u64;
-        }
-        counts
-    }
-
     /// Estimated resident heap footprint in bytes (row refs, the packed
     /// data arena including tombstoned extents, and the free-list).
     pub fn resident_bytes(&self) -> usize {

@@ -122,27 +122,6 @@ impl Args {
         }
         Ok(())
     }
-
-    /// The shared `--threads` / `--shards` pair of the incremental
-    /// sub-commands (`stream`, `bench`, `serve`) — parsed in one place so
-    /// the three commands cannot drift.
-    pub fn parallel_opts(&self) -> Result<ParallelOpts, String> {
-        Ok(ParallelOpts {
-            threads: self.get_usize("threads")?,
-            shards: self.get_usize("shards")?,
-        })
-    }
-}
-
-/// The parallelism knobs shared by `blast stream`/`bench`/`serve`. `None`
-/// means auto-scale (which honours the `BLAST_THREADS` environment
-/// override via `blast_datamodel::parallel::default_threads`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelOpts {
-    /// Worker threads for the parallel phases (and the serve reader pool).
-    pub threads: Option<usize>,
-    /// Owner shards of the sharded commit path.
-    pub shards: Option<usize>,
 }
 
 #[cfg(test)]
@@ -164,10 +143,10 @@ mod tests {
 
     #[test]
     fn usize_requires_positive_integer() {
-        let a = Args::parse(&s(&["--threads", "4", "--shards", "0", "--b", "x"])).unwrap();
+        let a = Args::parse(&s(&["--threads", "4", "--k", "0", "--b", "x"])).unwrap();
         assert_eq!(a.get_usize("threads").unwrap(), Some(4));
         assert_eq!(a.get_usize("missing").unwrap(), None);
-        assert!(a.get_usize("shards").is_err(), "zero rejected");
+        assert!(a.get_usize("k").is_err(), "zero rejected");
         assert!(a.get_usize("b").is_err());
     }
 
@@ -234,17 +213,11 @@ mod tests {
 
     #[test]
     fn parallel_opts_parse_together() {
-        let a = Args::parse(&s(&["--threads", "4", "--shards", "2"])).unwrap();
-        assert_eq!(
-            a.parallel_opts().unwrap(),
-            ParallelOpts {
-                threads: Some(4),
-                shards: Some(2)
-            }
-        );
+        let a = Args::parse(&s(&["--threads", "4"])).unwrap();
+        assert_eq!(a.get_usize("threads").unwrap(), Some(4));
         let a = Args::parse(&[]).unwrap();
-        assert_eq!(a.parallel_opts().unwrap(), ParallelOpts::default());
+        assert_eq!(a.get_usize("threads").unwrap(), None, "absent = auto-scale");
         let a = Args::parse(&s(&["--threads", "0"])).unwrap();
-        assert!(a.parallel_opts().is_err(), "zero threads rejected");
+        assert!(a.get_usize("threads").is_err(), "zero threads rejected");
     }
 }

@@ -239,12 +239,6 @@ fn trace_event(
         .field_u64("threshold_crossers", out.stats.threshold_crossers as u64)
         .field_bool("index_deferred", out.stats.index_deferred)
         .field_bool("index_materialised", out.stats.index_materialised)
-        .field_u64("shards", out.stats.shards as u64)
-        .field_u64("frontier_pairs", out.stats.frontier_pairs as u64)
-        .field_u64(
-            "shard_imbalance_permille",
-            out.stats.shard_imbalance_permille,
-        )
         .field_f64("total_secs", out.timings.total_secs())
         .field_raw("phases", &out.timings.bench_json())
         .field_u64("live_edges", fp.live_edges as u64)
@@ -260,7 +254,7 @@ fn trace_event(
 
 /// Builds the incremental pipeline `blast stream`/`blast bench` share from
 /// the common options: `--pruning`, `--scheme`, `--no-cleaning`,
-/// `--threads`, `--shards`.
+/// `--threads`.
 fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPipeline, String> {
     use blast_graph::meta::PruningAlgorithm;
     use blast_graph::weights::{EdgeWeigher as _, WeightingScheme};
@@ -301,12 +295,8 @@ fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPip
         ),
         (None, p) => IncrementalPipeline::dirty(WeightingScheme::Cbs, p, cleaning),
     };
-    let parallel = args.parallel_opts()?;
-    if let Some(t) = parallel.threads {
+    if let Some(t) = args.get_usize("threads")? {
         pipeline = pipeline.with_threads(t);
-    }
-    if let Some(s) = parallel.shards {
-        pipeline = pipeline.with_shards(s);
     }
     match args.get_bytes("memory-budget")? {
         Some(budget) => {
@@ -419,13 +409,6 @@ pub fn stream(args: &Args) -> Result<String, String> {
                     },
                 );
             }
-            if out.stats.shards > 1 {
-                let _ = writeln!(
-                    report,
-                    "    shards: {} owner shards, frontier pairs = {}, imbalance = {}‰",
-                    out.stats.shards, out.stats.frontier_pairs, out.stats.shard_imbalance_permille,
-                );
-            }
         }
         if let Some(w) = trace.as_mut() {
             let line = trace_event(batch_no, chunk.len(), &pipeline, &out);
@@ -450,13 +433,6 @@ pub fn stream(args: &Args) -> Result<String, String> {
             totals.repair_summary(),
             pipeline.snapshot().version(),
         );
-        if totals.sharded_commits > 0 {
-            let _ = writeln!(
-                report,
-                "sharded: {} of {} commits multi-shard, {} merge-frontier pairs",
-                totals.sharded_commits, totals.commits, totals.frontier_pairs,
-            );
-        }
         let fp = pipeline.footprint();
         let _ = writeln!(
             report,
@@ -588,9 +564,9 @@ pub fn generate(args: &Args) -> Result<String, String> {
 
 /// `blast bench`: generate a dirty preset in memory and stream it through
 /// the incremental pipeline, reporting commit throughput — the quick
-/// harness for the multi-core knobs (`--threads`, `--shards`; both also
-/// honoured by `blast stream`, and `BLAST_THREADS` overrides the default
-/// when `--threads` is absent).
+/// harness for the multi-core knob (`--threads`, also honoured by
+/// `blast stream`; `BLAST_THREADS` overrides the default when `--threads`
+/// is absent).
 pub fn bench(args: &Args) -> Result<String, String> {
     use blast_obs::CommitTotals;
     use std::time::Instant;
@@ -632,13 +608,6 @@ pub fn bench(args: &Args) -> Result<String, String> {
         pipeline.retained().len(),
     );
     let _ = writeln!(report, "{}", totals.repair_summary());
-    if totals.sharded_commits > 0 {
-        let _ = writeln!(
-            report,
-            "sharded: {} of {} commits multi-shard, {} merge-frontier pairs",
-            totals.sharded_commits, totals.commits, totals.frontier_pairs,
-        );
-    }
 
     if args.flag("verify") {
         let batch = pipeline.batch_retained();
@@ -688,8 +657,7 @@ pub fn serve(args: &Args) -> Result<String, String> {
     // threads: --threads wins, else default_threads (which honours the
     // BLAST_THREADS env var), capped by the epoch's reader-slot budget.
     let readers = args
-        .parallel_opts()?
-        .threads
+        .get_usize("threads")?
         .unwrap_or_else(|| default_threads(d.len()))
         .min(blast_serve::MAX_READERS);
 

@@ -6,8 +6,8 @@
 //! blast block    --d1 a.csv --d2 b.csv --out pairs.csv [--gt gt.csv] [options]
 //! blast dedup    --input data.csv --out pairs.csv [--gt gt.csv] [options]
 //! blast stream   --input data.csv --batch-size 64 [--pruning wnp1] [--verify] [--stats]
-//!                [--threads 4] [--shards 4] [--trace out.jsonl] [--metrics out.prom]
-//! blast bench    --preset census --scale 0.05 [--threads 4] [--shards 4] [--verify]
+//!                [--threads 4] [--trace out.jsonl] [--metrics out.prom]
+//! blast bench    --preset census --scale 0.05 [--threads 4] [--verify]
 //! blast serve    --preset census --scale 0.05 [--port 0] [--threads 4] [--linger 5]
 //! blast schema   --d1 a.csv --d2 b.csv
 //! blast evaluate --d1 a.csv --d2 b.csv --pairs pairs.csv --gt gt.csv
@@ -55,8 +55,6 @@ const STREAM_USAGE: &str = "\
                  from-scratch batch run — the equivalence contract)
                  [--threads N]  (worker threads for the parallel phases;
                  defaults to auto-scaling, or the BLAST_THREADS env var)
-                 [--shards S]  (owner shards of the sharded commit path —
-                 bit-identical output at any S; see README)
                  [--stats]  (per-commit RepairStats: dirty nodes, patched
                  CSR rows, full-rebuild fallbacks, phase timings)
                  [--trace OUT.jsonl]  (structured trace journal: one JSON
@@ -72,7 +70,7 @@ const STREAM_USAGE: &str = "\
 
 const BENCH_USAGE: &str = "\
   blast bench    [--preset census] [--scale 0.05] [--batch-size 64]
-                 [--threads N] [--shards S] [--pruning ...] [--scheme ...]
+                 [--threads N] [--pruning ...] [--scheme ...]
                  [--no-cleaning]  (generate a dirty preset in memory,
                  stream it, report commit throughput)
                  [--verify]  (check the final candidate set against a
@@ -88,8 +86,7 @@ const SERVE_USAGE: &str = "\
                  address is printed as 'serving on http://...' on stdout)
                  [--threads N]  (HTTP reader-pool size and pipeline worker
                  threads; defaults to auto-scaling, or the BLAST_THREADS
-                 env var) [--shards S] [--pruning ...] [--scheme ...]
-                 [--no-cleaning]
+                 env var) [--pruning ...] [--scheme ...] [--no-cleaning]
                  [--linger SECS]  (keep serving after the ingest drains)
                  [--memory-budget BYTES] [--spill]  (cold-tier residency
                  on the writer; readers never see a cold row — the writer
@@ -158,7 +155,6 @@ const COMMANDS: &[Command] = &[
             "pruning",
             "scheme",
             "threads",
-            "shards",
             "trace",
             "metrics",
             "memory-budget",
@@ -174,7 +170,6 @@ const COMMANDS: &[Command] = &[
             "scale",
             "batch-size",
             "threads",
-            "shards",
             "pruning",
             "scheme",
             "memory-budget",
@@ -193,7 +188,6 @@ const COMMANDS: &[Command] = &[
             "port",
             "linger",
             "threads",
-            "shards",
             "pruning",
             "scheme",
             "memory-budget",

@@ -119,6 +119,15 @@ where
         .collect()
 }
 
+/// Work-stealing chunk length for a `len`-item pass. A function of the
+/// range length only — **never** the thread count — so chunk-ordered merges
+/// (including floating-point folds) are bit-identical whatever the
+/// parallelism.
+#[inline]
+pub fn chunk_len(len: usize) -> usize {
+    (len / 128).clamp(32, 4096)
+}
+
 /// Work-stealing scheduler with per-worker scratch state.
 ///
 /// `0..len` is cut into `⌈len/chunk⌉` chunks; workers repeatedly claim the

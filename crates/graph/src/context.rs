@@ -388,13 +388,6 @@ impl GraphSnapshot {
         self.threads
     }
 
-    /// The snapshot's CSR slice sizes under round-robin profile ownership
-    /// (see [`ProfileBlockIndex::shard_assignment_counts`]): how much of
-    /// the blocking state each shard of the sharded commit path owns.
-    pub fn shard_loads(&self, shards: usize) -> Vec<u64> {
-        self.index.shard_assignment_counts(shards)
-    }
-
     /// How many deltas have been applied.
     #[inline]
     pub fn version(&self) -> u64 {

@@ -84,9 +84,9 @@ impl ExactSum {
     }
 
     /// Folds `other` into `self` exactly — the reduction step of a
-    /// shard-parallel sum: per-shard partial accumulators merged in any
-    /// order yield the same register as accumulating every addend into one,
-    /// so the rounded total is bit-identical however the work was split.
+    /// parallel sum: per-chunk partial accumulators merged in any order
+    /// yield the same register as accumulating every addend into one, so
+    /// the rounded total is bit-identical however the work was split.
     ///
     /// `other`'s limbs are normalised into canonical form first (each limb
     /// in `[0, 2³²)` bar the signed top), so the limb-wise addition grows
@@ -245,20 +245,20 @@ mod tests {
 
     #[test]
     fn merge_matches_single_accumulator_bitwise() {
-        // Any partition of the addends into per-shard partials, merged in
+        // Any partition of the addends into partial accumulators, merged in
         // any order, must round to the same bits as one serial accumulator.
         let values: Vec<f64> = (0..257)
             .map(|i| ((i * 37 + 11) as f64).sin() * 10f64.powi((i % 61) - 30))
             .collect();
         let whole = ExactSum::of(values.iter().copied());
-        for shards in [2usize, 3, 7] {
-            let partials: Vec<ExactSum> = (0..shards)
+        for parts in [2usize, 3, 7] {
+            let partials: Vec<ExactSum> = (0..parts)
                 .map(|s| {
                     ExactSum::of(
                         values
                             .iter()
                             .enumerate()
-                            .filter(|(i, _)| i % shards == s)
+                            .filter(|(i, _)| i % parts == s)
                             .map(|(_, &v)| v),
                     )
                 })

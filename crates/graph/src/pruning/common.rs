@@ -9,10 +9,10 @@
 //! across thread counts.
 
 use crate::context::{EdgeAccum, GraphSnapshot};
-use crate::traversal::{chunk_len, node_chunks, owner_chunks, NodeScratch, ScratchLease};
+use crate::traversal::{node_chunks, owner_chunks, NodeScratch, ScratchLease};
 use crate::weights::EdgeWeigher;
 use blast_datamodel::entity::ProfileId;
-use blast_datamodel::parallel::parallel_work_steal;
+use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 
 /// A reusable node mask with O(1) clearing: membership is "stamp equals the
 /// current epoch", so starting a fresh mask is an epoch bump instead of the
@@ -327,7 +327,7 @@ pub fn collect_accums_touching(
 /// with the smallest head is drained up to the next-smallest head, so a
 /// long run beside a sparse one (an ordered emission and its sorted
 /// remainder) moves in stretches at one comparison per element; choosing
-/// the run costs O(runs), and the callers have two runs or one per shard.
+/// the run costs O(runs), and the callers have two runs.
 pub fn merge_sorted_runs<T, K: Ord>(mut runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
     runs.retain(|r| !r.is_empty());
     if runs.len() <= 1 {

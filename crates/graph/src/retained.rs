@@ -138,19 +138,6 @@ impl RetainedIndex {
         }
     }
 
-    /// Row entries per owner shard under round-robin node ownership
-    /// (`shard = u mod shards`; mirrored pairs count at both endpoint
-    /// rows) — the decision-state slice sizes of the sharded commit path.
-    /// O(rows); diagnostics only.
-    pub fn shard_row_counts(&self, shards: usize) -> Vec<usize> {
-        let shards = shards.max(1);
-        let mut counts = vec![0usize; shards];
-        for (u, row) in self.rows.iter().enumerate() {
-            counts[u % shards] += row.len();
-        }
-        counts
-    }
-
     /// Drops every pair (rows stay allocated).
     pub fn clear(&mut self) {
         for row in &mut self.rows {

@@ -44,7 +44,7 @@
 //! order, so every pass is bit-exact across thread counts.
 
 use crate::context::{EdgeAccum, GraphSnapshot};
-use blast_datamodel::parallel::parallel_work_steal;
+use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -212,15 +212,6 @@ impl Drop for ScratchLease<'_> {
             }
         }
     }
-}
-
-/// Work-stealing chunk length for an `len`-node pass. A function of the
-/// range length only — **never** the thread count — so chunk-ordered merges
-/// (including floating-point folds) are bit-identical whatever the
-/// parallelism.
-#[inline]
-pub(crate) fn chunk_len(len: usize) -> usize {
-    (len / 128).clamp(32, 4096)
 }
 
 /// Runs `per_chunk(scratch, weighted_buf, chunk_range)` over `0..len` nodes

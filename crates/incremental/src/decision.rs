@@ -38,15 +38,12 @@
 //! the key, so the tree shape — and every traversal order — is a function
 //! of the key *set*, independent of insertion history.
 
-use crate::shard::{ShardPlan, ShardStats};
 use blast_datamodel::entity::ProfileId;
-use blast_datamodel::parallel::parallel_work_steal;
+use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::cold::{decode_u32s, encode_u32s, get_f64, get_varint, put_f64, put_varint};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
-use blast_graph::pruning::common::{
-    merge_sorted_runs, ordered_emission, weight_rank_bits, EpochMask,
-};
+use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
@@ -258,6 +255,7 @@ impl OrderedWeightIndex {
         self.clear();
         for (u, v, w) in edges {
             let key = EdgeKey::new(u, v, w);
+            self.sum.add(w);
             self.nodes.push(TreapNode {
                 key,
                 w,
@@ -266,26 +264,6 @@ impl OrderedWeightIndex {
                 right: NIL,
                 size: 1,
             });
-        }
-        // Σw via shard-parallel exact partial sums: the integer
-        // superaccumulator merge is order-independent bit-for-bit
-        // (`ExactSum::merge`), so chunked reduction equals the serial fold.
-        let nodes = &self.nodes;
-        let partials = parallel_work_steal(
-            nodes.len(),
-            blast_datamodel::parallel::default_threads(nodes.len()),
-            1 << 16,
-            || (),
-            |_, range| {
-                let mut local = ExactSum::new();
-                for node in &nodes[range] {
-                    local.add(node.w);
-                }
-                local
-            },
-        );
-        for part in &partials {
-            self.sum.merge(part);
         }
         self.len = self.nodes.len();
         let n = self.nodes.len() as u32;
@@ -1233,114 +1211,51 @@ impl EdgeAdjacency {
     /// canonical ascending order. No block is traversed; bit-identity to a
     /// batch re-weighting follows from the factored-weight contract.
     ///
-    /// The serial reference implementation; the commit path runs
-    /// [`EdgeAdjacency::reweigh_clean_sharded`], which must reproduce this
-    /// output bit-for-bit (pinned by the unit test below and the sharded
-    /// equivalence property tests).
+    /// The weights are computed on the work-stealing scheduler over the row
+    /// range `0..n` (read-only). Rows ascend within a chunk and chunks
+    /// concatenate in chunk order, so the result is born in canonical
+    /// `(u, v)` order at every thread count — pinned bit-for-bit against a
+    /// serial scan by the unit test below. The moved weights are then
+    /// patched into both mirror rows.
     pub fn reweigh_clean(
         &mut self,
         ctx: &GraphSnapshot,
         weigher: &dyn EdgeWeigher,
         mask: &EpochMask,
+        threads: usize,
     ) -> Vec<(u32, u32, f64, f64)> {
         // The sweep reads and patches every clean row: rehydrate up front
         // (an eviction round landing before a tier-2 commit must not
         // change what the sweep sees).
         self.ensure_all_hot();
-        let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
-        for u in 0..self.rows.len() as u32 {
-            let u_marked = mask.contains(u);
-            for i in 0..self.rows[u as usize].len() {
-                let e = self.rows[u as usize][i];
-                if e.v <= u || u_marked || mask.contains(e.v) {
-                    continue;
-                }
-                let acc = self.acc_at(u as usize, i);
-                let nw = weigher.weight(ctx, u, e.v, &acc);
-                swept.push((u, e.v, e.w, nw));
-                if nw.to_bits() != e.w.to_bits() {
-                    self.rows[u as usize][i].w = nw;
-                    let row = &mut self.rows[e.v as usize];
-                    let j = row
-                        .binary_search_by_key(&u, |m| m.v)
-                        .expect("rows must mirror");
-                    row[j].w = nw;
-                }
-            }
-        }
-        swept
-    }
-
-    /// The shard-parallel reweigh sweep — what the commit path runs.
-    ///
-    /// Each owner shard scans its own adjacency rows ascending and
-    /// re-derives its clean edges' weights in parallel on the
-    /// work-stealing scheduler (the compute is read-only: weights are pure
-    /// functions of the cached accumulator plus O(1) snapshot statistics).
-    /// The per-shard runs — each already in canonical `(u, v)` order — are
-    /// then reduced at the **merge frontier**
-    /// ([`merge_sorted_runs`], one run per shard) into the single canonical
-    /// sequence the serial sweep produces, and the re-keyed weights are
-    /// applied to the mirrored rows in that canonical order. Cross-shard
-    /// edges are accounted to `ShardStats::frontier_pairs` along the way.
-    ///
-    /// Bit-identical to [`EdgeAdjacency::reweigh_clean`] at every shard
-    /// and thread count: the chunk geometry of the compute pass cannot
-    /// affect per-edge bits, and the merge restores the exact serial
-    /// order before anything stateful happens.
-    pub fn reweigh_clean_sharded(
-        &mut self,
-        ctx: &GraphSnapshot,
-        weigher: &dyn EdgeWeigher,
-        mask: &EpochMask,
-        plan: &ShardPlan,
-        threads: usize,
-    ) -> (Vec<(u32, u32, f64, f64)>, ShardStats) {
-        self.ensure_all_hot();
         let n = self.rows.len();
-        let owned = plan.owned_nodes(n);
-        // Shard-major scan order: chunk-ordered concatenation of the
-        // work-stolen results is then exactly "each shard's run, in shard
-        // order", each run sorted by (u, v).
-        let order: Vec<u32> = owned.iter().flatten().copied().collect();
-        let chunk = (n / 128).clamp(32, 4096);
         let this = &*self;
         let chunks = parallel_work_steal(
-            order.len(),
+            n,
             threads,
-            chunk,
+            chunk_len(n),
             || (),
             |_, range| {
                 let mut out: Vec<(u32, u32, f64, f64)> = Vec::new();
-                for &u in &order[range] {
-                    if mask.contains(u) {
+                for u in range {
+                    if mask.contains(u as u32) {
                         continue;
                     }
-                    let row = &this.rows[u as usize];
-                    for (i, e) in row.iter().enumerate() {
-                        if e.v <= u || mask.contains(e.v) {
+                    for (i, e) in this.rows[u].iter().enumerate() {
+                        if e.v as usize <= u || mask.contains(e.v) {
                             continue;
                         }
-                        let acc = this.acc_at(u as usize, i);
-                        out.push((u, e.v, e.w, weigher.weight(ctx, u, e.v, &acc)));
+                        let acc = this.acc_at(u, i);
+                        out.push((u as u32, e.v, e.w, weigher.weight(ctx, u as u32, e.v, &acc)));
                     }
                 }
                 out
             },
         );
-        // Split the shard-major stream back into one run per shard.
-        let mut runs: Vec<Vec<(u32, u32, f64, f64)>> =
-            (0..plan.shards()).map(|_| Vec::new()).collect();
-        let mut stats = ShardStats::new(plan);
-        for (u, v, ow, nw) in chunks.into_iter().flatten() {
-            stats.record_edge(plan, u, v);
-            runs[plan.shard_of(u)].push((u, v, ow, nw));
+        let mut swept = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+        for c in chunks {
+            swept.extend(c);
         }
-        debug_assert!(runs
-            .iter()
-            .all(|r| r.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))));
-        let swept = merge_sorted_runs(runs, |&(u, v, _, _)| (u, v));
-        // Apply the re-keyed weights in canonical order (mirrored rows).
         for &(u, v, ow, nw) in &swept {
             if nw.to_bits() != ow.to_bits() {
                 for (x, y) in [(u, v), (v, u)] {
@@ -1352,7 +1267,7 @@ impl EdgeAdjacency {
                 }
             }
         }
-        (swept, stats)
+        swept
     }
 }
 
@@ -1545,14 +1460,30 @@ mod tests {
         assert!(adj.collect_touching(&[0, 1, 2, 3, 4], &full).is_empty());
     }
 
-    /// The reweigh sweep re-derives clean weights from cached accumulators
-    /// and the *current* snapshot globals, skipping masked edges.
-    #[test]
-    fn reweigh_clean_rederives_from_cache() {
+    /// A snapshot over `profiles` nodes whose |B| is `blocks` — the one
+    /// global the test weighers read.
+    fn snap(blocks: usize, profiles: u32) -> GraphSnapshot {
         use blast_blocking::block::Block;
         use blast_blocking::collection::BlockCollection;
         use blast_blocking::key::ClusterId;
 
+        let b = (0..blocks)
+            .map(|i| {
+                Block::new(
+                    format!("b{i}"),
+                    ClusterId::GLUE,
+                    vec![ProfileId(0), ProfileId(1)],
+                    u32::MAX,
+                )
+            })
+            .collect();
+        GraphSnapshot::build(&BlockCollection::new(b, false, profiles, profiles))
+    }
+
+    /// The reweigh sweep re-derives clean weights from cached accumulators
+    /// and the *current* snapshot globals, skipping masked edges.
+    #[test]
+    fn reweigh_clean_rederives_from_cache() {
         // Weight = |B| · common_blocks: a pure (global × local) factoring.
         struct TimesTotalBlocks;
         impl EdgeWeigher for TimesTotalBlocks {
@@ -1560,19 +1491,6 @@ mod tests {
                 ctx.total_blocks() as f64 * acc.common_blocks as f64
             }
         }
-        let snap = |blocks: usize| {
-            let b = (0..blocks)
-                .map(|i| {
-                    Block::new(
-                        format!("b{i}"),
-                        ClusterId::GLUE,
-                        vec![ProfileId(0), ProfileId(1)],
-                        u32::MAX,
-                    )
-                })
-                .collect();
-            GraphSnapshot::build(&BlockCollection::new(b, false, 4, 4))
-        };
 
         let mut adj = EdgeAdjacency::new();
         adj.ensure_nodes(4);
@@ -1597,7 +1515,7 @@ mod tests {
         // |B| drifts 1 → 2: the clean edge re-derives to 6; the masked
         // edge (2,3) is left for the dirty merge.
         let mask = mask_of(4, &[2]);
-        let swept = adj.reweigh_clean(&snap(2), &TimesTotalBlocks, &mask);
+        let swept = adj.reweigh_clean(&snap(2, 4), &TimesTotalBlocks, &mask, 1);
         assert_eq!(swept, vec![(0, 1, 3.0, 6.0)]);
         assert_eq!(
             adj.all_edges(),
@@ -1606,41 +1524,27 @@ mod tests {
         );
         // Node-orientation artefact read: same weigher, row side first.
         let mut seen = Vec::new();
-        adj.for_each_node_weight(1, &snap(2), &TimesTotalBlocks, |v, w| seen.push((v, w)));
+        adj.for_each_node_weight(1, &snap(2, 4), &TimesTotalBlocks, |v, w| seen.push((v, w)));
         assert_eq!(seen, vec![(0, 6.0)]);
     }
 
-    /// The shard-parallel sweep is bit-identical to the serial reference —
-    /// same swept sequence (order included), same patched rows, correct
-    /// frontier accounting — at every shard × thread combination.
+    /// The parallel sweep is bit-identical to the serial reference — same
+    /// swept sequence (order included), same patched rows — at every
+    /// thread count, over a row range that is not a multiple of the chunk.
     #[test]
-    fn reweigh_clean_sharded_matches_serial_bitwise() {
-        use blast_blocking::block::Block;
-        use blast_blocking::collection::BlockCollection;
-        use blast_blocking::key::ClusterId;
-
+    fn reweigh_clean_matches_serial_reference_bitwise() {
         struct TimesTotalBlocks;
         impl EdgeWeigher for TimesTotalBlocks {
             fn weight(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64 {
                 ctx.total_blocks() as f64 * acc.common_blocks as f64 / (1.0 + (u + v) as f64)
             }
         }
-        let snap = |blocks: usize| {
-            let b = (0..blocks)
-                .map(|i| {
-                    Block::new(
-                        format!("b{i}"),
-                        ClusterId::GLUE,
-                        vec![ProfileId(0), ProfileId(1)],
-                        u32::MAX,
-                    )
-                })
-                .collect();
-            GraphSnapshot::build(&BlockCollection::new(b, false, 64, 64))
-        };
 
-        // A deterministic pseudo-random graph over 61 nodes.
-        let n = 61u32;
+        // A deterministic pseudo-random graph over 101 nodes: four chunks
+        // of the sweep's geometry, the last one short.
+        let n = 101u32;
+        assert!((n as usize).div_ceil(chunk_len(n as usize)) >= 3);
+        assert_ne!(n as usize % chunk_len(n as usize), 0);
         let mut edges = Vec::new();
         let mut x = 0x9e37u64;
         for u in 0..n {
@@ -1664,36 +1568,61 @@ mod tests {
         }
         edges.sort_unstable_by_key(|e| (e.u, e.v));
         edges.dedup_by_key(|e| (e.u, e.v));
-        let mask = mask_of(n as usize, &[7, 20, 33]);
-        let ctx = snap(3);
+        let mask = mask_of(n as usize, &[7, 20, 33, 64, 100]);
+        let ctx = snap(3, 128);
 
-        let mut reference = EdgeAdjacency::new();
-        reference.ensure_nodes(n as usize);
-        reference.load(&edges);
-        let expected = reference.reweigh_clean(&ctx, &TimesTotalBlocks, &mask);
-        let expected_rows = reference.all_edges();
+        let mut serial = EdgeAdjacency::new();
+        serial.ensure_nodes(n as usize);
+        serial.load(&edges);
+        let expected = reference::reweigh_clean(&mut serial, &ctx, &TimesTotalBlocks, &mask);
+        let expected_rows = serial.all_edges();
         assert!(!expected.is_empty());
 
-        for shards in [1usize, 2, 3, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let mut adj = EdgeAdjacency::new();
-                adj.ensure_nodes(n as usize);
-                adj.load(&edges);
-                let plan = ShardPlan::new(shards);
-                let (swept, stats) =
-                    adj.reweigh_clean_sharded(&ctx, &TimesTotalBlocks, &mask, &plan, threads);
-                assert_eq!(swept, expected, "shards={shards} threads={threads}");
-                assert_eq!(adj.all_edges(), expected_rows);
-                assert_eq!(stats.total(), expected.len());
-                let frontier = expected
-                    .iter()
-                    .filter(|&&(u, v, _, _)| plan.is_frontier(u, v))
-                    .count();
-                assert_eq!(stats.frontier_pairs, frontier);
-                if shards == 1 {
-                    assert_eq!(stats.frontier_pairs, 0);
+        for threads in [1usize, 2, 8] {
+            let mut adj = EdgeAdjacency::new();
+            adj.ensure_nodes(n as usize);
+            adj.load(&edges);
+            let swept = adj.reweigh_clean(&ctx, &TimesTotalBlocks, &mask, threads);
+            assert_eq!(swept, expected, "threads={threads}");
+            assert_eq!(adj.all_edges(), expected_rows, "threads={threads}");
+        }
+    }
+
+    /// The serial scan the parallel sweep must reproduce bit-for-bit.
+    mod reference {
+        use super::super::*;
+
+        /// [`EdgeAdjacency::reweigh_clean`] as one pass in row order,
+        /// patching each moved weight as it is met.
+        pub fn reweigh_clean(
+            adj: &mut EdgeAdjacency,
+            ctx: &GraphSnapshot,
+            weigher: &dyn EdgeWeigher,
+            mask: &EpochMask,
+        ) -> Vec<(u32, u32, f64, f64)> {
+            adj.ensure_all_hot();
+            let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
+            for u in 0..adj.rows.len() as u32 {
+                let u_marked = mask.contains(u);
+                for i in 0..adj.rows[u as usize].len() {
+                    let e = adj.rows[u as usize][i];
+                    if e.v <= u || u_marked || mask.contains(e.v) {
+                        continue;
+                    }
+                    let acc = adj.acc_at(u as usize, i);
+                    let nw = weigher.weight(ctx, u, e.v, &acc);
+                    swept.push((u, e.v, e.w, nw));
+                    if nw.to_bits() != e.w.to_bits() {
+                        adj.rows[u as usize][i].w = nw;
+                        let row = &mut adj.rows[e.v as usize];
+                        let j = row
+                            .binary_search_by_key(&u, |m| m.v)
+                            .expect("rows must mirror");
+                        row[j].w = nw;
+                    }
                 }
             }
+            swept
         }
     }
 

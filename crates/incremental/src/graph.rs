@@ -140,10 +140,9 @@ use crate::decision::{
     retained_under, ContainmentIndex, EdgeAdjacency, EdgeKey, FreshEdge, Frontier,
     OrderedWeightIndex,
 };
-use crate::shard::{ShardPlan, ShardStats};
 use blast_core::pruning::BlastPruning;
 use blast_datamodel::entity::ProfileId;
-use blast_datamodel::parallel::parallel_work_steal;
+use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::pruning::common::{
@@ -302,16 +301,6 @@ pub struct RepairStats {
     /// and built it from the adjacency rows — the first dirty-tier commit
     /// after a run of reweigh commits.
     pub index_materialised: bool,
-    /// Shard count of the plan this commit ran under (1 = canonical
-    /// single-shard engine).
-    pub shards: usize,
-    /// Edges this commit processed whose endpoints live in different
-    /// shards — the merge-frontier pairs (always 0 under one shard).
-    pub frontier_pairs: usize,
-    /// Owner-shard load imbalance of this commit's edge work, permille of
-    /// the mean shard load (1000 = perfectly balanced; see
-    /// [`crate::shard::ShardStats::imbalance_permille`]).
-    pub shard_imbalance_permille: u64,
 }
 
 impl RepairStats {
@@ -427,9 +416,6 @@ pub struct IncrementalMetaBlocker {
     prev_cnp_budget: Option<usize>,
     /// One-shot forced degradation (testing/operational escape hatch).
     force_full: bool,
-    /// The shard partitioning the commit path runs under (single-shard by
-    /// default; any plan is bit-identical — see [`crate::shard`]).
-    plan: ShardPlan,
     initialised: bool,
 }
 
@@ -464,7 +450,6 @@ impl IncrementalMetaBlocker {
             mask: EpochMask::new(),
             prev_cnp_budget: None,
             force_full: false,
-            plan: ShardPlan::single(),
             initialised: false,
         }
     }
@@ -477,20 +462,6 @@ impl IncrementalMetaBlocker {
     /// Number of retained comparisons — O(1), maintained from the flips.
     pub fn retained_len(&self) -> usize {
         self.retained_len
-    }
-
-    /// Partitions the commit path over `shards` owner shards (round-robin
-    /// node ownership; see [`crate::shard`]). Any value — including
-    /// mid-stream changes — keeps every commit outcome bit-identical to
-    /// the single-shard engine; the knob only moves where the work runs
-    /// and what the shard instruments report.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.plan = ShardPlan::new(shards);
-    }
-
-    /// The shard plan the commit path currently runs under.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
     }
 
     /// Forces the next [`IncrementalMetaBlocker::refresh`] onto the
@@ -851,20 +822,8 @@ impl IncrementalMetaBlocker {
             },
             scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
-            shards: self.plan.shards(),
             ..RepairStats::default()
         };
-        // Shard accounting of the fresh (dirty-incident) edge work — every
-        // tier does this much; the reweigh tier adds its sweep below.
-        let plan = self.plan;
-        let mut shard_stats = ShardStats::new(&plan);
-        for (u, v) in fresh
-            .iter()
-            .map(fresh_pair)
-            .chain(decide.iter().map(edge_pair))
-        {
-            shard_stats.record_edge(&plan, u, v);
-        }
 
         // ---- reweigh tier: re-derive every clean edge from its cached
         // accumulator (no block traversal), then hand the decision stage
@@ -875,10 +834,7 @@ impl IncrementalMetaBlocker {
             RepairTier::Reweigh => {
                 let t_sweep = Instant::now();
                 let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
-                let (s, sweep_shards) =
-                    adj.reweigh_clean_sharded(ctx, weigher, &self.mask, &plan, ctx.threads());
-                swept = s;
-                shard_stats.merge(&sweep_shards);
+                swept = adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads());
                 stats.edges_swept = swept.len();
                 stats.edges_rekeyed = swept
                     .iter()
@@ -907,9 +863,6 @@ impl IncrementalMetaBlocker {
                 stats.reweigh_secs = degree_secs;
             }
         }
-
-        stats.frontier_pairs = shard_stats.frontier_pairs;
-        stats.shard_imbalance_permille = shard_stats.imbalance_permille();
 
         let (added, retracted) = self.repair(
             ctx, weigher, &recompute, &old, &fresh, &swept, &decide, rule, artefacts, &mut stats,
@@ -1374,7 +1327,7 @@ fn weigh_accums(
     let chunks = parallel_work_steal(
         len,
         ctx.threads(),
-        (len / 128).clamp(32, 4096),
+        chunk_len(len),
         || (),
         |_, range| {
             accs[range]
@@ -1410,14 +1363,13 @@ fn cached_artefacts(
     recompute: &[u32],
     rule: ArtefactRule,
 ) -> Vec<Artefact> {
-    // Same work-stealing shape as the scratch pass: chunk geometry
-    // depends only on the length, results merge in chunk order, so
-    // the output is bit-identical across thread counts.
+    // Same work-stealing shape as the scratch pass, results merged in
+    // chunk order.
     let len = recompute.len();
     let chunks = parallel_work_steal(
         len,
         ctx.threads(),
-        (len / 128).clamp(32, 4096),
+        chunk_len(len),
         Vec::new,
         |buf: &mut Vec<(u32, f64)>, range| {
             let mut out = Vec::with_capacity(range.len());

@@ -57,13 +57,27 @@
 //! edge weight — stays maintainable because both the batch and the
 //! incremental path compute it through the exact, order-independent
 //! [`blast_graph::exact_sum::ExactSum`] accumulator.
+//!
+//! ## Parallel execution
+//!
+//! The commit path has one parallel axis, worker threads
+//! ([`IncrementalPipeline::with_threads`]): the accumulate pass, fresh-edge
+//! weighing, the cached-artefact recompute and the reweigh sweep split
+//! their range on [`blast_datamodel::parallel::parallel_work_steal`].
+//! Every commit outcome is bit-identical at any thread count
+//! (`tests/thread_equivalence.rs`) because per-edge weights are pure
+//! functions of the cached accumulator and O(1) snapshot statistics (the
+//! factored-weight contract), chunk geometry depends on the range length
+//! alone and chunk results concatenate in chunk order, and the
+//! order-sensitive global state is order-free by construction: the
+//! ordered-weight treap's shape is canonical in its key set, and WEP's Σw
+//! accumulates in an integer superaccumulator.
 
 pub mod cleaner;
 pub mod decision;
 pub mod graph;
 pub mod index;
 pub mod pipeline;
-pub mod shard;
 pub mod store;
 
 pub use cleaner::{CleaningConfig, IncrementalCleaner};
@@ -73,5 +87,4 @@ pub use index::IncrementalBlockIndex;
 pub use pipeline::{
     CommitOutcome, CommitTimings, IncrementalPipeline, MemoryFootprint, ResidencyPolicy,
 };
-pub use shard::{ShardPlan, ShardStats};
 pub use store::{MutableProfileStore, StoreMode};

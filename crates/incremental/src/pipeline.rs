@@ -275,34 +275,20 @@ impl IncrementalPipeline {
         self
     }
 
-    /// Pins the worker-thread count of every parallel phase (fresh-edge
-    /// weighting, the sharded reweigh sweep, artefact recomputes). Without
-    /// it the count auto-scales with the collection (and honours the
+    /// Pins the worker-thread count of every parallel phase (the
+    /// accumulate pass, fresh-edge weighing, the reweigh sweep, artefact
+    /// recomputes) — `1` runs them all on the calling thread. Without it
+    /// the count auto-scales with the collection (and honours the
     /// `BLAST_THREADS` environment override). Any value is bit-identical.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.snapshot.set_threads(threads);
         self
     }
 
-    /// Partitions the commit path over `shards` owner shards with a
-    /// deterministic merge frontier (see [`crate::shard`]). Default is the
-    /// single-shard engine; any shard count produces bit-identical commit
-    /// outcomes — the knob changes parallel granularity and what the
-    /// `shard.*` instruments report, never the answer.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.blocker.set_shards(shards);
-        self
-    }
-
-    /// Mid-stream variants of the builders (the knobs are safe to turn
-    /// between commits; outcomes stay bit-identical).
+    /// Mid-stream variant of [`IncrementalPipeline::with_threads`] (safe
+    /// to turn between commits; outcomes stay bit-identical).
     pub fn set_threads(&mut self, threads: usize) {
         self.snapshot.set_threads(threads);
-    }
-
-    /// See [`IncrementalPipeline::with_shards`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.blocker.set_shards(shards);
     }
 
     /// Bounds the hot footprint of the evictable structures to
@@ -586,14 +572,11 @@ impl IncrementalPipeline {
             cleaner_dirty_keys: drained_keys as u64,
             cleaner_removed_members: drained_members as u64,
             cleaner_touched_profiles: drained_profiles as u64,
-            sharded_commits: u64::from(stats.shards > 1),
-            frontier_pairs: stats.frontier_pairs as u64,
             retained: retained_len as i64,
             blocks: outcome.blocks as i64,
             live_edges: self.blocker.live_edges() as i64,
             cached_accumulators: self.blocker.cached_accumulators() as i64,
             interned_symbols: self.index.interned_tokens() as i64,
-            shard_imbalance_permille: stats.shard_imbalance_permille as i64,
             cold_evictions,
             cold_rehydrations,
             cold_resident_bytes: cold.cold_bytes as i64,

@@ -166,10 +166,6 @@ pub struct CommitRecord<'a> {
     pub cleaner_removed_members: u64,
     /// Profiles whose key list changed.
     pub cleaner_touched_profiles: u64,
-    /// 1 when this commit ran under a multi-shard plan (S > 1).
-    pub sharded_commits: u64,
-    /// Edges processed whose endpoints live in different shards.
-    pub frontier_pairs: u64,
     /// Candidate-set size after the commit (gauge).
     pub retained: i64,
     /// Cleaned-block count after the commit (gauge).
@@ -180,9 +176,6 @@ pub struct CommitRecord<'a> {
     pub cached_accumulators: i64,
     /// Interned token symbols after the commit (gauge).
     pub interned_symbols: i64,
-    /// Owner-shard load imbalance of this commit, permille of the mean
-    /// shard load (gauge; 1000 = perfectly balanced).
-    pub shard_imbalance_permille: i64,
     /// Rows demoted to the cold tier this commit.
     pub cold_evictions: u64,
     /// Cold rows read back this commit (transient decodes + promotions).
@@ -204,13 +197,13 @@ pub struct CommitMetrics {
     total_secs: Arc<Histogram>,
     phase_hists: [Arc<Histogram>; 6],
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 20],
-    gauges: [Arc<Gauge>; 7],
+    counters: [Arc<Counter>; 18],
+    gauges: [Arc<Gauge>; 6],
 }
 
 /// Index order of `CommitMetrics::counters` (kept private; the names are
 /// the contract).
-const COUNTER_NAMES: [&str; 20] = [
+const COUNTER_NAMES: [&str; 18] = [
     names::REPAIR_DIRTY_NODES,
     names::SNAPSHOT_PATCHED_ROWS,
     names::SNAPSHOT_PATCHED_SLOTS,
@@ -227,19 +220,16 @@ const COUNTER_NAMES: [&str; 20] = [
     names::CLEANER_DIRTY_KEYS,
     names::CLEANER_REMOVED_MEMBERS,
     names::CLEANER_TOUCHED_PROFILES,
-    names::SHARD_COMMITS,
-    names::SHARD_FRONTIER_PAIRS,
     names::COLD_EVICTIONS,
     names::COLD_REHYDRATIONS,
 ];
 
-const GAUGE_NAMES: [&str; 7] = [
+const GAUGE_NAMES: [&str; 6] = [
     names::PIPELINE_RETAINED,
     names::PIPELINE_BLOCKS,
     names::PIPELINE_LIVE_EDGES,
     names::PIPELINE_CACHED_ACCUMULATORS,
     names::INTERNER_SYMBOLS,
-    names::SHARD_IMBALANCE,
     names::COLD_RESIDENT_BYTES,
 ];
 
@@ -324,8 +314,6 @@ impl CommitMetrics {
             r.cleaner_dirty_keys,
             r.cleaner_removed_members,
             r.cleaner_touched_profiles,
-            r.sharded_commits,
-            r.frontier_pairs,
             r.cold_evictions,
             r.cold_rehydrations,
         ];
@@ -340,7 +328,6 @@ impl CommitMetrics {
             r.live_edges,
             r.cached_accumulators,
             r.interned_symbols,
-            r.shard_imbalance_permille,
             r.cold_resident_bytes,
         ];
         for (g, v) in self.gauges.iter().zip(levels) {
@@ -395,10 +382,6 @@ pub struct CommitTotals {
     pub pairs_retracted: u64,
     /// Dirty posting keys drained by the cleaner.
     pub cleaner_dirty_keys: u64,
-    /// Commits that ran under a multi-shard plan.
-    pub sharded_commits: u64,
-    /// Merge-frontier (cross-shard) pairs processed.
-    pub frontier_pairs: u64,
     /// Rows demoted to the cold tier.
     pub cold_evictions: u64,
     /// Cold rows read back (transient decodes + promotions).
@@ -430,8 +413,6 @@ impl CommitTotals {
             pairs_added: s.counter(names::COMMIT_PAIRS_ADDED),
             pairs_retracted: s.counter(names::COMMIT_PAIRS_RETRACTED),
             cleaner_dirty_keys: s.counter(names::CLEANER_DIRTY_KEYS),
-            sharded_commits: s.counter(names::SHARD_COMMITS),
-            frontier_pairs: s.counter(names::SHARD_FRONTIER_PAIRS),
             cold_evictions: s.counter(names::COLD_EVICTIONS),
             cold_rehydrations: s.counter(names::COLD_REHYDRATIONS),
         }
@@ -486,9 +467,6 @@ mod tests {
             retained: 11,
             live_edges: 30,
             index_deferred: 1,
-            sharded_commits: 1,
-            frontier_pairs: 9,
-            shard_imbalance_permille: 1250,
             cold_evictions: 5,
             cold_rehydrations: 3,
             cold_resident_bytes: 4096,
@@ -502,7 +480,6 @@ mod tests {
             index_materialised: 1,
             retained: 12,
             live_edges: 31,
-            shard_imbalance_permille: 1000,
             ..CommitRecord::default()
         });
         let snap = m.snapshot();
@@ -516,8 +493,6 @@ mod tests {
         assert_eq!(t.pairs_added, 2);
         assert!((t.phases.index_secs - 2e-3).abs() < 1e-9);
         assert!((t.phases.decision_secs - 12e-3).abs() < 1e-9);
-        assert_eq!(t.sharded_commits, 1);
-        assert_eq!(t.frontier_pairs, 9);
         assert_eq!(t.cold_evictions, 5);
         assert_eq!(t.cold_rehydrations, 3);
         assert_eq!(
@@ -527,11 +502,6 @@ mod tests {
         );
         assert_eq!(snap.gauge(names::PIPELINE_RETAINED), Some(12));
         assert_eq!(snap.gauge(names::PIPELINE_LIVE_EDGES), Some(31));
-        assert_eq!(
-            snap.gauge(names::SHARD_IMBALANCE),
-            Some(1000),
-            "last set wins"
-        );
         assert_eq!(t.treap_deferred_commits, 1);
         assert_eq!(t.treap_materialisations, 1);
         assert!(t.repair_summary().contains("tiers = 1/1/0"));

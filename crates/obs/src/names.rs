@@ -128,15 +128,6 @@ pub const SERVE_READ_LATENCY: &str = "serve.read_latency_secs";
 /// Retired snapshot versions awaiting epoch reclamation (gauge).
 pub const SERVE_STALE_EPOCHS: &str = "serve.stale_epochs";
 
-/// Commits that ran the shard-partitioned commit path (counter).
-pub const SHARD_COMMITS: &str = "shard.commits";
-/// Cross-shard candidate pairs resolved at the merge frontier (counter).
-pub const SHARD_FRONTIER_PAIRS: &str = "shard.frontier_pairs";
-/// Owner-shard load imbalance of the last commit, permille of the mean
-/// (gauge: 1000 = perfectly balanced, 2000 = the heaviest shard carried
-/// twice the mean shard load).
-pub const SHARD_IMBALANCE: &str = "shard.imbalance";
-
 /// Rows demoted to the cold tier by the residency enforcer (counter).
 pub const COLD_EVICTIONS: &str = "cold.evictions";
 /// Cold rows read back — transiently decoded or promoted hot (counter).

@@ -8,7 +8,7 @@
 //! sequence: one under a [`ResidencyPolicy`], one unbudgeted (the reference,
 //! whose own batch parity is pinned by `tests/incremental_equivalence.rs`).
 //! Property tests drive random mutation streams; scripted tests sweep the
-//! full pruning × scheme grid and the shard counts.
+//! full pruning × scheme grid and pinned thread counts.
 
 use blast_core::weighting::ChiSquaredWeigher;
 use blast_datamodel::entity::{ProfileId, SourceId};
@@ -75,7 +75,8 @@ fn policies() -> Vec<ResidencyPolicy> {
 /// Applies `ops` to a budgeted pipeline and an unbudgeted reference in
 /// lockstep, committing every `commit_every` mutations, and asserts at
 /// every commit that the retained set, the delta stream and the repair
-/// tier are identical. Returns the budgeted pipeline's final cold stats
+/// tier are identical. `threads` pins both pipelines' worker count
+/// (`None` auto-scales). Returns the budgeted pipeline's final cold stats
 /// so callers can assert the cold tier was actually exercised.
 #[allow(clippy::too_many_arguments)]
 fn check_budget_equivalence(
@@ -85,13 +86,16 @@ fn check_budget_equivalence(
     pruning: IncrementalPruning,
     cleaning: CleaningConfig,
     policy: ResidencyPolicy,
-    shards: usize,
+    threads: Option<usize>,
     label: &str,
 ) -> blast_graph::ColdStats {
     let mut budgeted = IncrementalPipeline::dirty(weigher.clone(), pruning, cleaning.clone())
-        .with_residency(policy)
-        .with_shards(shards);
-    let mut reference = IncrementalPipeline::dirty(weigher, pruning, cleaning).with_shards(shards);
+        .with_residency(policy);
+    let mut reference = IncrementalPipeline::dirty(weigher, pruning, cleaning);
+    if let Some(t) = threads {
+        budgeted.set_threads(t);
+        reference.set_threads(t);
+    }
     let mut ids: Vec<ProfileId> = Vec::new();
     let mut since = 0usize;
 
@@ -210,7 +214,7 @@ fn scripted_grid_under_evict_everything() {
                     pruning,
                     cleaning.clone(),
                     policy,
-                    1,
+                    None,
                     &format!("grid {}/{}", scheme.name(), pruning.label()),
                 );
                 assert!(
@@ -227,7 +231,7 @@ fn scripted_grid_under_evict_everything() {
                 pruning,
                 cleaning.clone(),
                 policy,
-                1,
+                None,
                 &format!("grid chi2/{}", pruning.label()),
             );
             assert!(stats.evictions > 0);
@@ -253,7 +257,7 @@ fn scripted_budget_sweep() {
                     pruning,
                     CleaningConfig::default(),
                     policy,
-                    1,
+                    None,
                     &format!(
                         "sweep {} budget={} idle={} spill={} every={commit_every}",
                         pruning.label(),
@@ -283,17 +287,17 @@ fn scripted_budget_sweep() {
     }
 }
 
-/// The sharded commit path under a budget: identical outcomes at 1 and 4
-/// owner shards, budgeted and unbudgeted alike.
+/// Pinned thread counts under a budget: identical outcomes at 1 and 4
+/// worker threads, budgeted and unbudgeted alike.
 #[test]
-fn sharded_commits_match_under_budget() {
+fn threaded_commits_match_under_budget() {
     let ops = scripted_ops();
     let policy = ResidencyPolicy {
         budget_bytes: 0,
         idle_commits: 0,
         spill: false,
     };
-    for shards in [1usize, 4] {
+    for threads in [1usize, 4] {
         for scheme in [WeightingScheme::Ejs, WeightingScheme::Cbs] {
             check_budget_equivalence(
                 &ops,
@@ -302,8 +306,8 @@ fn sharded_commits_match_under_budget() {
                 IncrementalPruning::Traditional(PruningAlgorithm::Wep),
                 CleaningConfig::default(),
                 policy,
-                shards,
-                &format!("sharded {} shards={shards}", scheme.name()),
+                Some(threads),
+                &format!("{} threads={threads}", scheme.name()),
             );
         }
     }
@@ -419,7 +423,7 @@ proptest! {
                     IncrementalPruning::Traditional(algorithm),
                     CleaningConfig::default(),
                     policy,
-                    1,
+                    None,
                     &format!("prop cbs/{} budget={}", algorithm.label(), policy.budget_bytes),
                 );
             }
@@ -440,7 +444,7 @@ proptest! {
                 IncrementalPruning::Traditional(PruningAlgorithm::Wnp2),
                 CleaningConfig::default(),
                 policy,
-                1,
+                None,
                 &format!("prop spilled {}", scheme.name()),
             );
         }

@@ -720,25 +720,25 @@ fn alternating_tier_stream(
 /// materialises it from the patched adjacency rows for the band
 /// enumeration. `retained()` is read after every commit — off the rows
 /// while deferred, off the tree otherwise — and must equal the batch run,
-/// at 1 and 2 shards. JS (|B_u| only: never reweighs) rides along as the
+/// at 1 and 2 threads. JS (|B_u| only: never reweighs) rides along as the
 /// edge-centric dirty-tier case of the co-member skip.
 #[test]
 fn alternating_tiers_defer_and_materialise_the_ordered_index() {
-    for shards in [1usize, 2] {
+    for threads in [1usize, 2] {
         for algorithm in [PruningAlgorithm::Wep, PruningAlgorithm::Cep] {
             for scheme in [
                 WeightingScheme::Ecbs,
                 WeightingScheme::Ejs,
                 WeightingScheme::Js,
             ] {
-                let label = format!("{}/{} shards={shards}", scheme.name(), algorithm.label());
+                let label = format!("{}/{} threads={threads}", scheme.name(), algorithm.label());
                 let drifts = !matches!(scheme, WeightingScheme::Js);
                 let mut p = IncrementalPipeline::dirty(
                     scheme,
                     IncrementalPruning::Traditional(algorithm),
                     CleaningConfig::none(),
                 )
-                .with_shards(shards);
+                .with_threads(threads);
                 let (mut deferred, mut materialised) = (0usize, 0usize);
                 let mut deferred_blocker_bytes = 0usize;
                 alternating_tier_stream(&mut p, |p, out, step, previous| {
