@@ -720,6 +720,14 @@ pub fn serve(args: &Args) -> Result<String, String> {
         totals.read_p50_secs * 1e6,
         totals.read_p99_secs * 1e6,
     );
+    let _ = writeln!(
+        report,
+        "published: publish p50 = {:.3}ms, p99 = {:.3}ms, {} rows copied, {} chunks copied",
+        totals.publish_p50_secs * 1e3,
+        totals.publish_p99_secs * 1e3,
+        totals.rows_copied,
+        totals.chunks_copied,
+    );
 
     let verified = args.flag("verify");
     if verified && !pipeline.verify_equivalence() {

@@ -775,10 +775,13 @@ impl GraphSnapshot {
         self.total_edges = Some(next as u64);
     }
 
-    /// Convenience (tests/diagnostics): the accumulator of one edge, if it
-    /// exists. Runs on the dense scratch engine with a pooled scratch —
-    /// repeated probes neither re-allocate a profile-sized array nor
-    /// serialise concurrent callers for the length of a probe.
+    /// Diagnostics/test oracle: the accumulator of one edge, if it exists —
+    /// a full adjacency load of `u` to read one entry, so nothing on a
+    /// commit or publish path calls it (the incremental engine hands its
+    /// decided weights out on `PairDelta::added_weights` instead). Runs on
+    /// the dense scratch engine with a pooled scratch — repeated probes
+    /// neither re-allocate a profile-sized array nor serialise concurrent
+    /// callers for the length of a probe.
     pub fn edge(&self, u: u32, v: u32) -> Option<EdgeAccum> {
         let mut scratch = NodeScratch::lease(self);
         scratch.load(self, u);

@@ -200,14 +200,43 @@ impl IncrementalPruning {
 pub struct PairDelta {
     /// Comparisons entering the candidate set (sorted, smaller id first).
     pub added: Vec<(ProfileId, ProfileId)>,
+    /// The weight of each added comparison, parallel to `added`: the very
+    /// `f64` the decision stage compared when it retained the pair
+    /// (canonical smaller → larger orientation), not a later re-derivation.
+    /// Read the two together through [`PairDelta::added_weighted`].
+    pub added_weights: Vec<f64>,
     /// Comparisons leaving the candidate set (sorted, smaller id first).
     pub retracted: Vec<(ProfileId, ProfileId)>,
 }
 
 impl PairDelta {
+    /// The delta of one repair pass, from its flips as the decision stage
+    /// emitted them (each sorted by `(u, v)`).
+    fn from_flips(added: Vec<(u32, u32, f64)>, retracted: Vec<(u32, u32)>) -> Self {
+        let pair = |a: u32, b: u32| (ProfileId(a), ProfileId(b));
+        let (added, added_weights): (Vec<_>, Vec<_>) =
+            added.into_iter().map(|(a, b, w)| (pair(a, b), w)).unzip();
+        assert_eq!(added.len(), added_weights.len());
+        PairDelta {
+            added,
+            added_weights,
+            retracted: retracted.into_iter().map(|(a, b)| pair(a, b)).collect(),
+        }
+    }
+
     /// Whether the candidate set did not move.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.retracted.is_empty()
+    }
+
+    /// The added comparisons with their weights, `((a, b), w)` — the one
+    /// way to read the two parallel vectors, so they cannot be mis-zipped.
+    pub fn added_weighted(&self) -> impl Iterator<Item = ((ProfileId, ProfileId), f64)> + '_ {
+        debug_assert_eq!(self.added.len(), self.added_weights.len());
+        self.added
+            .iter()
+            .copied()
+            .zip(self.added_weights.iter().copied())
     }
 }
 
@@ -870,17 +899,11 @@ impl IncrementalMetaBlocker {
         stats.retention_flips = added.len() + retracted.len();
         self.retained_len += added.len();
         self.retained_len -= retracted.len();
-        let delta = PairDelta {
-            added: added
-                .into_iter()
-                .map(|(a, b)| (ProfileId(a), ProfileId(b)))
-                .collect(),
-            retracted: retracted
-                .into_iter()
-                .map(|(a, b)| (ProfileId(a), ProfileId(b)))
-                .collect(),
-        };
-        (delta, stats)
+        // The pass's edge lists are the commit's memory peak (every edge,
+        // on the structural tier): release them before the delta is laid
+        // out, so the delta is never stacked on top of them.
+        drop((old, fresh, swept, decide));
+        (PairDelta::from_flips(added, retracted), stats)
     }
 
     /// The per-variant decision pass. `recompute` is the node set whose
@@ -893,8 +916,9 @@ impl IncrementalMetaBlocker {
     /// the accumulate pass produced them; `None` re-derives them from the
     /// cache rows once those are patched (`rule` is `None` for WEP/CEP,
     /// which keep no per-node artefact). Returns the (sorted)
-    /// added/retracted flips; updates `stats` with the decision-stage
-    /// counters and wall-clock.
+    /// added/retracted flips, each added pair with the weight its decision
+    /// read; updates `stats` with the decision-stage counters and
+    /// wall-clock.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn repair(
         &mut self,
@@ -908,11 +932,11 @@ impl IncrementalMetaBlocker {
         rule: Option<ArtefactRule>,
         artefacts: Option<Vec<Artefact>>,
         stats: &mut RepairStats,
-    ) -> (Vec<(u32, u32)>, Vec<(u32, u32)>) {
+    ) -> (Vec<(u32, u32, f64)>, Vec<(u32, u32)>) {
         let n = ctx.total_profiles() as usize;
         let mask = &self.mask;
         let tier = stats.tier;
-        let mut added: Vec<(u32, u32)> = Vec::new();
+        let mut added: Vec<(u32, u32, f64)> = Vec::new();
         let mut retracted: Vec<(u32, u32)> = Vec::new();
 
         // Keep the cached adjacency rows current (weights + accumulators)
@@ -1051,7 +1075,7 @@ impl IncrementalMetaBlocker {
                         if old_frontier != new_frontier {
                             let lo = old_frontier.min(new_frontier);
                             if let Some(hi) = old_frontier.max(new_frontier) {
-                                index.for_each_between(lo, hi, &mut |key, _| {
+                                index.for_each_between(lo, hi, &mut |key, w| {
                                     if mask.contains(key.u) || mask.contains(key.v) {
                                         return;
                                     }
@@ -1060,14 +1084,14 @@ impl IncrementalMetaBlocker {
                                     if was != now {
                                         stats.threshold_crossers += 1;
                                         if now {
-                                            added.push((key.u, key.v));
+                                            added.push((key.u, key.v, w));
                                         } else {
                                             retracted.push((key.u, key.v));
                                         }
                                     }
                                 });
                             }
-                            added.sort_unstable();
+                            added.sort_unstable_by_key(edge_pair);
                             retracted.sort_unstable();
                         }
                     }
@@ -1083,13 +1107,13 @@ impl IncrementalMetaBlocker {
                                     stats.threshold_crossers += 1;
                                 }
                                 if now {
-                                    added.push((u, v));
+                                    added.push((u, v, nw));
                                 } else {
                                     retracted.push((u, v));
                                 }
                             }
                         }
-                        added.sort_unstable();
+                        added.sort_unstable_by_key(edge_pair);
                         retracted.sort_unstable();
                     }
                     RepairTier::Full => {}
@@ -1136,16 +1160,13 @@ impl IncrementalMetaBlocker {
                     recompute,
                     mask,
                     n,
-                    decide
-                        .iter()
-                        .filter(|&&(u, v, w)| match pruning {
-                            IncrementalPruning::Blast { d, .. } => {
-                                let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
-                                w > 0.0 && w >= theta
-                            }
-                            _ => wnp.decide(thresholds, u, v, w),
-                        })
-                        .map(|&(u, v, _)| (u, v)),
+                    decide.iter().copied().filter(|&(u, v, w)| match pruning {
+                        IncrementalPruning::Blast { d, .. } => {
+                            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
+                            w > 0.0 && w >= theta
+                        }
+                        _ => wnp.decide(thresholds, u, v, w),
+                    }),
                     &mut added,
                     &mut retracted,
                 );
@@ -1189,7 +1210,13 @@ impl IncrementalMetaBlocker {
                     let now = counts.count(a, b) >= need;
                     if was != now {
                         if now {
-                            added.push((a, b));
+                            // A pair enters only through a recomputed
+                            // node's new list, so its edge was decided
+                            // this commit.
+                            let i = decide
+                                .binary_search_by_key(&(a, b), edge_pair)
+                                .expect("a newly listed pair is a decided edge");
+                            added.push((a, b, decide[i].2));
                         } else {
                             retracted.push((a, b));
                         }
@@ -1439,7 +1466,7 @@ fn edge_flips(
     fresh: &[FreshEdge],
     f_old: Frontier,
     f_new: Frontier,
-    added: &mut Vec<(u32, u32)>,
+    added: &mut Vec<(u32, u32, f64)>,
     retracted: &mut Vec<(u32, u32)>,
 ) {
     merge_join(old, fresh, edge_pair, fresh_pair, |step| match step {
@@ -1448,7 +1475,7 @@ fn edge_flips(
             let now = retained_under(f_new, EdgeKey::new(u, v, e.w));
             if was != now {
                 if now {
-                    added.push((u, v));
+                    added.push((u, v, e.w));
                 } else {
                     retracted.push((u, v));
                 }
@@ -1463,7 +1490,7 @@ fn edge_flips(
         // Edge appeared.
         Joined::Right(e) => {
             if retained_under(f_new, EdgeKey::new(e.u, e.v, e.w)) {
-                added.push((e.u, e.v));
+                added.push((e.u, e.v, e.w));
             }
         }
     });
@@ -1471,7 +1498,8 @@ fn edge_flips(
 
 /// Node-centric flip emission: diffs the retained pairs incident to the
 /// recomputed nodes (read off the [`RetainedIndex`] rows — clean survivors
-/// are never visited on the dirty tier) against the freshly decided pairs,
+/// are never visited on the dirty tier) against the freshly decided pairs
+/// (each with the weight the decision just tested),
 /// applies the flips to the index and pushes them (sorted) onto `added` /
 /// `retracted`. `dirty` ascends, and so does every row, so the old pairs
 /// are read as an [`ordered_emission`] like the accumulate pass's edges:
@@ -1481,8 +1509,8 @@ fn node_flips(
     dirty: &[u32],
     mask: &EpochMask,
     n: usize,
-    fresh: impl Iterator<Item = (u32, u32)>,
-    added: &mut Vec<(u32, u32)>,
+    fresh: impl Iterator<Item = (u32, u32, f64)>,
+    added: &mut Vec<(u32, u32, f64)>,
     retracted: &mut Vec<(u32, u32)>,
 ) {
     retained.ensure_nodes(n);
@@ -1500,24 +1528,23 @@ fn node_flips(
         }
     }
     let old = ordered_emission(from_smaller, from_larger, |&p| p);
-    let fresh: Vec<(u32, u32)> = fresh.collect();
-    debug_assert!(fresh.windows(2).all(|w| w[0] < w[1]));
-    merge_join(
-        &old,
-        &fresh,
-        |&p| p,
-        |&p| p,
-        |step| match step {
-            Joined::Both(..) => {}
-            Joined::Left(&p) => retracted.push(p),
-            Joined::Right(&p) => added.push(p),
-        },
-    );
+    // The decided pairs stream through the join; only the flips are kept.
+    let mut old = old.into_iter().peekable();
+    for e in fresh {
+        let pair = edge_pair(&e);
+        while let Some(p) = old.next_if(|&p| p < pair) {
+            retracted.push(p);
+        }
+        if old.next_if_eq(&pair).is_none() {
+            added.push(e);
+        }
+    }
+    retracted.extend(old);
     for &(a, b) in retracted.iter() {
         let removed = retained.remove(a, b);
         debug_assert!(removed);
     }
-    for &(a, b) in added.iter() {
+    for &(a, b, _) in added.iter() {
         let inserted = retained.insert(a, b);
         debug_assert!(inserted);
     }
@@ -1565,7 +1592,7 @@ mod tests {
         let new = fresh(&[(0, 1, 1.0), (0, 2, 4.0), (2, 3, 2.0), (2, 4, 9.0)]);
         let (mut added, mut retracted) = (Vec::new(), Vec::new());
         edge_flips(&old, &new, f, f, &mut added, &mut retracted);
-        assert_eq!(added, vec![(0, 2), (2, 4)]);
+        assert_eq!(added, vec![(0, 2, 4.0), (2, 4, 9.0)], "at the fresh weight");
         assert_eq!(retracted, vec![(0, 1), (1, 2)]);
     }
 
@@ -1604,11 +1631,11 @@ mod tests {
             &[2],
             &mask,
             5,
-            [(2, 3), (2, 4)].into_iter(),
+            [(2, 3, 1.5), (2, 4, 2.5)].into_iter(),
             &mut added,
             &mut retracted,
         );
-        assert_eq!(added, vec![(2, 4)]);
+        assert_eq!(added, vec![(2, 4, 2.5)], "with the decided weight");
         assert_eq!(retracted, vec![(1, 2)]);
         assert_eq!(retained.len(), 3);
         assert!(retained.contains(0, 1), "clean survivor untouched");
@@ -1640,11 +1667,11 @@ mod tests {
             &[4, 5, 6],
             &mask,
             8,
-            [(2, 5), (3, 4), (4, 5), (5, 7)].into_iter(),
+            [(2, 5, 1.0), (3, 4, 2.0), (4, 5, 3.0), (5, 7, 4.0)].into_iter(),
             &mut added,
             &mut retracted,
         );
-        assert_eq!(added, vec![(3, 4)]);
+        assert_eq!(added, vec![(3, 4, 2.0)]);
         assert_eq!(retracted, vec![(1, 4), (3, 5), (4, 6)], "sorted, each once");
         assert!(retained.neighbours(6).is_empty(), "row 6 emptied");
         assert!(retained.contains(0, 1), "clean–clean pair untouched");
@@ -1666,7 +1693,7 @@ mod tests {
             &[4, 6],
             &mask,
             8,
-            [(3, 4), (4, 5)].into_iter(),
+            [(3, 4, 2.0), (4, 5, 3.0)].into_iter(),
             &mut added,
             &mut retracted,
         );

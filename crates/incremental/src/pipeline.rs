@@ -325,10 +325,11 @@ impl IncrementalPipeline {
         stats
     }
 
-    /// Rehydrates the snapshot slots of `nodes` ahead of read-only access
-    /// that bypasses `commit` — the serving layer calls this on the writer
-    /// before stamping published candidate weights, so readers never see a
-    /// cold slot.
+    /// Diagnostics/test oracle: rehydrates the snapshot slots of `nodes`
+    /// ahead of read-only access that bypasses `commit` — under a memory
+    /// budget, call it before [`IncrementalPipeline::edge_weight`]. Nothing
+    /// on the commit or publish path does (published weights ride
+    /// [`PairDelta::added_weights`]).
     pub fn prepare_reads(&mut self, nodes: &[u32]) {
         self.snapshot.ensure_node_slots_resident(nodes.iter());
     }
@@ -395,11 +396,14 @@ impl IncrementalPipeline {
         &self.snapshot
     }
 
-    /// The pruned weight of edge `(u, v)`, computed on demand from the
-    /// owned snapshot's accumulator and this pipeline's weighing scheme —
-    /// `None` when the profiles share no cleaned block. The serving layer
-    /// stamps candidate weights with this at publish time; it reads only
-    /// immutable-between-commits state, so it is safe between commits.
+    /// Diagnostics/test oracle: the weight of edge `(u, v)`, re-derived
+    /// from the blocks — one full adjacency load of `u`
+    /// ([`GraphSnapshot::edge`]) — under this pipeline's weighing scheme;
+    /// `None` when the profiles share no cleaned block. With `u < v` it is
+    /// bit-identical to what the decision stage compared, which is what
+    /// [`PairDelta::added_weights`] hands out without the traversal; tests
+    /// pin the two against each other. Reads only
+    /// immutable-between-commits state.
     pub fn edge_weight(&self, u: u32, v: u32) -> Option<f64> {
         let acc = self.snapshot.edge(u, v)?;
         Some(self.weigher.weight(&self.snapshot, u, v, &acc))

@@ -127,6 +127,16 @@ pub const SERVE_SNAPSHOT_SWAPS: &str = "serve.snapshot_swaps";
 pub const SERVE_READ_LATENCY: &str = "serve.read_latency_secs";
 /// Retired snapshot versions awaiting epoch reclamation (gauge).
 pub const SERVE_STALE_EPOCHS: &str = "serve.stale_epochs";
+/// Wall clock of one publish — update build, snapshot apply, epoch swap
+/// and reclaim; `commit_and_publish` minus the engine's commit (nanosecond
+/// histogram, exported in seconds). One observation per snapshot swap.
+pub const SERVE_PUBLISH_SECS: &str = "serve.publish_secs";
+/// Snapshot rows re-allocated by publishes because a published version
+/// still shared them (counter) — at most one per node a commit touches.
+pub const SERVE_ROWS_COPIED: &str = "serve.rows_copied";
+/// Snapshot chunks whose row-pointer vector a publish cloned (counter) —
+/// at most one per chunk holding a touched node.
+pub const SERVE_CHUNKS_COPIED: &str = "serve.chunks_copied";
 
 /// Rows demoted to the cold tier by the residency enforcer (counter).
 pub const COLD_EVICTIONS: &str = "cold.evictions";

@@ -384,7 +384,7 @@ mod tests {
 
     fn test_state() -> ServeState {
         let mut builder = SnapshotBuilder::new();
-        let snap = builder.apply(&CommitUpdate {
+        let (snap, _) = builder.apply(&CommitUpdate {
             seq: 1,
             upserts: vec![
                 (0, Arc::from("a")),

@@ -2,7 +2,7 @@
 //! of [`blast_obs::CommitMetrics`].
 //!
 //! [`ServeMetrics`] is the write side: the server owns one and every
-//! reader thread records through shared handles. All four instruments are
+//! reader thread records through shared handles. All the instruments are
 //! `blast-obs` sharded lock-free primitives, so recording a query from the
 //! hot path is a couple of relaxed atomic adds — consistent with the
 //! serving layer's no-locks-on-read contract. [`ServeTotals`] is the read
@@ -10,7 +10,8 @@
 //! [`MetricsSnapshot::delta_since`] window) for `/stats`, the bench, and
 //! the smoke script.
 
-use blast_obs::registry::{MetricsSnapshot, Registry};
+use crate::snapshot::CopyStats;
+use blast_obs::registry::{HistogramSample, MetricsSnapshot, Registry};
 use blast_obs::{names, Counter, Gauge, Histogram};
 use std::sync::Arc;
 
@@ -22,6 +23,9 @@ pub struct ServeMetrics {
     swaps: Arc<Counter>,
     read_latency: Arc<Histogram>,
     stale_epochs: Arc<Gauge>,
+    publish: Arc<Histogram>,
+    rows_copied: Arc<Counter>,
+    chunks_copied: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -39,6 +43,9 @@ impl ServeMetrics {
             swaps: registry.counter(names::SERVE_SNAPSHOT_SWAPS),
             read_latency: registry.histogram_with_unit(names::SERVE_READ_LATENCY, 1e-9),
             stale_epochs: registry.gauge(names::SERVE_STALE_EPOCHS),
+            publish: registry.histogram_with_unit(names::SERVE_PUBLISH_SECS, 1e-9),
+            rows_copied: registry.counter(names::SERVE_ROWS_COPIED),
+            chunks_copied: registry.counter(names::SERVE_CHUNKS_COPIED),
             registry,
         }
     }
@@ -61,11 +68,16 @@ impl ServeMetrics {
         self.read_latency.record_secs(secs);
     }
 
-    /// Records one snapshot publication and the epoch's retired backlog
-    /// after it (the stale-epoch gauge). Writer path.
-    pub fn record_swap(&self, stale_epochs: usize) {
+    /// Records one snapshot publication: the epoch's retired backlog after
+    /// it (the stale-epoch gauge), what the builder copied for it, and its
+    /// wall clock from the end of the engine's commit to the end of the
+    /// swap. Writer path.
+    pub fn record_publish(&self, stale_epochs: usize, copied: CopyStats, secs: f64) {
         self.swaps.inc();
         self.stale_epochs.set(stale_epochs as i64);
+        self.publish.record_secs(secs);
+        self.rows_copied.add(copied.rows as u64);
+        self.chunks_copied.add(copied.chunks as u64);
     }
 }
 
@@ -93,13 +105,25 @@ pub struct ServeTotals {
     pub read_p999_secs: f64,
     /// Mean read latency.
     pub read_mean_secs: f64,
+    /// Median publish wall clock in seconds (commit end → swap end); zero
+    /// when nothing was published.
+    pub publish_p50_secs: f64,
+    /// 99th percentile publish wall clock.
+    pub publish_p99_secs: f64,
+    /// Snapshot rows copied by publishes.
+    pub rows_copied: u64,
+    /// Snapshot chunks whose row pointers publishes cloned.
+    pub chunks_copied: u64,
 }
 
 impl ServeTotals {
     /// Reconstructs the totals from a snapshot.
     pub fn from_snapshot(s: &MetricsSnapshot) -> ServeTotals {
         let hist = s.histogram(names::SERVE_READ_LATENCY);
-        let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
+        let publish = s.histogram(names::SERVE_PUBLISH_SECS);
+        let quantile =
+            |h: Option<&HistogramSample>, p: f64| h.and_then(|h| h.quantile(p)).unwrap_or(0.0);
+        let q = |p: f64| quantile(hist, p);
         ServeTotals {
             queries: s.counter(names::SERVE_QUERIES),
             snapshot_swaps: s.counter(names::SERVE_SNAPSHOT_SWAPS),
@@ -108,6 +132,10 @@ impl ServeTotals {
             read_p99_secs: q(0.99),
             read_p999_secs: q(0.999),
             read_mean_secs: hist.and_then(|h| h.mean()).unwrap_or(0.0),
+            publish_p50_secs: quantile(publish, 0.50),
+            publish_p99_secs: quantile(publish, 0.99),
+            rows_copied: s.counter(names::SERVE_ROWS_COPIED),
+            chunks_copied: s.counter(names::SERVE_CHUNKS_COPIED),
         }
     }
 }
@@ -122,12 +150,27 @@ mod tests {
         for _ in 0..100 {
             m.record_query(1e-6);
         }
-        m.record_swap(3);
-        m.record_swap(1);
-        let t = ServeTotals::from_snapshot(&m.snapshot());
+        m.record_publish(3, CopyStats { rows: 7, chunks: 2 }, 2e-3);
+        m.record_publish(1, CopyStats { rows: 5, chunks: 1 }, 4e-3);
+        let snap = m.snapshot();
+        let t = ServeTotals::from_snapshot(&snap);
         assert_eq!(t.queries, 100);
         assert_eq!(t.snapshot_swaps, 2);
         assert_eq!(t.stale_epochs, 1, "gauge keeps the last value");
+        assert_eq!((t.rows_copied, t.chunks_copied), (12, 3));
+        assert!(t.publish_p50_secs > 1e-3 && t.publish_p99_secs >= t.publish_p50_secs);
+        let publishes = snap
+            .histogram(names::SERVE_PUBLISH_SECS)
+            .expect("registered");
+        assert_eq!(publishes.count, t.snapshot_swaps, "one per swap");
+        let page = snap.encode_text();
+        for series in [
+            "blast_serve_publish_secs_count 2",
+            "blast_serve_rows_copied 12",
+            "blast_serve_chunks_copied 3",
+        ] {
+            assert!(page.contains(series), "{series} missing:\n{page}");
+        }
         assert!(t.read_p50_secs > 0.0);
         assert!(t.read_p999_secs >= t.read_p50_secs);
         assert!(t.read_mean_secs > 0.0);

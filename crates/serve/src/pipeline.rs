@@ -17,6 +17,7 @@ use crate::snapshot::{CommitUpdate, ServeSnapshot, SnapshotBuilder};
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_incremental::{CommitOutcome, IncrementalPipeline};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// An incremental pipeline that epoch-publishes a [`ServeSnapshot`] per
 /// commit. Single-owner (the writer thread); readers register on
@@ -108,6 +109,7 @@ impl ServePipeline {
     /// the next seq. Returns the engine's outcome.
     pub fn commit_and_publish(&mut self) -> CommitOutcome {
         let outcome = self.inner.commit();
+        let t0 = Instant::now();
         self.seq += 1;
 
         self.touched.sort_unstable();
@@ -133,35 +135,20 @@ impl ServePipeline {
             .iter()
             .map(|&(a, b)| (a.0, b.0))
             .collect();
-        // Weights are stamped from the engine's post-commit accumulators —
-        // the same inputs the pruning decision used. Under a memory
-        // budget the residency sweep may have demoted the endpoints' slot
-        // rows right after the commit; rehydrate them here, on the
-        // writer, so published readers never observe (or pay for) a cold
-        // slot.
-        let mut endpoints: Vec<u32> = outcome
-            .delta
-            .added
-            .iter()
-            .flat_map(|&(a, b)| [a.0, b.0])
-            .collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        self.inner.prepare_reads(&endpoints);
+        // The weights are the decision stage's own, off the delta: nothing
+        // here reads the engine's structures, so under a memory budget the
+        // publish rehydrates nothing.
         update.added = outcome
             .delta
-            .added
-            .iter()
-            .map(|&(a, b)| {
-                let w = self.inner.edge_weight(a.0, b.0).unwrap_or(0.0);
-                (a.0, b.0, w)
-            })
+            .added_weighted()
+            .map(|((a, b), w)| (a.0, b.0, w))
             .collect();
 
-        let snap = self.builder.apply(&update);
+        let (snap, copied) = self.builder.apply(&update);
         self.latest = snap.clone();
         let stale = self.epoch.publish(snap);
-        self.metrics.record_swap(stale);
+        self.metrics
+            .record_publish(stale, copied, t0.elapsed().as_secs_f64());
         outcome
     }
 

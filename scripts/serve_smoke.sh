@@ -3,11 +3,13 @@
 # lingers, and gate on the read-your-writes equivalence line.
 #
 # The server streams a generated dirty preset through the incremental
-# pipeline on the writer thread, epoch-publishing a snapshot per commit;
+# pipeline on the writer thread in micro-batches of 16 (several commits
+# even at smoke scale), epoch-publishing a snapshot per commit;
 # this script scrapes the `serving on http://...` line from stdout, hits
 # /stats, /candidates, /topk and /metrics while the server is live,
-# checks the JSON shapes and counters, then waits for the process to exit
-# and asserts the `--verify` gate reported
+# checks the JSON shapes and counters — every published weight strictly
+# positive, one publish timing per snapshot swap, rows copied — then waits
+# for the process to exit and asserts the `--verify` gate reported
 # `verify: serve == incremental == batch`.
 #
 # BLAST_THREADS (if set) flows through to the server's reader-pool sizing
@@ -32,7 +34,7 @@ cargo build --release -q -p blast-cli
 
 echo "== serve smoke: census scale $SCALE, linger ${LINGER}s, BLAST_THREADS=${BLAST_THREADS:-unset} =="
 target/release/blast serve \
-    --preset census --scale "$SCALE" \
+    --preset census --scale "$SCALE" --batch-size 16 \
     --port 0 --linger "$LINGER" --verify \
     > "$tmp/serve.out" 2> "$tmp/serve.err" &
 pid=$!
@@ -56,6 +58,7 @@ echo "scraped $url"
 python3 - "$url" <<'EOF'
 import json
 import sys
+import time
 import urllib.error
 import urllib.request
 
@@ -105,12 +108,50 @@ assert status == 200
 assert "blast_serve_queries" in body
 assert "blast_serve_snapshot_swaps" in body
 assert "blast_commit_count" in body
-queries = next(int(line.split()[1]) for line in body.splitlines()
-               if line.startswith("blast_serve_queries "))
+def series(page, name):
+    return next(int(line.split()[1]) for line in page.splitlines()
+                if line.startswith(name + " "))
+
+queries = series(body, "blast_serve_queries")
 assert queries >= 3, f"query counter did not move: {queries}"
 
+# Once the ingest is done the writer is quiet, so the page is one
+# consistent cut: every snapshot swap recorded one publish timing, and
+# publishing copied rows.
+for _ in range(600):
+    if json.loads(get("/stats")[1])["ingest_done"]:
+        break
+    time.sleep(0.1)
+else:
+    raise AssertionError("ingest did not finish while the server lingered")
+status, body = get("/metrics")
+assert status == 200
+swaps = series(body, "blast_serve_snapshot_swaps")
+publishes = series(body, "blast_serve_publish_secs_count")
+assert publishes == swaps, f"{publishes} publish timings for {swaps} swaps"
+rows_copied = series(body, "blast_serve_rows_copied")
+assert rows_copied > 0, "no snapshot rows copied"
+assert series(body, "blast_serve_chunks_copied") > 0
+
+# Published weights are the decision stage's own. BLAST pruning (the
+# server's default) retains a pair only at w > 0, as CBS would (a retained
+# pair shares a block), so a 0 on the page can only be a placeholder.
+# Checked on the final view, for every partner of the first few hundred
+# ids.
+listed = 0
+for node in range(300):
+    status, body = get(f"/candidates?id={node}")
+    if status == 404:
+        break
+    assert status == 200, body
+    for c in json.loads(body)["candidates"]:
+        assert c["weight"] > 0, f"node {node} publishes {c}"
+        listed += 1
+assert listed > 0, "no candidate listed on the final view"
+
 print(f"queried {base}: seq {stats['seq']}, {stats['pairs']} pairs, "
-      f"{queries} queries recorded")
+      f"{queries} queries recorded; {swaps} publishes copied "
+      f"{rows_copied} rows, {listed} listed weights all positive")
 EOF
 
 # The server exits on its own after the linger window; --verify makes a

@@ -22,6 +22,8 @@ use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::WeightingScheme;
 use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, ResidencyPolicy};
+use blast_obs::names;
+use blast_serve::snapshot::CHUNK_NODES;
 use blast_serve::{ServePipeline, ServeSnapshot};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -101,8 +103,9 @@ fn assert_internally_consistent(snap: &ServeSnapshot) {
 /// Streams `ops` through a serve pipeline while `READERS` threads pin and
 /// check every version they observe. With a `residency` policy the writer
 /// runs under a memory budget — readers must still never observe a torn,
-/// stale or panicking view (the writer rehydrates published neighbourhoods
-/// before every swap).
+/// stale or panicking view (a published view is self-contained: its
+/// weights came off the commit's delta, so nothing a reader touches can be
+/// cold).
 fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
     let mut engine = IncrementalPipeline::dirty(
         WeightingScheme::Cbs,
@@ -236,9 +239,8 @@ proptest! {
 
     /// The same contract with the writer under the tightest possible
     /// memory budget (evict everything after every commit, spilled to
-    /// disk): publication must rehydrate whatever a reader could touch,
-    /// so pinned views stay complete and bit-identical while the engine's
-    /// working set lives in the cold tier.
+    /// disk): pinned views stay complete and bit-identical while the
+    /// engine's working set lives in the cold tier.
     #[test]
     fn prop_concurrent_reads_survive_a_tight_budget(
         ops in op_strategy(),
@@ -264,7 +266,7 @@ fn scripted_stream_hammers_reclamation() {
 }
 
 /// Deterministic tight-budget variant of the hammer: every commit demotes
-/// the full working set, every publish rehydrates what readers can reach.
+/// the full working set and the next one reads back what it repairs.
 #[test]
 fn scripted_stream_hammers_under_zero_budget() {
     let ops: Vec<Op> = (0..40u8)
@@ -279,4 +281,132 @@ fn scripted_stream_hammers_under_zero_budget() {
             spill: false,
         }),
     );
+}
+
+/// The publish path reads nothing from the engine — weights ride the
+/// commit's delta — so under a zero budget a serving pipeline reads back
+/// exactly the cold rows the bare engine does on the same stream.
+#[test]
+fn zero_budget_publish_rehydrates_nothing() {
+    let engine = || {
+        IncrementalPipeline::dirty(
+            WeightingScheme::Cbs,
+            IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+            CleaningConfig::none(),
+        )
+        .with_residency(ResidencyPolicy {
+            budget_bytes: 0,
+            idle_commits: 0,
+            spill: false,
+        })
+    };
+    let (mut serve, mut bare) = (ServePipeline::new(engine()), engine());
+    let mut published = 0usize;
+    for i in 0..60u8 {
+        // Three inserts, then an update and a delete of older profiles.
+        let value = value_of(&[i % 10, (i / 2) % 10, (i / 7) % 10]);
+        let victim = ProfileId(u32::from(i / 5) + u32::from(i % 5 == 4));
+        match i % 5 {
+            3 if bare.store().is_live(victim) => {
+                serve.update(victim, [("text", value.as_str())]);
+                bare.update(victim, [("text", value.as_str())]);
+            }
+            4 if bare.store().is_live(victim) => {
+                serve.delete(victim);
+                bare.delete(victim);
+            }
+            _ => {
+                serve.insert(SourceId(0), &format!("p{i}"), [("text", value.as_str())]);
+                bare.insert(SourceId(0), &format!("p{i}"), [("text", value.as_str())]);
+            }
+        }
+        published += serve.commit_and_publish().delta.added.len();
+        bare.commit();
+        assert_eq!(
+            serve.inner().cold_stats().rehydrations,
+            bare.cold_stats().rehydrations,
+            "commit {i}: publishing read cold rows back"
+        );
+    }
+    assert!(published > 0, "the stream published weighted pairs");
+    assert!(bare.cold_stats().rehydrations > 0, "the budget bites");
+    assert!(serve.verify_equivalence());
+}
+
+/// Publish work is O(delta), on an exact counter: with the view spread over
+/// at least four chunks, a commit copies no more rows than it touches —
+/// one per mutated profile plus the two endpoints of every flipped pair —
+/// and clones no more chunks than hold those rows.
+#[test]
+fn publish_copies_at_most_the_delta() {
+    let mut p = ServePipeline::new(IncrementalPipeline::dirty(
+        WeightingScheme::Cbs,
+        IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+        CleaningConfig::none(),
+    ));
+    // Three tokens per profile out of a wide vocabulary: small blocks, so
+    // a commit's neighbourhood is a sliver of the corpus.
+    let value = |i: u32| {
+        // Purely alphabetic words, so the tokenizer keeps each whole.
+        let word = |k: u32| -> String {
+            let n = ((i * 3 + k).wrapping_mul(0x9E37_79B1) >> 8) % 2500;
+            [n / 676, n / 26 % 26, n % 26]
+                .iter()
+                .map(|&d| char::from(b'a' + d as u8))
+                .collect()
+        };
+        format!("{} {} {}", word(0), word(1), word(2))
+    };
+    let copied = |p: &ServePipeline| {
+        let snap = p.metrics().snapshot();
+        (
+            snap.counter(names::SERVE_ROWS_COPIED),
+            snap.counter(names::SERVE_CHUNKS_COPIED),
+        )
+    };
+    let nodes = 4 * CHUNK_NODES as u32 + 96;
+    let (mut next, mut gated) = (0u32, 0usize);
+    while next < nodes {
+        let mut mutated = 0u64;
+        for _ in 0..32 {
+            p.insert(
+                SourceId(0),
+                &format!("p{next}"),
+                [("text", value(next).as_str())],
+            );
+            next += 1;
+            mutated += 1;
+        }
+        if next > 3 * CHUNK_NODES as u32 {
+            // Churn in the old chunks too, not just appends to the last.
+            p.update(ProfileId(next % 700), [("text", value(next + 7).as_str())]);
+            p.delete(ProfileId(700 + next % 300));
+            mutated += 2;
+        }
+        let before = copied(&p);
+        let out = p.commit_and_publish();
+        let after = copied(&p);
+        let (rows, chunks) = (after.0 - before.0, after.1 - before.1);
+        let flips = (out.delta.added.len() + out.delta.retracted.len()) as u64;
+        let view_chunks = (p.latest().nodes() as usize).div_ceil(CHUNK_NODES) as u64;
+        if view_chunks >= 4 {
+            gated += 1;
+            assert!(
+                rows <= mutated + 2 * flips,
+                "{rows} rows copied for {mutated} mutations + {flips} flips"
+            );
+            assert!(chunks <= view_chunks, "{chunks} of {view_chunks} chunks");
+            assert!(
+                rows < u64::from(p.latest().nodes()) / 4,
+                "{rows} rows copied of {}: not a sliver",
+                p.latest().nodes()
+            );
+            assert!(
+                rows > 0 && chunks > 0,
+                "a commit with flips copies something"
+            );
+        }
+    }
+    assert!(gated >= 10, "only {gated} commits ran with ≥ 4 chunks");
+    assert!(p.verify_equivalence());
 }
