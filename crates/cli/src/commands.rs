@@ -630,8 +630,9 @@ pub fn bench(args: &Args) -> Result<String, String> {
 
 /// `blast serve`: generate a dirty preset in memory, stream it through
 /// the serving pipeline on this (writer) thread while a pool of HTTP
-/// reader threads answers `/candidates`, `/topk`, `/stats` and `/metrics`
-/// from epoch-published snapshots — lock-free reads under live ingest.
+/// worker threads answers `/candidates`, `/topk`, `/stats` and `/metrics`
+/// from the snapshot each commit publishes — a request holds the shared
+/// lock around it for one `Arc` clone, then reads its own version.
 ///
 /// The bound address is printed to stdout (`serving on http://…`) as soon
 /// as the listener is up, so scripts can scrape it while the command
@@ -653,13 +654,14 @@ pub fn serve(args: &Args) -> Result<String, String> {
             .parse()
             .map_err(|_| format!("--port expects a port number, got {p:?}"))?,
     };
-    // Reader-pool sizing follows the same ladder as the pipeline's worker
+    // Worker-pool sizing follows the same ladder as the pipeline's worker
     // threads: --threads wins, else default_threads (which honours the
-    // BLAST_THREADS env var), capped by the epoch's reader-slot budget.
+    // BLAST_THREADS env var). Both come from outside: cap what they spawn.
+    const MAX_HTTP_WORKERS: usize = 64;
     let readers = args
         .get_usize("threads")?
         .unwrap_or_else(|| default_threads(d.len()))
-        .min(blast_serve::MAX_READERS);
+        .min(MAX_HTTP_WORKERS);
 
     let mut pipeline = ServePipeline::new(incremental_pipeline(args)?);
     let state = ServeState {

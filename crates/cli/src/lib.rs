@@ -84,19 +84,20 @@ const SERVE_USAGE: &str = "\
   blast serve    [--preset census] [--scale 0.05] [--batch-size 64]
                  [--addr 127.0.0.1] [--port 0]  (0 = ephemeral; the bound
                  address is printed as 'serving on http://...' on stdout)
-                 [--threads N]  (HTTP reader-pool size and pipeline worker
-                 threads; defaults to auto-scaling, or the BLAST_THREADS
-                 env var) [--pruning ...] [--scheme ...] [--no-cleaning]
+                 [--threads N]  (HTTP worker-pool size, at most 64, and
+                 pipeline worker threads; defaults to auto-scaling, or the
+                 BLAST_THREADS env var)
+                 [--pruning ...] [--scheme ...] [--no-cleaning]
                  [--linger SECS]  (keep serving after the ingest drains)
                  [--memory-budget BYTES] [--spill]  (cold-tier residency
-                 on the writer; readers never see a cold row — the writer
-                 rehydrates published neighbourhoods before each swap;
-                 see blast stream)
+                 on the writer; readers never see a cold row — a
+                 published view carries its own weights and reads nothing
+                 from the engine; see blast stream)
                  [--verify]  (gate on published == incremental == batch)
                  Streams the preset through the incremental pipeline on
                  the writer thread while serving /candidates, /topk,
-                 /stats and /metrics lock-free from epoch-published
-                 snapshots.";
+                 /stats and /metrics from the snapshot each commit
+                 publishes (one shared-lock Arc clone per request).";
 
 const SCHEMA_USAGE: &str = "\
   blast schema   --d1 A.csv --d2 B.csv [--algorithm lmi|ac] [--lsh-threshold T]";

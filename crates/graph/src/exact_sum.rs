@@ -83,28 +83,6 @@ impl ExactSum {
         self.pending = 0;
     }
 
-    /// Folds `other` into `self` exactly — the reduction step of a
-    /// parallel sum: per-chunk partial accumulators merged in any order
-    /// yield the same register as accumulating every addend into one, so
-    /// the rounded total is bit-identical however the work was split.
-    ///
-    /// `other`'s limbs are normalised into canonical form first (each limb
-    /// in `[0, 2³²)` bar the signed top), so the limb-wise addition grows
-    /// every limb of `self` by less than one raw add's worth — counted as a
-    /// single `pending` unit against the renormalisation budget.
-    pub fn merge(&mut self, other: &ExactSum) {
-        let mut theirs = other.limbs;
-        normalize(&mut theirs);
-        for (mine, limb) in self.limbs.iter_mut().zip(theirs) {
-            *mine += limb;
-        }
-        self.pending += 1;
-        if self.pending >= RENORM_AFTER {
-            normalize(&mut self.limbs);
-            self.pending = 0;
-        }
-    }
-
     fn accumulate(&mut self, x: f64, negate: bool) {
         debug_assert!(x.is_finite(), "ExactSum over finite values only");
         if x == 0.0 {
@@ -241,48 +219,6 @@ mod tests {
             }
         }
         assert_eq!(s.round(), reference as f64);
-    }
-
-    #[test]
-    fn merge_matches_single_accumulator_bitwise() {
-        // Any partition of the addends into partial accumulators, merged in
-        // any order, must round to the same bits as one serial accumulator.
-        let values: Vec<f64> = (0..257)
-            .map(|i| ((i * 37 + 11) as f64).sin() * 10f64.powi((i % 61) - 30))
-            .collect();
-        let whole = ExactSum::of(values.iter().copied());
-        for parts in [2usize, 3, 7] {
-            let partials: Vec<ExactSum> = (0..parts)
-                .map(|s| {
-                    ExactSum::of(
-                        values
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| i % parts == s)
-                            .map(|(_, &v)| v),
-                    )
-                })
-                .collect();
-            let mut forward = ExactSum::new();
-            for p in &partials {
-                forward.merge(p);
-            }
-            let mut backward = ExactSum::new();
-            for p in partials.iter().rev() {
-                backward.merge(p);
-            }
-            assert_eq!(forward.round().to_bits(), whole.round().to_bits());
-            assert_eq!(backward.round().to_bits(), whole.round().to_bits());
-        }
-    }
-
-    #[test]
-    fn merge_into_nonempty_accumulator() {
-        let mut a = ExactSum::of([0.1, 1e300, -2.5]);
-        let b = ExactSum::of([5e-320, 1e-17, 42.0]);
-        a.merge(&b);
-        let whole = ExactSum::of([0.1, 1e300, -2.5, 5e-320, 1e-17, 42.0]);
-        assert_eq!(a.round().to_bits(), whole.round().to_bits());
     }
 
     #[test]

@@ -125,7 +125,8 @@ pub const SERVE_QUERIES: &str = "serve.queries";
 pub const SERVE_SNAPSHOT_SWAPS: &str = "serve.snapshot_swaps";
 /// Serve-side read latency (nanosecond histogram, exported in seconds).
 pub const SERVE_READ_LATENCY: &str = "serve.read_latency_secs";
-/// Retired snapshot versions awaiting epoch reclamation (gauge).
+/// Retired snapshot versions a reader still holds after the latest
+/// publish (gauge).
 pub const SERVE_STALE_EPOCHS: &str = "serve.stale_epochs";
 /// Wall clock of one publish — update build, snapshot apply, epoch swap
 /// and reclaim; `commit_and_publish` minus the engine's commit (nanosecond

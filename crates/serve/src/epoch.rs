@@ -1,280 +1,52 @@
-//! Epoch-published shared values: one writer swaps immutable versions in,
-//! any number of readers observe them **lock-free and wait-free**.
+//! The published value: an `RwLock<Arc<T>>` one writer swaps and any
+//! number of readers clone out of.
 //!
-//! The serving layer's contract is asymmetric: commits are rare (tens to
-//! thousands per second) and queries are hot (readers must never touch a
-//! `Mutex`/`RwLock`, never spin, and never block a commit). The classic
-//! shapes all fail one side of it — `RwLock<Arc<T>>` serialises readers
-//! against the writer's swap, and a bare `AtomicPtr` swap leaves the
-//! writer unable to tell when the previous version can be freed.
-//!
-//! [`Epoch`] solves reclamation with **quiescent-state tracking** (the
-//! scheme RCU-style systems use): every registered reader owns one
-//! cache-line-padded sequence slot that is *even while quiescent* and *odd
-//! while a read is pinned*. Reading is two `SeqCst` stores around a
-//! pointer load — constant work, no loops, no CAS, so the read path is
-//! wait-free. Publishing swaps the current pointer, records the sequence
-//! vector it observed, and frees a retired version only once every slot
-//! that was odd at retirement has since moved — proof its reader finished
-//! the read that might have seen the old pointer.
-//!
-//! Why this is safe (the Dekker-style argument, all four accesses
-//! `SeqCst`): order the reader's *pin store* and the writer's *pointer
-//! swap* in the single total order of `SeqCst` operations. If the pin
-//! precedes the swap, the writer's post-swap scan of the slots observes
-//! the odd sequence (or a later value — in which case the reader has
-//! already unpinned) and refuses to free. If the swap precedes the pin,
-//! the reader's subsequent pointer load observes the *new* pointer, so
-//! the retired one was never reachable from that pin. Either way no
-//! reader dereferences freed memory.
-//!
-//! Retired-but-unreclaimed versions are the **stale epochs** the serving
-//! metrics gauge reports: a reader camping on a pin keeps exactly the
-//! versions it might still see alive, and nothing else.
+//! A reader holds the shared lock for one `Arc::clone`, the writer the
+//! exclusive lock for one pointer swap; neither section can panic, so the
+//! lock is never poisoned. A reader keeps its version alive by holding the
+//! `Arc`, and the last holder frees it: the version a publish retires is
+//! handed back to the caller and dropped outside the lock.
 
-use std::ops::Deref;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
-/// Maximum concurrently registered readers (one bit of the claim mask).
-pub const MAX_READERS: usize = 64;
-
-/// One reader's sequence slot, padded to a cache line so reader pins never
-/// false-share with their neighbours.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct Slot(AtomicU64);
-
-/// A retired version awaiting reclamation: the pointer plus the slot
-/// sequences the writer observed right after unlinking it.
-struct Retired<T> {
-    ptr: *mut T,
-    seqs: [u64; MAX_READERS],
-}
-
-// Retired pointers are owned by the epoch (readers only borrow).
-unsafe impl<T: Send> Send for Retired<T> {}
-
-/// An epoch-published value of type `T`: see the module docs.
-pub struct Epoch<T> {
-    current: AtomicPtr<T>,
-    /// Bitmask of claimed reader slots.
-    claimed: AtomicU64,
-    slots: Box<[Slot; MAX_READERS]>,
-    /// Number of [`Epoch::publish`] calls.
-    swaps: AtomicU64,
-    /// Writer-side retirement queue. Only `publish`/`collect` lock it —
-    /// never the read path.
-    retired: Mutex<Vec<Retired<T>>>,
-}
-
-// The epoch hands `&T` to arbitrary threads and owns `T`s across threads.
-unsafe impl<T: Send + Sync> Send for Epoch<T> {}
-unsafe impl<T: Send + Sync> Sync for Epoch<T> {}
+/// The current version of a `T`, replaced whole on every publish.
+#[derive(Debug)]
+pub struct Epoch<T>(RwLock<Arc<T>>);
 
 impl<T> Epoch<T> {
-    /// A new epoch publishing `initial` as version zero.
-    pub fn new(initial: T) -> Self {
-        Self {
-            current: AtomicPtr::new(Box::into_raw(Box::new(initial))),
-            claimed: AtomicU64::new(0),
-            slots: Box::new(std::array::from_fn(|_| Slot::default())),
-            swaps: AtomicU64::new(0),
-            retired: Mutex::new(Vec::new()),
-        }
+    /// An epoch whose current version is `initial`.
+    pub fn new(initial: Arc<T>) -> Self {
+        Self(RwLock::new(initial))
     }
 
-    /// Registers a reader, claiming one of the [`MAX_READERS`] slots.
-    /// Returns `None` when every slot is taken. Registration is a CAS loop
-    /// on the claim mask — it is *not* the read hot path.
-    pub fn register(self: &Arc<Self>) -> Option<Reader<T>> {
-        loop {
-            let mask = self.claimed.load(Ordering::Acquire);
-            let free = !mask;
-            if free == 0 {
-                return None;
-            }
-            let index = free.trailing_zeros() as usize;
-            let bit = 1u64 << index;
-            if self
-                .claimed
-                .compare_exchange(mask, mask | bit, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                debug_assert!(self.slots[index]
-                    .0
-                    .load(Ordering::Relaxed)
-                    .is_multiple_of(2));
-                return Some(Reader {
-                    epoch: Arc::clone(self),
-                    index,
-                });
-            }
-        }
+    /// The current version; it stays alive for as long as the caller holds
+    /// the `Arc`, however many publishes follow.
+    pub fn load(&self) -> Arc<T> {
+        Arc::clone(&self.0.read().expect("no epoch section can panic"))
     }
 
-    /// Publishes a new version, retiring the previous one, and attempts to
-    /// reclaim every retired version no pinned reader can still see.
-    /// Returns the number of versions still awaiting reclamation (the
-    /// stale-epoch gauge). Writer-side only; never called by readers.
-    pub fn publish(&self, value: T) -> usize {
-        let new = Box::into_raw(Box::new(value));
-        let old = self.current.swap(new, Ordering::SeqCst);
-        let seqs = std::array::from_fn(|i| self.slots[i].0.load(Ordering::SeqCst));
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        let mut retired = self.retired.lock().expect("epoch writer poisoned");
-        retired.push(Retired { ptr: old, seqs });
-        Self::collect_locked(&self.slots, &mut retired);
-        retired.len()
-    }
-
-    /// Re-attempts reclamation without publishing (e.g. on an idle tick).
-    /// Returns the remaining stale-epoch count.
-    pub fn collect(&self) -> usize {
-        let mut retired = self.retired.lock().expect("epoch writer poisoned");
-        Self::collect_locked(&self.slots, &mut retired);
-        retired.len()
-    }
-
-    /// Number of versions published so far (excluding the initial one).
-    pub fn swap_count(&self) -> u64 {
-        self.swaps.load(Ordering::Relaxed)
-    }
-
-    /// Retired versions not yet reclaimed (diagnostics; takes the writer
-    /// lock, so keep it off the read path).
-    pub fn stale_epochs(&self) -> usize {
-        self.retired.lock().expect("epoch writer poisoned").len()
-    }
-
-    /// Frees every retired version whose observed-odd slots have all moved
-    /// on. Runs under the retirement lock.
-    fn collect_locked(slots: &[Slot; MAX_READERS], retired: &mut Vec<Retired<T>>) {
-        retired.retain(|r| {
-            let still_pinned = r.seqs.iter().enumerate().any(|(i, &seq)| {
-                // Even = quiescent at retirement; odd + unchanged = that
-                // reader may still hold the retired pointer.
-                seq % 2 == 1 && slots[i].0.load(Ordering::SeqCst) == seq
-            });
-            if !still_pinned {
-                // SAFETY: every reader that could have loaded this pointer
-                // was observed quiescent (or has re-pinned, in which case
-                // its load — SeqCst-after its pin store, which is
-                // SeqCst-after our swap — saw a newer pointer).
-                unsafe { drop(Box::from_raw(r.ptr)) };
-            }
-            still_pinned
-        });
-    }
-}
-
-impl<T> Drop for Epoch<T> {
-    fn drop(&mut self) {
-        // No readers can exist here: `Reader` holds an `Arc<Epoch>`.
-        let current = *self.current.get_mut();
-        unsafe { drop(Box::from_raw(current)) };
-        for r in self
-            .retired
-            .get_mut()
-            .expect("epoch writer poisoned")
-            .drain(..)
-        {
-            unsafe { drop(Box::from_raw(r.ptr)) };
-        }
-    }
-}
-
-impl<T> std::fmt::Debug for Epoch<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Epoch")
-            .field("swaps", &self.swap_count())
-            .field(
-                "readers",
-                &self.claimed.load(Ordering::Relaxed).count_ones(),
-            )
-            .finish()
-    }
-}
-
-/// A registered reader: owns one sequence slot of its epoch. Cheap to keep
-/// per thread; [`Reader::pin`] is the wait-free read entry point.
-pub struct Reader<T> {
-    epoch: Arc<Epoch<T>>,
-    index: usize,
-}
-
-impl<T> Reader<T> {
-    /// Pins the current version for reading. Wait-free: one sequence
-    /// store, one pointer load. The guard borrows the reader mutably, so a
-    /// reader holds at most one pin at a time (nested pins would corrupt
-    /// the even/odd protocol).
-    pub fn pin(&mut self) -> Guard<'_, T> {
-        let slot = &self.epoch.slots[self.index].0;
-        let seq = slot.load(Ordering::Relaxed);
-        debug_assert!(seq.is_multiple_of(2), "reader already pinned");
-        // SeqCst store-then-load: see the module-level safety argument.
-        slot.store(seq + 1, Ordering::SeqCst);
-        let ptr = self.epoch.current.load(Ordering::SeqCst);
-        Guard { reader: self, ptr }
-    }
-
-    /// The shared epoch (e.g. for stats).
-    pub fn epoch(&self) -> &Arc<Epoch<T>> {
-        &self.epoch
-    }
-}
-
-impl<T> Drop for Reader<T> {
-    fn drop(&mut self) {
-        let bit = 1u64 << self.index;
-        self.epoch.claimed.fetch_and(!bit, Ordering::AcqRel);
-    }
-}
-
-impl<T> std::fmt::Debug for Reader<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reader").field("slot", &self.index).finish()
-    }
-}
-
-/// A pinned read of one published version. Dereferences to the version;
-/// dropping it unpins (one `Release` store).
-pub struct Guard<'a, T> {
-    reader: &'a mut Reader<T>,
-    ptr: *const T,
-}
-
-impl<T> Deref for Guard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: the pointer was loaded while this reader's slot was odd;
-        // the writer will not free it until the slot moves (guard drop).
-        unsafe { &*self.ptr }
-    }
-}
-
-impl<T> Drop for Guard<'_, T> {
-    fn drop(&mut self) {
-        let slot = &self.reader.epoch.slots[self.reader.index].0;
-        let seq = slot.load(Ordering::Relaxed);
-        debug_assert!(seq % 2 == 1, "guard without a pin");
-        slot.store(seq + 1, Ordering::Release);
+    /// Makes `next` the current version and returns the one it retired.
+    pub fn publish(&self, next: Arc<T>) -> Arc<T> {
+        std::mem::replace(
+            &mut *self.0.write().expect("no epoch section can panic"),
+            next,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Weak;
 
-    /// Counts live instances so reclamation is observable.
+    /// Counts live instances so freeing is observable.
     struct Tracked(u64, Arc<AtomicUsize>);
 
     impl Tracked {
-        fn new(v: u64, live: &Arc<AtomicUsize>) -> Self {
+        fn new(v: u64, live: &Arc<AtomicUsize>) -> Arc<Self> {
             live.fetch_add(1, Ordering::SeqCst);
-            Tracked(v, Arc::clone(live))
+            Arc::new(Tracked(v, Arc::clone(live)))
         }
     }
 
@@ -286,81 +58,62 @@ mod tests {
 
     #[test]
     fn publish_and_read_roundtrip() {
-        let epoch = Arc::new(Epoch::new(0u64));
-        let mut reader = epoch.register().expect("slot");
-        assert_eq!(*reader.pin(), 0);
-        epoch.publish(7);
-        assert_eq!(*reader.pin(), 7);
-        assert_eq!(epoch.swap_count(), 1);
+        let epoch = Epoch::new(Arc::new(0u64));
+        assert_eq!(*epoch.load(), 0);
+        assert_eq!(
+            *epoch.publish(Arc::new(7)),
+            0,
+            "publish returns the retired"
+        );
+        assert_eq!(*epoch.load(), 7);
     }
 
     #[test]
-    fn unpinned_versions_are_reclaimed() {
+    fn unheld_versions_are_freed_at_publish() {
         let live = Arc::new(AtomicUsize::new(0));
-        let epoch = Arc::new(Epoch::new(Tracked::new(0, &live)));
-        let mut reader = epoch.register().expect("slot");
+        let epoch = Epoch::new(Tracked::new(0, &live));
         for v in 1..=100 {
-            let guard = reader.pin();
-            assert!(guard.0 < v);
-            drop(guard);
-            let stale = epoch.publish(Tracked::new(v, &live));
-            // The reader was quiescent at every retirement: nothing
-            // lingers beyond the freshly retired version at worst.
-            assert!(stale <= 1, "stale epochs grew to {stale}");
+            // A read that ends before the publish holds nothing back.
+            assert!(epoch.load().0 < v);
+            drop(epoch.publish(Tracked::new(v, &live)));
+            assert_eq!(live.load(Ordering::SeqCst), 1, "only current is alive");
         }
-        assert!(live.load(Ordering::SeqCst) <= 2);
-        drop(reader);
         drop(epoch);
         assert_eq!(live.load(Ordering::SeqCst), 0, "drop frees everything");
     }
 
     #[test]
-    fn pinned_reader_keeps_its_version_alive() {
+    fn held_version_stays_alive_and_is_counted() {
         let live = Arc::new(AtomicUsize::new(0));
-        let epoch = Arc::new(Epoch::new(Tracked::new(0, &live)));
-        let mut reader = epoch.register().expect("slot");
-        let guard = reader.pin();
-        assert_eq!(guard.0, 0);
+        let epoch = Epoch::new(Tracked::new(0, &live));
+        let held = epoch.load();
+        // The writer's backlog count: weak handles to what it retired.
+        let mut retired: Vec<Weak<Tracked>> = Vec::new();
         for v in 1..=10 {
-            epoch.publish(Tracked::new(v, &live));
+            retired.push(Arc::downgrade(&epoch.publish(Tracked::new(v, &live))));
+            retired.retain(|w| w.strong_count() > 0);
+            assert_eq!(held.0, 0, "a held version is immutable");
+            assert_eq!(live.load(Ordering::SeqCst), 2, "held + current");
+            assert_eq!(retired.len(), 1, "the camping reader's version");
         }
-        // The pinned version 0 plus the current version must be alive (the
-        // intermediates were retired while the slot value never moved, but
-        // version 0 is the one the guard actually sees).
-        assert_eq!(guard.0, 0, "pinned read is immutable");
-        assert!(epoch.stale_epochs() >= 1, "camping pin blocks reclamation");
-        drop(guard);
-        assert_eq!(epoch.collect(), 0, "unpinning releases the backlog");
+        drop(held);
+        retired.retain(|w| w.strong_count() > 0);
+        assert!(retired.is_empty(), "releasing clears the backlog");
         assert_eq!(live.load(Ordering::SeqCst), 1, "only current remains");
-    }
-
-    #[test]
-    fn slots_are_reusable_and_bounded() {
-        let epoch = Arc::new(Epoch::new(0u64));
-        let readers: Vec<_> = (0..MAX_READERS)
-            .map(|_| epoch.register().unwrap())
-            .collect();
-        assert!(epoch.register().is_none(), "slots exhausted");
-        drop(readers);
-        assert!(epoch.register().is_some(), "slots recycle");
     }
 
     #[test]
     fn concurrent_readers_never_see_torn_versions() {
         // Versions carry a self-consistency stamp: (v, v * 3). A torn or
         // freed read would break the invariant.
-        let epoch = Arc::new(Epoch::new((0u64, 0u64)));
-        let stop = Arc::new(AtomicU64::new(0));
+        let epoch = Epoch::new(Arc::new((0u64, 0u64)));
+        let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let epoch = Arc::clone(&epoch);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut reader = epoch.register().expect("slot");
+                scope.spawn(|| {
                     let mut last = 0u64;
-                    while stop.load(Ordering::Relaxed) == 0 {
-                        let guard = reader.pin();
-                        let (v, stamp) = *guard;
+                    while !stop.load(Ordering::Relaxed) {
+                        let (v, stamp) = *epoch.load();
                         assert_eq!(stamp, v * 3, "torn read");
                         assert!(v >= last, "versions observed non-monotonically");
                         last = v;
@@ -368,11 +121,10 @@ mod tests {
                 });
             }
             for v in 1..=10_000u64 {
-                epoch.publish((v, v * 3));
+                epoch.publish(Arc::new((v, v * 3)));
             }
-            stop.store(1, Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(epoch.swap_count(), 10_000);
-        assert_eq!(epoch.collect(), 0);
+        assert_eq!(*epoch.load(), (10_000, 30_000));
     }
 }

@@ -1,13 +1,16 @@
-//! A zero-dependency HTTP/1.1 front end over the epoch-published snapshot.
+//! A zero-dependency HTTP/1.1 front end over the published snapshot.
 //!
-//! `std` only: one shared [`TcpListener`] and a small fixed pool of reader
+//! `std` only: one shared [`TcpListener`] and a small fixed pool of worker
 //! threads that each block in `accept` concurrently — the kernel
 //! load-balances incoming connections across the pool, so there is no
-//! user-space dispatch queue (and no lock) in front of the readers.
-//! Each worker owns one epoch [`Reader`](crate::epoch::Reader) slot;
-//! answering a query is
-//! pin → read → unpin against the immutable [`ServeSnapshot`], never a
-//! `Mutex`/`RwLock`.
+//! user-space dispatch queue in front of the workers. Answering a query
+//! is one [`Epoch::load`] — a shared lock held for one `Arc` clone — and
+//! then plain reads of the immutable [`ServeSnapshot`] the `Arc` keeps
+//! alive.
+//!
+//! A request head is bounded: a request line over 8 KiB is answered
+//! `414`, a head over 16 KiB or 64 header lines `431`, and the connection
+//! is closed.
 //!
 //! Endpoints (all `GET`, JSON unless noted):
 //!
@@ -19,19 +22,26 @@
 //! | `/metrics` | Prometheus text exposition (commit + serve families) |
 //!
 //! Every snapshot-backed response carries the `seq` it was answered at —
-//! one pin per request, so a response never mixes two versions.
+//! one load per request, so a response never mixes two versions.
 
 use crate::epoch::Epoch;
 use crate::metrics::{ServeMetrics, ServeTotals};
 use crate::snapshot::ServeSnapshot;
 use blast_obs::trace::JsonObject;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything a reader thread needs to answer queries.
+/// Longest request line answered, in bytes; a longer one gets `414`.
+const MAX_REQUEST_LINE: usize = 8 * 1024;
+/// Largest request head (request line + headers), in bytes, and the most
+/// header lines; past either the request gets `431`.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEADERS: usize = 64;
+
+/// Everything a worker thread needs to answer queries.
 #[derive(Clone)]
 pub struct ServeState {
     /// The epoch the writer publishes snapshots into.
@@ -51,27 +61,20 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// `readers` worker threads. Fails when the bind fails or when more
-    /// epoch reader slots are requested than exist.
+    /// `readers` worker threads (at least one). Fails when the bind fails.
     pub fn start(state: ServeState, addr: &str, readers: usize) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let listener = Arc::new(listener);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let readers = readers.max(1);
-        let mut workers = Vec::with_capacity(readers);
-        for _ in 0..readers {
-            let reader = state
-                .epoch
-                .register()
-                .ok_or_else(|| std::io::Error::other("epoch reader slots exhausted"))?;
-            let listener = Arc::clone(&listener);
-            let shutdown = Arc::clone(&shutdown);
-            let state = state.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&listener, &shutdown, &state, reader);
-            }));
-        }
+        let workers = (0..readers.max(1))
+            .map(|_| {
+                let listener = Arc::clone(&listener);
+                let shutdown = Arc::clone(&shutdown);
+                let state = state.clone();
+                std::thread::spawn(move || worker_loop(&listener, &shutdown, &state))
+            })
+            .collect();
         Ok(Server {
             addr: local,
             shutdown,
@@ -108,12 +111,7 @@ impl std::fmt::Debug for Server {
 }
 
 /// One worker: accept → serve the connection (keep-alive) → repeat.
-fn worker_loop(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-    state: &ServeState,
-    mut reader: crate::epoch::Reader<ServeSnapshot>,
-) {
+fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, state: &ServeState) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if shutdown.load(Ordering::SeqCst) {
@@ -124,7 +122,7 @@ fn worker_loop(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let _ = serve_connection(stream, shutdown, state, &mut reader);
+        let _ = serve_connection(stream, shutdown, state);
     }
 }
 
@@ -134,7 +132,6 @@ fn serve_connection(
     stream: TcpStream,
     shutdown: &AtomicBool,
     state: &ServeState,
-    reader: &mut crate::epoch::Reader<ServeSnapshot>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     stream.set_nodelay(true)?;
@@ -142,18 +139,17 @@ fn serve_connection(
     let mut output = stream;
     loop {
         let request = match read_request(&mut input, shutdown) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()),
-            Err(e) if would_block(&e) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
+            Ok(Head::Request(r)) => r,
+            // Past a cap nothing says where the next request would start:
+            // answer and close.
+            Ok(Head::Refused(status)) => {
+                let refusal = Response::error(status, "request head too large");
+                return write_response(&mut output, &refusal, true);
             }
-            Err(_) => return Ok(()),
+            Ok(Head::Closed) | Err(_) => return Ok(()),
         };
-        let response = route(&request, state, reader);
-        write_response(&mut output, &response)?;
+        let response = route(&request, state);
+        write_response(&mut output, &response, request.close)?;
         if request.close {
             return Ok(());
         }
@@ -167,7 +163,7 @@ fn would_block(e: &std::io::Error) -> bool {
     )
 }
 
-/// A parsed request line (the only parts this server needs).
+/// A parsed request head (the only parts this server needs).
 struct Request {
     method: String,
     path: String,
@@ -175,57 +171,80 @@ struct Request {
     close: bool,
 }
 
-/// Reads one request head; `Ok(None)` on a cleanly closed connection.
-fn read_request(
+/// What reading one request head came to.
+enum Head {
+    Request(Request),
+    /// The peer closed the connection before a whole head arrived.
+    Closed,
+    /// The head broke a cap; the status that says which.
+    Refused(u16),
+}
+
+/// Reads through the next `\n` into `line`. A read timeout retries with
+/// what already arrived still in `line`, so a slow client loses nothing;
+/// it becomes an error once the server shuts down. `Some` is why there is
+/// no whole line: it would pass `cap` bytes (`over_cap` is the status for
+/// that), or the peer closed first.
+fn read_line_capped(
     input: &mut BufReader<TcpStream>,
     shutdown: &AtomicBool,
-) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
+    line: &mut Vec<u8>,
+    cap: usize,
+    over_cap: u16,
+) -> std::io::Result<Option<Head>> {
     loop {
-        line.clear();
-        match input.read_line(&mut line) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
+        // One byte past the cap tells "too long" from "closed early".
+        let room = (cap + 1).saturating_sub(line.len()) as u64;
+        match input.by_ref().take(room).read_until(b'\n', line) {
             Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
             Err(e) => return Err(e),
+            Ok(_) if line.len() > cap => return Ok(Some(Head::Refused(over_cap))),
+            Ok(_) if line.last() != Some(&b'\n') => return Ok(Some(Head::Closed)),
+            Ok(_) => return Ok(None),
         }
     }
-    let mut parts = line.split_whitespace();
+}
+
+/// Reads one request head within the module's caps.
+fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std::io::Result<Head> {
+    let mut line = Vec::new();
+    if let Some(end) = read_line_capped(input, shutdown, &mut line, MAX_REQUEST_LINE, 414)? {
+        return Ok(end);
+    }
+    let text = String::from_utf8_lossy(&line);
+    let mut parts = text.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    // Keep-alive is HTTP/1.1's default.
+    let mut request = Request {
+        method,
+        path: path.to_string(),
+        query: query.to_string(),
+        close: false,
     };
-    // Drain headers until the blank line; keep-alive is HTTP/1.1's default.
-    let mut close = false;
-    loop {
-        let mut header = String::new();
-        match input.read_line(&mut header) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                let h = header.trim();
-                if h.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = h.split_once(':') {
-                    if name.eq_ignore_ascii_case("connection")
-                        && value.trim().eq_ignore_ascii_case("close")
-                    {
-                        close = true;
-                    }
-                }
+    // Drain headers until the blank line: `MAX_HEADERS` of them at most,
+    // in what the request line left of the head's bytes.
+    let mut room = MAX_HEAD_BYTES - line.len();
+    for _ in 0..=MAX_HEADERS {
+        line.clear();
+        if let Some(end) = read_line_capped(input, shutdown, &mut line, room, 431)? {
+            return Ok(end);
+        }
+        room -= line.len();
+        let header = String::from_utf8_lossy(&line);
+        let header = header.trim();
+        if header.is_empty() {
+            return Ok(Head::Request(request));
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("connection") && value.trim().eq_ignore_ascii_case("close")
+            {
+                request.close = true;
             }
-            Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
-            Err(e) => return Err(e),
         }
     }
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        close,
-    }))
+    Ok(Head::Refused(431))
 }
 
 /// An HTTP response about to be written.
@@ -252,21 +271,24 @@ impl Response {
     }
 }
 
-fn write_response(output: &mut TcpStream, r: &Response) -> std::io::Result<()> {
+fn write_response(output: &mut TcpStream, r: &Response, close: bool) -> std::io::Result<()> {
     let reason = match r.status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
         output,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
         r.status,
         reason,
         r.content_type,
         r.body.len(),
+        if close { "close" } else { "keep-alive" },
         r.body
     )?;
     output.flush()
@@ -282,12 +304,8 @@ fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
-/// Dispatches one request. The snapshot-backed endpoints pin exactly once.
-fn route(
-    request: &Request,
-    state: &ServeState,
-    reader: &mut crate::epoch::Reader<ServeSnapshot>,
-) -> Response {
+/// Dispatches one request. The snapshot-backed endpoints load exactly once.
+fn route(request: &Request, state: &ServeState) -> Response {
     if request.method != "GET" {
         return Response::error(405, "only GET is supported");
     }
@@ -303,12 +321,12 @@ fn route(
                     .and_then(|v| v.parse::<usize>().ok())
                     .unwrap_or(10)
             });
-            let guard = reader.pin();
-            let response = match guard.candidates(id) {
+            let snap = state.epoch.load();
+            let response = match snap.candidates(id) {
                 None => Response::error(404, "unknown profile id"),
                 Some(row) => {
                     let listed: Vec<crate::snapshot::Candidate> = match top_k {
-                        Some(k) => guard.top_k(id, k),
+                        Some(k) => snap.top_k(id, k),
                         None => row.to_vec(),
                     };
                     let mut items = String::from("[");
@@ -325,10 +343,10 @@ fn route(
                     }
                     items.push(']');
                     let mut obj = JsonObject::new()
-                        .field_u64("seq", guard.seq())
+                        .field_u64("seq", snap.seq())
                         .field_u64("id", u64::from(id))
-                        .field_bool("live", guard.is_live(id));
-                    if let Some(ext) = guard.external_id(id) {
+                        .field_bool("live", snap.is_live(id));
+                    if let Some(ext) = snap.external_id(id) {
                         obj = obj.field_str("external_id", ext);
                     }
                     let body = obj
@@ -338,27 +356,18 @@ fn route(
                     Response::json(200, body)
                 }
             };
-            drop(guard);
             state.metrics.record_query(t0.elapsed().as_secs_f64());
             response
         }
         "/stats" => {
-            let guard = reader.pin();
-            let (seq, nodes, live, pairs, blocks) = (
-                guard.seq(),
-                guard.nodes(),
-                guard.live(),
-                guard.pairs(),
-                guard.blocks(),
-            );
-            drop(guard);
+            let snap = state.epoch.load();
             let totals = ServeTotals::from_snapshot(&state.metrics.snapshot());
             let body = JsonObject::new()
-                .field_u64("seq", seq)
-                .field_u64("nodes", u64::from(nodes))
-                .field_u64("live", u64::from(live))
-                .field_u64("pairs", pairs)
-                .field_u64("blocks", blocks)
+                .field_u64("seq", snap.seq())
+                .field_u64("nodes", u64::from(snap.nodes()))
+                .field_u64("live", u64::from(snap.live()))
+                .field_u64("pairs", snap.pairs())
+                .field_u64("blocks", snap.blocks())
                 .field_u64("queries", totals.queries)
                 .field_u64("snapshot_swaps", totals.snapshot_swaps)
                 .field_i64("stale_epochs", totals.stale_epochs)
@@ -396,23 +405,39 @@ mod tests {
             ..CommitUpdate::default()
         });
         ServeState {
-            epoch: Arc::new(Epoch::new(snap)),
+            epoch: Arc::new(Epoch::new(Arc::new(snap))),
             metrics: ServeMetrics::new(),
             ingest_done: Arc::new(AtomicBool::new(true)),
         }
     }
 
-    /// One blocking HTTP exchange against a running server.
-    fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+    /// Sends `parts`, pausing past the server's read timeout between them,
+    /// and reads the reply until the server closes the connection (a
+    /// server that keeps it open fails the 5 s read). A part the server no
+    /// longer accepts is not an error: it may refuse a head and close.
+    fn send(addr: SocketAddr, parts: &[&[u8]]) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(
-            stream,
-            "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-        )
-        .expect("request");
-        let mut raw = String::new();
-        use std::io::Read as _;
-        stream.read_to_string(&mut raw).expect("response");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(500));
+            }
+            let _ = stream.write_all(part);
+        }
+        let mut raw = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => raw.extend_from_slice(&buf[..n]),
+                Err(e) if would_block(&e) => panic!("server kept the connection open"),
+                // Closing on unread input resets the connection.
+                Err(_) => break,
+            }
+        }
+        let raw = String::from_utf8(raw).expect("utf-8 response");
         let status: u16 = raw
             .split_whitespace()
             .nth(1)
@@ -423,6 +448,12 @@ mod tests {
             .map(|(_, b)| b.to_string())
             .unwrap_or_default();
         (status, body)
+    }
+
+    /// One blocking HTTP exchange against a running server.
+    fn get(addr: SocketAddr, target: &str) -> (u16, String) {
+        let request = format!("GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+        send(addr, &[request.as_bytes()])
     }
 
     #[test]
@@ -490,12 +521,82 @@ mod tests {
                 }
             }
             let mut body = vec![0u8; length];
-            use std::io::Read as _;
             input.read_exact(&mut body).expect("body");
             assert!(blast_obs::trace::is_valid_json(
                 std::str::from_utf8(&body).unwrap()
             ));
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn slow_client_split_request_line_is_served() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let (status, body) = send(
+            server.addr(),
+            &[
+                b"GET /candi",
+                b"dates?id=0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            ],
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"count\": 2"), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn slow_client_split_header_is_honoured() {
+        // `send` returns only once the server has closed the connection,
+        // which it does only if it saw `Connection: close` whole.
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let (status, body) = send(
+            server.addr(),
+            &[
+                b"GET /stats HTTP/1.1\r\nHost: t\r\nConnec",
+                b"tion: close\r\n\r\n",
+            ],
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"pairs\": 2"), "{body}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_heads_are_refused_and_closed() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let addr = server.addr();
+
+        let long_line = format!("GET /stats?pad={} HTTP/1.1\r\n\r\n", "x".repeat(9 * 1024));
+        assert_eq!(send(addr, &[long_line.as_bytes()]).0, 414);
+
+        let mut many_headers = String::from("GET /stats HTTP/1.1\r\n");
+        for i in 0..100 {
+            many_headers.push_str(&format!("X-Pad-{i}: 1\r\n"));
+        }
+        many_headers.push_str("\r\n");
+        assert_eq!(send(addr, &[many_headers.as_bytes()]).0, 431);
+
+        let fat_headers = format!(
+            "GET /stats HTTP/1.1\r\nA: {0}\r\nB: {0}\r\nC: {0}\r\n\r\n",
+            "x".repeat(6 * 1024)
+        );
+        assert_eq!(send(addr, &[fat_headers.as_bytes()]).0, 431);
+
+        // A head inside every cap is still served, by the same worker.
+        let pad = "x".repeat(MAX_REQUEST_LINE - 64);
+        assert_eq!(get(addr, &format!("/stats?pad={pad}")).0, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn endless_request_line_is_cut_off_at_the_cap() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let addr = server.addr();
+        // 1 MiB without a newline: the one worker answers after the cap
+        // instead of buffering it, closes, and takes the next connection.
+        let flood = vec![b'a'; 1 << 20];
+        assert_eq!(send(addr, &[&flood]).0, 414);
+        assert_eq!(get(addr, "/stats").0, 200);
         server.shutdown();
     }
 

@@ -1,5 +1,5 @@
-//! `blast-serve`: the online candidate-serving layer — epoch-published
-//! snapshots and lock-free concurrent reads under live ingest.
+//! `blast-serve`: the online candidate-serving layer — one immutable
+//! snapshot published per commit, read concurrently under live ingest.
 //!
 //! The incremental engine ([`blast_incremental::IncrementalPipeline`])
 //! turns streamed mutations into candidate-pair deltas; this crate makes
@@ -11,23 +11,25 @@
 //!   compared, nothing re-derived — into a [`SnapshotBuilder`] and
 //!   publishes the resulting immutable [`ServeSnapshot`] (tagged with the
 //!   commit seq) into an [`Epoch`].
-//! * **Readers** — any number of threads register an epoch [`Reader`] and
-//!   answer queries by pinning the current snapshot: wait-free on the read
-//!   path (two atomic stores around a pointer load), no `Mutex`/`RwLock`
-//!   anywhere a query runs. No reader ever blocks a commit; no commit
-//!   ever blocks a reader.
+//! * **Readers** — any number of threads [`Epoch::load`] the current
+//!   snapshot and answer queries from the `Arc` they got. The epoch is an
+//!   `RwLock<Arc<ServeSnapshot>>`: a request costs one shared-lock `Arc`
+//!   clone, a publish one exclusive-lock pointer swap, so a reader waits
+//!   for the writer (and the writer for readers) for the length of a
+//!   pointer copy and never for a query or a commit.
 //!
 //! Consistency: every query observes exactly one published version, and
 //! the version at seq N holds exactly the batch-equivalent candidate set
-//! at commit N (the read-your-writes gate `exp_serve` enforces). Memory:
-//! snapshots are copy-on-write per node row — shared rows grouped
-//! [`snapshot::CHUNK_NODES`] to a shared chunk — so a publish costs one
-//! pointer-vector clone, [`snapshot::CHUNK_NODES`] refcount bumps per
-//! touched chunk and one exactly sized row per touched node
+//! at commit N (the read-your-writes gate `tests/serve_snapshot.rs`
+//! enforces). Memory: snapshots are copy-on-write per node row — shared
+//! rows grouped [`snapshot::CHUNK_NODES`] to a shared chunk — so a publish
+//! costs one pointer-vector clone, [`snapshot::CHUNK_NODES`] refcount bumps
+//! per touched chunk and one exactly sized row per touched node
 //! (`serve.rows_copied` / `serve.chunks_copied` count them,
-//! `serve.publish_secs` times it), and epoch reclamation ([`epoch`]) frees
-//! retired versions as soon as no pinned reader can still see them — the
-//! `serve.stale_epochs` gauge is the backlog.
+//! `serve.publish_secs` times it). A retired version lives exactly as long
+//! as some reader still holds its `Arc` — the last holder frees it — and
+//! the `serve.stale_epochs` gauge is how many were still held after the
+//! latest publish.
 //!
 //! [`http`] mounts the whole thing behind a zero-dependency HTTP/1.1
 //! server (`/candidates`, `/topk`, `/stats`, `/metrics`); `blast serve`
@@ -39,7 +41,7 @@ pub mod metrics;
 pub mod pipeline;
 pub mod snapshot;
 
-pub use epoch::{Epoch, Guard, Reader, MAX_READERS};
+pub use epoch::Epoch;
 pub use http::{ServeState, Server};
 pub use metrics::{ServeMetrics, ServeTotals};
 pub use pipeline::ServePipeline;

@@ -4,8 +4,7 @@
 //! [`ServeMetrics`] is the write side: the server owns one and every
 //! reader thread records through shared handles. All the instruments are
 //! `blast-obs` sharded lock-free primitives, so recording a query from the
-//! hot path is a couple of relaxed atomic adds — consistent with the
-//! serving layer's no-locks-on-read contract. [`ServeTotals`] is the read
+//! hot path is a couple of relaxed atomic adds. [`ServeTotals`] is the read
 //! side, reconstructed from a [`MetricsSnapshot`] (or a
 //! [`MetricsSnapshot::delta_since`] window) for `/stats`, the bench, and
 //! the smoke script.
@@ -68,10 +67,10 @@ impl ServeMetrics {
         self.read_latency.record_secs(secs);
     }
 
-    /// Records one snapshot publication: the epoch's retired backlog after
-    /// it (the stale-epoch gauge), what the builder copied for it, and its
-    /// wall clock from the end of the engine's commit to the end of the
-    /// swap. Writer path.
+    /// Records one snapshot publication: how many retired versions readers
+    /// still hold after it (the stale-epoch gauge), what the builder copied
+    /// for it, and its wall clock from the end of the engine's commit to
+    /// the end of the swap. Writer path.
     pub fn record_publish(&self, stale_epochs: usize, copied: CopyStats, secs: f64) {
         self.swaps.inc();
         self.stale_epochs.set(stale_epochs as i64);
@@ -94,7 +93,7 @@ pub struct ServeTotals {
     pub queries: u64,
     /// Snapshot versions published.
     pub snapshot_swaps: u64,
-    /// Retired versions awaiting reclamation (last published value).
+    /// Retired versions a reader still held after the latest publish.
     pub stale_epochs: i64,
     /// Read-latency quantiles in seconds (p50 / p99 / p999); zero when no
     /// query was recorded.

@@ -16,11 +16,11 @@ use crate::metrics::ServeMetrics;
 use crate::snapshot::{CommitUpdate, ServeSnapshot, SnapshotBuilder};
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_incremental::{CommitOutcome, IncrementalPipeline};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// An incremental pipeline that epoch-publishes a [`ServeSnapshot`] per
-/// commit. Single-owner (the writer thread); readers register on
+/// An incremental pipeline that publishes a [`ServeSnapshot`] per commit.
+/// Single-owner (the writer thread); readers clone
 /// [`ServePipeline::epoch`] and never touch this struct.
 pub struct ServePipeline {
     inner: IncrementalPipeline,
@@ -31,8 +31,11 @@ pub struct ServePipeline {
     seq: u64,
     /// Ids mutated since the last commit (classified live/dead at commit).
     touched: Vec<ProfileId>,
-    /// The last published view (chunk-shared with the epoch's current).
-    latest: ServeSnapshot,
+    /// The last published view — the epoch's current version.
+    latest: Arc<ServeSnapshot>,
+    /// Retired versions a reader still holds: the `serve.stale_epochs`
+    /// backlog, pruned at every publish.
+    retired: Vec<Weak<ServeSnapshot>>,
 }
 
 impl ServePipeline {
@@ -41,18 +44,20 @@ impl ServePipeline {
     /// serve families.
     pub fn new(inner: IncrementalPipeline) -> Self {
         let metrics = ServeMetrics::on(Arc::clone(inner.metrics().registry()));
+        let latest = Arc::new(ServeSnapshot::default());
         Self {
             inner,
             builder: SnapshotBuilder::new(),
-            epoch: Arc::new(Epoch::new(ServeSnapshot::default())),
+            epoch: Arc::new(Epoch::new(Arc::clone(&latest))),
             metrics,
             seq: 0,
             touched: Vec::new(),
-            latest: ServeSnapshot::default(),
+            latest,
+            retired: Vec::new(),
         }
     }
 
-    /// The epoch readers register on ([`Epoch::register`]).
+    /// The epoch readers [`Epoch::load`] the current view from.
     pub fn epoch(&self) -> &Arc<Epoch<ServeSnapshot>> {
         &self.epoch
     }
@@ -72,7 +77,7 @@ impl ServePipeline {
         self.seq
     }
 
-    /// The last published view (chunk-shared, cheap to clone).
+    /// The last published view.
     pub fn latest(&self) -> &ServeSnapshot {
         &self.latest
     }
@@ -145,10 +150,15 @@ impl ServePipeline {
             .collect();
 
         let (snap, copied) = self.builder.apply(&update);
-        self.latest = snap.clone();
-        let stale = self.epoch.publish(snap);
+        self.latest = Arc::new(snap);
+        // The retired version is dropped here, outside the epoch's lock;
+        // what stays alive past that is held by a reader.
+        let old = self.epoch.publish(Arc::clone(&self.latest));
+        self.retired.push(Arc::downgrade(&old));
+        drop(old);
+        self.retired.retain(|version| version.strong_count() > 0);
         self.metrics
-            .record_publish(stale, copied, t0.elapsed().as_secs_f64());
+            .record_publish(self.retired.len(), copied, t0.elapsed().as_secs_f64());
         outcome
     }
 
@@ -203,7 +213,6 @@ mod tests {
     #[test]
     fn every_commit_publishes_an_equivalent_snapshot() {
         let mut p = serve_pipeline(CleaningConfig::default());
-        let mut reader = p.epoch().register().expect("slot");
         let rows = [
             "john abram jr car seller 1985 main street",
             "ellen smith 85 retail abram st 30 ny",
@@ -215,10 +224,10 @@ mod tests {
             p.commit_and_publish();
             assert_eq!(p.seq(), (i + 1) as u64);
             assert!(p.verify_equivalence(), "step {i}");
-            let guard = reader.pin();
-            assert_eq!(guard.seq(), p.seq(), "reader sees the fresh seq");
-            assert_eq!(guard.live(), (i + 1) as u32);
-            assert_eq!(guard.external_id(i as u32), Some(format!("p{i}").as_str()));
+            let view = p.epoch().load();
+            assert_eq!(view.seq(), p.seq(), "reader sees the fresh seq");
+            assert_eq!(view.live(), (i + 1) as u32);
+            assert_eq!(view.external_id(i as u32), Some(format!("p{i}").as_str()));
         }
         // The serve family recorded one swap per commit on the shared
         // registry.

@@ -3,8 +3,9 @@
 //! A [`ServeSnapshot`] answers the read-side questions — candidates of a
 //! profile, top-k neighbours by weight, liveness, corpus stats — without
 //! touching the incremental engine's mutable structures. Readers hold it
-//! through an epoch guard ([`crate::epoch`]); everything inside is plain
-//! immutable data, so queries are allocation-light and lock-free.
+//! through the `Arc` [`crate::epoch::Epoch::load`] hands out; everything
+//! inside is plain immutable data, so a query takes no lock once it has
+//! its view and allocates little.
 //!
 //! Publishing must cost what the commit changed, not what the corpus
 //! holds. The snapshot is therefore **copy-on-write at row granularity**

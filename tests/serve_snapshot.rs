@@ -1,6 +1,6 @@
 //! Concurrency contract of the serving layer.
 //!
-//! Eight reader threads hammer [`blast_serve::Epoch`] pins while the
+//! Eight reader threads hammer [`blast_serve::Epoch::load`] while the
 //! writer thread streams a randomly generated mutation sequence through a
 //! [`ServePipeline`], committing and publishing every few mutations. The
 //! properties:
@@ -12,8 +12,11 @@
 //! - **Version exactness** — a snapshot tagged seq N carries *exactly* the
 //!   candidate set the writer published at commit N (no torn or blended
 //!   views), checked against the writer's per-seq reference log.
-//! - **Monotonic versions** — consecutive pins on one reader never observe
+//! - **Monotonic versions** — consecutive loads on one reader never observe
 //!   a seq going backwards.
+//! - **Held versions** — a reader that keeps a version across later commits
+//!   keeps exactly what was published, and `serve.stale_epochs` counts it
+//!   until it lets go.
 //! - **Batch equivalence** — after the stream drains, the final published
 //!   view still equals the engine's retained set and its from-scratch
 //!   batch counterpart ([`ServePipeline::verify_equivalence`]).
@@ -55,7 +58,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// A snapshot must be consistent *in itself*, whenever it was pinned.
+/// A snapshot must be consistent *in itself*, whenever it was loaded.
 fn assert_internally_consistent(snap: &ServeSnapshot) {
     let pairs = snap.all_pairs();
     assert_eq!(
@@ -100,8 +103,10 @@ fn assert_internally_consistent(snap: &ServeSnapshot) {
     }
 }
 
-/// Streams `ops` through a serve pipeline while `READERS` threads pin and
-/// check every version they observe. With a `residency` policy the writer
+/// Streams `ops` through a serve pipeline while `READERS` threads load and
+/// check every version they observe, and one more reader camps on the
+/// first published version until the stream has drained (39 commits in
+/// the scripted streams). With a `residency` policy the writer
 /// runs under a memory budget — readers must still never observe a torn,
 /// stale or panicking view (a published view is self-contained: its
 /// weights came off the commit's delta, so nothing a reader touches can be
@@ -120,7 +125,7 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
-            let mut reader = p.epoch().register().expect("a free epoch slot");
+            let epoch = Arc::clone(p.epoch());
             let done = Arc::clone(&done);
             thread::spawn(move || {
                 // Observation log: (seq, pairs) for every *new* version
@@ -129,20 +134,20 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
                 let mut log: Vec<(u64, Vec<(u32, u32)>)> = Vec::new();
                 let mut last_seq = 0u64;
                 loop {
-                    // Load the stop flag before pinning so the final
-                    // published version cannot slip past the last pin.
+                    // Read the stop flag before loading so the final
+                    // published version cannot slip past the last load.
                     let finished = done.load(Ordering::Acquire);
                     {
-                        let guard = reader.pin();
+                        let view = epoch.load();
                         assert!(
-                            guard.seq() >= last_seq,
+                            view.seq() >= last_seq,
                             "reader went back in time: {} after {last_seq}",
-                            guard.seq()
+                            view.seq()
                         );
-                        if guard.seq() > last_seq {
-                            last_seq = guard.seq();
-                            assert_internally_consistent(&guard);
-                            log.push((guard.seq(), guard.all_pairs()));
+                        if view.seq() > last_seq {
+                            last_seq = view.seq();
+                            assert_internally_consistent(&view);
+                            log.push((view.seq(), view.all_pairs()));
                         }
                     }
                     if finished {
@@ -159,7 +164,10 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
     let mut references: Vec<Vec<(u32, u32)>> = vec![Vec::new()]; // seq 0
     let mut ids: Vec<ProfileId> = Vec::new();
     let mut since = 0usize;
-    for (kind, target, tokens) in ops {
+    let stale = |p: &ServePipeline| p.metrics().snapshot().gauge(names::SERVE_STALE_EPOCHS);
+    // The camped version and its rendering at the time it was published.
+    let mut camped: Option<(Arc<ServeSnapshot>, String)> = None;
+    for (i, (kind, target, tokens)) in ops.iter().enumerate() {
         let value = value_of(tokens);
         let live: Vec<ProfileId> = ids
             .iter()
@@ -185,16 +193,20 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
             }
         }
         since += 1;
-        if since >= commit_every {
+        if since >= commit_every || i + 1 == ops.len() {
             since = 0;
             p.commit_and_publish();
             references.push(p.latest().all_pairs());
             assert_eq!(references.len() as u64 - 1, p.seq());
+            match &camped {
+                None => camped = Some((p.epoch().load(), format!("{:?}", p.latest()))),
+                Some(_) => assert!(
+                    stale(&p) >= Some(1),
+                    "seq {}: the camped version is not counted",
+                    p.seq()
+                ),
+            }
         }
-    }
-    if since > 0 {
-        p.commit_and_publish();
-        references.push(p.latest().all_pairs());
     }
     // The read-your-writes gate: published == retained == batch.
     assert!(
@@ -222,6 +234,19 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
             );
         }
     }
+
+    // Every other reader is gone: the camper's view is still byte for byte
+    // what its seq published, and one publish after it lets go nothing
+    // retired is left alive.
+    let (view, published) = camped.expect("the stream commits at least once");
+    assert_eq!(
+        format!("{view:?}"),
+        published,
+        "a held version changed under its reader"
+    );
+    drop(view);
+    p.commit_and_publish();
+    assert_eq!(stale(&p), Some(0), "released versions leave the count");
 }
 
 proptest! {
@@ -239,7 +264,7 @@ proptest! {
 
     /// The same contract with the writer under the tightest possible
     /// memory budget (evict everything after every commit, spilled to
-    /// disk): pinned views stay complete and bit-identical while the
+    /// disk): loaded views stay complete and bit-identical while the
     /// engine's working set lives in the cold tier.
     #[test]
     fn prop_concurrent_reads_survive_a_tight_budget(
@@ -255,8 +280,8 @@ proptest! {
 }
 
 /// A deterministic long-stream variant (no generator) so the hammer runs
-/// even if the property harness is filtered out, with enough commits to
-/// force epoch reclamation of many retired snapshots.
+/// even if the property harness is filtered out, with enough commits that
+/// readers free many retired snapshots.
 #[test]
 fn scripted_stream_hammers_reclamation() {
     let ops: Vec<Op> = (0..40u8)
