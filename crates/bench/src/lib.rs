@@ -12,7 +12,6 @@
 //! `BLAST_SCALE=0.05` is a quick smoke pass.
 
 pub mod experiments;
-pub mod graph_engine;
 pub mod methods;
 
 /// The dataset scale factor from `BLAST_SCALE` (default 0.25; see the

@@ -214,7 +214,7 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
 }
 
 /// One `--trace` journal line: the commit's telemetry as a flat-ish JSON
-/// object (nested `phases` object reusing the bench-JSON phase schema).
+/// object (nested `phases` object: [`blast_obs::CommitPhases::to_json`]).
 fn trace_event(
     seq: usize,
     batch_profiles: usize,
@@ -240,7 +240,7 @@ fn trace_event(
         .field_bool("index_deferred", out.stats.index_deferred)
         .field_bool("index_materialised", out.stats.index_materialised)
         .field_f64("total_secs", out.timings.total_secs())
-        .field_raw("phases", &out.timings.bench_json())
+        .field_raw("phases", &out.timings.to_json())
         .field_u64("live_edges", fp.live_edges as u64)
         .field_u64("cached_accumulators", fp.cached_accumulators as u64)
         .field_u64("interned_tokens", fp.interned_tokens as u64)
@@ -252,9 +252,9 @@ fn trace_event(
         .finish()
 }
 
-/// Builds the incremental pipeline `blast stream`/`blast bench` share from
+/// Builds the incremental pipeline `blast stream`/`blast serve` share from
 /// the common options: `--pruning`, `--scheme`, `--no-cleaning`,
-/// `--threads`.
+/// `--threads`, `--memory-budget`, `--spill`.
 fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPipeline, String> {
     use blast_graph::meta::PruningAlgorithm;
     use blast_graph::weights::{EdgeWeigher as _, WeightingScheme};
@@ -312,8 +312,8 @@ fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPip
     Ok(pipeline)
 }
 
-/// Generates the dirty preset `blast bench`/`blast serve` stream in
-/// memory, returning `(preset label, scale, collection)`.
+/// Generates the dirty preset `blast serve` streams in memory, returning
+/// `(preset label, scale, collection)`.
 fn dirty_preset_collection(args: &Args) -> Result<(String, f64, EntityCollection), String> {
     let preset = args.get("preset").unwrap_or("census").to_string();
     let scale = args.get_f64("scale")?.unwrap_or(0.05);
@@ -415,9 +415,8 @@ pub fn stream(args: &Args) -> Result<String, String> {
             writeln!(w, "{line}").map_err(|e| format!("writing --trace: {e}"))?;
         }
     }
-    // Aggregate reporting reads the pipeline's metrics registry back — one
-    // aggregation path shared with `exp_incremental` — instead of
-    // re-accumulating per-commit outcomes by hand.
+    // Aggregate reporting reads the pipeline's metrics registry back
+    // instead of re-accumulating per-commit outcomes by hand.
     let totals = CommitTotals::from_snapshot(&pipeline.metrics().snapshot());
     let _ = writeln!(
         report,
@@ -560,72 +559,6 @@ pub fn generate(args: &Args) -> Result<String, String> {
             "unknown preset {preset:?} (expected ar1|ar2|prd|mov|dbp|census|cora|cddb|census100k|census1m)"
         )),
     }
-}
-
-/// `blast bench`: generate a dirty preset in memory and stream it through
-/// the incremental pipeline, reporting commit throughput — the quick
-/// harness for the multi-core knob (`--threads`, also honoured by
-/// `blast stream`; `BLAST_THREADS` overrides the default when `--threads`
-/// is absent).
-pub fn bench(args: &Args) -> Result<String, String> {
-    use blast_obs::CommitTotals;
-    use std::time::Instant;
-
-    let (preset, scale, d) = dirty_preset_collection(args)?;
-    let batch_size = args.get_usize("batch-size")?.unwrap_or(64);
-    let mut pipeline = incremental_pipeline(args)?;
-
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "bench: {preset} × {scale} — {} profiles in micro-batches of {batch_size} ({:?})",
-        d.len(),
-        pipeline
-    );
-    let t0 = Instant::now();
-    let mut commits = 0usize;
-    for chunk in d.profiles().chunks(batch_size) {
-        for profile in chunk {
-            let pairs: Vec<(&str, &str)> = profile
-                .values
-                .iter()
-                .map(|(a, v)| (d.attribute_name(*a), &**v))
-                .collect();
-            pipeline.insert(SourceId(0), &profile.external_id, pairs);
-        }
-        pipeline.commit();
-        commits += 1;
-    }
-    let secs = t0.elapsed().as_secs_f64();
-
-    let totals = CommitTotals::from_snapshot(&pipeline.metrics().snapshot());
-    let _ = writeln!(
-        report,
-        "{} commits in {secs:.3}s — {:.1} commits/s, {:.0} profiles/s, {} final candidates",
-        commits,
-        commits as f64 / secs.max(1e-9),
-        d.len() as f64 / secs.max(1e-9),
-        pipeline.retained().len(),
-    );
-    let _ = writeln!(report, "{}", totals.repair_summary());
-
-    if args.flag("verify") {
-        let batch = pipeline.batch_retained();
-        if batch.pairs() == pipeline.retained().pairs() {
-            let _ = writeln!(
-                report,
-                "verify: incremental == batch ({} pairs)",
-                batch.len()
-            );
-        } else {
-            return Err(format!(
-                "verify FAILED: incremental {} pairs vs batch {} pairs",
-                pipeline.retained().len(),
-                batch.len()
-            ));
-        }
-    }
-    Ok(report)
 }
 
 /// `blast serve`: generate a dirty preset in memory, stream it through

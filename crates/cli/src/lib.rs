@@ -7,7 +7,6 @@
 //! blast dedup    --input data.csv --out pairs.csv [--gt gt.csv] [options]
 //! blast stream   --input data.csv --batch-size 64 [--pruning wnp1] [--verify] [--stats]
 //!                [--threads 4] [--trace out.jsonl] [--metrics out.prom]
-//! blast bench    --preset census --scale 0.05 [--threads 4] [--verify]
 //! blast serve    --preset census --scale 0.05 [--port 0] [--threads 4] [--linger 5]
 //! blast schema   --d1 a.csv --d2 b.csv
 //! blast evaluate --d1 a.csv --d2 b.csv --pairs pairs.csv --gt gt.csv
@@ -68,18 +67,6 @@ const STREAM_USAGE: &str = "\
                  [--spill]  (hold cold frames in an unlinked temp file
                  instead of an in-memory arena; needs --memory-budget)";
 
-const BENCH_USAGE: &str = "\
-  blast bench    [--preset census] [--scale 0.05] [--batch-size 64]
-                 [--threads N] [--pruning ...] [--scheme ...]
-                 [--no-cleaning]  (generate a dirty preset in memory,
-                 stream it, report commit throughput)
-                 [--verify]  (check the final candidate set against a
-                 from-scratch batch run)
-                 [--memory-budget BYTES] [--spill]  (cold-tier residency;
-                 see blast stream)
-                 The BLAST_THREADS env var overrides the default thread
-                 count when --threads is absent.";
-
 const SERVE_USAGE: &str = "\
   blast serve    [--preset census] [--scale 0.05] [--batch-size 64]
                  [--addr 127.0.0.1] [--port 0]  (0 = ephemeral; the bound
@@ -106,7 +93,8 @@ const EVALUATE_USAGE: &str = "\
   blast evaluate --d1 A.csv --d2 B.csv --pairs pairs.csv --gt gt.csv";
 
 const GENERATE_USAGE: &str = "\
-  blast generate --preset ar1|ar2|prd|mov|dbp|census|cora|cddb
+  blast generate --preset ar1|ar2|prd|mov|dbp|census|cora|cddb|
+                          census100k|census1m
                  [--scale 1.0] --out-dir DIR";
 
 /// The sub-command table (dispatch, validation, usage).
@@ -163,21 +151,6 @@ const COMMANDS: &[Command] = &[
         flags: &["verify", "stats", "no-cleaning", "spill"],
         usage: STREAM_USAGE,
         run: commands::stream,
-    },
-    Command {
-        name: "bench",
-        options: &[
-            "preset",
-            "scale",
-            "batch-size",
-            "threads",
-            "pruning",
-            "scheme",
-            "memory-budget",
-        ],
-        flags: &["verify", "no-cleaning", "spill"],
-        usage: BENCH_USAGE,
-        run: commands::bench,
     },
     Command {
         name: "serve",
@@ -297,9 +270,9 @@ mod tests {
 
     #[test]
     fn unknown_flag_prints_the_subcommand_usage() {
-        let err = run(&s(&["bench", "--warmup"])).unwrap_err();
+        let err = run(&s(&["stream", "--warmup"])).unwrap_err();
         assert!(err.contains("unknown flag --warmup"), "{err}");
-        assert!(err.contains("blast bench"), "scoped usage: {err}");
+        assert!(err.contains("blast stream"), "scoped usage: {err}");
         assert!(
             !err.contains("blast block"),
             "global usage not dumped: {err}"
@@ -315,11 +288,32 @@ mod tests {
 
     #[test]
     fn usage_documents_the_threads_override() {
-        for block in [STREAM_USAGE, BENCH_USAGE, SERVE_USAGE] {
+        for block in [STREAM_USAGE, SERVE_USAGE] {
             assert!(block.contains("BLAST_THREADS"), "{block}");
             assert!(block.contains("--verify"), "{block}");
             assert!(block.contains("--memory-budget"), "{block}");
             assert!(block.contains("--spill"), "{block}");
+        }
+    }
+
+    #[test]
+    fn generate_usage_lists_every_accepted_preset() {
+        use blast_datagen::{CleanCleanPreset, DirtyPreset};
+        let clean = CleanCleanPreset::ALL.iter().map(|p| p.label());
+        let dirty = DirtyPreset::ALL
+            .iter()
+            .chain(DirtyPreset::SCALED.iter())
+            .map(|p| p.label());
+        // Whole alternatives of the `a|b|…` list, so `census` does not pass
+        // on the strength of `census100k`.
+        let listed: Vec<&str> = GENERATE_USAGE
+            .split(|c: char| c == '|' || c.is_whitespace())
+            .collect();
+        for label in clean.chain(dirty) {
+            assert!(
+                listed.contains(&label),
+                "{label} missing:\n{GENERATE_USAGE}"
+            );
         }
     }
 }

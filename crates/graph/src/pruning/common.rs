@@ -252,13 +252,39 @@ where
 /// only the remainder read from the larger endpoint — the smaller one is
 /// unmarked — arrives out of order. So only `from_larger` is sorted, and the
 /// two runs are merged: nothing already ordered is sorted again.
+///
+/// The merge drains whichever run has the smaller head up to the other's
+/// head, so the long ordered run beside its sparse remainder moves in
+/// stretches at one comparison per element. Keys are unique across the two
+/// runs (canonical edges are), so the output is the order one scan over the
+/// union would have produced, whatever partitioned the input.
 pub fn ordered_emission<T, K: Ord>(
     from_smaller: Vec<T>,
     mut from_larger: Vec<T>,
     key: impl Fn(&T) -> K,
 ) -> Vec<T> {
     from_larger.sort_unstable_by_key(&key);
-    merge_sorted_runs(vec![from_smaller, from_larger], key)
+    if from_larger.is_empty() {
+        return from_smaller; // nothing arrived out of order
+    }
+    let mut out = Vec::with_capacity(from_smaller.len() + from_larger.len());
+    let mut a = from_smaller.into_iter().peekable();
+    let mut b = from_larger.into_iter().peekable();
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        let (kx, ky) = (key(x), key(y));
+        if kx <= ky {
+            while let Some(x) = a.next_if(|x| key(x) <= ky) {
+                out.push(x);
+            }
+        } else {
+            while let Some(y) = b.next_if(|y| key(y) < kx) {
+                out.push(y);
+            }
+        }
+    }
+    out.extend(a);
+    out.extend(b);
+    out
 }
 
 /// Materialises exactly the weighted edges with at least one endpoint in the
@@ -318,48 +344,6 @@ pub fn collect_accums_touching(
         NO_ARTEFACT,
     )
     .edges
-}
-
-/// Merges runs that are each sorted by `key` into one sequence sorted by
-/// `key` — the order one scan over the union would have produced. Keys must
-/// be unique across runs (canonical edges are), so the merge order is total
-/// and the output deterministic whatever partitioned the input. The run
-/// with the smallest head is drained up to the next-smallest head, so a
-/// long run beside a sparse one (an ordered emission and its sorted
-/// remainder) moves in stretches at one comparison per element; choosing
-/// the run costs O(runs), and the callers have two runs.
-pub fn merge_sorted_runs<T, K: Ord>(mut runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    runs.retain(|r| !r.is_empty());
-    if runs.len() <= 1 {
-        return runs.pop().unwrap_or_default();
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::iter::Peekable<std::vec::IntoIter<T>>> =
-        runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        // The smallest head and, as the bound of its stretch, the next one.
-        let mut best: Option<(usize, K)> = None;
-        let mut bound: Option<K> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            let Some(head) = it.peek() else { continue };
-            let k = key(head);
-            if best.as_ref().is_none_or(|(_, bk)| k < *bk) {
-                bound = best.replace((i, k)).map(|(_, bk)| bk);
-            } else if bound.as_ref().is_none_or(|b| k < *b) {
-                bound = Some(k);
-            }
-        }
-        let Some((i, _)) = best else { return out };
-        match bound {
-            Some(b) => {
-                while let Some(x) = iters[i].next_if(|x| key(x) < b) {
-                    out.push(x);
-                }
-            }
-            None => out.extend(iters[i].by_ref()),
-        }
-    }
 }
 
 /// Enumerates every edge exactly once (u < v), calling `f(u, v, w)` and
@@ -423,40 +407,6 @@ where
         out.extend(c);
     }
     out
-}
-
-/// Folds over every edge exactly once with a per-chunk accumulator, merging
-/// chunk accumulators in deterministic order. Chunk geometry is independent
-/// of the thread count, so even floating-point folds are bit-identical for
-/// any parallelism.
-pub fn fold_edges<A, I, F, M>(
-    ctx: &GraphSnapshot,
-    weigher: &dyn EdgeWeigher,
-    init: I,
-    fold: F,
-    merge: M,
-) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, u32, u32, f64) + Sync,
-    M: Fn(A, A) -> A,
-{
-    let clean = ctx.is_clean_clean();
-    let chunks = owner_chunks(ctx, |scratch, range| {
-        let mut acc = init();
-        for u in range {
-            scratch.load(ctx, u);
-            for (v, a) in scratch.iter() {
-                if !clean && v <= u {
-                    continue;
-                }
-                fold(&mut acc, u, v, weigher.weight(ctx, u, v, &a));
-            }
-        }
-        acc
-    });
-    chunks.into_iter().reduce(merge).unwrap_or_else(init)
 }
 
 /// Converts an edge `(u, v)` to the `ProfileId` pair used in results.
@@ -602,24 +552,6 @@ mod tests {
         let ctx = GraphSnapshot::build(&blocks);
         let sizes = node_pass(&ctx, &WeightingScheme::Cbs, |_, adj| adj.len());
         assert_eq!(sizes, vec![1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn fold_edges_totals_match_collect() {
-        let blocks = dirty_triangle();
-        let ctx = GraphSnapshot::build(&blocks);
-        let (count, sum) = fold_edges(
-            &ctx,
-            &WeightingScheme::Cbs,
-            || (0u64, 0.0f64),
-            |acc, _, _, w| {
-                acc.0 += 1;
-                acc.1 += w;
-            },
-            |a, b| (a.0 + b.0, a.1 + b.1),
-        );
-        assert_eq!(count, 3);
-        assert!((sum - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -854,12 +786,19 @@ mod tests {
 
     #[test]
     fn merged_runs_restore_one_sorted_sequence() {
-        let merged = merge_sorted_runs(
-            vec![vec![(0, 2), (3, 4)], vec![], vec![(0, 1), (5, 6)]],
+        // The remainder arrives unsorted; the ordered run is merged as is.
+        let merged = ordered_emission(
+            vec![(0, 2), (3, 4), (3, 5), (7, 8)],
+            vec![(5, 6), (0, 1), (3, 9)],
             |&p| p,
         );
-        assert_eq!(merged, vec![(0, 1), (0, 2), (3, 4), (5, 6)]);
-        assert!(merge_sorted_runs(Vec::<Vec<u32>>::new(), |&p| p).is_empty());
+        assert_eq!(
+            merged,
+            vec![(0, 1), (0, 2), (3, 4), (3, 5), (3, 9), (5, 6), (7, 8)]
+        );
+        assert_eq!(ordered_emission(vec![1, 4], vec![], |&p| p), vec![1, 4]);
+        assert_eq!(ordered_emission(vec![], vec![4, 1], |&p| p), vec![1, 4]);
+        assert!(ordered_emission(Vec::<u32>::new(), vec![], |&p| p).is_empty());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! Fused pass: the weighted edge list is materialised **once** (a single
 //! adjacency traversal via [`collect_weighted_edges`]); the global mean and
-//! the retention filter both run over that in-memory list. The old engine
-//! re-ran the full quadratic traversal twice (`fold_edges` then
-//! `collect_edges`). The mean's numerator is accumulated **exactly**
+//! the retention filter both run over that in-memory list — one quadratic
+//! traversal, not two. The mean's numerator is accumulated **exactly**
 //! ([`ExactSum`]), so Θ depends only on the edge *multiset* — bit-identical
 //! for every thread count, every traversal order, and (the point) for a
 //! running sum maintained by the incremental decision stage via

@@ -258,7 +258,7 @@ pub enum RepairTier {
 }
 
 impl RepairTier {
-    /// Stable label for reports (`blast stream --stats`, the bench JSON).
+    /// Stable label for reports (`blast stream --stats`, the trace journal).
     pub fn label(&self) -> &'static str {
         match self {
             RepairTier::Dirty => "dirty",

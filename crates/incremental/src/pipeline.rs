@@ -49,11 +49,11 @@ use blast_io::TempSpillFile;
 use blast_obs::{CommitMetrics, CommitRecord};
 use std::time::Instant;
 
-/// Wall-clock split of one commit across the pipeline stages (the phase
-/// columns of `BENCH_incremental.json`). The type lives in `blast-obs`
-/// ([`blast_obs::CommitPhases`]) so the `--stats` phase line and the bench
-/// JSON phase schema are formatted by one implementation; the historical
-/// `CommitTimings` name is kept for the pipeline's callers.
+/// Wall-clock split of one commit across the pipeline stages. The type
+/// lives in `blast-obs` ([`blast_obs::CommitPhases`]) so the `--stats`
+/// phase line and the trace journal's phase object are formatted by one
+/// implementation; the historical `CommitTimings` name is kept for the
+/// pipeline's callers.
 pub use blast_obs::CommitPhases as CommitTimings;
 
 /// Resident-footprint counters of a streaming pipeline — the structure

@@ -14,7 +14,7 @@ pub mod report;
 pub mod timing;
 
 pub use delta::{delta_pc, delta_pq};
-pub use memory::{current_rss_bytes, peak_rss_bytes, reset_peak_rss};
+pub use memory::{current_rss_bytes, peak_rss_bytes};
 pub use quality::{evaluate_blocks, evaluate_pairs, BlockQuality};
 pub use report::{fmt_card, fmt_pct};
 pub use timing::Stopwatch;

@@ -1,10 +1,10 @@
-//! Process-memory probes for the memory-diet benchmarks.
+//! Process-memory probes (the repo benchmark's `peak_rss_mb`).
 //!
 //! Reads the kernel's accounting from `/proc/self/status` (Linux): `VmRSS`
 //! is the current resident set, `VmHWM` its high-water mark — the peak the
 //! process ever held, which is what a "does 10⁶ profiles fit" budget
 //! actually constrains. On platforms without procfs the probes return
-//! `None` and the benchmark reports only the structure-level estimates.
+//! `None`.
 
 /// Current resident set size in bytes, if the platform exposes it.
 pub fn current_rss_bytes() -> Option<u64> {
@@ -14,16 +14,6 @@ pub fn current_rss_bytes() -> Option<u64> {
 /// Peak resident set size (high-water mark) in bytes, if available.
 pub fn peak_rss_bytes() -> Option<u64> {
     read_status_kb("VmHWM:").map(|kb| kb * 1024)
-}
-
-/// Resets the peak-RSS high-water mark (`VmHWM`) to the current RSS by
-/// writing `5` to `/proc/self/clear_refs`, so per-phase peaks can be
-/// measured in one process. Returns whether the reset took: `false` off
-/// Linux or when the kernel rejects the write — callers must then treat a
-/// subsequent [`peak_rss_bytes`] as a process-lifetime peak, not a phase
-/// peak.
-pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn read_status_kb(field: &str) -> Option<u64> {
@@ -36,7 +26,7 @@ fn read_status_kb(field: &str) -> Option<u64> {
 /// wrong number — on anything unexpected: a missing line, a non-numeric
 /// value, or a unit other than the `kB` the kernel has always printed (if
 /// that ever changes, silently treating the value as kB would mis-scale
-/// every RSS figure the memory benchmark records).
+/// every RSS figure the benchmark records).
 fn parse_status_kb(status: &str, field: &str) -> Option<u64> {
     let rest = status.lines().find_map(|line| line.strip_prefix(field))?;
     let mut tokens = rest.split_whitespace();

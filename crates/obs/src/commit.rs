@@ -2,7 +2,7 @@
 //!
 //! Before this crate, the per-phase wall-clock split (`CommitTimings`) and
 //! the repair diagnostics (`RepairStats`) were hand-aggregated in three
-//! places: the pipeline, `blast stream --stats`, and `exp_incremental`'s
+//! places: the pipeline, `blast stream --stats`, and a bench binary's
 //! JSON writer. The registry is now the one aggregation point:
 //!
 //! * [`CommitMetrics`] — the write side. The incremental pipeline owns one
@@ -10,10 +10,10 @@
 //!   never bleed into each other) and records one [`CommitRecord`] per
 //!   commit.
 //! * [`CommitPhases`] — the per-commit phase split. The incremental
-//!   crate's `CommitTimings` is a re-export of this type, so the
-//!   `BENCH_incremental.json` phase schema ([`CommitPhases::bench_json`])
-//!   and the `--stats` phase line ([`CommitPhases::human_micros`]) are
-//!   formatted by exactly one implementation.
+//!   crate's `CommitTimings` is a re-export of this type, so the trace
+//!   journal's phase object ([`CommitPhases::to_json`]) and the `--stats`
+//!   phase line ([`CommitPhases::human_micros`]) are formatted by exactly
+//!   one implementation.
 //! * [`CommitTotals`] — the read side: everything the commit path recorded,
 //!   reconstructed from a [`MetricsSnapshot`] (or a
 //!   [`MetricsSnapshot::delta_since`] window of one).
@@ -24,9 +24,8 @@ use crate::registry::{MetricsSnapshot, Registry};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Wall-clock split of one commit across the pipeline stages (the phase
-/// columns of `BENCH_incremental.json`). Re-exported by the incremental
-/// crate as `CommitTimings`.
+/// Wall-clock split of one commit across the pipeline stages. Re-exported
+/// by the incremental crate as `CommitTimings`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommitPhases {
     /// Blocking-index maintenance: token re-keying + posting diffs of the
@@ -95,10 +94,9 @@ impl CommitPhases {
         }
     }
 
-    /// The `BENCH_incremental.json` phase object — the one serialization
-    /// of the phase schema (`exp_incremental` and the trace journal both
-    /// embed it).
-    pub fn bench_json(&self) -> String {
+    /// The phase object of a trace-journal event — the one serialization
+    /// of the phase schema.
+    pub fn to_json(&self) -> String {
         format!(
             "{{\"index_maintenance_secs\": {:.6}, \"cleaning_secs\": {:.6}, \"snapshot_patch_secs\": {:.6}, \"graph_repair_secs\": {:.6}, \"reweigh_secs\": {:.6}, \"decision_secs\": {:.6}}}",
             self.index_secs,
@@ -343,8 +341,7 @@ impl Default for CommitMetrics {
 }
 
 /// Everything the commit path recorded, read back out of a snapshot — the
-/// typed aggregate view `blast stream --stats` prints and
-/// `exp_incremental` serializes (apply to a
+/// typed aggregate view `blast stream --stats` prints (apply to a
 /// [`MetricsSnapshot::delta_since`] window to scope to one run).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommitTotals {
@@ -516,7 +513,7 @@ mod tests {
             index_secs: 0.5,
             ..CommitPhases::default()
         };
-        let json = p.bench_json();
+        let json = p.to_json();
         for key in [
             "index_maintenance_secs",
             "cleaning_secs",

@@ -21,14 +21,14 @@
 //! * [`commit`] — the typed views over the registry that the incremental
 //!   pipeline records into ([`CommitMetrics`]) and that reports read back
 //!   out ([`CommitPhases`], [`CommitTotals`]): `blast stream --stats` and
-//!   `BENCH_incremental.json` both print/serialize through these, so the
+//!   the trace journal both print/serialize through these, so the
 //!   phase-timing schema lives in exactly one place.
 //! * [`trace`] — the dependency-free JSON machinery behind the per-commit
 //!   **JSONL trace journal** (`blast stream --trace out.jsonl`).
 //!
-//! Recording is active by default; [`set_enabled`]`(false)` turns every
-//! record call into an early-out branch (used by `exp_obs` to measure the
-//! instrumented-vs-baseline overhead recorded in `BENCH_obs.json`).
+//! Recording is unconditional: there is no process-wide off switch, so
+//! `--stats`, `/metrics` and the repo benchmark's registry gates always
+//! see every commit.
 //!
 //! The crate is deliberately **zero-dependency**: nothing below `std`, so
 //! every other crate in the workspace can depend on it without cycles.
@@ -42,21 +42,3 @@ pub mod trace;
 pub use commit::{CommitMetrics, CommitPhases, CommitRecord, CommitTotals};
 pub use metric::{Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, SpanTimer};
 pub use registry::{global, HistogramSample, MetricSample, MetricsSnapshot, Registry, SampleValue};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Whether metric recording is active (the default). Checked at the top of
-/// every record call; registration and snapshots work either way.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables/disables metric recording. The off state is the
-/// uninstrumented baseline of the overhead benchmark (`exp_obs`); it is
-/// process-wide, so production code should never flip it mid-run.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}

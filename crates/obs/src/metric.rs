@@ -58,9 +58,6 @@ impl Counter {
     /// Adds `n` (a single relaxed `fetch_add` on this thread's lane).
     #[inline]
     pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
         self.lanes[shard_id()].0.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -100,18 +97,12 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        if !crate::enabled() {
-            return;
-        }
         self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adjusts the gauge by a signed delta.
     #[inline]
     pub fn add(&self, d: i64) {
-        if !crate::enabled() {
-            return;
-        }
         self.value.fetch_add(d, Ordering::Relaxed);
     }
 
@@ -221,9 +212,6 @@ impl Histogram {
     /// Records one raw value.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
         let lane = &self.lanes[shard_id()];
         lane.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         lane.count.fetch_add(1, Ordering::Relaxed);
@@ -460,6 +448,21 @@ mod tests {
         g.set(7);
         g.add(-10);
         assert_eq!(g.value(), -3);
+    }
+
+    #[test]
+    fn freshly_registered_metrics_record_on_first_use() {
+        // No process-wide switch to arm: the first record after registration counts.
+        let registry = crate::Registry::new();
+        let c = registry.counter("fresh.counter");
+        let g = registry.gauge("fresh.gauge");
+        let h = registry.histogram("fresh.histogram");
+        c.inc();
+        g.set(3);
+        h.record(5);
+        assert_eq!(c.value(), 1);
+        assert_eq!(g.value(), 3);
+        assert_eq!((h.count(), h.raw_sum()), (1, 5));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! [`Registry::snapshot`] aggregates every metric's shards into an
 //! immutable [`MetricsSnapshot`]: a sorted list of `(name, value)`
-//! samples. Snapshots subtract ([`MetricsSnapshot::delta_since`] — how the
-//! benches scope counters to one run), merge
+//! samples. Snapshots subtract ([`MetricsSnapshot::delta_since`] — how a
+//! report scopes counters to one run), merge
 //! ([`MetricsSnapshot::merged`] — how a server combines the process-wide
 //! and per-pipeline registries), and export
 //! ([`MetricsSnapshot::encode_text`] — Prometheus text exposition, the

@@ -95,7 +95,7 @@ impl JsonObject {
     }
 
     /// Adds a pre-rendered JSON value verbatim (nested object/array built
-    /// elsewhere, e.g. [`crate::CommitPhases::bench_json`]). The caller
+    /// elsewhere, e.g. [`crate::CommitPhases::to_json`]). The caller
     /// vouches that `raw` is valid JSON.
     pub fn field_raw(mut self, key: &str, raw: &str) -> Self {
         self.push_key(key);

@@ -10,7 +10,10 @@
 //!
 //! A request head is bounded: a request line over 8 KiB is answered
 //! `414`, a head over 16 KiB or 64 header lines `431`, and the connection
-//! is closed.
+//! is closed. It is also bounded in time: a connection that sends no byte
+//! of a next request within 5 s (`IDLE_DEADLINE`) is closed quietly, and a head
+//! begun but not finished by then is answered `408` and closed, so a silent
+//! or trickling peer cannot hold a worker.
 //!
 //! Endpoints (all `GET`, JSON unless noted):
 //!
@@ -28,7 +31,7 @@ use crate::epoch::Epoch;
 use crate::metrics::{ServeMetrics, ServeTotals};
 use crate::snapshot::ServeSnapshot;
 use blast_obs::trace::JsonObject;
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,6 +43,9 @@ const MAX_REQUEST_LINE: usize = 8 * 1024;
 /// header lines; past either the request gets `431`.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 const MAX_HEADERS: usize = 64;
+/// How long a connection may take to deliver one whole request head,
+/// measured from when the worker starts waiting for it.
+const IDLE_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Everything a worker thread needs to answer queries.
 #[derive(Clone)]
@@ -63,6 +69,16 @@ impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
     /// `readers` worker threads (at least one). Fails when the bind fails.
     pub fn start(state: ServeState, addr: &str, readers: usize) -> std::io::Result<Server> {
+        Self::start_with(state, addr, readers, IDLE_DEADLINE)
+    }
+
+    /// [`Server::start`] with the idle deadline spelled out (tests shorten it).
+    fn start_with(
+        state: ServeState,
+        addr: &str,
+        readers: usize,
+        idle: Duration,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let listener = Arc::new(listener);
@@ -72,7 +88,7 @@ impl Server {
                 let listener = Arc::clone(&listener);
                 let shutdown = Arc::clone(&shutdown);
                 let state = state.clone();
-                std::thread::spawn(move || worker_loop(&listener, &shutdown, &state))
+                std::thread::spawn(move || worker_loop(&listener, &shutdown, &state, idle))
             })
             .collect();
         Ok(Server {
@@ -111,7 +127,7 @@ impl std::fmt::Debug for Server {
 }
 
 /// One worker: accept → serve the connection (keep-alive) → repeat.
-fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, state: &ServeState) {
+fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, state: &ServeState, idle: Duration) {
     loop {
         let Ok((stream, _)) = listener.accept() else {
             if shutdown.load(Ordering::SeqCst) {
@@ -122,29 +138,33 @@ fn worker_loop(listener: &TcpListener, shutdown: &AtomicBool, state: &ServeState
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let _ = serve_connection(stream, shutdown, state);
+        let _ = serve_connection(stream, shutdown, state, idle);
     }
 }
 
 /// Serves one keep-alive connection until the peer closes, asks to close,
-/// or the server shuts down.
+/// goes `idle` without a whole next head, or the server shuts down.
 fn serve_connection(
     stream: TcpStream,
     shutdown: &AtomicBool,
     state: &ServeState,
+    idle: Duration,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     stream.set_nodelay(true)?;
     let mut input = BufReader::new(stream.try_clone()?);
     let mut output = stream;
     loop {
-        let request = match read_request(&mut input, shutdown) {
+        let request = match read_request(&mut input, shutdown, idle) {
             Ok(Head::Request(r)) => r,
-            // Past a cap nothing says where the next request would start:
-            // answer and close.
+            // Past a cap or the deadline nothing says where the next
+            // request would start: answer and close.
             Ok(Head::Refused(status)) => {
-                let refusal = Response::error(status, "request head too large");
-                return write_response(&mut output, &refusal, true);
+                let why = match status {
+                    408 => "request head not finished in time",
+                    _ => "request head too large",
+                };
+                return write_response(&mut output, &Response::error(status, why), true);
             }
             Ok(Head::Closed) | Err(_) => return Ok(()),
         };
@@ -176,7 +196,7 @@ enum Head {
     Request(Request),
     /// The peer closed the connection before a whole head arrived.
     Closed,
-    /// The head broke a cap; the status that says which.
+    /// The head broke a cap or the idle deadline; the status that says which.
     Refused(u16),
 }
 
@@ -184,32 +204,54 @@ enum Head {
 /// what already arrived still in `line`, so a slow client loses nothing;
 /// it becomes an error once the server shuts down. `Some` is why there is
 /// no whole line: it would pass `cap` bytes (`over_cap` is the status for
-/// that), or the peer closed first.
+/// that), `deadline` passed first (`408`; checked before every read, so a
+/// peer trickling bytes is bounded like a silent one), or the peer closed.
 fn read_line_capped(
     input: &mut BufReader<TcpStream>,
     shutdown: &AtomicBool,
+    deadline: Instant,
     line: &mut Vec<u8>,
     cap: usize,
     over_cap: u16,
 ) -> std::io::Result<Option<Head>> {
     loop {
-        // One byte past the cap tells "too long" from "closed early".
-        let room = (cap + 1).saturating_sub(line.len()) as u64;
-        match input.by_ref().take(room).read_until(b'\n', line) {
+        if Instant::now() >= deadline {
+            return Ok(Some(Head::Refused(408)));
+        }
+        let buf = match input.fill_buf() {
             Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
             Err(e) => return Err(e),
-            Ok(_) if line.len() > cap => return Ok(Some(Head::Refused(over_cap))),
-            Ok(_) if line.last() != Some(&b'\n') => return Ok(Some(Head::Closed)),
-            Ok(_) => return Ok(None),
+            Ok([]) => return Ok(Some(Head::Closed)),
+            Ok(buf) => buf,
+        };
+        // One byte past the cap tells "too long" from "closed early".
+        let room = (cap + 1 - line.len()).min(buf.len());
+        let newline = buf[..room].iter().position(|&b| b == b'\n');
+        let taken = newline.map_or(room, |i| i + 1);
+        line.extend_from_slice(&buf[..taken]);
+        input.consume(taken);
+        if line.len() > cap {
+            return Ok(Some(Head::Refused(over_cap)));
+        }
+        if newline.is_some() {
+            return Ok(None);
         }
     }
 }
 
-/// Reads one request head within the module's caps.
-fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std::io::Result<Head> {
+/// Reads one request head within the module's caps, `idle` from now at most.
+fn read_request(
+    input: &mut BufReader<TcpStream>,
+    shutdown: &AtomicBool,
+    idle: Duration,
+) -> std::io::Result<Head> {
+    let deadline = Instant::now() + idle;
     let mut line = Vec::new();
-    if let Some(end) = read_line_capped(input, shutdown, &mut line, MAX_REQUEST_LINE, 414)? {
-        return Ok(end);
+    if let Some(end) =
+        read_line_capped(input, shutdown, deadline, &mut line, MAX_REQUEST_LINE, 414)?
+    {
+        // Not one byte of a next request: an idle keep-alive peer, owed no reply.
+        return Ok(if line.is_empty() { Head::Closed } else { end });
     }
     let text = String::from_utf8_lossy(&line);
     let mut parts = text.split_whitespace();
@@ -228,7 +270,7 @@ fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std:
     let mut room = MAX_HEAD_BYTES - line.len();
     for _ in 0..=MAX_HEADERS {
         line.clear();
-        if let Some(end) = read_line_capped(input, shutdown, &mut line, room, 431)? {
+        if let Some(end) = read_line_capped(input, shutdown, deadline, &mut line, room, 431)? {
             return Ok(end);
         }
         room -= line.len();
@@ -277,6 +319,7 @@ fn write_response(output: &mut TcpStream, r: &Response, close: bool) -> std::io:
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
         _ => "Error",
@@ -390,6 +433,7 @@ fn route(request: &Request, state: &ServeState) -> Response {
 mod tests {
     use super::*;
     use crate::snapshot::{CommitUpdate, SnapshotBuilder};
+    use std::io::Read as _;
 
     fn test_state() -> ServeState {
         let mut builder = SnapshotBuilder::new();
@@ -597,6 +641,60 @@ mod tests {
         let flood = vec![b'a'; 1 << 20];
         assert_eq!(send(addr, &[&flood]).0, 414);
         assert_eq!(get(addr, "/stats").0, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn silent_keep_alive_peer_frees_its_worker() {
+        let idle = Duration::from_millis(300);
+        let server = Server::start_with(test_state(), "127.0.0.1:0", 1, idle).expect("bind");
+        // A sends one request, then holds its connection open and says nothing.
+        let mut a = TcpStream::connect(server.addr()).expect("connect");
+        a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write!(a, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        // The one worker answers A, gives it up at the deadline and answers B.
+        assert_eq!(get(server.addr(), "/stats").0, 200);
+        // A got its one reply and a quiet close: no `408` to a request never begun.
+        let mut seen = String::new();
+        a.read_to_string(&mut seen).expect("A's connection ends");
+        assert!(seen.starts_with("HTTP/1.1 200"), "{seen}");
+        assert_eq!(seen.matches("HTTP/1.1 ").count(), 1, "{seen}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn stalled_head_is_answered_408_and_closed() {
+        let idle = Duration::from_millis(300);
+        let server = Server::start_with(test_state(), "127.0.0.1:0", 1, idle).expect("bind");
+        let addr = server.addr();
+        let (status, body) = send(addr, &[b"GET /stats HTTP/1.1\r\nHost: t\r\nX-Sl"]);
+        assert_eq!(status, 408, "{body}");
+
+        // A peer that keeps trickling bytes never times a read out; the
+        // deadline bounds it all the same.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        stream
+            .write_all(b"GET /stats HTTP/1.1\r\nX-Slow: ")
+            .unwrap();
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 4096];
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_secs(5) {
+            let _ = stream.write_all(b"a");
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => reply.extend_from_slice(&buf[..n]),
+                Err(e) if would_block(&e) => {}
+                Err(_) => break,
+            }
+        }
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with("HTTP/1.1 408 Request Timeout"), "{reply}");
+        assert!(reply.contains("Connection: close"), "{reply}");
+        assert_eq!(get(addr, "/stats").0, 200, "the worker is free again");
         server.shutdown();
     }
 

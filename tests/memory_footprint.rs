@@ -26,8 +26,8 @@ fn stream_census_with(
 ) -> (IncrementalPipeline, usize) {
     let (input, _) = generate_dirty(&dirty_preset(DirtyPreset::Census));
     let d = input.collection(SourceId(0));
-    // Same cleaning shape as the memory phase of `exp_incremental`: bound
-    // block sizes at ~64 members so the footprint tracks the structures.
+    // Bound block sizes at ~64 members so the footprint tracks the
+    // structures, not a few stop-word blocks.
     let cleaning = CleaningConfig {
         purging: true,
         purge_fraction: 64.0 / d.len() as f64,

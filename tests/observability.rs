@@ -86,20 +86,43 @@ fn stream_trace_emits_one_valid_event_per_commit() {
             line.contains(&format!("\"seq\": {}", i + 1)),
             "seq order: {line}"
         );
-        for key in [
-            "\"tier\"",
-            "\"added\"",
-            "\"retained\"",
-            "\"dirty_nodes\"",
-            "\"retention_flips\"",
-            "\"total_secs\"",
-            "\"phases\"",
-            "\"decision_secs\"",
-            "\"live_edges\"",
-            "\"resident_bytes\"",
-        ] {
-            assert!(line.contains(key), "event {i} missing {key}: {line}");
+        for key in "seq batch_profiles tier added retracted retained blocks dirty_nodes \
+                    patched_rows retention_flips threshold_crossers total_secs phases \
+                    live_edges cached_accumulators interned_tokens resident_bytes \
+                    cold_evictions cold_rehydrations cold_resident_bytes spilled_bytes"
+            .split(' ')
+        {
+            assert!(
+                line.contains(&format!("\"{key}\": ")),
+                "event {i} missing {key}: {line}"
+            );
         }
+        assert!(
+            ["dirty", "reweigh", "full"]
+                .iter()
+                .any(|t| line.contains(&format!("\"tier\": \"{t}\""))),
+            "event {i} names an unknown repair tier: {line}"
+        );
+        // The nested phase object is flat (`{"k": secs, …}`): exactly the
+        // six phases, no more.
+        let phases = line.split_once("\"phases\": {").expect("phases object").1;
+        let phases = phases.split_once('}').expect("phases object ends").0;
+        let phase_keys: Vec<&str> = phases
+            .split(", ")
+            .map(|kv| kv.split_once(':').expect("key: value").0)
+            .collect();
+        assert_eq!(
+            phase_keys,
+            [
+                "\"index_maintenance_secs\"",
+                "\"cleaning_secs\"",
+                "\"snapshot_patch_secs\"",
+                "\"graph_repair_secs\"",
+                "\"reweigh_secs\"",
+                "\"decision_secs\"",
+            ],
+            "event {i}: {line}"
+        );
     }
 
     // The Prometheus page carries the commit series and parses line-wise.
