@@ -1,6 +1,6 @@
 //! Ground truth as a two-column CSV of external ids.
 
-use crate::csv;
+use crate::csv::{self, invalid_data};
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::ground_truth::GroundTruth;
 use blast_datamodel::hash::FastMap;
@@ -27,29 +27,23 @@ pub fn external_id_index(input: &ErInput) -> FastMap<(u8, Box<str>), ProfileId> 
 pub fn read_ground_truth(reader: &mut impl BufRead, input: &ErInput) -> io::Result<GroundTruth> {
     let index = external_id_index(input);
     let second_source = if input.is_clean_clean() { 1u8 } else { 0u8 };
-    let rows = csv::read(reader)?;
+    let mut text = String::new();
+    reader.read_to_string(&mut text)?;
+    let mut records = csv::Records::new(&text);
     let mut gt = GroundTruth::new();
-    for (line, row) in rows.iter().enumerate() {
-        if row.len() < 2 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ground-truth row {} needs two columns", line + 1),
-            ));
-        }
-        let a = index.get(&(0, row[0].as_str().into())).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown id {:?}", row[0]),
-            )
-        })?;
+    while let Some(row) = records.next_record() {
+        let (Some(first), Some(second)) = (row.get(0), row.get(1)) else {
+            return Err(invalid_data(format!(
+                "line {}: ground-truth row needs two columns",
+                row.line()
+            )));
+        };
+        let a = index
+            .get(&(0, first.into()))
+            .ok_or_else(|| invalid_data(format!("unknown id {first:?}")))?;
         let b = index
-            .get(&(second_source, row[1].as_str().into()))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown id {:?}", row[1]),
-                )
-            })?;
+            .get(&(second_source, second.into()))
+            .ok_or_else(|| invalid_data(format!("unknown id {second:?}")))?;
         gt.insert(*a, *b);
     }
     Ok(gt)
@@ -102,6 +96,25 @@ mod tests {
         let err =
             read_ground_truth(&mut BufReader::new("a1,nope\n".as_bytes()), &input).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn short_row_error_names_its_physical_line() {
+        // A blank line and a pair whose quoted id spans two lines sit above
+        // the fault: it is the third record, and it starts on line 5.
+        let mut d1 = EntityCollection::new(SourceId(0));
+        d1.push_pairs("a1", [("x", "1")]);
+        d1.push_pairs("a\n2", [("x", "2")]);
+        let mut d2 = EntityCollection::new(SourceId(1));
+        d2.push_pairs("b1", [("y", "1")]);
+        let input = ErInput::clean_clean(d1, d2);
+        let text = "a1,b1\n\n\"a\n2\",b1\na1\n";
+        let err = read_ground_truth(&mut BufReader::new(text.as_bytes()), &input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "line 5: ground-truth row needs two columns"
+        );
     }
 
     #[test]
