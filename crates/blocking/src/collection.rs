@@ -2,7 +2,6 @@
 
 use crate::block::Block;
 use blast_datamodel::entity::ProfileId;
-use blast_datamodel::input::ErInput;
 
 /// A set of blocks over a global profile-id space, with the bookkeeping
 /// needed to count comparisons consistently (clean-clean vs dirty).
@@ -16,7 +15,7 @@ pub struct BlockCollection {
 
 impl BlockCollection {
     /// Creates a collection; `separator` and `clean_clean` must describe the
-    /// [`ErInput`] the blocks were built from.
+    /// [`blast_datamodel::input::ErInput`] the blocks were built from.
     pub fn new(blocks: Vec<Block>, clean_clean: bool, separator: u32, total_profiles: u32) -> Self {
         Self {
             blocks,
@@ -24,16 +23,6 @@ impl BlockCollection {
             separator,
             total_profiles,
         }
-    }
-
-    /// Creates an empty collection shaped like `input`.
-    pub fn empty_for(input: &ErInput) -> Self {
-        Self::new(
-            Vec::new(),
-            input.is_clean_clean(),
-            input.separator(),
-            input.total_profiles() as u32,
-        )
     }
 
     /// The blocks.

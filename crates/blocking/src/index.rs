@@ -22,14 +22,6 @@
 //! diverges from token order.
 
 use crate::collection::BlockCollection;
-use blast_obs::{names, LazyCounter};
-
-/// Row splices applied across all mutable CSR indexes (process-wide) — the
-/// incremental snapshot's patch traffic.
-static CSR_SPLICES: LazyCounter = LazyCounter::new(names::CSR_SPLICES);
-/// Arena compactions (process-wide) — each is an O(live) repack, so a high
-/// rate relative to splices signals tombstone churn.
-static CSR_COMPACTIONS: LazyCounter = LazyCounter::new(names::CSR_COMPACTIONS);
 
 /// One row's extent in the arena: `data[start .. start + len]` holds the
 /// row, `cap` slots are reserved (the slack is tombstoned capacity).
@@ -163,7 +155,6 @@ impl ProfileBlockIndex {
     /// extents, else the arena tail). An empty `ids` deletes the row,
     /// freeing its extent.
     pub fn splice_row(&mut self, p: u32, ids: &[u32]) {
-        CSR_SPLICES.inc();
         self.ensure_profiles(p as usize + 1);
         let row = self.rows[p as usize];
         self.assignments = self.assignments - row.len as u64 + ids.len() as u64;
@@ -218,7 +209,6 @@ impl ProfileBlockIndex {
         if (self.data.len() as u64) <= self.assignments * 2 + 1024 {
             return;
         }
-        CSR_COMPACTIONS.inc();
         let mut data = Vec::with_capacity(self.assignments as usize);
         for row in &mut self.rows {
             let start = data.len() as u32;

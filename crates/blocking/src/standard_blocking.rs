@@ -60,11 +60,6 @@ impl SchemaAlignment {
         }
         cluster
     }
-
-    /// Number of alignment groups (excluding the glue cluster).
-    pub fn group_count(&self) -> usize {
-        self.n_groups as usize
-    }
 }
 
 impl KeyDisambiguator for SchemaAlignment {

@@ -213,8 +213,10 @@ pub fn evaluate(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// One `--trace` journal line: the commit's telemetry as a flat-ish JSON
-/// object (nested `phases` object: [`blast_obs::CommitPhases::to_json`]).
+/// One `--trace` journal line: the commit's envelope (sequence, tier,
+/// wall clock with the nested `phases` object of
+/// [`blast_obs::CommitPhases::to_json`], byte footprint) around every
+/// statistic the commit declared ([`blast_obs::RepairStats::journal`]).
 fn trace_event(
     seq: usize,
     batch_profiles: usize,
@@ -223,32 +225,16 @@ fn trace_event(
 ) -> String {
     use blast_obs::trace::JsonObject;
     let fp = pipeline.footprint();
-    let cold = pipeline.cold_stats();
-    JsonObject::new()
+    let event = JsonObject::new()
         .field_u64("seq", seq as u64)
         .field_u64("batch_profiles", batch_profiles as u64)
         .field_str("tier", out.stats.tier.label())
-        .field_u64("added", out.delta.added.len() as u64)
-        .field_u64("retracted", out.delta.retracted.len() as u64)
-        .field_u64("retained", out.retained_len as u64)
-        .field_u64("blocks", out.blocks as u64)
-        .field_u64("dirty_nodes", out.stats.dirty_nodes as u64)
-        .field_u64("scratch_loads", out.stats.scratch_loads as u64)
-        .field_u64("patched_rows", out.stats.patched_rows as u64)
-        .field_u64("retention_flips", out.stats.retention_flips as u64)
-        .field_u64("threshold_crossers", out.stats.threshold_crossers as u64)
-        .field_bool("index_deferred", out.stats.index_deferred)
-        .field_bool("index_materialised", out.stats.index_materialised)
         .field_f64("total_secs", out.timings.total_secs())
-        .field_raw("phases", &out.timings.to_json())
-        .field_u64("live_edges", fp.live_edges as u64)
-        .field_u64("cached_accumulators", fp.cached_accumulators as u64)
-        .field_u64("interned_tokens", fp.interned_tokens as u64)
+        .field_raw("phases", &out.timings.to_json());
+    out.stats
+        .journal(event)
         .field_u64("resident_bytes", fp.total_bytes() as u64)
-        .field_u64("cold_evictions", cold.evictions)
-        .field_u64("cold_rehydrations", cold.rehydrations)
-        .field_u64("cold_resident_bytes", cold.cold_bytes as u64)
-        .field_u64("spilled_bytes", cold.spilled_bytes as u64)
+        .field_u64("spilled_bytes", fp.spilled_bytes as u64)
         .finish()
 }
 
@@ -383,32 +369,11 @@ pub fn stream(args: &Args) -> Result<String, String> {
         if show_stats {
             let _ = writeln!(
                 report,
-                "    repair: dirty nodes = {}, scratch loads = {}, patched CSR rows = {}, patched slots = {}, tier = {}, \
-                 edges re-weighed = {}, swept = {} ({} re-keyed), retention flips = {}, threshold crossers = {}, \
-                 phases = {}",
-                out.stats.dirty_nodes,
-                out.stats.scratch_loads,
-                out.stats.patched_rows,
-                out.stats.patched_slots,
+                "    repair: tier = {}, {}, phases = {}",
                 out.stats.tier.label(),
-                out.stats.edges_reweighed,
-                out.stats.edges_swept,
-                out.stats.edges_rekeyed,
-                out.stats.retention_flips,
-                out.stats.threshold_crossers,
+                out.stats.human(),
                 out.timings.human_micros(),
             );
-            if out.stats.index_deferred || out.stats.index_materialised {
-                let _ = writeln!(
-                    report,
-                    "    ordered index: {}",
-                    if out.stats.index_deferred {
-                        "deferred (every edge decided explicitly; tree dropped, sum and count kept)"
-                    } else {
-                        "materialised from the adjacency rows"
-                    },
-                );
-            }
         }
         if let Some(w) = trace.as_mut() {
             let line = trace_event(batch_no, chunk.len(), &pipeline, &out);

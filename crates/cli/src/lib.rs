@@ -54,10 +54,11 @@ const STREAM_USAGE: &str = "\
                  from-scratch batch run — the equivalence contract)
                  [--threads N]  (worker threads for the parallel phases;
                  defaults to auto-scaling, or the BLAST_THREADS env var)
-                 [--stats]  (per-commit RepairStats: dirty nodes, patched
-                 CSR rows, full-rebuild fallbacks, phase timings)
+                 [--stats]  (per-commit RepairStats: the tier, every
+                 declared counter and level, phase timings)
                  [--trace OUT.jsonl]  (structured trace journal: one JSON
-                 event per commit — tier, phase secs, flips, footprint)
+                 event per commit — tier, phase secs, every declared
+                 counter and level, footprint)
                  [--metrics OUT.prom]  (Prometheus text exposition of the
                  pipeline's metrics registry after the run)
                  [--memory-budget BYTES]  (cold-tier residency: rows idle

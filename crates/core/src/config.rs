@@ -63,12 +63,6 @@ impl BlastConfig {
         self.d = d;
         self
     }
-
-    /// Replaces the schema-extraction configuration.
-    pub fn with_schema(mut self, schema: LooseSchemaConfig) -> Self {
-        self.schema = schema;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -81,12 +81,6 @@ impl EntityCollection {
         &self.profiles
     }
 
-    /// Mutable access to the profiles (used by generators to inject noise).
-    #[inline]
-    pub fn profiles_mut(&mut self) -> &mut [EntityProfile] {
-        &mut self.profiles
-    }
-
     /// Total number of name–value pairs across all profiles (the paper's
     /// `nvp` column of Table 2).
     pub fn nvp(&self) -> usize {

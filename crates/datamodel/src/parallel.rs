@@ -18,41 +18,8 @@
 //! `chunk` — never on the thread count — so even order-sensitive merges
 //! (floating-point folds) are bit-identical across thread counts.
 
-use blast_obs::{names, LazyCounter, LazyHistogram};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Work-stealing invocations, recorded into the process-wide registry (the
-/// scheduler is called from deep inside the weighting loops — a handle
-/// can't reasonably be plumbed through).
-static STEAL_INVOCATIONS: LazyCounter = LazyCounter::new(names::SCHEDULER_INVOCATIONS);
-/// Chunks processed across all work-stealing invocations.
-static STEAL_CHUNKS: LazyCounter = LazyCounter::new(names::SCHEDULER_CHUNKS);
-/// Chunks claimed per worker activation — the steal-balance distribution,
-/// aggregated over all pool sizes (kept for dashboard continuity).
-static STEAL_CHUNKS_PER_WORKER: LazyHistogram =
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER);
-/// The same distribution labelled by worker-pool size, so multi-core runs
-/// are distinguishable on the Prometheus page: one histogram per pool size
-/// 1/2/4/8, everything else under `.other`.
-static STEAL_CHUNKS_BY_POOL: [LazyHistogram; 5] = [
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER_T1),
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER_T2),
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER_T4),
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER_T8),
-    LazyHistogram::new(names::SCHEDULER_CHUNKS_PER_WORKER_OTHER),
-];
-
-/// The pool-size-labelled lane of the chunks-per-worker distribution.
-fn chunks_by_pool(workers: usize) -> &'static LazyHistogram {
-    match workers {
-        1 => &STEAL_CHUNKS_BY_POOL[0],
-        2 => &STEAL_CHUNKS_BY_POOL[1],
-        4 => &STEAL_CHUNKS_BY_POOL[2],
-        8 => &STEAL_CHUNKS_BY_POOL[3],
-        _ => &STEAL_CHUNKS_BY_POOL[4],
-    }
-}
 
 /// The `BLAST_THREADS` override, read once per process (the scheduler runs
 /// deep inside hot loops; an env lookup per invocation would be felt).
@@ -153,18 +120,14 @@ where
 {
     let chunk = chunk.max(1);
     let threads = threads.max(1);
-    STEAL_INVOCATIONS.inc();
     if len == 0 {
         let mut state = init();
         return vec![work(&mut state, 0..0)];
     }
     let n_chunks = len.div_ceil(chunk);
     let range_of = |i: usize| (i * chunk)..((i + 1) * chunk).min(len);
-    STEAL_CHUNKS.add(n_chunks as u64);
     if threads == 1 || n_chunks == 1 {
         let mut state = init();
-        STEAL_CHUNKS_PER_WORKER.record(n_chunks as u64);
-        chunks_by_pool(1).record(n_chunks as u64);
         return (0..n_chunks)
             .map(|i| work(&mut state, range_of(i)))
             .collect();
@@ -189,11 +152,6 @@ where
                         }
                         local.push((i, work(&mut state, range_of(i))));
                     }
-                    // Recorded from the worker's own thread — each records
-                    // into its own histogram shard, so the steal-balance
-                    // distribution costs no synchronisation.
-                    STEAL_CHUNKS_PER_WORKER.record(local.len() as u64);
-                    chunks_by_pool(workers).record(local.len() as u64);
                     local
                 })
             })

@@ -162,11 +162,6 @@ impl ColdStore {
         }
     }
 
-    /// True when frames go to a spill backend rather than the arena.
-    pub fn is_spilled(&self) -> bool {
-        self.spill.is_some()
-    }
-
     /// Appends one frame and returns its handle. Counts an eviction.
     pub fn put(&mut self, payload: &[u8]) -> FrameRef {
         let len = u32::try_from(payload.len()).expect("cold frame over 4 GiB");

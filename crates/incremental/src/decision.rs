@@ -47,13 +47,6 @@ use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
-use blast_obs::{names, LazyCounter};
-
-/// Bulk treap builds (the degraded-full tier, and the first dirty-tier
-/// commit after a run of reweigh commits left the tree deferred), recorded
-/// into the process-wide registry. No reweigh commit builds a tree, so a
-/// healthy stream shows this staying near zero while commits climb.
-static TREAP_BULK_REBUILDS: LazyCounter = LazyCounter::new(names::TREAP_BULK_REBUILDS);
 
 /// The total retention order of the decision stage: ascending `rank` is
 /// descending weight (see [`weight_rank_bits`]), ties broken by ascending
@@ -251,7 +244,6 @@ impl OrderedWeightIndex {
     /// `>=` implements, since its left tree always holds the smaller keys
     /// — the treap over a key set is unique, whatever built it.
     pub fn rebuild(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
-        TREAP_BULK_REBUILDS.inc();
         self.clear();
         for (u, v, w) in edges {
             let key = EdgeKey::new(u, v, w);

@@ -152,6 +152,7 @@ use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, SpillBackend};
+pub use blast_obs::{RepairStats, RepairTier};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -240,104 +241,37 @@ impl PairDelta {
     }
 }
 
-/// Which rung of the repair ladder a commit landed on (see module docs):
-/// what promotes a commit from tier 1 to 2 is a *global-scalar* drift
-/// (|B|; degrees/|E_G|; the CNP budget); from 2 to 3 a *structural*
-/// invalidation (first pass, forced degradation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RepairTier {
-    /// Tier 1 — dirty-neighbourhood repair only.
-    #[default]
-    Dirty,
-    /// Tier 2 — dirty neighbourhood plus a cache-driven reweigh of every
-    /// clean edge (no block traversal).
-    Reweigh,
-    /// Tier 3 — the degraded-full pass: every node marked, everything
-    /// re-accumulated from the blocks.
-    Full,
+/// What [`IncrementalMetaBlocker::refresh`] hands its decision pass: the
+/// commit's graph context and the edge lists the accumulate stage and the
+/// reweigh sweep produced.
+struct RepairCtx<'a> {
+    ctx: &'a GraphSnapshot,
+    weigher: &'a dyn EdgeWeigher,
+    /// The node set whose artefacts are recomputed (the dirty set on tier
+    /// 1, every node on tiers 2–3), ascending — empty for WEP/CEP, which
+    /// keep none.
+    recompute: &'a [u32],
+    /// The old dirty-incident edges at their old weights, ascending
+    /// `(u, v)`: the old side of every flip diff.
+    old: &'a [(u32, u32, f64)],
+    /// The fresh dirty-incident edges (weight + accumulator), ascending.
+    fresh: &'a [FreshEdge],
+    /// The clean edges the reweigh tier swept: `(u, v, old w, new w)`.
+    swept: &'a [(u32, u32, f64, f64)],
+    /// The fresh edge list of `recompute` (ascending `(u, v)`, new
+    /// weights) — empty for WEP/CEP, which walk `old`/`fresh` directly.
+    decide: &'a [(u32, u32, f64)],
+    /// The per-node artefact rule; `None` for WEP/CEP.
+    rule: Option<ArtefactRule>,
+    /// The recompute set's artefacts under `rule` where the accumulate
+    /// pass produced them; `None` re-derives them from the cache rows once
+    /// those are patched.
+    artefacts: Option<Vec<Artefact>>,
 }
 
-impl RepairTier {
-    /// Stable label for reports (`blast stream --stats`, the trace journal).
-    pub fn label(&self) -> &'static str {
-        match self {
-            RepairTier::Dirty => "dirty",
-            RepairTier::Reweigh => "reweigh",
-            RepairTier::Full => "full",
-        }
-    }
-
-    /// Zero-based rung index (dirty = 0, reweigh = 1, full = 2) — the
-    /// per-tier counter slot used by the CLI and bench reports.
-    pub fn index(&self) -> usize {
-        match self {
-            RepairTier::Dirty => 0,
-            RepairTier::Reweigh => 1,
-            RepairTier::Full => 2,
-        }
-    }
-}
-
-/// Diagnostics of one repair pass (surfaced per commit by
-/// `blast stream --stats`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairStats {
-    /// Nodes whose neighbourhood was recomputed.
-    pub dirty_nodes: usize,
-    /// CSR rows the snapshot patched this commit (filled by the pipeline
-    /// from [`blast_graph::context::ApplyStats`]).
-    pub patched_rows: usize,
-    /// Block slots the snapshot patched this commit.
-    pub patched_slots: usize,
-    /// Edge weights re-accumulated from the blocks this commit (the
-    /// dirty-incident edges the accumulate stage re-materialised).
-    pub edges_reweighed: usize,
-    /// Node adjacencies re-accumulated from the blocks this commit
-    /// ([`GraphSnapshot::scratch_loads`] across the repair) — exactly
-    /// `dirty_nodes` on tier 1: one traversal of the dirty neighbourhood
-    /// yields both its edges and its per-node artefacts.
-    pub scratch_loads: usize,
-    /// Clean edges whose weight was re-derived from the cached
-    /// accumulators by the reweigh tier (zero on tiers 1 and 3).
-    pub edges_swept: usize,
-    /// Swept clean edges whose weight bits actually moved — a count of
-    /// changed weights, whether or not any index key was re-keyed for
-    /// them (WEP/CEP drop their ordered index on this tier instead).
-    pub edges_rekeyed: usize,
-    /// Candidate pairs whose retention flipped (|added| + |retracted|).
-    pub retention_flips: usize,
-    /// Clean edges whose retention flipped purely because the global
-    /// threshold/cutoff frontier moved (WEP mean drift, CEP budget or
-    /// rank shift) — enumerated from the ordered weight index on the
-    /// dirty tier, decided explicitly on the reweigh tier; never by
-    /// re-scanning the edge list.
-    pub threshold_crossers: usize,
-    /// Wall-clock of the reweigh-machinery phase: degree-delta
-    /// maintenance (any tier, degree-reading weighers only) plus the
-    /// clean-edge cache sweep (reweigh tier only) — the `reweigh` phase
-    /// column. Effectively zero for weighers with no global scalars.
-    pub reweigh_secs: f64,
-    /// Wall-clock of the decision stage alone (frontier maintenance, flip
-    /// emission, retained-set surgery) — the `decision` phase column.
-    pub decision_secs: f64,
-    /// The repair-ladder tier this commit landed on.
-    pub tier: RepairTier,
-    /// WEP/CEP only: this commit decided every edge explicitly and left
-    /// the ordered weight index deferred (tree dropped, Σw and count
-    /// current) — every reweigh-tier commit of an edge-centric variant.
-    pub index_deferred: bool,
-    /// WEP/CEP only: this commit found the ordered weight index deferred
-    /// and built it from the adjacency rows — the first dirty-tier commit
-    /// after a run of reweigh commits.
-    pub index_materialised: bool,
-}
-
-impl RepairStats {
-    /// Whether the pass degraded to the full tier.
-    pub fn is_full(&self) -> bool {
-        self.tier == RepairTier::Full
-    }
-}
+/// A decision pass's sorted flips: added pairs with the weight their
+/// decision read, and retracted pairs.
+type Flips = (Vec<(u32, u32, f64)>, Vec<(u32, u32)>);
 
 /// What the cleaning stage reports into the repair.
 #[derive(Debug, Default)]
@@ -894,7 +828,18 @@ impl IncrementalMetaBlocker {
         }
 
         let (added, retracted) = self.repair(
-            ctx, weigher, &recompute, &old, &fresh, &swept, &decide, rule, artefacts, &mut stats,
+            RepairCtx {
+                ctx,
+                weigher,
+                recompute: &recompute,
+                old: &old,
+                fresh: &fresh,
+                swept: &swept,
+                decide: &decide,
+                rule,
+                artefacts,
+            },
+            &mut stats,
         );
         stats.retention_flips = added.len() + retracted.len();
         self.retained_len += added.len();
@@ -906,33 +851,22 @@ impl IncrementalMetaBlocker {
         (PairDelta::from_flips(added, retracted), stats)
     }
 
-    /// The per-variant decision pass. `recompute` is the node set whose
-    /// artefacts are recomputed (the dirty set on tier 1, every node on
-    /// tiers 2–3), ascending; `decide` the corresponding fresh edge list
-    /// (ascending `(u, v)`, new weights) — both empty for WEP/CEP, which
-    /// read neither; `old`/`fresh`/`swept` the
-    /// flip-diff inputs described in [`IncrementalMetaBlocker::refresh`].
-    /// `artefacts` are the recompute set's artefacts under `rule` where
-    /// the accumulate pass produced them; `None` re-derives them from the
-    /// cache rows once those are patched (`rule` is `None` for WEP/CEP,
-    /// which keep no per-node artefact). Returns the (sorted)
-    /// added/retracted flips, each added pair with the weight its decision
-    /// read; updates `stats` with the decision-stage counters and
-    /// wall-clock.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn repair(
-        &mut self,
-        ctx: &GraphSnapshot,
-        weigher: &dyn EdgeWeigher,
-        recompute: &[u32],
-        old: &[(u32, u32, f64)],
-        fresh: &[FreshEdge],
-        swept: &[(u32, u32, f64, f64)],
-        decide: &[(u32, u32, f64)],
-        rule: Option<ArtefactRule>,
-        artefacts: Option<Vec<Artefact>>,
-        stats: &mut RepairStats,
-    ) -> (Vec<(u32, u32, f64)>, Vec<(u32, u32)>) {
+    /// The per-variant decision pass over one commit's [`RepairCtx`].
+    /// Returns the (sorted) added/retracted flips, each added pair with the
+    /// weight its decision read; updates `stats` with the decision-stage
+    /// counters and wall-clock.
+    fn repair(&mut self, cx: RepairCtx<'_>, stats: &mut RepairStats) -> Flips {
+        let RepairCtx {
+            ctx,
+            weigher,
+            recompute,
+            old,
+            fresh,
+            swept,
+            decide,
+            rule,
+            artefacts,
+        } = cx;
         let n = ctx.total_profiles() as usize;
         let mask = &self.mask;
         let tier = stats.tier;

@@ -46,14 +46,14 @@ use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdStats, SpillBackend};
 use blast_io::TempSpillFile;
-use blast_obs::{CommitMetrics, CommitRecord};
+use blast_obs::CommitMetrics;
 use std::time::Instant;
 
 /// Wall-clock split of one commit across the pipeline stages. The type
-/// lives in `blast-obs` ([`blast_obs::CommitPhases`]) so the `--stats`
-/// phase line and the trace journal's phase object are formatted by one
-/// implementation; the historical `CommitTimings` name is kept for the
-/// pipeline's callers.
+/// lives in `blast-obs` ([`blast_obs::CommitPhases`]), beside
+/// [`RepairStats`], so the registry, the `--stats` lines and the trace
+/// journal all read a commit's statistics from where they are declared;
+/// the historical `CommitTimings` name is kept for the pipeline's callers.
 pub use blast_obs::CommitPhases as CommitTimings;
 
 /// Resident-footprint counters of a streaming pipeline — the structure
@@ -140,7 +140,9 @@ impl ResidencyPolicy {
 pub struct CommitOutcome {
     /// The candidate-pair delta of this micro-batch.
     pub delta: PairDelta,
-    /// Repair diagnostics.
+    /// Everything the commit counted: the repair and decision diagnostics
+    /// plus the cleaner, cold-tier and structure-size figures — what the
+    /// registry recorded for this commit.
     pub stats: RepairStats,
     /// Size of the candidate set after the commit.
     pub retained_len: usize,
@@ -289,14 +291,6 @@ impl IncrementalPipeline {
     /// to turn between commits; outcomes stay bit-identical).
     pub fn set_threads(&mut self, threads: usize) {
         self.snapshot.set_threads(threads);
-    }
-
-    /// Bounds the hot footprint of the evictable structures to
-    /// `budget_bytes` with the default residency knobs (see
-    /// [`ResidencyPolicy::budget`]). Commit outcomes stay bit-identical to
-    /// the unbudgeted pipeline at any budget.
-    pub fn with_memory_budget(self, budget_bytes: usize) -> Self {
-        self.with_residency(ResidencyPolicy::budget(budget_bytes))
     }
 
     /// Attaches a full cold-tier residency policy. Safe to set before or
@@ -505,9 +499,6 @@ impl IncrementalPipeline {
         let t0 = Instant::now();
         let drain = self.index.drain_dirty();
         timings.index_secs += t0.elapsed().as_secs_f64();
-        let drained_keys = drain.keys.len();
-        let drained_members = drain.removed_members.len();
-        let drained_profiles = drain.touched_profiles.len();
 
         let t0 = Instant::now();
         let clean_clean = self.store.is_clean_clean();
@@ -545,51 +536,33 @@ impl IncrementalPipeline {
             (t0.elapsed().as_secs_f64() - stats.decision_secs - stats.reweigh_secs).max(0.0);
         stats.patched_rows = applied.patched_rows;
         stats.patched_slots = applied.patched_slots;
-        let retained_len = self.blocker.retained_len();
+        stats.added = delta.added.len();
+        stats.retracted = delta.retracted.len();
+        stats.cleaner_dirty_keys = drain.keys.len();
+        stats.cleaner_removed_members = drain.removed_members.len();
+        stats.cleaner_touched_profiles = drain.touched_profiles.len();
         // Demote cold rows *after* the repair settled — eviction never
         // observes (or perturbs) in-flight repair state, so any budget or
         // cadence leaves the commit outcome bit-identical.
         self.enforce_residency();
         let cold = self.cold_stats();
-        let cold_evictions = cold.evictions - self.cold_seen.0;
-        let cold_rehydrations = cold.rehydrations - self.cold_seen.1;
+        stats.cold_evictions = (cold.evictions - self.cold_seen.0) as usize;
+        stats.cold_rehydrations = (cold.rehydrations - self.cold_seen.1) as usize;
         self.cold_seen = (cold.evictions, cold.rehydrations);
-        // Record the commit into the pipeline's registry. Gauge sources are
-        // all O(1) reads — `footprint()`'s byte estimates are O(n) and stay
-        // off the commit path.
-        self.metrics.record(&CommitRecord {
-            phases: Some(&timings),
-            tier: stats.tier.index(),
-            dirty_nodes: stats.dirty_nodes as u64,
-            patched_rows: stats.patched_rows as u64,
-            patched_slots: stats.patched_slots as u64,
-            edges_reweighed: stats.edges_reweighed as u64,
-            scratch_loads: stats.scratch_loads as u64,
-            edges_swept: stats.edges_swept as u64,
-            edges_rekeyed: stats.edges_rekeyed as u64,
-            retention_flips: stats.retention_flips as u64,
-            threshold_crossers: stats.threshold_crossers as u64,
-            index_deferred: u64::from(stats.index_deferred),
-            index_materialised: u64::from(stats.index_materialised),
-            pairs_added: delta.added.len() as u64,
-            pairs_retracted: delta.retracted.len() as u64,
-            cleaner_dirty_keys: drained_keys as u64,
-            cleaner_removed_members: drained_members as u64,
-            cleaner_touched_profiles: drained_profiles as u64,
-            retained: retained_len as i64,
-            blocks: outcome.blocks as i64,
-            live_edges: self.blocker.live_edges() as i64,
-            cached_accumulators: self.blocker.cached_accumulators() as i64,
-            interned_symbols: self.index.interned_tokens() as i64,
-            cold_evictions,
-            cold_rehydrations,
-            cold_resident_bytes: cold.cold_bytes as i64,
-        });
+        // The levels are all O(1) reads — `footprint()`'s byte estimates
+        // are O(n) and stay off the commit path.
+        stats.retained = self.blocker.retained_len();
+        stats.blocks = outcome.blocks as usize;
+        stats.live_edges = self.blocker.live_edges();
+        stats.cached_accumulators = self.blocker.cached_accumulators();
+        stats.interned_tokens = self.index.interned_tokens();
+        stats.cold_resident_bytes = cold.cold_bytes;
+        self.metrics.record(&stats, &timings);
         CommitOutcome {
             delta,
             stats,
-            retained_len,
-            blocks: outcome.blocks as usize,
+            retained_len: stats.retained,
+            blocks: stats.blocks,
             timings,
         }
     }

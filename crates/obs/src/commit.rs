@@ -1,235 +1,398 @@
-//! Typed views over the registry for the commit path.
+//! The commit path's statistics, each declared once.
 //!
-//! Before this crate, the per-phase wall-clock split (`CommitTimings`) and
-//! the repair diagnostics (`RepairStats`) were hand-aggregated in three
-//! places: the pipeline, `blast stream --stats`, and a bench binary's
-//! JSON writer. The registry is now the one aggregation point:
+//! Two tables carry everything a commit reports:
 //!
-//! * [`CommitMetrics`] — the write side. The incremental pipeline owns one
-//!   per stream (its own [`Registry`], so concurrent pipelines and tests
-//!   never bleed into each other) and records one [`CommitRecord`] per
-//!   commit.
-//! * [`CommitPhases`] — the per-commit phase split. The incremental
-//!   crate's `CommitTimings` is a re-export of this type, so the trace
-//!   journal's phase object ([`CommitPhases::to_json`]) and the `--stats`
-//!   phase line ([`CommitPhases::human_micros`]) are formatted by exactly
-//!   one implementation.
-//! * [`CommitTotals`] — the read side: everything the commit path recorded,
-//!   reconstructed from a [`MetricsSnapshot`] (or a
-//!   [`MetricsSnapshot::delta_since`] window of one).
+//! * the **phase table** behind [`CommitPhases`] — the wall-clock split of
+//!   one commit (re-exported by the incremental crate as `CommitTimings`).
+//!   One row names the field, its `commit.phase.*` histogram, its journal
+//!   key and its `--stats` label;
+//! * [`COMMIT_STATS`] behind [`RepairStats`] — the per-commit counters,
+//!   flags and levels. One row names the field (which is also the journal
+//!   key and, spaces for underscores, the `--stats` label), the
+//!   [`CommitTotals`] field it sums into, how it aggregates ([`StatKind`])
+//!   and its registry name.
+//!
+//! `IncrementalMetaBlocker::refresh` and `IncrementalPipeline::commit` fill
+//! a [`RepairStats`] directly; [`CommitMetrics`] (the write side, one
+//! [`Registry`] per pipeline so concurrent pipelines and tests never bleed
+//! into each other) registers and records by walking the tables;
+//! [`CommitTotals::from_snapshot`] (the read side), the trace journal
+//! ([`RepairStats::journal`]) and the `--stats` line
+//! ([`RepairStats::human`]) walk the same rows. A new statistic is one row
+//! plus the line that measures it.
 
 use crate::metric::{Counter, Gauge, Histogram};
 use crate::names;
 use crate::registry::{MetricsSnapshot, Registry};
-use std::fmt::Write as _;
+use crate::trace::JsonObject;
 use std::sync::Arc;
 
-/// Wall-clock split of one commit across the pipeline stages. Re-exported
-/// by the incremental crate as `CommitTimings`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommitPhases {
+/// One row of the phase table.
+struct Phase {
+    /// The `commit.phase.*` nanosecond histogram.
+    name: &'static str,
+    /// Key in the journal's `phases` object.
+    json_key: &'static str,
+    /// Label on the `--stats` phase line.
+    label: &'static str,
+    get: fn(&CommitPhases) -> f64,
+    slot: fn(&mut CommitPhases) -> &mut f64,
+}
+
+macro_rules! commit_phases {
+    ($( $(#[$doc:meta])* $field:ident => $json_key:literal, $label:literal, $name:expr; )*) => {
+        /// Wall-clock split of one commit across the pipeline stages.
+        /// Re-exported by the incremental crate as `CommitTimings`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct CommitPhases {
+            $( $(#[$doc])* pub $field: f64, )*
+        }
+
+        const PHASES: &[Phase] = &[ $( Phase {
+            name: $name,
+            json_key: $json_key,
+            label: $label,
+            get: |p| p.$field,
+            slot: |p| &mut p.$field,
+        } ),* ];
+    };
+}
+
+commit_phases! {
     /// Blocking-index maintenance: token re-keying + posting diffs of the
     /// micro-batch's mutations plus the dirty-state drain.
-    pub index_secs: f64,
+    index_secs => "index_maintenance_secs", "index", names::COMMIT_PHASE_INDEX_SECS;
     /// Incremental purging + filtering over the dirty blocks.
-    pub cleaning_secs: f64,
+    cleaning_secs => "cleaning_secs", "clean", names::COMMIT_PHASE_CLEANING_SECS;
     /// Patching the owned graph snapshot (CSR row splices + slot stats).
-    pub snapshot_secs: f64,
+    snapshot_secs => "snapshot_patch_secs", "snapshot", names::COMMIT_PHASE_SNAPSHOT_SECS;
     /// Dirty-neighbourhood artefact repair.
-    pub repair_secs: f64,
+    repair_secs => "graph_repair_secs", "repair", names::COMMIT_PHASE_REPAIR_SECS;
     /// The repair ladder's reweigh machinery (degree-delta maintenance
     /// plus the tier-2 clean-edge cache sweep).
-    pub reweigh_secs: f64,
+    reweigh_secs => "reweigh_secs", "reweigh", names::COMMIT_PHASE_REWEIGH_SECS;
     /// The decision stage: frontier maintenance, flip emission,
     /// retained-set surgery.
-    pub decision_secs: f64,
+    decision_secs => "decision_secs", "decision", names::COMMIT_PHASE_DECISION_SECS;
 }
 
 impl CommitPhases {
+    /// Builds a split phase by phase.
+    fn from_fn(mut secs: impl FnMut(&Phase) -> f64) -> CommitPhases {
+        let mut out = CommitPhases::default();
+        for phase in PHASES {
+            *(phase.slot)(&mut out) = secs(phase);
+        }
+        out
+    }
+
     /// Total commit wall-clock.
     pub fn total_secs(&self) -> f64 {
-        self.index_secs
-            + self.cleaning_secs
-            + self.snapshot_secs
-            + self.repair_secs
-            + self.reweigh_secs
-            + self.decision_secs
+        PHASES.iter().map(|p| (p.get)(self)).sum()
     }
 
     /// Element-wise accumulation (for aggregating over a run).
     pub fn accumulate(&mut self, other: &CommitPhases) {
-        self.index_secs += other.index_secs;
-        self.cleaning_secs += other.cleaning_secs;
-        self.snapshot_secs += other.snapshot_secs;
-        self.repair_secs += other.repair_secs;
-        self.reweigh_secs += other.reweigh_secs;
-        self.decision_secs += other.decision_secs;
+        *self = CommitPhases::from_fn(|p| (p.get)(self) + (p.get)(other));
     }
 
     /// Element-wise mean over `commits` (identity for `commits == 0`).
     pub fn mean(&self, commits: usize) -> CommitPhases {
         let n = commits.max(1) as f64;
-        CommitPhases {
-            index_secs: self.index_secs / n,
-            cleaning_secs: self.cleaning_secs / n,
-            snapshot_secs: self.snapshot_secs / n,
-            repair_secs: self.repair_secs / n,
-            reweigh_secs: self.reweigh_secs / n,
-            decision_secs: self.decision_secs / n,
-        }
+        CommitPhases::from_fn(|p| (p.get)(self) / n)
     }
 
-    /// Reads the six phase totals out of a snapshot (sums of the
-    /// `commit.phase.*` nanosecond histograms, in seconds). Apply to a
-    /// [`MetricsSnapshot::delta_since`] window to scope to one run.
+    /// Reads the phase totals out of a snapshot (sums of the
+    /// `commit.phase.*` nanosecond histograms, in seconds).
     pub fn from_snapshot(s: &MetricsSnapshot) -> CommitPhases {
-        let sum = |name: &str| s.histogram(name).map_or(0.0, |h| h.sum());
-        CommitPhases {
-            index_secs: sum(names::COMMIT_PHASE_INDEX_SECS),
-            cleaning_secs: sum(names::COMMIT_PHASE_CLEANING_SECS),
-            snapshot_secs: sum(names::COMMIT_PHASE_SNAPSHOT_SECS),
-            repair_secs: sum(names::COMMIT_PHASE_REPAIR_SECS),
-            reweigh_secs: sum(names::COMMIT_PHASE_REWEIGH_SECS),
-            decision_secs: sum(names::COMMIT_PHASE_DECISION_SECS),
-        }
+        CommitPhases::from_fn(|p| s.histogram(p.name).map_or(0.0, |h| h.sum()))
     }
 
     /// The phase object of a trace-journal event — the one serialization
     /// of the phase schema.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"index_maintenance_secs\": {:.6}, \"cleaning_secs\": {:.6}, \"snapshot_patch_secs\": {:.6}, \"graph_repair_secs\": {:.6}, \"reweigh_secs\": {:.6}, \"decision_secs\": {:.6}}}",
-            self.index_secs,
-            self.cleaning_secs,
-            self.snapshot_secs,
-            self.repair_secs,
-            self.reweigh_secs,
-            self.decision_secs,
-        )
+        PHASES
+            .iter()
+            .fold(JsonObject::new(), |obj, p| {
+                obj.field_f64(p.json_key, (p.get)(self))
+            })
+            .finish()
     }
 
     /// The human phase line of `blast stream --stats`, in microseconds.
     pub fn human_micros(&self) -> String {
-        format!(
-            "{:.1}us index / {:.1}us clean / {:.1}us snapshot / {:.1}us repair / {:.1}us reweigh / {:.1}us decision",
-            self.index_secs * 1e6,
-            self.cleaning_secs * 1e6,
-            self.snapshot_secs * 1e6,
-            self.repair_secs * 1e6,
-            self.reweigh_secs * 1e6,
-            self.decision_secs * 1e6,
-        )
+        let parts: Vec<String> = PHASES
+            .iter()
+            .map(|p| format!("{:.1}us {}", (p.get)(self) * 1e6, p.label))
+            .collect();
+        parts.join(" / ")
     }
 }
 
-/// One commit's worth of observations, handed to
-/// [`CommitMetrics::record`]. Plain integers — the pipeline maps its
-/// `RepairStats`/delta/footprint counters into this and the registry does
-/// the aggregation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CommitRecord<'a> {
-    /// The per-phase wall-clock split.
-    pub phases: Option<&'a CommitPhases>,
-    /// Repair-ladder rung (0 = dirty, 1 = reweigh, 2 = full).
-    pub tier: usize,
+/// Which rung of the repair ladder a commit landed on (see the incremental
+/// crate's `graph` module docs): what promotes a commit from tier 1 to 2 is
+/// a *global-scalar* drift (|B|; degrees/|E_G|; the CNP budget); from 2 to
+/// 3 a *structural* invalidation (first pass, forced degradation).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum RepairTier {
+    /// Tier 1 — dirty-neighbourhood repair only.
+    #[default]
+    Dirty,
+    /// Tier 2 — dirty neighbourhood plus a cache-driven reweigh of every
+    /// clean edge (no block traversal).
+    Reweigh,
+    /// Tier 3 — the degraded-full pass: every node marked, everything
+    /// re-accumulated from the blocks.
+    Full,
+}
+
+impl RepairTier {
+    /// Stable label for reports (`blast stream --stats`, the trace journal).
+    pub fn label(&self) -> &'static str {
+        match self {
+            RepairTier::Dirty => "dirty",
+            RepairTier::Reweigh => "reweigh",
+            RepairTier::Full => "full",
+        }
+    }
+
+    /// Zero-based rung index (dirty = 0, reweigh = 1, full = 2) — the
+    /// per-tier counter slot used by the registry, the CLI and the
+    /// benchmark.
+    pub fn index(&self) -> usize {
+        *self as usize
+    }
+}
+
+/// How a per-commit statistic aggregates in the registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// A per-commit count, added to a counter.
+    Counter,
+    /// A per-commit yes/no: a counter of the commits where it held,
+    /// `true`/`false` in the journal.
+    Flag,
+    /// A level after the commit, set on a gauge.
+    Gauge,
+}
+
+impl StatKind {
+    /// Reads `name` back out of a snapshot: a counter's total, or a gauge's
+    /// last level (0 when the registry never saw it).
+    fn read(self, s: &MetricsSnapshot, name: &str) -> u64 {
+        match self {
+            StatKind::Gauge => s.gauge(name).unwrap_or(0).max(0) as u64,
+            StatKind::Counter | StatKind::Flag => s.counter(name),
+        }
+    }
+}
+
+/// One row of [`COMMIT_STATS`].
+#[derive(Debug)]
+pub struct CommitStat {
+    /// The [`RepairStats`] field, which is also the journal key.
+    pub field: &'static str,
+    /// The registry (and, `blast_`-prefixed with underscores, Prometheus)
+    /// name.
+    pub name: &'static str,
+    /// How the per-commit value aggregates.
+    pub kind: StatKind,
+    /// This commit's value.
+    pub get: fn(&RepairStats) -> u64,
+    /// The aggregate read back by [`CommitTotals::from_snapshot`].
+    pub total: fn(&CommitTotals) -> u64,
+}
+
+macro_rules! commit_stats {
+    ($( $(#[$doc:meta])* $field:ident: $ty:ty => $total:ident, $kind:ident, $name:literal; )*) => {
+        /// Everything one commit reports besides its wall clock: filled by
+        /// `IncrementalMetaBlocker::refresh` (the repair and decision
+        /// fields) and `IncrementalPipeline::commit` (the rest), handed
+        /// back on `CommitOutcome::stats` and recorded into the registry.
+        /// Every field from `dirty_nodes` down is a row of [`COMMIT_STATS`].
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct RepairStats {
+            /// The repair-ladder tier this commit landed on.
+            pub tier: RepairTier,
+            /// Wall-clock of the reweigh-machinery phase: degree-delta
+            /// maintenance (any tier, degree-reading weighers only) plus
+            /// the clean-edge cache sweep (reweigh tier only) — the
+            /// `reweigh` phase column. Effectively zero for weighers with
+            /// no global scalars.
+            pub reweigh_secs: f64,
+            /// Wall-clock of the decision stage alone (frontier
+            /// maintenance, flip emission, retained-set surgery) — the
+            /// `decision` phase column.
+            pub decision_secs: f64,
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        /// Everything the commit path recorded, read back out of a
+        /// snapshot: counts and flags summed over the commits, levels as
+        /// the last commit left them.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct CommitTotals {
+            /// Commits recorded.
+            pub commits: u64,
+            /// Summed per-phase wall clock.
+            pub phases: CommitPhases,
+            /// Commits per repair-ladder rung (dirty / reweigh / full).
+            pub tier_commits: [u64; 3],
+            $( $(#[$doc])* pub $total: u64, )*
+        }
+
+        /// The per-commit statistics table: one row per [`RepairStats`]
+        /// field that reaches the registry, the journal and `--stats`.
+        pub const COMMIT_STATS: &[CommitStat] = &[ $( CommitStat {
+            field: stringify!($field),
+            name: $name,
+            kind: StatKind::$kind,
+            get: |s| s.$field as u64,
+            total: |t| t.$total,
+        } ),* ];
+
+        impl CommitTotals {
+            /// Reconstructs the totals from a snapshot.
+            pub fn from_snapshot(s: &MetricsSnapshot) -> CommitTotals {
+                CommitTotals {
+                    commits: s.counter(names::COMMIT_COUNT),
+                    phases: CommitPhases::from_snapshot(s),
+                    tier_commits: TIER_NAMES.map(|name| s.counter(name)),
+                    $( $total: StatKind::$kind.read(s, $name), )*
+                }
+            }
+        }
+    };
+}
+
+commit_stats! {
     /// Nodes whose neighbourhood was recomputed.
-    pub dirty_nodes: u64,
-    /// Snapshot CSR rows patched.
-    pub patched_rows: u64,
-    /// Snapshot block slots patched.
-    pub patched_slots: u64,
-    /// Edges re-accumulated from the blocks.
-    pub edges_reweighed: u64,
-    /// Node adjacencies re-accumulated from the blocks.
-    pub scratch_loads: u64,
-    /// Clean edges re-derived from cached accumulators.
-    pub edges_swept: u64,
-    /// Swept edges whose weight bits moved.
-    pub edges_rekeyed: u64,
-    /// Retention flips (|added| + |retracted|).
-    pub retention_flips: u64,
-    /// Clean-edge frontier crossers.
-    pub threshold_crossers: u64,
-    /// 1 when this commit left the ordered weight index deferred.
-    pub index_deferred: u64,
-    /// 1 when this commit materialised a deferred ordered weight index.
-    pub index_materialised: u64,
-    /// Candidate pairs added this commit.
-    pub pairs_added: u64,
-    /// Candidate pairs retracted this commit.
-    pub pairs_retracted: u64,
+    dirty_nodes: usize => dirty_nodes, Counter, "repair.dirty_nodes";
+    /// Node adjacencies re-accumulated from the blocks (the snapshot's own
+    /// `scratch_loads` across the repair) — exactly `dirty_nodes` on tier
+    /// 1: one traversal of the dirty neighbourhood yields both its edges
+    /// and its per-node artefacts; a second traversal would double it.
+    scratch_loads: usize => scratch_loads, Counter, "repair.scratch_loads";
+    /// Edge weights re-accumulated from the blocks (the dirty-incident
+    /// edges the accumulate stage re-materialised).
+    edges_reweighed: usize => edges_reweighed, Counter, "repair.edges_reweighed";
+    /// Clean edges whose weight was re-derived from the cached
+    /// accumulators by the reweigh tier (zero on tiers 1 and 3).
+    edges_swept: usize => edges_swept, Counter, "repair.edges_swept";
+    /// Swept clean edges whose weight bits actually moved — a count of
+    /// changed weights, whether or not any index key was re-keyed for
+    /// them (WEP/CEP drop their ordered index on this tier instead).
+    edges_rekeyed: usize => edges_rekeyed, Counter, "repair.edges_rekeyed";
+    /// CSR rows the snapshot patched.
+    patched_rows: usize => patched_rows, Counter, "snapshot.patched_rows";
+    /// Block slots the snapshot patched.
+    patched_slots: usize => patched_slots, Counter, "snapshot.patched_slots";
+    /// Candidate pairs whose retention flipped (|added| + |retracted|).
+    retention_flips: usize => retention_flips, Counter, "decision.retention_flips";
+    /// Clean edges whose retention flipped purely because the global
+    /// threshold/cutoff frontier moved (WEP mean drift, CEP budget or
+    /// rank shift) — enumerated from the ordered weight index on the
+    /// dirty tier, decided explicitly on the reweigh tier; never by
+    /// re-scanning the edge list.
+    threshold_crossers: usize => threshold_crossers, Counter, "decision.threshold_crossers";
+    /// WEP/CEP only: the commit decided every edge explicitly and left the
+    /// ordered weight index deferred (tree dropped, Σw and count current) —
+    /// every reweigh-tier commit of an edge-centric variant.
+    index_deferred: bool => treap_deferred_commits, Flag, "treap.deferred_commits";
+    /// WEP/CEP only: the commit found the ordered weight index deferred
+    /// and built it from the adjacency rows — at most one per
+    /// reweigh→dirty transition, never on a reweigh commit.
+    index_materialised: bool => treap_materialisations, Flag, "treap.materialisations";
+    /// Candidate pairs added.
+    added: usize => pairs_added, Counter, "commit.pairs_added";
+    /// Candidate pairs retracted.
+    retracted: usize => pairs_retracted, Counter, "commit.pairs_retracted";
     /// Dirty posting keys the cleaner drained.
-    pub cleaner_dirty_keys: u64,
+    cleaner_dirty_keys: usize => cleaner_dirty_keys, Counter, "cleaner.dirty_keys";
     /// Profiles removed from at least one dirty key.
-    pub cleaner_removed_members: u64,
+    cleaner_removed_members: usize => cleaner_removed_members, Counter, "cleaner.removed_members";
     /// Profiles whose key list changed.
-    pub cleaner_touched_profiles: u64,
-    /// Candidate-set size after the commit (gauge).
-    pub retained: i64,
-    /// Cleaned-block count after the commit (gauge).
-    pub blocks: i64,
-    /// Live edges after the commit (gauge).
-    pub live_edges: i64,
-    /// Cached accumulator entries after the commit (gauge).
-    pub cached_accumulators: i64,
-    /// Interned token symbols after the commit (gauge).
-    pub interned_symbols: i64,
-    /// Rows demoted to the cold tier this commit.
-    pub cold_evictions: u64,
-    /// Cold rows read back this commit (transient decodes + promotions).
-    pub cold_rehydrations: u64,
-    /// Cold-frame bytes resident in memory after the commit (gauge;
-    /// spilled bytes excluded).
-    pub cold_resident_bytes: i64,
+    cleaner_touched_profiles: usize => cleaner_touched_profiles, Counter, "cleaner.touched_profiles";
+    /// Rows demoted to the cold tier by the residency enforcer.
+    cold_evictions: usize => cold_evictions, Counter, "cold.evictions";
+    /// Cold rows read back — transiently decoded or promoted hot.
+    cold_rehydrations: usize => cold_rehydrations, Counter, "cold.rehydrations";
+    /// Candidate-set size after the commit.
+    retained: usize => retained, Gauge, "pipeline.retained";
+    /// Cleaned-block count after the commit.
+    blocks: usize => blocks, Gauge, "pipeline.blocks";
+    /// Live edges in the decision state after the commit.
+    live_edges: usize => live_edges, Gauge, "pipeline.live_edges";
+    /// Packed accumulator entries cached in the edge adjacency.
+    cached_accumulators: usize => cached_accumulators, Gauge, "pipeline.cached_accumulators";
+    /// Distinct token symbols interned by the block index.
+    interned_tokens: usize => interned_tokens, Gauge, "interner.symbols";
+    /// Live cold-frame bytes resident in memory; spilled bytes excluded.
+    cold_resident_bytes: usize => cold_resident_bytes, Gauge, "cold.resident_bytes";
+}
+
+impl RepairStats {
+    /// Whether the pass degraded to the full tier.
+    pub fn is_full(&self) -> bool {
+        self.tier == RepairTier::Full
+    }
+
+    /// Appends every row of [`COMMIT_STATS`] to a trace-journal event,
+    /// keyed by field name.
+    pub fn journal(&self, event: JsonObject) -> JsonObject {
+        COMMIT_STATS.iter().fold(event, |event, stat| {
+            let v = (stat.get)(self);
+            match stat.kind {
+                StatKind::Flag => event.field_bool(stat.field, v != 0),
+                StatKind::Counter | StatKind::Gauge => event.field_u64(stat.field, v),
+            }
+        })
+    }
+
+    /// Every row of [`COMMIT_STATS`] as `label = value`, the label being
+    /// the field name with spaces — the per-commit line of
+    /// `blast stream --stats`.
+    pub fn human(&self) -> String {
+        let parts: Vec<String> = COMMIT_STATS
+            .iter()
+            .map(|stat| format!("{} = {}", stat.field.replace('_', " "), (stat.get)(self)))
+            .collect();
+        parts.join(", ")
+    }
+}
+
+/// Registry names of the per-tier commit counters, [`RepairTier::index`]
+/// order.
+const TIER_NAMES: [&str; 3] = [
+    names::REPAIR_TIER_DIRTY,
+    names::REPAIR_TIER_REWEIGH,
+    names::REPAIR_TIER_FULL,
+];
+
+/// The registry handle behind one row of [`COMMIT_STATS`].
+#[derive(Debug)]
+enum StatHandle {
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
 }
 
 /// The commit path's pre-registered write handles over one [`Registry`].
 ///
-/// Construction registers every `commit.*` / `repair.*` / `decision.*` /
-/// `snapshot.*` / `cleaner.*` / `pipeline.*` metric; recording one commit
-/// is ~20 relaxed atomic adds, no locks.
+/// Construction registers `commit.count`, `commit.total_secs`, the phase
+/// histograms, the tier counters and every row of [`COMMIT_STATS`];
+/// recording one commit is one relaxed atomic operation per metric, no
+/// locks.
 #[derive(Debug)]
 pub struct CommitMetrics {
     registry: Arc<Registry>,
     commits: Arc<Counter>,
     total_secs: Arc<Histogram>,
-    phase_hists: [Arc<Histogram>; 6],
+    /// One per row of the phase table.
+    phases: Vec<Arc<Histogram>>,
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 18],
-    gauges: [Arc<Gauge>; 6],
+    /// One per row of [`COMMIT_STATS`].
+    stats: Vec<StatHandle>,
 }
-
-/// Index order of `CommitMetrics::counters` (kept private; the names are
-/// the contract).
-const COUNTER_NAMES: [&str; 18] = [
-    names::REPAIR_DIRTY_NODES,
-    names::SNAPSHOT_PATCHED_ROWS,
-    names::SNAPSHOT_PATCHED_SLOTS,
-    names::REPAIR_EDGES_REWEIGHED,
-    names::REPAIR_SCRATCH_LOADS,
-    names::REPAIR_EDGES_SWEPT,
-    names::REPAIR_EDGES_REKEYED,
-    names::DECISION_RETENTION_FLIPS,
-    names::DECISION_THRESHOLD_CROSSERS,
-    names::TREAP_DEFERRED_COMMITS,
-    names::TREAP_MATERIALISATIONS,
-    names::COMMIT_PAIRS_ADDED,
-    names::COMMIT_PAIRS_RETRACTED,
-    names::CLEANER_DIRTY_KEYS,
-    names::CLEANER_REMOVED_MEMBERS,
-    names::CLEANER_TOUCHED_PROFILES,
-    names::COLD_EVICTIONS,
-    names::COLD_REHYDRATIONS,
-];
-
-const GAUGE_NAMES: [&str; 6] = [
-    names::PIPELINE_RETAINED,
-    names::PIPELINE_BLOCKS,
-    names::PIPELINE_LIVE_EDGES,
-    names::PIPELINE_CACHED_ACCUMULATORS,
-    names::INTERNER_SYMBOLS,
-    names::COLD_RESIDENT_BYTES,
-];
 
 impl CommitMetrics {
     /// Registers the commit-path metrics on a fresh registry.
@@ -239,29 +402,23 @@ impl CommitMetrics {
 
     /// Registers the commit-path metrics on `registry`.
     pub fn on(registry: Arc<Registry>) -> Self {
-        let h = |name| registry.histogram_with_unit(name, 1e-9);
-        let phase_hists = [
-            h(names::COMMIT_PHASE_INDEX_SECS),
-            h(names::COMMIT_PHASE_CLEANING_SECS),
-            h(names::COMMIT_PHASE_SNAPSHOT_SECS),
-            h(names::COMMIT_PHASE_REPAIR_SECS),
-            h(names::COMMIT_PHASE_REWEIGH_SECS),
-            h(names::COMMIT_PHASE_DECISION_SECS),
-        ];
-        let tiers = [
-            registry.counter(names::REPAIR_TIER_DIRTY),
-            registry.counter(names::REPAIR_TIER_REWEIGH),
-            registry.counter(names::REPAIR_TIER_FULL),
-        ];
-        let counters = COUNTER_NAMES.map(|n| registry.counter(n));
-        let gauges = GAUGE_NAMES.map(|n| registry.gauge(n));
         Self {
             commits: registry.counter(names::COMMIT_COUNT),
             total_secs: registry.histogram_with_unit(names::COMMIT_TOTAL_SECS, 1e-9),
-            phase_hists,
-            tiers,
-            counters,
-            gauges,
+            phases: PHASES
+                .iter()
+                .map(|p| registry.histogram_with_unit(p.name, 1e-9))
+                .collect(),
+            tiers: TIER_NAMES.map(|name| registry.counter(name)),
+            stats: COMMIT_STATS
+                .iter()
+                .map(|stat| match stat.kind {
+                    StatKind::Gauge => StatHandle::Gauge(registry.gauge(stat.name)),
+                    StatKind::Counter | StatKind::Flag => {
+                        StatHandle::Counter(registry.counter(stat.name))
+                    }
+                })
+                .collect(),
             registry,
         }
     }
@@ -276,60 +433,20 @@ impl CommitMetrics {
         self.registry.snapshot()
     }
 
-    /// Records one commit. When `phases` is present, `commit.total_secs`
-    /// is recorded as their sum.
-    pub fn record(&self, r: &CommitRecord<'_>) {
+    /// Records one commit; `commit.total_secs` is the sum of `phases`.
+    pub fn record(&self, stats: &RepairStats, phases: &CommitPhases) {
         self.commits.inc();
-        if let Some(p) = r.phases {
-            self.total_secs.record_secs(p.total_secs());
-            let secs = [
-                p.index_secs,
-                p.cleaning_secs,
-                p.snapshot_secs,
-                p.repair_secs,
-                p.reweigh_secs,
-                p.decision_secs,
-            ];
-            for (hist, s) in self.phase_hists.iter().zip(secs) {
-                hist.record_secs(s);
-            }
+        self.total_secs.record_secs(phases.total_secs());
+        for (hist, phase) in self.phases.iter().zip(PHASES) {
+            hist.record_secs((phase.get)(phases));
         }
-        self.tiers[r.tier.min(2)].inc();
-        let values = [
-            r.dirty_nodes,
-            r.patched_rows,
-            r.patched_slots,
-            r.edges_reweighed,
-            r.scratch_loads,
-            r.edges_swept,
-            r.edges_rekeyed,
-            r.retention_flips,
-            r.threshold_crossers,
-            r.index_deferred,
-            r.index_materialised,
-            r.pairs_added,
-            r.pairs_retracted,
-            r.cleaner_dirty_keys,
-            r.cleaner_removed_members,
-            r.cleaner_touched_profiles,
-            r.cold_evictions,
-            r.cold_rehydrations,
-        ];
-        for (c, v) in self.counters.iter().zip(values) {
-            if v > 0 {
-                c.add(v);
+        self.tiers[stats.tier.index()].inc();
+        for (handle, stat) in self.stats.iter().zip(COMMIT_STATS) {
+            let v = (stat.get)(stats);
+            match handle {
+                StatHandle::Counter(c) => c.add(v),
+                StatHandle::Gauge(g) => g.set(v as i64),
             }
-        }
-        let levels = [
-            r.retained,
-            r.blocks,
-            r.live_edges,
-            r.cached_accumulators,
-            r.interned_symbols,
-            r.cold_resident_bytes,
-        ];
-        for (g, v) in self.gauges.iter().zip(levels) {
-            g.set(v);
         }
     }
 }
@@ -340,86 +457,10 @@ impl Default for CommitMetrics {
     }
 }
 
-/// Everything the commit path recorded, read back out of a snapshot — the
-/// typed aggregate view `blast stream --stats` prints (apply to a
-/// [`MetricsSnapshot::delta_since`] window to scope to one run).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CommitTotals {
-    /// Commits in the window.
-    pub commits: u64,
-    /// Summed per-phase wall clock.
-    pub phases: CommitPhases,
-    /// Commits per repair-ladder rung (dirty / reweigh / full).
-    pub tier_commits: [u64; 3],
-    /// Dirty nodes repaired.
-    pub dirty_nodes: u64,
-    /// Snapshot CSR rows patched.
-    pub patched_rows: u64,
-    /// Snapshot block slots patched.
-    pub patched_slots: u64,
-    /// Edges re-accumulated from the blocks.
-    pub edges_reweighed: u64,
-    /// Node adjacencies re-accumulated from the blocks.
-    pub scratch_loads: u64,
-    /// Clean edges swept by the reweigh tier.
-    pub edges_swept: u64,
-    /// Swept edges whose weight bits moved.
-    pub edges_rekeyed: u64,
-    /// Retention flips emitted.
-    pub retention_flips: u64,
-    /// Clean-edge frontier crossers.
-    pub threshold_crossers: u64,
-    /// Commits that left the ordered weight index deferred.
-    pub treap_deferred_commits: u64,
-    /// Commits that materialised a deferred ordered weight index.
-    pub treap_materialisations: u64,
-    /// Candidate pairs added.
-    pub pairs_added: u64,
-    /// Candidate pairs retracted.
-    pub pairs_retracted: u64,
-    /// Dirty posting keys drained by the cleaner.
-    pub cleaner_dirty_keys: u64,
-    /// Rows demoted to the cold tier.
-    pub cold_evictions: u64,
-    /// Cold rows read back (transient decodes + promotions).
-    pub cold_rehydrations: u64,
-}
-
 impl CommitTotals {
-    /// Reconstructs the totals from a snapshot.
-    pub fn from_snapshot(s: &MetricsSnapshot) -> CommitTotals {
-        CommitTotals {
-            commits: s.counter(names::COMMIT_COUNT),
-            phases: CommitPhases::from_snapshot(s),
-            tier_commits: [
-                s.counter(names::REPAIR_TIER_DIRTY),
-                s.counter(names::REPAIR_TIER_REWEIGH),
-                s.counter(names::REPAIR_TIER_FULL),
-            ],
-            dirty_nodes: s.counter(names::REPAIR_DIRTY_NODES),
-            patched_rows: s.counter(names::SNAPSHOT_PATCHED_ROWS),
-            patched_slots: s.counter(names::SNAPSHOT_PATCHED_SLOTS),
-            edges_reweighed: s.counter(names::REPAIR_EDGES_REWEIGHED),
-            scratch_loads: s.counter(names::REPAIR_SCRATCH_LOADS),
-            edges_swept: s.counter(names::REPAIR_EDGES_SWEPT),
-            edges_rekeyed: s.counter(names::REPAIR_EDGES_REKEYED),
-            retention_flips: s.counter(names::DECISION_RETENTION_FLIPS),
-            threshold_crossers: s.counter(names::DECISION_THRESHOLD_CROSSERS),
-            treap_deferred_commits: s.counter(names::TREAP_DEFERRED_COMMITS),
-            treap_materialisations: s.counter(names::TREAP_MATERIALISATIONS),
-            pairs_added: s.counter(names::COMMIT_PAIRS_ADDED),
-            pairs_retracted: s.counter(names::COMMIT_PAIRS_RETRACTED),
-            cleaner_dirty_keys: s.counter(names::CLEANER_DIRTY_KEYS),
-            cold_evictions: s.counter(names::COLD_EVICTIONS),
-            cold_rehydrations: s.counter(names::COLD_REHYDRATIONS),
-        }
-    }
-
     /// The repair-totals summary line of `blast stream --stats`.
     pub fn repair_summary(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
+        format!(
             "repair totals: {} dirty nodes, {} patched CSR rows, {} retention flips \
              ({} threshold crossers), tiers = {}/{}/{} dirty/reweigh/full of {}, \
              ordered index deferred on {} commits, materialised on {}",
@@ -433,8 +474,7 @@ impl CommitTotals {
             self.commits,
             self.treap_deferred_commits,
             self.treap_materialisations,
-        );
-        out
+        )
     }
 }
 
@@ -453,32 +493,36 @@ mod tests {
             reweigh_secs: 5e-3,
             decision_secs: 6e-3,
         };
-        m.record(&CommitRecord {
-            phases: Some(&phases),
-            tier: 1,
-            dirty_nodes: 4,
-            scratch_loads: 4,
-            patched_rows: 7,
-            retention_flips: 2,
-            pairs_added: 2,
-            retained: 11,
-            live_edges: 30,
-            index_deferred: 1,
-            cold_evictions: 5,
-            cold_rehydrations: 3,
-            cold_resident_bytes: 4096,
-            ..CommitRecord::default()
-        });
-        m.record(&CommitRecord {
-            phases: Some(&phases),
-            tier: 0,
-            dirty_nodes: 1,
-            scratch_loads: 1,
-            index_materialised: 1,
-            retained: 12,
-            live_edges: 31,
-            ..CommitRecord::default()
-        });
+        m.record(
+            &RepairStats {
+                tier: RepairTier::Reweigh,
+                dirty_nodes: 4,
+                scratch_loads: 4,
+                patched_rows: 7,
+                retention_flips: 2,
+                added: 2,
+                retained: 11,
+                live_edges: 30,
+                index_deferred: true,
+                cold_evictions: 5,
+                cold_rehydrations: 3,
+                cold_resident_bytes: 4096,
+                ..RepairStats::default()
+            },
+            &phases,
+        );
+        m.record(
+            &RepairStats {
+                tier: RepairTier::Dirty,
+                dirty_nodes: 1,
+                scratch_loads: 1,
+                index_materialised: true,
+                retained: 12,
+                live_edges: 31,
+                ..RepairStats::default()
+            },
+            &phases,
+        );
         let snap = m.snapshot();
         let t = CommitTotals::from_snapshot(&snap);
         assert_eq!(t.commits, 2);
@@ -492,13 +536,13 @@ mod tests {
         assert!((t.phases.decision_secs - 12e-3).abs() < 1e-9);
         assert_eq!(t.cold_evictions, 5);
         assert_eq!(t.cold_rehydrations, 3);
+        assert_eq!(snap.gauge("cold.resident_bytes"), Some(0), "last set wins");
+        assert_eq!(snap.gauge("pipeline.retained"), Some(12));
+        assert_eq!(snap.gauge("pipeline.live_edges"), Some(31));
         assert_eq!(
-            snap.gauge(names::COLD_RESIDENT_BYTES),
-            Some(0),
-            "last set wins"
+            (t.retained, t.live_edges, t.cold_resident_bytes),
+            (12, 31, 0)
         );
-        assert_eq!(snap.gauge(names::PIPELINE_RETAINED), Some(12));
-        assert_eq!(snap.gauge(names::PIPELINE_LIVE_EDGES), Some(31));
         assert_eq!(t.treap_deferred_commits, 1);
         assert_eq!(t.treap_materialisations, 1);
         assert!(t.repair_summary().contains("tiers = 1/1/0"));

@@ -1,28 +1,22 @@
-//! `blast-obs`: the observability core — lock-free metrics, structured
-//! tracing, and the export surfaces the rest of the workspace records into.
+//! `blast-obs`: the observability core — metrics, the commit path's
+//! statistics, and the export surfaces the rest of the workspace reads.
 //!
-//! Six generations of hand-rolled counters (`RepairStats`, commit phase
-//! timings, memory-footprint gauges, per-bench aggregation) grew up
-//! threaded by hand through the pipeline; none survived concurrent
-//! writers and none exported anywhere. This crate replaces the plumbing
-//! with one registry:
-//!
-//! * [`metric`] — per-thread **sharded, lock-free** [`Counter`]s,
-//!   [`Gauge`]s and **log-bucketed** [`Histogram`]s (record cost is a
-//!   couple of relaxed atomic adds; no locks anywhere on the hot path),
-//!   plus the RAII [`SpanTimer`] and the `Lazy*` handles crates use to
-//!   instrument themselves against the process-wide registry.
+//! * [`metric`] — [`Counter`]s and [`Gauge`]s (one atomic each) and
+//!   **log-bucketed** [`Histogram`]s (one bucket array); a record is one or
+//!   two relaxed atomic adds, no locks.
 //! * [`registry`] — metric registration under the **dotted-name
-//!   convention** (`commit.phase.decision_secs`, `repair.tier`,
-//!   `treap.bulk_rebuilds`, `csr.splices`, `interner.symbols`, …) and
-//!   on-demand aggregation into immutable [`MetricsSnapshot`]s whose
-//!   [`MetricsSnapshot::encode_text`] emits Prometheus text exposition —
-//!   the payload a future `blast serve` mounts as `/metrics`.
-//! * [`commit`] — the typed views over the registry that the incremental
-//!   pipeline records into ([`CommitMetrics`]) and that reports read back
-//!   out ([`CommitPhases`], [`CommitTotals`]): `blast stream --stats` and
-//!   the trace journal both print/serialize through these, so the
-//!   phase-timing schema lives in exactly one place.
+//!   convention** (`commit.phase.decision_secs`, `repair.tier.dirty`,
+//!   `interner.symbols`, …) and on-demand reads into immutable
+//!   [`MetricsSnapshot`]s whose [`MetricsSnapshot::encode_text`] emits
+//!   Prometheus text exposition — the `/metrics` page of `blast serve` and
+//!   the file `blast stream --metrics` writes. One registry per pipeline;
+//!   there is no process-wide one.
+//! * [`commit`] — a commit's statistics, each declared once: the phase
+//!   table behind [`CommitPhases`] and the [`COMMIT_STATS`] table behind
+//!   [`RepairStats`]. The incremental pipeline fills and records them
+//!   ([`CommitMetrics`]); `blast stream --stats`, the trace journal, the
+//!   repo benchmark and [`CommitTotals`] read them back through the same
+//!   rows.
 //! * [`trace`] — the dependency-free JSON machinery behind the per-commit
 //!   **JSONL trace journal** (`blast stream --trace out.jsonl`).
 //!
@@ -30,8 +24,7 @@
 //! `--stats`, `/metrics` and the repo benchmark's registry gates always
 //! see every commit.
 //!
-//! The crate is deliberately **zero-dependency**: nothing below `std`, so
-//! every other crate in the workspace can depend on it without cycles.
+//! The crate is deliberately **zero-dependency**: nothing below `std`.
 
 pub mod commit;
 pub mod metric;
@@ -39,6 +32,9 @@ pub mod names;
 pub mod registry;
 pub mod trace;
 
-pub use commit::{CommitMetrics, CommitPhases, CommitRecord, CommitTotals};
-pub use metric::{Counter, Gauge, Histogram, LazyCounter, LazyGauge, LazyHistogram, SpanTimer};
-pub use registry::{global, HistogramSample, MetricSample, MetricsSnapshot, Registry, SampleValue};
+pub use commit::{
+    CommitMetrics, CommitPhases, CommitStat, CommitTotals, RepairStats, RepairTier, StatKind,
+    COMMIT_STATS,
+};
+pub use metric::{Counter, Gauge, Histogram};
+pub use registry::{HistogramSample, MetricSample, MetricsSnapshot, Registry, SampleValue};

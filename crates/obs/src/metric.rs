@@ -1,64 +1,38 @@
-//! The metric primitives: per-thread sharded, lock-free counters and
-//! gauges, log-bucketed latency histograms, and the RAII span timer.
+//! The metric primitives: plain atomic counters and gauges, and
+//! log-bucketed histograms.
 //!
-//! **Sharding.** Every thread is assigned a fixed shard slot (round-robin
-//! over [`SHARDS`] lanes at first use); a record call touches only its own
-//! shard's cache lines, so concurrent writers never contend on one atomic.
-//! Reading a metric sums the shards — reads are rare (snapshots), writes
-//! are the hot path. All record operations are single relaxed
-//! `fetch_add`s: lock-free, wait-free, and safe from any thread including
-//! the `parallel_work_steal` workers.
+//! Every record operation is a relaxed `fetch_add` (or `store`) on one
+//! atomic: lock-free and safe from any thread. The writers are one
+//! committing thread plus the HTTP workers, so nothing is sharded per
+//! thread — a [`Counter`] is eight bytes, a [`Histogram`] one bucket array
+//! (under 1.5 KiB).
 //!
 //! **Histogram buckets.** Log-linear ("log-bucketed"): values `0..4` get
 //! their own unit buckets, and every power-of-two octave above that is cut
-//! into 4 sub-buckets, giving a ≤ 12.5 % bucket width everywhere — enough
-//! for latency quantiles without per-sample allocation. Values at or above
-//! 2⁴⁰ raw units (~18 minutes in nanoseconds) land in a single overflow
-//! bucket exported as `+Inf`. Recording is a `leading_zeros` + three
-//! relaxed adds — low single-digit nanoseconds.
+//! into 4 sub-buckets, giving a ≤ 25 % relative bucket width everywhere —
+//! enough for latency quantiles without per-sample allocation. Values at or
+//! above 2⁴⁰ raw units (~18 minutes in nanoseconds) land in a single
+//! overflow bucket exported as `+Inf`. A histogram keeps no sample count of
+//! its own: the count *is* the sum of the buckets, so a reader racing a
+//! writer can never see a count its buckets do not add up to.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// Number of write lanes. More than the container's cores so round-robin
-/// assignment rarely aliases two busy threads onto one lane.
-pub const SHARDS: usize = 16;
-
-/// The round-robin source of per-thread shard slots.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-/// This thread's shard slot (assigned on first use, fixed thereafter).
-#[inline]
-fn shard_id() -> usize {
-    SHARD.with(|s| *s)
-}
-
-/// One cache-line-isolated atomic lane.
-#[repr(align(128))]
+/// A monotonically increasing counter.
 #[derive(Default)]
-struct Lane(AtomicU64);
-
-/// A monotonically increasing, per-thread-sharded counter.
 pub struct Counter {
-    lanes: [Lane; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     pub(crate) fn new() -> Self {
-        Self {
-            lanes: std::array::from_fn(|_| Lane::default()),
-        }
+        Self::default()
     }
 
-    /// Adds `n` (a single relaxed `fetch_add` on this thread's lane).
+    /// Adds `n` (a single relaxed `fetch_add`).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.lanes[shard_id()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -67,9 +41,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sums the shards; snapshot-path only).
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.lanes.iter().map(|l| l.0.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -81,17 +55,15 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A last-write-wins signed gauge (single atomic: gauges are set once per
-/// commit by one writer, never contended like counters).
+/// A last-write-wins signed gauge.
+#[derive(Default)]
 pub struct Gauge {
     value: AtomicI64,
 }
 
 impl Gauge {
     pub(crate) fn new() -> Self {
-        Self {
-            value: AtomicI64::new(0),
-        }
+        Self::default()
     }
 
     /// Sets the gauge.
@@ -120,7 +92,7 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// Sub-buckets per octave as a bit count (2 → 4 sub-buckets, ≤ 12.5 %
+/// Sub-buckets per octave as a bit count (2 → 4 sub-buckets, ≤ 25 %
 /// relative bucket width).
 const SUB_BITS: u32 = 2;
 const SUB: u64 = 1 << SUB_BITS;
@@ -159,48 +131,27 @@ pub(crate) fn bucket_bounds(i: usize) -> (u64, u64) {
     (lower, lower + (1u64 << octave) - 1)
 }
 
-/// One shard of a histogram: bucket lanes plus exact count/sum. The shard
-/// is its own aligned region, so two threads recording concurrently never
-/// share a cache line.
-#[repr(align(128))]
-struct HistLane {
-    buckets: [AtomicU64; TOTAL_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl HistLane {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A log-bucketed, per-thread-sharded histogram of `u64` raw values.
+/// A log-bucketed histogram of `u64` raw values.
 ///
 /// `unit` is the exported value of one raw unit — latency histograms
 /// record **nanoseconds** with `unit = 1e-9`, so exports and quantiles
 /// read in seconds while the hot path never touches floating point. The
-/// exact `count` and `sum` are maintained alongside the buckets (shard
-/// merges are plain sums, so concurrent totals are exact; only quantiles
-/// are bucket-resolution estimates).
+/// sample count is the sum of the buckets and the raw sum is exact; only
+/// quantiles are bucket-resolution estimates.
 pub struct Histogram {
-    lanes: Box<[HistLane; SHARDS]>,
+    buckets: Box<[AtomicU64; TOTAL_BUCKETS]>,
+    sum: AtomicU64,
     unit: f64,
 }
 
 impl Histogram {
     pub(crate) fn new(unit: f64) -> Self {
         assert!(unit > 0.0, "histogram unit must be positive");
-        let lanes: Vec<HistLane> = (0..SHARDS).map(|_| HistLane::new()).collect();
-        let lanes: Box<[HistLane; SHARDS]> = match lanes.try_into() {
-            Ok(a) => a,
-            Err(_) => unreachable!("built SHARDS lanes"),
-        };
-        Self { lanes, unit }
+        Self {
+            buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            sum: AtomicU64::new(0),
+            unit,
+        }
     }
 
     /// Exported value of one raw unit (1.0 for plain value histograms,
@@ -212,17 +163,8 @@ impl Histogram {
     /// Records one raw value.
     #[inline]
     pub fn record(&self, v: u64) {
-        let lane = &self.lanes[shard_id()];
-        lane.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        lane.count.fetch_add(1, Ordering::Relaxed);
-        lane.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds (latency histograms; pair with
-    /// `unit = 1e-9`).
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Records a duration given in (non-negative) seconds.
@@ -231,31 +173,22 @@ impl Histogram {
         self.record((secs.max(0.0) * 1e9).round() as u64);
     }
 
-    /// Total recorded samples (exact across threads).
+    /// Total recorded samples: the sum of the buckets.
     pub fn count(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.count.load(Ordering::Relaxed))
-            .sum()
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Exact raw-unit sum across threads.
+    /// Exact raw-unit sum.
     pub fn raw_sum(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.sum.load(Ordering::Relaxed))
-            .sum()
+        self.sum.load(Ordering::Relaxed)
     }
 
-    /// Merged per-bucket counts (index order; last slot is the overflow).
+    /// Per-bucket counts (index order; last slot is the overflow).
     pub(crate) fn bucket_counts(&self) -> Vec<u64> {
-        let mut out = vec![0u64; TOTAL_BUCKETS];
-        for lane in self.lanes.iter() {
-            for (slot, b) in out.iter_mut().zip(lane.buckets.iter()) {
-                *slot += b.load(Ordering::Relaxed);
-            }
-        }
-        out
+        self.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 }
 
@@ -265,161 +198,6 @@ impl std::fmt::Debug for Histogram {
             .field("count", &self.count())
             .field("unit", &self.unit)
             .finish()
-    }
-}
-
-/// RAII span timer: records the elapsed wall-clock into a nanosecond
-/// histogram when dropped.
-///
-/// ```
-/// let registry = blast_obs::Registry::new();
-/// let hist = registry.histogram_with_unit("commit.total_secs", 1e-9);
-/// {
-///     let _span = blast_obs::SpanTimer::start(&hist);
-///     // … timed work …
-/// } // records here
-/// assert_eq!(hist.count(), 1);
-/// ```
-#[must_use = "a span timer records when dropped; binding it to _ drops immediately"]
-pub struct SpanTimer<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl<'a> SpanTimer<'a> {
-    /// Starts the span.
-    pub fn start(hist: &'a Histogram) -> Self {
-        Self {
-            hist,
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
-    /// Seconds elapsed so far (the span keeps running).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Abandons the span without recording.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record_duration(self.start.elapsed());
-        }
-    }
-}
-
-/// A counter on the process-wide registry, registered on first use — the
-/// handle pattern for instrumenting crates that have no registry to
-/// plumb (`static SPLICES: LazyCounter = LazyCounter::new(names::CSR_SPLICES);`).
-/// After the first call the cost over a plain [`Counter`] is one atomic
-/// load.
-pub struct LazyCounter {
-    name: &'static str,
-    cell: OnceLock<Arc<Counter>>,
-}
-
-impl LazyCounter {
-    /// Declares the handle (no registration yet).
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The underlying counter (registers on first use).
-    #[inline]
-    pub fn get(&self) -> &Counter {
-        self.cell.get_or_init(|| crate::global().counter(self.name))
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.get().add(n);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.get().inc();
-    }
-}
-
-/// A gauge on the process-wide registry, registered on first use.
-pub struct LazyGauge {
-    name: &'static str,
-    cell: OnceLock<Arc<Gauge>>,
-}
-
-impl LazyGauge {
-    /// Declares the handle (no registration yet).
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The underlying gauge (registers on first use).
-    #[inline]
-    pub fn get(&self) -> &Gauge {
-        self.cell.get_or_init(|| crate::global().gauge(self.name))
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.get().set(v);
-    }
-}
-
-/// A histogram on the process-wide registry, registered on first use.
-pub struct LazyHistogram {
-    name: &'static str,
-    unit: f64,
-    cell: OnceLock<Arc<Histogram>>,
-}
-
-impl LazyHistogram {
-    /// Declares a plain value histogram (`unit = 1.0`).
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            unit: 1.0,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Declares a histogram with an explicit raw-unit scale (1e-9 for
-    /// nanosecond-recorded latency).
-    pub const fn with_unit(name: &'static str, unit: f64) -> Self {
-        Self {
-            name,
-            unit,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The underlying histogram (registers on first use).
-    #[inline]
-    pub fn get(&self) -> &Histogram {
-        self.cell
-            .get_or_init(|| crate::global().histogram_with_unit(self.name, self.unit))
-    }
-
-    /// Records one raw value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.get().record(v);
     }
 }
 
@@ -440,6 +218,12 @@ mod tests {
             }
         });
         assert_eq!(c.value(), 80_000);
+    }
+
+    #[test]
+    fn a_counter_is_one_atomic_and_a_histogram_one_bucket_array() {
+        assert_eq!(std::mem::size_of::<Counter>(), 8);
+        assert!(std::mem::size_of::<[AtomicU64; TOTAL_BUCKETS]>() < 1536);
     }
 
     #[test]
@@ -514,16 +298,5 @@ mod tests {
             .sum();
         assert_eq!(h.raw_sum(), expected, "shard-merge totals are exact");
         assert_eq!(h.bucket_counts().iter().sum::<u64>(), 200_000);
-    }
-
-    #[test]
-    fn span_timer_records_once_and_discard_does_not() {
-        let h = Histogram::new(1e-9);
-        {
-            let _span = SpanTimer::start(&h);
-        }
-        assert_eq!(h.count(), 1);
-        SpanTimer::start(&h).discard();
-        assert_eq!(h.count(), 1);
     }
 }

@@ -1,22 +1,26 @@
 //! Metric registration and snapshotting.
 //!
 //! A [`Registry`] maps dotted names to live metric handles. Recording
-//! through a handle is lock-free ([`crate::metric`]); the registry's mutex
-//! guards only registration and snapshots — neither is on a hot path.
+//! through a handle is one relaxed atomic operation ([`crate::metric`]);
+//! the registry's mutex guards only registration and snapshots — neither is
+//! on a hot path.
 //!
-//! [`Registry::snapshot`] aggregates every metric's shards into an
-//! immutable [`MetricsSnapshot`]: a sorted list of `(name, value)`
-//! samples. Snapshots subtract ([`MetricsSnapshot::delta_since`] — how a
-//! report scopes counters to one run), merge
-//! ([`MetricsSnapshot::merged`] — how a server combines the process-wide
-//! and per-pipeline registries), and export
+//! [`Registry::snapshot`] reads every metric into an immutable
+//! [`MetricsSnapshot`]: a sorted list of `(name, value)` samples, read back
+//! by name ([`MetricsSnapshot::counter`] and friends — what `/stats`,
+//! `--stats` and the repo benchmark do) or exported whole
 //! ([`MetricsSnapshot::encode_text`] — Prometheus text exposition, the
-//! `/metrics` payload of the future `blast serve`).
+//! `/metrics` page of `blast serve` and the file `blast stream --metrics`
+//! writes).
+//!
+//! There is one registry per pipeline and no process-wide one: a server
+//! registers its serve metrics on the registry its pipeline's
+//! [`crate::CommitMetrics`] already owns, so one page carries both.
 
-use crate::metric::{bucket_bounds, Counter, Gauge, Histogram, FINITE_BUCKETS, TOTAL_BUCKETS};
+use crate::metric::{bucket_bounds, Counter, Gauge, Histogram, FINITE_BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A live metric handle held by the registry.
 #[derive(Debug, Clone)]
@@ -26,9 +30,9 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-/// A named collection of metrics. Create per-subsystem registries with
-/// [`Registry::new`] (the incremental pipeline owns one per stream) or use
-/// the process-wide [`global`] one.
+/// A named collection of metrics. The incremental pipeline owns one per
+/// stream ([`crate::CommitMetrics`]); the serving layer registers on the
+/// same one.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -56,30 +60,51 @@ impl Registry {
         Self::default()
     }
 
+    /// The name → handle map. A registration that panics on a kind clash
+    /// does so while holding the lock; the map is valid at every step (an
+    /// entry is either inserted whole or not at all), so a poisoned lock is
+    /// recovered rather than taking every later scrape down with it.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Gets the handle registered under `name`, registering `make()` first
+    /// when the name is new; `pick` selects the wanted kind. Panics when
+    /// the name is invalid or already holds another kind.
+    fn register<T>(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Metric,
+        pick: impl FnOnce(&Metric) -> Option<Arc<T>>,
+    ) -> Arc<T> {
+        validate_name(name);
+        let mut metrics = self.lock();
+        let metric = metrics.entry(name.to_string()).or_insert_with(make);
+        pick(metric).unwrap_or_else(|| panic!("metric {name:?} already registered as {metric:?}"))
+    }
+
     /// Gets or registers a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        validate_name(name);
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
+        self.register(
+            name,
+            || Metric::Counter(Arc::new(Counter::new())),
+            |m| match m {
+                Metric::Counter(c) => Some(Arc::clone(c)),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers a gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        validate_name(name);
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
+        self.register(
+            name,
+            || Metric::Gauge(Arc::new(Gauge::new())),
+            |m| match m {
+                Metric::Gauge(g) => Some(Arc::clone(g)),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers a plain value histogram (`unit = 1.0`).
@@ -92,30 +117,29 @@ impl Registry {
     /// `unit = 1e-9` and export seconds). Panics if the name is already
     /// registered with a different unit.
     pub fn histogram_with_unit(&self, name: &str, unit: f64) -> Arc<Histogram> {
-        validate_name(name);
-        let mut metrics = self.metrics.lock().unwrap();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(unit))))
-        {
-            Metric::Histogram(h) => {
-                assert!(
-                    h.unit() == unit,
-                    "metric {name:?} already registered with unit {}, asked for {unit}",
-                    h.unit()
-                );
-                Arc::clone(h)
-            }
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
+        let h = self.register(
+            name,
+            || Metric::Histogram(Arc::new(Histogram::new(unit))),
+            |m| match m {
+                Metric::Histogram(h) => Some(Arc::clone(h)),
+                _ => None,
+            },
+        );
+        assert!(
+            h.unit() == unit,
+            "metric {name:?} already registered with unit {}, asked for {unit}",
+            h.unit()
+        );
+        h
     }
 
-    /// Aggregates every metric into an immutable snapshot. Concurrent
-    /// writers keep recording while the shards are summed; each metric's
-    /// value is internally consistent, the set as a whole is a point-in-
-    /// time view to within in-flight records.
+    /// Reads every metric into an immutable snapshot. Concurrent writers
+    /// keep recording meanwhile: each counter, gauge and bucket is one
+    /// atomic read, a histogram's count is the sum of the buckets read, and
+    /// the set as a whole is a point-in-time view to within in-flight
+    /// records.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.lock();
         let samples = metrics
             .iter()
             .map(|(name, metric)| MetricSample {
@@ -123,25 +147,20 @@ impl Registry {
                 value: match metric {
                     Metric::Counter(c) => SampleValue::Counter(c.value()),
                     Metric::Gauge(g) => SampleValue::Gauge(g.value()),
-                    Metric::Histogram(h) => SampleValue::Histogram(HistogramSample {
-                        count: h.count(),
-                        raw_sum: h.raw_sum(),
-                        unit: h.unit(),
-                        buckets: h.bucket_counts(),
-                    }),
+                    Metric::Histogram(h) => {
+                        let buckets = h.bucket_counts();
+                        SampleValue::Histogram(HistogramSample {
+                            count: buckets.iter().sum(),
+                            raw_sum: h.raw_sum(),
+                            unit: h.unit(),
+                            buckets,
+                        })
+                    }
                 },
             })
             .collect();
         MetricsSnapshot { samples }
     }
-}
-
-/// The process-wide registry (crate-internal instruments record here via
-/// the `Lazy*` handles; `/metrics` exports it alongside any per-pipeline
-/// registries).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 /// One metric's aggregated value.
@@ -164,11 +183,11 @@ pub enum SampleValue {
     Histogram(HistogramSample),
 }
 
-/// An aggregated histogram: exact count and raw sum plus the merged
-/// log-bucket counts (last slot is the `+Inf` overflow bucket).
+/// A histogram as read by one snapshot: the log-bucket counts (last slot
+/// is the `+Inf` overflow bucket), their sum as the count, and the raw sum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSample {
-    /// Exact number of recorded samples.
+    /// Number of recorded samples — the sum of `buckets`.
     pub count: u64,
     /// Exact sum in raw units.
     pub raw_sum: u64,
@@ -197,55 +216,27 @@ impl HistogramSample {
     /// against a sorted reference. Returns `f64::INFINITY` when the rank
     /// falls in the overflow bucket, `None` when the histogram is empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                if i >= FINITE_BUCKETS {
-                    return Some(f64::INFINITY);
-                }
-                let (lo, hi) = bucket_bounds(i);
-                return Some((lo + hi) as f64 / 2.0 * self.unit);
-            }
-        }
-        unreachable!("cumulative bucket counts reach the total count")
+        (self.count > 0).then(|| match self.quantile_bucket_bounds(q) {
+            Some((lo, hi)) => (lo + hi) as f64 / 2.0 * self.unit,
+            None => f64::INFINITY,
+        })
     }
 
     /// Inclusive raw-value bounds of the bucket holding `q`'s rank, or
-    /// `None` for an empty histogram / overflow rank. Test/diagnostic aid.
+    /// `None` for an empty histogram / overflow rank. The rank is at most
+    /// `count`, the sum of the buckets, so a rank no finite bucket reaches
+    /// lies in the overflow bucket.
     pub fn quantile_bucket_bounds(&self, q: f64) -> Option<(u64, u64)> {
         if self.count == 0 {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        let finite = self.buckets.iter().take(FINITE_BUCKETS);
+        finite.enumerate().find_map(|(i, &c)| {
             cum += c;
-            if cum >= rank {
-                return (i < FINITE_BUCKETS).then(|| bucket_bounds(i));
-            }
-        }
-        None
-    }
-
-    fn saturating_sub(&self, earlier: &HistogramSample) -> HistogramSample {
-        HistogramSample {
-            count: self.count.saturating_sub(earlier.count),
-            raw_sum: self.raw_sum.saturating_sub(earlier.raw_sum),
-            unit: self.unit,
-            buckets: self
-                .buckets
-                .iter()
-                .zip(earlier.buckets.iter().chain(std::iter::repeat(&0)))
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
+            (cum >= rank).then(|| bucket_bounds(i))
+        })
     }
 }
 
@@ -294,46 +285,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The monotone difference `self − earlier`: counters and histograms
-    /// subtract (scoping totals to a window), gauges keep their current
-    /// level. Metrics absent from `earlier` pass through unchanged.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| {
-                let value = match (&s.value, earlier.find(&s.name)) {
-                    (SampleValue::Counter(v), Some(SampleValue::Counter(e))) => {
-                        SampleValue::Counter(v.saturating_sub(*e))
-                    }
-                    (SampleValue::Histogram(h), Some(SampleValue::Histogram(e))) => {
-                        SampleValue::Histogram(h.saturating_sub(e))
-                    }
-                    (v, _) => v.clone(),
-                };
-                MetricSample {
-                    name: s.name.clone(),
-                    value,
-                }
-            })
-            .collect();
-        MetricsSnapshot { samples }
-    }
-
-    /// Merges two snapshots into one sorted sample list (e.g. the global
-    /// and a pipeline registry for one `/metrics` page). On a name
-    /// collision `self`'s sample wins.
-    pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut samples = self.samples.clone();
-        for s in &other.samples {
-            if self.find(&s.name).is_none() {
-                samples.push(s.clone());
-            }
-        }
-        samples.sort_by(|a, b| a.name.cmp(&b.name));
-        MetricsSnapshot { samples }
-    }
-
     /// Encodes the snapshot in Prometheus text exposition format
     /// (version 0.0.4): dotted names become `blast_`-prefixed underscore
     /// names, counters/gauges one sample line each, histograms the
@@ -357,20 +308,17 @@ impl MetricsSnapshot {
                     let _ = writeln!(out, "# TYPE {name} histogram");
                     let mut cum = 0u64;
                     for (i, &c) in h.buckets.iter().enumerate() {
-                        if i >= FINITE_BUCKETS {
-                            break;
-                        }
-                        if c == 0 {
+                        cum += c;
+                        if c == 0 || i >= FINITE_BUCKETS {
                             continue;
                         }
-                        cum += c;
                         let (_, hi) = bucket_bounds(i);
                         // `le` is inclusive; the bucket's inclusive raw
                         // upper bound scaled to exported units.
                         let le = fmt_f64(hi as f64 * h.unit);
                         let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
                     }
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
                     let _ = writeln!(out, "{name}_sum {}", fmt_f64(h.sum()));
                     let _ = writeln!(out, "{name}_count {}", h.count);
                 }
@@ -394,11 +342,6 @@ fn fmt_f64(v: f64) -> String {
 pub(crate) fn prom_name(name: &str) -> String {
     format!("blast_{}", name.replace('.', "_"))
 }
-
-/// Asserts that `TOTAL_BUCKETS` matches the sample layout (compile-time
-/// coupling between the metric and snapshot halves).
-#[allow(dead_code)]
-const _: [(); TOTAL_BUCKETS] = [(); FINITE_BUCKETS + 1];
 
 #[cfg(test)]
 mod tests {
@@ -426,42 +369,6 @@ mod tests {
         let r = Registry::new();
         r.counter("x.hits");
         r.gauge("x.hits");
-    }
-
-    #[test]
-    fn delta_since_scopes_counters_and_histograms() {
-        let r = Registry::new();
-        let c = r.counter("runs.widgets");
-        let h = r.histogram("runs.sizes");
-        c.add(10);
-        h.record(5);
-        let before = r.snapshot();
-        c.add(7);
-        h.record(9);
-        h.record(9);
-        let delta = r.snapshot().delta_since(&before);
-        assert_eq!(delta.counter("runs.widgets"), 7);
-        let hs = delta.histogram("runs.sizes").unwrap();
-        assert_eq!(hs.count, 2);
-        assert_eq!(hs.raw_sum, 18);
-    }
-
-    #[test]
-    fn merged_prefers_self_and_stays_sorted() {
-        let a = Registry::new();
-        a.counter("a.one").add(1);
-        a.counter("shared.n").add(5);
-        let b = Registry::new();
-        b.counter("b.two").add(2);
-        b.counter("shared.n").add(9);
-        let m = a.snapshot().merged(&b.snapshot());
-        assert_eq!(m.counter("a.one"), 1);
-        assert_eq!(m.counter("b.two"), 2);
-        assert_eq!(m.counter("shared.n"), 5, "self wins collisions");
-        let names: Vec<_> = m.samples().iter().map(|s| s.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
     }
 
     #[test]

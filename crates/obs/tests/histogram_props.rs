@@ -1,6 +1,6 @@
 //! Property tests pinning the log-bucketed histogram against a
-//! sorted-reference implementation, plus the concurrent shard-merge
-//! exactness contract at the registry level.
+//! sorted-reference implementation, plus the concurrent exactness and
+//! snapshot-consistency contracts at the registry level.
 
 use blast_obs::Registry;
 use proptest::prelude::*;
@@ -116,4 +116,67 @@ fn concurrent_recording_merges_shards_exactly() {
     assert_eq!(s.count, n);
     assert_eq!(s.raw_sum, n * (n - 1) / 2);
     assert_eq!(s.buckets.iter().sum::<u64>(), n);
+}
+
+/// A scrape racing writers never sees a count its buckets do not add up to:
+/// four threads record until a fifth has taken its snapshots, and in every
+/// snapshot the `_count` line equals the `+Inf` cumulative bucket, `count`
+/// is the sum of the buckets, and the top quantile is answered.
+#[test]
+fn snapshots_racing_writers_are_internally_consistent() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    const WRITERS: usize = 4;
+    const SCRAPES: u32 = 50;
+    let registry = Registry::new();
+    let h = registry.histogram_with_unit("test.raced_secs", 1e-9);
+    let start = std::sync::Barrier::new(WRITERS + 1);
+    let scrapes = AtomicU32::new(0);
+    let recorded: u64 = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS as u64)
+            .map(|t| {
+                let (h, start, scrapes) = (&h, &start, &scrapes);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut n = 0u64;
+                    // At least one record, then on until the scraper is done:
+                    // every snapshot is taken beside live writers.
+                    while n == 0 || scrapes.load(Ordering::Relaxed) < SCRAPES {
+                        h.record((t + 1) * (n % 4096));
+                        n += 1;
+                    }
+                    n
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..SCRAPES {
+            let snap = registry.snapshot();
+            let s = snap.histogram("test.raced_secs").expect("registered");
+            assert_eq!(s.count, s.buckets.iter().sum::<u64>());
+            assert!(s.count == 0 || s.quantile(1.0).is_some());
+            let page = snap.encode_text();
+            let value_of = |series: &str| -> u64 {
+                let line = page.lines().find(|l| l.starts_with(series));
+                let line = line.unwrap_or_else(|| panic!("{series} missing:\n{page}"));
+                line.rsplit_once(' ')
+                    .expect("sample line")
+                    .1
+                    .parse()
+                    .unwrap()
+            };
+            assert_eq!(
+                value_of("blast_test_raced_secs_count "),
+                value_of("blast_test_raced_secs_bucket{le=\"+Inf\"} "),
+            );
+            scrapes.fetch_add(1, Ordering::Relaxed);
+        }
+        writers
+            .into_iter()
+            .map(|w| w.join().expect("writer panicked"))
+            .sum()
+    });
+    let snap = registry.snapshot();
+    let s = snap.histogram("test.raced_secs").expect("registered");
+    assert_eq!(s.count, recorded, "no record lost");
+    assert!(s.quantile(1.0).is_some());
 }

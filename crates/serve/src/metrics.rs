@@ -1,13 +1,13 @@
 //! Typed serve-side views over a [`Registry`] — the read-path counterpart
 //! of [`blast_obs::CommitMetrics`].
 //!
-//! [`ServeMetrics`] is the write side: the server owns one and every
-//! reader thread records through shared handles. All the instruments are
-//! `blast-obs` sharded lock-free primitives, so recording a query from the
-//! hot path is a couple of relaxed atomic adds. [`ServeTotals`] is the read
-//! side, reconstructed from a [`MetricsSnapshot`] (or a
-//! [`MetricsSnapshot::delta_since`] window) for `/stats`, the bench, and
-//! the smoke script.
+//! [`ServeMetrics`] is the write side: the server owns one, registered on
+//! the registry its pipeline's commit metrics already live on (one
+//! `/metrics` page carries both), and every reader thread records through
+//! shared handles — a query is one relaxed add on a counter and two on a
+//! histogram. [`ServeTotals`] is the read side, reconstructed from a
+//! [`MetricsSnapshot`] for `/stats`, the repo benchmark and the smoke
+//! script.
 
 use crate::snapshot::CopyStats;
 use blast_obs::registry::{HistogramSample, MetricsSnapshot, Registry};

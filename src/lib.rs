@@ -89,8 +89,8 @@ pub mod io {
     pub use blast_io::*;
 }
 
-/// Observability: lock-free metric registry, commit telemetry views,
-/// Prometheus text export and the JSONL trace journal.
+/// Observability: the per-pipeline metric registry, the commit statistics
+/// table, Prometheus text export and the JSONL trace journal.
 pub mod obs {
     pub use blast_obs::*;
 }

@@ -1,13 +1,13 @@
 //! End-to-end observability: the `--trace` JSONL journal, the `--metrics`
 //! Prometheus page, the registry-vs-outcome accounting contract, and the
-//! process-wide deep instruments.
+//! commit table behind all three (complete, and renaming nothing).
 
 use blast::datagen::{dirty_preset, generate_dirty, DirtyPreset};
 use blast::datamodel::{ErInput, SourceId};
 use blast::graph::{PruningAlgorithm, WeightingScheme};
 use blast::incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning};
 use blast::obs::trace::is_valid_json;
-use blast::obs::CommitTotals;
+use blast::obs::{CommitTotals, StatKind, COMMIT_STATS};
 use std::fs;
 use std::path::PathBuf;
 
@@ -86,8 +86,11 @@ fn stream_trace_emits_one_valid_event_per_commit() {
             line.contains(&format!("\"seq\": {}", i + 1)),
             "seq order: {line}"
         );
+        // Every key the journal carried before the commit table existed:
+        // the table may add keys, never rename or drop one.
         for key in "seq batch_profiles tier added retracted retained blocks dirty_nodes \
-                    patched_rows retention_flips threshold_crossers total_secs phases \
+                    scratch_loads patched_rows retention_flips threshold_crossers \
+                    index_deferred index_materialised total_secs phases \
                     live_edges cached_accumulators interned_tokens resident_bytes \
                     cold_evictions cold_rehydrations cold_resident_bytes spilled_bytes"
             .split(' ')
@@ -97,6 +100,10 @@ fn stream_trace_emits_one_valid_event_per_commit() {
                 "event {i} missing {key}: {line}"
             );
         }
+        assert!(
+            line.contains("\"index_deferred\": false") || line.contains("\"index_deferred\": true"),
+            "event {i}: the flags stay booleans: {line}"
+        );
         assert!(
             ["dirty", "reweigh", "full"]
                 .iter()
@@ -197,55 +204,131 @@ fn registry_totals_match_hand_accumulated_outcomes() {
     assert!(totals.phases.total_secs() > 0.0);
 }
 
-#[test]
-fn deep_instruments_record_into_the_global_registry() {
-    // Counters on the process-wide registry are shared across the whole
-    // test binary, so the contract is monotone growth, never equality.
-    let before = blast::obs::global().snapshot();
-
-    // The work-stealing scheduler instruments itself.
-    let sums = blast::datamodel::parallel::parallel_work_steal(
-        10_000,
-        4,
-        256,
-        || 0u64,
-        |acc, range| {
-            *acc += range.len() as u64;
-            range.len() as u64
-        },
-    );
-    assert_eq!(sums.iter().sum::<u64>(), 10_000);
-
-    // A streamed pipeline reaches the CSR splice/compaction and treap
-    // rebuild instruments.
-    let rows = census_rows(0.05);
+/// Streams census rows through a WEP pipeline under a zero memory budget —
+/// inserts in micro-batches, then single deletes — and hands every
+/// commit's outcome to `each`. Under ECBS the stream reweighs, defers and
+/// re-builds the ordered index; under JS it stays on the dirty tier, where
+/// a drifting mean flips clean edges. Either way rows are evicted and
+/// rehydrated every commit.
+fn stream_census(
+    scheme: WeightingScheme,
+    mut each: impl FnMut(&blast::incremental::CommitOutcome),
+) -> IncrementalPipeline {
+    let rows = census_rows(0.25);
     let mut pipeline = IncrementalPipeline::dirty(
-        WeightingScheme::Cbs,
-        IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+        scheme,
+        IncrementalPruning::Traditional(PruningAlgorithm::Wep),
         CleaningConfig::default(),
-    );
-    let mut patched = 0usize;
+    )
+    .with_residency(blast::incremental::ResidencyPolicy {
+        budget_bytes: 0,
+        idle_commits: 0,
+        spill: false,
+    });
+    let mut ids = Vec::new();
     for chunk in rows.chunks(24) {
         for (id, pairs) in chunk {
-            pipeline.insert(
+            ids.push(pipeline.insert(
                 SourceId(0),
                 id,
                 pairs.iter().map(|(a, v)| (a.as_str(), v.as_str())),
-            );
+            ));
         }
-        patched += pipeline.commit().stats.patched_rows;
+        each(&pipeline.commit());
     }
+    for &id in ids.iter().step_by(7).take(16) {
+        pipeline.delete(id);
+        each(&pipeline.commit());
+    }
+    pipeline
+}
 
-    let after = blast::obs::global().snapshot();
-    assert!(after.counter("scheduler.invocations") > before.counter("scheduler.invocations"));
-    assert!(after.counter("scheduler.chunks") > before.counter("scheduler.chunks"));
-    if patched > 0 {
-        assert!(after.counter("csr.splices") >= before.counter("csr.splices") + patched as u64);
+/// The value of `"key": <unsigned or bool>` in a flat journal event.
+fn journal_value(event: &str, key: &str) -> Option<u64> {
+    let rest = event.split_once(&format!("\"{key}\": "))?.1;
+    match rest.split([',', '}']).next()? {
+        "true" => Some(1),
+        "false" => Some(0),
+        n => n.parse().ok(),
     }
-    for name in ["treap.bulk_rebuilds", "csr.splices", "csr.compactions"] {
-        assert!(
-            after.counter(name) >= before.counter(name),
-            "{name} must be monotone"
+}
+
+#[test]
+fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
+    let mut moved = vec![false; COMMIT_STATS.len()];
+    for scheme in [WeightingScheme::Ecbs, WeightingScheme::Js] {
+        let mut sums = vec![0u64; COMMIT_STATS.len()];
+        let mut last = vec![0u64; COMMIT_STATS.len()];
+        let mut journal_sums = vec![0u64; COMMIT_STATS.len()];
+        let pipeline = stream_census(scheme, |out| {
+            let event = out.stats.journal(Default::default()).finish();
+            assert!(is_valid_json(&event), "{event}");
+            for (i, stat) in COMMIT_STATS.iter().enumerate() {
+                last[i] = (stat.get)(&out.stats);
+                sums[i] += last[i];
+                journal_sums[i] += journal_value(&event, stat.field)
+                    .unwrap_or_else(|| panic!("journal event lacks {}: {event}", stat.field));
+            }
+        });
+        assert_eq!(
+            journal_sums, sums,
+            "the journal carries each commit's value"
         );
+
+        let snapshot = pipeline.metrics().snapshot();
+        let page = snapshot.encode_text();
+        let totals = CommitTotals::from_snapshot(&snapshot);
+        for (i, stat) in COMMIT_STATS.iter().enumerate() {
+            let series = format!("blast_{}", stat.name.replace('.', "_"));
+            let (kind, expected) = match stat.kind {
+                StatKind::Gauge => ("gauge", last[i]),
+                StatKind::Counter | StatKind::Flag => ("counter", sums[i]),
+            };
+            assert!(
+                page.contains(&format!("# TYPE {series} {kind}\n{series} ")),
+                "{series} is not a {kind} series:\n{page}"
+            );
+            assert_eq!(
+                (stat.total)(&totals),
+                expected,
+                "{} round-trips",
+                stat.field
+            );
+            moved[i] |= sums[i] > 0;
+        }
     }
+    // The two streams exercise the table rather than just walk it: every
+    // row was non-zero on some commit.
+    let idle: Vec<&str> = COMMIT_STATS
+        .iter()
+        .zip(&moved)
+        .filter(|(_, moved)| !**moved)
+        .map(|(stat, _)| stat.field)
+        .collect();
+    assert_eq!(idle, [""; 0], "rows that never moved");
+}
+
+/// The registry's series as they stood before the commit table existed,
+/// spelled out: the table may add to these, never rename or drop one. (The
+/// journal's keys are pinned the same way by the trace test above.)
+#[test]
+fn series_names_are_the_ones_published_before_the_table() {
+    const SERIES: &str = "cleaner.dirty_keys cleaner.removed_members cleaner.touched_profiles \
+        cold.evictions cold.rehydrations cold.resident_bytes commit.count commit.pairs_added \
+        commit.pairs_retracted commit.phase.cleaning_secs commit.phase.decision_secs \
+        commit.phase.index_secs commit.phase.repair_secs commit.phase.reweigh_secs \
+        commit.phase.snapshot_secs commit.total_secs decision.retention_flips \
+        decision.threshold_crossers interner.symbols pipeline.blocks \
+        pipeline.cached_accumulators pipeline.live_edges pipeline.retained repair.dirty_nodes \
+        repair.edges_rekeyed repair.edges_reweighed repair.edges_swept repair.scratch_loads \
+        repair.tier.dirty repair.tier.full repair.tier.reweigh serve.chunks_copied \
+        serve.publish_secs serve.queries serve.read_latency_secs serve.rows_copied \
+        serve.snapshot_swaps serve.stale_epochs snapshot.patched_rows snapshot.patched_slots \
+        treap.deferred_commits treap.materialisations";
+    // A serving pipeline's registry is the widest one: commit + serve.
+    let commit = blast::obs::CommitMetrics::new();
+    let _serve = blast_serve::ServeMetrics::on(std::sync::Arc::clone(commit.registry()));
+    let snapshot = commit.snapshot();
+    let registered: Vec<&str> = snapshot.samples().iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(registered, SERIES.split_whitespace().collect::<Vec<_>>());
 }
