@@ -7,7 +7,7 @@ use blast_core::schema::extraction::{LooseSchemaConfig, LooseSchemaInfo};
 use blast_core::weighting::ChiSquaredWeigher;
 use blast_datamodel::ground_truth::GroundTruth;
 use blast_datamodel::input::ErInput;
-use blast_graph::meta::{MetaBlocker, PruningAlgorithm};
+use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::WeightingScheme;
 use blast_graph::GraphSnapshot;
 use blast_metrics::quality::{evaluate_pairs, BlockQuality};
@@ -118,14 +118,12 @@ pub fn run_traditional_avg(
     .expect("one algorithm, one row")
 }
 
-/// The scheme × pruning sweep with the materialised edge list **reused**:
-/// per weighting scheme the quadratic adjacency traversal runs once
-/// (`collect_weighted_edges`), and every pruning algorithm's decision stage
-/// runs over that in-memory list (`PruningAlgorithm::prune_edges` —
-/// identical results to the per-call traversals it replaces). Degrees are
-/// computed once for EJS instead of once per algorithm. Returned rows are
-/// ordered like `algorithms`; per-row seconds charge each algorithm its
-/// decision time plus an even share of the shared traversals.
+/// The scheme × pruning sweep over one graph snapshot: the snapshot is
+/// built and its degrees computed once (EJS is among the schemes) instead
+/// of once per cell, and every cell runs [`PruningAlgorithm::prune`] — the
+/// path `MetaBlocker::run` and the equivalence suites gate. Returned rows
+/// are ordered like `algorithms`; per-row seconds charge each algorithm its
+/// own prunings plus an even share of the shared setup.
 pub fn run_traditional_sweep(
     blocks: &BlockCollection,
     algorithms: &[PruningAlgorithm],
@@ -161,13 +159,10 @@ pub fn run_traditional_sweep(
         .collect();
 
     for scheme in WeightingScheme::ALL {
-        let t0 = Instant::now();
-        let edges = blast_graph::pruning::common::collect_weighted_edges(&ctx, &scheme);
-        let materialise = t0.elapsed().as_secs_f64() / share;
         for (acc, &algorithm) in accs.iter_mut().zip(algorithms) {
             let t1 = Instant::now();
-            let retained = algorithm.prune_edges(&ctx, &edges);
-            acc.seconds += t1.elapsed().as_secs_f64() + materialise;
+            let retained = algorithm.prune(&ctx, &scheme);
+            acc.seconds += t1.elapsed().as_secs_f64();
             let q = evaluate_pairs(retained.pairs(), gt);
             acc.pc += q.pc / n_schemes;
             acc.pq += q.pq / n_schemes;
@@ -206,7 +201,7 @@ pub fn run_blast_weighted_cnp(
         .partitioning
         .block_entropies(&prepared.blocks_l);
     let ctx = GraphSnapshot::build(&prepared.blocks_l).with_block_entropies(entropies);
-    let retained = MetaBlocker::prune_context(&ctx, &ChiSquaredWeigher::new(), algorithm);
+    let retained = algorithm.prune(&ctx, &ChiSquaredWeigher::new());
     let seconds = t0.elapsed().as_secs_f64() + prepared.l_seconds;
     let quality = evaluate_pairs(retained.pairs(), &prepared.gt);
     MethodResult {
@@ -257,6 +252,7 @@ pub fn run_blast(
 mod tests {
     use super::*;
     use blast_datagen::{clean_clean_preset, generate_clean_clean, CleanCleanPreset};
+    use blast_graph::meta::MetaBlocker;
 
     #[test]
     fn prepare_and_run_all_method_families() {

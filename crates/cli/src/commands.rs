@@ -11,7 +11,6 @@ use blast_datagen::{
 };
 use blast_datamodel::collection::EntityCollection;
 use blast_datamodel::entity::SourceId;
-use blast_datamodel::ground_truth::GroundTruth;
 use blast_datamodel::input::ErInput;
 use blast_io::collection::{read_collection, write_collection, CollectionReadOptions};
 use blast_io::ground_truth::{read_ground_truth, write_ground_truth};
@@ -648,7 +647,3 @@ pub fn serve(args: &Args) -> Result<String, String> {
     }
     Ok(report)
 }
-
-/// `GroundTruth` needs to be nameable above.
-#[allow(unused)]
-fn _type_check(gt: GroundTruth) {}

@@ -66,36 +66,6 @@ impl BlastPruning {
         });
         RetainedPairs::new(pairs)
     }
-
-    /// Like [`BlastPruning::prune`], but keeps each surviving edge's weight —
-    /// downstream matchers can process the most promising comparisons first
-    /// (e.g. for progressive ER or budgeted matching). Pairs are sorted by
-    /// descending weight, ties by id.
-    pub fn prune_scored(
-        &self,
-        ctx: &GraphSnapshot,
-        weigher: &dyn EdgeWeigher,
-    ) -> Vec<(
-        blast_datamodel::entity::ProfileId,
-        blast_datamodel::entity::ProfileId,
-        f64,
-    )> {
-        let thresholds = self.thresholds(ctx, weigher);
-        let d = self.d;
-        let mut scored = collect_edges(ctx, weigher, |u, v, w| {
-            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
-            (w > 0.0 && w >= theta).then(|| {
-                let (a, b) = pair(u, v);
-                (a, b, w)
-            })
-        });
-        scored.sort_unstable_by(|x, y| {
-            y.2.partial_cmp(&x.2)
-                .expect("no NaN weights")
-                .then_with(|| (x.0, x.1).cmp(&(y.0, y.1)))
-        });
-        scored
-    }
 }
 
 #[cfg(test)]
@@ -183,29 +153,6 @@ mod tests {
         // "a higher value for c can achieve higher PC, but at the expense
         // of PQ": with c=8 the weak edges also survive.
         assert_eq!(loose.len(), 4);
-    }
-
-    #[test]
-    fn scored_pruning_ranks_by_weight() {
-        let blocks = star(3);
-        let ctx = GraphSnapshot::build(&blocks);
-        // Loose constants so several edges survive with distinct weights.
-        let scored =
-            BlastPruning::with_constants(8.0, 2.0).prune_scored(&ctx, &WeightingScheme::Cbs);
-        assert_eq!(scored.len(), 4);
-        // Descending weights.
-        for w in scored.windows(2) {
-            assert!(w[0].2 >= w[1].2);
-        }
-        // The heavy (0,1) edge ranks first with weight 4.
-        assert_eq!((scored[0].0, scored[0].1), (ProfileId(0), ProfileId(1)));
-        assert_eq!(scored[0].2, 4.0);
-        // Same survivors as the unscored variant.
-        let plain = BlastPruning::with_constants(8.0, 2.0).prune(&ctx, &WeightingScheme::Cbs);
-        assert_eq!(plain.len(), scored.len());
-        for (a, b, _) in &scored {
-            assert!(plain.contains(*a, *b));
-        }
     }
 
     #[test]

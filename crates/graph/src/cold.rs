@@ -1,22 +1,35 @@
-//! The cold tier: an append-only frame arena for demoted structure rows.
+//! The cold tier: one two-tier residency mechanism for structure rows.
 //!
 //! Bounded-memory streaming demotes rarely-touched rows — posting lists,
 //! snapshot block memberships, packed edge-accumulator rows — out of their
-//! hot `Vec` representation into compact **frames**: length-prefixed,
-//! checksummed byte records appended to an in-memory arena or, behind a
-//! [`SpillBackend`], to a temp file owned by the `io` crate. The codecs
-//! here are *lossless by construction* (delta varints for ascending id
-//! lists, raw `f64::to_bits` for weights), so demotion is purely a
-//! representation change: a rehydrated row is bit-identical to the row
-//! that was evicted, which is what keeps the budgeted pipeline on the
-//! repo's standing batch-equivalence contract at any eviction cadence.
+//! hot `Vec` representation. The module has two layers:
 //!
-//! A frame on storage is `[payload_len: u32 LE][fnv1a32: u32 LE][payload]`.
-//! Reads validate both the length and the checksum, so a truncated or
-//! corrupted spill file surfaces as a typed [`ColdError`] instead of
-//! silently diverging the candidate set.
+//! * **Frames** ([`ColdStore`]): length-prefixed, checksummed byte records
+//!   appended to an in-memory arena or, behind a [`SpillBackend`], to a
+//!   temp file owned by the `io` crate. A frame on storage is
+//!   `[payload_len: u32 LE][fnv1a32: u32 LE][payload]`; reads validate both
+//!   the length and the checksum, so a truncated or corrupted spill file
+//!   surfaces as a typed [`ColdError`] instead of silently diverging the
+//!   candidate set.
+//! * **Rows** ([`ColdRows`]): everything that decides *which* row is a
+//!   frame and when — the store, the per-row frame handle and entry count,
+//!   the touch epochs, the eviction sweep with its compaction, the
+//!   promoting and the transient read, and the one `cold tier:` panic a
+//!   lost frame raises. The block index, the edge adjacency and the graph
+//!   snapshot each own one `ColdRows` (and so one store and one spill
+//!   file).
+//!
+//! An owner supplies only what differs between structures: its row codec
+//! (the encode half as the sweep's `demote` callback, the decode half over
+//! the bytes a read returns), a hot-bytes measure per row, and its row
+//! count. The codecs here are *lossless by construction* (delta varints
+//! for ascending id lists, raw `f64::to_bits` for weights), so demotion is
+//! purely a representation change: a rehydrated row is bit-identical to
+//! the row that was evicted, which is what keeps the budgeted pipeline on
+//! the repo's standing batch-equivalence contract at any eviction cadence.
 
 use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Storage behind a [`ColdStore`] when frames spill out of memory.
@@ -39,18 +52,13 @@ pub trait SpillBackend: fmt::Debug + Send + Sync {
     }
 }
 
-/// Handle to one frame inside a [`ColdStore`].
+/// Handle to one frame inside a [`ColdStore`]. Packed to 12 bytes: one is
+/// kept per cold row, inside the budget the rows were demoted to meet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct FrameRef {
     off: u64,
     len: u32,
-}
-
-impl FrameRef {
-    /// Payload length in bytes.
-    pub fn payload_len(&self) -> u32 {
-        self.len
-    }
 }
 
 /// Why a cold frame could not be read back.
@@ -125,9 +133,9 @@ fn fnv1a32(bytes: &[u8]) -> u32 {
 
 /// Append-only arena of checksummed frames with optional spill.
 ///
-/// Owners keep [`FrameRef`]s in their row slots; `free` only does
-/// bookkeeping (the arena reclaims space on [`ColdStore::compact`], which
-/// the owner drives by handing over its live refs for rewriting).
+/// [`ColdRows`] keeps the [`FrameRef`]s; `free` only does bookkeeping (the
+/// arena reclaims space on [`ColdStore::compact`], which rewrites the live
+/// refs handed to it).
 #[derive(Debug)]
 pub struct ColdStore {
     arena: Vec<u8>,
@@ -256,9 +264,8 @@ impl ColdStore {
         self.dead_bytes >= COMPACT_DEAD_FLOOR && self.dead_bytes >= self.live_bytes
     }
 
-    /// Rewrites the live frames (handed over as mutable refs by the
-    /// owner) into fresh storage, dropping the dead bytes. Refs are
-    /// updated in place.
+    /// Rewrites the live frames (handed over as mutable refs) into fresh
+    /// storage, dropping the dead bytes. Refs are updated in place.
     pub fn compact(&mut self, refs: Vec<&mut FrameRef>) {
         let payloads: Vec<Vec<u8>> = refs
             .iter()
@@ -312,6 +319,196 @@ impl ColdStore {
             cold_bytes: cold,
             spilled_bytes: spilled,
         }
+    }
+}
+
+/// A demoted row: its frame plus the entry count (so owners' length and
+/// footprint counters stay exact without a decode). Only non-empty rows
+/// are demoted, which keeps an `Option<ColdRow>` at 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct ColdRow {
+    frame: FrameRef,
+    entries: NonZeroU32,
+}
+
+/// The residency state of one structure's rows: which rows are demoted to
+/// frames of its [`ColdStore`], when each row was last touched, and the
+/// policy that moves rows between the tiers (see the module docs for what
+/// the owner supplies).
+///
+/// A row is either *hot* (the owner holds it; nothing here but its touch
+/// epoch) or *cold* (the owner holds an empty placeholder; the bytes its
+/// codec produced live in a frame). Demotion happens only in
+/// [`ColdRows::sweep`]; a cold row comes back through
+/// [`ColdRows::promote`], is read in place through [`ColdRows::read`], or
+/// is dropped unread by [`ColdRows::discard`] / [`ColdRows::clear`].
+#[derive(Debug)]
+pub struct ColdRows {
+    store: ColdStore,
+    /// What a row is called in the `cold tier:` panic ("adjacency row").
+    label: &'static str,
+    /// `Some` = the row lives in the store. Covers the rows the last sweep
+    /// saw; later ones are hot and count as touched this epoch.
+    cold: Vec<Option<ColdRow>>,
+    /// Epoch of each row's last touch (parallel to `cold`).
+    touch: Vec<u32>,
+    /// Bumped once per [`ColdRows::sweep`].
+    epoch: u32,
+}
+
+impl ColdRows {
+    /// Residency with every row hot. With a `spill` backend the demoted
+    /// frames leave memory entirely; otherwise they live in a compact
+    /// in-memory arena. `label` names a row in the panic a lost frame
+    /// raises.
+    pub fn new(label: &'static str, spill: Option<Box<dyn SpillBackend>>) -> Self {
+        ColdRows {
+            store: match spill {
+                Some(backend) => ColdStore::spilled(backend),
+                None => ColdStore::in_memory(),
+            },
+            label,
+            cold: Vec::new(),
+            touch: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    /// Whether `row` currently lives in the store.
+    #[inline]
+    pub fn is_cold(&self, row: usize) -> bool {
+        self.cold.get(row).is_some_and(Option::is_some)
+    }
+
+    /// Entry count of a cold row (no decode); `None` for a hot one.
+    #[inline]
+    pub fn cold_len(&self, row: usize) -> Option<usize> {
+        let cold = self.cold.get(row).copied().flatten()?;
+        Some(cold.entries.get() as usize)
+    }
+
+    /// Stamps `row` as touched this epoch.
+    #[inline]
+    pub fn touch(&mut self, row: usize) {
+        if let Some(t) = self.touch.get_mut(row) {
+            *t = self.epoch;
+        }
+    }
+
+    /// The payload of `row`'s frame. A frame the store cannot give back
+    /// whole is unrecoverable state, not an answer to diverge on.
+    fn payload(&self, row: usize, frame: FrameRef) -> Vec<u8> {
+        self.store
+            .get(frame)
+            .unwrap_or_else(|e| panic!("cold tier: {} {row} lost: {e}", self.label))
+    }
+
+    /// The transient read: the demoted bytes of a cold row (counted as a
+    /// rehydration), which stays cold — shared `&self` passes must not
+    /// drag a structure hot again. `None` for a hot row.
+    pub fn read(&self, row: usize) -> Option<Vec<u8>> {
+        let cold = self.cold.get(row).copied().flatten()?;
+        Some(self.payload(row, cold.frame))
+    }
+
+    /// The promoting read: stamps `row` touched and, when it was cold,
+    /// hands its bytes back and frees the frame — the row is hot again and
+    /// the owner decodes it into place. `None` when it was hot already.
+    pub fn promote(&mut self, row: usize) -> Option<Vec<u8>> {
+        self.touch(row);
+        let cold = self.cold.get_mut(row)?.take()?;
+        let bytes = self.payload(row, cold.frame);
+        self.store.free(cold.frame);
+        Some(bytes)
+    }
+
+    /// Drops a cold row's frame unread (the owner is overwriting the row).
+    /// Returns whether the row was cold.
+    pub fn discard(&mut self, row: usize) -> bool {
+        match self.cold.get_mut(row).and_then(Option::take) {
+            Some(cold) => {
+                self.store.free(cold.frame);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// One eviction round over the owner's `len` rows. Every row with
+    /// `hot_bytes(rows, row) > 0` is a candidate (the measure must be 0
+    /// for an empty row and for a cold row's placeholder), ordered by
+    /// `(touch epoch, row)` — so the round is deterministic; candidates
+    /// idle for more than `idle` rounds are demoted, then demotion
+    /// continues coldest-first until the remaining hot bytes fit
+    /// `target_hot_bytes`. `idle == 0` with a zero target demotes
+    /// everything. `demote(rows, row, out)` takes the row out of its hot
+    /// form, appends its encoding to `out` and returns its entry count.
+    /// Compacts the store when dead frames dominate.
+    pub fn sweep<T: ?Sized>(
+        &mut self,
+        idle: u32,
+        target_hot_bytes: usize,
+        len: usize,
+        rows: &mut T,
+        hot_bytes: impl Fn(&T, usize) -> usize,
+        mut demote: impl FnMut(&mut T, usize, &mut Vec<u8>) -> usize,
+    ) {
+        if self.cold.len() < len {
+            // Once per round and by exactly the rows added since: a
+            // budgeted structure's own bookkeeping carries no growth slack.
+            self.cold.reserve_exact(len - self.cold.len());
+            self.cold.resize(len, None);
+            self.touch.reserve_exact(len - self.touch.len());
+            self.touch.resize(len, self.epoch);
+        }
+        self.epoch += 1;
+        let mut hot = 0usize;
+        let mut candidates: Vec<(u32, u32)> = Vec::new();
+        for (row, &touch) in self.touch.iter().enumerate() {
+            let bytes = hot_bytes(rows, row);
+            if bytes > 0 {
+                debug_assert!(self.cold[row].is_none(), "a cold row holds no hot bytes");
+                hot += bytes;
+                candidates.push((touch, row as u32));
+            }
+        }
+        candidates.sort_unstable();
+        let mut payload = Vec::new();
+        for (touch, row) in candidates {
+            let stale = u64::from(touch) + u64::from(idle) < u64::from(self.epoch);
+            if !stale && hot <= target_hot_bytes {
+                break;
+            }
+            let row = row as usize;
+            hot -= hot_bytes(rows, row);
+            payload.clear();
+            let entries = NonZeroU32::new(demote(rows, row, &mut payload) as u32);
+            self.cold[row] = Some(ColdRow {
+                frame: self.store.put(&payload),
+                entries: entries.expect("only non-empty rows are demoted"),
+            });
+        }
+        if self.store.wants_compaction() {
+            let live = self.cold.iter_mut().flatten().map(|c| &mut c.frame);
+            self.store.compact(live.collect());
+        }
+    }
+
+    /// Drops every cold row and frame (telemetry counters persist).
+    pub fn clear(&mut self) {
+        self.cold.fill(None);
+        self.store.clear();
+    }
+
+    /// Cumulative evictions, rehydrations and live frame byte levels.
+    pub fn stats(&self) -> ColdStats {
+        self.store.stats()
+    }
+
+    /// Heap bytes of the row table itself (frames are in [`ColdStats`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.cold.capacity() * std::mem::size_of::<Option<ColdRow>>()
+            + self.touch.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -471,6 +668,273 @@ mod tests {
         for (i, frame) in live.iter().enumerate() {
             assert_eq!(store.get(*frame).unwrap(), vec![(i * 2) as u8; 2048]);
         }
+    }
+
+    /// A spill backend the test can reach behind the store's back.
+    #[derive(Debug, Clone, Default)]
+    struct SharedBytes(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl SpillBackend for SharedBytes {
+        fn append(&mut self, bytes: &[u8]) -> Result<u64, String> {
+            let mut file = self.0.lock().unwrap();
+            let off = file.len() as u64;
+            file.extend_from_slice(bytes);
+            Ok(off)
+        }
+        fn read_at(&self, off: u64, buf: &mut [u8]) -> Result<usize, String> {
+            let file = self.0.lock().unwrap();
+            let tail = file.get(off as usize..).unwrap_or(&[]);
+            let have = tail.len().min(buf.len());
+            buf[..have].copy_from_slice(&tail[..have]);
+            Ok(have)
+        }
+        fn truncate(&mut self) -> Result<(), String> {
+            self.0.lock().unwrap().clear();
+            Ok(())
+        }
+        fn len(&self) -> u64 {
+            self.0.lock().unwrap().len() as u64
+        }
+    }
+
+    /// A toy owner of a [`ColdRows`]: rows of `u32`s, four hot bytes per
+    /// entry, [`encode_u32s`] as the codec. `demoted` logs the order rows
+    /// were taken in.
+    struct Owner {
+        rows: ColdRows,
+        data: Vec<Vec<u32>>,
+        demoted: Vec<usize>,
+        spill: Option<SharedBytes>,
+    }
+
+    impl Owner {
+        fn new(spilled: bool, data: Vec<Vec<u32>>) -> Self {
+            let spill = spilled.then(SharedBytes::default);
+            let backend = spill.clone().map(|s| Box::new(s) as Box<dyn SpillBackend>);
+            Owner {
+                rows: ColdRows::new("test row", backend),
+                data,
+                demoted: Vec::new(),
+                spill,
+            }
+        }
+
+        /// Five 10-entry rows last touched at epochs `[0, 1, 0, 1, 2]`,
+        /// standing at epoch 2 with nothing demoted.
+        fn staggered(spilled: bool) -> Self {
+            let mut o = Owner::new(spilled, (0..5).map(|r| vec![r; 10]).collect());
+            o.sweep(u32::MAX, usize::MAX);
+            o.rows.touch(1);
+            o.rows.touch(3);
+            o.sweep(u32::MAX, usize::MAX);
+            o.rows.touch(4);
+            assert!(o.demoted.is_empty());
+            o
+        }
+
+        fn sweep(&mut self, idle: u32, target_hot_bytes: usize) {
+            let len = self.data.len();
+            self.rows.sweep(
+                idle,
+                target_hot_bytes,
+                len,
+                &mut (&mut self.data, &mut self.demoted),
+                |(data, _), row| data[row].len() * 4,
+                |(data, demoted), row, out| {
+                    let values = std::mem::take(&mut data[row]);
+                    encode_u32s(&values, out);
+                    demoted.push(row);
+                    values.len()
+                },
+            );
+        }
+
+        fn decode(bytes: &[u8]) -> Vec<u32> {
+            let mut values = Vec::new();
+            decode_u32s(bytes, &mut 0, &mut values);
+            values
+        }
+
+        fn promote(&mut self, row: usize) {
+            if let Some(bytes) = self.rows.promote(row) {
+                self.data[row] = Self::decode(&bytes);
+            }
+        }
+
+        /// Frame bytes `values` occupy once demoted.
+        fn frame_bytes(values: &[u32]) -> usize {
+            let mut payload = Vec::new();
+            encode_u32s(values, &mut payload);
+            FRAME_HEADER + payload.len()
+        }
+
+        fn live_bytes(&self) -> usize {
+            let stats = self.rows.stats();
+            assert_eq!(
+                stats.cold_bytes.min(stats.spilled_bytes),
+                0,
+                "frames live in one tier"
+            );
+            stats.cold_bytes + stats.spilled_bytes
+        }
+    }
+
+    #[test]
+    fn row_table_entries_stay_sixteen_bytes() {
+        // What a budgeted structure pays per row for being evictable —
+        // `tests/memory_footprint.rs` holds the index to it.
+        assert_eq!(std::mem::size_of::<Option<ColdRow>>(), 16);
+    }
+
+    #[test]
+    fn sweep_demotes_coldest_first_and_stops_once_hot_bytes_fit() {
+        for spilled in [false, true] {
+            let mut o = Owner::staggered(spilled);
+            // 200 hot bytes, nothing stale: (touch, row) order is 0, 2, 1,
+            // 3, 4 and the third demotion brings the rest under 100.
+            o.sweep(u32::MAX, 100);
+            assert_eq!(o.demoted, vec![0, 2, 1]);
+            for row in 0..5 {
+                assert_eq!(o.rows.is_cold(row), row < 3);
+                assert_eq!(o.rows.cold_len(row), (row < 3).then_some(10));
+                assert_eq!(o.data[row].is_empty(), row < 3, "placeholder left behind");
+            }
+            assert_eq!(o.rows.stats().evictions, 3);
+        }
+    }
+
+    #[test]
+    fn sweep_demotes_every_stale_row_even_under_target() {
+        for spilled in [false, true] {
+            let mut o = Owner::staggered(spilled);
+            // Epoch 3: touch + 1 < 3 makes the rows touched at 0 and 1
+            // stale; row 4 (touched at 2) stays although nothing is over
+            // target.
+            o.sweep(1, usize::MAX);
+            assert_eq!(o.demoted, vec![0, 2, 1, 3]);
+            assert!(!o.rows.is_cold(4));
+        }
+    }
+
+    #[test]
+    fn zero_idle_zero_target_demotes_everything() {
+        for spilled in [false, true] {
+            let mut o = Owner::staggered(spilled);
+            o.data.push(Vec::new()); // an empty row is never a candidate
+            o.data.push(vec![7; 3]); // a row the table has not seen yet
+            o.sweep(0, 0);
+            assert_eq!(o.demoted, vec![0, 2, 1, 3, 4, 6]);
+            assert!(!o.rows.is_cold(5));
+            assert_eq!(o.rows.cold_len(6), Some(3));
+            // Nothing hot is left, so the next round has nothing to do.
+            o.sweep(0, 0);
+            assert_eq!(o.rows.stats().evictions, 6);
+        }
+    }
+
+    #[test]
+    fn transient_read_leaves_the_row_cold_and_promotion_frees_it() {
+        for spilled in [false, true] {
+            let mut o = Owner::staggered(spilled);
+            o.sweep(0, 0);
+            let all_cold = o.live_bytes();
+            assert_eq!(all_cold, (0..5).map(|r| Owner::frame_bytes(&[r; 10])).sum());
+
+            let bytes = o.rows.read(2).expect("row 2 is cold");
+            assert_eq!(Owner::decode(&bytes), vec![2; 10]);
+            assert!(o.rows.is_cold(2), "a transient read promotes nothing");
+            assert_eq!(o.rows.stats().rehydrations, 1);
+            assert_eq!(o.live_bytes(), all_cold);
+
+            o.promote(2);
+            assert_eq!(o.data[2], vec![2; 10]);
+            assert!(!o.rows.is_cold(2));
+            assert_eq!(o.rows.cold_len(2), None);
+            assert_eq!(o.rows.read(2), None);
+            assert_eq!(o.rows.stats().rehydrations, 2);
+            assert_eq!(o.live_bytes(), all_cold - Owner::frame_bytes(&[2; 10]));
+            // Promoting a hot row reads nothing.
+            assert_eq!(o.rows.promote(2), None);
+            assert_eq!(o.rows.stats().rehydrations, 2);
+
+            // The promotion stamped row 2 at epoch 3; row 0, promoted one
+            // round later, is the warmer of the two, so a round that needs
+            // one demotion takes row 2.
+            o.sweep(u32::MAX, usize::MAX);
+            o.promote(0);
+            o.demoted.clear();
+            o.sweep(u32::MAX, 40);
+            assert_eq!(o.demoted, vec![2]);
+
+            // A discarded row is dropped unread.
+            assert!(o.rows.discard(2));
+            assert!(!o.rows.discard(2));
+            assert!(!o.rows.is_cold(2));
+            assert_eq!(o.rows.stats().rehydrations, 3);
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_cold_rows_readable_and_the_counters_exact() {
+        for spilled in [false, true] {
+            // 64 unsorted 512-entry rows: about 1 KiB a frame, so a few
+            // rounds of demote-all / promote-half cross COMPACT_DEAD_FLOOR.
+            let row = |r: u32| -> Vec<u32> { (0..512).map(|i| (i * 7919 + r) % 1000).collect() };
+            let mut o = Owner::new(spilled, (0..64).map(row).collect());
+            let (mut evictions, mut rehydrations, mut compactions) = (0u64, 0u64, 0);
+            for _ in 0..8 {
+                let dead_before = o.rows.store.dead_bytes;
+                evictions += o.data.iter().filter(|d| !d.is_empty()).count() as u64;
+                o.sweep(0, 0);
+                if o.rows.store.dead_bytes < dead_before {
+                    compactions += 1;
+                    assert_eq!(o.rows.store.dead_bytes, 0);
+                }
+                for r in (0..64).step_by(2) {
+                    o.promote(r);
+                    rehydrations += 1;
+                }
+            }
+            assert!(compactions > 0, "the rounds never crossed the floor");
+            for r in (1..64).step_by(2) {
+                let bytes = o.rows.read(r).expect("odd rows stayed cold");
+                assert_eq!(Owner::decode(&bytes), row(r as u32));
+                rehydrations += 1;
+            }
+            let stats = o.rows.stats();
+            assert_eq!(stats.evictions, evictions);
+            assert_eq!(stats.rehydrations, rehydrations);
+            let live: usize = (1..64)
+                .step_by(2)
+                .map(|r| Owner::frame_bytes(&row(r)))
+                .sum();
+            assert_eq!(o.live_bytes(), live);
+            assert_eq!(stats.spilled_bytes > 0, spilled);
+
+            // `clear` drops every frame; the cumulative counters persist.
+            o.rows.clear();
+            assert!((0..64).all(|r| !o.rows.is_cold(r)));
+            assert_eq!(o.live_bytes(), 0);
+            assert_eq!(o.rows.stats().evictions, evictions);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cold tier: test row 3 lost")]
+    fn truncated_arena_panics_with_the_owners_row_label() {
+        let mut o = Owner::staggered(false);
+        o.sweep(0, 0);
+        o.rows.store.arena.truncate(2);
+        o.rows.read(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "cold tier: test row 3 lost")]
+    fn truncated_spill_panics_with_the_owners_row_label() {
+        let mut o = Owner::staggered(true);
+        o.sweep(0, 0);
+        o.spill.as_ref().unwrap().0.lock().unwrap().truncate(2);
+        o.promote(3);
     }
 
     #[test]

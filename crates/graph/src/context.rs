@@ -20,6 +20,7 @@
 //! keeps incremental repair bit-identical to batch (pinned by
 //! `tests/snapshot_maintenance.rs`).
 
+use crate::cold::{decode_u32s, encode_u32s, ColdRows, ColdStats, SpillBackend};
 use crate::traversal::NodeScratch;
 use blast_blocking::collection::BlockCollection;
 use blast_blocking::index::ProfileBlockIndex;
@@ -129,56 +130,22 @@ pub struct GraphSnapshot {
     threads_override: Option<usize>,
     /// Bumped on every applied delta.
     version: u64,
-    /// Two-tier slot residency (bounded-memory streaming); `None` until a
-    /// pipeline enables a memory budget.
-    residency: Option<Box<SlotResidency>>,
+    /// Two-tier slot residency (bounded-memory streaming; one row per
+    /// slot, a cold slot's `members` entry is an empty placeholder); `None`
+    /// until a pipeline enables a memory budget.
+    ///
+    /// Demotion is writer-driven and so is rehydration: repair passes read
+    /// memberships through `&self` from many workers at once, so a cold
+    /// slot is **never** lazily rehydrated on read — the incremental
+    /// blocker prefetches every slot its dirty neighbourhood can reach
+    /// before the pass starts
+    /// ([`GraphSnapshot::ensure_node_slots_resident`]), and a read that
+    /// still lands on a cold slot is a bug surfaced by
+    /// [`GraphSnapshot::assert_slot_hot`]'s panic, not silent divergence.
+    residency: Option<ColdRows>,
     /// Adjacency loads run against this snapshot (see
     /// [`GraphSnapshot::scratch_loads`]).
     scratch_loads: AtomicU64,
-}
-
-/// Cold-tier state of the snapshot's block memberships: per-slot frame
-/// handles, last-touch epochs, and the backing [`ColdStore`].
-///
-/// Demotion is writer-driven and so is rehydration: repair passes read
-/// memberships through `&self` from many workers at once, so a cold slot
-/// is **never** lazily rehydrated on read — the incremental blocker
-/// prefetches every slot its dirty neighbourhood can reach before the
-/// pass starts ([`GraphSnapshot::ensure_node_slots_resident`]), and a
-/// read that still lands on a cold slot is a bug surfaced by
-/// [`SlotResidency::assert_hot`]'s panic, not silent divergence.
-#[derive(Debug)]
-struct SlotResidency {
-    store: crate::cold::ColdStore,
-    /// `Some(frame)` = the slot's membership lives in the cold store and
-    /// `members[slot]` is an empty placeholder.
-    cold: Vec<Option<crate::cold::FrameRef>>,
-    /// Per-slot last-touch epoch (bumped once per `enforce`).
-    touch: Vec<u32>,
-    epoch: u32,
-}
-
-impl SlotResidency {
-    #[inline]
-    fn is_cold(&self, slot: usize) -> bool {
-        self.cold.get(slot).is_some_and(Option::is_some)
-    }
-
-    #[inline]
-    fn assert_hot(&self, slot: u32) {
-        assert!(
-            !self.is_cold(slot as usize),
-            "cold snapshot slot {slot} read without rehydration — a repair \
-             pass touched a slot outside its prefetched dirty neighbourhood"
-        );
-    }
-
-    fn grow(&mut self, slots: usize) {
-        if self.cold.len() < slots {
-            self.cold.resize(slots, None);
-            self.touch.resize(slots, self.epoch);
-        }
-    }
 }
 
 impl GraphSnapshot {
@@ -309,17 +276,11 @@ impl GraphSnapshot {
                     e.resize(slot + 1, 1.0);
                 }
             }
-            let was_live = match &mut self.residency {
-                Some(r) if r.is_cold(slot) => {
-                    // Only live (non-empty) slots are ever demoted, and
-                    // the old membership is about to be overwritten, so
-                    // drop the frame without decoding it.
-                    let frame = r.cold[slot].take().expect("cold slot has a frame");
-                    r.store.free(frame);
-                    true
-                }
-                _ => !self.members[slot].is_empty(),
-            };
+            // Only live (non-empty) slots are ever demoted, and the old
+            // membership is about to be overwritten, so a cold slot's frame
+            // is dropped without decoding it.
+            let was_cold = self.residency.as_mut().is_some_and(|r| r.discard(slot));
+            let was_live = was_cold || !self.members[slot].is_empty();
             let split = patch.members.partition_point(|p| p.0 < self.separator) as u32;
             let card = if self.clean_clean {
                 split as u64 * (patch.members.len() as u64 - split as u64)
@@ -340,8 +301,7 @@ impl GraphSnapshot {
                 _ => {}
             }
             if let Some(r) = &mut self.residency {
-                r.grow(self.members.len());
-                r.touch[slot] = r.epoch;
+                r.touch(slot);
             }
         }
         for row in &delta.rows {
@@ -429,27 +389,15 @@ impl GraphSnapshot {
                 .as_ref()
                 .map_or(0, |d| d.capacity() * size_of::<u32>())
             + self.index.resident_bytes()
-            + self.residency.as_ref().map_or(0, |r| {
-                r.cold.capacity() * size_of::<Option<crate::cold::FrameRef>>()
-                    + r.touch.capacity() * size_of::<u32>()
-            })
+            + self.residency.as_ref().map_or(0, ColdRows::resident_bytes)
     }
 
-    /// Enables two-tier slot residency: cold memberships demote into a
-    /// [`crate::cold::ColdStore`] (spilled to `spill` when given) on
+    /// Enables two-tier slot residency: cold memberships demote into the
+    /// snapshot's [`ColdRows`] (spilled to `spill` when given) on
     /// [`GraphSnapshot::enforce_slot_residency`] rounds. Idempotent.
-    pub fn enable_slot_residency(&mut self, spill: Option<Box<dyn crate::cold::SpillBackend>>) {
+    pub fn enable_slot_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
         if self.residency.is_none() {
-            let store = match spill {
-                Some(backend) => crate::cold::ColdStore::spilled(backend),
-                None => crate::cold::ColdStore::in_memory(),
-            };
-            self.residency = Some(Box::new(SlotResidency {
-                store,
-                cold: Vec::new(),
-                touch: Vec::new(),
-                epoch: 0,
-            }));
+            self.residency = Some(ColdRows::new("snapshot slot", spill));
         }
     }
 
@@ -459,10 +407,10 @@ impl GraphSnapshot {
     }
 
     /// Cold-tier telemetry of the slot store (zeros when disabled).
-    pub fn slot_cold_stats(&self) -> crate::cold::ColdStats {
+    pub fn slot_cold_stats(&self) -> ColdStats {
         self.residency
             .as_ref()
-            .map_or_else(Default::default, |r| r.store.stats())
+            .map_or_else(ColdStats::default, ColdRows::stats)
     }
 
     /// Hot membership bytes eligible for demotion (0 when residency is
@@ -471,10 +419,12 @@ impl GraphSnapshot {
         if self.residency.is_none() {
             return 0;
         }
-        self.members
-            .iter()
-            .map(|m| m.len() * std::mem::size_of::<ProfileId>())
-            .sum()
+        self.members.iter().map(|m| Self::hot_slot_bytes(m)).sum()
+    }
+
+    #[inline]
+    fn hot_slot_bytes(members: &[ProfileId]) -> usize {
+        std::mem::size_of_val(members)
     }
 
     /// Rehydrates one slot if cold, and stamps its touch epoch.
@@ -482,23 +432,26 @@ impl GraphSnapshot {
         let Some(r) = &mut self.residency else {
             return;
         };
-        r.grow(self.members.len());
-        if !r.is_cold(slot) {
-            r.touch[slot] = r.epoch;
-            return;
+        if let Some(payload) = r.promote(slot) {
+            let mut ids: Vec<u32> = Vec::new();
+            let mut pos = 0;
+            decode_u32s(&payload, &mut pos, &mut ids);
+            debug_assert_eq!(pos, payload.len(), "slot frame fully consumed");
+            self.members[slot] = ids.into_iter().map(ProfileId).collect();
         }
-        let frame = r.cold[slot].take().expect("cold slot has a frame");
-        let payload = r
-            .store
-            .get(frame)
-            .unwrap_or_else(|e| panic!("cold tier: snapshot slot {slot} unreadable: {e}"));
-        r.store.free(frame);
-        let mut ids: Vec<u32> = Vec::new();
-        let mut pos = 0;
-        crate::cold::decode_u32s(&payload, &mut pos, &mut ids);
-        debug_assert_eq!(pos, payload.len(), "slot frame fully consumed");
-        self.members[slot] = ids.into_iter().map(ProfileId).collect();
-        r.touch[slot] = r.epoch;
+    }
+
+    /// A shared read must never fault a slot in (see the `residency`
+    /// field).
+    #[inline]
+    fn assert_slot_hot(&self, slot: u32) {
+        if let Some(r) = &self.residency {
+            assert!(
+                !r.is_cold(slot as usize),
+                "cold snapshot slot {slot} read without rehydration — a repair \
+                 pass touched a slot outside its prefetched dirty neighbourhood"
+            );
+        }
     }
 
     /// Writer-side prefetch: rehydrates the given slots before a repair
@@ -540,48 +493,29 @@ impl GraphSnapshot {
         }
     }
 
-    /// One residency maintenance round (writer-side, once per commit):
-    /// demotes live memberships untouched for more than `idle` rounds,
-    /// then — while the remaining hot bytes exceed `target_hot_bytes` —
-    /// keeps demoting coldest-first. Deterministic: candidates are
-    /// ordered by `(last_touch, slot)`. `idle == 0` with a zero target
+    /// One residency maintenance round (writer-side, once per commit)
+    /// over the live memberships ([`ColdRows::sweep`]: untouched for more
+    /// than `idle` rounds, then coldest-first while the remaining hot
+    /// bytes exceed `target_hot_bytes`). `idle == 0` with a zero target
     /// demotes everything every commit (the stress cadence).
     pub fn enforce_slot_residency(&mut self, idle: u32, target_hot_bytes: usize) {
         let Some(r) = &mut self.residency else {
             return;
         };
-        r.grow(self.members.len());
-        r.epoch += 1;
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, u32)> = Vec::new();
-        for (slot, m) in self.members.iter().enumerate() {
-            if m.is_empty() || r.is_cold(slot) {
-                continue;
-            }
-            hot_bytes += m.len() * std::mem::size_of::<ProfileId>();
-            candidates.push((r.touch[slot], slot as u32));
-        }
-        candidates.sort_unstable();
-        let mut frame_buf = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (touch, slot) in candidates {
-            let stale = u64::from(touch) + u64::from(idle) < u64::from(r.epoch);
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let m = std::mem::take(&mut self.members[slot as usize]);
-            hot_bytes -= m.len() * std::mem::size_of::<ProfileId>();
-            ids.clear();
-            ids.extend(m.iter().map(|p| p.0));
-            frame_buf.clear();
-            crate::cold::encode_u32s(&ids, &mut frame_buf);
-            r.cold[slot as usize] = Some(r.store.put(&frame_buf));
-        }
-        if r.store.wants_compaction() {
-            let refs: Vec<&mut crate::cold::FrameRef> =
-                r.cold.iter_mut().filter_map(|c| c.as_mut()).collect();
-            r.store.compact(refs);
-        }
+        r.sweep(
+            idle,
+            target_hot_bytes,
+            self.members.len(),
+            self.members.as_mut_slice(),
+            |members, slot| Self::hot_slot_bytes(&members[slot]),
+            |members, slot, out| {
+                // The id conversion reuses the membership's allocation.
+                let m = std::mem::take(&mut members[slot]);
+                let ids: Vec<u32> = m.into_iter().map(|p| p.0).collect();
+                encode_u32s(&ids, out);
+                ids.len()
+            },
+        );
     }
 
     /// Total number of (live) blocks |B|.
@@ -623,9 +557,7 @@ impl GraphSnapshot {
     /// The cleaned membership of one block slot (empty for dead slots).
     #[inline]
     pub fn slot_members(&self, slot: u32) -> &[ProfileId] {
-        if let Some(r) = &self.residency {
-            r.assert_hot(slot);
-        }
+        self.assert_slot_hot(slot);
         &self.members[slot as usize]
     }
 
@@ -635,21 +567,12 @@ impl GraphSnapshot {
         self.cardinalities[slot as usize]
     }
 
-    /// The entropy factor of one block slot (1.0 when entropies are not
-    /// attached).
-    #[inline]
-    pub fn slot_entropy(&self, slot: u32) -> f64 {
-        self.entropies.as_ref().map_or(1.0, |e| e[slot as usize])
-    }
-
     /// The co-occurring profiles `node` sees in `slot`: the opposite side
     /// for clean-clean snapshots, the whole membership (minus the node
     /// itself, filtered by the caller) for dirty ones.
     #[inline]
     pub fn slot_neighbours(&self, slot: u32, node: u32) -> &[ProfileId] {
-        if let Some(r) = &self.residency {
-            r.assert_hot(slot);
-        }
+        self.assert_slot_hot(slot);
         let members = &self.members[slot as usize];
         if self.clean_clean {
             let split = self.splits[slot as usize] as usize;

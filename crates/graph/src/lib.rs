@@ -70,6 +70,9 @@
 //! * [`meta`] — [`meta::MetaBlocker`]: scheme × pruning in one call.
 //! * [`retained`] — the retained comparisons (the restructured block
 //!   collection: one block per surviving pair).
+//! * [`cold`] — [`cold::ColdRows`]: the one two-tier residency mechanism
+//!   the snapshot here, and the block index and edge adjacency of
+//!   `blast-incremental`, demote their rows through under a memory budget.
 
 pub mod cold;
 pub mod context;
@@ -80,7 +83,7 @@ pub mod retained;
 pub mod traversal;
 pub mod weights;
 
-pub use cold::{ColdError, ColdStats, ColdStore, FrameRef, SpillBackend};
+pub use cold::{ColdError, ColdRows, ColdStats, ColdStore, FrameRef, SpillBackend};
 pub use context::{ApplyStats, EdgeAccum, GraphSnapshot, RowPatch, SlotPatch, SnapshotDelta};
 pub use exact_sum::ExactSum;
 pub use meta::{MetaBlocker, PruningAlgorithm};

@@ -59,44 +59,6 @@ impl PruningAlgorithm {
             PruningAlgorithm::Cnp2 => Cnp::reciprocal().prune(ctx, weigher),
         }
     }
-
-    /// Runs this pruning over an **already-materialised** weighted edge list
-    /// (canonical `(u, v)` ascending order, e.g. from
-    /// [`crate::pruning::common::collect_weighted_edges`]). The context is
-    /// consulted only for the cardinality budgets (CEP's K, CNP's k) and the
-    /// node count — the quadratic adjacency traversal is *not* repeated, so
-    /// sweeps over several prunings of the same weighted graph pay the
-    /// materialisation once. Results are identical to
-    /// [`PruningAlgorithm::prune`] for the edge-centric prunings under any
-    /// weigher, and for the node-centric ones (WNP, CNP) under
-    /// orientation-symmetric weighers (CBS, ARCS, JS). Under ECBS, EJS or
-    /// χ² the list's one weight per edge and the node pass's node-side
-    /// weights differ in the last bit for some edges (see
-    /// [`Wnp::thresholds_from_edges`]), so a pair sitting exactly on a
-    /// node's threshold or top-k boundary can fall the other way.
-    pub fn prune_edges(&self, ctx: &GraphSnapshot, edges: &[(u32, u32, f64)]) -> RetainedPairs {
-        let n = ctx.total_profiles() as usize;
-        match self {
-            PruningAlgorithm::Wep => Wep::prune_edges(edges),
-            PruningAlgorithm::Cep => Cep::prune_edges(Cep::new().budget(ctx), edges),
-            PruningAlgorithm::Wnp1 | PruningAlgorithm::Wnp2 => {
-                let wnp = if *self == PruningAlgorithm::Wnp1 {
-                    Wnp::redefined()
-                } else {
-                    Wnp::reciprocal()
-                };
-                wnp.prune_edges(&Wnp::thresholds_from_edges(n, edges), edges)
-            }
-            PruningAlgorithm::Cnp1 | PruningAlgorithm::Cnp2 => {
-                let cnp = if *self == PruningAlgorithm::Cnp1 {
-                    Cnp::redefined()
-                } else {
-                    Cnp::reciprocal()
-                };
-                cnp.prune_edges(n, cnp.budget(ctx), edges)
-            }
-        }
-    }
 }
 
 /// Traditional graph-based meta-blocking: weighting scheme × pruning
@@ -122,31 +84,6 @@ impl MetaBlocker {
             ctx.ensure_degrees();
         }
         self.algorithm.prune(&ctx, &self.scheme)
-    }
-
-    /// Restructures `blocks` with a custom weigher (used by `blast-core` for
-    /// its χ²·entropy weighting under traditional pruning — the
-    /// "cnp₁ χ²ₕ"/"cnp₂ χ²ₕ" rows of Tables 4–5).
-    pub fn run_with_weigher(
-        blocks: &BlockCollection,
-        weigher: &dyn EdgeWeigher,
-        algorithm: PruningAlgorithm,
-    ) -> RetainedPairs {
-        let mut ctx = GraphSnapshot::build(blocks);
-        if weigher.requires_degrees() {
-            ctx.ensure_degrees();
-        }
-        algorithm.prune(&ctx, weigher)
-    }
-
-    /// Like [`MetaBlocker::run_with_weigher`] but on a prepared context
-    /// (lets callers attach block entropies first).
-    pub fn prune_context(
-        ctx: &GraphSnapshot,
-        weigher: &dyn EdgeWeigher,
-        algorithm: PruningAlgorithm,
-    ) -> RetainedPairs {
-        algorithm.prune(ctx, weigher)
     }
 }
 
@@ -210,33 +147,6 @@ mod tests {
         let full_edges = 4; // (0,2),(0,3),(1,2),(1,3)
         let retained = MetaBlocker::new(WeightingScheme::Cbs, PruningAlgorithm::Wnp2).run(&blocks);
         assert!(retained.len() < full_edges);
-    }
-
-    /// The from-edges path must reproduce the traversal path exactly for
-    /// every scheme × pruning combination — WEP's sequential mean, CEP's
-    /// tie-break, WNP's per-node means and CNP's top-k lists included.
-    #[test]
-    fn prune_edges_matches_prune_for_all_combinations() {
-        use crate::pruning::common::collect_weighted_edges;
-        let blocks = blocks();
-        for scheme in WeightingScheme::ALL {
-            let mut ctx = GraphSnapshot::build(&blocks);
-            if scheme.requires_degrees() {
-                ctx.ensure_degrees();
-            }
-            let edges = collect_weighted_edges(&ctx, &scheme);
-            for algorithm in PruningAlgorithm::ALL {
-                let direct = algorithm.prune(&ctx, &scheme);
-                let from_edges = algorithm.prune_edges(&ctx, &edges);
-                assert_eq!(
-                    direct,
-                    from_edges,
-                    "{} + {}",
-                    scheme.name(),
-                    algorithm.label()
-                );
-            }
-        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ impl Cep {
 
     /// The selection stage alone, over an already-materialised weighted edge
     /// list in canonical `(u, v)` ascending order with the comparison budget
-    /// `k` (see [`Cep::budget`]). Shared by sweeps and incremental repair;
-    /// identical cutoff and tie-break semantics to [`Cep::prune`].
+    /// `k` (see [`Cep::budget`]) — what [`Cep::prune`] is built on, and the
+    /// reference `tests/decision_index.rs` holds the incremental index to.
     pub fn prune_edges(k: u64, edges: &[(u32, u32, f64)]) -> RetainedPairs {
         let k = k as usize;
         if k == 0 {

@@ -108,23 +108,9 @@ impl Cnp {
         node_pass(ctx, weigher, |_, adj| top_k_neighbours(adj, k))
     }
 
-    /// The top-k neighbour lists derived from an already-materialised
-    /// weighted edge list in canonical `(u, v)` ascending order: each edge
-    /// feeds both endpoints' rankings. The ranking's total order makes the
-    /// lists independent of the feeding order, so they equal the adjacency
-    /// pass exactly.
-    pub fn lists_from_edges(n_nodes: usize, k: usize, edges: &[(u32, u32, f64)]) -> Vec<Vec<u32>> {
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_nodes];
-        for &(u, v, w) in edges {
-            adj[u as usize].push((v, w));
-            adj[v as usize].push((u, w));
-        }
-        adj.iter().map(|a| top_k_neighbours(a, k)).collect()
-    }
-
     /// Combines per-node top-k lists into the retained comparisons under
-    /// this variant's mode. Shared by [`Cnp::prune`], the from-edges sweep
-    /// path and incremental repair.
+    /// this variant's mode. Shared by [`Cnp::prune`] and incremental
+    /// repair.
     pub fn retained_from_lists(&self, lists: &[Vec<u32>]) -> RetainedPairs {
         let mut pairs: Vec<(ProfileId, ProfileId)> = Vec::new();
         match self.mode {
@@ -156,16 +142,6 @@ impl Cnp {
         let k = self.budget(ctx);
         let lists = self.top_k_lists(ctx, weigher, k);
         self.retained_from_lists(&lists)
-    }
-
-    /// Pruning over a materialised edge list (`k` from [`Cnp::budget`]).
-    pub fn prune_edges(
-        &self,
-        n_nodes: usize,
-        k: usize,
-        edges: &[(u32, u32, f64)],
-    ) -> RetainedPairs {
-        self.retained_from_lists(&Self::lists_from_edges(n_nodes, k, edges))
     }
 }
 
@@ -307,22 +283,6 @@ mod tests {
                 for k in [0usize, 1, 2, 3, 5, 100] {
                     prop_assert_eq!(top_k_neighbours(&adj, k), reference_top_k(&adj, k));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn prune_edges_matches_prune() {
-        use crate::pruning::common::collect_weighted_edges;
-        let b = blocks();
-        let ctx = GraphSnapshot::build(&b);
-        let edges = collect_weighted_edges(&ctx, &WeightingScheme::Cbs);
-        for cnp in [Cnp::redefined(), Cnp::reciprocal()] {
-            for k in 1..4 {
-                let cnp = cnp.with_k(k);
-                let a = cnp.prune(&ctx, &WeightingScheme::Cbs);
-                let b2 = cnp.prune_edges(ctx.total_profiles() as usize, k, &edges);
-                assert_eq!(a, b2);
             }
         }
     }

@@ -52,11 +52,9 @@ impl Wep {
     }
 
     /// The retention stage alone, over an already-materialised weighted edge
-    /// list in canonical `(u, v)` ascending order. Callers that keep the
-    /// edge list around — scheme × pruning sweeps, incremental repair —
-    /// reuse it here instead of paying the adjacency traversal again; the
-    /// mean's numerator is accumulated exactly, so Θ is bit-identical to
-    /// [`Wep::prune`] — and to the incremental path's running sum.
+    /// list in canonical `(u, v)` ascending order — what [`Wep::prune`] is
+    /// built on. The mean's numerator is accumulated exactly, so Θ is
+    /// bit-identical to the incremental path's running sum.
     pub fn prune_edges(edges: &[(u32, u32, f64)]) -> RetainedPairs {
         let Some(theta) = Self::mean_weight(edges) else {
             return RetainedPairs::default();

@@ -49,53 +49,15 @@ impl Wnp {
     /// Prunes the graph.
     pub fn prune(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> RetainedPairs {
         let thresholds = self.thresholds(ctx, weigher);
-        let mode = self.mode;
         let pairs = collect_edges(ctx, weigher, |u, v, w| {
-            let pass_u = w >= thresholds[u as usize];
-            let pass_v = w >= thresholds[v as usize];
-            let keep = match mode {
-                NodeCentricMode::Redefined => pass_u || pass_v,
-                NodeCentricMode::Reciprocal => pass_u && pass_v,
-            };
-            keep.then(|| pair(u, v))
+            self.decide(&thresholds, u, v, w).then(|| pair(u, v))
         });
         RetainedPairs::new(pairs)
     }
 
-    /// The per-node thresholds derived from an already-materialised weighted
-    /// edge list in canonical `(u, v)` ascending order. For each node the
-    /// incident weights are accumulated in the same ascending-neighbour
-    /// order as the adjacency pass of [`Wnp::thresholds`] (edges `(x, n)`
-    /// with `x < n` precede the `(n, v)` run, both ascending), so the means
-    /// are bit-identical **for orientation-symmetric weighers** — CBS,
-    /// ARCS, JS: `weight(u, v)` and `weight(v, u)` are the same bits. A
-    /// weigher that multiplies per-endpoint factors is not: ECBS computes
-    /// `(c·ln(|B|/|B_u|))·ln(|B|/|B_v|)` from `u`'s side and
-    /// `(c·ln(|B|/|B_v|))·ln(|B|/|B_u|)` from `v`'s, which differ in the
-    /// last bit for about a fifth of the edges (likewise EJS and χ²). The
-    /// list carries one orientation per edge, [`Wnp::thresholds`] weighs
-    /// every edge from the node's own side, so under such a weigher the two
-    /// means can differ in their last bits (pinned by a test below) — which
-    /// is why incremental repair takes its thresholds from node-side
-    /// weights and never from its edge list.
-    pub fn thresholds_from_edges(n_nodes: usize, edges: &[(u32, u32, f64)]) -> Vec<f64> {
-        let mut sums = vec![0.0f64; n_nodes];
-        let mut counts = vec![0u32; n_nodes];
-        for &(u, v, w) in edges {
-            sums[u as usize] += w;
-            counts[u as usize] += 1;
-            sums[v as usize] += w;
-            counts[v as usize] += 1;
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(&s, &c)| if c == 0 { f64::INFINITY } else { s / c as f64 })
-            .collect()
-    }
-
     /// Whether edge `(u, v, w)` survives against the per-node thresholds —
-    /// the flip-emitting decision primitive shared by [`Wnp::prune_edges`]
-    /// and incremental repair.
+    /// the flip-emitting decision primitive shared by [`Wnp::prune`] and
+    /// incremental repair.
     #[inline]
     pub fn decide(&self, thresholds: &[f64], u: u32, v: u32, w: f64) -> bool {
         let pass_u = w >= thresholds[u as usize];
@@ -104,19 +66,6 @@ impl Wnp {
             NodeCentricMode::Redefined => pass_u || pass_v,
             NodeCentricMode::Reciprocal => pass_u && pass_v,
         }
-    }
-
-    /// The retention stage alone, over a materialised edge list and
-    /// per-node thresholds (from [`Wnp::thresholds`] or
-    /// [`Wnp::thresholds_from_edges`]). Shared by sweeps and incremental
-    /// repair.
-    pub fn prune_edges(&self, thresholds: &[f64], edges: &[(u32, u32, f64)]) -> RetainedPairs {
-        let pairs = edges
-            .iter()
-            .filter(|&&(u, v, w)| self.decide(thresholds, u, v, w))
-            .map(|&(u, v, _)| pair(u, v))
-            .collect();
-        RetainedPairs::new(pairs)
     }
 }
 
@@ -223,14 +172,16 @@ mod tests {
         );
     }
 
-    /// The last-bit gap the `thresholds_from_edges` docs describe: on one
-    /// fixed pseudo-random collection every CBS threshold has the same bits
-    /// from the edge list as from the node pass, while under ECBS — whose
-    /// factor product depends on which endpoint weighs — some do not
-    /// (though none by more than rounding).
+    /// Why the thresholds come from node-side weights ([`Wnp::thresholds`]
+    /// weighs every edge from the node's own side) and never from one
+    /// canonical weight per edge: on one fixed pseudo-random collection
+    /// CBS, ARCS and JS give `weight(u, v)` and `weight(v, u)` the same
+    /// bits, while ECBS — `(c·ln(|B|/|B_u|))·ln(|B|/|B_v|)` from `u`'s side,
+    /// the factors swapped from `v`'s — does not for some edges (though
+    /// never by more than rounding).
     #[test]
-    fn from_edges_thresholds_match_node_pass_only_for_symmetric_weighers() {
-        use crate::pruning::common::collect_weighted_edges;
+    fn node_side_and_canonical_weights_differ_only_for_asymmetric_weighers() {
+        use crate::pruning::common::collect_edge_accums;
         // Dense enough that most pairs share three or more blocks: with a
         // shared-block count of 1 or 2 (a power of two) the ECBS product
         // rounds the same from either side.
@@ -250,21 +201,23 @@ mod tests {
             })
             .collect();
         let ctx = GraphSnapshot::build(&BlockCollection::new(blocks, false, n, n));
+        let accums = collect_edge_accums(&ctx, |u, v, acc| Some((u, v, *acc)));
         let differing = |scheme: WeightingScheme| {
-            let by_node = Wnp::redefined().thresholds(&ctx, &scheme);
-            let by_edge =
-                Wnp::thresholds_from_edges(n as usize, &collect_weighted_edges(&ctx, &scheme));
-            for (a, b) in by_node.iter().zip(&by_edge) {
-                assert!(
-                    a == b || (a - b).abs() <= 1e-12 * a.abs(),
-                    "{}: {a} vs {b} is more than rounding",
-                    scheme.name()
-                );
-            }
-            by_node
-                .iter()
-                .zip(&by_edge)
-                .filter(|(a, b)| a.to_bits() != b.to_bits())
+            let sides = accums.iter().map(|(u, v, acc)| {
+                (
+                    scheme.weight(&ctx, *u, *v, acc),
+                    scheme.weight(&ctx, *v, *u, acc),
+                )
+            });
+            sides
+                .filter(|(a, b)| {
+                    assert!(
+                        a == b || (a - b).abs() <= 1e-12 * a.abs(),
+                        "{}: {a} vs {b} is more than rounding",
+                        scheme.name()
+                    );
+                    a.to_bits() != b.to_bits()
+                })
                 .count()
         };
         assert_eq!(differing(WeightingScheme::Cbs), 0);
@@ -272,7 +225,7 @@ mod tests {
         assert_eq!(differing(WeightingScheme::Js), 0);
         assert!(
             differing(WeightingScheme::Ecbs) > 0,
-            "ECBS thresholds should show the orientation gap on this collection"
+            "ECBS weights should show the orientation gap on this collection"
         );
     }
 

@@ -5,9 +5,6 @@
 //! retained pairs, with ‖B'‖ = number of pairs and no redundant comparisons
 //! by construction.
 
-use blast_blocking::block::Block;
-use blast_blocking::collection::BlockCollection;
-use blast_blocking::key::ClusterId;
 use blast_datamodel::entity::ProfileId;
 
 /// The comparisons surviving a pruning scheme (each pair appears once,
@@ -74,19 +71,6 @@ impl RetainedPairs {
     /// Iterates over the retained pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProfileId, ProfileId)> + '_ {
         self.pairs.iter().copied()
-    }
-
-    /// Materialises the restructured block collection: one block of two
-    /// profiles per retained comparison, shaped like `template`.
-    pub fn to_block_collection(&self, template: &BlockCollection) -> BlockCollection {
-        let sep = template.separator();
-        let blocks = self
-            .pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| Block::new(format!("e{i}"), ClusterId::GLUE, vec![a, b], sep))
-            .collect();
-        template.with_blocks(blocks)
     }
 }
 
@@ -249,19 +233,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(ProfileId(5), ProfileId(2)));
         assert!(!r.contains(ProfileId(1), ProfileId(2)));
-    }
-
-    #[test]
-    fn block_collection_has_one_pair_per_block() {
-        let r = RetainedPairs::new(vec![p(0, 2), p(1, 3)]);
-        let template = BlockCollection::new(Vec::new(), true, 2, 4);
-        let bc = r.to_block_collection(&template);
-        assert_eq!(bc.len(), 2);
-        assert_eq!(bc.aggregate_cardinality(), 2);
-        assert!(bc.is_clean_clean());
-        for b in bc.blocks() {
-            assert_eq!(b.len(), 2);
-        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
+use blast_graph::{ColdRows, ColdStats, SpillBackend};
 
 /// The total retention order of the decision stage: ascending `rank` is
 /// descending weight (see [`weight_rank_bits`]), ties broken by ascending
@@ -577,7 +577,7 @@ pub struct FreshEdge {
 /// accumulator's shared-block count and ARCS reciprocal sum. The
 /// accumulator's entropy tally is *not* stored per entry: a snapshot with
 /// no entropies attached accumulates exactly 1.0 per shared block
-/// ([`GraphSnapshot::slot_entropy`]), so `entropy_sum` is bit-exactly
+/// (see [`EdgeAccum::entropy_sum`]), so `entropy_sum` is bit-exactly
 /// `common_blocks as f64` (integer sums of 1.0 are exact far beyond any
 /// feasible block count) and is re-derived on read. Pipelines that attach
 /// real entropies promote the adjacency to carry index-aligned entropy
@@ -616,26 +616,10 @@ pub struct EdgeAdjacency {
     /// accumulator's tally differs bitwise from the derived
     /// `common_blocks as f64` value (see `CachedEdge`).
     ent: Option<Vec<Vec<f64>>>,
-    /// Cold-tier state when the pipeline runs under a memory budget.
-    residency: Option<Box<AdjResidency>>,
-}
-
-/// A demoted adjacency row: its frame plus the entry count (so the
-/// footprint counters stay exact without a decode).
-#[derive(Debug, Clone, Copy)]
-struct ColdRow {
-    frame: FrameRef,
-    len: u32,
-}
-
-/// Residency state of a budgeted adjacency: the cold frame store, one
-/// optional cold slot per row, and per-row last-touch epochs.
-#[derive(Debug)]
-struct AdjResidency {
-    store: ColdStore,
-    cold: Vec<Option<ColdRow>>,
-    touch: Vec<u32>,
-    epoch: u32,
+    /// Cold-tier state (one row per node; a cold row's `rows`/`ent`
+    /// entries are empty placeholders) when the pipeline runs under a
+    /// memory budget.
+    residency: Option<ColdRows>,
 }
 
 impl EdgeAdjacency {
@@ -652,12 +636,6 @@ impl EdgeAdjacency {
         if let Some(ent) = &mut self.ent {
             if ent.len() < n {
                 ent.resize_with(n, Vec::new);
-            }
-        }
-        if let Some(r) = self.residency.as_deref_mut() {
-            if r.cold.len() < n {
-                r.cold.resize(n, None);
-                r.touch.resize(n, r.epoch);
             }
         }
     }
@@ -753,20 +731,14 @@ impl EdgeAdjacency {
         if ui >= self.rows.len() {
             return f(&[], None);
         }
-        if let Some(r) = self.residency.as_deref() {
-            if let Some(cold) = r.cold.get(ui).copied().flatten() {
-                let bytes = r
-                    .store
-                    .get(cold.frame)
-                    .unwrap_or_else(|e| panic!("cold tier: adjacency row {u} lost: {e}"));
-                let (row, ent) = Self::decode_row(&bytes);
-                let ent: Option<Vec<f64>> = match (&self.ent, ent) {
-                    (Some(_), Some(e)) => Some(e),
-                    (Some(_), None) => Some(row.iter().map(Self::derived_entropy).collect()),
-                    (None, _) => None,
-                };
-                return f(&row, ent.as_deref());
-            }
+        if let Some(bytes) = self.residency.as_ref().and_then(|r| r.read(ui)) {
+            let (row, ent) = Self::decode_row(&bytes);
+            let ent: Option<Vec<f64>> = match (&self.ent, ent) {
+                (Some(_), Some(e)) => Some(e),
+                (Some(_), None) => Some(row.iter().map(Self::derived_entropy).collect()),
+                (None, _) => None,
+            };
+            return f(&row, ent.as_deref());
         }
         f(
             &self.rows[ui],
@@ -776,37 +748,24 @@ impl EdgeAdjacency {
 
     /// Entry count of node `u`'s row, hot or cold (no decode).
     fn row_len(&self, u: usize) -> usize {
-        if let Some(r) = self.residency.as_deref() {
-            if let Some(c) = r.cold.get(u).copied().flatten() {
-                return c.len as usize;
-            }
-        }
-        self.rows[u].len()
+        let cold = self.residency.as_ref().and_then(|r| r.cold_len(u));
+        cold.unwrap_or(self.rows[u].len())
     }
 
     /// Promotes a cold row back to its hot `Vec`s and stamps its touch
     /// epoch. Every mutation path goes through this.
     fn ensure_row_hot(&mut self, u: u32) {
-        let Some(r) = self.residency.as_deref_mut() else {
+        let Some(r) = &mut self.residency else {
             return;
         };
         let ui = u as usize;
-        if ui >= r.cold.len() {
-            return;
-        }
-        if let Some(cold) = r.cold[ui].take() {
-            let bytes = r
-                .store
-                .get(cold.frame)
-                .unwrap_or_else(|e| panic!("cold tier: adjacency row {u} lost: {e}"));
-            r.store.free(cold.frame);
+        if let Some(bytes) = r.promote(ui) {
             let (row, ent) = Self::decode_row(&bytes);
             if let Some(side) = &mut self.ent {
                 side[ui] = ent.unwrap_or_else(|| row.iter().map(Self::derived_entropy).collect());
             }
             self.rows[ui] = row;
         }
-        r.touch[ui] = r.epoch;
     }
 
     /// Rehydrates the given rows ahead of a repair pass (the blocker's
@@ -828,11 +787,11 @@ impl EdgeAdjacency {
             return;
         }
         for u in 0..self.rows.len() as u32 {
-            let is_cold = self
+            if self
                 .residency
-                .as_deref()
-                .is_some_and(|r| r.cold.get(u as usize).copied().flatten().is_some());
-            if is_cold {
+                .as_ref()
+                .is_some_and(|r| r.is_cold(u as usize))
+            {
                 self.ensure_row_hot(u);
             }
         }
@@ -843,19 +802,9 @@ impl EdgeAdjacency {
     /// Turns on cold-tier residency (idempotent). With a `spill` backend
     /// the demoted frames leave memory entirely.
     pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_some() {
-            return;
+        if self.residency.is_none() {
+            self.residency = Some(ColdRows::new("adjacency row", spill));
         }
-        let store = match spill {
-            Some(backend) => ColdStore::spilled(backend),
-            None => ColdStore::in_memory(),
-        };
-        self.residency = Some(Box::new(AdjResidency {
-            store,
-            cold: vec![None; self.rows.len()],
-            touch: vec![0; self.rows.len()],
-            epoch: 0,
-        }));
     }
 
     /// Whether a memory budget is active on this adjacency.
@@ -867,8 +816,7 @@ impl EdgeAdjacency {
     pub fn cold_stats(&self) -> ColdStats {
         self.residency
             .as_ref()
-            .map(|r| r.store.stats())
-            .unwrap_or_default()
+            .map_or_else(ColdStats::default, ColdRows::stats)
     }
 
     /// Hot row bytes the eviction policy could demote (0 when residency
@@ -894,65 +842,26 @@ impl EdgeAdjacency {
             }
     }
 
-    /// One eviction round over the adjacency rows — same deterministic
-    /// `(touch epoch, node id)` policy as the block index.
+    /// One eviction round over the adjacency rows ([`ColdRows::sweep`],
+    /// the policy the block index and the snapshot run).
     pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        if self.residency.is_none() {
+        let Some(r) = &mut self.residency else {
             return;
-        }
-        let epoch = {
-            let r = self.residency.as_deref_mut().unwrap();
-            r.epoch += 1;
-            if r.cold.len() < self.rows.len() {
-                r.cold.resize(self.rows.len(), None);
-                r.touch.resize(self.rows.len(), r.epoch);
-            }
-            r.epoch
         };
         let has_ent = self.ent.is_some();
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, u32)> = Vec::new();
-        {
-            let r = self.residency.as_deref().unwrap();
-            for (u, row) in self.rows.iter().enumerate() {
-                if row.is_empty() {
-                    continue;
-                }
-                hot_bytes += Self::hot_row_bytes(row.len(), has_ent);
-                candidates.push((r.touch[u], u as u32));
-            }
-        }
-        candidates.sort_unstable();
-        let mut scratch = Vec::new();
-        for (touch, u) in candidates {
-            let stale = (touch as u64) + (idle_commits as u64) < epoch as u64;
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let row = std::mem::take(&mut self.rows[u as usize]);
-            let ent_row = self
-                .ent
-                .as_mut()
-                .map(|ent| std::mem::take(&mut ent[u as usize]));
-            hot_bytes -= Self::hot_row_bytes(row.len(), has_ent);
-            scratch.clear();
-            Self::encode_row(&row, ent_row.as_deref(), &mut scratch);
-            let r = self.residency.as_deref_mut().unwrap();
-            let frame = r.store.put(&scratch);
-            r.cold[u as usize] = Some(ColdRow {
-                frame,
-                len: row.len() as u32,
-            });
-        }
-        let r = self.residency.as_deref_mut().unwrap();
-        if r.store.wants_compaction() {
-            let AdjResidency { store, cold, .. } = r;
-            let refs: Vec<&mut FrameRef> = cold
-                .iter_mut()
-                .filter_map(|c| c.as_mut().map(|c| &mut c.frame))
-                .collect();
-            store.compact(refs);
-        }
+        r.sweep(
+            idle_commits,
+            target_hot_bytes,
+            self.rows.len(),
+            &mut (&mut self.rows, &mut self.ent),
+            |(rows, _), u| Self::hot_row_bytes(rows[u].len(), has_ent),
+            |(rows, ent), u, out| {
+                let row = std::mem::take(&mut rows[u]);
+                let ent_row = ent.as_mut().map(|ent| std::mem::take(&mut ent[u]));
+                Self::encode_row(&row, ent_row.as_deref(), out);
+                row.len()
+            },
+        );
     }
 
     /// Reconstructs the full accumulator of entry `i` on row `u` —
@@ -998,10 +907,7 @@ impl EdgeAdjacency {
         });
         let headers = (self.rows.capacity() + self.ent.as_ref().map_or(0, Vec::capacity))
             * std::mem::size_of::<Vec<f64>>();
-        let residency = self.residency.as_ref().map_or(0, |r| {
-            r.cold.capacity() * std::mem::size_of::<Option<ColdRow>>()
-                + r.touch.capacity() * std::mem::size_of::<u32>()
-        });
+        let residency = self.residency.as_ref().map_or(0, ColdRows::resident_bytes);
         entries + ent + headers + residency
     }
 
@@ -1066,11 +972,8 @@ impl EdgeAdjacency {
                 row.clear();
             }
         }
-        if let Some(r) = self.residency.as_deref_mut() {
-            for slot in &mut r.cold {
-                *slot = None;
-            }
-            r.store.clear();
+        if let Some(r) = &mut self.residency {
+            r.clear();
         }
     }
 

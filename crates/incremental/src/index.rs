@@ -24,17 +24,33 @@ use blast_blocking::key::ClusterId;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::interner::{Interner, Symbol};
 use blast_graph::cold::{decode_u32s, encode_u32s};
-use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
+use blast_graph::{ColdRows, ColdStats, SpillBackend};
 
 /// Stable handle of a `(cluster, token)` key in the slab.
 pub type KeyId = u32;
 
-/// Where a posting list currently lives: in its hot `Vec` or demoted to a
-/// delta-encoded frame in the index's [`ColdStore`].
+/// Where a posting list currently lives: in its hot `Vec`, or demoted to
+/// the index's [`ColdRows`] as delta-encoded ids with only its length left
+/// behind.
 #[derive(Debug, Clone)]
 enum PostingsSlot {
     Hot(Vec<ProfileId>),
-    Cold { frame: FrameRef, len: u32 },
+    Cold(u32),
+}
+
+impl PostingsSlot {
+    /// The cold-tier row codec of a posting list: ascending ids,
+    /// delta-varint encoded (the id conversions reuse the allocation).
+    fn encode(members: Vec<ProfileId>, out: &mut Vec<u8>) {
+        let ids: Vec<u32> = members.into_iter().map(|p| p.0).collect();
+        encode_u32s(&ids, out);
+    }
+
+    fn decode(bytes: &[u8]) -> Vec<ProfileId> {
+        let mut ids: Vec<u32> = Vec::new();
+        decode_u32s(bytes, &mut 0, &mut ids);
+        ids.into_iter().map(ProfileId).collect()
+    }
 }
 
 /// One blocking key and its members.
@@ -58,32 +74,30 @@ pub struct KeyEntry {
 }
 
 impl KeyEntry {
-    /// Number of profiles currently carrying this key (no decode — cold
-    /// slots record their length in the handle).
+    /// Number of profiles currently carrying this key (no decode — a cold
+    /// slot keeps its length).
     #[inline]
     pub fn postings_len(&self) -> usize {
         match &self.slot {
             PostingsSlot::Hot(v) => v.len(),
-            PostingsSlot::Cold { len, .. } => *len as usize,
+            PostingsSlot::Cold(len) => *len as usize,
         }
     }
 
     /// Whether the posting list is currently demoted to the cold tier.
     #[inline]
     pub fn is_cold(&self) -> bool {
-        matches!(self.slot, PostingsSlot::Cold { .. })
+        matches!(self.slot, PostingsSlot::Cold(_))
     }
-}
 
-/// Residency state of a budgeted index: the cold frame store plus a
-/// per-key last-touch epoch driving the idle-eviction policy.
-#[derive(Debug)]
-struct IndexResidency {
-    store: ColdStore,
-    /// Epoch of the last mutation of each key (parallel to `keys`).
-    touch: Vec<u32>,
-    /// Bumped once per [`IncrementalBlockIndex::enforce_residency`] round.
-    epoch: u32,
+    /// Hot posting bytes an eviction round could demote.
+    #[inline]
+    fn hot_bytes(&self) -> usize {
+        match &self.slot {
+            PostingsSlot::Hot(v) => v.len() * std::mem::size_of::<ProfileId>(),
+            PostingsSlot::Cold(_) => 0,
+        }
+    }
 }
 
 /// What changed since the last [`IncrementalBlockIndex::drain_dirty`].
@@ -131,8 +145,9 @@ pub struct IncrementalBlockIndex {
     dirty_keys: Vec<KeyId>,
     removed_members: Vec<u32>,
     touched_profiles: Vec<u32>,
-    /// Cold-tier state when the pipeline runs under a memory budget.
-    residency: Option<Box<IndexResidency>>,
+    /// Cold-tier state (one row per key, touched on every mutation) when
+    /// the pipeline runs under a memory budget.
+    residency: Option<ColdRows>,
 }
 
 impl IncrementalBlockIndex {
@@ -175,20 +190,11 @@ impl IncrementalBlockIndex {
     pub fn with_postings<R>(&self, id: KeyId, f: impl FnOnce(&[ProfileId]) -> R) -> R {
         match &self.keys[id as usize].slot {
             PostingsSlot::Hot(v) => f(v),
-            PostingsSlot::Cold { frame, len } => {
-                let r = self
-                    .residency
-                    .as_ref()
-                    .expect("cold posting list without residency state");
-                let bytes = r
-                    .store
-                    .get(*frame)
-                    .unwrap_or_else(|e| panic!("cold tier: posting list of key {id} lost: {e}"));
-                let mut pos = 0;
-                let mut ids: Vec<u32> = Vec::with_capacity(*len as usize);
-                decode_u32s(&bytes, &mut pos, &mut ids);
-                let members: Vec<ProfileId> = ids.into_iter().map(ProfileId).collect();
-                f(&members)
+            PostingsSlot::Cold(_) => {
+                let bytes = self.residency.as_ref().and_then(|r| r.read(id as usize));
+                f(&PostingsSlot::decode(
+                    &bytes.expect("a cold posting list has a frame"),
+                ))
             }
         }
     }
@@ -245,14 +251,10 @@ impl IncrementalBlockIndex {
                 .iter()
                 .map(|e| match &e.slot {
                     PostingsSlot::Hot(v) => v.capacity() * size_of::<ProfileId>(),
-                    PostingsSlot::Cold { .. } => 0,
+                    PostingsSlot::Cold(_) => 0,
                 })
                 .sum::<usize>()
-            + self
-                .residency
-                .as_ref()
-                .map(|r| r.touch.capacity() * size_of::<u32>())
-                .unwrap_or(0)
+            + self.residency.as_ref().map_or(0, ColdRows::resident_bytes)
             + self.tokens.resident_bytes()
             + self
                 .token_keys
@@ -437,9 +439,6 @@ impl IncrementalBlockIndex {
         });
         self.token_keys[token.index()].push((cluster, id));
         self.dirty_flags.push(false);
-        if let Some(r) = self.residency.as_deref_mut() {
-            r.touch.push(r.epoch);
-        }
         self.sorted.insert(pos, id);
         id
     }
@@ -448,22 +447,12 @@ impl IncrementalBlockIndex {
     /// key's touch epoch. Mutations always go through this, so postings
     /// being patched are guaranteed hot.
     fn ensure_hot(&mut self, key: KeyId) {
-        let Some(r) = self.residency.as_deref_mut() else {
+        let Some(r) = &mut self.residency else {
             return;
         };
-        if let PostingsSlot::Cold { frame, len } = self.keys[key as usize].slot {
-            let bytes = r
-                .store
-                .get(frame)
-                .unwrap_or_else(|e| panic!("cold tier: posting list of key {key} lost: {e}"));
-            r.store.free(frame);
-            let mut pos = 0;
-            let mut ids: Vec<u32> = Vec::with_capacity(len as usize);
-            decode_u32s(&bytes, &mut pos, &mut ids);
-            self.keys[key as usize].slot =
-                PostingsSlot::Hot(ids.into_iter().map(ProfileId).collect());
+        if let Some(bytes) = r.promote(key as usize) {
+            self.keys[key as usize].slot = PostingsSlot::Hot(PostingsSlot::decode(&bytes));
         }
-        r.touch[key as usize] = r.epoch;
     }
 
     fn mark_dirty(&mut self, key: KeyId) {
@@ -534,18 +523,9 @@ impl IncrementalBlockIndex {
     /// the demoted frames leave memory entirely; otherwise they live in a
     /// compact in-memory arena.
     pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_some() {
-            return;
+        if self.residency.is_none() {
+            self.residency = Some(ColdRows::new("posting list of key", spill));
         }
-        let store = match spill {
-            Some(backend) => ColdStore::spilled(backend),
-            None => ColdStore::in_memory(),
-        };
-        self.residency = Some(Box::new(IndexResidency {
-            store,
-            touch: vec![0; self.keys.len()],
-            epoch: 0,
-        }));
     }
 
     /// Whether a memory budget is active on this index.
@@ -557,89 +537,40 @@ impl IncrementalBlockIndex {
     pub fn cold_stats(&self) -> ColdStats {
         self.residency
             .as_ref()
-            .map(|r| r.store.stats())
-            .unwrap_or_default()
+            .map_or_else(ColdStats::default, ColdRows::stats)
     }
 
     /// Hot posting-list bytes the eviction policy could demote (0 when
     /// residency is off — an unbudgeted index never evicts).
     pub fn evictable_hot_bytes(&self) -> usize {
-        use std::mem::size_of;
         if self.residency.is_none() {
             return 0;
         }
-        self.keys
-            .iter()
-            .map(|e| match &e.slot {
-                PostingsSlot::Hot(v) if !v.is_empty() => v.len() * size_of::<ProfileId>(),
-                _ => 0,
-            })
-            .sum()
+        self.keys.iter().map(KeyEntry::hot_bytes).sum()
     }
 
-    /// One eviction round: demotes every non-empty hot posting list idle
-    /// for more than `idle_commits` rounds, then keeps demoting
-    /// coldest-first until hot posting bytes fit `target_hot_bytes`.
-    /// Deterministic: candidates are ordered by `(touch epoch, key id)`.
+    /// One eviction round over the posting lists ([`ColdRows::sweep`]:
+    /// idle for more than `idle_commits` rounds, then coldest-first until
+    /// hot posting bytes fit `target_hot_bytes`).
     pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        use std::mem::size_of;
-        if self.residency.is_none() {
+        let Some(r) = &mut self.residency else {
             return;
-        }
-        let epoch = {
-            let r = self.residency.as_deref_mut().unwrap();
-            r.epoch += 1;
-            r.epoch
         };
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, KeyId)> = Vec::new();
-        {
-            let r = self.residency.as_deref().unwrap();
-            for (i, e) in self.keys.iter().enumerate() {
-                if let PostingsSlot::Hot(v) = &e.slot {
-                    if v.is_empty() {
-                        continue;
-                    }
-                    hot_bytes += v.len() * size_of::<ProfileId>();
-                    candidates.push((r.touch[i], i as KeyId));
+        r.sweep(
+            idle_commits,
+            target_hot_bytes,
+            self.keys.len(),
+            self.keys.as_mut_slice(),
+            |keys, k| keys[k].hot_bytes(),
+            |keys, k, out| {
+                let len = keys[k].postings_len();
+                let cold = PostingsSlot::Cold(len as u32);
+                if let PostingsSlot::Hot(members) = std::mem::replace(&mut keys[k].slot, cold) {
+                    PostingsSlot::encode(members, out);
                 }
-            }
-        }
-        candidates.sort_unstable();
-        let mut scratch = Vec::new();
-        for (touch, kid) in candidates {
-            let stale = (touch as u64) + (idle_commits as u64) < epoch as u64;
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let PostingsSlot::Hot(v) = &mut self.keys[kid as usize].slot else {
-                continue;
-            };
-            let members = std::mem::take(v);
-            hot_bytes -= members.len() * size_of::<ProfileId>();
-            scratch.clear();
-            let ids: Vec<u32> = members.iter().map(|p| p.0).collect();
-            encode_u32s(&ids, &mut scratch);
-            let r = self.residency.as_deref_mut().unwrap();
-            let frame = r.store.put(&scratch);
-            self.keys[kid as usize].slot = PostingsSlot::Cold {
-                frame,
-                len: members.len() as u32,
-            };
-        }
-        if let Some(r) = self.residency.as_deref_mut() {
-            if r.store.wants_compaction() {
-                let refs: Vec<&mut FrameRef> = self
-                    .keys
-                    .iter_mut()
-                    .filter_map(|e| match &mut e.slot {
-                        PostingsSlot::Cold { frame, .. } => Some(frame),
-                        _ => None,
-                    })
-                    .collect();
-                r.store.compact(refs);
-            }
-        }
+                len
+            },
+        );
     }
 }
 

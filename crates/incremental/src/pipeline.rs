@@ -301,6 +301,11 @@ impl IncrementalPipeline {
     }
 
     /// Mid-stream variant of [`IncrementalPipeline::with_residency`].
+    /// `budget_bytes` and `idle_commits` take effect at the next commit's
+    /// sweep. `spill` is read once per structure, when the sweep first
+    /// arms it (`enable_*` is idempotent), so flipping it later changes
+    /// nothing. `None` stops the sweeps; rows already cold stay cold until
+    /// something reads or mutates them.
     pub fn set_residency(&mut self, policy: Option<ResidencyPolicy>) {
         self.residency = policy;
     }

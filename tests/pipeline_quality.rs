@@ -85,8 +85,7 @@ fn chi_squared_weighting_lifts_cnp_recall() {
     // cnp2 with BLAST's χ²·h weighting.
     let entropies = schema.partitioning.block_entropies(&blocks);
     let ctx = GraphSnapshot::build(&blocks).with_block_entropies(entropies);
-    let retained =
-        MetaBlocker::prune_context(&ctx, &ChiSquaredWeigher::new(), PruningAlgorithm::Cnp2);
+    let retained = PruningAlgorithm::Cnp2.prune(&ctx, &ChiSquaredWeigher::new());
     let chi_pc = evaluate_pairs(retained.pairs(), &gt).pc;
 
     assert!(
