@@ -6,11 +6,58 @@
 //! node's threshold to its *local maximum* weight — θᵢ = Mᵢ/c — and resolves
 //! the two-threshold ambiguity of Fig. 7 with a single per-edge threshold
 //! θᵢⱼ = (θᵢ + θⱼ)/d. The paper uses c = d = 2.
+//!
+//! ## One traversal
+//!
+//! [`BlastPruning::prune`] runs **one** parallel pass over the edge owners
+//! ([`GraphSnapshot::edge_owner_range`]: the first collection on
+//! clean-clean graphs, every node on dirty ones). Each owner u loads its
+//! adjacency once and, per neighbour v, weighs w = `weight(u, v, acc)` —
+//! folded into u's own maximum in ascending-v order, exactly the fold a
+//! node pass over u's row makes — and w′ = `weight(v, u, acc)`, the weight
+//! v's own row would fold. On clean-clean graphs v is never an owner, so
+//! w′ goes into v's maximum in a shared `AtomicU64` (f64 bits, a
+//! compare-exchange on `f64::max`); a maximum does not depend on the order
+//! it is folded in, so neither do the thresholds. On dirty graphs every
+//! node owns its own row, so its maximum is complete from that row alone.
+//! This relies on accumulators being bit-symmetric: u's and v's loads add
+//! the same shared blocks in the same canonical order, so the `acc` u sees
+//! is the one v would see. The only freedom left is the sign of a zero
+//! maximum, which no decision reads (an edge needs w > 0).
+//!
+//! Loads per prune are n₁ on clean-clean graphs (was n + n₁) and n on dirty
+//! ones (was 2n); weighings per edge are 2 on clean-clean graphs (was 3)
+//! and stay 3 on dirty ones.
+//!
+//! ## The exact pre-filter
+//!
+//! Once u's row is weighed, θᵤ is final, but θᵥ may still grow (other
+//! owners of v are pending). The row keeps only the edges with w > 0 and
+//! w ≥ (θᵤ + mᵥ/c)/d, where mᵥ is the largest weight of v known when the
+//! edge was weighed: w′ on dirty graphs, and on clean-clean graphs v's
+//! shared maximum right after w′ was folded into it, so w′ ≤ mᵥ ≤ Mᵥ.
+//! That filter never drops an edge the final rule keeps: Mᵥ ≥ mᵥ, and
+//! division by c > 0, addition and division by d > 0 are monotone under
+//! IEEE rounding, so (θᵤ + mᵥ/c)/d ≤ (θᵤ + θᵥ)/d. Which edges pass the
+//! filter may depend on the schedule; the result cannot, because a second
+//! step applies the exact rule with the final thresholds to the candidates
+//! left. The row is filtered in a per-worker buffer before anything
+//! reaches the chunk's candidate list, so the candidates never hold more
+//! than the edges that survive the filter.
+//!
+//! WNP and CNP cannot follow: WNP's mean is a sum, and a float sum folded
+//! in another order is not bit-equal; CNP's top-k list is not one word a
+//! compare-exchange can fold. They stay two-pass
+//! ([`blast_graph::pruning::common::node_pass`] then
+//! [`blast_graph::pruning::common::collect_edges`]).
 
+use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::GraphSnapshot;
-use blast_graph::pruning::common::{collect_edges, node_pass, pair};
+use blast_graph::pruning::common::pair;
 use blast_graph::retained::RetainedPairs;
+use blast_graph::traversal::{NodeScratch, ScratchLease};
 use blast_graph::weights::EdgeWeigher;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// BLAST's weight-based, node-centric, degree-independent pruning.
 #[derive(Debug, Clone, Copy)]
@@ -39,33 +86,164 @@ impl BlastPruning {
         Self { c, d }
     }
 
-    /// The per-node thresholds θᵢ = Mᵢ/c (+∞ for isolated nodes).
+    /// The per-node thresholds θᵢ = Mᵢ/c (+∞ for isolated nodes), from the
+    /// same one-pass traversal [`BlastPruning::prune`] runs.
+    ///
+    /// # Panics
+    ///
+    /// If the weigher reads node degrees and `ctx` has none (see
+    /// [`BlastPruning::prune`]).
     pub fn thresholds(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> Vec<f64> {
-        let c = self.c;
-        node_pass(ctx, weigher, move |_, adj| {
-            let max = adj
-                .iter()
-                .map(|(_, w)| *w)
-                .fold(f64::NEG_INFINITY, f64::max);
-            if max.is_finite() {
-                max / c
-            } else {
-                f64::INFINITY
-            }
-        })
+        self.pass(ctx, weigher).thresholds
     }
 
     /// Prunes the graph: edge (u,v) survives iff w > 0 and
     /// w ≥ (θᵤ + θᵥ)/d.
+    ///
+    /// # Panics
+    ///
+    /// If the weigher reads node degrees (EJS, or an entropy wrapper over
+    /// it) and [`GraphSnapshot::ensure_degrees`] has not run on `ctx`.
     pub fn prune(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> RetainedPairs {
-        let thresholds = self.thresholds(ctx, weigher);
+        let Pass {
+            thresholds,
+            candidates,
+        } = self.pass(ctx, weigher);
         let d = self.d;
-        let pairs = collect_edges(ctx, weigher, |u, v, w| {
-            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
-            (w > 0.0 && w >= theta).then(|| pair(u, v))
-        });
-        RetainedPairs::new(pairs)
+        let pairs = candidates
+            .iter()
+            .flatten()
+            .filter(|&&(u, v, w)| keeps(w, thresholds[u as usize], thresholds[v as usize], d))
+            .map(|&(u, v, _)| pair(u, v))
+            .collect();
+        // Chunks ascend by owner and rows by neighbour, and every owner is
+        // the smaller endpoint: the pairs come out canonical and sorted.
+        RetainedPairs::from_sorted(pairs)
     }
+
+    /// The one traversal (see the module docs).
+    fn pass(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> Pass {
+        assert!(
+            !weigher.requires_degrees() || ctx.has_degrees(),
+            "BlastPruning: the {} weigher reads node degrees; \
+             call GraphSnapshot::ensure_degrees() before pruning",
+            weigher.name()
+        );
+        let (c, d) = (self.c, self.d);
+        let clean = ctx.is_clean_clean();
+        // The owners are the id prefix `0..owners`; on clean-clean graphs
+        // the rest (the second collection) get their maxima from the
+        // owners' rows.
+        let owners = ctx.edge_owner_range().end;
+        let far: Vec<AtomicU64> = (owners..ctx.total_profiles())
+            .map(|_| AtomicU64::new(f64::NEG_INFINITY.to_bits()))
+            .collect();
+        let len = owners as usize;
+        let chunks = parallel_work_steal(
+            len,
+            ctx.threads(),
+            chunk_len(len),
+            || (NodeScratch::lease(ctx), Vec::new()),
+            |(scratch, row): &mut (ScratchLease, Vec<(u32, f64, f64)>), range| {
+                let mut thresholds = Vec::with_capacity(range.len());
+                let mut candidates = Vec::new();
+                for u in range {
+                    let u = u as u32;
+                    scratch.load(ctx, u);
+                    row.clear();
+                    let mut max = f64::NEG_INFINITY;
+                    for (v, acc) in scratch.iter() {
+                        let w = weigher.weight(ctx, u, v, &acc);
+                        max = max.max(w);
+                        // Dirty graphs: the edge is decided from its
+                        // smaller endpoint.
+                        if clean || v > u {
+                            let w_far = weigher.weight(ctx, v, u, &acc);
+                            // The largest weight of v seen so far: ≥ w′,
+                            // ≤ Mᵥ.
+                            let m_far = if clean {
+                                fold_max(&far[(v - owners) as usize], w_far)
+                            } else {
+                                w_far
+                            };
+                            row.push((v, w, m_far));
+                        }
+                    }
+                    let theta = threshold(max, c);
+                    candidates.extend(
+                        row.iter()
+                            .filter(|&&(_, w, m_far)| may_keep(w, theta, m_far / c, d))
+                            .map(|&(v, w, _)| (u, v, w)),
+                    );
+                    thresholds.push(theta);
+                }
+                (thresholds, candidates)
+            },
+        );
+        let mut thresholds = Vec::with_capacity(ctx.total_profiles() as usize);
+        let mut candidates = Vec::with_capacity(chunks.len());
+        for (t, edges) in chunks {
+            thresholds.extend(t);
+            candidates.push(edges);
+        }
+        thresholds.extend(
+            far.iter()
+                .map(|m| threshold(f64::from_bits(m.load(Ordering::Relaxed)), c)),
+        );
+        Pass {
+            thresholds,
+            candidates,
+        }
+    }
+}
+
+/// What one traversal produced.
+struct Pass {
+    /// θ of every node, indexed by id.
+    thresholds: Vec<f64>,
+    /// Per chunk, the edges `(u, v, w)` that passed the pre-filter,
+    /// ascending by `(u, v)`.
+    candidates: Vec<Vec<(u32, u32, f64)>>,
+}
+
+/// θ = M/c, or +∞ for a node without a finite maximum (an isolated node
+/// accepts nothing).
+#[inline]
+fn threshold(max: f64, c: f64) -> f64 {
+    if max.is_finite() {
+        max / c
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// BLAST's rule: w > 0 and w ≥ (θᵤ + θᵥ)/d.
+#[inline]
+fn keeps(w: f64, theta_u: f64, theta_v: f64, d: f64) -> bool {
+    w > 0.0 && w >= (theta_u + theta_v) / d
+}
+
+/// The pre-filter: [`keeps`] with a lower bound of θᵥ. A NaN bound lets
+/// the edge through, so the filter can only keep more than the rule.
+#[inline]
+fn may_keep(w: f64, theta_u: f64, theta_v_floor: f64, d: f64) -> bool {
+    let bound = (theta_u + theta_v_floor) / d;
+    w > 0.0 && (bound.is_nan() || w >= bound)
+}
+
+/// Folds `w` into a maximum held as f64 bits and returns the maximum after
+/// the fold. Like `f64::max`, a NaN never replaces the current value.
+#[inline]
+fn fold_max(slot: &AtomicU64, w: f64) -> f64 {
+    let mut current = slot.load(Ordering::Relaxed);
+    while w > f64::from_bits(current) {
+        match slot.compare_exchange_weak(current, w.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => return w,
+            Err(seen) => current = seen,
+        }
+    }
+    f64::from_bits(current)
 }
 
 #[cfg(test)]
@@ -80,6 +258,47 @@ mod tests {
     use blast_datamodel::entity::{ProfileId, SourceId};
     use blast_datamodel::input::ErInput;
     use blast_graph::weights::WeightingScheme;
+
+    /// The two-pass body the one-pass traversal replaced — a node pass for
+    /// the thresholds, then an edge pass for the decisions — kept as the
+    /// reference it must equal.
+    mod reference {
+        use super::super::*;
+        use blast_graph::pruning::common::{collect_edges, node_pass};
+
+        pub fn thresholds(
+            p: &BlastPruning,
+            ctx: &GraphSnapshot,
+            weigher: &dyn EdgeWeigher,
+        ) -> Vec<f64> {
+            let c = p.c;
+            node_pass(ctx, weigher, move |_, adj| {
+                let max = adj
+                    .iter()
+                    .map(|(_, w)| *w)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                if max.is_finite() {
+                    max / c
+                } else {
+                    f64::INFINITY
+                }
+            })
+        }
+
+        pub fn prune(
+            p: &BlastPruning,
+            ctx: &GraphSnapshot,
+            weigher: &dyn EdgeWeigher,
+        ) -> RetainedPairs {
+            let thresholds = thresholds(p, ctx, weigher);
+            let d = p.d;
+            let pairs = collect_edges(ctx, weigher, |u, v, w| {
+                let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
+                (w > 0.0 && w >= theta).then(|| pair(u, v))
+            });
+            RetainedPairs::new(pairs)
+        }
+    }
 
     fn ids(v: &[u32]) -> Vec<ProfileId> {
         v.iter().map(|&i| ProfileId(i)).collect()
@@ -232,5 +451,142 @@ mod tests {
             !retained.contains(ProfileId(2), ProfileId(3)),
             "p3–p4 pruned"
         );
+    }
+
+    /// A degree-reading weigher on a snapshot without degrees is refused on
+    /// entry, with a message that names the fix — also where a worker
+    /// panic would only surface as "parallel worker panicked".
+    fn prune_ejs_without_degrees(threads: usize) {
+        let ctx = GraphSnapshot::build(&star(100)).with_threads(threads);
+        BlastPruning::new().prune(&ctx, &WeightingScheme::Ejs);
+    }
+
+    #[test]
+    #[should_panic(expected = "ensure_degrees")]
+    fn degree_weigher_without_degrees_panics_on_entry_1_thread() {
+        prune_ejs_without_degrees(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ensure_degrees")]
+    fn degree_weigher_without_degrees_panics_on_entry_4_threads() {
+        prune_ejs_without_degrees(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "ensure_degrees")]
+    fn thresholds_check_degrees_on_entry() {
+        let ctx = GraphSnapshot::build(&star(100)).with_threads(4);
+        let weigher = crate::weighting::WsEntropyWeigher::new(WeightingScheme::Ejs);
+        BlastPruning::new().thresholds(&ctx, &weigher);
+    }
+
+    /// The one-pass prune and thresholds ≡ the two-pass reference on one
+    /// collection, for every weigher, constant pair and thread count.
+    /// Thresholds are bit-equal except for the sign of a zero maximum, and
+    /// a prune loads each edge owner's adjacency once (the separator on
+    /// clean-clean graphs, n on dirty ones).
+    fn assert_one_pass_matches_reference(blocks: &BlockCollection) {
+        let entropies: Vec<f64> = (0..blocks.len()).map(|i| (i % 4) as f64 * 0.75).collect();
+        let weighers: [&dyn EdgeWeigher; 7] = [
+            &WeightingScheme::Cbs,
+            &WeightingScheme::Arcs,
+            &WeightingScheme::Js,
+            &WeightingScheme::Ecbs,
+            &WeightingScheme::Ejs,
+            &ChiSquaredWeigher::without_entropy(),
+            &ChiSquaredWeigher::new(),
+        ];
+        let owners = if blocks.is_clean_clean() {
+            blocks.separator()
+        } else {
+            blocks.total_profiles()
+        };
+        for with_entropies in [false, true] {
+            for threads in [1usize, 4] {
+                let mut ctx = GraphSnapshot::build(blocks).with_threads(threads);
+                if with_entropies {
+                    ctx = ctx.with_block_entropies(entropies.clone());
+                }
+                ctx.ensure_degrees();
+                for weigher in weighers {
+                    for (c, d) in [(2.0, 2.0), (1.0, 2.0), (8.0, 0.5)] {
+                        let p = BlastPruning::with_constants(c, d);
+                        let label = format!(
+                            "{} c={c} d={d} threads={threads} entropies={with_entropies}",
+                            weigher.name()
+                        );
+                        let expect = reference::prune(&p, &ctx, weigher);
+                        let before = ctx.scratch_loads();
+                        let got = p.prune(&ctx, weigher);
+                        assert_eq!(
+                            ctx.scratch_loads() - before,
+                            owners as u64,
+                            "{label}: loads"
+                        );
+                        assert_eq!(got, expect, "{label}: retained pairs");
+
+                        let expect = reference::thresholds(&p, &ctx, weigher);
+                        let got = p.thresholds(&ctx, weigher);
+                        assert_eq!(got.len(), expect.len(), "{label}: threshold count");
+                        for (node, (g, e)) in got.iter().zip(&expect).enumerate() {
+                            if *e == 0.0 {
+                                assert_eq!(*g, 0.0, "{label}: θ of node {node}");
+                            } else {
+                                assert_eq!(g.to_bits(), e.to_bits(), "{label}: θ of node {node}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    mod one_pass_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn prop_one_pass_equals_two_pass_reference_dirty(
+                memberships in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..24, 0..10), 1..24),
+            ) {
+                let blocks: Vec<Block> = memberships
+                    .iter()
+                    .enumerate()
+                    .map(|(i, set)| Block::new(
+                        format!("b{i}"),
+                        ClusterId::GLUE,
+                        set.iter().map(|&p| ProfileId(p)).collect(),
+                        u32::MAX,
+                    ))
+                    .collect();
+                assert_one_pass_matches_reference(&BlockCollection::new(blocks, false, 24, 24));
+            }
+
+            #[test]
+            fn prop_one_pass_equals_two_pass_reference_clean_clean(
+                memberships in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..20, 0..8), 1..20),
+            ) {
+                let separator = 10u32;
+                let blocks: Vec<Block> = memberships
+                    .iter()
+                    .enumerate()
+                    .map(|(i, set)| Block::new(
+                        format!("b{i}"),
+                        ClusterId::GLUE,
+                        set.iter().map(|&p| ProfileId(p)).collect(),
+                        separator,
+                    ))
+                    .collect();
+                assert_one_pass_matches_reference(
+                    &BlockCollection::new(blocks, true, separator, 20),
+                );
+            }
+        }
     }
 }

@@ -289,7 +289,12 @@ pub struct DirtyScope {
 enum ArtefactRule {
     /// WNP: the mean adjacent weight.
     Mean,
-    /// BLAST: the maximum adjacent weight over `c`.
+    /// BLAST: the maximum adjacent weight over `c` — what
+    /// `BlastPruning::prune`'s one traversal folds: each edge owner's own
+    /// row in ascending order, and the second collection's maxima (on
+    /// clean-clean graphs) from the owners' rows in any order. A maximum
+    /// is order-free, so both equal this fold over the node's own row, up
+    /// to the sign of a zero maximum.
     MaxOver(f64),
     /// CNP: the k heaviest neighbours.
     TopK(usize),
@@ -308,7 +313,9 @@ impl ArtefactRule {
     /// The artefact of a node from its **node-orientation** weighted
     /// adjacency (ascending neighbours) — the same fold, in the same
     /// order, as the batch node passes (`Wnp::thresholds`,
-    /// `BlastPruning::thresholds`, `Cnp::top_k_lists`).
+    /// `Cnp::top_k_lists`); for BLAST, the same maximum as the one-pass
+    /// traversal behind `BlastPruning::thresholds` (see
+    /// [`ArtefactRule::MaxOver`]).
     fn of(self, adj: &[(u32, f64)]) -> Artefact {
         match self {
             ArtefactRule::Mean => Artefact::Threshold(if adj.is_empty() {

@@ -276,7 +276,9 @@ fn pruning_deterministic_across_thread_counts() {
 }
 
 /// BLAST's own pruning (χ² weighting) through the same engine is also
-/// thread-count invariant.
+/// thread-count invariant — on clean-clean graphs too, where the second
+/// collection's maxima are folded from many owners' rows at once, and with
+/// entropies attached (χ²·h).
 #[test]
 fn blast_pruning_deterministic_across_thread_counts() {
     let blocks = dirty_blocks();
@@ -290,4 +292,37 @@ fn blast_pruning_deterministic_across_thread_counts() {
         .collect();
     assert_eq!(results[0], results[1]);
     assert_eq!(results[0], results[2]);
+
+    for (label, blocks) in [("dirty", dirty_blocks()), ("clean-clean", clean_blocks())] {
+        // Synthetic per-block entropies, zero included.
+        let entropies: Vec<f64> = (0..blocks.len()).map(|i| (i % 5) as f64 * 0.5).collect();
+        for (name, weigher) in [
+            ("chi2", ChiSquaredWeigher::without_entropy()),
+            ("chi2·h", ChiSquaredWeigher::new()),
+        ] {
+            let results: Vec<_> = [1usize, 2, 8]
+                .iter()
+                .map(|&t| {
+                    let mut ctx = GraphSnapshot::build(&blocks).with_threads(t);
+                    if weigher.use_entropy {
+                        ctx = ctx.with_block_entropies(entropies.clone());
+                    }
+                    let pruning = BlastPruning::new();
+                    // A zero maximum may carry either sign; only its value is pinned.
+                    let thresholds: Vec<u64> = pruning
+                        .thresholds(&ctx, &weigher)
+                        .iter()
+                        .map(|&t| if t == 0.0 { 0 } else { t.to_bits() })
+                        .collect();
+                    (pruning.prune(&ctx, &weigher), thresholds)
+                })
+                .collect();
+            assert!(
+                !results[0].0.is_empty(),
+                "{label} {name}: something survives"
+            );
+            assert_eq!(results[0], results[1], "{label} {name}: 1 vs 2 threads");
+            assert_eq!(results[0], results[2], "{label} {name}: 1 vs 8 threads");
+        }
+    }
 }
