@@ -1,15 +1,12 @@
-//! Mutable CSR profile → block index.
+//! Mutable profile → block index: one block-id row per profile.
 //!
 //! Several components need "which blocks contain profile p": Block
 //! Filtering, blocking-graph construction (node-centric edge enumeration),
 //! and PC evaluation (a ground-truth pair is detected iff the block lists of
-//! its profiles intersect). The index is a compressed-sparse-row layout —
-//! one row descriptor per profile into a shared id arena — that supports
-//! **row-level splicing**: [`ProfileBlockIndex::splice_row`] replaces one
-//! profile's block list in place, relocating the row through a tombstoned
-//! free-list when it outgrows its extent, so the incremental graph snapshot
-//! can patch exactly the dirty rows instead of rebuilding the whole index
-//! per commit.
+//! its profiles intersect). Each profile owns its row, so
+//! [`ProfileBlockIndex::splice_row`] replaces one profile's block list in
+//! place and the incremental graph snapshot patches exactly the dirty rows
+//! instead of rebuilding the whole index per commit.
 //!
 //! Row ids are whatever the caller stores — batch construction stores block
 //! positions (ascending, so each row is numerically sorted), the
@@ -23,23 +20,11 @@
 
 use crate::collection::BlockCollection;
 
-/// One row's extent in the arena: `data[start .. start + len]` holds the
-/// row, `cap` slots are reserved (the slack is tombstoned capacity).
-#[derive(Debug, Clone, Copy, Default)]
-struct RowRef {
-    start: u32,
-    len: u32,
-    cap: u32,
-}
-
-/// CSR index from global profile id to the ids of the blocks containing it,
+/// Index from global profile id to the ids of the blocks containing it,
 /// mutable at row granularity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProfileBlockIndex {
-    rows: Vec<RowRef>,
-    data: Vec<u32>,
-    /// Tombstoned extents of relocated/deleted rows: `(start, cap)`.
-    free: Vec<(u32, u32)>,
+    rows: Vec<Vec<u32>>,
     /// Σ row lengths (live assignments).
     assignments: u64,
 }
@@ -48,70 +33,42 @@ impl ProfileBlockIndex {
     /// An empty index with no profiles (rows are added by
     /// [`ProfileBlockIndex::ensure_profiles`]).
     pub fn new() -> Self {
-        Self {
-            rows: Vec::new(),
-            data: Vec::new(),
-            free: Vec::new(),
-            assignments: 0,
-        }
+        Self::default()
     }
 
-    /// Builds the index for `blocks` (packed, no free extents).
+    /// Builds the index for `blocks`: counts each profile's memberships,
+    /// reserves its row exactly, then pushes block ids in increasing order,
+    /// so every row comes out sorted.
     pub fn build(blocks: &BlockCollection) -> Self {
-        let n = blocks.total_profiles() as usize;
-        let mut counts = vec![0u32; n + 1];
+        let mut counts = vec![0usize; blocks.total_profiles() as usize];
         for b in blocks.blocks() {
             for p in &b.profiles {
-                counts[p.index() + 1] += 1;
+                counts[p.index()] += 1;
             }
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts;
-        let mut cursor = offsets.clone();
-        let total = *offsets.last().unwrap_or(&0);
-        let mut data = vec![0u32; total as usize];
+        let mut rows: Vec<Vec<u32>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
         for (bid, b) in blocks.blocks().iter().enumerate() {
             for p in &b.profiles {
-                let slot = cursor[p.index()];
-                data[slot as usize] = bid as u32;
-                cursor[p.index()] += 1;
+                rows[p.index()].push(bid as u32);
             }
         }
-        // Block ids are appended in increasing bid order, so each profile's
-        // row is already sorted.
-        let rows = (0..n)
-            .map(|p| {
-                let start = offsets[p];
-                let len = offsets[p + 1] - start;
-                RowRef {
-                    start,
-                    len,
-                    cap: len,
-                }
-            })
-            .collect();
         Self {
             rows,
-            data,
-            free: Vec::new(),
-            assignments: total as u64,
+            assignments: counts.iter().sum::<usize>() as u64,
         }
     }
 
     /// The block ids of profile `p`'s row, in the index's row order.
     #[inline]
     pub fn blocks_of(&self, p: u32) -> &[u32] {
-        let r = self.rows[p as usize];
-        &self.data[r.start as usize..(r.start + r.len) as usize]
+        &self.rows[p as usize]
     }
 
     /// Number of blocks containing `p` (the |Bᵢ| of §3.3.1's contingency
     /// table).
     #[inline]
     pub fn block_count(&self, p: u32) -> u32 {
-        self.rows[p as usize].len
+        self.rows[p as usize].len() as u32
     }
 
     /// Number of profiles covered by the index.
@@ -127,100 +84,37 @@ impl ProfileBlockIndex {
         self.assignments
     }
 
-    /// Estimated resident heap footprint in bytes (row refs, the packed
-    /// data arena including tombstoned extents, and the free-list).
+    /// Estimated resident heap footprint in bytes: the row headers and
+    /// each row's capacity. O(profiles).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.rows.capacity() * size_of::<RowRef>()
-            + self.data.capacity() * size_of::<u32>()
-            + self.free.capacity() * size_of::<(u32, u32)>()
-    }
-
-    /// Capacity currently tombstoned in the free-list plus row slack
-    /// (diagnostics for the compaction heuristic).
-    pub fn dead_capacity(&self) -> u64 {
-        self.data.len() as u64 - self.assignments
+        self.rows.capacity() * size_of::<Vec<u32>>()
+            + self
+                .rows
+                .iter()
+                .map(|r| r.capacity() * size_of::<u32>())
+                .sum::<usize>()
     }
 
     /// Grows the index to cover at least `n` profiles (new rows empty).
     pub fn ensure_profiles(&mut self, n: usize) {
         if self.rows.len() < n {
-            self.rows.resize(n, RowRef::default());
+            self.rows.resize_with(n, Vec::new);
         }
     }
 
     /// Replaces profile `p`'s row with `ids` (already in the caller's row
-    /// order). Reuses the row's extent when it fits; otherwise tombstones it
-    /// onto the free-list and relocates the row (best-fit over the free
-    /// extents, else the arena tail). An empty `ids` deletes the row,
-    /// freeing its extent.
+    /// order), growing the index to cover `p`. An empty `ids` deletes the
+    /// row and releases its allocation.
     pub fn splice_row(&mut self, p: u32, ids: &[u32]) {
         self.ensure_profiles(p as usize + 1);
-        let row = self.rows[p as usize];
-        self.assignments = self.assignments - row.len as u64 + ids.len() as u64;
+        let row = &mut self.rows[p as usize];
+        self.assignments = self.assignments - row.len() as u64 + ids.len() as u64;
+        row.clear();
+        row.extend_from_slice(ids);
         if ids.is_empty() {
-            if row.cap > 0 {
-                self.free.push((row.start, row.cap));
-            }
-            self.rows[p as usize] = RowRef::default();
-            return;
+            row.shrink_to_fit();
         }
-        if ids.len() as u32 <= row.cap {
-            let start = row.start as usize;
-            self.data[start..start + ids.len()].copy_from_slice(ids);
-            self.rows[p as usize].len = ids.len() as u32;
-            return;
-        }
-        // Relocate: free the old extent, then best-fit from the free-list.
-        if row.cap > 0 {
-            self.free.push((row.start, row.cap));
-        }
-        let need = ids.len() as u32;
-        let best = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, cap))| cap >= need)
-            .min_by_key(|(_, &(_, cap))| cap)
-            .map(|(i, _)| i);
-        let (start, cap) = match best {
-            Some(i) => self.free.swap_remove(i),
-            None => {
-                // Append with headroom so rows growing by one token do not
-                // relocate (and tombstone) on every micro-batch.
-                let cap = need.next_power_of_two();
-                let start = self.data.len() as u32;
-                self.data.resize(self.data.len() + cap as usize, 0);
-                (start, cap)
-            }
-        };
-        self.data[start as usize..start as usize + ids.len()].copy_from_slice(ids);
-        self.rows[p as usize] = RowRef {
-            start,
-            len: need,
-            cap,
-        };
-        self.maybe_compact();
-    }
-
-    /// Repacks the arena when tombstoned capacity dominates, bounding memory
-    /// at ~2× the live assignments.
-    fn maybe_compact(&mut self) {
-        if (self.data.len() as u64) <= self.assignments * 2 + 1024 {
-            return;
-        }
-        let mut data = Vec::with_capacity(self.assignments as usize);
-        for row in &mut self.rows {
-            let start = data.len() as u32;
-            data.extend_from_slice(&self.data[row.start as usize..(row.start + row.len) as usize]);
-            *row = RowRef {
-                start,
-                len: row.len,
-                cap: row.len,
-            };
-        }
-        self.data = data;
-        self.free.clear();
     }
 
     /// Size of the intersection of the block lists of `a` and `b`
@@ -253,12 +147,6 @@ impl ProfileBlockIndex {
     /// pair is *detected* by the block collection).
     pub fn co_occur(&self, a: u32, b: u32) -> bool {
         self.common_blocks(a, b) > 0
-    }
-}
-
-impl Default for ProfileBlockIndex {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -321,51 +209,20 @@ mod tests {
         assert_eq!(idx.blocks_of(0), &[2, 5, 7]);
         assert_eq!(idx.blocks_of(1), &[5]);
         assert_eq!(idx.total_assignments(), 4);
-        // In-place shrink.
+        // Shrink.
         idx.splice_row(0, &[2, 7]);
         assert_eq!(idx.blocks_of(0), &[2, 7]);
         assert_eq!(idx.total_assignments(), 3);
-        // Growth beyond the extent relocates and tombstones.
+        // Growth.
         idx.splice_row(1, &[1, 2, 3, 4, 5, 6]);
         assert_eq!(idx.blocks_of(1), &[1, 2, 3, 4, 5, 6]);
         assert_eq!(idx.blocks_of(0), &[2, 7], "other rows untouched");
-        // Deletion frees the extent for reuse.
+        // Deletion.
         idx.splice_row(1, &[]);
         assert_eq!(idx.blocks_of(1), &[] as &[u32]);
         assert_eq!(idx.block_count(1), 0);
-        let dead_before = idx.dead_capacity();
         idx.splice_row(2, &[9, 10, 11]);
-        assert!(
-            idx.dead_capacity() < dead_before + 3,
-            "freed extent reused for the new row"
-        );
         assert_eq!(idx.blocks_of(2), &[9, 10, 11]);
-    }
-
-    #[test]
-    fn compaction_bounds_dead_capacity() {
-        let mut idx = ProfileBlockIndex::new();
-        // Repeatedly rewrite a handful of rows with growing lists to force
-        // relocations, then shrink them, leaving holes.
-        for round in 1u32..40 {
-            for p in 0..4u32 {
-                let ids: Vec<u32> = (0..round + p).collect();
-                idx.splice_row(p, &ids);
-            }
-        }
-        for p in 0..4u32 {
-            idx.splice_row(p, &[1, 2]);
-        }
-        idx.splice_row(9, &(0..2048).collect::<Vec<u32>>());
-        assert!(
-            idx.dead_capacity() <= idx.total_assignments() * 2 + 1024,
-            "dead {} vs assignments {}",
-            idx.dead_capacity(),
-            idx.total_assignments()
-        );
-        for p in 0..4u32 {
-            assert_eq!(idx.blocks_of(p), &[1, 2], "row {p} survives compaction");
-        }
     }
 
     proptest! {
@@ -399,23 +256,50 @@ mod tests {
             }
         }
 
-        /// A row spliced through arbitrary rewrite sequences always reads
-        /// back the latest content, and the assignment count stays exact.
+        /// A `build` over random blocks followed by arbitrary splices —
+        /// rows rewritten, rows emptied, rows added past `profile_count` —
+        /// always reads back the latest content, and the counts stay exact.
         #[test]
         fn prop_splice_reads_back(
+            memberships in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..6, 0..5), 0..8),
             writes in proptest::collection::vec(
-                (0u32..6, proptest::collection::vec(0u32..50, 0..12)), 1..40)
+                (0u32..10, proptest::collection::vec(0u32..50, 0..12)), 1..40)
         ) {
-            let mut idx = ProfileBlockIndex::new();
-            let mut mirror: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+            let blocks: Vec<Block> = memberships
+                .iter()
+                .enumerate()
+                .map(|(i, set)| Block::new(
+                    format!("b{i}"),
+                    ClusterId::GLUE,
+                    set.iter().map(|&p| ProfileId(p)).collect(),
+                    u32::MAX,
+                ))
+                .collect();
+            let mut idx = ProfileBlockIndex::build(&BlockCollection::new(blocks, false, 6, 6));
+            let mut mirror: Vec<Vec<u32>> = (0..6u32)
+                .map(|p| {
+                    (0..memberships.len() as u32)
+                        .filter(|&b| memberships[b as usize].contains(&p))
+                        .collect()
+                })
+                .collect();
             for (p, ids) in &writes {
+                // Short draws empty the row, so deletions are routine.
+                let ids: &[u32] = if ids.len() < 3 { &[] } else { ids };
                 idx.splice_row(*p, ids);
-                mirror.insert(*p, ids.clone());
+                let p = *p as usize;
+                if mirror.len() <= p {
+                    mirror.resize_with(p + 1, Vec::new);
+                }
+                mirror[p] = ids.to_vec();
+                prop_assert_eq!(idx.profile_count(), mirror.len());
             }
-            let expect_total: u64 = mirror.values().map(|v| v.len() as u64).sum();
+            let expect_total: u64 = mirror.iter().map(|r| r.len() as u64).sum();
             prop_assert_eq!(idx.total_assignments(), expect_total);
-            for (p, ids) in &mirror {
-                prop_assert_eq!(idx.blocks_of(*p), ids.as_slice());
+            for (p, row) in mirror.iter().enumerate() {
+                prop_assert_eq!(idx.blocks_of(p as u32), row.as_slice());
+                prop_assert_eq!(idx.block_count(p as u32), row.len() as u32);
             }
         }
     }

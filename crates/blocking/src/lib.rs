@@ -12,7 +12,7 @@
 //!   important (largest) blocks.
 //! * [`block`] / [`collection`] — bilateral (clean-clean) and unilateral
 //!   (dirty) blocks with aggregate-cardinality accounting (‖B‖, §2).
-//! * [`index`] — CSR profile → block index shared by filtering and the
+//! * [`index`] — profile → block index shared by filtering and the
 //!   blocking graph.
 
 pub mod block;

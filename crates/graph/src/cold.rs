@@ -8,9 +8,9 @@
 //!   appended to an in-memory arena or, behind a [`SpillBackend`], to a
 //!   temp file owned by the `io` crate. A frame on storage is
 //!   `[payload_len: u32 LE][fnv1a32: u32 LE][payload]`; reads validate both
-//!   the length and the checksum, so a truncated or corrupted spill file
-//!   surfaces as a typed [`ColdError`] instead of silently diverging the
-//!   candidate set.
+//!   the length and the checksum, so [`ColdStore::get`] returns a truncated
+//!   or corrupted frame as a typed [`ColdError`] instead of bytes that
+//!   would silently diverge the candidate set.
 //! * **Rows** ([`ColdRows`]): everything that decides *which* row is a
 //!   frame and when — the store, the per-row frame handle and entry count,
 //!   the touch epochs, the eviction sweep with its compaction, the
@@ -18,6 +18,12 @@
 //!   lost frame raises. The block index, the edge adjacency and the graph
 //!   snapshot each own one `ColdRows` (and so one store and one spill
 //!   file).
+//!
+//! The typed error stops at [`ColdRows`]: its reads turn a [`ColdError`]
+//! into a `cold tier: <row label> <row> lost` panic, because the owners
+//! read rows inside an infallible `commit()` that has no error to return.
+//! A lost frame therefore ends the process rather than the commit — still
+//! never a silently different candidate set.
 //!
 //! An owner supplies only what differs between structures: its row codec
 //! (the encode half as the sweep's `demote` callback, the decode half over

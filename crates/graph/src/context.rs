@@ -1,7 +1,7 @@
 //! The implicit blocking graph, as an **owned, versioned, delta-maintained
 //! snapshot**.
 //!
-//! [`GraphSnapshot`] holds everything a graph pass reads — the CSR
+//! [`GraphSnapshot`] holds everything a graph pass reads — the
 //! profile→block rows, per-block membership, cardinality and entropy, the
 //! live block count and (lazily) node degrees — in *stable block slots*:
 //! a slot keeps its id for the lifetime of the snapshot even as blocks
@@ -56,7 +56,7 @@ pub struct SlotPatch {
     pub entropy: f64,
 }
 
-/// One patched CSR row of a [`SnapshotDelta`]: a profile's new block-slot
+/// One patched profile row of a [`SnapshotDelta`]: a profile's new block-slot
 /// list, already in the canonical block order the batch index would use.
 #[derive(Debug, Clone)]
 pub struct RowPatch {
@@ -91,7 +91,7 @@ impl SnapshotDelta {
 pub struct ApplyStats {
     /// Block slots patched (membership or liveness changed).
     pub patched_slots: usize,
-    /// CSR rows spliced.
+    /// Profile rows spliced.
     pub patched_rows: usize,
 }
 
@@ -112,7 +112,7 @@ pub struct GraphSnapshot {
     entropies: Option<Vec<f64>>,
     /// Number of live slots (|B|, the batch collection's block count).
     live_blocks: u64,
-    /// Mutable CSR: profile → live slots, in canonical block order.
+    /// Profile → live slots, one row per profile, in canonical block order.
     index: ProfileBlockIndex,
     /// Node degrees (distinct neighbours), computed by
     /// [`GraphSnapshot::ensure_degrees`]; needed by EJS. Invalidated by
@@ -252,7 +252,7 @@ impl GraphSnapshot {
 
     /// Patches the snapshot in place from a commit's delta (consumed —
     /// slot memberships are moved in, not copied): dirty block slots get
-    /// their new membership, cardinality and entropy; dirty CSR rows are
+    /// their new membership, cardinality and entropy; dirty profile rows are
     /// spliced; aggregate statistics (|B|, Σ|b|, the profile-id space) are
     /// adjusted incrementally. Degrees are invalidated (EJS recomputes
     /// them), the version is bumped, and the cost is proportional to the
@@ -336,7 +336,7 @@ impl GraphSnapshot {
         self.separator
     }
 
-    /// The profile→block CSR rows.
+    /// The profile→block rows.
     #[inline]
     pub fn index(&self) -> &ProfileBlockIndex {
         &self.index
@@ -369,7 +369,7 @@ impl GraphSnapshot {
     }
 
     /// Estimated resident heap footprint in bytes: slot memberships, slot
-    /// statistics, the CSR index, and the optional per-node arrays
+    /// statistics, the profile→block index, and the optional per-node arrays
     /// (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -469,7 +469,7 @@ impl GraphSnapshot {
     }
 
     /// Writer-side prefetch by node: rehydrates every slot on the given
-    /// nodes' CSR rows (the slots a dirty-neighbourhood pass can reach).
+    /// nodes' profile rows (the slots a dirty-neighbourhood pass can reach).
     pub fn ensure_node_slots_resident<'a, I: IntoIterator<Item = &'a u32>>(&mut self, nodes: I) {
         if self.residency.is_none() {
             return;

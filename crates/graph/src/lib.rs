@@ -3,13 +3,13 @@
 //! A block collection induces a *blocking graph* G_B (§2.2): profiles are
 //! nodes, an edge connects two profiles co-occurring in ≥1 block, and edge
 //! weights capture match likelihood. The graph is never materialised — it is
-//! enumerated node-centrically from the CSR profile→block rows, which is
+//! enumerated node-centrically from the profile→block rows, which is
 //! how the reference implementations scale.
 //!
 //! ## The snapshot/delta design
 //!
 //! The central abstraction is the **owned, versioned**
-//! [`context::GraphSnapshot`]: it owns the CSR rows, per-block membership,
+//! [`context::GraphSnapshot`]: it owns the profile rows, per-block membership,
 //! cardinalities, entropies, the live block count and (lazily) node
 //! degrees, keyed by *stable block slots* so state survives across
 //! commits. Two construction paths share it:
@@ -20,9 +20,9 @@
 //! * **Incremental** — the pipeline starts from
 //!   [`context::GraphSnapshot::empty`] and, per commit, **applies a
 //!   [`context::SnapshotDelta`]** produced by the incremental cleaner:
-//!   dirty block slots are re-stated, dirty CSR rows are spliced in place
-//!   (`blast_blocking::ProfileBlockIndex::splice_row`, tombstoned
-//!   free-list included), and the aggregate statistics are adjusted — cost
+//!   dirty block slots are re-stated, dirty profile rows are refilled in
+//!   place (`blast_blocking::ProfileBlockIndex::splice_row`, one `Vec` per
+//!   profile), and the aggregate statistics are adjusted — cost
 //!   proportional to the dirty neighbourhood, never the collection. The
 //!   patched snapshot is field-for-field identical to a fresh `build` on
 //!   the materialised collection (pinned by `tests/snapshot_maintenance.rs`),

@@ -26,8 +26,8 @@
 //! `common_blocks == 0`, which is safe because every update increments
 //! `common_blocks` — a touched slot can never look untouched.
 //!
-//! Accumulation visits blocks in ascending block-id order (the CSR index
-//! keeps each profile's block list sorted), which is the same order the
+//! Accumulation visits blocks in ascending block-id order (the
+//! profile→block index keeps each profile's block list sorted), the order the
 //! hashmap engine used — so `arcs` and `entropy_sum` are **bit-identical**
 //! to the reference path, not just approximately equal. The property tests
 //! in this module pin that equivalence.

@@ -18,7 +18,7 @@
 //!   bit-identical to what a batch run would compute.
 //!
 //! The outcome is a [`SnapshotDelta`] — the patched block slots (stable
-//! key ids) and CSR rows the graph snapshot applies in place — plus the
+//! key ids) and profile rows the graph snapshot applies in place — plus the
 //! *graph-dirty* node set: every profile whose cleaned co-occurrence
 //! changed, which is what the downstream meta-blocking repair needs. The
 //! cleaner's cached state stays field-for-field equivalent to batch

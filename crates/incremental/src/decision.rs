@@ -7,36 +7,35 @@
 //! containment for CNP), so they admit incremental maintenance through
 //! order-statistic and threshold-crossing structures:
 //!
-//! * [`OrderedWeightIndex`] — the live edge list as an order-statistic
-//!   treap keyed by `(weight rank bits, u, v)` (descending weight,
-//!   ascending `(u, v)` among bit-exact ties — precisely the batch
-//!   tie-break order), with a running exact Σw. WEP's threshold falls out
-//!   of [`blast_graph::pruning::Wep::mean_from_sum`] over the maintained
-//!   sum; CEP's cutoff is the rank-K order statistic ([`OrderedWeightIndex::select`]).
-//!   Both retention rules are **prefixes** of the key order, captured as a
-//!   [`Frontier`]; when a commit moves the frontier, the clean edges whose
-//!   retention flips are exactly the keys *between* the old and new
-//!   frontier — enumerated by [`OrderedWeightIndex::for_each_between`] in
-//!   O(log |E| + flips), never by re-scanning the edge list. The tree is a
-//!   **lazily materialised view**: Σw and the edge count are always
-//!   current, but a commit that decides every edge explicitly (the reweigh
-//!   tier) reads no order at all, so it drops the tree
-//!   ([`OrderedWeightIndex::defer`]) and the next commit that needs band
-//!   enumeration builds it once from the adjacency rows
-//!   ([`OrderedWeightIndex::materialise`]).
+//! * [`OrderedWeightIndex`] — the live edge list as a `BTreeMap` keyed by
+//!   `(weight rank bits, u, v)` (descending weight, ascending `(u, v)`
+//!   among bit-exact ties — precisely the batch tie-break order), with a
+//!   running exact Σw. WEP's threshold falls out of
+//!   [`blast_graph::pruning::Wep::mean_from_sum`] over the maintained sum;
+//!   CEP's cutoff is the rank-K key, walked to from the previous cutoff
+//!   ([`OrderedWeightIndex::select`]). Both retention rules are
+//!   **prefixes** of the key order, captured as a [`Frontier`]; when a
+//!   commit moves the frontier, the clean edges whose retention flips are
+//!   exactly the keys *between* the old and new frontier — one map range
+//!   ([`OrderedWeightIndex::for_each_between`]) in O(log |E| + flips),
+//!   never a re-scan of the edge list. The map is a **lazily materialised
+//!   view**: Σw and the edge count are always current, but a commit that
+//!   decides every edge explicitly (the reweigh tier) reads no order at
+//!   all, so it drops the map ([`OrderedWeightIndex::defer`]) and the next
+//!   commit that needs band enumeration builds it once from the adjacency
+//!   rows ([`OrderedWeightIndex::materialise`]).
 //! * [`EdgeAdjacency`] — per-node rows of `(neighbour, weight)` for every
 //!   live edge, so a commit can enumerate the *old* dirty-incident edges
-//!   (and their old weights, needed to unkey them from the treap) without
-//!   touching clean rows.
+//!   (and their old weights, needed to unkey them from the ordered index)
+//!   without touching clean rows.
 //! * [`ContainmentIndex`] — CNP's per-pair containment counter (how many
 //!   of the two endpoints list the other in their top-k, 0/1/2), updated
 //!   only from dirty nodes' list diffs; redefined CNP retains count ≥ 1,
 //!   reciprocal count = 2, so retention flips are counter threshold
 //!   crossings.
 //!
-//! Everything here is deterministic: treap priorities are a pure hash of
-//! the key, so the tree shape — and every traversal order — is a function
-//! of the key *set*, independent of insertion history.
+//! Everything here is deterministic: every traversal runs in key order, a
+//! function of the key *set*, independent of insertion history.
 
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
@@ -47,6 +46,8 @@ use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 use blast_graph::{ColdRows, ColdStats, SpillBackend};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// The total retention order of the decision stage: ascending `rank` is
 /// descending weight (see [`weight_rank_bits`]), ties broken by ascending
@@ -96,43 +97,32 @@ pub fn retained_under(frontier: Frontier, key: EdgeKey) -> bool {
     frontier.is_some_and(|f| key <= f)
 }
 
-const NIL: u32 = u32::MAX;
+/// Where a fresh [`OrderedWeightIndex::select`] cursor starts: no key
+/// orders before the all-zero key, so zero keys precede it.
+const CURSOR_START: (EdgeKey, usize) = (
+    EdgeKey {
+        rank: 0,
+        u: 0,
+        v: 0,
+    },
+    0,
+);
 
-#[derive(Debug, Clone)]
-struct TreapNode {
-    key: EdgeKey,
-    w: f64,
-    prio: u64,
-    left: u32,
-    right: u32,
-    size: u32,
-}
-
-/// Deterministic treap priority: a splitmix64-style hash of the key, so
-/// the tree shape is canonical in the key set.
-fn priority(key: &EdgeKey) -> u64 {
-    let mut z = key
-        .rank
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(((key.u as u64) << 32) | key.v as u64);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The live edge list as an order-statistic treap over [`EdgeKey`] with a
-/// running exact weight sum (see module docs). Σw and `len` describe the
-/// live edge set at all times; the tree itself may be absent
+/// The live edge list as an ordered map over [`EdgeKey`] with a running
+/// exact weight sum (see module docs). Σw and `len` describe the live edge
+/// set at all times; the map itself may be absent
 /// ([`OrderedWeightIndex::is_built`]), in which case only those two
 /// aggregates can be read.
 #[derive(Debug)]
 pub struct OrderedWeightIndex {
-    nodes: Vec<TreapNode>,
-    free: Vec<u32>,
-    root: u32,
+    map: BTreeMap<EdgeKey, f64>,
+    /// A key and the exact number of map keys ordered before it: the last
+    /// [`OrderedWeightIndex::select`] answer, kept exact by every insert
+    /// and remove below it (the key itself may since have been removed).
+    cursor: (EdgeKey, usize),
     sum: ExactSum,
     len: usize,
-    /// Whether the tree holds the live edge set (false = deferred).
+    /// Whether the map holds the live edge set (false = deferred).
     built: bool,
 }
 
@@ -146,16 +136,15 @@ impl OrderedWeightIndex {
     /// An empty index.
     pub fn new() -> Self {
         Self {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
+            map: BTreeMap::new(),
+            cursor: CURSOR_START,
             sum: ExactSum::new(),
             len: 0,
             built: true,
         }
     }
 
-    /// Whether the tree is present. A deferred index answers
+    /// Whether the map is present. A deferred index answers
     /// [`OrderedWeightIndex::sum`] and [`OrderedWeightIndex::len`] only;
     /// the order queries panic until it is materialised.
     #[inline]
@@ -163,26 +152,24 @@ impl OrderedWeightIndex {
         self.built
     }
 
-    /// Drops the tree (and its slab) and restates the aggregates from the
-    /// live edge weights: what a commit that decides every edge explicitly
-    /// does instead of re-keying. The exact accumulator is order-free, so
-    /// Σw is bit-identical to the one a key-by-key maintained index holds.
-    /// While deferred, [`OrderedWeightIndex::insert`] and
+    /// Drops the map and restates the aggregates from the live edge
+    /// weights: what a commit that decides every edge explicitly does
+    /// instead of re-keying. The exact accumulator is order-free, so Σw is
+    /// bit-identical to the one a key-by-key maintained index holds. While
+    /// deferred, [`OrderedWeightIndex::insert`] and
     /// [`OrderedWeightIndex::remove`] keep the aggregates current.
     pub fn defer(&mut self, weights: impl IntoIterator<Item = f64>) {
-        self.nodes = Vec::new();
-        self.free = Vec::new();
-        self.root = NIL;
+        self.map.clear();
+        self.cursor = CURSOR_START;
         self.built = false;
         let mut len = 0;
         self.sum = ExactSum::of(weights.into_iter().inspect(|_| len += 1));
         self.len = len;
     }
 
-    /// Builds the tree of a deferred index from the live edge list its
-    /// aggregates describe (any order) — through
-    /// [`OrderedWeightIndex::rebuild`], so the result is the canonical
-    /// tree of that key set.
+    /// Builds the map of a deferred index from the live edge list its
+    /// aggregates describe (any order), through
+    /// [`OrderedWeightIndex::rebuild`].
     pub fn materialise(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
         debug_assert!(!self.built, "materialising a built index");
         let deferred = (self.sum.round().to_bits(), self.len);
@@ -211,11 +198,10 @@ impl OrderedWeightIndex {
         self.len == 0
     }
 
-    /// Estimated resident heap footprint in bytes: the node-slab capacity
-    /// actually held — nothing while the tree is deferred.
+    /// Estimated resident heap footprint in bytes: the map's entries (node
+    /// headers and slack not counted) — nothing while deferred.
     pub fn resident_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<TreapNode>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
+        self.map.len() * std::mem::size_of::<(EdgeKey, f64)>()
     }
 
     /// The exactly accumulated Σw over the live edges.
@@ -226,188 +212,33 @@ impl OrderedWeightIndex {
 
     /// Drops every edge (the degraded-full rebuild path).
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
+        self.map.clear();
+        self.cursor = CURSOR_START;
         self.sum.clear();
         self.len = 0;
         self.built = true;
     }
 
-    /// Rebuilds the whole index from an edge list in one pass — the bulk
-    /// path of the degraded-full tier and of materialisation. One flat key
-    /// sort plus an O(n) right-spine construction replaces n split/merge
-    /// inserts (~6× a flat sort in treap pointer churn), and the result is
-    /// **bit-identical** to inserting the same edges one by one: with the
-    /// deterministic tie order "higher priority wins, equal priorities go
-    /// to the smaller key" — exactly what `OrderedWeightIndex::merge`'s
-    /// `>=` implements, since its left tree always holds the smaller keys
-    /// — the treap over a key set is unique, whatever built it.
+    /// Rebuilds the whole index from an edge list (any order) — the bulk
+    /// path of the degraded-full tier and of materialisation: one sort and
+    /// a bulk load instead of n inserts.
     pub fn rebuild(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
         self.clear();
-        for (u, v, w) in edges {
-            let key = EdgeKey::new(u, v, w);
-            self.sum.add(w);
-            self.nodes.push(TreapNode {
-                key,
-                w,
-                prio: priority(&key),
-                left: NIL,
-                right: NIL,
-                size: 1,
-            });
-        }
-        self.len = self.nodes.len();
-        let n = self.nodes.len() as u32;
-        if n == 0 {
-            return;
-        }
-        self.nodes.sort_unstable_by_key(|n| n.key);
-        debug_assert!(
-            self.nodes.windows(2).all(|w| w[0].key < w[1].key),
-            "duplicate edge key"
-        );
-        // Right-spine construction over the in-order layout: each new key
-        // is the largest so far, so it lands on the right spine; everything
-        // on the spine with *strictly* lower priority becomes its left
-        // subtree (a spine node with equal priority stays its ancestor —
-        // the smaller key wins the tie, matching `merge`).
-        let mut spine: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let prio = self.nodes[i as usize].prio;
-            let mut left = NIL;
-            while let Some(&top) = spine.last() {
-                if self.nodes[top as usize].prio < prio {
-                    left = top;
-                    spine.pop();
-                } else {
-                    break;
-                }
-            }
-            self.nodes[i as usize].left = left;
-            if let Some(&top) = spine.last() {
-                self.nodes[top as usize].right = i;
-            }
-            spine.push(i);
-        }
-        self.root = spine[0];
-        // Subtree sizes, children before parents: a pre-order walk reversed.
-        let mut order = Vec::with_capacity(n as usize);
-        let mut stack = vec![self.root];
-        while let Some(t) = stack.pop() {
-            order.push(t);
-            let node = &self.nodes[t as usize];
-            if node.left != NIL {
-                stack.push(node.left);
-            }
-            if node.right != NIL {
-                stack.push(node.right);
-            }
-        }
-        for &t in order.iter().rev() {
-            self.update(t);
-        }
-    }
-
-    /// Pre-order walk of `(key, weight)` — the canonical-shape fingerprint
-    /// (a BST's pre-order determines its structure): diagnostics and the
-    /// bulk-vs-incremental construction property tests.
-    pub fn for_each_preorder(&self, f: &mut impl FnMut(EdgeKey, f64)) {
-        self.assert_built();
-        let mut stack = Vec::new();
-        if self.root != NIL {
-            stack.push(self.root);
-        }
-        while let Some(t) = stack.pop() {
-            let node = &self.nodes[t as usize];
-            f(node.key, node.w);
-            if node.right != NIL {
-                stack.push(node.right);
-            }
-            if node.left != NIL {
-                stack.push(node.left);
-            }
-        }
-    }
-
-    fn size(&self, t: u32) -> u32 {
-        if t == NIL {
-            0
-        } else {
-            self.nodes[t as usize].size
-        }
-    }
-
-    fn update(&mut self, t: u32) {
-        let (l, r) = (self.nodes[t as usize].left, self.nodes[t as usize].right);
-        self.nodes[t as usize].size = 1 + self.size(l) + self.size(r);
-    }
-
-    /// Splits `t` into (< key, ≥ key).
-    fn split(&mut self, t: u32, key: &EdgeKey) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].key < *key {
-            let right = self.nodes[t as usize].right;
-            let (a, b) = self.split(right, key);
-            self.nodes[t as usize].right = a;
-            self.update(t);
-            (t, b)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (a, b) = self.split(left, key);
-            self.nodes[t as usize].left = b;
-            self.update(t);
-            (a, t)
-        }
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio >= self.nodes[b as usize].prio {
-            let ar = self.nodes[a as usize].right;
-            let m = self.merge(ar, b);
-            self.nodes[a as usize].right = m;
-            self.update(a);
-            a
-        } else {
-            let bl = self.nodes[b as usize].left;
-            let m = self.merge(a, bl);
-            self.nodes[b as usize].left = m;
-            self.update(b);
-            b
-        }
-    }
-
-    fn alloc(&mut self, key: EdgeKey, w: f64) -> u32 {
-        let node = TreapNode {
-            key,
-            w,
-            prio: priority(&key),
-            left: NIL,
-            right: NIL,
-            size: 1,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
+        let (sum, mut len) = (&mut self.sum, 0);
+        self.map = edges
+            .into_iter()
+            .map(|(u, v, w)| {
+                sum.add(w);
+                len += 1;
+                (EdgeKey::new(u, v, w), w)
+            })
+            .collect();
+        debug_assert_eq!(self.map.len(), len, "duplicate edge key");
+        self.len = len;
     }
 
     /// Inserts the edge `(u, v)` at weight `w`. The key must not be
-    /// present (each live edge appears once).
+    /// present (each live edge appears once). O(log |E|).
     pub fn insert(&mut self, u: u32, v: u32, w: f64) {
         self.sum.add(w);
         self.len += 1;
@@ -415,104 +246,58 @@ impl OrderedWeightIndex {
             return;
         }
         let key = EdgeKey::new(u, v, w);
-        let node = self.alloc(key, w);
-        let (a, b) = self.split(self.root, &key);
-        #[cfg(debug_assertions)]
-        if b != NIL {
-            let mut t = b;
-            while self.nodes[t as usize].left != NIL {
-                t = self.nodes[t as usize].left;
-            }
-            debug_assert_ne!(self.nodes[t as usize].key, key, "duplicate edge key");
+        let previous = self.map.insert(key, w);
+        debug_assert!(previous.is_none(), "duplicate edge key");
+        if key < self.cursor.0 {
+            self.cursor.1 += 1;
         }
-        let ab = self.merge(a, node);
-        self.root = self.merge(ab, b);
     }
 
     /// Removes the edge `(u, v)` that was inserted at weight `w` (the old
     /// weight keys it). Panics in debug builds when absent (a deferred
-    /// index has no tree to check against).
+    /// index has no map to check against). O(log |E|).
     pub fn remove(&mut self, u: u32, v: u32, w: f64) {
         if self.built {
             let key = EdgeKey::new(u, v, w);
-            let (removed, root) = self.erase(self.root, &key);
+            let removed = self.map.remove(&key).is_some();
             debug_assert!(removed, "removing an edge that is not indexed");
             if !removed {
                 return;
             }
-            self.root = root;
+            if key < self.cursor.0 {
+                self.cursor.1 -= 1;
+            }
         }
         self.sum.sub(w);
         self.len -= 1;
     }
 
-    fn erase(&mut self, t: u32, key: &EdgeKey) -> (bool, u32) {
-        if t == NIL {
-            return (false, NIL);
-        }
-        let tk = self.nodes[t as usize].key;
-        if tk == *key {
-            let (l, r) = (self.nodes[t as usize].left, self.nodes[t as usize].right);
-            self.free.push(t);
-            return (true, self.merge(l, r));
-        }
-        if *key < tk {
-            let left = self.nodes[t as usize].left;
-            let (removed, nl) = self.erase(left, key);
-            if removed {
-                self.nodes[t as usize].left = nl;
-                self.update(t);
-            }
-            (removed, t)
-        } else {
-            let right = self.nodes[t as usize].right;
-            let (removed, nr) = self.erase(right, key);
-            if removed {
-                self.nodes[t as usize].right = nr;
-                self.update(t);
-            }
-            (removed, t)
-        }
-    }
-
     /// The key at 0-based `rank` in the retention order (rank 0 = heaviest
-    /// edge, best `(u, v)`), or `None` past the end — CEP's cutoff cursor.
-    pub fn select(&self, rank: usize) -> Option<EdgeKey> {
+    /// edge, best `(u, v)`), or `None` past the end — CEP's cutoff. Walks
+    /// from the previous answer in O(log |E| + distance): the distance is
+    /// the move of `rank` plus the net keys inserted or removed before the
+    /// previous answer, which on the dirty tier are the commit's own
+    /// re-keys.
+    pub fn select(&mut self, rank: usize) -> Option<EdgeKey> {
         self.assert_built();
         if rank >= self.len {
             return None;
         }
-        let mut t = self.root;
-        let mut rank = rank as u32;
-        loop {
-            let node = &self.nodes[t as usize];
-            let ls = self.size(node.left);
-            if rank < ls {
-                t = node.left;
-            } else if rank == ls {
-                return Some(node.key);
-            } else {
-                rank -= ls + 1;
-                t = node.right;
-            }
-        }
+        let (at, before) = self.cursor;
+        let (&key, _) = if rank >= before {
+            self.map.range(at..).nth(rank - before)
+        } else {
+            self.map.range(..at).nth_back(before - 1 - rank)
+        }?;
+        self.cursor = (key, rank);
+        Some(key)
     }
 
     /// Number of keys ≤ `bound` (the size of a retention prefix).
+    /// O(prefix): only debug assertions and tests read it.
     pub fn prefix_len(&self, bound: EdgeKey) -> usize {
         self.assert_built();
-        let mut t = self.root;
-        let mut count = 0usize;
-        while t != NIL {
-            let node = &self.nodes[t as usize];
-            if node.key <= bound {
-                count += self.size(node.left) as usize + 1;
-                t = node.right;
-            } else {
-                t = node.left;
-            }
-        }
-        count
+        self.map.range(..=bound).count()
     }
 
     /// Visits every edge with `lo < key ≤ hi` in key order — the frontier
@@ -520,23 +305,13 @@ impl OrderedWeightIndex {
     /// `hi`). O(log |E| + visited).
     pub fn for_each_between(&self, lo: Frontier, hi: EdgeKey, f: &mut impl FnMut(EdgeKey, f64)) {
         self.assert_built();
-        self.band_visit(self.root, lo, hi, f);
-    }
-
-    fn band_visit(&self, t: u32, lo: Frontier, hi: EdgeKey, f: &mut impl FnMut(EdgeKey, f64)) {
-        if t == NIL {
-            return;
-        }
-        let node = &self.nodes[t as usize];
-        let above_lo = lo.is_none_or(|l| node.key > l);
-        if above_lo {
-            self.band_visit(node.left, lo, hi, f);
-            if node.key <= hi {
-                f(node.key, node.w);
-            }
-        }
-        if node.key <= hi || !above_lo {
-            self.band_visit(node.right, lo, hi, f);
+        let lower = match lo {
+            Some(l) if l >= hi => return,
+            Some(l) => Bound::Excluded(l),
+            None => Bound::Unbounded,
+        };
+        for (&key, &w) in self.map.range((lower, Bound::Included(hi))) {
+            f(key, w);
         }
     }
 
@@ -1310,8 +1085,8 @@ mod tests {
             "strictly after lo, up to and including hi, in key order"
         );
         assert_eq!(idx.prefix_len(hi), 4);
-        let all = idx.prefix_pairs(idx.select(4));
-        assert_eq!(all.len(), 5);
+        let last = idx.select(4);
+        assert_eq!(idx.prefix_pairs(last).len(), 5);
         assert!(idx.prefix_pairs(None).is_empty());
     }
 

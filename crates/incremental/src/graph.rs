@@ -22,7 +22,7 @@
 //!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean`]) —
 //!    no block traversal, no quadratic re-accumulation — and the decision
 //!    stage decides every edge explicitly. For WEP/CEP that makes the
-//!    ordered index's total order dead weight: the commit drops the tree
+//!    ordered index's total order dead weight: the commit drops the map
 //!    and keeps only Σw and the edge count
 //!    ([`OrderedWeightIndex::defer`]) — one arm, no drift threshold. The
 //!    rule is "tier 2 never builds, tier 1 builds if absent". EJS never
@@ -81,20 +81,20 @@
 //! It runs on the structures of [`crate::decision`]:
 //!
 //! * **WEP / CEP** — the live edge list sits in an
-//!   [`crate::decision::OrderedWeightIndex`] (order-statistic treap keyed
-//!   by `(weight rank bits, u, v)` with a running exact Σw). Re-weighted
+//!   [`crate::decision::OrderedWeightIndex`] (a `BTreeMap` keyed by
+//!   `(weight rank bits, u, v)` with a running exact Σw). Re-weighted
 //!   edges are re-keyed individually; the new threshold (mean via
-//!   [`Wep::mean_from_sum`]) or cutoff (rank-K order statistic) becomes a
-//!   retention [`Frontier`], and the clean edges whose retention flips are
-//!   exactly the keys between the old and new frontier — enumerated in
-//!   O(log |E| + flips) on the dirty tier. The reweigh tier decides its
-//!   swept edges explicitly instead (old key vs old frontier, new key vs
-//!   new frontier), and both frontiers are aggregates of the weight
-//!   multiset — the mean needs Σw and the count, the rank-K key a
-//!   `select_nth_unstable` over the commit's keys — so it builds no tree
-//!   at all and leaves the index deferred
+//!   [`Wep::mean_from_sum`]) or cutoff (the rank-K key, walked to from the
+//!   previous cutoff) becomes a retention [`Frontier`], and the clean
+//!   edges whose retention flips are exactly the keys between the old and
+//!   new frontier — one map range, O(log |E| + flips), on the dirty tier.
+//!   The reweigh tier decides its swept edges explicitly instead (old key
+//!   vs old frontier, new key vs new frontier), and both frontiers are
+//!   aggregates of the weight multiset — the mean needs Σw and the count,
+//!   the rank-K key a `select_nth_unstable` over the commit's keys — so it
+//!   builds no map at all and leaves the index deferred
 //!   ([`RepairStats::index_deferred`]). The first dirty-tier commit after
-//!   it materialises the tree once from the patched adjacency rows
+//!   it materialises the map once from the patched adjacency rows
 //!   ([`RepairStats::index_materialised`]); a `retained()` read in
 //!   between filters those rows by the frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
@@ -669,8 +669,8 @@ impl IncrementalMetaBlocker {
         };
 
         // The old dirty-incident edges (old weights), read off the cached
-        // adjacency rows: the old side of every flip diff, the treap
-        // un-keying source, and the degree maintainer's edge-existence
+        // adjacency rows: the old side of every flip diff, the ordered
+        // index's un-keying source, and the degree maintainer's edge-existence
         // baseline. Collected before any cache mutation.
         if cache_edges && self.adj.is_none() {
             // First pass of a cached non-edge variant: create the cache;
@@ -931,7 +931,7 @@ impl IncrementalMetaBlocker {
                     // Every live edge is decided explicitly below — the
                     // swept ones old key vs old frontier, new key vs new —
                     // and both frontiers are aggregates of the weight
-                    // multiset, so nothing reads a total order: the tree is
+                    // multiset, so nothing reads a total order: the map is
                     // dropped, not re-keyed (a |B| shift re-ranks
                     // essentially every ECBS edge), and only Σw and the
                     // count are restated.
@@ -973,7 +973,7 @@ impl IncrementalMetaBlocker {
                                 index.insert(e.u, e.v, e.w);
                             }
                         });
-                        // The band enumeration below needs the tree: build
+                        // The band enumeration below needs the map: build
                         // it, once, if the reweigh tier left it deferred.
                         if !index.is_built() {
                             index.materialise(adj.all_edges());
@@ -983,7 +983,7 @@ impl IncrementalMetaBlocker {
                 }
 
                 // The new retention frontier: WEP's mean over the exact Σw,
-                // or CEP's rank-K order statistic — off the tree when it is
+                // or CEP's rank-K order statistic — off the map when it is
                 // there, by selection over the commit's keys when not.
                 let old_frontier = *frontier;
                 let new_frontier = match algorithm {
@@ -1269,7 +1269,7 @@ fn merge_decide_edges(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge]) -> Ve
 
 /// CEP's rank-`rank` key (0-based) on a commit whose ordered index is
 /// deferred: the same order statistic `OrderedWeightIndex::select` reads
-/// off the tree, by O(|E|) selection over the commit's own keys — the
+/// off the map, by O(|E|) selection over the commit's own keys — the
 /// swept clean edges at their new weights plus the fresh dirty-incident
 /// ones are exactly the live edge set.
 fn rank_key(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge], rank: usize) -> EdgeKey {

@@ -30,7 +30,7 @@
 //! |-------|------|------|
 //! | index | token re-keying + posting diffs | O(batch tokens) |
 //! | cleaning | purging/filtering on dirty blocks | O(dirty blocks) |
-//! | snapshot | CSR row splices + slot patches | O(delta) |
+//! | snapshot | profile row splices + slot patches | O(delta) |
 //! | artefacts | re-weigh E_D, dirty thresholds / top-k lists | O(E_D log) |
 //! | decision | frontier move + flip emission + retained surgery | O((E_D + F) log \|E\|) |
 //!
@@ -70,8 +70,8 @@
 //! factored-weight contract), chunk geometry depends on the range length
 //! alone and chunk results concatenate in chunk order, and the
 //! order-sensitive global state is order-free by construction: the
-//! ordered-weight treap's shape is canonical in its key set, and WEP's Σw
-//! accumulates in an integer superaccumulator.
+//! ordered weight index is a map whose content is its key set, and WEP's
+//! Σw accumulates in an integer superaccumulator.
 
 pub mod cleaner;
 pub mod decision;

@@ -8,7 +8,7 @@
 //! Each [`IncrementalPipeline::commit`] absorbs the pending micro-batch:
 //! the index mutates only the touched postings, cleaning is re-applied on
 //! the dirty blocks, the **owned graph snapshot is patched in place** from
-//! the cleaner's delta ([`GraphSnapshot::apply`] — no per-commit CSR
+//! the cleaner's delta ([`GraphSnapshot::apply`] — no per-commit index
 //! rebuild; `GraphSnapshot::build` never runs on the commit path), and the
 //! meta-blocking graph is repaired over the dirty neighbourhoods. The
 //! **batch-equivalence contract**: after any commit,
@@ -74,7 +74,7 @@ pub struct MemoryFootprint {
     pub store_bytes: usize,
     /// Inverted block index (postings, canonical order, token interner).
     pub index_bytes: usize,
-    /// Owned graph snapshot (memberships, slot stats, CSR rows).
+    /// Owned graph snapshot (memberships, slot stats, profile rows).
     pub snapshot_bytes: usize,
     /// Meta-blocker: adjacency, decision structure, per-node artefacts.
     pub blocker_bytes: usize,

@@ -5,7 +5,7 @@
 //! PC(B) = |D_B|/|D_E| (fraction of known duplicates co-occurring in ≥1
 //! block), PQ(B) = |D_B|/‖B‖ (useful fraction of the comparisons). Both are
 //! computed without enumerating comparisons: PC intersects the block lists
-//! of each ground-truth pair (CSR index), ‖B‖ is arithmetic.
+//! of each ground-truth pair (profile→block index), ‖B‖ is arithmetic.
 
 pub mod delta;
 pub mod memory;

@@ -64,7 +64,7 @@ commit_phases! {
     index_secs => "index_maintenance_secs", "index", names::COMMIT_PHASE_INDEX_SECS;
     /// Incremental purging + filtering over the dirty blocks.
     cleaning_secs => "cleaning_secs", "clean", names::COMMIT_PHASE_CLEANING_SECS;
-    /// Patching the owned graph snapshot (CSR row splices + slot stats).
+    /// Patching the owned graph snapshot (profile row splices + slot stats).
     snapshot_secs => "snapshot_patch_secs", "snapshot", names::COMMIT_PHASE_SNAPSHOT_SECS;
     /// Dirty-neighbourhood artefact repair.
     repair_secs => "graph_repair_secs", "repair", names::COMMIT_PHASE_REPAIR_SECS;
@@ -283,7 +283,7 @@ commit_stats! {
     /// changed weights, whether or not any index key was re-keyed for
     /// them (WEP/CEP drop their ordered index on this tier instead).
     edges_rekeyed: usize => edges_rekeyed, Counter, "repair.edges_rekeyed";
-    /// CSR rows the snapshot patched.
+    /// Profile rows the snapshot patched.
     patched_rows: usize => patched_rows, Counter, "snapshot.patched_rows";
     /// Block slots the snapshot patched.
     patched_slots: usize => patched_slots, Counter, "snapshot.patched_slots";
@@ -296,12 +296,16 @@ commit_stats! {
     /// re-scanning the edge list.
     threshold_crossers: usize => threshold_crossers, Counter, "decision.threshold_crossers";
     /// WEP/CEP only: the commit decided every edge explicitly and left the
-    /// ordered weight index deferred (tree dropped, Σw and count current) —
-    /// every reweigh-tier commit of an edge-centric variant.
+    /// ordered weight index deferred (map dropped, Σw and count current) —
+    /// every reweigh-tier commit of an edge-centric variant. The `treap.`
+    /// prefix is the series' historical name; it counts the ordered weight
+    /// index.
     index_deferred: bool => treap_deferred_commits, Flag, "treap.deferred_commits";
     /// WEP/CEP only: the commit found the ordered weight index deferred
     /// and built it from the adjacency rows — at most one per
-    /// reweigh→dirty transition, never on a reweigh commit.
+    /// reweigh→dirty transition, never on a reweigh commit. The `treap.`
+    /// prefix is the series' historical name; it counts the ordered weight
+    /// index.
     index_materialised: bool => treap_materialisations, Flag, "treap.materialisations";
     /// Candidate pairs added.
     added: usize => pairs_added, Counter, "commit.pairs_added";

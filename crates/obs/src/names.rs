@@ -22,7 +22,7 @@ pub const COMMIT_TOTAL_SECS: &str = "commit.total_secs";
 pub const COMMIT_PHASE_INDEX_SECS: &str = "commit.phase.index_secs";
 /// Dirty-block purging + filtering phase (nanosecond histogram).
 pub const COMMIT_PHASE_CLEANING_SECS: &str = "commit.phase.cleaning_secs";
-/// Snapshot CSR/slot patch phase (nanosecond histogram).
+/// Snapshot row/slot patch phase (nanosecond histogram).
 pub const COMMIT_PHASE_SNAPSHOT_SECS: &str = "commit.phase.snapshot_secs";
 /// Dirty-neighbourhood artefact repair phase (nanosecond histogram).
 pub const COMMIT_PHASE_REPAIR_SECS: &str = "commit.phase.repair_secs";

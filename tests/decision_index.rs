@@ -13,9 +13,12 @@
 //!   accumulator whatever mutation history produced the live edge set;
 //! * `for_each_between(old, new)` enumerates exactly the edges whose
 //!   mean-threshold retention flips when Θ moves;
-//! * the tree is a lazily materialised view: a deferred index keeps Σw and
+//! * `select` walks from its previous answer, so any interleaving of
+//!   inserts, removes, deferral and rebuilds between two selects must
+//!   leave the walk landing on the re-sort reference's key;
+//! * the map is a lazily materialised view: a deferred index keeps Σw and
 //!   `len` exact under any further mutation, and materialising it yields
-//!   the very tree key-by-key maintenance would have produced.
+//!   the very content key-by-key maintenance would have produced.
 
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::weight_rank_bits;
@@ -108,11 +111,16 @@ fn drive_signed(ops: &[Op], idx: &mut OrderedWeightIndex) -> Vec<(u32, u32, f64)
     live
 }
 
-/// The pre-order `(key, weight bits)` fingerprint: a BST's pre-order
-/// determines its structure, so equal fingerprints mean equal trees.
-fn shape(idx: &OrderedWeightIndex) -> Vec<(EdgeKey, u64)> {
+/// The in-order `(key, weight bits)` content — everything the index
+/// makes observable.
+fn content(idx: &OrderedWeightIndex) -> Vec<(EdgeKey, u64)> {
+    let last = EdgeKey {
+        rank: u64::MAX,
+        u: u32::MAX,
+        v: u32::MAX,
+    };
     let mut v = Vec::new();
-    idx.for_each_preorder(&mut |k, w| v.push((k, w.to_bits())));
+    idx.for_each_between(None, last, &mut |k, w| v.push((k, w.to_bits())));
     v
 }
 
@@ -189,13 +197,12 @@ proptest! {
     }
 
     /// The bulk from-sorted-array construction ([`OrderedWeightIndex::rebuild`])
-    /// is **bit-identical** to insert-by-insert construction: same shape
-    /// (pre-order fingerprint), same traversal order, same exact Σw —
+    /// is **bit-identical** to insert-by-insert construction: same
+    /// in-order content, same exact Σw —
     /// across random mutation histories with duplicate weights (quarter
     /// steps), negative weights and `-0.0` ties, and whatever the live
     /// list's arrival order. The two indexes also stay interchangeable
-    /// under further mutation (the rebuild leaves no stale free-list or
-    /// size state behind).
+    /// under further mutation (the rebuild leaves no stale state behind).
     #[test]
     fn prop_bulk_rebuild_matches_incremental_construction(
         ops in proptest::collection::vec(
@@ -211,7 +218,7 @@ proptest! {
         bulk.rebuild(live.iter().copied());
 
         prop_assert_eq!(bulk.len(), inc.len());
-        prop_assert_eq!(shape(&bulk), shape(&inc), "pre-order fingerprint");
+        prop_assert_eq!(content(&bulk), content(&inc), "in-order content");
         prop_assert_eq!(
             bulk.sum().round().to_bits(),
             inc.sum().round().to_bits(),
@@ -223,14 +230,14 @@ proptest! {
         apply_signed(&extra, &mut inc, &mut live_inc);
         let mut live_bulk = live;
         apply_signed(&extra, &mut bulk, &mut live_bulk);
-        prop_assert_eq!(shape(&bulk), shape(&inc), "post-rebuild mutation");
+        prop_assert_eq!(content(&bulk), content(&inc), "post-rebuild mutation");
         prop_assert_eq!(bulk.sum().round().to_bits(), inc.sum().round().to_bits());
     }
 
     /// Defer → arbitrary mutations → materialise is indistinguishable from
-    /// key-by-key maintenance: while the tree is gone the aggregates track
+    /// key-by-key maintenance: while the map is gone the aggregates track
     /// every insert / remove / re-weight exactly (Σw bits, `len`, hence
-    /// WEP's mean), and the materialised tree has the same pre-order shape
+    /// WEP's mean), and the materialised map has the same in-order content
     /// and answers every `select` / `prefix_len` query identically —
     /// duplicate weights, negative weights and `-0.0` ties included.
     /// `defer` itself restates the aggregates from the weights it is
@@ -251,7 +258,7 @@ proptest! {
         lazy.insert(2, 3, -0.0);
         lazy.defer(live.iter().map(|&(_, _, w)| w));
         prop_assert!(!lazy.is_built());
-        prop_assert_eq!(lazy.resident_bytes(), 0, "a deferred index holds no slab");
+        prop_assert_eq!(lazy.resident_bytes(), 0, "a deferred index holds no map");
         prop_assert_eq!(lazy.len(), inc.len());
         prop_assert_eq!(lazy.sum().round().to_bits(), inc.sum().round().to_bits());
 
@@ -259,7 +266,7 @@ proptest! {
         let mut live_lazy = live.clone();
         apply_signed(&extra, &mut inc, &mut live);
         apply_signed(&extra, &mut lazy, &mut live_lazy);
-        prop_assert!(!lazy.is_built(), "mutation must not build the tree");
+        prop_assert!(!lazy.is_built(), "mutation must not build the map");
         prop_assert_eq!(lazy.len(), inc.len());
         prop_assert_eq!(
             Wep::mean_from_sum(lazy.sum(), lazy.len()).map(f64::to_bits),
@@ -269,7 +276,7 @@ proptest! {
 
         lazy.materialise(live_lazy.iter().copied());
         prop_assert!(lazy.is_built());
-        prop_assert_eq!(shape(&lazy), shape(&inc), "pre-order fingerprint");
+        prop_assert_eq!(content(&lazy), content(&inc), "in-order content");
         prop_assert_eq!(lazy.sum().round().to_bits(), inc.sum().round().to_bits());
         for rank in 0..=inc.len() {
             let key = inc.select(rank);
@@ -319,10 +326,61 @@ proptest! {
         naive.sort_unstable();
         prop_assert_eq!(band, naive);
     }
+
+    /// The select cursor under churn: inserts, removes, re-weights, the
+    /// removal of the very key the last `select` returned, defer →
+    /// materialise, `clear` and `rebuild`, each followed by a `select` at
+    /// a rank that drifts by -3..=+3 and now and then jumps to 0 or past
+    /// the end. Every answer equals the re-sort reference's key at that
+    /// rank, and `None` past the end.
+    #[test]
+    fn prop_select_cursor_matches_resort_reference(
+        ops in proptest::collection::vec(
+            (0u8..9, 0u8..255, 0u8..255, 0u8..16), 0..120),
+    ) {
+        let mut idx = OrderedWeightIndex::new();
+        let mut live: Vec<(u32, u32, f64)> = Vec::new();
+        let (mut rank, mut last) = (0usize, None);
+        for &(kind, a, b, w) in &ops {
+            match kind {
+                // Insert-heavy, so the live set grows past a few edges.
+                0..=3 => apply_signed(&[(0, a, b, w)], &mut idx, &mut live),
+                4 | 5 => apply_signed(&[(kind - 3, a, b, w)], &mut idx, &mut live),
+                6 => {
+                    let hit = live
+                        .iter()
+                        .position(|&(u, v, x)| Some(EdgeKey::new(u, v, x)) == last);
+                    if let Some(i) = hit {
+                        let (u, v, x) = live.swap_remove(i);
+                        idx.remove(u, v, x);
+                    }
+                }
+                7 => {
+                    idx.defer(live.iter().map(|&(_, _, x)| x));
+                    idx.materialise(live.iter().copied());
+                }
+                _ if w % 4 == 0 => {
+                    idx.clear();
+                    live.clear();
+                }
+                _ => idx.rebuild(live.iter().copied()),
+            }
+            rank = match b % 8 {
+                0 => 0,
+                1 => live.len() + (a % 3) as usize,
+                _ => (rank + (a % 7) as usize).saturating_sub(3),
+            };
+            let expect = reference_order(&live)
+                .get(rank)
+                .map(|&(u, v, x)| EdgeKey::new(u, v, x));
+            last = idx.select(rank);
+            prop_assert_eq!(last, expect, "rank {} of {}", rank, live.len());
+        }
+    }
 }
 
 /// The bulk construction's tie handling pinned deterministically:
-/// duplicate weights and `-0.0`/`+0.0` ties produce the exact tree the
+/// duplicate weights and `-0.0`/`+0.0` ties produce the exact content the
 /// insert path produces, and the rebuilt index answers order-statistic
 /// queries identically.
 #[test]
@@ -342,7 +400,7 @@ fn bulk_rebuild_pins_duplicate_and_signed_zero_ties() {
     }
     let mut bulk = OrderedWeightIndex::new();
     bulk.rebuild(edges.iter().copied());
-    assert_eq!(shape(&bulk), shape(&inc), "tie-ridden shapes agree");
+    assert_eq!(content(&bulk), content(&inc), "tie-ridden contents agree");
     for rank in 0..=edges.len() {
         assert_eq!(bulk.select(rank), inc.select(rank), "rank {rank}");
     }
@@ -384,8 +442,52 @@ fn bit_order_corner_cases() {
     ));
 }
 
+/// The select cursor's corner cases pinned deterministically: a walk
+/// back past a removed answer, a walk forward over inserts made below the
+/// cursor, rank 0, rank ≥ len, and a cursor reset by `clear` and by
+/// defer → materialise.
+#[test]
+fn select_cursor_corner_cases() {
+    let mut idx = OrderedWeightIndex::new();
+    for (u, v, w) in [(0, 1, 5.0), (0, 2, 4.0), (1, 2, 3.0), (1, 3, 2.0)] {
+        idx.insert(u, v, w);
+    }
+    let pair = |k: Option<EdgeKey>| k.map(|k| (k.u, k.v));
+    assert_eq!(pair(idx.select(2)), Some((1, 2)));
+    // The answer itself goes: the next key slides into its rank.
+    idx.remove(1, 2, 3.0);
+    assert_eq!(pair(idx.select(2)), Some((1, 3)));
+    assert_eq!(pair(idx.select(1)), Some((0, 2)));
+    // Two keys land before the cursor: its rank shifts by two.
+    idx.insert(2, 3, 9.0);
+    idx.insert(3, 4, 8.0);
+    assert_eq!(pair(idx.select(3)), Some((0, 2)));
+    assert_eq!(pair(idx.select(0)), Some((2, 3)));
+    assert_eq!(pair(idx.select(4)), Some((1, 3)));
+    assert_eq!(idx.select(5), None);
+    assert_eq!(
+        pair(idx.select(4)),
+        Some((1, 3)),
+        "a None leaves the cursor"
+    );
+
+    idx.defer([9.0, 8.0, 5.0, 4.0, 2.0]);
+    idx.materialise([
+        (1, 3, 2.0),
+        (0, 2, 4.0),
+        (3, 4, 8.0),
+        (0, 1, 5.0),
+        (2, 3, 9.0),
+    ]);
+    assert_eq!(pair(idx.select(1)), Some((3, 4)));
+    idx.clear();
+    assert_eq!(idx.select(0), None);
+    idx.insert(5, 6, 1.0);
+    assert_eq!(pair(idx.select(0)), Some((5, 6)));
+}
+
 /// A deferred index has no order to read: the order queries refuse rather
-/// than answer from an empty tree (a silent 0 from `prefix_len`, or an
+/// than answer from an empty map (a silent 0 from `prefix_len`, or an
 /// empty band, would drop retention flips).
 #[test]
 #[should_panic(expected = "order query on a deferred index")]

@@ -16,7 +16,9 @@ use blast_core::weighting::ChiSquaredWeigher;
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::{EdgeWeigher, WeightingScheme};
-use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, RepairTier};
+use blast_incremental::{
+    CleaningConfig, EdgeKey, IncrementalPipeline, IncrementalPruning, RepairTier,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -744,15 +746,18 @@ fn alternating_tiers_defer_and_materialise_the_ordered_index() {
                 alternating_tier_stream(&mut p, |p, out, step, previous| {
                     let label = format!("{label}: {step:?} after {previous:?}");
                     // Before `retained()` caches its flat view: the
-                    // footprint reports the slab actually held. A toggle
+                    // footprint reports the map actually held. A toggle
                     // creates no edge, so between a deferred commit and the
-                    // materialising one only the treap slab appears.
+                    // materialising one only the ordered index's entries
+                    // appear.
                     let fp = p.footprint();
                     if out.stats.index_deferred {
                         deferred_blocker_bytes = fp.blocker_bytes;
                     } else if out.stats.index_materialised {
                         assert!(
-                            fp.blocker_bytes >= deferred_blocker_bytes + fp.live_edges * 40,
+                            fp.blocker_bytes
+                                >= deferred_blocker_bytes
+                                    + fp.live_edges * std::mem::size_of::<(EdgeKey, f64)>(),
                             "{label}: {} B deferred, {} B built over {} edges",
                             deferred_blocker_bytes,
                             fp.blocker_bytes,

@@ -1,4 +1,4 @@
-//! CSR/snapshot maintenance contract: a [`GraphSnapshot`] patched through
+//! Snapshot maintenance contract: a [`GraphSnapshot`] patched through
 //! an arbitrary insert/update/delete history must be **field-for-field**
 //! identical to `GraphSnapshot::build` + fresh statistics on the
 //! materialised, batch-cleaned collection — same per-profile block
