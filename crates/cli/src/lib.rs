@@ -61,10 +61,11 @@ const STREAM_USAGE: &str = "\
                  counter and level, footprint)
                  [--metrics OUT.prom]  (Prometheus text exposition of the
                  pipeline's metrics registry after the run)
-                 [--memory-budget BYTES]  (cold-tier residency: rows idle
-                 for 2 commits demote to delta-encoded cold frames until
-                 the hot structures fit the budget; k/m/g suffixes; the
-                 output is bit-identical at any budget)
+                 [--memory-budget BYTES]  (cold-tier residency: block-index
+                 posting lists idle for 2 commits demote to delta-encoded
+                 cold frames until the hot posting lists fit the budget;
+                 the graph snapshot and edge cache stay hot; k/m/g
+                 suffixes; the output is bit-identical at any budget)
                  [--spill]  (hold cold frames in an unlinked temp file
                  instead of an in-memory arena; needs --memory-budget)";
 
@@ -78,9 +79,10 @@ const SERVE_USAGE: &str = "\
                  [--pruning ...] [--scheme ...] [--no-cleaning]
                  [--linger SECS]  (keep serving after the ingest drains)
                  [--memory-budget BYTES] [--spill]  (cold-tier residency
-                 on the writer; readers never see a cold row — a
-                 published view carries its own weights and reads nothing
-                 from the engine; see blast stream)
+                 of the writer's block-index posting lists; readers never
+                 see a cold list — a published view carries its own
+                 weights and reads nothing from the engine; see blast
+                 stream)
                  [--verify]  (gate on published == incremental == batch)
                  Streams the preset through the incremental pipeline on
                  the writer thread while serving /candidates, /topk,

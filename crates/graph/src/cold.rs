@@ -1,8 +1,8 @@
-//! The cold tier: one two-tier residency mechanism for structure rows.
+//! The cold tier: two-tier residency for the incremental block index's
+//! posting lists.
 //!
-//! Bounded-memory streaming demotes rarely-touched rows — posting lists,
-//! snapshot block memberships, packed edge-accumulator rows — out of their
-//! hot `Vec` representation. The module has two layers:
+//! Bounded-memory streaming demotes rarely-touched posting lists out of
+//! their hot `Vec` representation. The module has two layers:
 //!
 //! * **Frames** ([`ColdStore`]): length-prefixed, checksummed byte records
 //!   appended to an in-memory arena or, behind a [`SpillBackend`], to a
@@ -12,30 +12,33 @@
 //!   or corrupted frame as a typed [`ColdError`] instead of bytes that
 //!   would silently diverge the candidate set.
 //! * **Rows** ([`ColdRows`]): everything that decides *which* row is a
-//!   frame and when — the store, the per-row frame handle and entry count,
-//!   the touch epochs, the eviction sweep with its compaction, the
-//!   promoting and the transient read, and the one `cold tier:` panic a
-//!   lost frame raises. The block index, the edge adjacency and the graph
-//!   snapshot each own one `ColdRows` (and so one store and one spill
-//!   file).
+//!   frame and when — the store, the per-row frame handle, the touch
+//!   epochs, the eviction sweep with its compaction, the promoting and the
+//!   transient read, and the one `cold tier:` panic a lost frame raises.
+//!   Its one owner is `blast-incremental`'s block index (one store, one
+//!   spill file).
+//!
+//! The graph snapshot and the edge-accumulator cache stay hot. Parallel
+//! repair workers read both under `&self`, so a cold row there would need
+//! the writer to prefetch every row a pass can reach; posting lists are
+//! read by the writer alone, which promotes or decodes them on the spot.
 //!
 //! The typed error stops at [`ColdRows`]: its reads turn a [`ColdError`]
-//! into a `cold tier: <row label> <row> lost` panic, because the owners
-//! read rows inside an infallible `commit()` that has no error to return.
+//! into a `cold tier: <row label> <row> lost` panic, because the owner
+//! reads rows inside an infallible `commit()` that has no error to return.
 //! A lost frame therefore ends the process rather than the commit — still
 //! never a silently different candidate set.
 //!
-//! An owner supplies only what differs between structures: its row codec
-//! (the encode half as the sweep's `demote` callback, the decode half over
-//! the bytes a read returns), a hot-bytes measure per row, and its row
-//! count. The codecs here are *lossless by construction* (delta varints
-//! for ascending id lists, raw `f64::to_bits` for weights), so demotion is
-//! purely a representation change: a rehydrated row is bit-identical to
-//! the row that was evicted, which is what keeps the budgeted pipeline on
-//! the repo's standing batch-equivalence contract at any eviction cadence.
+//! The owner supplies its row codec (the encode half as the sweep's
+//! `demote` callback, the decode half over the bytes a read returns), a
+//! hot-bytes measure per row, and its row count. The codec here is
+//! *lossless by construction* (delta varints for ascending id lists), so
+//! demotion is purely a representation change: a rehydrated row is
+//! bit-identical to the row that was evicted, which is what keeps the
+//! budgeted pipeline on the repo's standing batch-equivalence contract at
+//! any eviction cadence.
 
 use std::fmt;
-use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Storage behind a [`ColdStore`] when frames spill out of memory.
@@ -99,7 +102,7 @@ impl fmt::Display for ColdError {
 
 impl std::error::Error for ColdError {}
 
-/// Aggregated cold-tier telemetry of one store (or a sum over stores).
+/// Cold-tier telemetry of one store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdStats {
     /// Rows demoted to the cold tier (cumulative).
@@ -110,16 +113,6 @@ pub struct ColdStats {
     pub cold_bytes: usize,
     /// Live cold frame bytes held in the spill backend.
     pub spilled_bytes: usize,
-}
-
-impl ColdStats {
-    /// Element-wise accumulation.
-    pub fn merge(&mut self, other: &ColdStats) {
-        self.evictions += other.evictions;
-        self.rehydrations += other.rehydrations;
-        self.cold_bytes += other.cold_bytes;
-        self.spilled_bytes += other.spilled_bytes;
-    }
 }
 
 const FRAME_HEADER: usize = 8;
@@ -299,19 +292,6 @@ impl ColdStore {
         self.evictions = evictions;
     }
 
-    /// Drops every frame, live or dead (telemetry counters persist).
-    pub fn clear(&mut self) {
-        if let Some(backend) = &mut self.spill {
-            backend
-                .truncate()
-                .unwrap_or_else(|e| panic!("cold tier: spill truncate failed: {e}"));
-        }
-        self.arena.clear();
-        self.arena.shrink_to_fit();
-        self.live_bytes = 0;
-        self.dead_bytes = 0;
-    }
-
     /// Cumulative evictions, rehydrations and live byte levels.
     pub fn stats(&self) -> ColdStats {
         let (cold, spilled) = if self.spill.is_some() {
@@ -328,15 +308,6 @@ impl ColdStore {
     }
 }
 
-/// A demoted row: its frame plus the entry count (so owners' length and
-/// footprint counters stay exact without a decode). Only non-empty rows
-/// are demoted, which keeps an `Option<ColdRow>` at 16 bytes.
-#[derive(Debug, Clone, Copy)]
-struct ColdRow {
-    frame: FrameRef,
-    entries: NonZeroU32,
-}
-
 /// The residency state of one structure's rows: which rows are demoted to
 /// frames of its [`ColdStore`], when each row was last touched, and the
 /// policy that moves rows between the tiers (see the module docs for what
@@ -346,16 +317,16 @@ struct ColdRow {
 /// epoch) or *cold* (the owner holds an empty placeholder; the bytes its
 /// codec produced live in a frame). Demotion happens only in
 /// [`ColdRows::sweep`]; a cold row comes back through
-/// [`ColdRows::promote`], is read in place through [`ColdRows::read`], or
-/// is dropped unread by [`ColdRows::discard`] / [`ColdRows::clear`].
+/// [`ColdRows::promote`] or is read in place through [`ColdRows::read`].
 #[derive(Debug)]
 pub struct ColdRows {
     store: ColdStore,
-    /// What a row is called in the `cold tier:` panic ("adjacency row").
+    /// What a row is called in the `cold tier:` panic ("posting list of
+    /// key").
     label: &'static str,
     /// `Some` = the row lives in the store. Covers the rows the last sweep
     /// saw; later ones are hot and count as touched this epoch.
-    cold: Vec<Option<ColdRow>>,
+    cold: Vec<Option<FrameRef>>,
     /// Epoch of each row's last touch (parallel to `cold`).
     touch: Vec<u32>,
     /// Bumped once per [`ColdRows::sweep`].
@@ -380,22 +351,9 @@ impl ColdRows {
         }
     }
 
-    /// Whether `row` currently lives in the store.
-    #[inline]
-    pub fn is_cold(&self, row: usize) -> bool {
-        self.cold.get(row).is_some_and(Option::is_some)
-    }
-
-    /// Entry count of a cold row (no decode); `None` for a hot one.
-    #[inline]
-    pub fn cold_len(&self, row: usize) -> Option<usize> {
-        let cold = self.cold.get(row).copied().flatten()?;
-        Some(cold.entries.get() as usize)
-    }
-
     /// Stamps `row` as touched this epoch.
     #[inline]
-    pub fn touch(&mut self, row: usize) {
+    fn touch(&mut self, row: usize) {
         if let Some(t) = self.touch.get_mut(row) {
             *t = self.epoch;
         }
@@ -413,8 +371,8 @@ impl ColdRows {
     /// rehydration), which stays cold — shared `&self` passes must not
     /// drag a structure hot again. `None` for a hot row.
     pub fn read(&self, row: usize) -> Option<Vec<u8>> {
-        let cold = self.cold.get(row).copied().flatten()?;
-        Some(self.payload(row, cold.frame))
+        let frame = self.cold.get(row).copied().flatten()?;
+        Some(self.payload(row, frame))
     }
 
     /// The promoting read: stamps `row` touched and, when it was cold,
@@ -422,22 +380,10 @@ impl ColdRows {
     /// the owner decodes it into place. `None` when it was hot already.
     pub fn promote(&mut self, row: usize) -> Option<Vec<u8>> {
         self.touch(row);
-        let cold = self.cold.get_mut(row)?.take()?;
-        let bytes = self.payload(row, cold.frame);
-        self.store.free(cold.frame);
+        let frame = self.cold.get_mut(row)?.take()?;
+        let bytes = self.payload(row, frame);
+        self.store.free(frame);
         Some(bytes)
-    }
-
-    /// Drops a cold row's frame unread (the owner is overwriting the row).
-    /// Returns whether the row was cold.
-    pub fn discard(&mut self, row: usize) -> bool {
-        match self.cold.get_mut(row).and_then(Option::take) {
-            Some(cold) => {
-                self.store.free(cold.frame);
-                true
-            }
-            None => false,
-        }
     }
 
     /// One eviction round over the owner's `len` rows. Every row with
@@ -448,7 +394,7 @@ impl ColdRows {
     /// continues coldest-first until the remaining hot bytes fit
     /// `target_hot_bytes`. `idle == 0` with a zero target demotes
     /// everything. `demote(rows, row, out)` takes the row out of its hot
-    /// form, appends its encoding to `out` and returns its entry count.
+    /// form and appends its encoding to `out`.
     /// Compacts the store when dead frames dominate.
     pub fn sweep<T: ?Sized>(
         &mut self,
@@ -457,7 +403,7 @@ impl ColdRows {
         len: usize,
         rows: &mut T,
         hot_bytes: impl Fn(&T, usize) -> usize,
-        mut demote: impl FnMut(&mut T, usize, &mut Vec<u8>) -> usize,
+        mut demote: impl FnMut(&mut T, usize, &mut Vec<u8>),
     ) {
         if self.cold.len() < len {
             // Once per round and by exactly the rows added since: a
@@ -488,22 +434,12 @@ impl ColdRows {
             let row = row as usize;
             hot -= hot_bytes(rows, row);
             payload.clear();
-            let entries = NonZeroU32::new(demote(rows, row, &mut payload) as u32);
-            self.cold[row] = Some(ColdRow {
-                frame: self.store.put(&payload),
-                entries: entries.expect("only non-empty rows are demoted"),
-            });
+            demote(rows, row, &mut payload);
+            self.cold[row] = Some(self.store.put(&payload));
         }
         if self.store.wants_compaction() {
-            let live = self.cold.iter_mut().flatten().map(|c| &mut c.frame);
-            self.store.compact(live.collect());
+            self.store.compact(self.cold.iter_mut().flatten().collect());
         }
-    }
-
-    /// Drops every cold row and frame (telemetry counters persist).
-    pub fn clear(&mut self) {
-        self.cold.fill(None);
-        self.store.clear();
     }
 
     /// Cumulative evictions, rehydrations and live frame byte levels.
@@ -513,7 +449,7 @@ impl ColdRows {
 
     /// Heap bytes of the row table itself (frames are in [`ColdStats`]).
     pub fn resident_bytes(&self) -> usize {
-        self.cold.capacity() * std::mem::size_of::<Option<ColdRow>>()
+        self.cold.capacity() * std::mem::size_of::<Option<FrameRef>>()
             + self.touch.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -523,7 +459,7 @@ impl ColdRows {
 // ---------------------------------------------------------------------------
 
 /// Appends a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -536,7 +472,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 varint, advancing `pos`.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -555,7 +491,7 @@ const U32S_DELTA: u8 = 1;
 const U32S_RAW: u8 = 0;
 
 /// Encodes a `u32` list: delta varints when strictly ascending (posting
-/// lists, block memberships), raw varints otherwise. Lossless either way.
+/// lists), raw varints otherwise. Lossless either way.
 pub fn encode_u32s(values: &[u32], out: &mut Vec<u8>) {
     let ascending = values.windows(2).all(|w| w[0] < w[1]);
     out.push(if ascending { U32S_DELTA } else { U32S_RAW });
@@ -591,18 +527,6 @@ pub fn decode_u32s(bytes: &[u8], pos: &mut usize, out: &mut Vec<u32>) {
         out.push(v);
         prev = v;
     }
-}
-
-/// Appends an `f64` as its raw bits — bit-identical round trips.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Reads an `f64` written by [`put_f64`], advancing `pos`.
-pub fn get_f64(bytes: &[u8], pos: &mut usize) -> f64 {
-    let raw: [u8; 8] = bytes[*pos..*pos + 8].try_into().unwrap();
-    *pos += 8;
-    f64::from_bits(u64::from_le_bytes(raw))
 }
 
 #[cfg(test)]
@@ -750,9 +674,12 @@ mod tests {
                     let values = std::mem::take(&mut data[row]);
                     encode_u32s(&values, out);
                     demoted.push(row);
-                    values.len()
                 },
             );
+        }
+
+        fn is_cold(&self, row: usize) -> bool {
+            self.rows.cold.get(row).is_some_and(Option::is_some)
         }
 
         fn decode(bytes: &[u8]) -> Vec<u32> {
@@ -789,7 +716,7 @@ mod tests {
     fn row_table_entries_stay_sixteen_bytes() {
         // What a budgeted structure pays per row for being evictable —
         // `tests/memory_footprint.rs` holds the index to it.
-        assert_eq!(std::mem::size_of::<Option<ColdRow>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<FrameRef>>(), 16);
     }
 
     #[test]
@@ -801,8 +728,7 @@ mod tests {
             o.sweep(u32::MAX, 100);
             assert_eq!(o.demoted, vec![0, 2, 1]);
             for row in 0..5 {
-                assert_eq!(o.rows.is_cold(row), row < 3);
-                assert_eq!(o.rows.cold_len(row), (row < 3).then_some(10));
+                assert_eq!(o.is_cold(row), row < 3);
                 assert_eq!(o.data[row].is_empty(), row < 3, "placeholder left behind");
             }
             assert_eq!(o.rows.stats().evictions, 3);
@@ -818,7 +744,7 @@ mod tests {
             // target.
             o.sweep(1, usize::MAX);
             assert_eq!(o.demoted, vec![0, 2, 1, 3]);
-            assert!(!o.rows.is_cold(4));
+            assert!(!o.is_cold(4));
         }
     }
 
@@ -830,8 +756,8 @@ mod tests {
             o.data.push(vec![7; 3]); // a row the table has not seen yet
             o.sweep(0, 0);
             assert_eq!(o.demoted, vec![0, 2, 1, 3, 4, 6]);
-            assert!(!o.rows.is_cold(5));
-            assert_eq!(o.rows.cold_len(6), Some(3));
+            assert!(!o.is_cold(5));
+            assert!(o.is_cold(6));
             // Nothing hot is left, so the next round has nothing to do.
             o.sweep(0, 0);
             assert_eq!(o.rows.stats().evictions, 6);
@@ -848,14 +774,13 @@ mod tests {
 
             let bytes = o.rows.read(2).expect("row 2 is cold");
             assert_eq!(Owner::decode(&bytes), vec![2; 10]);
-            assert!(o.rows.is_cold(2), "a transient read promotes nothing");
+            assert!(o.is_cold(2), "a transient read promotes nothing");
             assert_eq!(o.rows.stats().rehydrations, 1);
             assert_eq!(o.live_bytes(), all_cold);
 
             o.promote(2);
             assert_eq!(o.data[2], vec![2; 10]);
-            assert!(!o.rows.is_cold(2));
-            assert_eq!(o.rows.cold_len(2), None);
+            assert!(!o.is_cold(2));
             assert_eq!(o.rows.read(2), None);
             assert_eq!(o.rows.stats().rehydrations, 2);
             assert_eq!(o.live_bytes(), all_cold - Owner::frame_bytes(&[2; 10]));
@@ -871,12 +796,6 @@ mod tests {
             o.demoted.clear();
             o.sweep(u32::MAX, 40);
             assert_eq!(o.demoted, vec![2]);
-
-            // A discarded row is dropped unread.
-            assert!(o.rows.discard(2));
-            assert!(!o.rows.discard(2));
-            assert!(!o.rows.is_cold(2));
-            assert_eq!(o.rows.stats().rehydrations, 3);
         }
     }
 
@@ -916,12 +835,6 @@ mod tests {
                 .sum();
             assert_eq!(o.live_bytes(), live);
             assert_eq!(stats.spilled_bytes > 0, spilled);
-
-            // `clear` drops every frame; the cumulative counters persist.
-            o.rows.clear();
-            assert!((0..64).all(|r| !o.rows.is_cold(r)));
-            assert_eq!(o.live_bytes(), 0);
-            assert_eq!(o.rows.stats().evictions, evictions);
         }
     }
 
@@ -969,15 +882,5 @@ mod tests {
         encode_u32s(&values, &mut buf);
         // 2000 deltas of 1 → ~1 byte each, vs 8000 raw bytes.
         assert!(buf.len() < values.len() * 2, "{} bytes", buf.len());
-    }
-
-    #[test]
-    fn f64_codec_is_bit_exact() {
-        for v in [0.0, -0.0, 1.5, f64::MIN_POSITIVE, 1.0 / 3.0, f64::INFINITY] {
-            let mut buf = Vec::new();
-            put_f64(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_f64(&buf, &mut pos).to_bits(), v.to_bits());
-        }
     }
 }

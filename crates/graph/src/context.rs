@@ -19,8 +19,12 @@
 //! `GraphSnapshot::build` on the materialised collection — which is what
 //! keeps incremental repair bit-identical to batch (pinned by
 //! `tests/snapshot_maintenance.rs`).
+//!
+//! Every slot and row is always resident: a memory budget demotes the
+//! incremental block index's posting lists only ([`crate::cold`]), so a
+//! pass reads the snapshot through `&self` from any number of workers with
+//! nothing to prefetch first.
 
-use crate::cold::{decode_u32s, encode_u32s, ColdRows, ColdStats, SpillBackend};
 use crate::traversal::NodeScratch;
 use blast_blocking::collection::BlockCollection;
 use blast_blocking::index::ProfileBlockIndex;
@@ -130,19 +134,6 @@ pub struct GraphSnapshot {
     threads_override: Option<usize>,
     /// Bumped on every applied delta.
     version: u64,
-    /// Two-tier slot residency (bounded-memory streaming; one row per
-    /// slot, a cold slot's `members` entry is an empty placeholder); `None`
-    /// until a pipeline enables a memory budget.
-    ///
-    /// Demotion is writer-driven and so is rehydration: repair passes read
-    /// memberships through `&self` from many workers at once, so a cold
-    /// slot is **never** lazily rehydrated on read — the incremental
-    /// blocker prefetches every slot its dirty neighbourhood can reach
-    /// before the pass starts
-    /// ([`GraphSnapshot::ensure_node_slots_resident`]), and a read that
-    /// still lands on a cold slot is a bug surfaced by
-    /// [`GraphSnapshot::assert_slot_hot`]'s panic, not silent divergence.
-    residency: Option<ColdRows>,
     /// Adjacency loads run against this snapshot (see
     /// [`GraphSnapshot::scratch_loads`]).
     scratch_loads: AtomicU64,
@@ -181,7 +172,6 @@ impl GraphSnapshot {
             threads,
             threads_override: None,
             version: 0,
-            residency: None,
             scratch_loads: AtomicU64::new(0),
         }
     }
@@ -210,7 +200,6 @@ impl GraphSnapshot {
             threads: 1,
             threads_override: None,
             version: 0,
-            residency: None,
             scratch_loads: AtomicU64::new(0),
         }
     }
@@ -276,11 +265,7 @@ impl GraphSnapshot {
                     e.resize(slot + 1, 1.0);
                 }
             }
-            // Only live (non-empty) slots are ever demoted, and the old
-            // membership is about to be overwritten, so a cold slot's frame
-            // is dropped without decoding it.
-            let was_cold = self.residency.as_mut().is_some_and(|r| r.discard(slot));
-            let was_live = was_cold || !self.members[slot].is_empty();
+            let was_live = !self.members[slot].is_empty();
             let split = patch.members.partition_point(|p| p.0 < self.separator) as u32;
             let card = if self.clean_clean {
                 split as u64 * (patch.members.len() as u64 - split as u64)
@@ -299,9 +284,6 @@ impl GraphSnapshot {
                 (false, true) => self.live_blocks += 1,
                 (true, false) => self.live_blocks -= 1,
                 _ => {}
-            }
-            if let Some(r) = &mut self.residency {
-                r.touch(slot);
             }
         }
         for row in &delta.rows {
@@ -389,133 +371,6 @@ impl GraphSnapshot {
                 .as_ref()
                 .map_or(0, |d| d.capacity() * size_of::<u32>())
             + self.index.resident_bytes()
-            + self.residency.as_ref().map_or(0, ColdRows::resident_bytes)
-    }
-
-    /// Enables two-tier slot residency: cold memberships demote into the
-    /// snapshot's [`ColdRows`] (spilled to `spill` when given) on
-    /// [`GraphSnapshot::enforce_slot_residency`] rounds. Idempotent.
-    pub fn enable_slot_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_none() {
-            self.residency = Some(ColdRows::new("snapshot slot", spill));
-        }
-    }
-
-    /// Whether slot residency has been enabled.
-    pub fn slot_residency_enabled(&self) -> bool {
-        self.residency.is_some()
-    }
-
-    /// Cold-tier telemetry of the slot store (zeros when disabled).
-    pub fn slot_cold_stats(&self) -> ColdStats {
-        self.residency
-            .as_ref()
-            .map_or_else(ColdStats::default, ColdRows::stats)
-    }
-
-    /// Hot membership bytes eligible for demotion (0 when residency is
-    /// disabled — nothing is evictable then).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        if self.residency.is_none() {
-            return 0;
-        }
-        self.members.iter().map(|m| Self::hot_slot_bytes(m)).sum()
-    }
-
-    #[inline]
-    fn hot_slot_bytes(members: &[ProfileId]) -> usize {
-        std::mem::size_of_val(members)
-    }
-
-    /// Rehydrates one slot if cold, and stamps its touch epoch.
-    fn rehydrate_slot(&mut self, slot: usize) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        if let Some(payload) = r.promote(slot) {
-            let mut ids: Vec<u32> = Vec::new();
-            let mut pos = 0;
-            decode_u32s(&payload, &mut pos, &mut ids);
-            debug_assert_eq!(pos, payload.len(), "slot frame fully consumed");
-            self.members[slot] = ids.into_iter().map(ProfileId).collect();
-        }
-    }
-
-    /// A shared read must never fault a slot in (see the `residency`
-    /// field).
-    #[inline]
-    fn assert_slot_hot(&self, slot: u32) {
-        if let Some(r) = &self.residency {
-            assert!(
-                !r.is_cold(slot as usize),
-                "cold snapshot slot {slot} read without rehydration — a repair \
-                 pass touched a slot outside its prefetched dirty neighbourhood"
-            );
-        }
-    }
-
-    /// Writer-side prefetch: rehydrates the given slots before a repair
-    /// pass reads them through `&self`.
-    pub fn ensure_slots_resident<I: IntoIterator<Item = u32>>(&mut self, slots: I) {
-        if self.residency.is_none() {
-            return;
-        }
-        for s in slots {
-            let s = s as usize;
-            if s < self.members.len() {
-                self.rehydrate_slot(s);
-            }
-        }
-    }
-
-    /// Writer-side prefetch by node: rehydrates every slot on the given
-    /// nodes' profile rows (the slots a dirty-neighbourhood pass can reach).
-    pub fn ensure_node_slots_resident<'a, I: IntoIterator<Item = &'a u32>>(&mut self, nodes: I) {
-        if self.residency.is_none() {
-            return;
-        }
-        let mut slots: Vec<u32> = Vec::new();
-        for &u in nodes {
-            slots.extend_from_slice(self.index.blocks_of(u));
-        }
-        slots.sort_unstable();
-        slots.dedup();
-        self.ensure_slots_resident(slots);
-    }
-
-    /// Rehydrates every cold slot (structural passes read the full graph).
-    pub fn ensure_all_slots_resident(&mut self) {
-        if self.residency.is_none() {
-            return;
-        }
-        for s in 0..self.members.len() {
-            self.rehydrate_slot(s);
-        }
-    }
-
-    /// One residency maintenance round (writer-side, once per commit)
-    /// over the live memberships ([`ColdRows::sweep`]: untouched for more
-    /// than `idle` rounds, then coldest-first while the remaining hot
-    /// bytes exceed `target_hot_bytes`). `idle == 0` with a zero target
-    /// demotes everything every commit (the stress cadence).
-    pub fn enforce_slot_residency(&mut self, idle: u32, target_hot_bytes: usize) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        r.sweep(
-            idle,
-            target_hot_bytes,
-            self.members.len(),
-            self.members.as_mut_slice(),
-            |members, slot| Self::hot_slot_bytes(&members[slot]),
-            |members, slot, out| {
-                // The id conversion reuses the membership's allocation.
-                let m = std::mem::take(&mut members[slot]);
-                let ids: Vec<u32> = m.into_iter().map(|p| p.0).collect();
-                encode_u32s(&ids, out);
-                ids.len()
-            },
-        );
     }
 
     /// Total number of (live) blocks |B|.
@@ -557,7 +412,6 @@ impl GraphSnapshot {
     /// The cleaned membership of one block slot (empty for dead slots).
     #[inline]
     pub fn slot_members(&self, slot: u32) -> &[ProfileId] {
-        self.assert_slot_hot(slot);
         &self.members[slot as usize]
     }
 
@@ -572,7 +426,6 @@ impl GraphSnapshot {
     /// itself, filtered by the caller) for dirty ones.
     #[inline]
     pub fn slot_neighbours(&self, slot: u32, node: u32) -> &[ProfileId] {
-        self.assert_slot_hot(slot);
         let members = &self.members[slot as usize];
         if self.clean_clean {
             let split = self.splits[slot as usize] as usize;
@@ -640,7 +493,6 @@ impl GraphSnapshot {
     /// [`crate::traversal::NodeScratch`] machinery every other pass uses,
     /// not a separate hashmap re-scan.
     pub fn ensure_degrees(&mut self) {
-        self.ensure_all_slots_resident();
         if self.degrees.is_some() {
             return;
         }

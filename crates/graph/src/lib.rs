@@ -70,9 +70,9 @@
 //! * [`meta`] — [`meta::MetaBlocker`]: scheme × pruning in one call.
 //! * [`retained`] — the retained comparisons (the restructured block
 //!   collection: one block per surviving pair).
-//! * [`cold`] — [`cold::ColdRows`]: the one two-tier residency mechanism
-//!   the snapshot here, and the block index and edge adjacency of
-//!   `blast-incremental`, demote their rows through under a memory budget.
+//! * [`cold`] — [`cold::ColdRows`]: the two-tier residency mechanism the
+//!   block index of `blast-incremental` demotes its posting lists through
+//!   under a memory budget.
 
 pub mod cold;
 pub mod context;

@@ -39,13 +39,11 @@
 
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
-use blast_graph::cold::{decode_u32s, encode_u32s, get_f64, get_varint, put_f64, put_varint};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdRows, ColdStats, SpillBackend};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -391,10 +389,6 @@ pub struct EdgeAdjacency {
     /// accumulator's tally differs bitwise from the derived
     /// `common_blocks as f64` value (see `CachedEdge`).
     ent: Option<Vec<Vec<f64>>>,
-    /// Cold-tier state (one row per node; a cold row's `rows`/`ent`
-    /// entries are empty placeholders) when the pipeline runs under a
-    /// memory budget.
-    residency: Option<ColdRows>,
 }
 
 impl EdgeAdjacency {
@@ -434,9 +428,6 @@ impl EdgeAdjacency {
     /// bit-identical to the tallies the entries were inserted with.
     fn promote_entropy(&mut self) {
         debug_assert!(self.ent.is_none());
-        // Promotion derives the side rows from the packed entries, so
-        // every row must be hot while it runs.
-        self.ensure_all_hot();
         self.ent = Some(
             self.rows
                 .iter()
@@ -445,198 +436,13 @@ impl EdgeAdjacency {
         );
     }
 
-    /// Encodes one row (and its entropy side row, when promoted) into a
-    /// cold frame payload: ascending neighbour ids delta-compress, weights
-    /// and ARCS sums are raw `f64` bits — lossless either way.
-    fn encode_row(row: &[CachedEdge], ent: Option<&[f64]>, out: &mut Vec<u8>) {
-        out.push(ent.is_some() as u8);
-        let vs: Vec<u32> = row.iter().map(|e| e.v).collect();
-        encode_u32s(&vs, out);
-        for e in row {
-            put_varint(out, e.common_blocks as u64);
-        }
-        for e in row {
-            put_f64(out, e.w);
-        }
-        for e in row {
-            put_f64(out, e.arcs);
-        }
-        if let Some(ent) = ent {
-            for &x in ent {
-                put_f64(out, x);
-            }
-        }
-    }
-
-    /// Decodes an [`EdgeAdjacency::encode_row`] payload.
-    fn decode_row(bytes: &[u8]) -> (Vec<CachedEdge>, Option<Vec<f64>>) {
-        let mut pos = 0;
-        let has_ent = bytes[pos] != 0;
-        pos += 1;
-        let mut vs: Vec<u32> = Vec::new();
-        decode_u32s(bytes, &mut pos, &mut vs);
-        let mut row: Vec<CachedEdge> = vs
-            .into_iter()
-            .map(|v| CachedEdge {
-                w: 0.0,
-                arcs: 0.0,
-                v,
-                common_blocks: 0,
-            })
-            .collect();
-        for e in &mut row {
-            e.common_blocks = get_varint(bytes, &mut pos) as u32;
-        }
-        for e in &mut row {
-            e.w = get_f64(bytes, &mut pos);
-        }
-        for e in &mut row {
-            e.arcs = get_f64(bytes, &mut pos);
-        }
-        let ent = has_ent.then(|| (0..row.len()).map(|_| get_f64(bytes, &mut pos)).collect());
-        (row, ent)
-    }
-
-    /// Runs `f` over node `u`'s row and entropy side row. Hot rows are
-    /// borrowed directly; cold ones decode transiently under `&self`
-    /// (counted as a rehydration, not promoted) — shared read paths stay
-    /// correct at any eviction cadence.
-    fn with_row<R>(&self, u: u32, f: impl FnOnce(&[CachedEdge], Option<&[f64]>) -> R) -> R {
+    /// Node `u`'s row and entropy side row (empty past the row table).
+    fn row(&self, u: u32) -> (&[CachedEdge], Option<&[f64]>) {
         let ui = u as usize;
-        if ui >= self.rows.len() {
-            return f(&[], None);
+        match self.rows.get(ui) {
+            Some(row) => (row, self.ent.as_ref().map(|ent| ent[ui].as_slice())),
+            None => (&[], None),
         }
-        if let Some(bytes) = self.residency.as_ref().and_then(|r| r.read(ui)) {
-            let (row, ent) = Self::decode_row(&bytes);
-            let ent: Option<Vec<f64>> = match (&self.ent, ent) {
-                (Some(_), Some(e)) => Some(e),
-                (Some(_), None) => Some(row.iter().map(Self::derived_entropy).collect()),
-                (None, _) => None,
-            };
-            return f(&row, ent.as_deref());
-        }
-        f(
-            &self.rows[ui],
-            self.ent.as_ref().map(|ent| ent[ui].as_slice()),
-        )
-    }
-
-    /// Entry count of node `u`'s row, hot or cold (no decode).
-    fn row_len(&self, u: usize) -> usize {
-        let cold = self.residency.as_ref().and_then(|r| r.cold_len(u));
-        cold.unwrap_or(self.rows[u].len())
-    }
-
-    /// Promotes a cold row back to its hot `Vec`s and stamps its touch
-    /// epoch. Every mutation path goes through this.
-    fn ensure_row_hot(&mut self, u: u32) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        let ui = u as usize;
-        if let Some(bytes) = r.promote(ui) {
-            let (row, ent) = Self::decode_row(&bytes);
-            if let Some(side) = &mut self.ent {
-                side[ui] = ent.unwrap_or_else(|| row.iter().map(Self::derived_entropy).collect());
-            }
-            self.rows[ui] = row;
-        }
-    }
-
-    /// Rehydrates the given rows ahead of a repair pass (the blocker's
-    /// prefetch hook).
-    pub fn ensure_rows(&mut self, nodes: &[u32]) {
-        if self.residency.is_none() {
-            return;
-        }
-        for &u in nodes {
-            self.ensure_row_hot(u);
-        }
-    }
-
-    /// Rehydrates every cold row — the full-sweep passes (tier-2 reweigh,
-    /// entropy promotion) scan all rows and re-demotion is the eviction
-    /// policy's job afterwards.
-    fn ensure_all_hot(&mut self) {
-        if self.residency.is_none() {
-            return;
-        }
-        for u in 0..self.rows.len() as u32 {
-            if self
-                .residency
-                .as_ref()
-                .is_some_and(|r| r.is_cold(u as usize))
-            {
-                self.ensure_row_hot(u);
-            }
-        }
-    }
-
-    // -- cold-tier residency ------------------------------------------------
-
-    /// Turns on cold-tier residency (idempotent). With a `spill` backend
-    /// the demoted frames leave memory entirely.
-    pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_none() {
-            self.residency = Some(ColdRows::new("adjacency row", spill));
-        }
-    }
-
-    /// Whether a memory budget is active on this adjacency.
-    pub fn residency_enabled(&self) -> bool {
-        self.residency.is_some()
-    }
-
-    /// Cold-tier telemetry (zeros when residency is off).
-    pub fn cold_stats(&self) -> ColdStats {
-        self.residency
-            .as_ref()
-            .map_or_else(ColdStats::default, ColdRows::stats)
-    }
-
-    /// Hot row bytes the eviction policy could demote (0 when residency
-    /// is off).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        if self.residency.is_none() {
-            return 0;
-        }
-        let ent = self.ent.is_some();
-        self.rows
-            .iter()
-            .map(|row| Self::hot_row_bytes(row.len(), ent))
-            .sum()
-    }
-
-    #[inline]
-    fn hot_row_bytes(len: usize, ent: bool) -> usize {
-        len * std::mem::size_of::<CachedEdge>()
-            + if ent {
-                len * std::mem::size_of::<f64>()
-            } else {
-                0
-            }
-    }
-
-    /// One eviction round over the adjacency rows ([`ColdRows::sweep`],
-    /// the policy the block index and the snapshot run).
-    pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        let has_ent = self.ent.is_some();
-        r.sweep(
-            idle_commits,
-            target_hot_bytes,
-            self.rows.len(),
-            &mut (&mut self.rows, &mut self.ent),
-            |(rows, _), u| Self::hot_row_bytes(rows[u].len(), has_ent),
-            |(rows, ent), u, out| {
-                let row = std::mem::take(&mut rows[u]);
-                let ent_row = ent.as_mut().map(|ent| std::mem::take(&mut ent[u]));
-                Self::encode_row(&row, ent_row.as_deref(), out);
-                row.len()
-            },
-        );
     }
 
     /// Reconstructs the full accumulator of entry `i` on row `u` —
@@ -655,16 +461,14 @@ impl EdgeAdjacency {
     }
 
     /// Number of live edges in the cache (each mirrored entry pair counts
-    /// once), cold rows included — the `--stats` footprint counter.
-    /// O(rows).
+    /// once) — the `--stats` footprint counter. O(rows).
     pub fn live_edges(&self) -> usize {
         self.cached_accumulators() / 2
     }
 
-    /// Number of cached accumulator entries (two mirrors per live edge),
-    /// cold rows included.
+    /// Number of cached accumulator entries (two mirrors per live edge).
     pub fn cached_accumulators(&self) -> usize {
-        (0..self.rows.len()).map(|u| self.row_len(u)).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Estimated resident heap footprint in bytes: packed entry capacity,
@@ -682,8 +486,7 @@ impl EdgeAdjacency {
         });
         let headers = (self.rows.capacity() + self.ent.as_ref().map_or(0, Vec::capacity))
             * std::mem::size_of::<Vec<f64>>();
-        let residency = self.residency.as_ref().map_or(0, ColdRows::resident_bytes);
-        entries + ent + headers + residency
+        entries + ent + headers
     }
 
     /// The live edges with at least one endpoint in the mask, canonical
@@ -696,32 +499,28 @@ impl EdgeAdjacency {
         let mut from_smaller = Vec::new();
         let mut from_larger = Vec::new();
         for &u in dirty {
-            self.with_row(u, |row, _| {
-                for e in row {
-                    if u < e.v {
-                        from_smaller.push((u, e.v, e.w));
-                    } else if !mask.contains(e.v) {
-                        // A dirty smaller endpoint emits the edge itself.
-                        from_larger.push((e.v, u, e.w));
-                    }
+            for e in self.row(u).0 {
+                if u < e.v {
+                    from_smaller.push((u, e.v, e.w));
+                } else if !mask.contains(e.v) {
+                    // A dirty smaller endpoint emits the edge itself.
+                    from_larger.push((e.v, u, e.w));
                 }
-            });
+            }
         }
         ordered_emission(from_smaller, from_larger, |&(a, b, _)| (a, b))
     }
 
     /// Visits every live edge once, canonical `(u, v, weight)`, ascending
-    /// `(u, v)`. O(|E|); cold rows decode transiently. What reads the
-    /// retention prefix off the rows while the ordered index is deferred.
+    /// `(u, v)`. O(|E|). What reads the retention prefix off the rows
+    /// while the ordered index is deferred.
     pub fn for_each_edge(&self, mut f: impl FnMut(u32, u32, f64)) {
-        for u in 0..self.rows.len() as u32 {
-            self.with_row(u, |row, _| {
-                for e in row {
-                    if e.v > u {
-                        f(u, e.v, e.w);
-                    }
+        for (u, row) in (0u32..).zip(&self.rows) {
+            for e in row {
+                if e.v > u {
+                    f(u, e.v, e.w);
                 }
-            });
+            }
         }
     }
 
@@ -736,8 +535,7 @@ impl EdgeAdjacency {
     }
 
     /// Drops every edge, keeping row allocations (the degraded-full
-    /// rebuild path; O(rows), allowed there and only there). Cold frames
-    /// are dropped too; the cumulative telemetry counters persist.
+    /// rebuild path; O(rows), allowed there and only there).
     pub fn clear(&mut self) {
         for row in &mut self.rows {
             row.clear();
@@ -746,9 +544,6 @@ impl EdgeAdjacency {
             for row in ent {
                 row.clear();
             }
-        }
-        if let Some(r) = &mut self.residency {
-            r.clear();
         }
     }
 
@@ -785,8 +580,6 @@ impl EdgeAdjacency {
         if self.ent.is_none() && Self::needs_entropy(&acc) {
             self.promote_entropy();
         }
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -809,8 +602,6 @@ impl EdgeAdjacency {
 
     /// Removes one edge (both mirror rows).
     pub fn remove_edge(&mut self, a: u32, b: u32) {
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -829,8 +620,6 @@ impl EdgeAdjacency {
         if self.ent.is_none() && Self::needs_entropy(&acc) {
             self.promote_entropy();
         }
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -861,16 +650,15 @@ impl EdgeAdjacency {
         weigher: &dyn EdgeWeigher,
         mut f: impl FnMut(u32, f64),
     ) {
-        self.with_row(u, |row, ent| {
-            for (i, entry) in row.iter().enumerate() {
-                let acc = EdgeAccum {
-                    common_blocks: entry.common_blocks,
-                    arcs: entry.arcs,
-                    entropy_sum: ent.map_or_else(|| Self::derived_entropy(entry), |e| e[i]),
-                };
-                f(entry.v, weigher.weight(ctx, u, entry.v, &acc));
-            }
-        });
+        let (row, ent) = self.row(u);
+        for (i, entry) in row.iter().enumerate() {
+            let acc = EdgeAccum {
+                common_blocks: entry.common_blocks,
+                arcs: entry.arcs,
+                entropy_sum: ent.map_or_else(|| Self::derived_entropy(entry), |e| e[i]),
+            };
+            f(entry.v, weigher.weight(ctx, u, entry.v, &acc));
+        }
     }
 
     /// The **reweigh tier's** sweep: re-derives the weight of every edge
@@ -894,10 +682,6 @@ impl EdgeAdjacency {
         mask: &EpochMask,
         threads: usize,
     ) -> Vec<(u32, u32, f64, f64)> {
-        // The sweep reads and patches every clean row: rehydrate up front
-        // (an eviction round landing before a tier-2 commit must not
-        // change what the sweep sees).
-        self.ensure_all_hot();
         let n = self.rows.len();
         let this = &*self;
         let chunks = parallel_work_steal(
@@ -1270,7 +1054,6 @@ mod tests {
             weigher: &dyn EdgeWeigher,
             mask: &EpochMask,
         ) -> Vec<(u32, u32, f64, f64)> {
-            adj.ensure_all_hot();
             let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
             for u in 0..adj.rows.len() as u32 {
                 let u_marked = mask.contains(u);

@@ -151,7 +151,6 @@ use blast_graph::pruning::common::{
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdStats, SpillBackend};
 pub use blast_obs::{RepairStats, RepairTier};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -511,49 +510,6 @@ impl IncrementalMetaBlocker {
                 .map_or(0, |c| c.pairs().len() * size_of::<(u32, u32)>())
     }
 
-    /// Whether this variant maintains the edge-accumulator cache — the
-    /// structure the blocker's cold tier lives on.
-    pub fn has_edge_cache(&self) -> bool {
-        self.adj.is_some()
-    }
-
-    /// Whether a memory budget is active on the edge cache.
-    pub fn residency_enabled(&self) -> bool {
-        self.adj
-            .as_ref()
-            .is_some_and(EdgeAdjacency::residency_enabled)
-    }
-
-    /// Turns on cold-tier residency for the edge cache (no-op for
-    /// variants that never build one; idempotent otherwise).
-    pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if let Some(adj) = &mut self.adj {
-            adj.enable_residency(spill);
-        }
-    }
-
-    /// Cold-tier telemetry of the edge cache (zeros when off).
-    pub fn cold_stats(&self) -> ColdStats {
-        self.adj
-            .as_ref()
-            .map(EdgeAdjacency::cold_stats)
-            .unwrap_or_default()
-    }
-
-    /// Hot edge-cache bytes the eviction policy could demote.
-    pub fn evictable_hot_bytes(&self) -> usize {
-        self.adj
-            .as_ref()
-            .map_or(0, EdgeAdjacency::evictable_hot_bytes)
-    }
-
-    /// One eviction round over the edge-cache rows.
-    pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        if let Some(adj) = &mut self.adj {
-            adj.enforce_residency(idle_commits, target_hot_bytes);
-        }
-    }
-
     fn node_centric_mode(&self) -> NodeCentricMode {
         match self.pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Wnp1)
@@ -635,9 +591,6 @@ impl IncrementalMetaBlocker {
         // neighbours' other edges read only their own endpoints' |B|).
         self.mask.begin(n);
         let dirty: Vec<u32> = if structural {
-            // The structural pass reads every block: rehydrate the whole
-            // snapshot up front (re-demotion is the eviction policy's job).
-            ctx.ensure_all_slots_resident();
             self.mask.mark_all();
             (0..n as u32).collect()
         } else {
@@ -648,9 +601,6 @@ impl IncrementalMetaBlocker {
                 }
             }
             if deps.node_blocks && !edge_variant && !drifted_early {
-                // The co-member expansion below walks these nodes' block
-                // slots — rehydrate them first.
-                ctx.ensure_node_slots_resident(scope.lists_changed.iter());
                 let direct = d.len();
                 for &u in &scope.lists_changed {
                     for &slot in ctx.index().blocks_of(u) {
@@ -686,9 +636,6 @@ impl IncrementalMetaBlocker {
             // maintainer, or the non-full adjacency patch.
             Some(adj) if edge_variant || needs_degrees || !structural => {
                 adj.ensure_nodes(n);
-                // The dirty rows are about to be read and then patched:
-                // promote them once instead of transient-decoding twice.
-                adj.ensure_rows(&dirty);
                 adj.collect_touching(&dirty, &self.mask)
             }
             Some(adj) => {
@@ -700,12 +647,6 @@ impl IncrementalMetaBlocker {
 
         // ---- accumulate stage: ONE traversal of the dirty neighbourhood
         // yields the fresh edges and the dirty nodes' own artefacts ----
-        // Prefetch the dirty neighbourhood's snapshot slots before the
-        // pass runs: it reads slots under `&ctx` from parallel workers,
-        // which must never fault a cold slot in.
-        if !structural {
-            ctx.ensure_node_slots_resident(dirty.iter());
-        }
         let loads_before = ctx.scratch_loads();
         // The per-node artefacts come out of the pass itself, from the
         // node-orientation weights — unless degrees must be patched

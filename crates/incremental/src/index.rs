@@ -84,12 +84,6 @@ impl KeyEntry {
         }
     }
 
-    /// Whether the posting list is currently demoted to the cold tier.
-    #[inline]
-    pub fn is_cold(&self) -> bool {
-        matches!(self.slot, PostingsSlot::Cold(_))
-    }
-
     /// Hot posting bytes an eviction round could demote.
     #[inline]
     fn hot_bytes(&self) -> usize {
@@ -146,7 +140,8 @@ pub struct IncrementalBlockIndex {
     removed_members: Vec<u32>,
     touched_profiles: Vec<u32>,
     /// Cold-tier state (one row per key, touched on every mutation) when
-    /// the pipeline runs under a memory budget.
+    /// the pipeline runs under a memory budget — the pipeline's one
+    /// evictable structure.
     residency: Option<ColdRows>,
 }
 
@@ -540,15 +535,6 @@ impl IncrementalBlockIndex {
             .map_or_else(ColdStats::default, ColdRows::stats)
     }
 
-    /// Hot posting-list bytes the eviction policy could demote (0 when
-    /// residency is off — an unbudgeted index never evicts).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        if self.residency.is_none() {
-            return 0;
-        }
-        self.keys.iter().map(KeyEntry::hot_bytes).sum()
-    }
-
     /// One eviction round over the posting lists ([`ColdRows::sweep`]:
     /// idle for more than `idle_commits` rounds, then coldest-first until
     /// hot posting bytes fit `target_hot_bytes`).
@@ -563,12 +549,10 @@ impl IncrementalBlockIndex {
             self.keys.as_mut_slice(),
             |keys, k| keys[k].hot_bytes(),
             |keys, k, out| {
-                let len = keys[k].postings_len();
-                let cold = PostingsSlot::Cold(len as u32);
+                let cold = PostingsSlot::Cold(keys[k].postings_len() as u32);
                 if let PostingsSlot::Hot(members) = std::mem::replace(&mut keys[k].slot, cold) {
                     PostingsSlot::encode(members, out);
                 }
-                len
             },
         );
     }

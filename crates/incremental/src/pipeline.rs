@@ -78,10 +78,10 @@ pub struct MemoryFootprint {
     pub snapshot_bytes: usize,
     /// Meta-blocker: adjacency, decision structure, per-node artefacts.
     pub blocker_bytes: usize,
-    /// Cold-tier frames resident in memory (delta-encoded evicted rows
-    /// across the index, snapshot and blocker arenas). Disjoint from the
-    /// hot `*_bytes` fields — a row is counted exactly once, in whichever
-    /// tier it currently occupies.
+    /// Cold-tier frames resident in memory (the block index's evicted
+    /// posting lists, delta-encoded). Disjoint from the hot `index_bytes`
+    /// — a posting list is counted exactly once, in whichever tier it
+    /// currently occupies.
     pub cold_bytes: usize,
     /// Cold-tier frames held by a spill backend (on disk, not resident).
     pub spilled_bytes: usize,
@@ -102,21 +102,21 @@ impl MemoryFootprint {
 /// The cold-tier residency knobs of a budgeted pipeline (see
 /// [`IncrementalPipeline::with_residency`]).
 ///
-/// At the end of every commit the enforcer splits `budget_bytes` across
-/// the three evictable structures (index postings, snapshot block slots,
-/// blocker adjacency rows) proportionally to their current hot footprint,
-/// demotes rows untouched for `idle_commits` commits, and keeps demoting
-/// coldest-first while a structure sits over its share. Any setting is
-/// bit-identical to the unbudgeted pipeline — the knobs trade memory for
-/// rehydration work, never the answer.
+/// A budget demotes the block index's **posting lists only**: the graph
+/// snapshot and the blocker's edge cache stay hot, because parallel repair
+/// workers read them under `&self`. At the end of every commit the
+/// enforcer demotes posting lists untouched for `idle_commits` commits and
+/// keeps demoting coldest-first while the hot posting bytes exceed the
+/// whole of `budget_bytes` (no other structure shares it). Any setting is bit-identical to the unbudgeted pipeline
+/// — the knobs trade memory for rehydration work, never the answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResidencyPolicy {
-    /// Target hot bytes across the evictable structures. `0` demotes
-    /// every evictable row each commit (the adversarial extreme).
+    /// Target hot posting-list bytes. `0` demotes every non-empty posting
+    /// list each commit (the adversarial extreme).
     pub budget_bytes: usize,
-    /// Commits a row may sit untouched before it becomes stale. `0`
-    /// demotes rows the moment the enforcer sees them, including rows the
-    /// current commit touched.
+    /// Commits a posting list may sit untouched before it becomes stale.
+    /// `0` demotes lists the moment the enforcer sees them, including
+    /// lists the current commit touched.
     pub idle_commits: u32,
     /// Spill cold frames to an unlinked temp file instead of holding them
     /// in an in-memory arena.
@@ -124,8 +124,8 @@ pub struct ResidencyPolicy {
 }
 
 impl ResidencyPolicy {
-    /// The default knobs for a byte budget: rows idle for 2 commits are
-    /// evictable, frames stay in memory.
+    /// The default knobs for a byte budget: posting lists idle for 2
+    /// commits are evictable, frames stay in memory.
     pub fn budget(budget_bytes: usize) -> Self {
         ResidencyPolicy {
             budget_bytes,
@@ -302,10 +302,10 @@ impl IncrementalPipeline {
 
     /// Mid-stream variant of [`IncrementalPipeline::with_residency`].
     /// `budget_bytes` and `idle_commits` take effect at the next commit's
-    /// sweep. `spill` is read once per structure, when the sweep first
-    /// arms it (`enable_*` is idempotent), so flipping it later changes
-    /// nothing. `None` stops the sweeps; rows already cold stay cold until
-    /// something reads or mutates them.
+    /// sweep. `spill` is read once, when the first sweep arms the index,
+    /// so flipping it later changes nothing. `None` stops the sweeps;
+    /// posting lists already cold stay cold until a mutation promotes
+    /// them.
     pub fn set_residency(&mut self, policy: Option<ResidencyPolicy>) {
         self.residency = policy;
     }
@@ -315,69 +315,26 @@ impl IncrementalPipeline {
         self.residency
     }
 
-    /// Aggregate cold-tier counters over the three evictable structures
-    /// (cumulative since the policy was attached).
+    /// The block index's cold-tier counters (cumulative since the policy
+    /// was attached).
     pub fn cold_stats(&self) -> ColdStats {
-        let mut stats = self.index.cold_stats();
-        stats.merge(&self.snapshot.slot_cold_stats());
-        stats.merge(&self.blocker.cold_stats());
-        stats
+        self.index.cold_stats()
     }
 
-    /// Diagnostics/test oracle: rehydrates the snapshot slots of `nodes`
-    /// ahead of read-only access that bypasses `commit` — under a memory
-    /// budget, call it before [`IncrementalPipeline::edge_weight`]. Nothing
-    /// on the commit or publish path does (published weights ride
-    /// [`PairDelta::added_weights`]).
-    pub fn prepare_reads(&mut self, nodes: &[u32]) {
-        self.snapshot.ensure_node_slots_resident(nodes.iter());
-    }
-
-    fn spill_backend(policy: &ResidencyPolicy) -> Option<Box<dyn SpillBackend>> {
-        policy.spill.then(|| {
-            Box::new(TempSpillFile::create().expect("create cold-tier spill file"))
-                as Box<dyn SpillBackend>
-        })
-    }
-
-    /// The end-of-commit residency sweep: lazily arm the three structures,
-    /// split the budget proportionally to their hot footprints, and let
-    /// each demote stale/over-budget rows. The blocker is armed only once
-    /// its edge cache exists (the first structural pass creates it), so a
-    /// spill file is never opened for a structure that owns no rows.
+    /// The end-of-commit residency sweep: arm the index on the first one
+    /// (opening the spill file if the policy asks for it), then let it
+    /// demote stale and over-budget posting lists.
     fn enforce_residency(&mut self) {
         let Some(policy) = self.residency else { return };
         if !self.index.residency_enabled() {
-            self.index.enable_residency(Self::spill_backend(&policy));
+            let spill = policy.spill.then(|| {
+                Box::new(TempSpillFile::create().expect("create cold-tier spill file"))
+                    as Box<dyn SpillBackend>
+            });
+            self.index.enable_residency(spill);
         }
-        if !self.snapshot.slot_residency_enabled() {
-            self.snapshot
-                .enable_slot_residency(Self::spill_backend(&policy));
-        }
-        if self.blocker.has_edge_cache() && !self.blocker.residency_enabled() {
-            self.blocker.enable_residency(Self::spill_backend(&policy));
-        }
-        let hot = [
-            self.index.evictable_hot_bytes(),
-            self.snapshot.evictable_hot_bytes(),
-            self.blocker.evictable_hot_bytes(),
-        ];
-        let total: usize = hot.iter().sum();
-        let share = |h: usize| {
-            if total == 0 {
-                policy.budget_bytes
-            } else {
-                ((policy.budget_bytes as u128 * h as u128) / total as u128) as usize
-            }
-        };
         self.index
-            .enforce_residency(policy.idle_commits, share(hot[0]));
-        self.snapshot
-            .enforce_slot_residency(policy.idle_commits, share(hot[1]));
-        if self.blocker.residency_enabled() {
-            self.blocker
-                .enforce_residency(policy.idle_commits, share(hot[2]));
-        }
+            .enforce_residency(policy.idle_commits, policy.budget_bytes);
     }
 
     /// The mutable store (read access).
@@ -402,7 +359,7 @@ impl IncrementalPipeline {
     /// bit-identical to what the decision stage compared, which is what
     /// [`PairDelta::added_weights`] hands out without the traversal; tests
     /// pin the two against each other. Reads only
-    /// immutable-between-commits state.
+    /// immutable-between-commits state, at any residency policy.
     pub fn edge_weight(&self, u: u32, v: u32) -> Option<f64> {
         let acc = self.snapshot.edge(u, v)?;
         Some(self.weigher.weight(&self.snapshot, u, v, &acc))
@@ -418,8 +375,8 @@ impl IncrementalPipeline {
     }
 
     /// The pipeline's resident-footprint counters (see [`MemoryFootprint`]).
-    /// The per-structure `*_bytes` count hot state only; evicted rows
-    /// appear once, under `cold_bytes` (in-memory frames) or
+    /// The per-structure `*_bytes` count hot state only; evicted posting
+    /// lists appear once, under `cold_bytes` (in-memory frames) or
     /// `spilled_bytes` (on disk).
     pub fn footprint(&self) -> MemoryFootprint {
         let cold = self.cold_stats();
@@ -546,7 +503,7 @@ impl IncrementalPipeline {
         stats.cleaner_dirty_keys = drain.keys.len();
         stats.cleaner_removed_members = drain.removed_members.len();
         stats.cleaner_touched_profiles = drain.touched_profiles.len();
-        // Demote cold rows *after* the repair settled — eviction never
+        // Demote cold posting lists *after* the repair settled — eviction never
         // observes (or perturbs) in-flight repair state, so any budget or
         // cadence leaves the commit outcome bit-identical.
         self.enforce_residency();

@@ -13,13 +13,16 @@
 # `verify: serve == incremental == batch`.
 #
 # BLAST_THREADS (if set) flows through to the server's reader-pool sizing
-# — the CI matrix re-runs this script under BLAST_THREADS=4.
+# — the CI matrix re-runs this script under BLAST_THREADS=4. Arguments
+# after SCALE and LINGER_SECS are passed to `blast serve` as they are
+# (CI adds `--memory-budget 0 --spill` for a run under the cold tier).
 #
-# Usage: scripts/serve_smoke.sh [SCALE] [LINGER_SECS]
+# Usage: scripts/serve_smoke.sh [SCALE] [LINGER_SECS] [SERVE_ARGS...]
 set -euo pipefail
 
 SCALE="${1:-0.05}"
 LINGER="${2:-8}"
+shift $(( $# < 2 ? $# : 2 ))
 
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d)"
@@ -32,10 +35,10 @@ trap cleanup EXIT
 
 cargo build --release -q -p blast-cli
 
-echo "== serve smoke: census scale $SCALE, linger ${LINGER}s, BLAST_THREADS=${BLAST_THREADS:-unset} =="
+echo "== serve smoke: census scale $SCALE, linger ${LINGER}s, BLAST_THREADS=${BLAST_THREADS:-unset}, extra args: ${*:-none} =="
 target/release/blast serve \
     --preset census --scale "$SCALE" --batch-size 16 \
-    --port 0 --linger "$LINGER" --verify \
+    --port 0 --linger "$LINGER" --verify "$@" \
     > "$tmp/serve.out" 2> "$tmp/serve.err" &
 pid=$!
 

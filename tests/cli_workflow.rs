@@ -185,6 +185,77 @@ fn stream_command_replays_micro_batches() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--memory-budget 0 --spill`: every posting list goes cold and onto disk
+/// after every commit, and the replay still verifies against batch.
+#[test]
+fn stream_under_a_spilled_zero_budget_verifies_and_reports_the_cold_tier() {
+    let dir = temp_dir("stream-budget");
+    let d = dir.to_str().unwrap();
+    run(&s(&[
+        "generate",
+        "--preset",
+        "census",
+        "--scale",
+        "0.05",
+        "--out-dir",
+        d,
+    ]));
+    let report = run(&s(&[
+        "stream",
+        "--input",
+        &format!("{d}/data.csv"),
+        "--id-column",
+        "_id",
+        "--batch-size",
+        "16",
+        "--pruning",
+        "wep",
+        "--scheme",
+        "ecbs",
+        "--memory-budget",
+        "0",
+        "--spill",
+        "--verify",
+        "--stats",
+    ]));
+    assert!(report.contains("verify: incremental == batch"), "{report}");
+    let cold = report
+        .lines()
+        .find_map(|l| l.strip_prefix("cold tier: "))
+        .unwrap_or_else(|| panic!("no cold tier line:\n{report}"));
+    let count = |unit: &str| -> u64 {
+        let before = cold.split(&format!(" {unit}")).next().unwrap();
+        before.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    assert!(count("evictions") > 0, "{cold}");
+    assert!(count("rehydrations") > 0, "{cold}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stream_rejects_spill_without_a_budget() {
+    let dir = temp_dir("stream-spill");
+    let d = dir.to_str().unwrap();
+    run(&s(&[
+        "generate",
+        "--preset",
+        "census",
+        "--scale",
+        "0.05",
+        "--out-dir",
+        d,
+    ]));
+    let err = blast_cli::run(&s(&[
+        "stream",
+        "--input",
+        &format!("{d}/data.csv"),
+        "--spill",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("--spill requires --memory-budget"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stream_rejects_unknown_pruning() {
     let dir = temp_dir("stream-bad");

@@ -107,10 +107,10 @@ fn oscillating_hot_cold_communities() {
     );
 }
 
-/// Global-statistic drift forces tier-2 reweigh commits, whose clean-edge
-/// sweep touches *every* adjacency row — including ones the previous
-/// commit just demoted. The reweigh must rehydrate before reading, and
-/// the tier ladder itself must not shift under eviction.
+/// Global-statistic drift forces tier-2 reweigh commits while every
+/// posting list is demoted after every commit: each insert promotes the
+/// cold lists it joins before the cleaner reads them, and the tier ladder
+/// itself must not shift under eviction.
 #[test]
 fn eviction_mid_tier2_reweigh() {
     let policy = ResidencyPolicy {
@@ -144,8 +144,9 @@ fn eviction_mid_tier2_reweigh() {
 }
 
 /// CNP's per-node cardinality budget shifts as profiles grow richer; a
-/// budget move can retract an edge whose adjacency row and snapshot slots
-/// went cold commits ago.
+/// budget move re-derives every top-k list on a commit whose inserts
+/// promote the shared prefix's posting lists, demoted by the commit
+/// before.
 #[test]
 fn cnp_budget_move_touches_cold_rows() {
     let policy = ResidencyPolicy {
@@ -170,6 +171,63 @@ fn cnp_budget_move_touches_cold_rows() {
             assert_lockstep(&mut budgeted, &mut reference, i, "cnp budget move");
         }
         assert!(budgeted.cold_stats().rehydrations > 0);
+    }
+}
+
+/// `edge_weight` re-derives a weight from the snapshot's blocks under
+/// `&self`, with no prefetch call before it: a budget demotes posting
+/// lists only, so every slot the read reaches is resident. Checked bit for
+/// bit against the unbudgeted twin for every retained pair after every
+/// commit, with the frames in memory and spilled.
+#[test]
+fn edge_weight_of_every_retained_pair_needs_no_prefetch() {
+    for spill in [false, true] {
+        let policy = ResidencyPolicy {
+            budget_bytes: 0,
+            idle_commits: 0,
+            spill,
+        };
+        let (mut budgeted, mut reference) = budgeted_pair(
+            WeightingScheme::Cbs,
+            IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+            policy,
+        );
+        let mut ids: Vec<ProfileId> = Vec::new();
+        let mut checked = 0usize;
+        for step in 0..12usize {
+            let text = format!("alpha beta t{} t{}", step % 4, step % 3);
+            match step {
+                8 => {
+                    budgeted.delete(ids[1]);
+                    reference.delete(ids[1]);
+                }
+                9 | 10 => {
+                    let id = ids[step - 7];
+                    budgeted.update(id, [("text", text.as_str())]);
+                    reference.update(id, [("text", text.as_str())]);
+                }
+                _ => {
+                    let ext = format!("p{step}");
+                    ids.push(budgeted.insert(SourceId(0), &ext, [("text", text.as_str())]));
+                    reference.insert(SourceId(0), &ext, [("text", text.as_str())]);
+                }
+            }
+            assert_lockstep(&mut budgeted, &mut reference, step, "edge_weight");
+            for (u, v) in budgeted.retained().iter() {
+                let w = budgeted.edge_weight(u.0, v.0);
+                let r = reference.edge_weight(u.0, v.0);
+                assert!(w.is_some(), "retained pair ({u:?}, {v:?}) has no edge");
+                assert_eq!(
+                    w.map(f64::to_bits),
+                    r.map(f64::to_bits),
+                    "spill={spill}: weight of ({u:?}, {v:?}) diverged at commit {step}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no retained pair was read");
+        let cold = budgeted.cold_stats();
+        assert!(cold.evictions > 0 && cold.rehydrations > 0);
     }
 }
 

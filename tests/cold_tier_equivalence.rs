@@ -313,17 +313,16 @@ fn threaded_commits_match_under_budget() {
     }
 }
 
-/// The ordered weight index's deferred state under a budget. A reweigh
-/// commit of WEP/CEP leaves the treap unbuilt; with every adjacency row
-/// evicted after every commit, the read of `retained()` on that commit and
-/// the materialisation on the next dirty-tier commit both go through cold
-/// rows. Reweigh steps insert a fresh two-member block (|B| and the
-/// degrees move); the dirty step toggles `x3` in and out of block `u2`,
-/// whose members it already neighbours through `u1` (no global moves).
-/// Checked against the batch run and the unbudgeted pipeline at every
-/// commit.
+/// The ordered weight index's defer/materialise cycle under a zero budget.
+/// A reweigh commit of WEP/CEP leaves the index deferred, and the next
+/// dirty-tier commit materialises it; with every posting list evicted
+/// after every commit, both flags must match the unbudgeted pipeline's and
+/// `retained()` must match the batch run at every commit. Reweigh steps
+/// insert a fresh two-member block (|B| and the degrees move); the dirty
+/// step toggles `x3` in and out of block `u2`, whose members it already
+/// neighbours through `u1` (no global moves).
 #[test]
-fn deferred_index_reads_and_materialises_through_cold_rows() {
+fn wep_cep_defer_and_materialise_flags_and_batch_parity_under_zero_budget() {
     let seed = [
         ("r0", "alpha beta gamma"),
         ("r1", "alpha beta delta"),
@@ -357,7 +356,8 @@ fn deferred_index_reads_and_materialises_through_cold_rows() {
                 }
                 let (mut deferred, mut materialised) = (0usize, 0usize);
                 // Reweigh, reweigh, dirty — twice: built→deferred,
-                // deferred→deferred and deferred→built, all over cold rows.
+                // deferred→deferred and deferred→built, all over cold
+                // posting lists.
                 for k in 0..6usize {
                     let mut flags = [(false, false); 2];
                     for (p, flag) in both.iter_mut().zip(&mut flags) {

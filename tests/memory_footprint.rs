@@ -140,11 +140,7 @@ fn budgeted_footprint_splits_hot_and_cold_without_double_counting() {
         "zero budget must leave frames in the cold arena"
     );
     assert_eq!(fp.spilled_bytes, 0, "spill is off for this run");
-    // …and the demoted postings really left the hot index. (The snapshot's
-    // hot estimate *grows* at this scale: per-slot residency bookkeeping —
-    // a cold `FrameRef` and a touch epoch — outweighs the small census
-    // membership rows it frees; only at 10⁵–10⁶ profiles do the rows
-    // dominate. The index's posting lists are big enough to win already.)
+    // …and the demoted postings really left the hot index.
     assert!(
         fp.index_bytes < base.index_bytes,
         "eviction freed no posting bytes: {} B vs unbudgeted {} B",

@@ -8,9 +8,9 @@
 //! budget spilled} and checks, after **every** commit:
 //!
 //! - each delta weight equals, bitwise, the oracle's re-derivation from the
-//!   blocks (`IncrementalPipeline::edge_weight` after `prepare_reads`, on a
-//!   twin engine fed the same stream — the publish path itself must not
-//!   touch the engine, so the oracle runs beside it, not inside it);
+//!   blocks (`IncrementalPipeline::edge_weight`, on a twin engine fed the
+//!   same stream — the publish path itself must not touch the engine, so
+//!   the oracle runs beside it, not inside it);
 //! - the published rows of both endpoints carry that weight;
 //! - the published set is the engine's and the batch run's
 //!   ([`ServePipeline::verify_equivalence`]);
@@ -201,10 +201,6 @@ impl Twin {
         let twin = self.oracle.commit();
         assert_eq!(twin.delta.added, out.delta.added, "{label}: twin diverged");
         assert_eq!(out.delta.added.len(), out.delta.added_weights.len());
-        let endpoints: Vec<u32> = (out.delta.added.iter())
-            .flat_map(|&(a, b)| [a.0, b.0])
-            .collect();
-        self.oracle.prepare_reads(&endpoints);
         let latest = self.serve.latest();
         for ((a, b), w) in out.delta.added_weighted() {
             assert!(a < b, "{label}: unnormalised pair");
