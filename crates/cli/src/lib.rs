@@ -1,6 +1,7 @@
 //! The `blast` command-line tool: run the BLAST pipeline on CSV data,
 //! inspect the loose schema information, evaluate pair files, generate
-//! the synthetic benchmarks, and serve the candidate graph over HTTP.
+//! the synthetic benchmarks, serve the candidate graph over HTTP, and
+//! reproduce the paper's evaluation tables.
 //!
 //! ```text
 //! blast block    --d1 a.csv --d2 b.csv --out pairs.csv [--gt gt.csv] [options]
@@ -10,7 +11,8 @@
 //! blast serve    --preset census --scale 0.05 [--port 0] [--threads 4] [--linger 5]
 //! blast schema   --d1 a.csv --d2 b.csv
 //! blast evaluate --d1 a.csv --d2 b.csv --pairs pairs.csv --gt gt.csv
-//! blast generate --preset ar1 --scale 0.1 --out-dir bench-data/
+//! blast generate --preset ar1 --scale 0.1 --out-dir data/
+//! blast paper    [--scale 0.25]
 //! ```
 //!
 //! The library half exposes the commands as functions returning their
@@ -23,6 +25,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod paper;
 
 use args::Args;
 
@@ -99,6 +102,12 @@ const GENERATE_USAGE: &str = "\
   blast generate --preset ar1|ar2|prd|mov|dbp|census|cora|cddb|
                           census100k|census1m
                  [--scale 1.0] --out-dir DIR";
+
+const PAPER_USAGE: &str = "\
+  blast paper    [--scale 0.25]  (the paper's evaluation on the synthetic
+                 presets scaled by SCALE: Tables 2-7, Figures 5 and 8-10,
+                 the ablations and the matcher counts of section 4.2.2;
+                 no wall-clock column, so the report depends on SCALE only)";
 
 /// The sub-command table (dispatch, validation, usage).
 const COMMANDS: &[Command] = &[
@@ -201,6 +210,13 @@ const COMMANDS: &[Command] = &[
         usage: GENERATE_USAGE,
         run: commands::generate,
     },
+    Command {
+        name: "paper",
+        options: &["scale"],
+        flags: &[],
+        usage: PAPER_USAGE,
+        run: paper::paper,
+    },
 ];
 
 /// Entry point shared by `main` and the tests: parses `argv` (without the
@@ -268,6 +284,7 @@ mod tests {
         let out = run(&s(&["help"])).unwrap();
         assert!(out.contains("blast block"));
         assert!(out.contains("blast serve"));
+        assert!(out.contains("blast paper"));
         assert!(out.contains("BLAST_THREADS"));
     }
 
@@ -297,6 +314,17 @@ mod tests {
             assert!(block.contains("--memory-budget"), "{block}");
             assert!(block.contains("--spill"), "{block}");
         }
+    }
+
+    #[test]
+    fn paper_takes_only_a_positive_scale() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = run(&s(&["paper", "--scale", bad])).unwrap_err();
+            assert!(err.contains("--scale must be a positive number"), "{err}");
+        }
+        let err = run(&s(&["paper", "--preset", "ar1"])).unwrap_err();
+        assert!(err.contains("unknown option --preset"), "{err}");
+        assert!(err.contains("blast paper"), "scoped usage: {err}");
     }
 
     #[test]

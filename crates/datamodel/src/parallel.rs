@@ -2,20 +2,17 @@
 //!
 //! The heavy loops in this workspace — attribute-pair similarity and
 //! node-centric graph weighting — are embarrassingly parallel over disjoint
-//! index ranges. Two schedulers are provided:
+//! index ranges. One scheduler serves them all: [`parallel_work_steal`] cuts
+//! the range into many fine-grained chunks claimed off a shared atomic
+//! counter. Zipf-skewed collections concentrate the heavy nodes in a few
+//! spots, and contiguous per-thread chunking would leave most threads idle
+//! while one grinds through the hot chunk; dynamic claiming keeps every
+//! thread busy until the queue drains. [`parallel_map`] is the per-item
+//! convenience over it.
 //!
-//! * [`parallel_ranges`] — one contiguous chunk per thread. Cheapest
-//!   scheduling, fine for uniform work.
-//! * [`parallel_work_steal`] — the range is cut into many fine-grained
-//!   chunks claimed off a shared atomic counter. Zipf-skewed collections
-//!   concentrate the heavy nodes in a few spots, and contiguous chunking
-//!   then leaves most threads idle while one grinds through the hot chunk;
-//!   dynamic claiming keeps every thread busy until the queue drains.
-//!
-//! Both return per-chunk results **in chunk order**, so callers can merge
-//! deterministically regardless of thread scheduling. For
-//! [`parallel_work_steal`] the chunk geometry depends only on `len` and
-//! `chunk` — never on the thread count — so even order-sensitive merges
+//! Results come back **in chunk order**, so callers merge deterministically
+//! regardless of thread scheduling. The chunk geometry depends only on `len`
+//! and `chunk` — never on the thread count — so even order-sensitive merges
 //! (floating-point folds) are bit-identical across thread counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,39 +48,6 @@ pub fn default_threads(items: usize) -> usize {
         .unwrap_or(1);
     // Below ~4k items per thread the spawn overhead dominates.
     hw.min(items / 4096 + 1).max(1)
-}
-
-/// Splits `0..len` into at most `threads` contiguous chunks and runs
-/// `worker(chunk_range)` for each on scoped threads. Results are returned in
-/// chunk order (deterministic merge).
-pub fn parallel_ranges<R, F>(len: usize, threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 || len == 0 {
-        return vec![worker(0..len)];
-    }
-    let chunk = len.div_ceil(threads);
-    let ranges: Vec<_> = (0..len)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(len))
-        .collect();
-    let mut results: Vec<Option<R>> = Vec::with_capacity(ranges.len());
-    results.resize_with(ranges.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, range) in results.iter_mut().zip(ranges) {
-            let worker = &worker;
-            scope.spawn(move || {
-                *slot = Some(worker(range));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("worker ran"))
-        .collect()
 }
 
 /// Work-stealing chunk length for a `len`-item pass. A function of the
@@ -168,16 +132,21 @@ where
         .collect()
 }
 
-/// Parallel map over a slice: applies `f` to every element, preserving order.
+/// Parallel map over a slice: applies `f` to every element on
+/// [`parallel_work_steal`] (chunks of [`chunk_len`]), preserving order.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let chunks = parallel_ranges(items.len(), threads, |range| {
-        items[range].iter().map(&f).collect::<Vec<R>>()
-    });
+    let chunks = parallel_work_steal(
+        items.len(),
+        threads,
+        chunk_len(items.len()),
+        || (),
+        |(), range| items[range].iter().map(&f).collect::<Vec<R>>(),
+    );
     let mut out = Vec::with_capacity(items.len());
     for chunk in chunks {
         out.extend(chunk);
@@ -190,27 +159,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ranges_cover_exactly_once() {
-        let parts = parallel_ranges(100, 7, |r| r.collect::<Vec<usize>>());
-        let all: Vec<usize> = parts.into_iter().flatten().collect();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_thread_and_empty() {
-        let parts = parallel_ranges(5, 1, |r| r.len());
-        assert_eq!(parts, vec![5]);
-        let parts = parallel_ranges(0, 4, |r| r.len());
-        assert_eq!(parts, vec![0]);
-    }
-
-    #[test]
     fn map_preserves_order() {
         let data: Vec<u64> = (0..10_000).collect();
-        let doubled = parallel_map(&data, 4, |x| x * 2);
-        assert_eq!(doubled.len(), data.len());
-        for (i, v) in doubled.iter().enumerate() {
-            assert_eq!(*v, (i as u64) * 2);
+        let expected: Vec<u64> = data.iter().map(|x| x * 2).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(parallel_map(&data, threads, |x| x * 2), expected);
+            assert!(parallel_map(&data[..0], threads, |x| x * 2).is_empty());
         }
     }
 

@@ -90,13 +90,13 @@ impl ExactSum {
         }
         let bits = x.to_bits();
         let negative = (bits >> 63 == 1) != negate;
-        let exp_field = ((bits >> 52) & 0x7FF) as i32;
+        let biased_exp = ((bits >> 52) & 0x7FF) as i32;
         let frac = bits & ((1u64 << 52) - 1);
         // value = m · 2^e with m a 53-bit integer.
-        let (m, e) = if exp_field == 0 {
+        let (m, e) = if biased_exp == 0 {
             (frac, -1074)
         } else {
-            (frac | (1 << 52), exp_field - 1075)
+            (frac | (1 << 52), biased_exp - 1075)
         };
         let s = (e + BIAS) as usize; // 0 ..= 2045
         let (limb, shift) = (s / 32, s % 32);
@@ -171,11 +171,11 @@ impl ExactSum {
             }
         }
         // value = mant · 2^(msb-52-BIAS), mant ∈ [2^52, 2^53) → normal.
-        let exp_field = msb - 51; // (msb - 52 - BIAS) + 1023 + 52… = msb - 51
-        if exp_field >= 0x7FF {
+        let biased_exp = msb - 51; // (msb - 52 - BIAS) + 1023 + 52… = msb - 51
+        if biased_exp >= 0x7FF {
             return sign * f64::INFINITY;
         }
-        sign * f64::from_bits(((exp_field as u64) << 52) | (mant & ((1 << 52) - 1)))
+        sign * f64::from_bits(((biased_exp as u64) << 52) | (mant & ((1 << 52) - 1)))
     }
 }
 

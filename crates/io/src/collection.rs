@@ -27,14 +27,15 @@ pub struct CollectionReadOptions {
 /// Every header name is interned in column order (the id column's too), so
 /// attribute ids follow the header. A row with an empty id cell gets the
 /// synthetic id `row{n}`, `n` being its ordinal among the records with the
-/// header as 1; errors name the physical line a row starts on.
+/// header as 1. Every error on malformed input names a physical line: the
+/// line a faulty row starts on, or the line of the first byte that is not
+/// UTF-8.
 pub fn read_collection(
     reader: &mut impl BufRead,
     source: SourceId,
     options: &CollectionReadOptions,
 ) -> io::Result<EntityCollection> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
+    let text = csv::read_text(reader)?;
     let mut records = csv::Records::new(&text);
     let mut collection = EntityCollection::new(source);
     let Some(header) = records.next_record() else {
@@ -42,10 +43,9 @@ pub fn read_collection(
     };
     let id_idx = match &options.id_column {
         None => 0,
-        Some(name) => header
-            .iter()
-            .position(|h| h == name)
-            .ok_or_else(|| invalid_data(format!("no column named {name:?}")))?,
+        Some(name) => header.iter().position(|h| h == name).ok_or_else(|| {
+            invalid_data(format!("line {}: no column named {name:?}", header.line()))
+        })?,
     };
     let attrs: Vec<AttributeId> = header
         .iter()
@@ -195,6 +195,7 @@ p3,,2014\n";
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 1: no column named \"nope\"");
     }
 
     #[test]

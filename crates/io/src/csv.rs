@@ -234,6 +234,18 @@ pub(crate) fn invalid_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
+/// Reads all of `reader` as text. Bytes that are not UTF-8 are an
+/// [`invalid_data`] error naming the physical line of the first bad byte.
+pub(crate) fn read_text(reader: &mut impl io::Read) -> io::Result<String> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    String::from_utf8(bytes).map_err(|e| {
+        let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+        let line = 1 + valid.iter().filter(|&&b| b == b'\n').count();
+        invalid_data(format!("line {line}: invalid UTF-8"))
+    })
+}
+
 /// Quotes a field if needed.
 pub fn escape(field: &str) -> Cow<'_, str> {
     if field.contains(['"', ',', '\n', '\r']) {

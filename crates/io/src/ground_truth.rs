@@ -23,27 +23,28 @@ pub fn external_id_index(input: &ErInput) -> FastMap<(u8, Box<str>), ProfileId> 
 
 /// Reads ground truth from a headerless two-column CSV: first column =
 /// external id in source 0, second = external id in source 1 (same source
-/// for dirty inputs). Unknown ids are reported as errors.
+/// for dirty inputs). Unknown ids, short rows and bytes that are not UTF-8
+/// are errors naming their physical line.
 pub fn read_ground_truth(reader: &mut impl BufRead, input: &ErInput) -> io::Result<GroundTruth> {
     let index = external_id_index(input);
     let second_source = if input.is_clean_clean() { 1u8 } else { 0u8 };
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
+    let text = csv::read_text(reader)?;
     let mut records = csv::Records::new(&text);
     let mut gt = GroundTruth::new();
     while let Some(row) = records.next_record() {
+        let line = row.line();
         let (Some(first), Some(second)) = (row.get(0), row.get(1)) else {
             return Err(invalid_data(format!(
-                "line {}: ground-truth row needs two columns",
-                row.line()
+                "line {line}: ground-truth row needs two columns"
             )));
         };
+        let unknown = |id: &str| invalid_data(format!("line {line}: unknown id {id:?}"));
         let a = index
             .get(&(0, first.into()))
-            .ok_or_else(|| invalid_data(format!("unknown id {first:?}")))?;
+            .ok_or_else(|| unknown(first))?;
         let b = index
             .get(&(second_source, second.into()))
-            .ok_or_else(|| invalid_data(format!("unknown id {second:?}")))?;
+            .ok_or_else(|| unknown(second))?;
         gt.insert(*a, *b);
     }
     Ok(gt)
@@ -96,6 +97,7 @@ mod tests {
         let err =
             read_ground_truth(&mut BufReader::new("a1,nope\n".as_bytes()), &input).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line 1: unknown id \"nope\"");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Blocking-quality metrics (§2): Pair Completeness, Pair Quality, F1, and
-//! the Δ comparisons used throughout the evaluation (§4).
+//! Blocking-quality metrics (§2): Pair Completeness, Pair Quality and F1.
 //!
 //! PC and PQ are *surrogates* of recall and precision for block collections:
 //! PC(B) = |D_B|/|D_E| (fraction of known duplicates co-occurring in ≥1
@@ -7,13 +6,11 @@
 //! computed without enumerating comparisons: PC intersects the block lists
 //! of each ground-truth pair (profile→block index), ‖B‖ is arithmetic.
 
-pub mod delta;
 pub mod memory;
 pub mod quality;
 pub mod report;
 pub mod timing;
 
-pub use delta::{delta_pc, delta_pq};
 pub use memory::{current_rss_bytes, peak_rss_bytes};
 pub use quality::{evaluate_blocks, evaluate_pairs, BlockQuality};
 pub use report::{fmt_card, fmt_pct};

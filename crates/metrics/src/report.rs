@@ -1,5 +1,5 @@
-//! Small formatting helpers so the experiment binaries print tables in the
-//! paper's style.
+//! Small formatting helpers so `blast paper` prints tables in the paper's
+//! style.
 
 /// Formats a ratio as a percentage with `digits` decimals (e.g. `99.6`).
 pub fn fmt_pct(value: f64, digits: usize) -> String {

@@ -8,8 +8,8 @@
 //! This crate is the facade: it re-exports the workspace crates under a
 //! single namespace so applications (and the `examples/`) can depend on one
 //! crate. See `README.md` for the system inventory and `benchmark/README.md`
-//! for the measured workloads; the `exp_*` binaries of `crates/bench`
-//! regenerate the paper's tables and figures.
+//! for the measured workloads; `blast paper` (the CLI) regenerates the
+//! paper's tables and figures.
 //!
 //! ## Quick start
 //!
