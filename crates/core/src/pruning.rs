@@ -50,6 +50,22 @@
 //! compare-exchange can fold. They stay two-pass
 //! ([`blast_graph::pruning::common::node_pass`] then
 //! [`blast_graph::pruning::common::collect_edges`]).
+//!
+//! ## Static dispatch
+//!
+//! The traversal weighs every edge twice, and on the paper's pipeline that
+//! weighing is the largest single share of the prune. [`BlastPruning::prune`] and
+//! [`BlastPruning::thresholds`] are therefore generic over the weigher
+//! (`W: EdgeWeigher + ?Sized`): a caller holding a concrete weigher (the
+//! pipeline's `ChiSquaredWeigher`) gets a copy of the row loop specialised
+//! to it, in which the weight is an inlined expression rather than an
+//! out-of-line `dyn` call — and then w and w′, which read the same four
+//! contingency cells in another summation order, share their quotients. A
+//! caller holding `&dyn EdgeWeigher` instantiates `W = dyn EdgeWeigher`
+//! and runs the same body as before. Inlining across crates only happens
+//! where the callee allows it, so a weigher meant for this hot path marks
+//! its `weight` (and what it calls) `#[inline]`; without that, the
+//! specialised copy still calls the weight out of line.
 
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::GraphSnapshot;
@@ -93,7 +109,11 @@ impl BlastPruning {
     ///
     /// If the weigher reads node degrees and `ctx` has none (see
     /// [`BlastPruning::prune`]).
-    pub fn thresholds(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> Vec<f64> {
+    pub fn thresholds<W: EdgeWeigher + ?Sized>(
+        &self,
+        ctx: &GraphSnapshot,
+        weigher: &W,
+    ) -> Vec<f64> {
         self.pass(ctx, weigher).thresholds
     }
 
@@ -104,7 +124,11 @@ impl BlastPruning {
     ///
     /// If the weigher reads node degrees (EJS, or an entropy wrapper over
     /// it) and [`GraphSnapshot::ensure_degrees`] has not run on `ctx`.
-    pub fn prune(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> RetainedPairs {
+    pub fn prune<W: EdgeWeigher + ?Sized>(
+        &self,
+        ctx: &GraphSnapshot,
+        weigher: &W,
+    ) -> RetainedPairs {
         let Pass {
             thresholds,
             candidates,
@@ -122,7 +146,7 @@ impl BlastPruning {
     }
 
     /// The one traversal (see the module docs).
-    fn pass(&self, ctx: &GraphSnapshot, weigher: &dyn EdgeWeigher) -> Pass {
+    fn pass<W: EdgeWeigher + ?Sized>(&self, ctx: &GraphSnapshot, weigher: &W) -> Pass {
         assert!(
             !weigher.requires_degrees() || ctx.has_degrees(),
             "BlastPruning: the {} weigher reads node degrees; \
@@ -249,7 +273,7 @@ fn fold_max(slot: &AtomicU64, w: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::weighting::ChiSquaredWeigher;
+    use crate::weighting::{ChiSquaredWeigher, WsEntropyWeigher};
     use blast_blocking::block::Block;
     use blast_blocking::collection::BlockCollection;
     use blast_blocking::key::ClusterId;
@@ -477,15 +501,16 @@ mod tests {
     #[should_panic(expected = "ensure_degrees")]
     fn thresholds_check_degrees_on_entry() {
         let ctx = GraphSnapshot::build(&star(100)).with_threads(4);
-        let weigher = crate::weighting::WsEntropyWeigher::new(WeightingScheme::Ejs);
+        let weigher = WsEntropyWeigher::new(WeightingScheme::Ejs);
         BlastPruning::new().thresholds(&ctx, &weigher);
     }
 
     /// The one-pass prune and thresholds ≡ the two-pass reference on one
-    /// collection, for every weigher, constant pair and thread count.
-    /// Thresholds are bit-equal except for the sign of a zero maximum, and
-    /// a prune loads each edge owner's adjacency once (the separator on
-    /// clean-clean graphs, n on dirty ones).
+    /// collection, for every weigher, constant pair and thread count, both
+    /// through `&dyn EdgeWeigher` and through the concrete weigher types the
+    /// pipelines instantiate. Thresholds are bit-equal except for the sign
+    /// of a zero maximum, and a prune loads each edge owner's adjacency
+    /// once (the separator on clean-clean graphs, n on dirty ones).
     fn assert_one_pass_matches_reference(blocks: &BlockCollection) {
         let entropies: Vec<f64> = (0..blocks.len()).map(|i| (i % 4) as f64 * 0.75).collect();
         let weighers: [&dyn EdgeWeigher; 7] = [
@@ -497,6 +522,10 @@ mod tests {
             &ChiSquaredWeigher::without_entropy(),
             &ChiSquaredWeigher::new(),
         ];
+        let chi_h = ChiSquaredWeigher::new();
+        let chi = ChiSquaredWeigher::without_entropy();
+        let cbs = WeightingScheme::Cbs;
+        let ws_ejs = WsEntropyWeigher::new(WeightingScheme::Ejs);
         let owners = if blocks.is_clean_clean() {
             blocks.separator()
         } else {
@@ -509,34 +538,53 @@ mod tests {
                     ctx = ctx.with_block_entropies(entropies.clone());
                 }
                 ctx.ensure_degrees();
+                let setting = format!("threads={threads} entropies={with_entropies}");
                 for weigher in weighers {
-                    for (c, d) in [(2.0, 2.0), (1.0, 2.0), (8.0, 0.5)] {
-                        let p = BlastPruning::with_constants(c, d);
-                        let label = format!(
-                            "{} c={c} d={d} threads={threads} entropies={with_entropies}",
-                            weigher.name()
-                        );
-                        let expect = reference::prune(&p, &ctx, weigher);
-                        let before = ctx.scratch_loads();
-                        let got = p.prune(&ctx, weigher);
-                        assert_eq!(
-                            ctx.scratch_loads() - before,
-                            owners as u64,
-                            "{label}: loads"
-                        );
-                        assert_eq!(got, expect, "{label}: retained pairs");
+                    assert_matches_reference(&ctx, weigher, weigher, owners, &setting);
+                }
+                assert_matches_reference(&ctx, &chi_h, &chi_h, owners, &setting);
+                assert_matches_reference(&ctx, &chi, &chi, owners, &setting);
+                assert_matches_reference(&ctx, &cbs, &cbs, owners, &setting);
+                assert_matches_reference(&ctx, &ws_ejs, &ws_ejs, owners, &setting);
+            }
+        }
+    }
 
-                        let expect = reference::thresholds(&p, &ctx, weigher);
-                        let got = p.thresholds(&ctx, weigher);
-                        assert_eq!(got.len(), expect.len(), "{label}: threshold count");
-                        for (node, (g, e)) in got.iter().zip(&expect).enumerate() {
-                            if *e == 0.0 {
-                                assert_eq!(*g, 0.0, "{label}: θ of node {node}");
-                            } else {
-                                assert_eq!(g.to_bits(), e.to_bits(), "{label}: θ of node {node}");
-                            }
-                        }
-                    }
+    /// [`assert_one_pass_matches_reference`] for one weigher: the prune runs
+    /// instantiated at `W`, the reference through `as_dyn` (the same
+    /// weigher).
+    fn assert_matches_reference<W: EdgeWeigher + ?Sized>(
+        ctx: &GraphSnapshot,
+        weigher: &W,
+        as_dyn: &dyn EdgeWeigher,
+        owners: u32,
+        setting: &str,
+    ) {
+        for (c, d) in [(2.0, 2.0), (1.0, 2.0), (8.0, 0.5)] {
+            let p = BlastPruning::with_constants(c, d);
+            let label = format!(
+                "{} as {} c={c} d={d} {setting}",
+                weigher.name(),
+                std::any::type_name::<W>()
+            );
+            let expect = reference::prune(&p, ctx, as_dyn);
+            let before = ctx.scratch_loads();
+            let got = p.prune(ctx, weigher);
+            assert_eq!(
+                ctx.scratch_loads() - before,
+                owners as u64,
+                "{label}: loads"
+            );
+            assert_eq!(got, expect, "{label}: retained pairs");
+
+            let expect = reference::thresholds(&p, ctx, as_dyn);
+            let got = p.thresholds(ctx, weigher);
+            assert_eq!(got.len(), expect.len(), "{label}: threshold count");
+            for (node, (g, e)) in got.iter().zip(&expect).enumerate() {
+                if *e == 0.0 {
+                    assert_eq!(*g, 0.0, "{label}: θ of node {node}");
+                } else {
+                    assert_eq!(g.to_bits(), e.to_bits(), "{label}: θ of node {node}");
                 }
             }
         }

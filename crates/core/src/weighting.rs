@@ -20,6 +20,7 @@ use blast_graph::weights::{EdgeWeigher, WeightDeps, WeightingScheme};
 /// Computes Pearson's χ² for the contingency table with n₁₁ = `common`,
 /// marginals `bu` = |B_u|, `bv` = |B_v| and total `n` = |B|. Cells with zero
 /// expected count contribute nothing.
+#[inline]
 pub fn chi_squared(common: f64, bu: f64, bv: f64, n: f64) -> f64 {
     if n <= 0.0 {
         return 0.0;
@@ -76,6 +77,7 @@ impl ChiSquaredWeigher {
 }
 
 impl EdgeWeigher for ChiSquaredWeigher {
+    #[inline]
     fn weight(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64 {
         let common = acc.common_blocks as f64;
         let bu = ctx.node_blocks(u) as f64;
@@ -129,6 +131,7 @@ impl WsEntropyWeigher {
 }
 
 impl EdgeWeigher for WsEntropyWeigher {
+    #[inline]
     fn weight(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64 {
         let base = self.scheme.weight(ctx, u, v, acc);
         let h = acc.entropy_sum / acc.common_blocks as f64;

@@ -8,23 +8,38 @@
 //! node outgrew the table.
 //!
 //! [`NodeScratch`] replaces the map with a *dense scratch array*: each
-//! worker thread owns a `Vec<EdgeAccum>` sized to the profile count plus a
-//! `touched` list of the neighbour ids hit while scanning the current node.
-//! A neighbour update is then two direct array writes (`accum[v] += …`, and
-//! a push onto `touched` the first time `v` is seen), and only the small
-//! touched list is sorted to give the deterministic ascending-neighbour
-//! order the float accumulation and tie-breaking rely on.
+//! worker thread owns a `Vec<EdgeAccum>` sized to the profile count, a
+//! one-bit-per-profile `seen` bitmap, and a `touched` list of the neighbour
+//! ids hit while scanning the current node. A neighbour update is then
+//! direct array writes (`accum[v] += …`, and — the first time `v` is seen
+//! — a push onto `touched` and one bit set in `seen`).
+//!
+//! ## Row order
+//!
+//! A loaded row is emitted in ascending neighbour order, the order the
+//! float folds and tie-breaking downstream rely on. Which of two ways
+//! produces it is decided per row from the input alone: a row of `len`
+//! neighbours costs `len · ⌈log₂ len⌉` to sort and `words = ⌈n/64⌉` word
+//! reads to recover from the bitmap (n the snapshot's profile count). A row
+//! with `len · ⌈log₂ len⌉ > words` — a hub — is rebuilt by scanning the
+//! bitmap's words in order and clearing each; a smaller row is sorted, and
+//! then its bits are cleared word by word. Both give the same list, and
+//! neither changes the order blocks are accumulated in, so every
+//! [`EdgeAccum`] is the same whichever way its row was ordered.
 //!
 //! ## The scratch-reset invariant
 //!
 //! Between nodes the engine **never clears the whole array** — that would
 //! be O(|profiles|) per node and defeat the point. Instead it maintains the
 //! invariant that *every slot not listed in `touched` holds
-//! `EdgeAccum::default()`*: [`NodeScratch::load`] starts by resetting
-//! exactly the slots its previous node touched, so each load pays O(degree)
-//! regardless of the profile count. "Is this neighbour new?" is answered by
-//! `common_blocks == 0`, which is safe because every update increments
-//! `common_blocks` — a touched slot can never look untouched.
+//! `EdgeAccum::default()`, and the `seen` bitmap is all-zero between
+//! loads*: [`NodeScratch::load`] starts by resetting exactly the slots its
+//! previous node touched, and clears every bit it set before it returns, so
+//! each load pays O(degree) — or O(n/64) for a hub row, which its sort
+//! would have cost more — regardless of the profile count. "Is this
+//! neighbour new?" is answered by `common_blocks == 0`, which is safe
+//! because every update increments `common_blocks` — a touched slot can
+//! never look untouched.
 //!
 //! Accumulation visits blocks in ascending block-id order (the
 //! profile→block index keeps each profile's block list sorted), the order the
@@ -54,6 +69,9 @@ use std::sync::Mutex;
 pub struct NodeScratch {
     /// One accumulator slot per profile; all-default except touched slots.
     accum: Vec<EdgeAccum>,
+    /// One bit per profile (`⌈accum.len()/64⌉` words): set while a load
+    /// collects its neighbours, all-zero between loads.
+    seen: Vec<u64>,
     /// Neighbour ids of the currently loaded node, sorted ascending after
     /// [`NodeScratch::load`] returns.
     touched: Vec<u32>,
@@ -71,6 +89,7 @@ impl NodeScratch {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             accum: vec![EdgeAccum::default(); n],
+            seen: vec![0; n.div_ceil(64)],
             touched: Vec::new(),
             loads: 0,
         }
@@ -96,6 +115,7 @@ impl NodeScratch {
         // A poisoned pool is treated as empty, here and on return.
         let pooled = SCRATCH_POOL.lock().ok().and_then(|mut pool| pool.pop());
         let mut scratch = match pooled {
+            // `accum` and `seen` grow and shrink together.
             Some(s) if !(s.accum.len() > SHRINK_FLOOR && s.accum.len() / 4 > n) => s,
             _ => NodeScratch::with_capacity(n),
         };
@@ -107,11 +127,12 @@ impl NodeScratch {
         }
     }
 
-    /// Grows the scratch to cover at least `n` profiles (new slots default,
-    /// preserving the reset invariant).
+    /// Grows the scratch to cover at least `n` profiles (new slots default
+    /// and new bits clear, preserving the reset invariant).
     fn ensure_capacity(&mut self, n: usize) {
         if self.accum.len() < n {
             self.accum.resize(n, EdgeAccum::default());
+            self.seen.resize(n.div_ceil(64), 0);
         }
     }
 
@@ -137,13 +158,36 @@ impl NodeScratch {
                 let e = &mut self.accum[p.0 as usize];
                 if e.common_blocks == 0 {
                     self.touched.push(p.0);
+                    self.seen[(p.0 >> 6) as usize] |= 1 << (p.0 & 63);
                 }
                 e.common_blocks += 1;
                 e.arcs += inv;
                 e.entropy_sum += ent;
             }
         }
-        self.touched.sort_unstable();
+        self.order_row((ctx.total_profiles() as usize).div_ceil(64));
+    }
+
+    /// Puts `touched` in ascending order and clears the bits the load set
+    /// (see "Row order" in the module docs); every neighbour id lies in the
+    /// first `words` words of `seen`.
+    fn order_row(&mut self, words: usize) {
+        let len = self.touched.len();
+        if len * len.next_power_of_two().trailing_zeros() as usize > words {
+            self.touched.clear();
+            for (i, word) in self.seen.iter_mut().take(words).enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    self.touched.push(((i as u32) << 6) | bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.touched.sort_unstable();
+            for &v in &self.touched {
+                self.seen[(v >> 6) as usize] = 0;
+            }
+        }
     }
 
     /// Number of neighbours of the loaded node.
@@ -359,8 +403,9 @@ mod tests {
     }
 
     /// A pooled scratch that served a small snapshot is grown — not
-    /// replaced — for a larger one, and still yields exactly the adjacency
-    /// a fresh scratch does, stale slots of its earlier life included.
+    /// replaced — for a larger one, bitmap included, and still yields
+    /// exactly the adjacency a fresh scratch does, stale slots of its
+    /// earlier life included, on rows of both orderings.
     #[test]
     fn leased_scratch_reused_after_growth_matches_fresh() {
         let small = BlockCollection::new(
@@ -369,14 +414,21 @@ mod tests {
             3,
             3,
         );
+        // 200 profiles: 4 bitmap words. Nodes 0, 2, 7, … have rows of 6–7
+        // neighbours (read off the bitmap); node 11's row of 2 is sorted.
         let large = BlockCollection::new(
             vec![
-                Block::new("l0", ClusterId::GLUE, ids(&[0, 2, 7, 9]), u32::MAX),
+                Block::new(
+                    "l0",
+                    ClusterId::GLUE,
+                    ids(&[0, 2, 7, 9, 64, 130, 199]),
+                    u32::MAX,
+                ),
                 Block::new("l1", ClusterId::GLUE, ids(&[2, 9, 11]), u32::MAX),
             ],
             false,
-            12,
-            12,
+            200,
+            200,
         );
         let small_ctx = GraphSnapshot::build(&small);
         let large_ctx = GraphSnapshot::build(&large);
@@ -386,7 +438,9 @@ mod tests {
         let mut reused = NodeScratch::new(&small_ctx);
         reused.load(&small_ctx, 1);
         assert_eq!(reused.len(), 2, "slots 0 and 2 are now stale");
+        assert_eq!(reused.seen.len(), 1);
         reused.ensure_capacity(large_ctx.total_profiles() as usize);
+        assert_eq!(reused.seen.len(), 4, "the bitmap grew with the slots");
         let mut fresh = NodeScratch::new(&large_ctx);
         for node in 0..large_ctx.total_profiles() {
             reused.load(&large_ctx, node);
@@ -394,6 +448,8 @@ mod tests {
             let a: Vec<(u32, EdgeAccum)> = reused.iter().collect();
             let b: Vec<(u32, EdgeAccum)> = fresh.iter().collect();
             assert_eq!(a, b, "adjacency of node {node}");
+            assert_eq!(a, reference_adjacency(&large_ctx, node), "node {node}");
+            assert!(reused.seen.iter().all(|&w| w == 0), "bits left by {node}");
         }
 
         // And through the pool itself: whatever scratch a lease hands out,
@@ -402,7 +458,11 @@ mod tests {
         drop(NodeScratch::lease(&small_ctx));
         let before = large_ctx.scratch_loads();
         let pooled = collect_weighted_edges(&large_ctx, &WeightingScheme::Arcs);
-        assert_eq!(large_ctx.scratch_loads() - before, 12, "one load per owner");
+        assert_eq!(
+            large_ctx.scratch_loads() - before,
+            200,
+            "one load per owner"
+        );
         let mut direct = Vec::new();
         for u in 0..large_ctx.total_profiles() {
             fresh.load(&large_ctx, u);
@@ -493,6 +553,74 @@ mod tests {
                 .collect();
             let collection = BlockCollection::new(blocks, true, separator, 20);
             assert_scratch_matches_reference(&collection, None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Both row orderings ≡ the hashmap reference, bit-exact, on an id
+        /// space of 2 048 (32 bitmap words): a hub block of ≥ 100 members
+        /// gives rows read off the bitmap, sparse blocks give sorted ones.
+        /// One scratch alternates hub row → small row → hub row, so a bit
+        /// or slot left over from either kind would show in the next.
+        #[test]
+        fn prop_hub_and_sparse_rows_equal_hashmap(
+            hub in proptest::collection::btree_set(0u32..2048, 100..160),
+            mut sparse in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..2048, 2..5), 0..40),
+        ) {
+            // At least one small row: a pair outside the hub.
+            sparse.push((0..2048).filter(|p| !hub.contains(p)).take(2).collect());
+            let mut blocks = vec![Block::new(
+                "hub",
+                ClusterId::GLUE,
+                hub.iter().map(|&p| ProfileId(p)).collect(),
+                u32::MAX,
+            )];
+            blocks.extend(sparse.iter().enumerate().map(|(i, set)| Block::new(
+                format!("s{i}"),
+                ClusterId::GLUE,
+                set.iter().map(|&p| ProfileId(p)).collect(),
+                u32::MAX,
+            )));
+            let entropies: Vec<f64> = (0..blocks.len()).map(|i| 0.5 + i as f64 * 0.25).collect();
+            let collection = BlockCollection::new(blocks, false, 2048, 2048);
+            let ctx = GraphSnapshot::build(&collection).with_block_entropies(entropies);
+            let words = 2048usize.div_ceil(64);
+            let bitmap_row = |len: usize| len * len.next_power_of_two().trailing_zeros() as usize > words;
+
+            let hub_rows: Vec<u32> = hub.iter().copied().collect();
+            let small_rows: Vec<u32> = sparse.iter().flatten().copied()
+                .filter(|p| !hub.contains(p))
+                .collect();
+            let mut order = Vec::new();
+            for (k, &s) in small_rows.iter().enumerate() {
+                order.extend([hub_rows[k % hub_rows.len()], s]);
+            }
+            order.push(hub_rows[0]);
+
+            let mut scratch = NodeScratch::new(&ctx);
+            let (mut from_bitmap, mut sorted) = (0, 0);
+            for node in order {
+                scratch.load(&ctx, node);
+                let dense: Vec<(u32, EdgeAccum)> = scratch.iter().collect();
+                if bitmap_row(dense.len()) {
+                    from_bitmap += 1;
+                } else if !dense.is_empty() {
+                    sorted += 1;
+                }
+                prop_assert!(scratch.seen.iter().all(|&w| w == 0), "bits left by {}", node);
+                let reference = reference_adjacency(&ctx, node);
+                prop_assert_eq!(dense.len(), reference.len(), "row length of {}", node);
+                for (&(dv, da), &(rv, ra)) in dense.iter().zip(&reference) {
+                    prop_assert_eq!(dv, rv, "neighbours of {}", node);
+                    prop_assert_eq!(da.common_blocks, ra.common_blocks);
+                    prop_assert_eq!(da.arcs.to_bits(), ra.arcs.to_bits());
+                    prop_assert_eq!(da.entropy_sum.to_bits(), ra.entropy_sum.to_bits());
+                }
+            }
+            prop_assert!(from_bitmap > 0 && sorted > 0, "{} bitmap rows, {} sorted", from_bitmap, sorted);
         }
     }
 }

@@ -51,7 +51,13 @@ impl WeightDeps {
 
 /// Computes the weight of one edge from its accumulator and the graph
 /// context. Implemented by the five traditional schemes here and by
-/// `blast-core`'s χ²·entropy weigher.
+/// `blast-core`'s two weighers: `ChiSquaredWeigher` (BLAST's χ²·h, or plain
+/// χ²) and `WsEntropyWeigher` (a traditional scheme scaled by h).
+///
+/// A pass generic over `W: EdgeWeigher + ?Sized` (BLAST's prune) inlines a
+/// concrete weigher's `weight` into its row loop when the implementation
+/// is marked `#[inline]`, as every weigher in this workspace is; through
+/// `&dyn EdgeWeigher` each weight is one out-of-line call.
 ///
 /// ## The factored-weight contract
 ///
@@ -128,6 +134,7 @@ impl WeightingScheme {
 }
 
 impl EdgeWeigher for WeightingScheme {
+    #[inline]
     fn weight(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64 {
         match self {
             WeightingScheme::Arcs => acc.arcs,

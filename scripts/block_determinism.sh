@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Batch determinism on the CLI path: the pairs `blast block` (clean-clean)
-# and `blast dedup` (dirty) write must be byte-identical whatever the
-# number of worker threads.
+# and `blast dedup` (dirty) write, and the report `blast paper` prints,
+# must be byte-identical whatever the number of worker threads.
 #
 # Generates the ar1 preset, runs `blast block` on its two sources and
 # `blast dedup` on its first source, each under BLAST_THREADS=1 and
-# BLAST_THREADS=4, and `cmp`s the pair files: any difference fails.
+# BLAST_THREADS=4, and `cmp`s the pair files: any difference fails. Then
+# runs `blast paper --scale 0.02` (every pruning × weigher the paper
+# reports, on all eight datasets; id spaces wide enough that the loader
+# orders rows both by sort and by bitmap) at 1 and 4 threads and `cmp`s
+# the two reports.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
 set -euo pipefail
@@ -33,3 +37,11 @@ for kind in block dedup; do
     cmp "$tmp/$kind-1.csv" "$tmp/$kind-4.csv"
     echo "$kind: $(wc -l < "$tmp/$kind-1.csv") lines, identical at 1 and 4 threads"
 done
+
+echo "== paper determinism: scale 0.02, 1 vs 4 threads =="
+for t in 1 4; do
+    BLAST_THREADS=$t "$blast" paper --scale 0.02 > "$tmp/paper-$t.txt"
+done
+test -s "$tmp/paper-1.txt"
+cmp "$tmp/paper-1.txt" "$tmp/paper-4.txt"
+echo "paper: $(wc -l < "$tmp/paper-1.txt") lines, identical at 1 and 4 threads"
