@@ -9,14 +9,14 @@
 //! wide fixed-point register (a "superaccumulator" covering the full
 //! finite `f64` range), and [`ExactSum::round`] returns the correctly
 //! rounded (nearest-even) `f64` of the exact total. Because the register
-//! arithmetic is integer, addition and subtraction commute and associate:
-//! a sum maintained by deltas is bit-identical to one built from scratch
-//! over any ordering of the same multiset — the property the incremental
-//! decision stage's running Σw relies on, and the reason the batch
-//! [`crate::pruning::Wep`] threshold uses the same accumulator.
+//! arithmetic is integer, addition commutes and associates: the total is
+//! bit-identical over any ordering of the same multiset — so the batch
+//! [`crate::pruning::Wep`] threshold and the incremental decision stage's
+//! Σw, restated from its own edge rows, agree whatever order either reads
+//! the weights in.
 //!
-//! Costs: ~3 limb updates per [`ExactSum::add`]/[`ExactSum::sub`], 544
-//! bytes of state, and an O(68-limb) carry pass per [`ExactSum::round`].
+//! Costs: ~3 limb updates per [`ExactSum::add`], 544 bytes of state, and
+//! an O(68-limb) carry pass per [`ExactSum::round`].
 
 /// Base-2³² limbs spanning 2¯¹⁰⁷⁴ … 2⁹⁷¹·2⁵³ plus carry headroom.
 const LIMBS: usize = 68;
@@ -66,30 +66,13 @@ impl ExactSum {
     }
 
     /// Adds `x` exactly. `x` must be finite.
-    #[inline]
     pub fn add(&mut self, x: f64) {
-        self.accumulate(x, false);
-    }
-
-    /// Subtracts `x` exactly. `x` must be finite.
-    #[inline]
-    pub fn sub(&mut self, x: f64) {
-        self.accumulate(x, true);
-    }
-
-    /// Resets to zero.
-    pub fn clear(&mut self) {
-        self.limbs = [0; LIMBS];
-        self.pending = 0;
-    }
-
-    fn accumulate(&mut self, x: f64, negate: bool) {
         debug_assert!(x.is_finite(), "ExactSum over finite values only");
         if x == 0.0 {
             return;
         }
         let bits = x.to_bits();
-        let negative = (bits >> 63 == 1) != negate;
+        let negative = bits >> 63 == 1;
         let biased_exp = ((bits >> 52) & 0x7FF) as i32;
         let frac = bits & ((1u64 << 52) - 1);
         // value = m · 2^e with m a 53-bit integer.
@@ -122,7 +105,7 @@ impl ExactSum {
 
     /// The correctly rounded (round-to-nearest, ties-to-even) `f64` of the
     /// exact total. Deterministic in the accumulated multiset alone —
-    /// independent of add/sub order and of intermediate states.
+    /// independent of add order and of intermediate states.
     pub fn round(&self) -> f64 {
         let mut l = self.limbs;
         normalize(&mut l);
@@ -206,30 +189,23 @@ mod tests {
     fn small_integers_are_exact() {
         let mut s = ExactSum::new();
         let mut reference = 0i64;
-        for (i, v) in [3i64, -7, 1 << 40, -(1 << 39), 12345, -3]
-            .iter()
-            .enumerate()
-        {
-            if i % 2 == 0 {
-                s.add(*v as f64);
-                reference += v;
-            } else {
-                s.sub(-*v as f64);
-                reference += v;
-            }
+        for v in [3i64, -7, 1 << 40, -(1 << 39), 12345, -3] {
+            s.add(v as f64);
+            reference += v;
         }
         assert_eq!(s.round(), reference as f64);
     }
 
     #[test]
     fn add_then_sub_cancels_bitwise() {
+        // Subtraction is the addition of the negation.
         let mut s = ExactSum::new();
         for v in [0.1, 1e300, 5e-320, -2.5, 1e-17] {
             s.add(v);
         }
         s.add(42.0);
         for v in [0.1, 1e300, 5e-320, -2.5, 1e-17] {
-            s.sub(v);
+            s.add(-v);
         }
         assert_eq!(s.round().to_bits(), 42.0f64.to_bits());
     }
@@ -258,7 +234,7 @@ mod tests {
         let mut s = ExactSum::new();
         s.add(1e16);
         s.add(1e-3);
-        s.sub(1e16);
+        s.add(-1e16);
         assert_eq!(s.round().to_bits(), 1e-3f64.to_bits());
     }
 
@@ -309,7 +285,7 @@ mod tests {
                 let mut kept: Vec<(i32, i8)> = Vec::new();
                 for (i, &(m, e)) in parts.iter().enumerate() {
                     if removals.get(i).copied().unwrap_or(0) == 1 {
-                        s.sub(value(m, e));
+                        s.add(-value(m, e));
                     } else {
                         kept.push((m, e));
                     }

@@ -81,7 +81,7 @@ impl EpochMask {
 /// equality of the batch deciders. Composed with an ascending `(u, v)`
 /// tie-break this is the total retention order shared by CEP's top-K (rank
 /// prefix of length K) and WEP's threshold (rank prefix up to the mean) —
-/// the key order of the incremental ordered weight index.
+/// the key order of the incremental decision stage's retention frontier.
 #[inline]
 pub fn weight_rank_bits(w: f64) -> u64 {
     debug_assert!(!w.is_nan(), "no NaN weights");
@@ -287,38 +287,13 @@ pub fn ordered_emission<T, K: Ord>(
     out
 }
 
-/// Materialises exactly the weighted edges with at least one endpoint in the
-/// marked set (the dirty-neighbourhood counterpart of
-/// [`collect_weighted_edges`]): each such edge appears once, in canonical
-/// owner orientation, sorted ascending by `(u, v)`, with the weight computed
-/// from the same accumulation path as the full pass (bit-identical).
-///
-/// A convenience wrapper over [`touching_pass`] for tests and diagnostics;
-/// `nodes` and `mask` as there.
-pub fn collect_edges_touching(
-    ctx: &GraphSnapshot,
-    weigher: &dyn EdgeWeigher,
-    nodes: &[u32],
-    mask: &EpochMask,
-) -> Vec<(u32, u32, f64)> {
-    touching_pass(
-        ctx,
-        weigher,
-        nodes,
-        mask,
-        |u, v, w, _| (u, v, w),
-        |e| (e.0, e.1),
-        NO_ARTEFACT,
-    )
-    .edges
-}
-
 /// "No artefacts" for [`touching_pass`], with the type spelled out.
 const NO_ARTEFACT: Option<ArtefactFn> = None;
 type ArtefactFn = fn(u32, &[(u32, f64)]);
 
-/// Like [`collect_edges_touching`] but returns the raw accumulators instead
-/// of weights — [`touching_pass`] for a weigher that cannot run yet: a
+/// The edges with at least one endpoint in the marked set, as raw
+/// accumulators instead of weights — [`touching_pass`] for a weigher that
+/// cannot run yet: a
 /// degree-reading scheme (EJS) must diff edge existence and patch the
 /// snapshot's degrees *between* accumulation and weighing, so its repair
 /// takes the accumulators here, weighs afterwards, and reads its per-node
@@ -425,6 +400,32 @@ mod tests {
 
     fn ids(v: &[u32]) -> Vec<ProfileId> {
         v.iter().map(|&i| ProfileId(i)).collect()
+    }
+
+    /// Materialises exactly the weighted edges with at least one endpoint in the
+    /// marked set (the dirty-neighbourhood counterpart of
+    /// [`collect_weighted_edges`]): each such edge appears once, in canonical
+    /// owner orientation, sorted ascending by `(u, v)`, with the weight computed
+    /// from the same accumulation path as the full pass (bit-identical).
+    ///
+    /// A convenience wrapper over [`touching_pass`]; `nodes` and `mask` as
+    /// there.
+    fn collect_edges_touching(
+        ctx: &GraphSnapshot,
+        weigher: &dyn EdgeWeigher,
+        nodes: &[u32],
+        mask: &EpochMask,
+    ) -> Vec<(u32, u32, f64)> {
+        touching_pass(
+            ctx,
+            weigher,
+            nodes,
+            mask,
+            |u, v, w, _| (u, v, w),
+            |e| (e.0, e.1),
+            NO_ARTEFACT,
+        )
+        .edges
     }
 
     /// The two-pass, sort-everything repair primitives [`touching_pass`]

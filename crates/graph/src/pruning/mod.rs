@@ -38,8 +38,8 @@ pub enum NodeCentricMode {
 
 impl NodeCentricMode {
     /// How many of the two per-endpoint acceptances an edge needs: the
-    /// retention threshold of the incremental CNP containment counters
-    /// (pair retained ⟺ listings ≥ this).
+    /// retention threshold of incremental CNP's listing counts (pair
+    /// retained ⟺ listings ≥ this).
     #[inline]
     pub fn required_listings(&self) -> u8 {
         match self {

@@ -1,51 +1,28 @@
-//! Delta-aware decision structures: the per-commit state that lets the
-//! pruning *decisions* — not just the artefact maintenance — run in time
-//! proportional to the dirty neighbourhood plus the retention flips.
+//! The decision stage's state: the retention order of the edge-centric
+//! rules and the live-edge adjacency every commit decides off.
 //!
 //! Meta-blocking's pruning decisions are simple functionals over edge
 //! weights (a global mean for WEP, a global top-K for CEP, per-node top-k
-//! containment for CNP), so they admit incremental maintenance through
-//! order-statistic and threshold-crossing structures:
+//! lists for CNP). The edge-centric ones are **prefixes** of one total
+//! order, the [`EdgeKey`] order, captured as a [`Frontier`]: WEP's falls out
+//! of [`blast_graph::pruning::Wep::mean_from_sum`] over Σw restated exactly
+//! from the live weights, CEP's is the rank-K key found by selection over
+//! the live keys. A commit decides every edge it can see flip explicitly —
+//! old key against the old frontier, new key against the new one — so no
+//! ordered structure is kept between commits.
 //!
-//! * [`OrderedWeightIndex`] — the live edge list as a `BTreeMap` keyed by
-//!   `(weight rank bits, u, v)` (descending weight, ascending `(u, v)`
-//!   among bit-exact ties — precisely the batch tie-break order), with a
-//!   running exact Σw. WEP's threshold falls out of
-//!   [`blast_graph::pruning::Wep::mean_from_sum`] over the maintained sum;
-//!   CEP's cutoff is the rank-K key, walked to from the previous cutoff
-//!   ([`OrderedWeightIndex::select`]). Both retention rules are
-//!   **prefixes** of the key order, captured as a [`Frontier`]; when a
-//!   commit moves the frontier, the clean edges whose retention flips are
-//!   exactly the keys *between* the old and new frontier — one map range
-//!   ([`OrderedWeightIndex::for_each_between`]) in O(log |E| + flips),
-//!   never a re-scan of the edge list. The map is a **lazily materialised
-//!   view**: Σw and the edge count are always current, but a commit that
-//!   decides every edge explicitly (the reweigh tier) reads no order at
-//!   all, so it drops the map ([`OrderedWeightIndex::defer`]) and the next
-//!   commit that needs band enumeration builds it once from the adjacency
-//!   rows ([`OrderedWeightIndex::materialise`]).
-//! * [`EdgeAdjacency`] — per-node rows of `(neighbour, weight)` for every
-//!   live edge, so a commit can enumerate the *old* dirty-incident edges
-//!   (and their old weights, needed to unkey them from the ordered index)
-//!   without touching clean rows.
-//! * [`ContainmentIndex`] — CNP's per-pair containment counter (how many
-//!   of the two endpoints list the other in their top-k, 0/1/2), updated
-//!   only from dirty nodes' list diffs; redefined CNP retains count ≥ 1,
-//!   reciprocal count = 2, so retention flips are counter threshold
-//!   crossings.
+//! [`EdgeAdjacency`] holds per-node rows of `(neighbour, weight,
+//! accumulator)` for every live edge: a commit enumerates the *old*
+//! dirty-incident edges and their old weights off it without touching
+//! clean rows, and the reweigh tier re-derives the clean weights from it.
 //!
-//! Everything here is deterministic: every traversal runs in key order, a
-//! function of the key *set*, independent of insertion history.
+//! Everything here is deterministic: every traversal runs in row order, a
+//! function of the live edge *set*, independent of insertion history.
 
-use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
-use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
-use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
-use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// The total retention order of the decision stage: ascending `rank` is
 /// descending weight (see [`weight_rank_bits`]), ties broken by ascending
@@ -93,239 +70,6 @@ pub type Frontier = Option<EdgeKey>;
 #[inline]
 pub fn retained_under(frontier: Frontier, key: EdgeKey) -> bool {
     frontier.is_some_and(|f| key <= f)
-}
-
-/// Where a fresh [`OrderedWeightIndex::select`] cursor starts: no key
-/// orders before the all-zero key, so zero keys precede it.
-const CURSOR_START: (EdgeKey, usize) = (
-    EdgeKey {
-        rank: 0,
-        u: 0,
-        v: 0,
-    },
-    0,
-);
-
-/// The live edge list as an ordered map over [`EdgeKey`] with a running
-/// exact weight sum (see module docs). Σw and `len` describe the live edge
-/// set at all times; the map itself may be absent
-/// ([`OrderedWeightIndex::is_built`]), in which case only those two
-/// aggregates can be read.
-#[derive(Debug)]
-pub struct OrderedWeightIndex {
-    map: BTreeMap<EdgeKey, f64>,
-    /// A key and the exact number of map keys ordered before it: the last
-    /// [`OrderedWeightIndex::select`] answer, kept exact by every insert
-    /// and remove below it (the key itself may since have been removed).
-    cursor: (EdgeKey, usize),
-    sum: ExactSum,
-    len: usize,
-    /// Whether the map holds the live edge set (false = deferred).
-    built: bool,
-}
-
-impl Default for OrderedWeightIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OrderedWeightIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        Self {
-            map: BTreeMap::new(),
-            cursor: CURSOR_START,
-            sum: ExactSum::new(),
-            len: 0,
-            built: true,
-        }
-    }
-
-    /// Whether the map is present. A deferred index answers
-    /// [`OrderedWeightIndex::sum`] and [`OrderedWeightIndex::len`] only;
-    /// the order queries panic until it is materialised.
-    #[inline]
-    pub fn is_built(&self) -> bool {
-        self.built
-    }
-
-    /// Drops the map and restates the aggregates from the live edge
-    /// weights: what a commit that decides every edge explicitly does
-    /// instead of re-keying. The exact accumulator is order-free, so Σw is
-    /// bit-identical to the one a key-by-key maintained index holds. While
-    /// deferred, [`OrderedWeightIndex::insert`] and
-    /// [`OrderedWeightIndex::remove`] keep the aggregates current.
-    pub fn defer(&mut self, weights: impl IntoIterator<Item = f64>) {
-        self.map.clear();
-        self.cursor = CURSOR_START;
-        self.built = false;
-        let mut len = 0;
-        self.sum = ExactSum::of(weights.into_iter().inspect(|_| len += 1));
-        self.len = len;
-    }
-
-    /// Builds the map of a deferred index from the live edge list its
-    /// aggregates describe (any order), through
-    /// [`OrderedWeightIndex::rebuild`].
-    pub fn materialise(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
-        debug_assert!(!self.built, "materialising a built index");
-        let deferred = (self.sum.round().to_bits(), self.len);
-        self.rebuild(edges);
-        debug_assert_eq!(
-            (self.sum.round().to_bits(), self.len),
-            deferred,
-            "the materialised edge set must be the one the deferred aggregates describe"
-        );
-    }
-
-    #[inline]
-    fn assert_built(&self) {
-        assert!(self.built, "order query on a deferred index");
-    }
-
-    /// Number of live edges.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the graph has no edges.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Estimated resident heap footprint in bytes: the map's entries (node
-    /// headers and slack not counted) — nothing while deferred.
-    pub fn resident_bytes(&self) -> usize {
-        self.map.len() * std::mem::size_of::<(EdgeKey, f64)>()
-    }
-
-    /// The exactly accumulated Σw over the live edges.
-    #[inline]
-    pub fn sum(&self) -> &ExactSum {
-        &self.sum
-    }
-
-    /// Drops every edge (the degraded-full rebuild path).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.cursor = CURSOR_START;
-        self.sum.clear();
-        self.len = 0;
-        self.built = true;
-    }
-
-    /// Rebuilds the whole index from an edge list (any order) — the bulk
-    /// path of the degraded-full tier and of materialisation: one sort and
-    /// a bulk load instead of n inserts.
-    pub fn rebuild(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
-        self.clear();
-        let (sum, mut len) = (&mut self.sum, 0);
-        self.map = edges
-            .into_iter()
-            .map(|(u, v, w)| {
-                sum.add(w);
-                len += 1;
-                (EdgeKey::new(u, v, w), w)
-            })
-            .collect();
-        debug_assert_eq!(self.map.len(), len, "duplicate edge key");
-        self.len = len;
-    }
-
-    /// Inserts the edge `(u, v)` at weight `w`. The key must not be
-    /// present (each live edge appears once). O(log |E|).
-    pub fn insert(&mut self, u: u32, v: u32, w: f64) {
-        self.sum.add(w);
-        self.len += 1;
-        if !self.built {
-            return;
-        }
-        let key = EdgeKey::new(u, v, w);
-        let previous = self.map.insert(key, w);
-        debug_assert!(previous.is_none(), "duplicate edge key");
-        if key < self.cursor.0 {
-            self.cursor.1 += 1;
-        }
-    }
-
-    /// Removes the edge `(u, v)` that was inserted at weight `w` (the old
-    /// weight keys it). Panics in debug builds when absent (a deferred
-    /// index has no map to check against). O(log |E|).
-    pub fn remove(&mut self, u: u32, v: u32, w: f64) {
-        if self.built {
-            let key = EdgeKey::new(u, v, w);
-            let removed = self.map.remove(&key).is_some();
-            debug_assert!(removed, "removing an edge that is not indexed");
-            if !removed {
-                return;
-            }
-            if key < self.cursor.0 {
-                self.cursor.1 -= 1;
-            }
-        }
-        self.sum.sub(w);
-        self.len -= 1;
-    }
-
-    /// The key at 0-based `rank` in the retention order (rank 0 = heaviest
-    /// edge, best `(u, v)`), or `None` past the end — CEP's cutoff. Walks
-    /// from the previous answer in O(log |E| + distance): the distance is
-    /// the move of `rank` plus the net keys inserted or removed before the
-    /// previous answer, which on the dirty tier are the commit's own
-    /// re-keys.
-    pub fn select(&mut self, rank: usize) -> Option<EdgeKey> {
-        self.assert_built();
-        if rank >= self.len {
-            return None;
-        }
-        let (at, before) = self.cursor;
-        let (&key, _) = if rank >= before {
-            self.map.range(at..).nth(rank - before)
-        } else {
-            self.map.range(..at).nth_back(before - 1 - rank)
-        }?;
-        self.cursor = (key, rank);
-        Some(key)
-    }
-
-    /// Number of keys ≤ `bound` (the size of a retention prefix).
-    /// O(prefix): only debug assertions and tests read it.
-    pub fn prefix_len(&self, bound: EdgeKey) -> usize {
-        self.assert_built();
-        self.map.range(..=bound).count()
-    }
-
-    /// Visits every edge with `lo < key ≤ hi` in key order — the frontier
-    /// band. `lo = None` means unbounded below (visit the whole prefix of
-    /// `hi`). O(log |E| + visited).
-    pub fn for_each_between(&self, lo: Frontier, hi: EdgeKey, f: &mut impl FnMut(EdgeKey, f64)) {
-        self.assert_built();
-        let lower = match lo {
-            Some(l) if l >= hi => return,
-            Some(l) => Bound::Excluded(l),
-            None => Bound::Unbounded,
-        };
-        for (&key, &w) in self.map.range((lower, Bound::Included(hi))) {
-            f(key, w);
-        }
-    }
-
-    /// Materialises the retained pairs of a frontier — the lazy read path
-    /// (O(prefix log prefix) for the final sort by `(u, v)`).
-    pub fn prefix_pairs(&self, frontier: Frontier) -> RetainedPairs {
-        let Some(bound) = frontier else {
-            return RetainedPairs::default();
-        };
-        let mut pairs: Vec<(ProfileId, ProfileId)> = Vec::new();
-        self.for_each_between(None, bound, &mut |key, _| {
-            pairs.push((ProfileId(key.u), ProfileId(key.v)));
-        });
-        pairs.sort_unstable();
-        RetainedPairs::from_sorted(pairs)
-    }
 }
 
 /// One freshly accumulated-and-weighted edge of a repair pass: the
@@ -491,7 +235,7 @@ impl EdgeAdjacency {
 
     /// The live edges with at least one endpoint in the mask, canonical
     /// `(min, max, old weight)`, each exactly once, sorted — the old-side
-    /// counterpart of `collect_edges_touching`, read in the same
+    /// counterpart of the accumulate pass (`touching_pass`), read in the same
     /// [`ordered_emission`] (`dirty` ascends and so does every row), so
     /// only the edges read from their larger endpoint are sorted.
     pub fn collect_touching(&self, dirty: &[u32], mask: &EpochMask) -> Vec<(u32, u32, f64)> {
@@ -512,8 +256,9 @@ impl EdgeAdjacency {
     }
 
     /// Visits every live edge once, canonical `(u, v, weight)`, ascending
-    /// `(u, v)`. O(|E|). What reads the retention prefix off the rows
-    /// while the ordered index is deferred.
+    /// `(u, v)`. O(|E|): what the edge-centric rules restate their
+    /// frontier from, decide the clean edges over, and read the retained
+    /// prefix off.
     pub fn for_each_edge(&self, mut f: impl FnMut(u32, u32, f64)) {
         for (u, row) in (0u32..).zip(&self.rows) {
             for e in row {
@@ -522,16 +267,6 @@ impl EdgeAdjacency {
                 }
             }
         }
-    }
-
-    /// Every live edge once, canonical `(u, v, weight)`, sorted ascending —
-    /// the source a deferred ordered index is materialised from, and a
-    /// verification view. O(|E|): a commit reads it at most once, and only
-    /// the first dirty-tier commit after a reweigh.
-    pub fn all_edges(&self) -> Vec<(u32, u32, f64)> {
-        let mut out = Vec::with_capacity(self.live_edges());
-        self.for_each_edge(|u, v, w| out.push((u, v, w)));
-        out
     }
 
     /// Drops every edge, keeping row allocations (the degraded-full
@@ -725,94 +460,6 @@ impl EdgeAdjacency {
     }
 }
 
-/// CNP's per-pair containment counter: for each candidate pair, how many
-/// of its two endpoints currently list the other in their top-k (0, 1 or
-/// 2). Stored once per pair at the smaller endpoint, rows ascending.
-/// Retention is `count ≥ NodeCentricMode::required_listings()`, so a list
-/// diff's increments/decrements surface retention flips as threshold
-/// crossings — no global union over all n lists.
-#[derive(Debug, Default)]
-pub struct ContainmentIndex {
-    rows: Vec<Vec<(u32, u8)>>,
-}
-
-impl ContainmentIndex {
-    /// An empty counter table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows the row table to cover `n` nodes.
-    pub fn ensure_nodes(&mut self, n: usize) {
-        if self.rows.len() < n {
-            self.rows.resize_with(n, Vec::new);
-        }
-    }
-
-    /// Estimated resident heap footprint in bytes (row capacities).
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.rows
-            .iter()
-            .map(|r| r.capacity() * size_of::<(u32, u8)>())
-            .sum::<usize>()
-            + self.rows.len() * size_of::<Vec<(u32, u8)>>()
-    }
-
-    /// The current containment count of the pair `{a, b}`.
-    pub fn count(&self, a: u32, b: u32) -> u8 {
-        let (lo, hi) = (a.min(b), a.max(b));
-        self.rows
-            .get(lo as usize)
-            .and_then(|row| {
-                row.binary_search_by_key(&hi, |&(v, _)| v)
-                    .ok()
-                    .map(|i| row[i].1)
-            })
-            .unwrap_or(0)
-    }
-
-    /// Applies one directed listing change (+1: `a` now lists `b`; -1: it
-    /// no longer does), returning the count before the change. Entries
-    /// vanish at zero.
-    pub fn bump(&mut self, a: u32, b: u32, delta: i8) -> u8 {
-        let (lo, hi) = (a.min(b), a.max(b));
-        let row = &mut self.rows[lo as usize];
-        match row.binary_search_by_key(&hi, |&(v, _)| v) {
-            Ok(i) => {
-                let before = row[i].1;
-                let after = before as i8 + delta;
-                debug_assert!((0..=2).contains(&after), "containment count in 0..=2");
-                if after == 0 {
-                    row.remove(i);
-                } else {
-                    row[i].1 = after as u8;
-                }
-                before
-            }
-            Err(i) => {
-                debug_assert!(delta > 0, "decrementing an absent pair");
-                row.insert(i, (hi, 1));
-                0
-            }
-        }
-    }
-
-    /// Materialises the retained pairs (count ≥ `need`) — the lazy read
-    /// path. Rows are sorted, owners ascend, so the output is born sorted.
-    pub fn to_pairs(&self, need: u8) -> RetainedPairs {
-        let mut pairs: Vec<(ProfileId, ProfileId)> = Vec::new();
-        for (u, row) in self.rows.iter().enumerate() {
-            for &(v, c) in row {
-                if c >= need {
-                    pairs.push((ProfileId(u as u32), ProfileId(v)));
-                }
-            }
-        }
-        RetainedPairs::from_sorted(pairs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,52 +473,11 @@ mod tests {
         m
     }
 
-    #[test]
-    fn treap_orders_by_weight_then_pair() {
-        let mut idx = OrderedWeightIndex::new();
-        idx.insert(0, 1, 2.0);
-        idx.insert(2, 3, 5.0);
-        idx.insert(0, 2, 2.0);
-        idx.insert(1, 3, 1.0);
-        assert_eq!(idx.len(), 4);
-        // Retention order: (2,3)@5, (0,1)@2, (0,2)@2 (tie → (u,v) asc), (1,3)@1.
-        assert_eq!(idx.select(0).map(|k| (k.u, k.v)), Some((2, 3)));
-        assert_eq!(idx.select(1).map(|k| (k.u, k.v)), Some((0, 1)));
-        assert_eq!(idx.select(2).map(|k| (k.u, k.v)), Some((0, 2)));
-        assert_eq!(idx.select(3).map(|k| (k.u, k.v)), Some((1, 3)));
-        assert_eq!(idx.select(4), None);
-
-        idx.remove(0, 1, 2.0);
-        assert_eq!(idx.select(1).map(|k| (k.u, k.v)), Some((0, 2)));
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.sum().round(), 8.0);
-    }
-
-    #[test]
-    fn band_visits_between_frontiers_only() {
-        let mut idx = OrderedWeightIndex::new();
-        for (u, v, w) in [
-            (0, 1, 5.0),
-            (0, 2, 4.0),
-            (1, 2, 3.0),
-            (1, 3, 2.0),
-            (2, 3, 1.0),
-        ] {
-            idx.insert(u, v, w);
-        }
-        let lo = idx.select(0); // (0,1)@5
-        let hi = idx.select(3).unwrap(); // (1,3)@2
-        let mut seen = Vec::new();
-        idx.for_each_between(lo, hi, &mut |k, w| seen.push(((k.u, k.v), w)));
-        assert_eq!(
-            seen,
-            vec![((0, 2), 4.0), ((1, 2), 3.0), ((1, 3), 2.0)],
-            "strictly after lo, up to and including hi, in key order"
-        );
-        assert_eq!(idx.prefix_len(hi), 4);
-        let last = idx.select(4);
-        assert_eq!(idx.prefix_pairs(last).len(), 5);
-        assert!(idx.prefix_pairs(None).is_empty());
+    /// Every live edge once, canonical and ascending.
+    fn all_edges(adj: &EdgeAdjacency) -> Vec<(u32, u32, f64)> {
+        let mut out = Vec::new();
+        adj.for_each_edge(|u, v, w| out.push((u, v, w)));
+        out
     }
 
     fn edges(list: &[(u32, u32, f64)]) -> Vec<FreshEdge> {
@@ -909,7 +515,7 @@ mod tests {
             now,
             vec![(0, 1, 1.0), (0, 3, 2.0), (1, 2, 30.0), (2, 4, 50.0)]
         );
-        assert_eq!(adj.all_edges(), now, "all_edges ≡ full-mask collect");
+        assert_eq!(all_edges(&adj), now, "every edge ≡ full-mask collect");
         adj.clear();
         assert!(adj.collect_touching(&[0, 1, 2, 3, 4], &full).is_empty());
     }
@@ -920,6 +526,7 @@ mod tests {
         use blast_blocking::block::Block;
         use blast_blocking::collection::BlockCollection;
         use blast_blocking::key::ClusterId;
+        use blast_datamodel::entity::ProfileId;
 
         let b = (0..blocks)
             .map(|i| {
@@ -972,7 +579,7 @@ mod tests {
         let swept = adj.reweigh_clean(&snap(2, 4), &TimesTotalBlocks, &mask, 1);
         assert_eq!(swept, vec![(0, 1, 3.0, 6.0)]);
         assert_eq!(
-            adj.all_edges(),
+            all_edges(&adj),
             vec![(0, 1, 6.0), (2, 3, 3.0)],
             "cache weight updated in place; masked edge untouched"
         );
@@ -1029,7 +636,7 @@ mod tests {
         serial.ensure_nodes(n as usize);
         serial.load(&edges);
         let expected = reference::reweigh_clean(&mut serial, &ctx, &TimesTotalBlocks, &mask);
-        let expected_rows = serial.all_edges();
+        let expected_rows = all_edges(&serial);
         assert!(!expected.is_empty());
 
         for threads in [1usize, 2, 8] {
@@ -1038,7 +645,7 @@ mod tests {
             adj.load(&edges);
             let swept = adj.reweigh_clean(&ctx, &TimesTotalBlocks, &mask, threads);
             assert_eq!(swept, expected, "threads={threads}");
-            assert_eq!(adj.all_edges(), expected_rows, "threads={threads}");
+            assert_eq!(all_edges(&adj), expected_rows, "threads={threads}");
         }
     }
 
@@ -1124,26 +731,5 @@ mod tests {
         assert_eq!(adj.live_edges(), 1);
         adj.clear();
         assert_eq!(adj.cached_accumulators(), 0);
-    }
-
-    #[test]
-    fn containment_counts_cross_thresholds() {
-        let mut c = ContainmentIndex::new();
-        c.ensure_nodes(4);
-        assert_eq!(c.bump(0, 1, 1), 0); // 0 lists 1
-        assert_eq!(c.bump(1, 0, 1), 1); // 1 lists 0 → mutual
-        assert_eq!(c.count(1, 0), 2);
-        assert_eq!(c.bump(0, 1, -1), 2);
-        assert_eq!(c.count(0, 1), 1);
-        assert_eq!(c.bump(1, 0, -1), 1);
-        assert_eq!(c.count(0, 1), 0);
-        c.bump(2, 3, 1);
-        c.bump(0, 2, 1);
-        c.bump(2, 0, 1);
-        let redefined = c.to_pairs(1);
-        let reciprocal = c.to_pairs(2);
-        assert_eq!(redefined.len(), 2);
-        assert_eq!(reciprocal.len(), 1);
-        assert!(reciprocal.contains(ProfileId(0), ProfileId(2)));
     }
 }

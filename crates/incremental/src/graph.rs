@@ -21,18 +21,13 @@
 //!    factored-weight contract of [`EdgeWeigher`]), so the clean edges are
 //!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean`]) —
 //!    no block traversal, no quadratic re-accumulation — and the decision
-//!    stage decides every edge explicitly. For WEP/CEP that makes the
-//!    ordered index's total order dead weight: the commit drops the map
-//!    and keeps only Σw and the edge count
-//!    ([`OrderedWeightIndex::defer`]) — one arm, no drift threshold. The
-//!    rule is "tier 2 never builds, tier 1 builds if absent". EJS never
+//!    stage decides every swept edge explicitly. EJS never
 //!    forces a full pass: node degrees are a delta-maintained field of
 //!    [`GraphSnapshot`], patched from this module's edge-existence diffs
 //!    (exact integer removal) before any weight is computed. Neither does
 //!    CNP: a budget move re-derives every top-k list from the cached
-//!    adjacency rows and adjusts the containment counters through the
-//!    ordinary list-diff machinery — bounded counter surgery, no block
-//!    traversal.
+//!    adjacency rows and judges the changed pairs through the ordinary
+//!    list-diff machinery — no block traversal.
 //! 3. **Full** — genuinely structural invalidation only: the first pass
 //!    (nothing cached yet) or an explicit
 //!    [`IncrementalMetaBlocker::force_full_next`].
@@ -80,23 +75,18 @@
 //!
 //! It runs on the structures of [`crate::decision`]:
 //!
-//! * **WEP / CEP** — the live edge list sits in an
-//!   [`crate::decision::OrderedWeightIndex`] (a `BTreeMap` keyed by
-//!   `(weight rank bits, u, v)` with a running exact Σw). Re-weighted
-//!   edges are re-keyed individually; the new threshold (mean via
-//!   [`Wep::mean_from_sum`]) or cutoff (the rank-K key, walked to from the
-//!   previous cutoff) becomes a retention [`Frontier`], and the clean
-//!   edges whose retention flips are exactly the keys between the old and
-//!   new frontier — one map range, O(log |E| + flips), on the dirty tier.
-//!   The reweigh tier decides its swept edges explicitly instead (old key
-//!   vs old frontier, new key vs new frontier), and both frontiers are
-//!   aggregates of the weight multiset — the mean needs Σw and the count,
-//!   the rank-K key a `select_nth_unstable` over the commit's keys — so it
-//!   builds no map at all and leaves the index deferred
-//!   ([`RepairStats::index_deferred`]). The first dirty-tier commit after
-//!   it materialises the map once from the patched adjacency rows
-//!   ([`RepairStats::index_materialised`]); a `retained()` read in
-//!   between filters those rows by the frontier.
+//! * **WEP / CEP** — the state between commits is the retention
+//!   [`Frontier`] alone. Each commit patches the adjacency rows, then
+//!   restates the new frontier from them: the mean via
+//!   [`Wep::mean_from_sum`] over Σw accumulated exactly, or the rank-K key
+//!   by `select_nth_unstable` over the live keys — both aggregates of the
+//!   weight multiset, O(|E|). Every edge that can flip is then decided
+//!   explicitly, old key against the old frontier and new key against the
+//!   new one: the dirty-incident edges from the old/fresh lists, and the
+//!   clean edges from the reweigh tier's swept list or — on the dirty
+//!   tier, where a clean weight never moves and only a frontier move can
+//!   flip one — from the rows. A `retained()` read filters the rows by the
+//!   frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
 //!   set from the artefacts above; every fresh edge is decided against
 //!   them. The survivors live in a
@@ -104,10 +94,13 @@
 //!   diff is the recomputed nodes' rows alone — read in two-run order and
 //!   merge-joined with the decided list; only the flips touch the index.
 //! * **CNP** — per-node top-k lists, replaced for the recompute set from
-//!   the artefacts above; the global union is maintained as a
-//!   [`crate::decision::ContainmentIndex`] (per-pair 0/1/2 listing
-//!   counters) updated only from those nodes' list *diffs*; retention
-//!   flips are counter threshold crossings.
+//!   the artefacts above. A pair's retention can move only where one of
+//!   those nodes' lists changed, so the changed pairs are the list
+//!   *diffs*, each judged once: its listing count under the old lists
+//!   (the recompute set's, kept for the commit, and every clean node's,
+//!   which did not move) against its count under the new ones. The
+//!   candidate set itself is [`Cnp::retained_from_lists`] over the lists,
+//!   on read.
 //!
 //! The [`PairDelta`] is emitted directly from the flips — there is no
 //! full-set diff — and the flat [`RetainedPairs`] view is materialised
@@ -136,14 +129,12 @@
 //! commit known to reweigh before accumulating re-derives them all from
 //! the cache.
 
-use crate::decision::{
-    retained_under, ContainmentIndex, EdgeAdjacency, EdgeKey, FreshEdge, Frontier,
-    OrderedWeightIndex,
-};
+use crate::decision::{retained_under, EdgeAdjacency, EdgeKey, FreshEdge, Frontier};
 use blast_core::pruning::BlastPruning;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
+use blast_graph::exact_sum::ExactSum;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::pruning::common::{
     collect_accums_touching, ordered_emission, touching_pass, EpochMask,
@@ -153,7 +144,6 @@ use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
 pub use blast_obs::{RepairStats, RepairTier};
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The pruning variant an incremental pipeline maintains.
@@ -338,24 +328,15 @@ impl ArtefactRule {
     }
 }
 
-/// WEP/CEP decision state: ordered weight index + retention frontier.
-/// Boxed in [`DecisionState`] — the inline exact accumulator makes it much
-/// larger than the other variants.
-#[derive(Debug)]
-struct EdgeState {
-    index: OrderedWeightIndex,
-    frontier: Frontier,
-}
-
 /// Variant-specific decision-stage state (see module docs).
 #[derive(Debug)]
 enum DecisionState {
-    /// WEP/CEP (see [`EdgeState`]).
-    Edge(Box<EdgeState>),
+    /// WEP/CEP: the retention frontier of the last commit.
+    Edge { frontier: Frontier },
     /// WNP/BLAST: indexed survivors.
     Node { retained: RetainedIndex },
-    /// CNP: per-pair containment counters.
-    Lists { counts: ContainmentIndex },
+    /// CNP: nothing beyond the per-node top-k lists.
+    Lists,
 }
 
 /// The incremental meta-blocker: cached per-node artefacts + delta-run
@@ -369,7 +350,8 @@ pub struct IncrementalMetaBlocker {
     lists: Vec<Vec<u32>>,
     decision: DecisionState,
     /// The live-edge adjacency with cached accumulators: always present
-    /// for WEP/CEP (old-side flip enumeration), created on the first pass
+    /// for WEP/CEP (old-side flip enumeration and the frontier, which is
+    /// restated from the rows every commit), created on the first pass
     /// for CNP (whose top-k lists re-derive from it on a budget move) and
     /// for every other variant whose weigher can drift a global scalar
     /// (the reweigh tier's cache and the degree maintainer's edge diff).
@@ -394,20 +376,15 @@ impl IncrementalMetaBlocker {
         let decision = match pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Wep)
             | IncrementalPruning::Traditional(PruningAlgorithm::Cep) => {
-                DecisionState::Edge(Box::new(EdgeState {
-                    index: OrderedWeightIndex::new(),
-                    frontier: None,
-                }))
+                DecisionState::Edge { frontier: None }
             }
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
-            | IncrementalPruning::Traditional(PruningAlgorithm::Cnp2) => DecisionState::Lists {
-                counts: ContainmentIndex::new(),
-            },
+            | IncrementalPruning::Traditional(PruningAlgorithm::Cnp2) => DecisionState::Lists,
             _ => DecisionState::Node {
                 retained: RetainedIndex::new(),
             },
         };
-        let edge_variant = matches!(decision, DecisionState::Edge(_));
+        let edge_variant = matches!(decision, DecisionState::Edge { .. });
         Self {
             pruning,
             thresholds: Vec::new(),
@@ -445,36 +422,31 @@ impl IncrementalMetaBlocker {
     /// lazily from the decision state (cached until the next commit).
     pub fn retained(&self) -> &RetainedPairs {
         self.cache.get_or_init(|| match &self.decision {
-            DecisionState::Edge(state) if state.index.is_built() => {
-                state.index.prefix_pairs(state.frontier)
-            }
-            // Deferred: the prefix is read off the adjacency rows, which
-            // visit the edges in the flat view's own `(u, v)` order.
-            DecisionState::Edge(state) => {
+            // The prefix is read off the adjacency rows, which visit the
+            // edges in the flat view's own `(u, v)` order.
+            DecisionState::Edge { frontier } => {
                 let adj = self.adj.as_ref().expect("edge variant carries the cache");
                 let mut pairs = Vec::with_capacity(self.retained_len);
                 adj.for_each_edge(|u, v, w| {
-                    if retained_under(state.frontier, EdgeKey::new(u, v, w)) {
+                    if retained_under(*frontier, EdgeKey::new(u, v, w)) {
                         pairs.push((ProfileId(u), ProfileId(v)));
                     }
                 });
                 RetainedPairs::from_sorted(pairs)
             }
             DecisionState::Node { retained } => retained.to_pairs(),
-            DecisionState::Lists { counts } => {
-                counts.to_pairs(self.node_centric_mode().required_listings())
+            DecisionState::Lists => Cnp {
+                mode: self.node_centric_mode(),
+                k: None,
             }
+            .retained_from_lists(&self.lists),
         })
     }
 
-    /// Number of live edges held by the decision state: the adjacency's
-    /// count when edge caching is on, the ordered index's otherwise.
+    /// Number of live edges in the adjacency cache (0 for a variant that
+    /// keeps none).
     pub fn live_edges(&self) -> usize {
-        match (&self.adj, &self.decision) {
-            (Some(adj), _) => adj.live_edges(),
-            (None, DecisionState::Edge(state)) => state.index.len(),
-            (None, _) => 0,
-        }
+        self.adj.as_ref().map_or(0, EdgeAdjacency::live_edges)
     }
 
     /// Number of packed accumulator entries cached in the adjacency
@@ -491,9 +463,8 @@ impl IncrementalMetaBlocker {
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         let decision = match &self.decision {
-            DecisionState::Edge(state) => state.index.resident_bytes(),
             DecisionState::Node { retained } => retained.resident_bytes(),
-            DecisionState::Lists { counts } => counts.resident_bytes(),
+            DecisionState::Edge { .. } | DecisionState::Lists => 0,
         };
         self.adj.as_ref().map_or(0, EdgeAdjacency::resident_bytes)
             + decision
@@ -546,11 +517,11 @@ impl IncrementalMetaBlocker {
         let n = ctx.total_profiles() as usize;
         let deps = weigher.global_deps();
         let needs_degrees = weigher.requires_degrees();
-        let edge_variant = matches!(self.decision, DecisionState::Edge(_));
-        let lists_variant = matches!(self.decision, DecisionState::Lists { .. });
+        let edge_variant = matches!(self.decision, DecisionState::Edge { .. });
+        let lists_variant = matches!(self.decision, DecisionState::Lists);
         // The edge cache is maintained whenever a global scalar the
         // weigher reads can drift (the reweigh tier's input) — always for
-        // WEP/CEP, whose decision state needs the old-side rows, and
+        // WEP/CEP, which decide off the rows, and
         // always for CNP, whose budget is itself a drifting global (every
         // top-k list is a pure function of the cached adjacency plus k).
         let cache_edges = edge_variant || lists_variant || needs_degrees || deps.total_blocks;
@@ -619,8 +590,8 @@ impl IncrementalMetaBlocker {
         };
 
         // The old dirty-incident edges (old weights), read off the cached
-        // adjacency rows: the old side of every flip diff, the ordered
-        // index's un-keying source, and the degree maintainer's edge-existence
+        // adjacency rows: the old side of every flip diff, the adjacency
+        // patch's input, and the degree maintainer's edge-existence
         // baseline. Collected before any cache mutation.
         if cache_edges && self.adj.is_none() {
             // First pass of a cached non-edge variant: create the cache;
@@ -821,21 +792,15 @@ impl IncrementalMetaBlocker {
         let mut added: Vec<(u32, u32, f64)> = Vec::new();
         let mut retracted: Vec<(u32, u32)> = Vec::new();
 
-        // Keep the cached adjacency rows current (weights + accumulators)
-        // for the non-edge variants that maintain them. The reweigh sweep
-        // already refreshed the clean rows; this merge patches the dirty
-        // ones — except for tier 3, which bulk-reloads. (The edge variants
-        // fold the same surgery into their index merge below — one walk,
-        // not two.)
-        let edge_variant = matches!(self.decision, DecisionState::Edge(_));
+        // Keep the cached adjacency rows current (weights + accumulators).
+        // The reweigh sweep already refreshed the clean rows; this merge
+        // patches the dirty ones — except for tier 3, which bulk-reloads.
         if let Some(adj) = &mut self.adj {
-            if !edge_variant {
-                if tier == RepairTier::Full {
-                    adj.clear();
-                    adj.load(fresh);
-                } else {
-                    patch_adjacency(adj, old, fresh);
-                }
+            if tier == RepairTier::Full {
+                adj.clear();
+                adj.load(fresh);
+            } else {
+                patch_adjacency(adj, old, fresh);
             }
         }
         // Artefacts the accumulate pass did not produce come from the
@@ -856,87 +821,14 @@ impl IncrementalMetaBlocker {
             IncrementalPruning::Traditional(
                 algorithm @ (PruningAlgorithm::Wep | PruningAlgorithm::Cep),
             ) => {
-                let DecisionState::Edge(state) = &mut self.decision else {
+                let DecisionState::Edge { frontier } = &mut self.decision else {
                     unreachable!("edge-centric pruning carries edge state")
                 };
-                let EdgeState { index, frontier } = state.as_mut();
-                let adj = self.adj.as_mut().expect("edge variant carries the cache");
+                let adj = self.adj.as_ref().expect("edge variant carries the cache");
 
                 let t0 = Instant::now();
-                match tier {
-                    RepairTier::Full => {
-                        adj.clear();
-                        index.rebuild(fresh.iter().map(|e| (e.u, e.v, e.w)));
-                        adj.load(fresh);
-                    }
-                    // Every live edge is decided explicitly below — the
-                    // swept ones old key vs old frontier, new key vs new —
-                    // and both frontiers are aggregates of the weight
-                    // multiset, so nothing reads a total order: the map is
-                    // dropped, not re-keyed (a |B| shift re-ranks
-                    // essentially every ECBS edge), and only Σw and the
-                    // count are restated.
-                    RepairTier::Reweigh => {
-                        patch_adjacency(adj, old, fresh);
-                        index.defer(
-                            swept
-                                .iter()
-                                .map(|&(_, _, _, nw)| nw)
-                                .chain(fresh.iter().map(|e| e.w)),
-                        );
-                        stats.index_deferred = true;
-                    }
-                    RepairTier::Dirty => {
-                        // One merge walk patches both structures: the
-                        // adjacency cache takes every dirty edge's fresh
-                        // weight + accumulator; the ordered index re-keys
-                        // only the edges whose weight bits actually moved —
-                        // dirtiness is conservative (a new profile dirties
-                        // every co-member, but most mutual weights are
-                        // untouched), so the true key delta is usually far
-                        // smaller than the dirty-incident set. (On a
-                        // deferred index the re-keys move Σw and the count
-                        // only.)
-                        merge_join(old, fresh, edge_pair, fresh_pair, |step| match step {
-                            Joined::Both(&(a, b, ow), e) => {
-                                adj.set_edge(a, b, e.w, e.acc);
-                                if ow.to_bits() != e.w.to_bits() {
-                                    index.remove(a, b, ow);
-                                    index.insert(a, b, e.w);
-                                }
-                            }
-                            Joined::Left(&(a, b, w)) => {
-                                adj.remove_edge(a, b);
-                                index.remove(a, b, w);
-                            }
-                            Joined::Right(e) => {
-                                adj.insert_edge(e.u, e.v, e.w, e.acc);
-                                index.insert(e.u, e.v, e.w);
-                            }
-                        });
-                        // The band enumeration below needs the map: build
-                        // it, once, if the reweigh tier left it deferred.
-                        if !index.is_built() {
-                            index.materialise(adj.all_edges());
-                            stats.index_materialised = true;
-                        }
-                    }
-                }
-
-                // The new retention frontier: WEP's mean over the exact Σw,
-                // or CEP's rank-K order statistic — off the map when it is
-                // there, by selection over the commit's keys when not.
                 let old_frontier = *frontier;
-                let new_frontier = match algorithm {
-                    PruningAlgorithm::Wep => {
-                        Wep::mean_from_sum(index.sum(), index.len()).map(EdgeKey::mean_bound)
-                    }
-                    _ => match (Cep::new().budget(ctx) as usize).min(index.len()) {
-                        0 => None,
-                        k if index.is_built() => index.select(k - 1),
-                        k => Some(rank_key(swept, fresh, k - 1)),
-                    },
-                };
+                let new_frontier = edge_frontier(algorithm, adj, ctx);
                 *frontier = new_frontier;
 
                 // Dirty flips: merge-walk the old vs fresh dirty-incident
@@ -949,69 +841,51 @@ impl IncrementalMetaBlocker {
                     &mut added,
                     &mut retracted,
                 );
-                match tier {
-                    // Clean flips: exactly the keys between the two
-                    // frontiers (skipped on the other tiers — every edge is
-                    // decided explicitly there).
-                    RepairTier::Dirty => {
-                        if old_frontier != new_frontier {
-                            let lo = old_frontier.min(new_frontier);
-                            if let Some(hi) = old_frontier.max(new_frontier) {
-                                index.for_each_between(lo, hi, &mut |key, w| {
-                                    if mask.contains(key.u) || mask.contains(key.v) {
-                                        return;
-                                    }
-                                    let was = retained_under(old_frontier, key);
-                                    let now = retained_under(new_frontier, key);
-                                    if was != now {
-                                        stats.threshold_crossers += 1;
-                                        if now {
-                                            added.push((key.u, key.v, w));
-                                        } else {
-                                            retracted.push((key.u, key.v));
-                                        }
-                                    }
-                                });
-                            }
-                            added.sort_unstable_by_key(edge_pair);
-                            retracted.sort_unstable();
+                // Clean flips, decided the same way: old key against the
+                // old frontier, new key against the new one.
+                let mut decide_clean = |u: u32, v: u32, ow: f64, nw: f64| {
+                    let was = retained_under(old_frontier, EdgeKey::new(u, v, ow));
+                    let now = retained_under(new_frontier, EdgeKey::new(u, v, nw));
+                    if was != now {
+                        if ow.to_bits() == nw.to_bits() {
+                            stats.threshold_crossers += 1;
                         }
+                        if now {
+                            added.push((u, v, nw));
+                        } else {
+                            retracted.push((u, v));
+                        }
+                    }
+                };
+                match tier {
+                    // A clean edge kept its weight, so only a frontier
+                    // move can flip it.
+                    RepairTier::Dirty if old_frontier != new_frontier => {
+                        adj.for_each_edge(|u, v, w| {
+                            if !mask.contains(u) && !mask.contains(v) {
+                                decide_clean(u, v, w, w);
+                            }
+                        });
                     }
                     RepairTier::Reweigh => {
-                        // Swept clean edges: decided explicitly, old key
-                        // against the old frontier, new key against the
-                        // new one.
                         for &(u, v, ow, nw) in swept {
-                            let was = retained_under(old_frontier, EdgeKey::new(u, v, ow));
-                            let now = retained_under(new_frontier, EdgeKey::new(u, v, nw));
-                            if was != now {
-                                if ow.to_bits() == nw.to_bits() {
-                                    stats.threshold_crossers += 1;
-                                }
-                                if now {
-                                    added.push((u, v, nw));
-                                } else {
-                                    retracted.push((u, v));
-                                }
-                            }
+                            decide_clean(u, v, ow, nw);
                         }
-                        added.sort_unstable_by_key(edge_pair);
-                        retracted.sort_unstable();
                     }
-                    RepairTier::Full => {}
+                    // Tier 3 marks every node: no edge is clean.
+                    _ => {}
                 }
+                added.sort_unstable_by_key(edge_pair);
+                retracted.sort_unstable();
                 stats.decision_secs = t0.elapsed().as_secs_f64();
                 debug_assert_eq!(
-                    match new_frontier {
-                        None => 0,
-                        Some(f) if index.is_built() => index.prefix_len(f),
-                        Some(f) => {
-                            let mut prefix = 0;
-                            adj.for_each_edge(|u, v, w| {
-                                prefix += usize::from(EdgeKey::new(u, v, w) <= f);
-                            });
-                            prefix
-                        }
+                    {
+                        let mut prefix = 0;
+                        adj.for_each_edge(|u, v, w| {
+                            prefix +=
+                                usize::from(retained_under(new_frontier, EdgeKey::new(u, v, w)));
+                        });
+                        prefix
                     },
                     self.retained_len + added.len() - retracted.len(),
                     "frontier prefix must equal the flip-maintained count"
@@ -1057,53 +931,29 @@ impl IncrementalMetaBlocker {
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
             | IncrementalPruning::Traditional(PruningAlgorithm::Cnp2) => {
                 let need = self.node_centric_mode().required_listings();
-                let DecisionState::Lists { counts } = &mut self.decision else {
-                    unreachable!("cnp carries containment counters")
-                };
                 self.lists.resize_with(n, Vec::new);
 
                 let t0 = Instant::now();
-                counts.ensure_nodes(n);
-                // First-touch original counts: flips are judged initial vs
-                // final so a pair bumped from both endpoints in one commit
-                // cannot oscillate into a spurious add+retract.
-                let mut touched: BTreeMap<(u32, u32), u8> = BTreeMap::new();
-                let mut old_sorted: Vec<u32> = Vec::new();
-                let mut new_sorted: Vec<u32> = Vec::new();
-                for (&u, artefact) in recompute.iter().zip(artefacts) {
-                    let Artefact::List(new_list) = artefact else {
-                        unreachable!("cnp keeps top-k lists")
-                    };
-                    let old_list = std::mem::replace(&mut self.lists[u as usize], new_list);
-                    old_sorted.clear();
-                    old_sorted.extend_from_slice(&old_list);
-                    old_sorted.sort_unstable();
-                    new_sorted.clear();
-                    new_sorted.extend_from_slice(&self.lists[u as usize]);
-                    new_sorted.sort_unstable();
-                    diff_sorted_ids(&old_sorted, &new_sorted, |v, delta| {
-                        let pair = (u.min(v), u.max(v));
-                        let before = counts.bump(u, v, delta);
-                        touched.entry(pair).or_insert(before);
-                    });
-                }
-                for (&(a, b), &orig) in &touched {
-                    let was = orig >= need;
-                    let now = counts.count(a, b) >= need;
-                    if was != now {
-                        if now {
-                            // A pair enters only through a recomputed
-                            // node's new list, so its edge was decided
-                            // this commit.
-                            let i = decide
-                                .binary_search_by_key(&(a, b), edge_pair)
-                                .expect("a newly listed pair is a decided edge");
-                            added.push((a, b, decide[i].2));
-                        } else {
-                            retracted.push((a, b));
-                        }
-                    }
-                }
+                // The recompute set's old lists, kept for the commit.
+                let old_lists: Vec<Vec<u32>> = recompute
+                    .iter()
+                    .zip(artefacts)
+                    .map(|(&u, artefact)| {
+                        let Artefact::List(new_list) = artefact else {
+                            unreachable!("cnp keeps top-k lists")
+                        };
+                        std::mem::replace(&mut self.lists[u as usize], new_list)
+                    })
+                    .collect();
+                list_flips(
+                    recompute,
+                    &old_lists,
+                    &self.lists,
+                    need,
+                    decide,
+                    &mut added,
+                    &mut retracted,
+                );
                 stats.decision_secs = t0.elapsed().as_secs_f64();
             }
         }
@@ -1208,18 +1058,29 @@ fn merge_decide_edges(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge]) -> Ve
     out
 }
 
-/// CEP's rank-`rank` key (0-based) on a commit whose ordered index is
-/// deferred: the same order statistic `OrderedWeightIndex::select` reads
-/// off the map, by O(|E|) selection over the commit's own keys — the
-/// swept clean edges at their new weights plus the fresh dirty-incident
-/// ones are exactly the live edge set.
-fn rank_key(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge], rank: usize) -> EdgeKey {
-    let mut keys: Vec<EdgeKey> = swept
-        .iter()
-        .map(|&(u, v, _, nw)| EdgeKey::new(u, v, nw))
-        .chain(fresh.iter().map(|e| EdgeKey::new(e.u, e.v, e.w)))
-        .collect();
-    *keys.select_nth_unstable(rank).1
+/// The retention frontier of the live edge set, restated from the patched
+/// adjacency rows in O(|E|): WEP's mean over the exactly accumulated Σw, or
+/// CEP's rank-K key by selection over the live keys. Both are aggregates of
+/// the weight multiset, so they equal the batch pass's bit for bit.
+fn edge_frontier(
+    algorithm: PruningAlgorithm,
+    adj: &EdgeAdjacency,
+    ctx: &GraphSnapshot,
+) -> Frontier {
+    if algorithm == PruningAlgorithm::Wep {
+        let (mut sum, mut len) = (ExactSum::new(), 0);
+        adj.for_each_edge(|_, _, w| {
+            sum.add(w);
+            len += 1;
+        });
+        return Wep::mean_from_sum(&sum, len).map(EdgeKey::mean_bound);
+    }
+    let mut keys = Vec::new();
+    adj.for_each_edge(|u, v, w| keys.push(EdgeKey::new(u, v, w)));
+    match (Cep::new().budget(ctx) as usize).min(keys.len()) {
+        0 => None,
+        k => Some(*keys.select_nth_unstable(k - 1).1),
+    }
 }
 
 /// Weighs freshly accumulated edges once the snapshot's globals are
@@ -1432,9 +1293,63 @@ fn node_flips(
     }
 }
 
-/// Diffs two sorted id lists, calling `f(id, -1)` for departures and
-/// `f(id, +1)` for arrivals.
-fn diff_sorted_ids(old: &[u32], new: &[u32], mut f: impl FnMut(u32, i8)) {
+/// CNP flip emission. A pair's listing count (how many of its endpoints
+/// list the other) moves only where a recomputed node's list changed, so
+/// the changed pairs are the diffs of the recomputed nodes' old and new
+/// lists. Each is judged once, its count under the old lists against its
+/// count under the new ones, so a pair changed from both endpoints in one
+/// commit cannot emit both an add and a retract. `old_lists` is parallel
+/// to `recompute` (ascending); every other node's list is the same in both
+/// eras. Flips are pushed sorted, each added pair with the weight its
+/// decision read off `decide`.
+fn list_flips(
+    recompute: &[u32],
+    old_lists: &[Vec<u32>],
+    lists: &[Vec<u32>],
+    need: u8,
+    decide: &[(u32, u32, f64)],
+    added: &mut Vec<(u32, u32, f64)>,
+    retracted: &mut Vec<(u32, u32)>,
+) {
+    let old_list = |x: u32| match recompute.binary_search(&x) {
+        Ok(i) => &old_lists[i],
+        Err(_) => &lists[x as usize],
+    };
+    let mut changed: Vec<(u32, u32)> = Vec::new();
+    let (mut old_sorted, mut new_sorted): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    for (&u, old) in recompute.iter().zip(old_lists) {
+        old_sorted.clone_from(old);
+        old_sorted.sort_unstable();
+        new_sorted.clone_from(&lists[u as usize]);
+        new_sorted.sort_unstable();
+        diff_sorted_ids(&old_sorted, &new_sorted, |v| {
+            changed.push((u.min(v), u.max(v)))
+        });
+    }
+    changed.sort_unstable();
+    changed.dedup();
+    for (a, b) in changed {
+        let was = u8::from(old_list(a).contains(&b)) + u8::from(old_list(b).contains(&a));
+        let now =
+            u8::from(lists[a as usize].contains(&b)) + u8::from(lists[b as usize].contains(&a));
+        if (was >= need) != (now >= need) {
+            if now >= need {
+                // A pair enters only through a recomputed node's new
+                // list, so its edge was decided this commit.
+                let i = decide
+                    .binary_search_by_key(&(a, b), edge_pair)
+                    .expect("a newly listed pair is a decided edge");
+                added.push((a, b, decide[i].2));
+            } else {
+                retracted.push((a, b));
+            }
+        }
+    }
+}
+
+/// Diffs two sorted id lists, calling `f(id)` for every id on one side
+/// only: departures and arrivals alike.
+fn diff_sorted_ids(old: &[u32], new: &[u32], mut f: impl FnMut(u32)) {
     merge_join(
         old,
         new,
@@ -1442,8 +1357,7 @@ fn diff_sorted_ids(old: &[u32], new: &[u32], mut f: impl FnMut(u32, i8)) {
         |&v| v,
         |step| match step {
             Joined::Both(..) => {}
-            Joined::Left(&v) => f(v, -1),
-            Joined::Right(&v) => f(v, 1),
+            Joined::Left(&v) | Joined::Right(&v) => f(v),
         },
     );
 }
@@ -1582,11 +1496,52 @@ mod tests {
         assert!(added.is_empty() && retracted.is_empty());
     }
 
+    /// Both endpoints of a pair recomputed in one commit: each changed
+    /// pair is judged once, old lists against new. cnp1: `0` drops `1`
+    /// while `1` takes up `0` (count 1 → 1, no flip); `(0, 2)` enters and
+    /// `(1, 2)` leaves.
+    #[test]
+    fn list_flips_judge_a_pair_once_for_cnp1() {
+        let decide = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)];
+        let (mut added, mut retracted) = (Vec::new(), Vec::new());
+        list_flips(
+            &[0, 1],
+            &[vec![1], vec![2]],
+            &[vec![2], vec![0], vec![], vec![]],
+            1,
+            &decide,
+            &mut added,
+            &mut retracted,
+        );
+        assert_eq!(added, vec![(0, 2, 2.0)], "with the decided weight");
+        assert_eq!(retracted, vec![(1, 2)]);
+    }
+
+    /// cnp2: the mutual pair `(0, 1)` loses `0`'s listing (2 → 1) and the
+    /// mutual pair `(2, 3)` loses both (2 → 0, changed from both
+    /// endpoints): each retracts exactly once. The pairs that gain one
+    /// listing (0 → 1) stay out.
+    #[test]
+    fn list_flips_retract_a_pair_once_for_cnp2() {
+        let (mut added, mut retracted) = (Vec::new(), Vec::new());
+        list_flips(
+            &[0, 1, 2, 3],
+            &[vec![1], vec![0], vec![3], vec![2]],
+            &[vec![4], vec![0], vec![4], vec![4], vec![]],
+            2,
+            &[],
+            &mut added,
+            &mut retracted,
+        );
+        assert!(added.is_empty());
+        assert_eq!(retracted, vec![(0, 1), (2, 3)]);
+    }
+
     #[test]
     fn sorted_id_diff_reports_both_directions() {
         let mut events = Vec::new();
-        diff_sorted_ids(&[1, 3, 5], &[2, 3, 6], |v, d| events.push((v, d)));
-        assert_eq!(events, vec![(1, -1), (2, 1), (5, -1), (6, 1)]);
+        diff_sorted_ids(&[1, 3, 5], &[2, 3, 6], |v| events.push(v));
+        assert_eq!(events, vec![1, 2, 5, 6]);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   traditional variants plus BLAST's own) repaired over the dirty
 //!   neighbourhoods on the dense scratch-array engine, emitting
 //!   candidate-pair deltas;
-//! * [`decision`] — the delta-aware decision structures (ordered weight
-//!   index with running exact Σw, per-node retained adjacency, CNP
-//!   containment counters) that keep the pruning *decisions* — not just
-//!   the artefact maintenance — off the full edge list;
+//! * [`decision`] — the decision stage's state: the retention order and
+//!   frontier of WEP/CEP, and the live-edge adjacency (with cached
+//!   accumulators) every commit decides off;
 //! * [`pipeline::IncrementalPipeline`] — the end-to-end streaming pipeline.
 //!
 //! ## Per-stage commit complexity
@@ -32,10 +31,13 @@
 //! | cleaning | purging/filtering on dirty blocks | O(dirty blocks) |
 //! | snapshot | profile row splices + slot patches | O(delta) |
 //! | artefacts | re-weigh E_D, dirty thresholds / top-k lists | O(E_D log) |
-//! | decision | frontier move + flip emission + retained surgery | O((E_D + F) log \|E\|) |
+//! | decision | WNP/BLAST/CNP: flip emission + retained surgery | O((E_D + F) log \|E\|) |
+//! | decision | WEP/CEP: frontier restatement + clean-edge decisions | O(\|E\|) |
 //!
-//! No per-commit stage iterates all edges, all nodes, or all retained
-//! pairs; the flat [`blast_graph::retained::RetainedPairs`] view is
+//! Apart from WEP/CEP's decision — their frontier is an aggregate of every
+//! edge weight, restated from the adjacency rows each commit — no
+//! per-commit stage iterates all edges, all nodes, or all retained pairs;
+//! the flat [`blast_graph::retained::RetainedPairs`] view is
 //! materialised lazily on read and the [`graph::PairDelta`] is emitted
 //! from the flips directly. Degraded-full passes (see below) run the same
 //! flip-emitting code with every node dirty.
@@ -54,8 +56,8 @@
 //! invalidation (first pass, forced degradation) runs
 //! the full recompute over the identical flip-emitting code path (tier 3)
 //! — never a different answer. WEP's global mean — a function of *every*
-//! edge weight — stays maintainable because both the batch and the
-//! incremental path compute it through the exact, order-independent
+//! edge weight — matches batch bitwise because both paths compute it
+//! through the exact, order-independent
 //! [`blast_graph::exact_sum::ExactSum`] accumulator.
 //!
 //! ## Parallel execution
@@ -68,10 +70,10 @@
 //! (`tests/thread_equivalence.rs`) because per-edge weights are pure
 //! functions of the cached accumulator and O(1) snapshot statistics (the
 //! factored-weight contract), chunk geometry depends on the range length
-//! alone and chunk results concatenate in chunk order, and the
-//! order-sensitive global state is order-free by construction: the
-//! ordered weight index is a map whose content is its key set, and WEP's
-//! Σw accumulates in an integer superaccumulator.
+//! alone and chunk results concatenate in chunk order, and the global
+//! aggregates are order-free by construction: CEP's rank-K key is an
+//! order statistic of the key set, and WEP's Σw accumulates in an integer
+//! superaccumulator.
 
 pub mod cleaner;
 pub mod decision;
@@ -81,7 +83,7 @@ pub mod pipeline;
 pub mod store;
 
 pub use cleaner::{CleaningConfig, IncrementalCleaner};
-pub use decision::{ContainmentIndex, EdgeAdjacency, EdgeKey, Frontier, OrderedWeightIndex};
+pub use decision::{EdgeAdjacency, EdgeKey, Frontier};
 pub use graph::{IncrementalMetaBlocker, IncrementalPruning, PairDelta, RepairStats, RepairTier};
 pub use index::IncrementalBlockIndex;
 pub use pipeline::{

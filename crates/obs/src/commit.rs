@@ -6,8 +6,8 @@
 //!   one commit (re-exported by the incremental crate as `CommitTimings`).
 //!   One row names the field, its `commit.phase.*` histogram, its journal
 //!   key and its `--stats` label;
-//! * [`COMMIT_STATS`] behind [`RepairStats`] — the per-commit counters,
-//!   flags and levels. One row names the field (which is also the journal
+//! * [`COMMIT_STATS`] behind [`RepairStats`] — the per-commit counters
+//!   and levels. One row names the field (which is also the journal
 //!   key and, spaces for underscores, the `--stats` label), the
 //!   [`CommitTotals`] field it sums into, how it aggregates ([`StatKind`])
 //!   and its registry name.
@@ -169,9 +169,6 @@ impl RepairTier {
 pub enum StatKind {
     /// A per-commit count, added to a counter.
     Counter,
-    /// A per-commit yes/no: a counter of the commits where it held,
-    /// `true`/`false` in the journal.
-    Flag,
     /// A level after the commit, set on a gauge.
     Gauge,
 }
@@ -182,7 +179,7 @@ impl StatKind {
     fn read(self, s: &MetricsSnapshot, name: &str) -> u64 {
         match self {
             StatKind::Gauge => s.gauge(name).unwrap_or(0).max(0) as u64,
-            StatKind::Counter | StatKind::Flag => s.counter(name),
+            StatKind::Counter => s.counter(name),
         }
     }
 }
@@ -228,7 +225,7 @@ macro_rules! commit_stats {
         }
 
         /// Everything the commit path recorded, read back out of a
-        /// snapshot: counts and flags summed over the commits, levels as
+        /// snapshot: counts summed over the commits, levels as
         /// the last commit left them.
         #[derive(Debug, Clone, Copy, Default, PartialEq)]
         pub struct CommitTotals {
@@ -279,9 +276,8 @@ commit_stats! {
     /// Clean edges whose weight was re-derived from the cached
     /// accumulators by the reweigh tier (zero on tiers 1 and 3).
     edges_swept: usize => edges_swept, Counter, "repair.edges_swept";
-    /// Swept clean edges whose weight bits actually moved — a count of
-    /// changed weights, whether or not any index key was re-keyed for
-    /// them (WEP/CEP drop their ordered index on this tier instead).
+    /// Swept clean edges whose weight bits actually moved, so that their
+    /// retention key changed.
     edges_rekeyed: usize => edges_rekeyed, Counter, "repair.edges_rekeyed";
     /// Profile rows the snapshot patched.
     patched_rows: usize => patched_rows, Counter, "snapshot.patched_rows";
@@ -289,24 +285,11 @@ commit_stats! {
     patched_slots: usize => patched_slots, Counter, "snapshot.patched_slots";
     /// Candidate pairs whose retention flipped (|added| + |retracted|).
     retention_flips: usize => retention_flips, Counter, "decision.retention_flips";
-    /// Clean edges whose retention flipped purely because the global
-    /// threshold/cutoff frontier moved (WEP mean drift, CEP budget or
-    /// rank shift) — enumerated from the ordered weight index on the
-    /// dirty tier, decided explicitly on the reweigh tier; never by
-    /// re-scanning the edge list.
+    /// WEP/CEP: clean edges whose weight bits did not move but whose
+    /// retention flipped because the global threshold/cutoff frontier
+    /// moved (WEP mean drift, CEP budget or rank shift). Each is found by
+    /// deciding the clean edge explicitly against both frontiers.
     threshold_crossers: usize => threshold_crossers, Counter, "decision.threshold_crossers";
-    /// WEP/CEP only: the commit decided every edge explicitly and left the
-    /// ordered weight index deferred (map dropped, Σw and count current) —
-    /// every reweigh-tier commit of an edge-centric variant. The `treap.`
-    /// prefix is the series' historical name; it counts the ordered weight
-    /// index.
-    index_deferred: bool => treap_deferred_commits, Flag, "treap.deferred_commits";
-    /// WEP/CEP only: the commit found the ordered weight index deferred
-    /// and built it from the adjacency rows — at most one per
-    /// reweigh→dirty transition, never on a reweigh commit. The `treap.`
-    /// prefix is the series' historical name; it counts the ordered weight
-    /// index.
-    index_materialised: bool => treap_materialisations, Flag, "treap.materialisations";
     /// Candidate pairs added.
     added: usize => pairs_added, Counter, "commit.pairs_added";
     /// Candidate pairs retracted.
@@ -345,11 +328,7 @@ impl RepairStats {
     /// keyed by field name.
     pub fn journal(&self, event: JsonObject) -> JsonObject {
         COMMIT_STATS.iter().fold(event, |event, stat| {
-            let v = (stat.get)(self);
-            match stat.kind {
-                StatKind::Flag => event.field_bool(stat.field, v != 0),
-                StatKind::Counter | StatKind::Gauge => event.field_u64(stat.field, v),
-            }
+            event.field_u64(stat.field, (stat.get)(self))
         })
     }
 
@@ -418,9 +397,7 @@ impl CommitMetrics {
                 .iter()
                 .map(|stat| match stat.kind {
                     StatKind::Gauge => StatHandle::Gauge(registry.gauge(stat.name)),
-                    StatKind::Counter | StatKind::Flag => {
-                        StatHandle::Counter(registry.counter(stat.name))
-                    }
+                    StatKind::Counter => StatHandle::Counter(registry.counter(stat.name)),
                 })
                 .collect(),
             registry,
@@ -466,8 +443,7 @@ impl CommitTotals {
     pub fn repair_summary(&self) -> String {
         format!(
             "repair totals: {} dirty nodes, {} patched CSR rows, {} retention flips \
-             ({} threshold crossers), tiers = {}/{}/{} dirty/reweigh/full of {}, \
-             ordered index deferred on {} commits, materialised on {}",
+             ({} threshold crossers), tiers = {}/{}/{} dirty/reweigh/full of {}",
             self.dirty_nodes,
             self.patched_rows,
             self.retention_flips,
@@ -476,8 +452,6 @@ impl CommitTotals {
             self.tier_commits[1],
             self.tier_commits[2],
             self.commits,
-            self.treap_deferred_commits,
-            self.treap_materialisations,
         )
     }
 }
@@ -507,7 +481,6 @@ mod tests {
                 added: 2,
                 retained: 11,
                 live_edges: 30,
-                index_deferred: true,
                 cold_evictions: 5,
                 cold_rehydrations: 3,
                 cold_resident_bytes: 4096,
@@ -520,7 +493,6 @@ mod tests {
                 tier: RepairTier::Dirty,
                 dirty_nodes: 1,
                 scratch_loads: 1,
-                index_materialised: true,
                 retained: 12,
                 live_edges: 31,
                 ..RepairStats::default()
@@ -547,12 +519,7 @@ mod tests {
             (t.retained, t.live_edges, t.cold_resident_bytes),
             (12, 31, 0)
         );
-        assert_eq!(t.treap_deferred_commits, 1);
-        assert_eq!(t.treap_materialisations, 1);
         assert!(t.repair_summary().contains("tiers = 1/1/0"));
-        assert!(t
-            .repair_summary()
-            .contains("deferred on 1 commits, materialised on 1"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Every metric lives on the one registry its pipeline's
 //! [`crate::CommitMetrics`] owns. The per-commit counters and gauges
 //! (`repair.*`, `decision.*`, `snapshot.*`, `cleaner.*`, `pipeline.*`,
-//! `cold.*`, `commit.pairs_*`, `treap.*`, `interner.symbols`) are named
+//! `cold.*`, `commit.pairs_*`, `interner.symbols`) are named
 //! where they are declared — the [`crate::commit::COMMIT_STATS`] table —
 //! and nowhere else; this module holds the commit envelope (count, wall
 //! clock, phases, tiers) and the `serve.*` family.

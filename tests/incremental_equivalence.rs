@@ -16,9 +16,7 @@ use blast_core::weighting::ChiSquaredWeigher;
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::{EdgeWeigher, WeightingScheme};
-use blast_incremental::{
-    CleaningConfig, EdgeKey, IncrementalPipeline, IncrementalPruning, RepairTier,
-};
+use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, RepairTier};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -424,8 +422,8 @@ fn drifting_statistics_stay_off_the_full_tier() {
 /// average assignment count — CNP's default per-node budget k — across
 /// integer boundaries repeatedly. Every budget move must land on the
 /// reweigh tier (`commits_full == 0` after initialisation, top-k lists
-/// re-derived from the cached adjacency, containment counters adjusted in
-/// place) and stay bit-identical to batch at every commit. Under CBS
+/// re-derived from the cached adjacency, the changed pairs judged off the
+/// old and new lists) and stay bit-identical to batch at every commit. Under CBS
 /// (no other global statistic) the reweigh count *is* the budget-move
 /// count, so `reweigh ≥ 2` proves the budget actually moved.
 #[test]
@@ -468,6 +466,104 @@ fn cnp_budget_moves_stay_off_the_full_tier() {
                 );
             }
         }
+    }
+}
+
+/// CNP when both endpoints of a pair are recomputed in one commit and
+/// their listings of each other move. In `swap`, `a` drops `b` while `b`
+/// takes up `a`: the pair's listing count goes 1 → 1, so cnp1 keeps it and
+/// must emit no flip for it. In `drop`, the mutual pair `a`–`b` loses
+/// `a`'s listing: 2 → 1, so cnp2 must retract it exactly once. Padding
+/// profiles with no shared token hold the budget at k = 1.
+#[test]
+fn cnp_pair_recomputed_from_both_endpoints_flips_at_most_once() {
+    // Rows a, b, c, d before the commit, then the commit's rows for a, b.
+    let swap = (
+        ["t1", "t1 s1 s2", "s1 s2", "r1 r2 r3 r4"],
+        ["t1 t2 t3 r1 r2 r3 r4", "t1 t2 t3 s1 s2"],
+    );
+    let drop = (
+        ["t1 t2", "t1 t2", "c0", "r1 r2 r3 r4"],
+        ["t1 t2 t3 r1 r2 r3 r4", "t1 t2 t3"],
+    );
+    type Pairs = &'static [(u32, u32)];
+    // (scenario, variant, retained before, retained after, added, retracted)
+    let cases: [(_, _, Pairs, Pairs, Pairs, Pairs); 4] = [
+        (
+            swap,
+            PruningAlgorithm::Cnp1,
+            &[(0, 1), (1, 2)],
+            &[(0, 1), (0, 3), (1, 2)],
+            &[(0, 3)],
+            &[],
+        ),
+        (
+            swap,
+            PruningAlgorithm::Cnp2,
+            &[(1, 2)],
+            &[(0, 3)],
+            &[(0, 3)],
+            &[(1, 2)],
+        ),
+        (
+            drop,
+            PruningAlgorithm::Cnp1,
+            &[(0, 1)],
+            &[(0, 1), (0, 3)],
+            &[(0, 3)],
+            &[],
+        ),
+        (
+            drop,
+            PruningAlgorithm::Cnp2,
+            &[(0, 1)],
+            &[(0, 3)],
+            &[(0, 3)],
+            &[(0, 1)],
+        ),
+    ];
+    let ids = |pairs: Pairs| -> Vec<(ProfileId, ProfileId)> {
+        pairs
+            .iter()
+            .map(|&(a, b)| (ProfileId(a), ProfileId(b)))
+            .collect()
+    };
+    for (k, ((before, after), algorithm, kept, now, added, retracted)) in
+        cases.into_iter().enumerate()
+    {
+        let label = format!("case {k}: {}", algorithm.label());
+        let mut p = IncrementalPipeline::dirty(
+            WeightingScheme::Cbs,
+            IncrementalPruning::Traditional(algorithm),
+            CleaningConfig::none(),
+        );
+        let rows: Vec<ProfileId> = (0..)
+            .zip(before)
+            .map(|(i, text)| p.insert(SourceId(0), &format!("r{i}"), [("text", text)]))
+            .collect();
+        for i in 0..12 {
+            p.insert(
+                SourceId(0),
+                &format!("pad{i}"),
+                [("text", &*format!("pad{i}"))],
+            );
+        }
+        p.commit();
+        assert_eq!(
+            p.retained().pairs(),
+            ids(kept).as_slice(),
+            "{label}: before"
+        );
+        assert_eq!(p.retained().pairs(), p.batch_retained().pairs(), "{label}");
+
+        p.update(rows[0], [("text", after[0])]);
+        p.update(rows[1], [("text", after[1])]);
+        let out = p.commit();
+        assert_eq!(out.stats.tier, RepairTier::Dirty, "{label}");
+        assert_eq!(p.retained().pairs(), ids(now).as_slice(), "{label}: after");
+        assert_eq!(p.retained().pairs(), p.batch_retained().pairs(), "{label}");
+        assert_eq!(out.delta.added, ids(added), "{label}: added");
+        assert_eq!(out.delta.retracted, ids(retracted), "{label}: retracted");
     }
 }
 
@@ -639,8 +735,8 @@ enum Step {
 }
 
 /// Streams commits that alternate between the reweigh and the dirty tier
-/// in every order — built→deferred, deferred→deferred, deferred→built and
-/// built→built transitions of the ordered weight index — calling `check`
+/// in every order — reweigh→reweigh, reweigh→dirty, dirty→reweigh and
+/// dirty→dirty — calling `check`
 /// after each with the step and the one before it (`None` after the
 /// initialising full pass). Cleaning is off so the tiers are scripted, not
 /// incidental. A dirty step toggles `x3` in and out of block `u2`, whose
@@ -715,17 +811,16 @@ fn alternating_tier_stream(
     }
 }
 
-/// The built↔deferred transitions of the ordered weight index, both
-/// directions, for WEP **and CEP**: a reweigh commit decides every edge
-/// explicitly and leaves the index deferred (WEP's frontier from Σw alone,
-/// CEP's by selection over the commit's keys); the next dirty-tier commit
-/// materialises it from the patched adjacency rows for the band
-/// enumeration. `retained()` is read after every commit — off the rows
-/// while deferred, off the tree otherwise — and must equal the batch run,
-/// at 1 and 2 threads. JS (|B_u| only: never reweighs) rides along as the
-/// edge-centric dirty-tier case of the co-member skip.
+/// WEP **and CEP** across reweigh↔dirty transitions in every order. A
+/// reweigh commit decides its swept clean edges explicitly; a dirty commit
+/// decides the clean edges off the adjacency rows when the frontier moved;
+/// both restate the frontier from the rows (WEP's mean from Σw, CEP's
+/// rank-K key by selection). `retained()` is read after every commit and
+/// must equal the batch run, at 1 and 2 threads. JS (|B_u| only: never
+/// reweighs) rides along as the edge-centric dirty-tier case of the
+/// co-member skip.
 #[test]
-fn alternating_tiers_defer_and_materialise_the_ordered_index() {
+fn alternating_tiers_keep_wep_cep_at_batch_parity() {
     for threads in [1usize, 2] {
         for algorithm in [PruningAlgorithm::Wep, PruningAlgorithm::Cep] {
             for scheme in [
@@ -741,63 +836,26 @@ fn alternating_tiers_defer_and_materialise_the_ordered_index() {
                     CleaningConfig::none(),
                 )
                 .with_threads(threads);
-                let (mut deferred, mut materialised) = (0usize, 0usize);
-                let mut deferred_blocker_bytes = 0usize;
                 alternating_tier_stream(&mut p, |p, out, step, previous| {
                     let label = format!("{label}: {step:?} after {previous:?}");
-                    // Before `retained()` caches its flat view: the
-                    // footprint reports the map actually held. A toggle
-                    // creates no edge, so between a deferred commit and the
-                    // materialising one only the ordered index's entries
-                    // appear.
-                    let fp = p.footprint();
-                    if out.stats.index_deferred {
-                        deferred_blocker_bytes = fp.blocker_bytes;
-                    } else if out.stats.index_materialised {
-                        assert!(
-                            fp.blocker_bytes
-                                >= deferred_blocker_bytes
-                                    + fp.live_edges * std::mem::size_of::<(EdgeKey, f64)>(),
-                            "{label}: {} B deferred, {} B built over {} edges",
-                            deferred_blocker_bytes,
-                            fp.blocker_bytes,
-                            fp.live_edges
-                        );
-                    }
                     assert_eq!(
                         p.retained().pairs(),
                         p.batch_retained().pairs(),
                         "{label}: retained() diverged from batch"
                     );
                     assert_eq!(p.retained().len(), out.retained_len, "{label}");
-                    let reweighs = drifts && step == Step::Reweigh;
-                    assert_eq!(
-                        out.stats.tier,
-                        if reweighs {
-                            RepairTier::Reweigh
-                        } else {
-                            RepairTier::Dirty
-                        },
-                        "{label}"
-                    );
-                    assert_eq!(out.stats.index_deferred, reweighs, "{label}: deferred");
-                    assert_eq!(
-                        out.stats.index_materialised,
-                        drifts && step == Step::Dirty && previous == Some(Step::Reweigh),
-                        "{label}: materialised"
-                    );
-                    deferred += usize::from(out.stats.index_deferred);
-                    materialised += usize::from(out.stats.index_materialised);
+                    let tier = if drifts && step == Step::Reweigh {
+                        RepairTier::Reweigh
+                    } else {
+                        RepairTier::Dirty
+                    };
+                    assert_eq!(out.stats.tier, tier, "{label}");
                 });
                 let totals = blast_obs::CommitTotals::from_snapshot(&p.metrics().snapshot());
-                assert_eq!(totals.treap_deferred_commits as usize, deferred, "{label}");
                 assert_eq!(
-                    totals.treap_materialisations as usize, materialised,
+                    totals.tier_commits,
+                    if drifts { [4, 5, 1] } else { [9, 0, 1] },
                     "{label}"
-                );
-                assert_eq!(
-                    (deferred, materialised),
-                    if drifts { (5, 3) } else { (0, 0) }
                 );
             }
         }

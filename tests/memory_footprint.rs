@@ -73,9 +73,9 @@ fn census_bytes_per_profile_stays_under_ceiling_node_centric() {
     assert!(fp.interned_tokens > 0, "tokens must be interned");
 }
 
-/// Edge-centric census run (live edge cache + treap) has its own ceiling:
-/// measured ~1.87 KiB/profile with ~6k live edges at 24 packed bytes of
-/// accumulator each plus the ordered-weight index.
+/// Edge-centric census run (live edge cache: ~6k live edges at 24 packed
+/// bytes of accumulator each, mirrored at both endpoints) has its own
+/// ceiling.
 #[test]
 fn census_bytes_per_profile_stays_under_ceiling_edge_centric() {
     let (p, n) = stream_census(IncrementalPruning::Traditional(PruningAlgorithm::Wep));
@@ -87,7 +87,7 @@ fn census_bytes_per_profile_stays_under_ceiling_edge_centric() {
     );
     assert!(fp.live_edges > 0, "WEP must keep a live edge set");
     // Packed accumulator layout: the blocker's bytes per live edge stay
-    // bounded (cache entry + treap node + retained view « 160 B).
+    // bounded (two cache entries + retained view « 160 B).
     let per_edge = fp.blocker_bytes as f64 / fp.live_edges as f64;
     assert!(
         per_edge < 160.0,

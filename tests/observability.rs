@@ -87,10 +87,11 @@ fn stream_trace_emits_one_valid_event_per_commit() {
             "seq order: {line}"
         );
         // Every key the journal carried before the commit table existed:
-        // the table may add keys, never rename or drop one.
+        // the table may add keys, never rename one, and drops one only
+        // with the state it described.
         for key in "seq batch_profiles tier added retracted retained blocks dirty_nodes \
                     scratch_loads patched_rows retention_flips threshold_crossers \
-                    index_deferred index_materialised total_secs phases \
+                    total_secs phases \
                     live_edges cached_accumulators interned_tokens resident_bytes \
                     cold_evictions cold_rehydrations cold_resident_bytes spilled_bytes"
             .split(' ')
@@ -100,10 +101,6 @@ fn stream_trace_emits_one_valid_event_per_commit() {
                 "event {i} missing {key}: {line}"
             );
         }
-        assert!(
-            line.contains("\"index_deferred\": false") || line.contains("\"index_deferred\": true"),
-            "event {i}: the flags stay booleans: {line}"
-        );
         assert!(
             ["dirty", "reweigh", "full"]
                 .iter()
@@ -243,14 +240,10 @@ fn stream_census(
     pipeline
 }
 
-/// The value of `"key": <unsigned or bool>` in a flat journal event.
+/// The value of `"key": <unsigned>` in a flat journal event.
 fn journal_value(event: &str, key: &str) -> Option<u64> {
     let rest = event.split_once(&format!("\"{key}\": "))?.1;
-    match rest.split([',', '}']).next()? {
-        "true" => Some(1),
-        "false" => Some(0),
-        n => n.parse().ok(),
-    }
+    rest.split([',', '}']).next()?.parse().ok()
 }
 
 #[test]
@@ -282,7 +275,7 @@ fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
             let series = format!("blast_{}", stat.name.replace('.', "_"));
             let (kind, expected) = match stat.kind {
                 StatKind::Gauge => ("gauge", last[i]),
-                StatKind::Counter | StatKind::Flag => ("counter", sums[i]),
+                StatKind::Counter => ("counter", sums[i]),
             };
             assert!(
                 page.contains(&format!("# TYPE {series} {kind}\n{series} ")),
@@ -309,8 +302,9 @@ fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
 }
 
 /// The registry's series as they stood before the commit table existed,
-/// spelled out: the table may add to these, never rename or drop one. (The
-/// journal's keys are pinned the same way by the trace test above.)
+/// spelled out: the table may add to these, never rename one, and drops
+/// one only with the state it described. (The journal's keys are pinned
+/// the same way by the trace test above.)
 #[test]
 fn series_names_are_the_ones_published_before_the_table() {
     const SERIES: &str = "cleaner.dirty_keys cleaner.removed_members cleaner.touched_profiles \
@@ -323,8 +317,7 @@ fn series_names_are_the_ones_published_before_the_table() {
         repair.edges_rekeyed repair.edges_reweighed repair.edges_swept repair.scratch_loads \
         repair.tier.dirty repair.tier.full repair.tier.reweigh serve.chunks_copied \
         serve.publish_secs serve.queries serve.read_latency_secs serve.rows_copied \
-        serve.snapshot_swaps serve.stale_epochs snapshot.patched_rows snapshot.patched_slots \
-        treap.deferred_commits treap.materialisations";
+        serve.snapshot_swaps serve.stale_epochs snapshot.patched_rows snapshot.patched_slots";
     // A serving pipeline's registry is the widest one: commit + serve.
     let commit = blast::obs::CommitMetrics::new();
     let _serve = blast_serve::ServeMetrics::on(std::sync::Arc::clone(commit.registry()));
