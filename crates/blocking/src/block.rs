@@ -70,15 +70,13 @@ impl Block {
         &self.profiles[self.split as usize..]
     }
 
-    /// Number of comparisons the block implies (‖b‖, §2): `|b1|·|b2|` for
-    /// bilateral blocks, `C(|b|,2)` for unilateral ones.
+    /// Number of comparisons the block implies (‖b‖, §2; see
+    /// [`comparison_cardinality`]).
     pub fn cardinality(&self, clean_clean: bool) -> u64 {
-        if clean_clean {
-            self.inner1().len() as u64 * self.inner2().len() as u64
-        } else {
-            let n = self.len() as u64;
-            n * n.saturating_sub(1) / 2
-        }
+        // The first id of the second collection splits the sorted ids
+        // exactly where the collection's separator did.
+        let separator = self.inner2().first().map_or(u32::MAX, |p| p.0);
+        comparison_cardinality(&self.profiles, separator, clean_clean)
     }
 
     /// Whether the block implies at least one comparison.
@@ -102,6 +100,22 @@ impl Block {
                 }
             }
         }
+    }
+}
+
+/// The number of comparisons ‖b‖ a block with the sorted member ids `ids`
+/// implies (§2): `|b1|·|b2|` for a bilateral (clean-clean) block, whose
+/// second collection starts at global id `separator`, and `C(|b|,2)` for a
+/// unilateral one. A block is valid iff this is positive. Batch blocks, the
+/// incremental cleaner's raw postings and the graph snapshot's slots all
+/// count through this one definition, which keeps their figures bit-equal.
+pub fn comparison_cardinality(ids: &[ProfileId], separator: u32, clean_clean: bool) -> u64 {
+    if clean_clean {
+        let split = ids.partition_point(|p| p.0 < separator) as u64;
+        split * (ids.len() as u64 - split)
+    } else {
+        let n = ids.len() as u64;
+        n * n.saturating_sub(1) / 2
     }
 }
 
@@ -154,6 +168,28 @@ mod tests {
         let mut pairs = Vec::new();
         d.for_each_comparison(false, |a, x| pairs.push((a.0, x.0)));
         assert_eq!(pairs, vec![(1, 4), (1, 9), (4, 9)]);
+    }
+
+    /// The free function and the block method agree whatever the split,
+    /// including one-sided and empty sides.
+    #[test]
+    fn comparison_cardinality_matches_the_block() {
+        for (members, separator) in [
+            (&[0, 2, 3, 5, 7][..], 3),
+            (&[0, 1][..], 5),
+            (&[6, 7][..], 5),
+            (&[][..], 5),
+            (&[1, 4, 9][..], u32::MAX),
+        ] {
+            let b = Block::new("k", ClusterId::GLUE, ids(members), separator);
+            for clean in [true, false] {
+                assert_eq!(
+                    comparison_cardinality(&ids(members), separator, clean),
+                    b.cardinality(clean),
+                    "{members:?} at {separator}, clean-clean {clean}"
+                );
+            }
+        }
     }
 
     #[test]

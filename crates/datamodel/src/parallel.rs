@@ -30,6 +30,18 @@ fn env_threads() -> Option<usize> {
     })
 }
 
+/// The available parallelism, read once per process: on Linux the lookup
+/// reads cgroup quota files, and graph snapshots ask for their thread
+/// count once per pass.
+fn hw_threads() -> usize {
+    static HW_THREADS: OnceLock<usize> = OnceLock::new();
+    *HW_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Number of worker threads to use: the available parallelism, capped so
 /// tiny inputs don't pay thread-spawn overhead. A `BLAST_THREADS`
 /// environment override pins the count unconditionally for any non-empty
@@ -43,9 +55,7 @@ pub fn default_threads(items: usize) -> usize {
     if let Some(n) = env_threads() {
         return n;
     }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw = hw_threads();
     // Below ~4k items per thread the spawn overhead dominates.
     hw.min(items / 4096 + 1).max(1)
 }

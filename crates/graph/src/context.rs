@@ -1,16 +1,25 @@
-//! The implicit blocking graph, as an **owned, versioned, delta-maintained
-//! snapshot**.
+//! The implicit blocking graph, as an **owned, versioned snapshot that is
+//! patched in place**.
 //!
 //! [`GraphSnapshot`] holds everything a graph pass reads — the
 //! profile→block rows, per-block membership, cardinality and entropy, the
 //! live block count and (lazily) node degrees — in *stable block slots*:
 //! a slot keeps its id for the lifetime of the snapshot even as blocks
-//! around it appear and disappear, so an incremental delta can patch the
-//! dirty slots and rows in place ([`GraphSnapshot::apply`]) instead of
-//! rebuilding the index per commit. Batch pipelines build a snapshot once
+//! around it appear and disappear. Batch pipelines build a snapshot once
 //! from a cleaned [`BlockCollection`] ([`GraphSnapshot::build`], slot i =
-//! block i); the incremental pipeline starts from
-//! [`GraphSnapshot::empty`] and applies one [`SnapshotDelta`] per commit.
+//! block i). The incremental pipeline starts from [`GraphSnapshot::empty`]
+//! and its cleaner edits it directly, once per commit: slot i is block key
+//! i, and the snapshot is the **one owner** of the cleaned memberships.
+//!
+//! An incremental commit is one patch:
+//! [`GraphSnapshot::begin_patch`] grows the profile and slot spaces;
+//! [`GraphSnapshot::insert_member`] / [`GraphSnapshot::remove_member`] edit
+//! slot memberships in place; [`GraphSnapshot::restate_slot`] re-derives a
+//! changed slot's split, cardinality ([`comparison_cardinality`]), entropy
+//! and liveness; [`GraphSnapshot::splice_row`] refills a profile row. A
+//! slot keeps its membership even while it emits no block (a one-member
+//! dirty block, a one-sided clean-clean one): it is **live** iff its
+//! cardinality is positive, and only live slots appear in rows and in |B|.
 //!
 //! The two construction paths are field-for-field equivalent: a snapshot
 //! patched through any mutation history exposes the same rows (same block
@@ -26,6 +35,7 @@
 //! nothing to prefetch first.
 
 use crate::traversal::NodeScratch;
+use blast_blocking::block::comparison_cardinality;
 use blast_blocking::collection::BlockCollection;
 use blast_blocking::index::ProfileBlockIndex;
 use blast_datamodel::entity::ProfileId;
@@ -46,70 +56,19 @@ pub struct EdgeAccum {
     pub entropy_sum: f64,
 }
 
-/// One patched block slot of a [`SnapshotDelta`]: the slot's new cleaned
-/// membership (sorted; empty = the slot no longer emits a block) and its
-/// entropy factor (ignored unless the snapshot carries entropies).
-#[derive(Debug, Clone)]
-pub struct SlotPatch {
-    /// The stable slot id.
-    pub slot: u32,
-    /// New sorted membership; empty tombstones the slot.
-    pub members: Vec<ProfileId>,
-    /// The block's entropy factor (its attribute cluster's aggregate
-    /// entropy; 1.0 for schema-agnostic pipelines).
-    pub entropy: f64,
-}
-
-/// One patched profile row of a [`SnapshotDelta`]: a profile's new block-slot
-/// list, already in the canonical block order the batch index would use.
-#[derive(Debug, Clone)]
-pub struct RowPatch {
-    /// The profile whose row changed.
-    pub profile: u32,
-    /// The live slots containing the profile, canonically ordered.
-    pub slots: Vec<u32>,
-}
-
-/// What one commit changed about the graph: produced by the incremental
-/// cleaner, consumed by [`GraphSnapshot::apply`].
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotDelta {
-    /// The profile-id space after the commit (monotonically grows).
-    pub total_profiles: u32,
-    /// Block slots whose cleaned membership (or liveness) changed.
-    pub slots: Vec<SlotPatch>,
-    /// Profiles whose block list changed.
-    pub rows: Vec<RowPatch>,
-}
-
-impl SnapshotDelta {
-    /// Whether the delta patches nothing (the profile-id space may still
-    /// grow).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty() && self.rows.is_empty()
-    }
-}
-
-/// Diagnostics of one [`GraphSnapshot::apply`] call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ApplyStats {
-    /// Block slots patched (membership or liveness changed).
-    pub patched_slots: usize,
-    /// Profile rows spliced.
-    pub patched_rows: usize,
-}
-
 /// The owned blocking-graph snapshot (see the module docs).
 #[derive(Debug)]
 pub struct GraphSnapshot {
     clean_clean: bool,
     separator: u32,
     total_profiles: u32,
-    /// Per-slot cleaned membership (sorted global ids; empty = dead slot).
+    /// Per-slot cleaned membership (sorted global ids). An incremental
+    /// snapshot keeps it for every key, block or not.
     members: Vec<Vec<ProfileId>>,
     /// Per-slot split point (first member of the second collection).
     splits: Vec<u32>,
-    /// ‖b‖ per slot, as f64 for the ARCS reciprocal.
+    /// ‖b‖ per slot, as f64 for the ARCS reciprocal; positive iff the slot
+    /// is live (emits a block).
     cardinalities: Vec<f64>,
     /// Optional per-slot entropy factor (aggregate entropy of the block
     /// key's attribute cluster — attached by `blast-core`).
@@ -120,19 +79,19 @@ pub struct GraphSnapshot {
     index: ProfileBlockIndex,
     /// Node degrees (distinct neighbours), computed by
     /// [`GraphSnapshot::ensure_degrees`]; needed by EJS. Invalidated by
-    /// [`GraphSnapshot::apply`] unless degree maintenance is on
+    /// [`GraphSnapshot::begin_patch`] unless degree maintenance is on
     /// ([`GraphSnapshot::begin_degree_maintenance`]), in which case the
     /// maintainer patches them through
     /// [`GraphSnapshot::apply_degree_deltas`].
     degrees: Option<Vec<u32>>,
     /// Total number of edges, computed together with `degrees`.
     total_edges: Option<u64>,
-    /// Whether degrees are delta-maintained across [`GraphSnapshot::apply`]
-    /// (the incremental pipeline's EJS path) instead of invalidated.
+    /// Whether degrees are delta-maintained across patches (the
+    /// incremental pipeline's EJS path) instead of invalidated.
     maintain_degrees: bool,
-    threads: usize,
+    /// Pinned worker-thread count; `None` scales with the assignments.
     threads_override: Option<usize>,
-    /// Bumped on every applied delta.
+    /// Bumped by every [`GraphSnapshot::begin_patch`].
     version: u64,
     /// Adjacency loads run against this snapshot (see
     /// [`GraphSnapshot::scratch_loads`]).
@@ -153,9 +112,6 @@ impl GraphSnapshot {
             splits.push(b.split);
             cardinalities.push(b.cardinality(clean) as f64);
         }
-        // Graph passes do quadratic-ish work per node; the block-assignment
-        // count is a far better workload proxy than the profile count.
-        let threads = default_threads(index.total_assignments() as usize);
         Self {
             clean_clean: clean,
             separator: blocks.separator(),
@@ -169,7 +125,6 @@ impl GraphSnapshot {
             degrees: None,
             total_edges: None,
             maintain_degrees: false,
-            threads,
             threads_override: None,
             version: 0,
             scratch_loads: AtomicU64::new(0),
@@ -177,9 +132,9 @@ impl GraphSnapshot {
     }
 
     /// An empty snapshot for an incremental pipeline: no blocks, no rows;
-    /// state arrives through [`GraphSnapshot::apply`]. Clean-clean snapshots
-    /// fix the dataset separator up front (ids `0..separator` belong to the
-    /// first collection).
+    /// state arrives through patches ([`GraphSnapshot::begin_patch`]).
+    /// Clean-clean snapshots fix the dataset separator up front (ids
+    /// `0..separator` belong to the first collection).
     pub fn empty(clean_clean: bool, separator: u32) -> Self {
         let total_profiles = if clean_clean { separator } else { 0 };
         let mut index = ProfileBlockIndex::new();
@@ -197,7 +152,6 @@ impl GraphSnapshot {
             degrees: None,
             total_edges: None,
             maintain_degrees: false,
-            threads: 1,
             threads_override: None,
             version: 0,
             scratch_loads: AtomicU64::new(0),
@@ -217,8 +171,8 @@ impl GraphSnapshot {
     }
 
     /// Enables per-block entropies on an (empty) incremental snapshot: every
-    /// subsequent [`SlotPatch`]'s `entropy` field is recorded instead of
-    /// defaulting to 1.
+    /// subsequent [`GraphSnapshot::restate_slot`] records its `entropy`
+    /// instead of the factor defaulting to 1.
     pub fn with_entropies_enabled(mut self) -> Self {
         self.entropies = Some(vec![1.0; self.members.len()]);
         self
@@ -233,61 +187,27 @@ impl GraphSnapshot {
     /// In-place worker-thread override — the mutable counterpart of
     /// [`GraphSnapshot::with_threads`] for snapshots already owned by a
     /// pipeline (`blast stream --threads`). Survives every subsequent
-    /// [`GraphSnapshot::apply`].
+    /// patch.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads_override = Some(threads.max(1));
-        self.threads = threads.max(1);
     }
 
-    /// Patches the snapshot in place from a commit's delta (consumed —
-    /// slot memberships are moved in, not copied): dirty block slots get
-    /// their new membership, cardinality and entropy; dirty profile rows are
-    /// spliced; aggregate statistics (|B|, Σ|b|, the profile-id space) are
-    /// adjusted incrementally. Degrees are invalidated (EJS recomputes
-    /// them), the version is bumped, and the cost is proportional to the
-    /// delta — the collection size never enters.
-    pub fn apply(&mut self, delta: SnapshotDelta) -> ApplyStats {
-        let stats = ApplyStats {
-            patched_slots: delta.slots.len(),
-            patched_rows: delta.rows.len(),
-        };
-        if delta.total_profiles > self.total_profiles {
-            self.total_profiles = delta.total_profiles;
-        }
+    /// Opens one commit's patch: grows the profile-id space to
+    /// `total_profiles` (new profiles start with empty rows) and the slot
+    /// space to `slots` (new slots start empty and dead), invalidates
+    /// degrees unless they are maintained, and bumps the version. The
+    /// commit's membership edits, restatements and row splices follow;
+    /// their cost is proportional to what changed, never the collection.
+    pub fn begin_patch(&mut self, total_profiles: u32, slots: usize) {
+        self.total_profiles = self.total_profiles.max(total_profiles);
         self.index.ensure_profiles(self.total_profiles as usize);
-        for patch in delta.slots {
-            let slot = patch.slot as usize;
-            if self.members.len() <= slot {
-                self.members.resize_with(slot + 1, Vec::new);
-                self.splits.resize(slot + 1, 0);
-                self.cardinalities.resize(slot + 1, 0.0);
-                if let Some(e) = &mut self.entropies {
-                    e.resize(slot + 1, 1.0);
-                }
-            }
-            let was_live = !self.members[slot].is_empty();
-            let split = patch.members.partition_point(|p| p.0 < self.separator) as u32;
-            let card = if self.clean_clean {
-                split as u64 * (patch.members.len() as u64 - split as u64)
-            } else {
-                let n = patch.members.len() as u64;
-                n * n.saturating_sub(1) / 2
-            };
-            self.members[slot] = patch.members;
-            self.splits[slot] = split;
-            self.cardinalities[slot] = card as f64;
+        if self.members.len() < slots {
+            self.members.resize_with(slots, Vec::new);
+            self.splits.resize(slots, 0);
+            self.cardinalities.resize(slots, 0.0);
             if let Some(e) = &mut self.entropies {
-                e[slot] = patch.entropy;
+                e.resize(slots, 1.0);
             }
-            let is_live = !self.members[slot].is_empty();
-            match (was_live, is_live) {
-                (false, true) => self.live_blocks += 1,
-                (true, false) => self.live_blocks -= 1,
-                _ => {}
-            }
-        }
-        for row in &delta.rows {
-            self.index.splice_row(row.profile, &row.slots);
         }
         if self.maintain_degrees {
             // The maintainer patches degrees through `apply_degree_deltas`
@@ -299,11 +219,64 @@ impl GraphSnapshot {
             self.degrees = None;
             self.total_edges = None;
         }
-        self.threads = self
-            .threads_override
-            .unwrap_or_else(|| default_threads(self.index.total_assignments() as usize));
         self.version += 1;
-        stats
+    }
+
+    /// Adds profile `p` to the membership of `slot` (kept sorted). The
+    /// slot's statistics are stale until [`GraphSnapshot::restate_slot`].
+    pub fn insert_member(&mut self, slot: u32, p: u32) {
+        let members = &mut self.members[slot as usize];
+        let pos = members.partition_point(|m| m.0 < p);
+        debug_assert_ne!(members.get(pos), Some(&ProfileId(p)), "duplicate member");
+        members.insert(pos, ProfileId(p));
+    }
+
+    /// Removes profile `p` from the membership of `slot` (an emptied
+    /// membership releases its allocation). The slot's statistics are
+    /// stale until [`GraphSnapshot::restate_slot`].
+    pub fn remove_member(&mut self, slot: u32, p: u32) {
+        let members = &mut self.members[slot as usize];
+        let pos = members.partition_point(|m| m.0 < p);
+        debug_assert_eq!(members.get(pos), Some(&ProfileId(p)), "missing member");
+        members.remove(pos);
+        if members.is_empty() {
+            members.shrink_to_fit();
+        }
+    }
+
+    /// Re-derives the split, cardinality and entropy factor (ignored unless
+    /// the snapshot carries entropies) of `slot` from its membership, and
+    /// moves |B| with its liveness. Returns whether the liveness flipped —
+    /// every member's |B_u| moved with it.
+    pub fn restate_slot(&mut self, slot: u32, entropy: f64) -> bool {
+        let i = slot as usize;
+        let members = &self.members[i];
+        let was_live = self.cardinalities[i] > 0.0;
+        let card = comparison_cardinality(members, self.separator, self.clean_clean);
+        self.splits[i] = members.partition_point(|p| p.0 < self.separator) as u32;
+        self.cardinalities[i] = card as f64;
+        if let Some(e) = &mut self.entropies {
+            e[i] = entropy;
+        }
+        let is_live = card > 0;
+        match (was_live, is_live) {
+            (false, true) => self.live_blocks += 1,
+            (true, false) => self.live_blocks -= 1,
+            _ => {}
+        }
+        was_live != is_live
+    }
+
+    /// Whether `slot` emits a block (its cardinality is positive).
+    #[inline]
+    pub fn slot_is_live(&self, slot: u32) -> bool {
+        self.cardinalities[slot as usize] > 0.0
+    }
+
+    /// Replaces profile `p`'s row with the live slots `slots`, in the
+    /// canonical block order batch block ids follow.
+    pub fn splice_row(&mut self, p: u32, slots: &[u32]) {
+        self.index.splice_row(p, slots);
     }
 
     /// Whether the snapshot covers a clean-clean input.
@@ -324,13 +297,17 @@ impl GraphSnapshot {
         &self.index
     }
 
-    /// Number of worker threads used by graph passes.
+    /// Number of worker threads used by graph passes: the pinned count, or
+    /// one scaled with the block-assignment count — graph passes do
+    /// quadratic-ish work per node, so assignments are a far better
+    /// workload proxy than profiles.
     #[inline]
     pub fn threads(&self) -> usize {
-        self.threads
+        self.threads_override
+            .unwrap_or_else(|| default_threads(self.index.total_assignments() as usize))
     }
 
-    /// How many deltas have been applied.
+    /// How many patches have been opened.
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
@@ -409,7 +386,8 @@ impl GraphSnapshot {
         self.degrees.is_some()
     }
 
-    /// The cleaned membership of one block slot (empty for dead slots).
+    /// The cleaned membership of one block slot (a dead slot may keep
+    /// members that form no comparison).
     #[inline]
     pub fn slot_members(&self, slot: u32) -> &[ProfileId] {
         &self.members[slot as usize]
@@ -502,7 +480,7 @@ impl GraphSnapshot {
     }
 
     /// Switches the snapshot to **delta-maintained degrees**: computes them
-    /// from scratch once (if absent) and stops [`GraphSnapshot::apply`]
+    /// from scratch once (if absent) and stops [`GraphSnapshot::begin_patch`]
     /// from invalidating them. From then on the caller owns their
     /// correctness: every commit must push the edge births/deaths of its
     /// delta through [`GraphSnapshot::apply_degree_deltas`] *before*
@@ -514,7 +492,7 @@ impl GraphSnapshot {
         self.maintain_degrees = true;
     }
 
-    /// Whether degrees are delta-maintained across applies.
+    /// Whether degrees are delta-maintained across patches.
     #[inline]
     pub fn degrees_maintained(&self) -> bool {
         self.maintain_degrees && self.degrees.is_some()
@@ -708,40 +686,30 @@ mod tests {
         assert!((ctx.edge(0, 1).unwrap().entropy_sum - 2.0).abs() < 1e-12);
     }
 
-    /// A snapshot patched through a delta equals a snapshot built from the
+    /// Brings `slot` to exactly `members` through the in-place edits and
+    /// restates it, returning whether its liveness flipped.
+    fn set_members(snap: &mut GraphSnapshot, slot: u32, members: &[u32]) -> bool {
+        let old: Vec<u32> = snap.slot_members(slot).iter().map(|p| p.0).collect();
+        for &p in old.iter().filter(|p| !members.contains(p)) {
+            snap.remove_member(slot, p);
+        }
+        for &p in members.iter().filter(|p| !old.contains(p)) {
+            snap.insert_member(slot, p);
+        }
+        snap.restate_slot(slot, 1.0)
+    }
+
+    /// A snapshot patched in place equals a snapshot built from the
     /// corresponding collection (slot ids aside).
     #[test]
     fn apply_matches_build() {
         let mut snap = GraphSnapshot::empty(false, 0);
-        snap.apply(SnapshotDelta {
-            total_profiles: 3,
-            slots: vec![
-                SlotPatch {
-                    slot: 0,
-                    members: ids(&[0, 1, 2]),
-                    entropy: 1.0,
-                },
-                SlotPatch {
-                    slot: 1,
-                    members: ids(&[0, 2]),
-                    entropy: 1.0,
-                },
-            ],
-            rows: vec![
-                RowPatch {
-                    profile: 0,
-                    slots: vec![0, 1],
-                },
-                RowPatch {
-                    profile: 1,
-                    slots: vec![0],
-                },
-                RowPatch {
-                    profile: 2,
-                    slots: vec![0, 1],
-                },
-            ],
-        });
+        snap.begin_patch(3, 2);
+        assert!(set_members(&mut snap, 0, &[0, 1, 2]), "slot 0 comes alive");
+        assert!(set_members(&mut snap, 1, &[0, 2]), "slot 1 comes alive");
+        snap.splice_row(0, &[0, 1]);
+        snap.splice_row(1, &[0]);
+        snap.splice_row(2, &[0, 1]);
         let b = vec![
             Block::new("b0", ClusterId::GLUE, ids(&[0, 1, 2]), u32::MAX),
             Block::new("b1", ClusterId::GLUE, ids(&[0, 2]), u32::MAX),
@@ -761,32 +729,36 @@ mod tests {
         }
         assert_eq!(snap.version(), 1);
 
-        // Tombstoning a slot brings the graph back to one block.
-        snap.apply(SnapshotDelta {
-            total_profiles: 3,
-            slots: vec![SlotPatch {
-                slot: 1,
-                members: Vec::new(),
-                entropy: 1.0,
-            }],
-            rows: vec![
-                RowPatch {
-                    profile: 0,
-                    slots: vec![0],
-                },
-                RowPatch {
-                    profile: 2,
-                    slots: vec![0],
-                },
-            ],
-        });
+        // Slot 1 drops to one member: it keeps that member but dies, which
+        // brings the graph back to one block.
+        snap.begin_patch(3, 2);
+        assert!(set_members(&mut snap, 1, &[2]), "slot 1 dies");
+        assert_eq!(snap.slot_members(1), &ids(&[2])[..]);
+        assert!(!snap.slot_is_live(1));
+        assert_eq!(snap.slot_cardinality(1), 0.0);
+        snap.splice_row(0, &[0]);
+        snap.splice_row(2, &[0]);
         assert_eq!(snap.total_blocks(), 1);
         assert_eq!(snap.edge(0, 2).unwrap().common_blocks, 1);
         assert_eq!(snap.version(), 2);
+
+        // Regaining a member revives it; a restatement that keeps the
+        // liveness reports no flip.
+        snap.begin_patch(3, 2);
+        assert!(set_members(&mut snap, 1, &[0, 2]), "slot 1 comes back");
+        assert!(!set_members(&mut snap, 0, &[0, 1, 2]), "slot 0 unchanged");
+        snap.splice_row(0, &[0, 1]);
+        snap.splice_row(2, &[0, 1]);
+        assert_eq!(snap.total_blocks(), 2);
+        for p in 0..3 {
+            for v in 0..3 {
+                assert_eq!(snap.edge(p, v), batch.edge(p, v), "edge ({p},{v})");
+            }
+        }
     }
 
-    /// Maintained degrees survive `apply` and track deltas exactly; without
-    /// maintenance, `apply` invalidates them as before.
+    /// Maintained degrees survive a patch and track deltas exactly; without
+    /// maintenance, a patch invalidates them as before.
     #[test]
     fn degree_maintenance_tracks_deltas() {
         let b = vec![Block::new("b0", ClusterId::GLUE, ids(&[0, 1, 2]), u32::MAX)];
@@ -798,19 +770,11 @@ mod tests {
         assert_eq!((snap.degree(0), snap.total_edges()), (2, 3));
 
         // Grow the profile space and the block: node 3 joins b0.
-        snap.apply(SnapshotDelta {
-            total_profiles: 4,
-            slots: vec![SlotPatch {
-                slot: 0,
-                members: ids(&[0, 1, 2, 3]),
-                entropy: 1.0,
-            }],
-            rows: vec![RowPatch {
-                profile: 3,
-                slots: vec![0],
-            }],
-        });
-        // Degrees survived the apply (new node isolated until patched)...
+        snap.begin_patch(4, 1);
+        snap.insert_member(0, 3);
+        assert!(!snap.restate_slot(0, 1.0), "b0 stays live");
+        snap.splice_row(3, &[0]);
+        // Degrees survived the patch (new node isolated until patched)...
         assert!(snap.degrees_maintained());
         assert_eq!(snap.degree(3), 0);
         // ...and the maintainer pushes the births: (0,3), (1,3), (2,3).
@@ -830,5 +794,11 @@ mod tests {
         for p in 0..4 {
             assert_eq!(snap.degree(p), rebuilt.degree(p), "degree of {p}");
         }
+
+        // Without maintenance a patch drops the degrees.
+        let mut plain = GraphSnapshot::build(&blocks);
+        plain.ensure_degrees();
+        plain.begin_patch(3, 1);
+        assert!(!plain.has_degrees());
     }
 }

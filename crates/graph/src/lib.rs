@@ -6,7 +6,7 @@
 //! enumerated node-centrically from the profile→block rows, which is
 //! how the reference implementations scale.
 //!
-//! ## The snapshot/delta design
+//! ## The snapshot design
 //!
 //! The central abstraction is the **owned, versioned**
 //! [`context::GraphSnapshot`]: it owns the profile rows, per-block membership,
@@ -18,12 +18,15 @@
 //!   once from a cleaned `BlockCollection` (slot i = block i) and the
 //!   pruning passes run over it; nothing is ever rebuilt.
 //! * **Incremental** — the pipeline starts from
-//!   [`context::GraphSnapshot::empty`] and, per commit, **applies a
-//!   [`context::SnapshotDelta`]** produced by the incremental cleaner:
-//!   dirty block slots are re-stated, dirty profile rows are refilled in
-//!   place (`blast_blocking::ProfileBlockIndex::splice_row`, one `Vec` per
-//!   profile), and the aggregate statistics are adjusted — cost
-//!   proportional to the dirty neighbourhood, never the collection. The
+//!   [`context::GraphSnapshot::empty`] and the incremental cleaner **edits
+//!   it in place** per commit: it inserts and removes slot members, asks the
+//!   snapshot to restate the changed slots
+//!   ([`context::GraphSnapshot::restate_slot`]: split, cardinality, entropy,
+//!   liveness, |B|) and refills the dirty profile rows
+//!   (`blast_blocking::ProfileBlockIndex::splice_row`, one `Vec` per
+//!   profile) — cost proportional to the dirty neighbourhood, never the
+//!   collection. The snapshot is the one owner of the cleaned memberships
+//!   (the cleaner keeps only its purge/filter decision caches), and the
 //!   patched snapshot is field-for-field identical to a fresh `build` on
 //!   the materialised collection (pinned by `tests/snapshot_maintenance.rs`),
 //!   which is what keeps incremental repair bit-identical to batch.
@@ -54,8 +57,8 @@
 //!
 //! ## Modules
 //!
-//! * [`context`] — [`context::GraphSnapshot`] + [`context::SnapshotDelta`]:
-//!   the owned graph state and its patch protocol.
+//! * [`context`] — [`context::GraphSnapshot`]: the owned graph state and
+//!   its in-place patch methods.
 //! * [`traversal`] — the dense scratch-array engine every pass runs on:
 //!   per-worker [`traversal::NodeScratch`] adjacency accumulation with
 //!   work-stealing scheduling, bit-exact across thread counts; workers and
@@ -84,7 +87,7 @@ pub mod traversal;
 pub mod weights;
 
 pub use cold::{ColdError, ColdRows, ColdStats, ColdStore, FrameRef, SpillBackend};
-pub use context::{ApplyStats, EdgeAccum, GraphSnapshot, RowPatch, SlotPatch, SnapshotDelta};
+pub use context::{EdgeAccum, GraphSnapshot};
 pub use exact_sum::ExactSum;
 pub use meta::{MetaBlocker, PruningAlgorithm};
 pub use pruning::common::EpochMask;

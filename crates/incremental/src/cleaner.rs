@@ -1,6 +1,6 @@
 //! Incremental block cleaning: purging + filtering re-applied only where a
-//! micro-batch touched the index, emitting a [`SnapshotDelta`] instead of a
-//! materialised collection.
+//! micro-batch touched the index, editing the graph snapshot's block slots
+//! in place instead of materialising a collection.
 //!
 //! Both batch cleaners are *locally decidable* given a handful of cached
 //! statistics, which is what makes incremental re-application sound:
@@ -17,20 +17,24 @@
 //!   list or whose blocks changed — everyone else's cached kept set remains
 //!   bit-identical to what a batch run would compute.
 //!
-//! The outcome is a [`SnapshotDelta`] — the patched block slots (stable
-//! key ids) and profile rows the graph snapshot applies in place — plus the
-//! *graph-dirty* node set: every profile whose cleaned co-occurrence
-//! changed, which is what the downstream meta-blocking repair needs. The
-//! cleaner's cached state stays field-for-field equivalent to batch
-//! purge→filter on the materialised input ([`IncrementalCleaner::materialize`]
-//! rebuilds that collection for verification paths; the commit hot path
-//! never does).
+//! The cleaner keeps only those decision caches (purge status, raw
+//! cardinality, kept sets). The cleaned memberships themselves live in one
+//! place, the [`GraphSnapshot`]'s slots (slot id = key id): each kept-set
+//! change is one member inserted into or removed from a slot, the snapshot
+//! restates the changed slots (a slot emits a block iff its comparison
+//! cardinality is positive) and the cleaner splices the rows whose block
+//! list moved. The [`CleanOutcome`] carries the *graph-dirty* node set:
+//! every profile whose cleaned co-occurrence changed, which is what the
+//! downstream meta-blocking repair needs. The snapshot stays
+//! field-for-field equivalent to batch purge→filter on the materialised
+//! input ([`IncrementalCleaner::materialize`] reads that collection back
+//! for verification paths; the commit hot path never does).
 
 use crate::index::{DirtyDrain, IncrementalBlockIndex, KeyId};
-use blast_blocking::block::Block;
+use blast_blocking::block::{comparison_cardinality, Block};
 use blast_blocking::collection::BlockCollection;
-use blast_datamodel::entity::ProfileId;
-use blast_graph::context::{RowPatch, SlotPatch, SnapshotDelta};
+use blast_graph::context::GraphSnapshot;
+use std::time::Instant;
 
 /// Purging/filtering configuration (defaults match `BlastConfig`).
 #[derive(Debug, Clone)]
@@ -67,15 +71,9 @@ impl CleaningConfig {
     }
 }
 
-/// What one cleaning pass changed, for the snapshot and graph-repair stages.
+/// What one cleaning pass changed, for the graph-repair stage.
 #[derive(Debug)]
 pub struct CleanOutcome {
-    /// The slot/row patches bringing the graph snapshot up to date with the
-    /// cleaned state of this commit.
-    pub delta: SnapshotDelta,
-    /// Number of cleaned (emitted) blocks after the commit — the batch
-    /// collection's |B|.
-    pub blocks: u64,
     /// Profiles whose cleaned co-occurrence changed (members added to or
     /// removed from some cleaned block, or members of blocks whose
     /// cardinality changed). Sorted, deduplicated.
@@ -83,8 +81,15 @@ pub struct CleanOutcome {
     /// Profiles whose cleaned block *list* changed (their `|B_u|` moved).
     /// Subset of `dirty_nodes`; sorted.
     pub lists_changed: Vec<u32>,
-    /// Whether the cleaned block count |B| differs from the previous pass.
+    /// Whether the cleaned block count |B| differs from before the pass.
     pub total_blocks_changed: bool,
+    /// Block slots the snapshot restated.
+    pub patched_slots: usize,
+    /// Profile rows spliced.
+    pub patched_rows: usize,
+    /// Wall-clock seconds of the slot restatements and row splices (steps
+    /// 6–7 of [`IncrementalCleaner::apply`]).
+    pub snapshot_secs: f64,
 }
 
 /// The incremental purging + filtering stage.
@@ -97,16 +102,7 @@ pub struct IncrementalCleaner {
     cardinality: Vec<u64>,
     /// Per profile: kept key ids (sorted by key id).
     kept: Vec<Vec<KeyId>>,
-    /// Per key: cleaned membership (sorted profile ids).
-    cleaned: Vec<Vec<u32>>,
-    /// Per key: whether the previous pass emitted it as a block. A flip
-    /// changes the block count |B_u| of every *surviving* member — nodes
-    /// whose own kept set did not move — so flips feed `lists_changed`.
-    emitted: Vec<bool>,
-    /// Running emitted-block count (the cleaned |B|).
-    live_blocks: u64,
     prev_max_profiles: Option<usize>,
-    prev_block_count: Option<u64>,
 }
 
 impl IncrementalCleaner {
@@ -117,11 +113,7 @@ impl IncrementalCleaner {
             present: Vec::new(),
             cardinality: Vec::new(),
             kept: Vec::new(),
-            cleaned: Vec::new(),
-            emitted: Vec::new(),
-            live_blocks: 0,
             prev_max_profiles: None,
-            prev_block_count: None,
         }
     }
 
@@ -130,24 +122,39 @@ impl IncrementalCleaner {
         &self.config
     }
 
-    /// Re-applies cleaning after the index absorbed a micro-batch.
+    /// Estimated resident heap footprint of the decision caches in bytes
+    /// (capacities, not lengths).
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.present.capacity()
+            + self.cardinality.capacity() * size_of::<u64>()
+            + self
+                .kept
+                .iter()
+                .map(|k| k.capacity() * size_of::<KeyId>())
+                .sum::<usize>()
+            + self.kept.capacity() * size_of::<Vec<KeyId>>()
+    }
+
+    /// Re-applies cleaning after the index absorbed a micro-batch, patching
+    /// `snapshot` in place (one [`GraphSnapshot::begin_patch`] per call).
     /// `cluster_entropies` carries the fixed partitioning's aggregate
-    /// entropies (indexed by cluster id) for the slot patches; `None` for
+    /// entropies (indexed by cluster id) for the restated slots; `None` for
     /// schema-agnostic pipelines.
     pub fn apply(
         &mut self,
         index: &IncrementalBlockIndex,
         drain: &DirtyDrain,
-        clean_clean: bool,
-        separator: u32,
+        snapshot: &mut GraphSnapshot,
         total_profiles: u32,
         cluster_entropies: Option<&[f64]>,
     ) -> CleanOutcome {
         let n_keys = index.key_count();
+        let (clean_clean, separator) = (snapshot.is_clean_clean(), snapshot.separator());
+        let blocks_before = snapshot.total_blocks();
+        snapshot.begin_patch(total_profiles, n_keys);
         self.present.resize(n_keys, false);
         self.cardinality.resize(n_keys, 0);
-        self.cleaned.resize_with(n_keys, Vec::new);
-        self.emitted.resize(n_keys, false);
         if self.kept.len() < total_profiles as usize {
             self.kept.resize_with(total_profiles as usize, Vec::new);
         }
@@ -155,7 +162,7 @@ impl IncrementalCleaner {
         // 1. Refresh cached cardinalities of the touched keys.
         for &k in &drain.keys {
             self.cardinality[k as usize] =
-                index.with_postings(k, |p| raw_cardinality(p, clean_clean, separator));
+                index.with_postings(k, |p| comparison_cardinality(p, separator, clean_clean));
         }
 
         // 2. Purging: per-key length test. A threshold move re-evaluates the
@@ -207,9 +214,9 @@ impl IncrementalCleaner {
             }
         }
         self.prev_max_profiles = Some(max_profiles);
-        // Emission must be re-examined for every present-flip, drained or
-        // not; the *filtering* stage additionally needs the flips that were
-        // not already drained (whose members it would otherwise miss).
+        // Every present-flip re-ranks its members' kept sets; the flips
+        // that were not already drained add members the filtering stage
+        // would otherwise miss.
         flipped.sort_unstable();
         flipped.dedup();
         let threshold_flipped: Vec<KeyId> = flipped
@@ -239,8 +246,8 @@ impl IncrementalCleaner {
         filter_dirty.sort_unstable();
         filter_dirty.dedup();
 
-        // 4. Recompute kept sets; diff against the cache to patch the
-        //    cleaned memberships and collect the graph-dirty scope.
+        // 4. Recompute kept sets; diff against the cache to edit the
+        //    snapshot's slot memberships and collect the graph-dirty scope.
         let mut changed_keys: Vec<KeyId> = Vec::new();
         let mut removed_nodes: Vec<u32> = Vec::new();
         let mut lists_changed: Vec<u32> = Vec::new();
@@ -302,19 +309,13 @@ impl IncrementalCleaner {
                 }
             }
             for k in removes {
-                let members = &mut self.cleaned[k as usize];
-                let pos = members.partition_point(|&m| m < p);
-                debug_assert_eq!(members.get(pos), Some(&p));
-                members.remove(pos);
+                snapshot.remove_member(k, p);
                 changed_keys.push(k);
                 removed_nodes.push(p);
                 changed = true;
             }
             for k in adds {
-                let members = &mut self.cleaned[k as usize];
-                let pos = members.partition_point(|&m| m < p);
-                debug_assert_ne!(members.get(pos), Some(&p));
-                members.insert(pos, p);
+                snapshot.insert_member(k, p);
                 changed_keys.push(k);
                 changed = true;
             }
@@ -331,136 +332,85 @@ impl IncrementalCleaner {
         //    members that were just removed from one.
         let mut dirty_nodes = removed_nodes;
         for &k in &changed_keys {
-            dirty_nodes.extend_from_slice(&self.cleaned[k as usize]);
+            dirty_nodes.extend(snapshot.slot_members(k).iter().map(|p| p.0));
         }
-        dirty_nodes.sort_unstable();
-        dirty_nodes.dedup();
 
-        // 6. Resolve emission and build the snapshot's slot patches. Only
-        //    keys whose cleaned membership or purge status moved can flip
-        //    or change as blocks — the former O(|keys|) materialisation
-        //    loop is gone from the commit path. A key whose emitted status
-        //    flips changes |B_u| for every member that *stayed* in it —
-        //    record them as list-changed.
-        let mut candidates: Vec<KeyId> = changed_keys;
-        candidates.extend_from_slice(&flipped);
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut slots: Vec<SlotPatch> = Vec::new();
-        for &k in &candidates {
-            let members = &self.cleaned[k as usize];
-            let emitted_now =
-                self.present[k as usize] && members_valid(members, clean_clean, separator);
-            let was = self.emitted[k as usize];
-            if emitted_now != was {
-                self.emitted[k as usize] = emitted_now;
-                self.live_blocks = if emitted_now {
-                    self.live_blocks + 1
-                } else {
-                    self.live_blocks - 1
-                };
-                lists_changed.extend_from_slice(members);
-                dirty_nodes.extend_from_slice(members);
-            }
-            if emitted_now {
-                slots.push(SlotPatch {
-                    slot: k,
-                    members: members.iter().map(|&p| ProfileId(p)).collect(),
-                    entropy: cluster_entropies.map_or(1.0, |e| e[index.key(k).cluster.index()]),
-                });
-            } else if was {
-                slots.push(SlotPatch {
-                    slot: k,
-                    members: Vec::new(),
-                    entropy: 1.0,
-                });
+        // 6. Restate the changed slots. Only keys whose cleaned membership
+        //    moved can start or stop emitting a block: a key that leaves
+        //    the purged collection drains to an empty membership through
+        //    its members' kept sets, and one that enters it gains members
+        //    the same way. A slot whose liveness flips changes |B_u| for
+        //    every member that *stayed* in it — record them as
+        //    list-changed.
+        let t0 = Instant::now();
+        for &k in &changed_keys {
+            let entropy = cluster_entropies.map_or(1.0, |e| e[index.key(k).cluster.index()]);
+            if snapshot.restate_slot(k, entropy) {
+                let members = snapshot.slot_members(k).iter().map(|p| p.0);
+                lists_changed.extend(members.clone());
+                dirty_nodes.extend(members);
             }
         }
         lists_changed.sort_unstable();
         lists_changed.dedup();
         dirty_nodes.sort_unstable();
         dirty_nodes.dedup();
-        let total_blocks_changed = self.prev_block_count != Some(self.live_blocks);
-        self.prev_block_count = Some(self.live_blocks);
 
-        // 7. Row patches: every profile whose cleaned block list moved gets
-        //    its new row — the emitted subset of its kept keys, in the
+        // 7. Row splices: every profile whose cleaned block list moved gets
+        //    its new row — the live subset of its kept keys, in the
         //    canonical (cluster, token) order batch block ids follow.
-        let rows: Vec<RowPatch> = lists_changed
-            .iter()
-            .map(|&p| {
-                let mut row: Vec<KeyId> = self.kept[p as usize]
+        let mut row: Vec<KeyId> = Vec::new();
+        for &p in &lists_changed {
+            row.clear();
+            row.extend(
+                self.kept[p as usize]
                     .iter()
                     .copied()
-                    .filter(|&k| self.emitted[k as usize])
-                    .collect();
-                row.sort_unstable_by(|&a, &b| index.canon_key(a).cmp(&index.canon_key(b)));
-                RowPatch {
-                    profile: p,
-                    slots: row,
-                }
-            })
-            .collect();
+                    .filter(|&k| snapshot.slot_is_live(k)),
+            );
+            row.sort_unstable_by(|&a, &b| index.canon_key(a).cmp(&index.canon_key(b)));
+            snapshot.splice_row(p, &row);
+        }
+        let snapshot_secs = t0.elapsed().as_secs_f64();
 
         CleanOutcome {
-            delta: SnapshotDelta {
-                total_profiles,
-                slots,
-                rows,
-            },
-            blocks: self.live_blocks,
+            total_blocks_changed: snapshot.total_blocks() != blocks_before,
+            patched_slots: changed_keys.len(),
+            patched_rows: lists_changed.len(),
+            snapshot_secs,
             dirty_nodes,
             lists_changed,
-            total_blocks_changed,
         }
     }
 
-    /// Materialises the cleaned collection in canonical order, exactly like
-    /// batch purge→filter on the materialised input (invalid blocks dropped
-    /// the same way). Verification/diagnostics only — O(|keys|), never on
-    /// the commit path.
-    pub fn materialize(
-        &self,
-        index: &IncrementalBlockIndex,
-        clean_clean: bool,
-        separator: u32,
-        total_profiles: u32,
-    ) -> BlockCollection {
-        let mut blocks: Vec<Block> = Vec::new();
-        for &k in index.ordered_keys() {
-            if !self.emitted[k as usize] {
-                continue;
-            }
-            let members = &self.cleaned[k as usize];
-            blocks.push(Block::new(
-                index.label(k),
-                index.key(k).cluster,
-                members.iter().map(|&p| ProfileId(p)).collect(),
-                separator,
-            ));
-        }
+    /// Materialises the cleaned collection `snapshot` holds after an
+    /// [`IncrementalCleaner::apply`] over `index`, in canonical order,
+    /// exactly like batch purge→filter on the materialised input (blocks
+    /// without a comparison dropped the same way; a dirty collection's
+    /// separator is its profile count, as in batch). Verification only —
+    /// O(|keys| log |keys|), never on the commit path.
+    pub fn materialize(index: &IncrementalBlockIndex, snapshot: &GraphSnapshot) -> BlockCollection {
+        let clean_clean = snapshot.is_clean_clean();
+        let total_profiles = snapshot.total_profiles();
+        let separator = if clean_clean {
+            snapshot.separator()
+        } else {
+            total_profiles
+        };
+        let blocks: Vec<Block> = index
+            .ordered_keys()
+            .into_iter()
+            .filter(|&k| snapshot.slot_is_live(k))
+            .map(|k| {
+                Block::new(
+                    index.label(k),
+                    index.key(k).cluster,
+                    snapshot.slot_members(k).to_vec(),
+                    separator,
+                )
+            })
+            .collect();
         BlockCollection::new(blocks, clean_clean, separator, total_profiles)
-    }
-}
-
-/// Whether a cleaned membership list emits a valid block (≥1 comparison).
-fn members_valid(members: &[u32], clean_clean: bool, separator: u32) -> bool {
-    if clean_clean {
-        let split = members.partition_point(|&m| m < separator);
-        split > 0 && split < members.len()
-    } else {
-        members.len() >= 2
-    }
-}
-
-/// A block's comparison cardinality from its raw postings.
-fn raw_cardinality(postings: &[ProfileId], clean_clean: bool, separator: u32) -> u64 {
-    if clean_clean {
-        let split = postings.partition_point(|p| p.0 < separator) as u64;
-        split * (postings.len() as u64 - split)
-    } else {
-        let n = postings.len() as u64;
-        n * n.saturating_sub(1) / 2
     }
 }
 
@@ -506,14 +456,15 @@ mod tests {
     }
 
     /// Streams profiles through index+cleaner and checks the cleaned
-    /// collection equals batch purge→filter at every step, and that the
-    /// emitted-block count tracks it.
+    /// collection the snapshot holds equals batch purge→filter at every
+    /// step, and that the live-block count tracks it.
     #[test]
     fn incremental_cleaning_tracks_batch() {
         let tokenizer = Tokenizer::new();
         let config = CleaningConfig::default();
         let mut index = IncrementalBlockIndex::new(false);
         let mut cleaner = IncrementalCleaner::new(config.clone());
+        let mut snapshot = GraphSnapshot::empty(false, 0);
 
         let rows: Vec<(&str, &str)> = vec![
             ("p0", "john abram jr"),
@@ -534,11 +485,15 @@ mod tests {
 
             let drain = index.drain_dirty();
             let total = (step + 1) as u32;
-            let outcome = cleaner.apply(&index, &drain, false, total, total, None);
-            let materialised = cleaner.materialize(&index, false, total, total);
+            cleaner.apply(&index, &drain, &mut snapshot, total, None);
+            let materialised = IncrementalCleaner::materialize(&index, &snapshot);
             let batch = batch_cleaned(&ErInput::dirty(d.clone()), &config);
             assert_same_collection(&materialised, &batch);
-            assert_eq!(outcome.blocks, batch.len() as u64, "live-block count");
+            assert_eq!(
+                snapshot.total_blocks(),
+                batch.len() as u64,
+                "live-block count"
+            );
         }
     }
 
@@ -547,17 +502,18 @@ mod tests {
         let config = CleaningConfig::none();
         let mut index = IncrementalBlockIndex::new(false);
         let mut cleaner = IncrementalCleaner::new(config);
+        let mut snapshot = GraphSnapshot::empty(false, 0);
         // Two disjoint communities.
         index.set_profile(0, [(ClusterId::GLUE, "a"), (ClusterId::GLUE, "b")]);
         index.set_profile(1, [(ClusterId::GLUE, "a"), (ClusterId::GLUE, "b")]);
         index.set_profile(2, [(ClusterId::GLUE, "x")]);
         index.set_profile(3, [(ClusterId::GLUE, "x")]);
         let drain = index.drain_dirty();
-        cleaner.apply(&index, &drain, false, 4, 4, None);
+        cleaner.apply(&index, &drain, &mut snapshot, 4, None);
         // Touch only the x community: profile 2 leaves the x block.
         index.set_profile(2, [(ClusterId::GLUE, "y")]);
         let drain = index.drain_dirty();
-        let outcome = cleaner.apply(&index, &drain, false, 4, 4, None);
+        let outcome = cleaner.apply(&index, &drain, &mut snapshot, 4, None);
         assert!(
             !outcome.dirty_nodes.contains(&0) && !outcome.dirty_nodes.contains(&1),
             "disjoint community must stay clean, got {:?}",
@@ -566,12 +522,11 @@ mod tests {
         // Both x members are dirty: 2 left, 3 lost its only co-member.
         assert!(outcome.dirty_nodes.contains(&2));
         assert!(outcome.dirty_nodes.contains(&3));
-        // And the delta only patches the affected slots/rows.
-        assert!(outcome
-            .delta
-            .rows
-            .iter()
-            .all(|r| r.profile == 2 || r.profile == 3));
+        // And the patch only splices the affected rows.
+        assert!(outcome.lists_changed.iter().all(|&p| p == 2 || p == 3));
+        assert_eq!(outcome.patched_rows, outcome.lists_changed.len());
+        assert_eq!(snapshot.node_blocks(0), 2, "a, b untouched");
+        assert_eq!(snapshot.node_blocks(3), 0, "x died");
     }
 
     #[test]
@@ -586,21 +541,23 @@ mod tests {
         };
         let mut index = IncrementalBlockIndex::new(false);
         let mut cleaner = IncrementalCleaner::new(config);
+        let mut snapshot = GraphSnapshot::empty(false, 0);
         index.set_profile(0, [(ClusterId::GLUE, "t")]);
         index.set_profile(1, [(ClusterId::GLUE, "t")]);
         index.set_profile(2, [(ClusterId::GLUE, "z")]);
         let drain = index.drain_dirty();
-        let outcome = cleaner.apply(&index, &drain, false, 3, 3, None);
-        assert_eq!(outcome.blocks, 0, "t purged at max=1");
+        cleaner.apply(&index, &drain, &mut snapshot, 3, None);
+        assert_eq!(snapshot.total_blocks(), 0, "t purged at max=1");
         // A fourth, unrelated profile raises the threshold; the untouched
         // "t" block must resurface.
         index.set_profile(3, [(ClusterId::GLUE, "z")]);
         let drain = index.drain_dirty();
-        let outcome = cleaner.apply(&index, &drain, false, 4, 4, None);
-        let materialised = cleaner.materialize(&index, false, 4, 4);
+        let outcome = cleaner.apply(&index, &drain, &mut snapshot, 4, None);
+        let materialised = IncrementalCleaner::materialize(&index, &snapshot);
         let labels: Vec<&str> = materialised.blocks().iter().map(|b| &*b.label).collect();
         assert_eq!(labels, vec!["t", "z"]);
-        assert_eq!(outcome.blocks, 2);
+        assert_eq!(snapshot.total_blocks(), 2);
+        assert!(outcome.total_blocks_changed);
         assert!(outcome.dirty_nodes.contains(&0));
         assert!(outcome.dirty_nodes.contains(&1));
     }

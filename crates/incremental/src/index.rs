@@ -8,10 +8,11 @@
 //! so the downstream cleaning and graph-repair stages can restrict
 //! themselves to the affected blocks.
 //!
-//! Keys live in a slab and are additionally kept in a canonically sorted
-//! list (`(cluster, token)` ascending) — the exact block order batch Token
-//! Blocking emits — so a snapshot of this index is **identical**, block ids
-//! included, to a from-scratch blocking run on the materialised input.
+//! Keys live in a slab in creation order. Their canonical `(cluster, token)`
+//! order — the exact block order batch Token Blocking emits — is compared
+//! on demand ([`IncrementalBlockIndex::canon_key`]), so a snapshot of this
+//! index is **identical**, block ids included, to a from-scratch blocking
+//! run on the materialised input.
 //!
 //! Token strings are interned: each distinct token is allocated once in a
 //! [`blast_datamodel::interner::Interner`] and keys carry its dense `u32`
@@ -122,8 +123,6 @@ pub struct IncrementalBlockIndex {
     /// symbol → [(cluster, key id)] (usually one entry) — the dense
     /// replacement of the former `token → keys` hash map.
     token_keys: Vec<Vec<(ClusterId, KeyId)>>,
-    /// Key ids sorted by `(cluster, token)` — the canonical block order.
-    sorted: Vec<KeyId>,
     /// Per-profile sorted key-id lists (the raw, pre-cleaning memberships).
     profile_keys: Vec<Vec<KeyId>>,
     /// Whether labels carry the `#c{n}` suffix (more than one cluster).
@@ -154,7 +153,6 @@ impl IncrementalBlockIndex {
             keys: Vec::new(),
             tokens: Interner::new(),
             token_keys: Vec::new(),
-            sorted: Vec::new(),
             profile_keys: Vec::new(),
             multi_cluster,
             by_len: Vec::new(),
@@ -195,10 +193,12 @@ impl IncrementalBlockIndex {
     }
 
     /// The key ids in canonical `(cluster, token)` order (including keys
-    /// whose postings are currently empty).
-    #[inline]
-    pub fn ordered_keys(&self) -> &[KeyId] {
-        &self.sorted
+    /// whose postings are currently empty), sorted on demand —
+    /// O(|keys| log |keys|), for verification paths only.
+    pub fn ordered_keys(&self) -> Vec<KeyId> {
+        let mut keys: Vec<KeyId> = (0..self.keys.len() as KeyId).collect();
+        keys.sort_unstable_by(|&a, &b| self.canon_key(a).cmp(&self.canon_key(b)));
+        keys
     }
 
     /// The raw (pre-cleaning) key list of a profile, sorted by key id.
@@ -257,7 +257,6 @@ impl IncrementalBlockIndex {
                 .map(|r| r.capacity() * size_of::<(ClusterId, KeyId)>())
                 .sum::<usize>()
             + self.token_keys.len() * size_of::<Vec<(ClusterId, KeyId)>>()
-            + self.sorted.capacity() * size_of::<KeyId>()
             + vec_of_vecs(&self.profile_keys)
             + vec_of_vecs(&self.by_len)
             + self.dirty_flags.capacity()
@@ -391,9 +390,9 @@ impl IncrementalBlockIndex {
         total_profiles: u32,
     ) -> BlockCollection {
         let blocks = self
-            .sorted
-            .iter()
-            .filter_map(|&kid| {
+            .ordered_keys()
+            .into_iter()
+            .filter_map(|kid| {
                 let entry = &self.keys[kid as usize];
                 if entry.postings_len() == 0 {
                     return None;
@@ -418,15 +417,6 @@ impl IncrementalBlockIndex {
             return id;
         }
         let id = self.keys.len() as KeyId;
-        // Keep the canonical order: insert at the sorted position. Symbols
-        // are assigned in first-seen order, so the comparison resolves
-        // through the interner.
-        let (keys, tokens) = (&self.keys, &self.tokens);
-        let text = tokens.resolve(token);
-        let pos = self.sorted.partition_point(|&k| {
-            let e = &keys[k as usize];
-            (e.cluster, tokens.resolve(e.token)) < (cluster, text)
-        });
         self.keys.push(KeyEntry {
             cluster,
             token,
@@ -434,7 +424,6 @@ impl IncrementalBlockIndex {
         });
         self.token_keys[token.index()].push((cluster, id));
         self.dirty_flags.push(false);
-        self.sorted.insert(pos, id);
         id
     }
 

@@ -10,7 +10,8 @@
 //!   block index under `insert`/`update`/`delete`, tracking exactly which
 //!   posting lists a micro-batch touched;
 //! * [`cleaner::IncrementalCleaner`] — Block Purging + Block Filtering
-//!   re-applied only to the dirty blocks and profiles;
+//!   re-applied only to the dirty blocks and profiles, editing the cleaned
+//!   memberships where they live, in the graph snapshot's block slots;
 //! * [`graph::IncrementalMetaBlocker`] — re-weighting and pruning (all six
 //!   traditional variants plus BLAST's own) repaired over the dirty
 //!   neighbourhoods on the dense scratch-array engine, emitting
@@ -29,7 +30,7 @@
 //! |-------|------|------|
 //! | index | token re-keying + posting diffs | O(batch tokens) |
 //! | cleaning | purging/filtering on dirty blocks | O(dirty blocks) |
-//! | snapshot | profile row splices + slot patches | O(delta) |
+//! | snapshot | slot restatements + profile row splices | O(changed slots + rows) |
 //! | artefacts | re-weigh E_D, dirty thresholds / top-k lists | O(E_D log) |
 //! | decision | WNP/BLAST/CNP: flip emission + retained surgery | O((E_D + F) log \|E\|) |
 //! | decision | WEP/CEP: frontier restatement + clean-edge decisions | O(\|E\|) |

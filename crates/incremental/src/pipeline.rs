@@ -7,9 +7,11 @@
 //!
 //! Each [`IncrementalPipeline::commit`] absorbs the pending micro-batch:
 //! the index mutates only the touched postings, cleaning is re-applied on
-//! the dirty blocks, the **owned graph snapshot is patched in place** from
-//! the cleaner's delta ([`GraphSnapshot::apply`] — no per-commit index
-//! rebuild; `GraphSnapshot::build` never runs on the commit path), and the
+//! the dirty blocks and **edits the owned graph snapshot in place** — the
+//! snapshot's block slots are the one copy of the cleaned memberships, the
+//! cleaner inserts and removes members, restates the changed slots and
+//! splices the changed rows (no per-commit index rebuild;
+//! `GraphSnapshot::build` never runs on the commit path) — and the
 //! meta-blocking graph is repaired over the dirty neighbourhoods. The
 //! **batch-equivalence contract**: after any commit,
 //! [`IncrementalPipeline::retained`] is bit-identical to
@@ -72,9 +74,13 @@ pub struct MemoryFootprint {
     pub interned_tokens: usize,
     /// Profile store (slot payloads + attribute interners).
     pub store_bytes: usize,
-    /// Inverted block index (postings, canonical order, token interner).
+    /// Inverted block index (postings, token interner, key slab).
     pub index_bytes: usize,
-    /// Owned graph snapshot (memberships, slot stats, profile rows).
+    /// Incremental cleaner's decision caches (purge status, raw
+    /// cardinalities, per-profile kept key sets).
+    pub cleaner_bytes: usize,
+    /// Owned graph snapshot (every key's cleaned membership, slot stats,
+    /// profile rows).
     pub snapshot_bytes: usize,
     /// Meta-blocker: adjacency, decision structure, per-node artefacts.
     pub blocker_bytes: usize,
@@ -88,11 +94,12 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
-    /// Sum of the resident byte estimates: the four hot structures plus
+    /// Sum of the resident byte estimates: the five hot structures plus
     /// in-memory cold frames. Spilled bytes live on disk and are excluded.
     pub fn total_bytes(&self) -> usize {
         self.store_bytes
             + self.index_bytes
+            + self.cleaner_bytes
             + self.snapshot_bytes
             + self.blocker_bytes
             + self.cold_bytes
@@ -162,8 +169,8 @@ pub struct IncrementalPipeline {
     tokenizer: Tokenizer,
     /// Fixed loose schema information; `None` = schema-agnostic blocking.
     partitioning: Option<AttributePartitioning>,
-    /// The owned, delta-maintained graph snapshot (one per pipeline, patched
-    /// per commit).
+    /// The owned graph snapshot (one per pipeline): the one copy of the
+    /// cleaned blocks, edited in place by the cleaner every commit.
     snapshot: GraphSnapshot,
     pending: bool,
     /// Index-maintenance time accrued since the last commit.
@@ -386,6 +393,7 @@ impl IncrementalPipeline {
             interned_tokens: self.index.interned_tokens(),
             store_bytes: self.store.resident_bytes(),
             index_bytes: self.index.resident_bytes(),
+            cleaner_bytes: self.cleaner.resident_bytes(),
             snapshot_bytes: self.snapshot.resident_bytes(),
             blocker_bytes: self.blocker.resident_bytes(),
             cold_bytes: cold.cold_bytes,
@@ -462,23 +470,19 @@ impl IncrementalPipeline {
         let drain = self.index.drain_dirty();
         timings.index_secs += t0.elapsed().as_secs_f64();
 
+        // The cleaner patches the snapshot as it decides; the slot
+        // restatements and row splices are timed apart as the snapshot
+        // phase.
         let t0 = Instant::now();
-        let clean_clean = self.store.is_clean_clean();
-        let separator = self.store.separator();
-        let total = self.store.total_slots();
         let outcome = self.cleaner.apply(
             &self.index,
             &drain,
-            clean_clean,
-            separator,
-            total,
+            &mut self.snapshot,
+            self.store.total_slots(),
             self.partitioning.as_ref().map(|p| p.entropies()),
         );
-        timings.cleaning_secs = t0.elapsed().as_secs_f64();
-
-        let t0 = Instant::now();
-        let applied = self.snapshot.apply(outcome.delta);
-        timings.snapshot_secs = t0.elapsed().as_secs_f64();
+        timings.snapshot_secs = outcome.snapshot_secs;
+        timings.cleaning_secs = (t0.elapsed().as_secs_f64() - outcome.snapshot_secs).max(0.0);
 
         // Degrees are delta-maintained inside the repair ladder (EJS's
         // former forced-full path is gone): `refresh` patches them from
@@ -496,8 +500,8 @@ impl IncrementalPipeline {
         timings.reweigh_secs = stats.reweigh_secs;
         timings.repair_secs =
             (t0.elapsed().as_secs_f64() - stats.decision_secs - stats.reweigh_secs).max(0.0);
-        stats.patched_rows = applied.patched_rows;
-        stats.patched_slots = applied.patched_slots;
+        stats.patched_rows = outcome.patched_rows;
+        stats.patched_slots = outcome.patched_slots;
         stats.added = delta.added.len();
         stats.retracted = delta.retracted.len();
         stats.cleaner_dirty_keys = drain.keys.len();
@@ -514,7 +518,7 @@ impl IncrementalPipeline {
         // The levels are all O(1) reads — `footprint()`'s byte estimates
         // are O(n) and stay off the commit path.
         stats.retained = self.blocker.retained_len();
-        stats.blocks = outcome.blocks as usize;
+        stats.blocks = self.snapshot.total_blocks() as usize;
         stats.live_edges = self.blocker.live_edges();
         stats.cached_accumulators = self.blocker.cached_accumulators();
         stats.interned_tokens = self.index.interned_tokens();
@@ -616,7 +620,7 @@ mod tests {
             assert_eq!(
                 p.snapshot().version(),
                 (i + 1) as u64,
-                "one apply per commit"
+                "one patch per commit"
             );
         }
     }
@@ -736,11 +740,16 @@ mod tests {
         assert_eq!(fp.interned_tokens, 3, "alpha, beta, gamma");
         assert!(fp.store_bytes > 0);
         assert!(fp.index_bytes > 0);
+        assert!(fp.cleaner_bytes > 0);
         assert!(fp.snapshot_bytes > 0);
         assert!(fp.blocker_bytes > 0);
         assert_eq!(
             fp.total_bytes(),
-            fp.store_bytes + fp.index_bytes + fp.snapshot_bytes + fp.blocker_bytes
+            fp.store_bytes
+                + fp.index_bytes
+                + fp.cleaner_bytes
+                + fp.snapshot_bytes
+                + fp.blocker_bytes
         );
 
         // Deleting everything drains the live counters.

@@ -11,12 +11,16 @@
 # orders rows both by sort and by bitmap) at 1 and 4 threads and `cmp`s
 # the two reports.
 #
-# Then the incremental decision stage: `blast stream --verify` on 3 000
+# Then the incremental pipeline: `blast stream --verify` on 3 000
 # census100k rows in micro-batches of 64, for every edge- and
 # list-centric pruning (wep, cep, cnp1, cnp2) under CBS — whose streams
 # stay on the dirty repair tier — and ECBS, whose |B| drift puts them on
-# the reweigh tier. Each run must print its `verify: incremental == batch`
-# line, and its 1- and 4-thread outputs must be byte-identical.
+# the reweigh tier; then for the node-centric variants: BLAST pruning
+# (χ² reads |B_u|, so its repairs expand over the co-members read off the
+# snapshot's slot memberships) and WNP1 under CBS (the streaming
+# benchmark's configuration); and once with cleaning off (raw token
+# blocks). Each run must print its `verify: incremental == batch` line,
+# and its 1- and 4-thread outputs must be byte-identical.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
 set -euo pipefail
@@ -55,15 +59,24 @@ echo "paper: $(wc -l < "$tmp/paper-1.txt") lines, identical at 1 and 4 threads"
 
 echo "== stream determinism + verify: census100k scale 0.03, 1 vs 4 threads =="
 "$blast" generate --preset census100k --scale 0.03 --out-dir "$tmp/stream" > /dev/null
+# stream_check NAME ARGS...: one `blast stream --verify` run per thread
+# count, gated on the verify line and on byte-identical outputs.
+stream_check() {
+    local run="$tmp/stream-$1"
+    shift
+    for t in 1 4; do
+        BLAST_THREADS=$t "$blast" stream --input "$tmp/stream/data.csv" --batch-size 64 \
+            "$@" --verify > "$run-$t.txt"
+        grep -q '^verify: incremental == batch' "$run-$t.txt"
+    done
+    cmp "$run-1.txt" "$run-4.txt"
+    echo "stream $*: $(grep '^verify:' "$run-1.txt"), identical at 1 and 4 threads"
+}
 for pruning in wep cep cnp1 cnp2; do
     for scheme in cbs ecbs; do
-        run="$tmp/stream-$pruning-$scheme"
-        for t in 1 4; do
-            BLAST_THREADS=$t "$blast" stream --input "$tmp/stream/data.csv" --batch-size 64 \
-                --pruning "$pruning" --scheme "$scheme" --verify > "$run-$t.txt"
-            grep -q '^verify: incremental == batch' "$run-$t.txt"
-        done
-        cmp "$run-1.txt" "$run-4.txt"
-        echo "stream $pruning/$scheme: $(grep '^verify:' "$run-1.txt"), identical at 1 and 4 threads"
+        stream_check "$pruning-$scheme" --pruning "$pruning" --scheme "$scheme"
     done
 done
+stream_check blast --pruning blast
+stream_check wnp1-cbs --pruning wnp1 --scheme cbs
+stream_check wnp1-cbs-raw --pruning wnp1 --scheme cbs --no-cleaning

@@ -261,3 +261,89 @@ fn ejs_degrees_follow_the_patched_snapshot() {
         }
     }
 }
+
+/// Scripted dirty history (VOCAB indices): filtering drops a cleaned
+/// block to one member, so its slot keeps that member while it emits no
+/// block; the block stays dead across an unrelated commit, regains a
+/// member, loses one to a delete and comes back again. Profile 3 carries
+/// five blocks of cardinality 1 and a filter ratio of 0.8 keeps four: it
+/// drops "kappa", the last in canonical order (or the largest once
+/// "kappa" grows).
+const DIRTY_DEATH_AND_REVIVAL: [(u8, u8, &[u8]); 9] = [
+    (0, 0, &[6]),             // p0 "eta": filler, so |b| = 2 survives purging
+    (0, 0, &[9]),             // p1 "kappa"
+    (0, 0, &[0, 1, 2, 3]),    // p2 "alpha beta gamma delta"
+    (0, 0, &[0, 1, 9]),       // p3: kappa = {1, 3} is a block
+    (1, 3, &[0, 1, 2, 3, 9]), // p3 filters kappa out: kappa = {1}, dead
+    (0, 0, &[6, 5]),          // p4 "eta zeta": kappa stays dead
+    (0, 0, &[9]),             // p5 "kappa": kappa = {1, 5}, live again
+    (2, 1, &[0]),             // delete p1: kappa = {5}, dead
+    (1, 2, &[9]),             // p3 "kappa": kappa = {3, 5}, live again
+];
+
+/// Scripted clean-clean history (ids 0..12 are the first collection): a
+/// bilateral block becomes one-sided when filtering takes its only
+/// second-collection member out (its slot keeps the first-collection
+/// member), stays one-sided across a commit, turns bilateral again when a
+/// new second-collection profile joins, and repeats the cycle through a
+/// delete.
+const CLEAN_CLEAN_ONE_SIDED_AND_BACK: [(u8, u8, &[u8]); 8] = [
+    (0, 0, &[9]),             // a0 = 0 "kappa"
+    (0, 0, &[0, 1, 2, 3]),    // a1 = 1 "alpha beta gamma delta"
+    (3, 0, &[0, 1, 9]),       // b0 = 12: kappa = {0 | 12}, bilateral
+    (1, 2, &[0, 1, 2, 3, 9]), // b0 filters kappa out: kappa = {0 |}, one-sided
+    (3, 0, &[6]),             // b1 = 13 "eta": kappa stays one-sided
+    (3, 0, &[9]),             // b2 = 14 "kappa": kappa = {0 | 14}, bilateral
+    (2, 0, &[0]),             // delete a0: the raw block is one-sided too
+    (0, 0, &[9]),             // a2 = 2 "kappa": kappa = {2 | 14}, bilateral
+];
+
+fn scripted(history: &[(u8, u8, &[u8])]) -> Vec<Op> {
+    history
+        .iter()
+        .map(|&(kind, target, tokens)| (kind, target, tokens.to_vec()))
+        .collect()
+}
+
+/// Blocks that die and come back keep the patched snapshot equal to a
+/// fresh build after every commit, with cleaning on and off and with
+/// multi-mutation commits.
+#[test]
+fn dirty_block_death_and_revival_matches_build() {
+    let ops = scripted(&DIRTY_DEATH_AND_REVIVAL);
+    for commit_every in 1..=2 {
+        run_dirty(
+            &ops,
+            commit_every,
+            CleaningConfig::default(),
+            "dirty/revival",
+        );
+        run_dirty(
+            &ops,
+            commit_every,
+            CleaningConfig::none(),
+            "dirty/revival/raw",
+        );
+    }
+}
+
+/// A clean-clean block that turns one-sided and bilateral again keeps the
+/// patched snapshot equal to a fresh build after every commit.
+#[test]
+fn clean_clean_one_sided_block_and_back_matches_build() {
+    let ops = scripted(&CLEAN_CLEAN_ONE_SIDED_AND_BACK);
+    for commit_every in 1..=2 {
+        run_clean_clean(
+            &ops,
+            commit_every,
+            CleaningConfig::default(),
+            "cc/one-sided",
+        );
+        run_clean_clean(
+            &ops,
+            commit_every,
+            CleaningConfig::none(),
+            "cc/one-sided/raw",
+        );
+    }
+}
