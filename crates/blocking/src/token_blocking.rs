@@ -6,14 +6,23 @@
 //! (attribute-cluster, token) pairs — the loosely schema-aware blocking of
 //! BLAST, which splits e.g. the "Abram" block into a person-name block and
 //! a street-name block (Fig. 2).
+//!
+//! The blocks are built from a [`TokenizedInput`] — the view loose schema
+//! extraction reads too, so BLAST tokenizes once —
+//! by [`TokenBlocking::build_tokenized`], an associated function: the view
+//! already fixes τ, so no second tokenizer can enter. The [`ErInput`]
+//! entry points tokenize with the configured tokenizer and call it. A
+//! block's `"{token}#c{k}"` label is formatted only once its key is known
+//! to imply a comparison.
 
-use crate::block::Block;
+use crate::block::{comparison_cardinality, Block};
 use crate::collection::BlockCollection;
 use crate::key::{ClusterId, KeyDisambiguator, SingleCluster};
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::hash::FastMap;
 use blast_datamodel::input::ErInput;
-use blast_datamodel::interner::{Interner, Symbol};
+use blast_datamodel::interner::Symbol;
+use blast_datamodel::tokenized::TokenizedInput;
 use blast_datamodel::tokenizer::Tokenizer;
 
 /// Schema-agnostic Token Blocking with optional key disambiguation.
@@ -61,53 +70,74 @@ impl TokenBlocking {
         input: &ErInput,
         disambiguator: &impl KeyDisambiguator,
     ) -> BlockCollection {
-        let multi_cluster = disambiguator.cluster_count() > 1;
-        let mut tokens = Interner::new();
-        // (cluster, token) → sorted posting list of global profile ids.
-        let mut postings: FastMap<(ClusterId, Symbol), Vec<ProfileId>> = FastMap::default();
-        let mut profile_keys: Vec<(ClusterId, Symbol)> = Vec::new();
+        Self::build_tokenized(
+            &TokenizedInput::build(input, &self.tokenizer),
+            disambiguator,
+        )
+    }
 
-        for (pid, source, profile) in input.iter_profiles() {
-            profile_keys.clear();
-            for (attr, value) in &profile.values {
-                let Some(cluster) = disambiguator.cluster_of(source, *attr) else {
+    /// Blocking over an already tokenized input, keys disambiguated by
+    /// `disambiguator`.
+    pub fn build_tokenized(
+        tokens: &TokenizedInput,
+        disambiguator: &impl KeyDisambiguator,
+    ) -> BlockCollection {
+        let multi_cluster = disambiguator.cluster_count() > 1;
+        // Per source, attribute id → cluster (`None`: excluded from
+        // blocking), asked once per attribute rather than once per token.
+        let mut cluster_of: [Vec<Option<ClusterId>>; 2] = [Vec::new(), Vec::new()];
+        for &(source, attr) in tokens.attributes() {
+            let slots = &mut cluster_of[source.0 as usize];
+            if slots.len() <= attr.index() {
+                slots.resize(attr.index() + 1, None);
+            }
+            slots[attr.index()] = disambiguator.cluster_of(source, attr);
+        }
+        // (cluster, token) → sorted posting list of global profile ids.
+        // Profiles arrive in id order, so a key repeated within a profile
+        // finds that profile already last on its list.
+        let mut postings: FastMap<(ClusterId, Symbol), Vec<ProfileId>> = FastMap::default();
+        for (pid, source, run) in tokens.iter_profiles() {
+            let slots = &cluster_of[source.0 as usize];
+            for &(attr, token) in run {
+                let Some(cluster) = slots[attr.index()] else {
                     continue; // attribute excluded from blocking
                 };
-                self.tokenizer.for_each_token(value, |tok| {
-                    profile_keys.push((cluster, tokens.intern(tok)));
-                });
-            }
-            profile_keys.sort_unstable();
-            profile_keys.dedup();
-            for &key in &profile_keys {
-                postings.entry(key).or_default().push(pid);
+                let ids = postings.entry((cluster, token)).or_default();
+                if ids.last() != Some(&pid) {
+                    ids.push(pid);
+                }
             }
         }
+
+        // Only keys implying a comparison become blocks.
+        let clean_clean = tokens.is_clean_clean();
+        let separator = tokens.separator();
+        let mut entries: Vec<((ClusterId, Symbol), Vec<ProfileId>)> = postings
+            .into_iter()
+            .filter(|(_, ids)| comparison_cardinality(ids, separator, clean_clean) > 0)
+            .collect();
 
         // Canonical block order: (cluster, token string). Unlike token-id
         // (first-appearance) order, this is independent of the insertion
         // history, so an incrementally maintained index can reproduce the
         // exact same collection — block ids included — from any mutation
         // sequence (the batch-equivalence contract of `blast-incremental`).
-        let mut entries: Vec<((ClusterId, Symbol), Vec<ProfileId>)> =
-            postings.into_iter().collect();
+        let interner = tokens.interner();
         entries.sort_unstable_by(|((ca, ta), _), ((cb, tb), _)| {
             ca.cmp(cb)
-                .then_with(|| tokens.resolve(*ta).cmp(tokens.resolve(*tb)))
+                .then_with(|| interner.resolve(*ta).cmp(interner.resolve(*tb)))
         });
 
-        let clean_clean = input.is_clean_clean();
-        let separator = input.separator();
         let blocks: Vec<Block> = entries
             .into_iter()
-            .filter_map(|((cluster, token), profiles)| {
+            .map(|((cluster, token), profiles)| {
                 let label = if multi_cluster {
-                    format!("{}#c{}", tokens.resolve(token), cluster.0)
+                    format!("{}#c{}", interner.resolve(token), cluster.0)
                 } else {
-                    tokens.resolve(token).to_string()
+                    interner.resolve(token).to_string()
                 };
-                let block = Block::new(label, cluster, profiles, separator);
-                block.is_valid(clean_clean).then_some(block)
+                Block::new(label, cluster, profiles, separator)
             })
             .collect();
 
@@ -115,7 +145,7 @@ impl TokenBlocking {
             blocks,
             clean_clean,
             separator,
-            input.total_profiles() as u32,
+            tokens.total_profiles() as u32,
         )
     }
 }

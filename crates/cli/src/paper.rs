@@ -3,14 +3,18 @@
 //! the §4.2.2 matcher comparison counts.
 //!
 //! Each preset is generated and prepared once per run (ground truth, the
-//! T and L block collections, the schema information and the χ²·h graph
-//! over the L blocks); every section is derived from those. The report
-//! prints no wall-clock column, so it is a function of the scale alone:
-//! `tests/paper_tables.rs` pins it byte for byte.
+//! tokenized input, the T and L block collections, the schema information
+//! and the χ²·h graph over the L blocks); every section is derived from
+//! those. A preset is tokenized once: its T blocks, every schema
+//! configuration, every L-block variant and dbp's attribute profiles read
+//! the same [`TokenizedInput`]. The report prints no wall-clock column, so
+//! it is a function of the scale alone: `tests/paper_tables.rs` pins it
+//! byte for byte.
 
 use crate::args::Args;
 use blast_blocking::collection::BlockCollection;
 use blast_blocking::filtering::BlockFiltering;
+use blast_blocking::key::SingleCluster;
 use blast_blocking::purging::{BlockPurging, CardinalityPurging};
 use blast_blocking::token_blocking::TokenBlocking;
 use blast_core::pruning::BlastPruning;
@@ -27,6 +31,7 @@ use blast_datagen::{
 };
 use blast_datamodel::ground_truth::GroundTruth;
 use blast_datamodel::input::ErInput;
+use blast_datamodel::tokenized::TokenizedInput;
 use blast_datamodel::tokenizer::Tokenizer;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::retained::RetainedPairs;
@@ -76,7 +81,7 @@ pub fn report(scale: f64) -> String {
         let (input, gt) = generate_dirty(&dirty_preset(p).scaled(scale));
         Prepared::new(p.label(), input, gt)
     });
-    let dbp_profiles = AttributeProfiles::build(&dbp.input, &Tokenizer::new());
+    let dbp_profiles = AttributeProfiles::from_tokens(&dbp.tokens);
     // The ablations (ar1) and the ER-time rows run at half scale.
     let half = [Ar1, Prd, Mov].map(|p| Prepared::clean_clean(p, scale * 0.5));
 
@@ -106,6 +111,8 @@ struct Prepared {
     label: &'static str,
     input: ErInput,
     gt: GroundTruth,
+    /// The input after the default τ, shared by every blocking below.
+    tokens: TokenizedInput,
     /// Plain Token Blocking, before purging + filtering ("T" baseline).
     raw_t: BlockCollection,
     /// Plain Token Blocking after purging + filtering.
@@ -121,13 +128,15 @@ impl Prepared {
     }
 
     fn new(label: &'static str, input: ErInput, gt: GroundTruth) -> Self {
-        let raw_t = TokenBlocking::new().build(&input);
+        let tokens = TokenizedInput::build(&input, &Tokenizer::new());
+        let raw_t = TokenBlocking::build_tokenized(&tokens, &SingleCluster);
         let blocks_t = clean(&raw_t);
-        let l = Loose::new(&input, LooseSchemaConfig::default());
+        let l = Loose::new(&tokens, LooseSchemaConfig::default());
         Self {
             label,
             input,
             gt,
+            tokens,
             raw_t,
             blocks_t,
             l,
@@ -148,10 +157,10 @@ struct Loose {
 }
 
 impl Loose {
-    fn new(input: &ErInput, config: LooseSchemaConfig) -> Self {
-        let tokenizer = config.tokenizer.clone();
-        let schema = LooseSchemaExtractor::new(config).extract(input);
-        let raw = TokenBlocking::with_tokenizer(tokenizer).build_with(input, &schema.partitioning);
+    /// `config.tokenizer` is not consulted: `tokens` already fixes τ.
+    fn new(tokens: &TokenizedInput, config: LooseSchemaConfig) -> Self {
+        let schema = LooseSchemaExtractor::new(config).extract_tokenized(tokens);
+        let raw = TokenBlocking::build_tokenized(tokens, &schema.partitioning);
         let blocks = clean(&raw);
         let entropies = schema.partitioning.block_entropies(&blocks);
         let mut graph = GraphSnapshot::build(&blocks).with_block_entropies(entropies);
@@ -395,7 +404,7 @@ fn table5(scale: f64, dbp: &Prepared, compared: &Compared) -> String {
         let _ = writeln!(out, "{row}");
     }
     let star = Loose::new(
-        &dbp.input,
+        &dbp.tokens,
         LooseSchemaConfig {
             candidates: CandidateSource::lsh_default(),
             ..Default::default()
@@ -558,7 +567,7 @@ fn fig9(scale: f64, clean: &[(&Prepared, &Compared)]) -> String {
     for &(p, c) in clean {
         let lmi = &c.blast;
         let ac_blocks = Loose::new(
-            &p.input,
+            &p.tokens,
             LooseSchemaConfig {
                 algorithm: InductionAlgorithm::AttributeClustering,
                 ..Default::default()
@@ -609,7 +618,7 @@ fn fig10(scale: f64, dbp: &Prepared, profiles: &AttributeProfiles) -> String {
             ..Default::default()
         })
         .extract_from_profiles(profiles);
-        let blocks = TokenBlocking::new().build_with(&dbp.input, &info.partitioning);
+        let blocks = TokenBlocking::build_tokenized(&dbp.tokens, &info.partitioning);
         let q = evaluate_blocks(&blocks, &dbp.gt);
         let _ = writeln!(
             out,
@@ -659,7 +668,7 @@ fn ablations(scale: f64, ar1: &Prepared) -> String {
 
     let _ = writeln!(out, "\n### Glue cluster");
     let no_glue = Loose::new(
-        &ar1.input,
+        &ar1.tokens,
         LooseSchemaConfig {
             glue: false,
             ..Default::default()

@@ -1,6 +1,9 @@
 //! The end-to-end BLAST pipeline (Fig. 4): loose schema extraction →
 //! loosely schema-aware blocking → block cleaning → loosely schema-aware
 //! meta-blocking. Works unchanged for clean-clean and dirty ER (§4.5).
+//!
+//! Phases 1 and 2 read one [`TokenizedInput`]: it is built once (inside the
+//! "schema extraction" phase) and dropped before phase 3.
 
 pub use crate::config::BlastConfig;
 
@@ -12,6 +15,7 @@ use blast_blocking::filtering::BlockFiltering;
 use blast_blocking::purging::BlockPurging;
 use blast_blocking::token_blocking::TokenBlocking;
 use blast_datamodel::input::ErInput;
+use blast_datamodel::tokenized::TokenizedInput;
 use blast_graph::context::GraphSnapshot;
 use blast_graph::retained::RetainedPairs;
 use blast_metrics::timing::Stopwatch;
@@ -55,14 +59,13 @@ impl BlastPipeline {
         let mut timings = Stopwatch::new();
 
         // Phase 1: loose schema information extraction.
-        let extractor = LooseSchemaExtractor::new(self.config.schema.clone());
-        let schema = timings.time("schema extraction", || extractor.extract(input));
+        let (tokens, schema) = timings.time("schema extraction", || self.extract(input));
 
         // Phase 2: loosely schema-aware blocking (+ cleaning).
         let blocks = timings.time("token blocking", || {
-            TokenBlocking::with_tokenizer(self.config.schema.tokenizer.clone())
-                .build_with(input, &schema.partitioning)
+            TokenBlocking::build_tokenized(&tokens, &schema.partitioning)
         });
+        drop(tokens);
         let blocks = self.clean_blocks(blocks, &mut timings);
 
         // Phase 3: loosely schema-aware meta-blocking.
@@ -89,13 +92,20 @@ impl BlastPipeline {
     /// (used when composing BLAST's blocking with other meta-blocking
     /// algorithms, e.g. the cnp χ²ₕ rows of Tables 4–5).
     pub fn build_blocks(&self, input: &ErInput) -> (BlockCollection, LooseSchemaInfo) {
-        let extractor = LooseSchemaExtractor::new(self.config.schema.clone());
-        let schema = extractor.extract(input);
-        let blocks = TokenBlocking::with_tokenizer(self.config.schema.tokenizer.clone())
-            .build_with(input, &schema.partitioning);
+        let (tokens, schema) = self.extract(input);
+        let blocks = TokenBlocking::build_tokenized(&tokens, &schema.partitioning);
+        drop(tokens);
         let mut timings = Stopwatch::new();
         let blocks = self.clean_blocks(blocks, &mut timings);
         (blocks, schema)
+    }
+
+    /// Phase 1 on the tokenized view of `input`, which phase 2 reads too.
+    fn extract(&self, input: &ErInput) -> (TokenizedInput, LooseSchemaInfo) {
+        let tokens = TokenizedInput::build(input, &self.config.schema.tokenizer);
+        let schema =
+            LooseSchemaExtractor::new(self.config.schema.clone()).extract_tokenized(&tokens);
+        (tokens, schema)
     }
 
     fn clean_blocks(&self, blocks: BlockCollection, timings: &mut Stopwatch) -> BlockCollection {

@@ -6,11 +6,16 @@
 //! ids come from one interner shared across both sources so sets are
 //! directly comparable. The token *multiset* counts are also kept, because
 //! the entropy extraction (§3.1.3) needs the value distribution.
+//!
+//! The profiles are read off a [`TokenizedInput`], the tokenized view that
+//! Token Blocking reads too, so τ runs once per input; the token ids are
+//! the view's symbols. [`AttributeProfiles::build`] is the one-line
+//! wrapper that tokenizes an [`ErInput`] first.
 
 use blast_datamodel::entity::{AttributeId, SourceId};
 use blast_datamodel::hash::FastMap;
 use blast_datamodel::input::ErInput;
-use blast_datamodel::interner::Interner;
+use blast_datamodel::tokenized::TokenizedInput;
 use blast_datamodel::tokenizer::Tokenizer;
 
 use crate::schema::entropy::shannon_entropy;
@@ -42,33 +47,43 @@ pub struct AttributeProfiles {
 impl AttributeProfiles {
     /// Builds the profiles by tokenizing every value of every profile.
     pub fn build(input: &ErInput, tokenizer: &Tokenizer) -> Self {
-        let mut tokens = Interner::new();
-        // (source, attribute) → token → multiplicity.
-        let mut per_attr: FastMap<(SourceId, AttributeId), FastMap<u32, u64>> = FastMap::default();
-        for (_, source, profile) in input.iter_profiles() {
-            for (attr, value) in &profile.values {
-                let counts = per_attr.entry((source, *attr)).or_default();
-                tokenizer.for_each_token(value, |tok| {
-                    *counts.entry(tokens.intern(tok).0).or_insert(0) += 1;
-                });
+        Self::from_tokens(&TokenizedInput::build(input, tokenizer))
+    }
+
+    /// Builds the profiles from a tokenized input: one column per
+    /// `(source, attribute)` carrying a value, in that order.
+    pub fn from_tokens(tokens: &TokenizedInput) -> Self {
+        let keys = tokens.attributes();
+        let separator = keys.partition_point(|(s, _)| s.0 == 0);
+        // Per source, attribute id → column index.
+        let mut column_of: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+        for (col, (source, attr)) in keys.iter().enumerate() {
+            let slots = &mut column_of[source.0 as usize];
+            if slots.len() <= attr.index() {
+                slots.resize(attr.index() + 1, u32::MAX);
+            }
+            slots[attr.index()] = col as u32;
+        }
+        // Column → token → multiplicity, filled in token-stream order.
+        let mut counts: Vec<FastMap<u32, u64>> = vec![FastMap::default(); keys.len()];
+        for (_, source, run) in tokens.iter_profiles() {
+            let slots = &column_of[source.0 as usize];
+            for &(attr, token) in run {
+                let column = &mut counts[slots[attr.index()] as usize];
+                *column.entry(token.0).or_insert(0) += 1;
             }
         }
 
-        // Deterministic column order: source, then attribute id.
-        let mut keys: Vec<(SourceId, AttributeId)> = per_attr.keys().copied().collect();
-        keys.sort_unstable();
-        let separator = keys.partition_point(|(s, _)| s.0 == 0);
-
         let columns = keys
-            .into_iter()
-            .map(|key| {
-                let counts = per_attr.remove(&key).expect("key from map");
+            .iter()
+            .zip(counts)
+            .map(|(&(source, attribute), counts)| {
                 let entropy = shannon_entropy(counts.values().copied());
                 let mut toks: Vec<u32> = counts.into_keys().collect();
                 toks.sort_unstable();
                 AttributeColumn {
-                    source: key.0,
-                    attribute: key.1,
+                    source,
+                    attribute,
                     tokens: toks,
                     entropy,
                 }
@@ -78,7 +93,7 @@ impl AttributeProfiles {
         Self {
             columns,
             separator,
-            distinct_tokens: tokens.len(),
+            distinct_tokens: tokens.interner().len(),
         }
     }
 

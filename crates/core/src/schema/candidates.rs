@@ -5,6 +5,13 @@
 //! pairs. Comparing all of them is O(N₁·N₂); with thousands of attributes
 //! (the paper's dbp has 30k × 50k) this is infeasible, so MinHash + banding
 //! restricts the comparisons to pairs likely above a Jaccard threshold.
+//!
+//! The LSH index is built band-major
+//! ([`BandingIndex::from_token_sets`]): the columns' token ids are the
+//! dense symbols of one interner, so each band hashes every distinct token
+//! once (not once per column holding it) and folds every column's minima
+//! from that table; bands run in parallel. The candidates equal those of
+//! per-column signatures inserted one by one, at any thread count.
 
 use crate::schema::attribute_profile::AttributeProfiles;
 use blast_lsh::banding::BandingIndex;
@@ -85,14 +92,8 @@ impl CandidateSource {
             }
             CandidateSource::Lsh { rows, bands, seed } => {
                 let hasher = MinHasher::new(rows * bands, *seed);
-                let mut index = BandingIndex::new(*bands, *rows);
-                for (i, col) in profiles.columns().iter().enumerate() {
-                    if col.tokens.is_empty() {
-                        continue; // empty columns would all collide spuriously
-                    }
-                    let sig = hasher.signature(col.tokens.iter().copied());
-                    index.insert(i as u32, &sig);
-                }
+                let sets: Vec<&[u32]> = profiles.columns().iter().map(|c| &c.tokens[..]).collect();
+                let index = BandingIndex::from_token_sets(&hasher, *bands, *rows, &sets);
                 if profiles.is_bipartite() {
                     index.candidate_pairs_bipartite(sep as u32)
                 } else {

@@ -2,7 +2,8 @@
 //!
 //! Orchestrates: attribute profiles → candidate pairs (all or LSH) →
 //! attribute-match induction (LMI or AC) → partitioning + aggregate
-//! entropies.
+//! entropies. The profiles come from a [`TokenizedInput`]; the pipeline
+//! builds that view once and hands the same one to Token Blocking.
 
 use crate::schema::ac::AttributeClustering;
 use crate::schema::attribute_profile::AttributeProfiles;
@@ -10,6 +11,7 @@ use crate::schema::candidates::CandidateSource;
 use crate::schema::lmi::Lmi;
 use crate::schema::partitioning::AttributePartitioning;
 use blast_datamodel::input::ErInput;
+use blast_datamodel::tokenized::TokenizedInput;
 use blast_datamodel::tokenizer::Tokenizer;
 
 /// Which attribute-match induction algorithm to run.
@@ -34,7 +36,9 @@ pub struct LooseSchemaConfig {
     /// Whether unclustered attributes go to the glue cluster (default) or
     /// are excluded from blocking (§4.4's experiment).
     pub glue: bool,
-    /// The value-transformation function τ.
+    /// The value-transformation function τ (applied by
+    /// [`LooseSchemaExtractor::extract`]; a [`TokenizedInput`] carries its
+    /// own).
     pub tokenizer: Tokenizer,
 }
 
@@ -82,8 +86,13 @@ impl LooseSchemaExtractor {
 
     /// Extracts the loose schema information from an ER input.
     pub fn extract(&self, input: &ErInput) -> LooseSchemaInfo {
-        let profiles = AttributeProfiles::build(input, &self.config.tokenizer);
-        self.extract_from_profiles(&profiles)
+        self.extract_tokenized(&TokenizedInput::build(input, &self.config.tokenizer))
+    }
+
+    /// Extraction from an already tokenized input (the configured
+    /// tokenizer is not consulted).
+    pub fn extract_tokenized(&self, tokens: &TokenizedInput) -> LooseSchemaInfo {
+        self.extract_from_profiles(&AttributeProfiles::from_tokens(tokens))
     }
 
     /// Extraction starting from prebuilt attribute profiles (lets callers

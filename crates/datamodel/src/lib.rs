@@ -14,6 +14,9 @@
 //!   duplicates), with a single global profile-id space.
 //! * [`tokenizer`] — the value-transformation functions of §2.1
 //!   (tokenization, lowercasing, optional stop-words, q-grams).
+//! * [`tokenized`] — an input after τ: one shared interner plus each
+//!   profile's `(attribute, token)` run, built once and read by both
+//!   loose schema extraction and Token Blocking.
 //! * [`ground_truth`] — the set of known duplicate pairs used for
 //!   PC/PQ evaluation and for training supervised meta-blocking.
 //! * [`parallel`] — tiny std-scoped-thread helpers (contiguous chunks and
@@ -27,6 +30,7 @@ pub mod hash;
 pub mod input;
 pub mod interner;
 pub mod parallel;
+pub mod tokenized;
 pub mod tokenizer;
 
 pub use collection::EntityCollection;
@@ -35,4 +39,5 @@ pub use ground_truth::GroundTruth;
 pub use hash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use input::ErInput;
 pub use interner::{Interner, Symbol};
+pub use tokenized::TokenizedInput;
 pub use tokenizer::Tokenizer;

@@ -6,6 +6,9 @@
 # Generates the ar1 preset, runs `blast block` on its two sources and
 # `blast dedup` on its first source, each under BLAST_THREADS=1 and
 # BLAST_THREADS=4, and `cmp`s the pair files: any difference fails. Then
+# does the same for `blast block --lsh-threshold 0.5` on the dbp preset at
+# scale 0.05 (thousands of attributes: the band-major MinHash LSH index
+# builds its bands in parallel). Then
 # runs `blast paper --scale 0.02` (every pruning × weigher the paper
 # reports, on all eight datasets; id spaces wide enough that the loader
 # orders rows both by sort and by bitmap) at 1 and 4 threads and `cmp`s
@@ -48,6 +51,16 @@ for kind in block dedup; do
     cmp "$tmp/$kind-1.csv" "$tmp/$kind-4.csv"
     echo "$kind: $(wc -l < "$tmp/$kind-1.csv") lines, identical at 1 and 4 threads"
 done
+
+echo "== LSH block determinism: dbp scale 0.05, --lsh-threshold 0.5, 1 vs 4 threads =="
+"$blast" generate --preset dbp --scale 0.05 --out-dir "$tmp/dbp" > /dev/null
+for t in 1 4; do
+    BLAST_THREADS=$t "$blast" block --d1 "$tmp/dbp/d1.csv" --d2 "$tmp/dbp/d2.csv" \
+        --lsh-threshold 0.5 --out "$tmp/lsh-$t.csv" > /dev/null
+done
+test -s "$tmp/lsh-1.csv"
+cmp "$tmp/lsh-1.csv" "$tmp/lsh-4.csv"
+echo "lsh block: $(wc -l < "$tmp/lsh-1.csv") lines, identical at 1 and 4 threads"
 
 echo "== paper determinism: scale 0.02, 1 vs 4 threads =="
 for t in 1 4; do
