@@ -13,6 +13,7 @@ use crate::traversal::{node_chunks, owner_chunks, NodeScratch, ScratchLease};
 use crate::weights::EdgeWeigher;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
+use std::sync::{Mutex, PoisonError};
 
 /// A reusable node mask with O(1) clearing: membership is "stamp equals the
 /// current epoch", so starting a fresh mask is an epoch bump instead of the
@@ -138,48 +139,156 @@ where
     out
 }
 
-/// What one [`touching_pass`] produced.
+/// What one [`touching_pass`] produced: every listed node's **emitted
+/// row**, in CSR form (offsets into one entry vector) per work-steal chunk
+/// of the node list, plus the nodes' artefacts.
+///
+/// Node `d` emits the marked-incident edges it *owns*: each edge to a
+/// larger neighbour, and each edge to a smaller neighbour that is not
+/// marked (a marked smaller endpoint emits that edge itself). So every
+/// edge with a marked endpoint is in exactly one row. A row ascends by
+/// neighbour; each entry is the caller's value for the edge in canonical
+/// orientation (smaller id first — the batch owner side on dirty and
+/// clean-clean graphs alike).
 #[derive(Debug)]
-pub struct TouchingPass<E, A> {
-    /// Every edge with a marked endpoint, once, in canonical orientation
-    /// (smaller id first — the batch owner side on dirty and clean-clean
-    /// graphs alike), ascending by pair.
-    pub edges: Vec<E>,
+pub struct TouchingPass<'a, E, A> {
+    nodes: &'a [u32],
+    /// Nodes per chunk: `chunk_len(nodes.len())`, the geometry every
+    /// per-row pass over the same node list shares.
+    chunk: usize,
+    chunks: Vec<RowChunk<E>>,
     /// `artefact(node, adjacency)` of every listed node, aligned with the
     /// node list; empty when no artefact function was given.
     pub artefacts: Vec<A>,
 }
 
+/// One work-steal chunk of a [`TouchingPass`]: `offsets[i]..offsets[i + 1]`
+/// is the chunk's `i`-th node's row in `entries`.
+#[derive(Debug)]
+struct RowChunk<E> {
+    offsets: Vec<usize>,
+    entries: Vec<E>,
+}
+
+impl<E, A> TouchingPass<'_, E, A> {
+    /// The emitted row of the `i`-th listed node, ascending by neighbour.
+    fn row(&self, i: usize) -> &[E] {
+        let chunk = &self.chunks[i / self.chunk];
+        let local = i % self.chunk;
+        &chunk.entries[chunk.offsets[local]..chunk.offsets[local + 1]]
+    }
+
+    /// Number of emitted edges (every edge with a marked endpoint, once).
+    pub fn emitted(&self) -> usize {
+        self.chunks.iter().map(|c| c.entries.len()).sum()
+    }
+
+    /// Filters every row in place, on the pass's chunk geometry:
+    /// `keep_row(node, row, acc)` moves the entries of the node's row it
+    /// keeps to the row's front (in order) and returns their count, folding
+    /// anything else it finds into its chunk's `acc`. Returns the per-chunk
+    /// `acc`s in chunk order. Rows are compacted where the pass wrote them:
+    /// the filter itself allocates nothing.
+    pub fn retain_rows<R>(
+        &mut self,
+        threads: usize,
+        keep_row: impl Fn(u32, &mut [E], &mut R) -> usize + Sync,
+    ) -> Vec<R>
+    where
+        E: Copy + Send,
+        R: Default + Send,
+    {
+        let (nodes, chunk) = (self.nodes, self.chunk);
+        // Each chunk is claimed exactly once, so no lock is ever contended
+        // or found poisoned: the mutex only hands its one worker the
+        // chunk's rows.
+        let cells: Vec<Mutex<&mut RowChunk<E>>> = self.chunks.iter_mut().map(Mutex::new).collect();
+        parallel_work_steal(
+            nodes.len(),
+            threads,
+            chunk,
+            || (),
+            |_, range| {
+                let mut acc = R::default();
+                let mut rows = cells[range.start / chunk]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let RowChunk { offsets, entries } = &mut **rows;
+                let mut write = 0;
+                for (k, &d) in nodes[range.clone()].iter().enumerate() {
+                    let (start, end) = (offsets[k], offsets[k + 1]);
+                    let kept = keep_row(d, &mut entries[start..end], &mut acc);
+                    entries.copy_within(start..start + kept, write);
+                    offsets[k] = write;
+                    write += kept;
+                }
+                offsets[range.len()] = write;
+                entries.truncate(write);
+                acc
+            },
+        )
+    }
+
+    /// The emitted edges as one canonical list, ascending by pair, and the
+    /// artefacts. Nothing already ordered is sorted ([`ordered_emission`]):
+    /// nodes ascend and every row ascends, so the entries a node emits to
+    /// larger neighbours form a sorted run as they come, and only the
+    /// remainder — read from the larger endpoint, the smaller one unmarked
+    /// — is sorted. With every node marked the remainder is empty.
+    pub fn into_canonical(self, pair_of: impl Fn(&E) -> (u32, u32)) -> (Vec<E>, Vec<A>)
+    where
+        E: Copy,
+    {
+        // A row's entries to smaller neighbours (pair `(v, d)`) precede
+        // those to larger ones (pair `(d, v)`).
+        let split = |i: usize| {
+            let d = self.nodes[i];
+            self.row(i).partition_point(|e| pair_of(e).1 == d)
+        };
+        let n_larger: usize = (0..self.nodes.len()).map(split).sum();
+        let mut from_smaller = Vec::with_capacity(self.emitted() - n_larger);
+        let mut from_larger = Vec::with_capacity(n_larger);
+        for i in 0..self.nodes.len() {
+            let (larger, smaller) = self.row(i).split_at(split(i));
+            from_larger.extend_from_slice(larger);
+            from_smaller.extend_from_slice(smaller);
+        }
+        (
+            ordered_emission(from_smaller, from_larger, pair_of),
+            self.artefacts,
+        )
+    }
+}
+
 /// The repair pass of the incremental tiers that re-read blocks: **one**
-/// adjacency load per listed node yields both the marked-incident edges and
-/// the nodes' own artefacts.
+/// adjacency load per listed node yields both the node's emitted row and
+/// its own artefact.
 ///
 /// `nodes` lists the marked nodes strictly ascending and `mask` is their
 /// membership mask (`mask.contains(n) == nodes.contains(&n)`). Per node the
 /// loaded adjacency is weighed from the node's side — `weigher.weight(ctx,
 /// node, v, acc)`, the orientation [`node_pass`] uses — and handed to
 /// `artefact`, so thresholds and top-k lists carry the bits a batch node
-/// pass gives them. Each edge is emitted through `edge(u, v, w, acc)` with
-/// `u < v` and `w = weigher.weight(ctx, u, v, acc)`, the orientation of
-/// [`collect_edges`]; the two orientations are separate calls because
-/// their bits differ for weighers that multiply per-endpoint factors
-/// (`(c·a)·b ≠ (c·b)·a` under ECBS, EJS, χ²). Without an artefact function
-/// the node-side weights of edges a marked smaller endpoint already emits
-/// are never computed.
+/// pass gives them. Each edge the node owns (see [`TouchingPass`]) goes
+/// into its row through `edge(u, v, w, acc)` with `u < v` and `w =
+/// weigher.weight(ctx, u, v, acc)`, the orientation of [`collect_edges`];
+/// the two orientations are separate calls because their bits differ for
+/// weighers that multiply per-endpoint factors (`(c·a)·b ≠ (c·b)·a` under
+/// ECBS, EJS, χ²). Without an artefact function the node-side weights of
+/// edges a marked smaller endpoint already emits are never computed.
 ///
-/// Nothing already ordered is sorted ([`ordered_emission`]): nodes ascend
-/// and every adjacency ascends, so the edges emitted from their smaller
-/// endpoint form a sorted run as they come, and only the remainder is
-/// sorted. With every node marked the remainder is empty.
-pub fn touching_pass<E, A>(
+/// Nothing is concatenated or sorted here: a per-row consumer filters the
+/// rows where they lie, on the same chunk geometry
+/// ([`TouchingPass::retain_rows`]), and a consumer that needs one canonical
+/// list asks [`TouchingPass::into_canonical`].
+pub fn touching_pass<'a, E, A>(
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
-    nodes: &[u32],
+    nodes: &'a [u32],
     mask: &EpochMask,
     edge: impl Fn(u32, u32, f64, &EdgeAccum) -> E + Sync,
-    pair_of: impl Fn(&E) -> (u32, u32),
     artefact: Option<impl Fn(u32, &[(u32, f64)]) -> A + Sync>,
-) -> TouchingPass<E, A>
+) -> TouchingPass<'a, E, A>
 where
     E: Send,
     A: Send,
@@ -189,24 +298,26 @@ where
         "touching_pass: the node list must ascend"
     );
     let len = nodes.len();
+    let chunk = chunk_len(len);
     let with_artefacts = artefact.is_some();
-    let chunks = parallel_work_steal(
+    let parts = parallel_work_steal(
         len,
         ctx.threads(),
-        chunk_len(len),
+        chunk,
         || (NodeScratch::lease(ctx), Vec::new()),
         |(scratch, weighted): &mut (ScratchLease, Vec<(u32, f64)>), range| {
-            let mut from_smaller = Vec::new();
-            let mut from_larger = Vec::new();
+            let mut offsets = Vec::with_capacity(range.len() + 1);
+            offsets.push(0);
+            let mut entries = Vec::new();
             let mut artefacts = Vec::with_capacity(if with_artefacts { range.len() } else { 0 });
             for &d in &nodes[range] {
                 scratch.load(ctx, d);
-                from_smaller.reserve(scratch.len());
+                entries.reserve(scratch.len());
                 weighted.clear();
                 for (v, acc) in scratch.iter() {
                     if d < v {
                         let w = weigher.weight(ctx, d, v, &acc);
-                        from_smaller.push(edge(d, v, w, &acc));
+                        entries.push(edge(d, v, w, &acc));
                         if with_artefacts {
                             weighted.push((v, w));
                         }
@@ -216,32 +327,28 @@ where
                         }
                         // A marked smaller endpoint emits the edge itself.
                         if !mask.contains(v) {
-                            from_larger.push(edge(v, d, weigher.weight(ctx, v, d, &acc), &acc));
+                            entries.push(edge(v, d, weigher.weight(ctx, v, d, &acc), &acc));
                         }
                     }
                 }
+                offsets.push(entries.len());
                 if let Some(artefact) = &artefact {
                     artefacts.push(artefact(d, weighted));
                 }
             }
-            (from_smaller, from_larger, artefacts)
+            (RowChunk { offsets, entries }, artefacts)
         },
     );
-    let (mut n_smaller, mut n_larger) = (0, 0);
-    for (s, l, _) in &chunks {
-        n_smaller += s.len();
-        n_larger += l.len();
-    }
-    let mut from_smaller = Vec::with_capacity(n_smaller);
-    let mut from_larger = Vec::with_capacity(n_larger);
+    let mut chunks = Vec::with_capacity(parts.len());
     let mut artefacts = Vec::with_capacity(if with_artefacts { len } else { 0 });
-    for (s, l, a) in chunks {
-        from_smaller.extend(s);
-        from_larger.extend(l);
+    for (rows, a) in parts {
+        chunks.push(rows);
         artefacts.extend(a);
     }
     TouchingPass {
-        edges: ordered_emission(from_smaller, from_larger, pair_of),
+        nodes,
+        chunk,
+        chunks,
         artefacts,
     }
 }
@@ -292,8 +399,8 @@ const NO_ARTEFACT: Option<ArtefactFn> = None;
 type ArtefactFn = fn(u32, &[(u32, f64)]);
 
 /// The edges with at least one endpoint in the marked set, as raw
-/// accumulators instead of weights — [`touching_pass`] for a weigher that
-/// cannot run yet: a
+/// accumulators instead of weights, in canonical order — [`touching_pass`]
+/// for a weigher that cannot run yet: a
 /// degree-reading scheme (EJS) must diff edge existence and patch the
 /// snapshot's degrees *between* accumulation and weighing, so its repair
 /// takes the accumulators here, weighs afterwards, and reads its per-node
@@ -315,10 +422,10 @@ pub fn collect_accums_touching(
         nodes,
         mask,
         |u, v, _, acc| (u, v, *acc),
-        |e| (e.0, e.1),
         NO_ARTEFACT,
     )
-    .edges
+    .into_canonical(|e| (e.0, e.1))
+    .0
 }
 
 /// Enumerates every edge exactly once (u < v), calling `f(u, v, w)` and
@@ -422,10 +529,10 @@ mod tests {
             nodes,
             mask,
             |u, v, w, _| (u, v, w),
-            |e| (e.0, e.1),
             NO_ARTEFACT,
         )
-        .edges
+        .into_canonical(|e| (e.0, e.1))
+        .0
     }
 
     /// The two-pass, sort-everything repair primitives [`touching_pass`]
@@ -698,17 +805,64 @@ mod tests {
                     .collect();
                 let expect_adj = node_pass_subset(&ctx, &scheme, nodes, adjacency_bits);
 
-                let pass = touching_pass(
-                    &ctx,
-                    &scheme,
-                    nodes,
-                    &mask,
-                    |u, v, w, acc| (u, v, w.to_bits(), *acc),
-                    |e| (e.0, e.1),
-                    Some(adjacency_bits),
+                let pass = || {
+                    touching_pass(
+                        &ctx,
+                        &scheme,
+                        nodes,
+                        &mask,
+                        |u, v, w, acc| (u, v, w.to_bits(), *acc),
+                        Some(adjacency_bits),
+                    )
+                };
+                // Each row holds exactly the edges its node owns, ascending.
+                let mut rows = pass();
+                let emitted = rows.emitted();
+                let owned = rows.retain_rows(threads, |d, row, owned: &mut usize| {
+                    let neighbours: Vec<u32> = row
+                        .iter()
+                        .map(|&(u, v, ..)| {
+                            assert!(u < v && (u == d || v == d), "{label}: canonical");
+                            assert!(u == d || !mask.contains(u), "{label}: owned by {d}");
+                            if u == d {
+                                v
+                            } else {
+                                u
+                            }
+                        })
+                        .collect();
+                    assert!(neighbours.windows(2).all(|w| w[0] < w[1]), "{label}");
+                    *owned += row.len();
+                    row.len()
+                });
+                assert_eq!(
+                    owned.iter().sum::<usize>(),
+                    emitted,
+                    "{label}: rows partition the pass"
                 );
-                assert_eq!(pass.edges, expect_edges, "{label}: edges");
-                assert_eq!(pass.artefacts, expect_adj, "{label}: node adjacencies");
+                let (edges, artefacts) = rows.into_canonical(|e| (e.0, e.1));
+                assert_eq!(edges, expect_edges, "{label}: edges");
+                assert_eq!(artefacts, expect_adj, "{label}: node adjacencies");
+                // Rows filtered in place read out as the filtered list.
+                let odd = |e: &(u32, u32, u64, EdgeAccum)| (e.0 + e.1) % 2 == 1;
+                let mut rows = pass();
+                rows.retain_rows(threads, |_, row, _: &mut ()| {
+                    let mut kept = 0;
+                    for j in 0..row.len() {
+                        if odd(&row[j]) {
+                            row[kept] = row[j];
+                            kept += 1;
+                        }
+                    }
+                    kept
+                });
+                let expect_odd: Vec<_> = expect_edges.iter().copied().filter(odd).collect();
+                assert_eq!(rows.emitted(), expect_odd.len(), "{label}: filtered");
+                assert_eq!(
+                    rows.into_canonical(|e| (e.0, e.1)).0,
+                    expect_odd,
+                    "{label}: filtered"
+                );
 
                 assert_eq!(
                     collect_accums_touching(&ctx, nodes, &mask),

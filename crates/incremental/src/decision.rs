@@ -269,6 +269,20 @@ impl EdgeAdjacency {
         }
     }
 
+    /// Node `u`'s row as `(neighbour, weight)`, ascending neighbours. Both
+    /// mirrors of an edge cache its canonical weight (the one a decision
+    /// reads), so this is the node's emitted row wherever the cache holds
+    /// the current weights.
+    pub fn weights(&self, u: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.row(u).0.iter().map(|e| (e.v, e.w))
+    }
+
+    /// The cached canonical weight of the live edge `(a, b)`.
+    pub fn weight(&self, a: u32, b: u32) -> Option<f64> {
+        let row = self.row(a).0;
+        row.binary_search_by_key(&b, |e| e.v).ok().map(|i| row[i].w)
+    }
+
     /// Drops every edge, keeping row allocations (the degraded-full
     /// rebuild path; O(rows), allowed there and only there).
     pub fn clear(&mut self) {

@@ -34,7 +34,7 @@
 //!    Runs the **identical flip-emitting code path** with every node
 //!    marked.
 //!
-//! ## The accumulate stage: one traversal, nothing sorted twice
+//! ## The accumulate stage: one traversal, row by row
 //!
 //! Tiers 1 and 3 re-read blocks, and they read each dirty node's blocks
 //! **once** ([`touching_pass`]). The dirty nodes are visited ascending; one
@@ -44,23 +44,28 @@
 //!   folded over the weights *as seen from the node*
 //!   (`weight(ctx, node, v, acc)`), exactly as the batch node passes fold
 //!   them; and
-//! * the node's share of the **fresh edge list**, each edge once, weighed in
-//!   canonical `(smaller, larger)` orientation as the batch edge pass
-//!   weighs it.
+//! * the node's **emitted row**: the dirty-incident edges it owns — to a
+//!   larger neighbour, or to an unmarked smaller one — ascending by
+//!   neighbour, each weighed in canonical `(smaller, larger)` orientation
+//!   as the batch edge pass weighs it. Every dirty-incident edge is in
+//!   exactly one row; the rows stay per work-steal chunk, in CSR form.
 //!
 //! The two orientations are separate `weight()` calls and neither may stand
 //! in for the other: a weigher that multiplies per-endpoint factors (ECBS,
 //! EJS, χ²) gives `(c·a)·b` from one side and `(c·b)·a` from the other,
 //! which differ in the last bit for about a fifth of ECBS edges — and
-//! bit-identity with batch is the invariant. Edges emitted from their
-//! smaller endpoint form a sorted run as they come (nodes ascend,
-//! adjacencies ascend); only the remainder — edges whose smaller endpoint
-//! is clean — is sorted, and the two runs are merged. The old sides of the
-//! flip diffs are read off their rows in the same two-run order
-//! ([`EdgeAdjacency::collect_touching`], `node_flips`), so no list of all
-//! dirty-incident edges or pairs is ever sorted. Variants with no edge
-//! cache to patch carry `(u, v, w)` only: the pass output *is* the decision
-//! list.
+//! bit-identity with batch is the invariant. Variants with no edge cache
+//! (WNP/BLAST under a weigher whose globals cannot drift) carry `(u, v, w)`
+//! only, and the decision stage reads the rows where they lie: nothing is
+//! concatenated or sorted. Variants with an edge cache to patch carry the
+//! accumulator too, and read the rows out as one canonical list
+//! ([`TouchingPass::into_canonical`]): the entries a node emits to larger
+//! neighbours form a sorted run as they come (nodes ascend, rows ascend);
+//! only the remainder — edges whose smaller endpoint is clean — is sorted,
+//! and the two runs are merged. The old side of the adjacency patch is
+//! read off the cache rows in the same two-run order
+//! ([`EdgeAdjacency::collect_touching`]), so no list of all dirty-incident
+//! edges is ever sorted.
 //!
 //! Two cases take their artefacts from the **cache rows** instead
 //! ([`EdgeAdjacency::for_each_node_weight`], once the rows are patched): a
@@ -88,11 +93,18 @@
 //!   flip one — from the rows. A `retained()` read filters the rows by the
 //!   frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
-//!   set from the artefacts above; every fresh edge is decided against
-//!   them. The survivors live in a
-//!   [`blast_graph::retained::RetainedIndex`], so the old side of the flip
-//!   diff is the recomputed nodes' rows alone — read in two-run order and
-//!   merge-joined with the decided list; only the flips touch the index.
+//!   set from the artefacts above. The survivors live in a
+//!   [`blast_graph::retained::RetainedIndex`], and the decision is
+//!   row-local: a second work-steal pass on the accumulate pass's chunk
+//!   geometry merge-joins each recomputed node's emitted row against the
+//!   same node's index row under the same ownership rule, deciding every
+//!   pair against the two thresholds (`join_row`). The rows are the
+//!   accumulate pass's own where no edge cache exists — filtered in place
+//!   down to the pairs that enter — and otherwise the patched cache rows
+//!   with their canonical weights (every commit under ECBS/EJS/χ², and
+//!   every node on the reweigh tier). Clean survivors are never visited,
+//!   no list of all decided pairs is built, and only the flips are sorted
+//!   and touch the index.
 //! * **CNP** — per-node top-k lists, replaced for the recompute set from
 //!   the artefacts above. A pair's retention can move only where one of
 //!   those nodes' lists changed, so the changed pairs are the list
@@ -137,13 +149,13 @@ use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::pruning::common::{
-    collect_accums_touching, ordered_emission, touching_pass, EpochMask,
+    collect_accums_touching, touching_pass, EpochMask, TouchingPass,
 };
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
 pub use blast_obs::{RepairStats, RepairTier};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::time::Instant;
 
 /// The pruning variant an incremental pipeline maintains.
@@ -241,15 +253,19 @@ struct RepairCtx<'a> {
     /// keep none.
     recompute: &'a [u32],
     /// The old dirty-incident edges at their old weights, ascending
-    /// `(u, v)`: the old side of every flip diff.
+    /// `(u, v)`: the old side of the adjacency patch and of WEP/CEP's
+    /// flip diff.
     old: &'a [(u32, u32, f64)],
-    /// The fresh dirty-incident edges (weight + accumulator), ascending.
+    /// The fresh dirty-incident edges (weight + accumulator), ascending —
+    /// empty for a variant with no edge cache.
     fresh: &'a [FreshEdge],
     /// The clean edges the reweigh tier swept: `(u, v, old w, new w)`.
     swept: &'a [(u32, u32, f64, f64)],
-    /// The fresh edge list of `recompute` (ascending `(u, v)`, new
-    /// weights) — empty for WEP/CEP, which walk `old`/`fresh` directly.
-    decide: &'a [(u32, u32, f64)],
+    /// The accumulate pass's emitted rows of `recompute` where no edge
+    /// cache holds them (WNP/BLAST under a weigher with no drifting
+    /// global); `None` reads them off the patched cache rows. Owned, so
+    /// the decision drops them before it lays out its flips.
+    rows: Option<PassRows<'a>>,
     /// The per-node artefact rule; `None` for WEP/CEP.
     rule: Option<ArtefactRule>,
     /// The recompute set's artefacts under `rule` where the accumulate
@@ -261,6 +277,10 @@ struct RepairCtx<'a> {
 /// A decision pass's sorted flips: added pairs with the weight their
 /// decision read, and retracted pairs.
 type Flips = (Vec<(u32, u32, f64)>, Vec<(u32, u32)>);
+
+/// The accumulate pass of a variant with no edge cache: each dirty node's
+/// emitted row of canonical `(u, v, w)`.
+type PassRows<'a> = TouchingPass<'a, (u32, u32, f64), Artefact>;
 
 /// What the cleaning stage reports into the repair.
 #[derive(Debug, Default)]
@@ -489,7 +509,9 @@ impl IncrementalMetaBlocker {
         }
     }
 
-    /// The per-node artefact this variant keeps (none for WEP/CEP).
+    /// The per-node artefact this variant keeps (none for WEP/CEP; CNP's
+    /// k is `cnp_budget`, which [`IncrementalMetaBlocker::refresh`]
+    /// computes for CNP alone).
     fn artefact_rule(&self, cnp_budget: Option<usize>) -> Option<ArtefactRule> {
         match self.pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Wep | PruningAlgorithm::Cep) => None,
@@ -498,7 +520,7 @@ impl IncrementalMetaBlocker {
             }
             IncrementalPruning::Blast { c, .. } => Some(ArtefactRule::MaxOver(c)),
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1 | PruningAlgorithm::Cnp2) => {
-                Some(ArtefactRule::TopK(cnp_budget.expect("cnp budget computed")))
+                cnp_budget.map(ArtefactRule::TopK)
             }
         }
     }
@@ -590,9 +612,9 @@ impl IncrementalMetaBlocker {
         };
 
         // The old dirty-incident edges (old weights), read off the cached
-        // adjacency rows: the old side of every flip diff, the adjacency
-        // patch's input, and the degree maintainer's edge-existence
-        // baseline. Collected before any cache mutation.
+        // adjacency rows: the old side of WEP/CEP's flip diff, the
+        // adjacency patch's input, and the degree maintainer's
+        // edge-existence baseline. Collected before any cache mutation.
         if cache_edges && self.adj.is_none() {
             // First pass of a cached non-edge variant: create the cache;
             // the structural tier below bulk-loads it.
@@ -630,10 +652,10 @@ impl IncrementalMetaBlocker {
         let artefact = in_pass.map(|rule| move |_: u32, adj: &[(u32, f64)]| rule.of(adj));
         let mut artefacts: Option<Vec<Artefact>> = None;
         // Fresh edges of the variants that keep an edge cache to patch
-        // (weight + accumulator), and the decision list `(u, v, w)` —
-        // which *is* the pass output where there is no cache.
+        // (weight + accumulator), as one canonical list; the variants with
+        // no cache (WNP/BLAST) decide off the pass's rows where they lie.
         let mut fresh: Vec<FreshEdge> = Vec::new();
-        let mut decide: Vec<(u32, u32, f64)> = Vec::new();
+        let mut rows: Option<PassRows> = None;
         let mut degree_secs = 0.0;
         let mut degrees_moved = false;
         if needs_degrees {
@@ -654,29 +676,28 @@ impl IncrementalMetaBlocker {
             degree_secs = t_degrees.elapsed().as_secs_f64();
             fresh = weigh_accums(ctx, weigher, &accs);
         } else if cache_edges {
-            let pass = touching_pass(
+            let (edges, pass_artefacts) = touching_pass(
                 ctx,
                 weigher,
                 &dirty,
                 &self.mask,
                 |u, v, w, acc| FreshEdge { u, v, w, acc: *acc },
-                fresh_pair,
                 artefact,
-            );
-            fresh = pass.edges;
-            artefacts = in_pass.map(|_| pass.artefacts);
+            )
+            .into_canonical(fresh_pair);
+            fresh = edges;
+            artefacts = in_pass.map(|_| pass_artefacts);
         } else {
-            let pass = touching_pass(
+            let mut pass = touching_pass(
                 ctx,
                 weigher,
                 &dirty,
                 &self.mask,
                 |u, v, w, _| (u, v, w),
-                edge_pair,
                 artefact,
             );
-            decide = pass.edges;
-            artefacts = in_pass.map(|_| pass.artefacts);
+            artefacts = in_pass.map(|_| std::mem::take(&mut pass.artefacts));
+            rows = Some(pass);
         }
 
         // ---- tier selection ----
@@ -697,11 +718,7 @@ impl IncrementalMetaBlocker {
 
         let mut stats = RepairStats {
             dirty_nodes: dirty.len(),
-            edges_reweighed: if cache_edges {
-                fresh.len()
-            } else {
-                decide.len()
-            },
+            edges_reweighed: rows.as_ref().map_or(fresh.len(), TouchingPass::emitted),
             scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
             ..RepairStats::default()
@@ -711,8 +728,8 @@ impl IncrementalMetaBlocker {
         // accumulator (no block traversal), then hand the decision stage
         // the full recompute set. ----
         let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
-        let recompute: Vec<u32>;
-        match tier {
+        let everything: Vec<u32>;
+        let recompute: &[u32] = match tier {
             RepairTier::Reweigh => {
                 let t_sweep = Instant::now();
                 let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
@@ -722,39 +739,35 @@ impl IncrementalMetaBlocker {
                     .iter()
                     .filter(|&&(_, _, ow, nw)| ow.to_bits() != nw.to_bits())
                     .count();
+                stats.reweigh_secs = degree_secs + t_sweep.elapsed().as_secs_f64();
                 // From here on the decision stage recomputes everything:
-                // the mask covers all nodes and the decide list every live
-                // edge at its new weight. WEP/CEP keep no per-node artefact
-                // and decide `swept` and `fresh` where they lie.
+                // the mask covers all nodes, and the node-centric variants
+                // decide every live edge off the patched rows. WEP/CEP
+                // keep no per-node artefact and decide `swept` and `fresh`
+                // where they lie.
                 self.mask.mark_all();
                 if edge_variant {
-                    recompute = Vec::new();
+                    &[]
                 } else {
-                    recompute = (0..n as u32).collect();
-                    decide = merge_decide_edges(&swept, &fresh);
+                    everything = (0..n as u32).collect();
+                    &everything
                 }
-                stats.reweigh_secs = degree_secs + t_sweep.elapsed().as_secs_f64();
             }
             _ => {
-                recompute = dirty;
-                // The edge variants never read the decide list (their flips
-                // walk old/fresh directly) — skip the copy.
-                if cache_edges && !edge_variant {
-                    decide = fresh.iter().map(|e| (e.u, e.v, e.w)).collect();
-                }
                 stats.reweigh_secs = degree_secs;
+                &dirty
             }
-        }
+        };
 
         let (added, retracted) = self.repair(
             RepairCtx {
                 ctx,
                 weigher,
-                recompute: &recompute,
+                recompute,
                 old: &old,
                 fresh: &fresh,
                 swept: &swept,
-                decide: &decide,
+                rows,
                 rule,
                 artefacts,
             },
@@ -766,7 +779,7 @@ impl IncrementalMetaBlocker {
         // The pass's edge lists are the commit's memory peak (every edge,
         // on the structural tier): release them before the delta is laid
         // out, so the delta is never stacked on top of them.
-        drop((old, fresh, swept, decide));
+        drop((old, fresh, swept));
         (PairDelta::from_flips(added, retracted), stats)
     }
 
@@ -782,7 +795,7 @@ impl IncrementalMetaBlocker {
             old,
             fresh,
             swept,
-            decide,
+            rows,
             rule,
             artefacts,
         } = cx;
@@ -894,9 +907,7 @@ impl IncrementalMetaBlocker {
             IncrementalPruning::Traditional(PruningAlgorithm::Wnp1)
             | IncrementalPruning::Traditional(PruningAlgorithm::Wnp2)
             | IncrementalPruning::Blast { .. } => {
-                let wnp = Wnp {
-                    mode: self.node_centric_mode(),
-                };
+                let mode = self.node_centric_mode();
                 let pruning = self.pruning;
                 let DecisionState::Node { retained } = &mut self.decision else {
                     unreachable!("threshold pruning carries a retained index")
@@ -910,22 +921,26 @@ impl IncrementalMetaBlocker {
                 }
 
                 let t0 = Instant::now();
-                let thresholds = &self.thresholds;
-                node_flips(
-                    retained,
-                    recompute,
-                    mask,
-                    n,
-                    decide.iter().copied().filter(|&(u, v, w)| match pruning {
-                        IncrementalPruning::Blast { d, .. } => {
-                            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
-                            w > 0.0 && w >= theta
-                        }
-                        _ => wnp.decide(thresholds, u, v, w),
-                    }),
-                    &mut added,
-                    &mut retracted,
-                );
+                let keep = threshold_keep(pruning, mode, &self.thresholds);
+                retained.ensure_nodes(n);
+                let threads = ctx.threads();
+                (added, retracted) = match (rows, &self.adj) {
+                    (Some(pass), _) => pass_row_flips(pass, retained, mask, threads, &keep),
+                    (None, Some(adj)) => {
+                        cache_row_flips(adj, retained, recompute, mask, threads, &keep)
+                    }
+                    (None, None) => {
+                        unreachable!("a variant with no edge cache keeps its pass rows")
+                    }
+                };
+                for &(a, b) in &retracted {
+                    let removed = retained.remove(a, b);
+                    debug_assert!(removed);
+                }
+                for &(a, b, _) in &added {
+                    let inserted = retained.insert(a, b);
+                    debug_assert!(inserted);
+                }
                 stats.decision_secs = t0.elapsed().as_secs_f64();
             }
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
@@ -945,12 +960,18 @@ impl IncrementalMetaBlocker {
                         std::mem::replace(&mut self.lists[u as usize], new_list)
                     })
                     .collect();
+                // An added pair's weight is the one its decision read:
+                // the patched cache row's canonical weight.
+                let adj = self.adj.as_ref();
                 list_flips(
                     recompute,
                     &old_lists,
                     &self.lists,
                     need,
-                    decide,
+                    |a, b| {
+                        adj.and_then(|adj| adj.weight(a, b))
+                            .expect("a newly listed pair is a live cached edge")
+                    },
                     &mut added,
                     &mut retracted,
                 );
@@ -1033,29 +1054,6 @@ fn patch_degrees(
     }
     ctx.apply_degree_deltas(folded.into_iter().filter(|&(_, d)| d != 0), edge_delta);
     true
-}
-
-/// Merges the reweigh sweep's clean edges (at their new weights) with the
-/// fresh dirty-incident edges into the full decision list, ascending
-/// `(u, v)` — the two inputs are disjoint and each sorted.
-fn merge_decide_edges(swept: &[(u32, u32, f64, f64)], fresh: &[FreshEdge]) -> Vec<(u32, u32, f64)> {
-    let mut out = Vec::with_capacity(swept.len() + fresh.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < swept.len() && j < fresh.len() {
-        let s = &swept[i];
-        let f = &fresh[j];
-        if (s.0, s.1) < (f.u, f.v) {
-            out.push((s.0, s.1, s.3));
-            i += 1;
-        } else {
-            debug_assert_ne!((s.0, s.1), (f.u, f.v), "swept and fresh are disjoint");
-            out.push((f.u, f.v, f.w));
-            j += 1;
-        }
-    }
-    out.extend(swept[i..].iter().map(|&(u, v, _, nw)| (u, v, nw)));
-    out.extend(fresh[j..].iter().map(|e| (e.u, e.v, e.w)));
-    out
 }
 
 /// The retention frontier of the live edge set, restated from the patched
@@ -1239,58 +1237,153 @@ fn edge_flips(
     });
 }
 
-/// Node-centric flip emission: diffs the retained pairs incident to the
-/// recomputed nodes (read off the [`RetainedIndex`] rows — clean survivors
-/// are never visited on the dirty tier) against the freshly decided pairs
-/// (each with the weight the decision just tested),
-/// applies the flips to the index and pushes them (sorted) onto `added` /
-/// `retracted`. `dirty` ascends, and so does every row, so the old pairs
-/// are read as an [`ordered_emission`] like the accumulate pass's edges:
-/// only those read from their larger endpoint are sorted.
-fn node_flips(
-    retained: &mut RetainedIndex,
-    dirty: &[u32],
+/// Whether WNP/BLAST retain the canonical edge `(u, v)` at weight `w`
+/// against the per-node thresholds: WNP's one or both endpoint tests,
+/// BLAST's `w ≥ (θᵤ + θᵥ)/d` over a positive weight.
+fn threshold_keep(
+    pruning: IncrementalPruning,
+    mode: NodeCentricMode,
+    thresholds: &[f64],
+) -> impl Fn(u32, u32, f64) -> bool + Sync + '_ {
+    let wnp = Wnp { mode };
+    move |u, v, w| match pruning {
+        IncrementalPruning::Blast { d, .. } => {
+            let theta = (thresholds[u as usize] + thresholds[v as usize]) / d;
+            w > 0.0 && w >= theta
+        }
+        IncrementalPruning::Traditional(_) => wnp.decide(thresholds, u, v, w),
+    }
+}
+
+/// The WNP/BLAST decision for one recomputed node `d`, row-local: merge-joins
+/// its emitted row — `row` streams `(neighbour, canonical weight)` ascending,
+/// one entry per pair the node owns (a larger neighbour, or an unmarked
+/// smaller one) — against the same node's [`RetainedIndex`] row under the
+/// same ownership rule. So every pair with a recomputed endpoint is judged
+/// exactly once, and clean survivors are never visited. `keep(u, v, w)`
+/// decides the canonical pair against the thresholds; `add(u, v, w)` takes
+/// each pair that enters, and each pair that leaves is pushed onto
+/// `retracted`. Flips come in row order: ascending `(u, v)` except where
+/// `d` is the larger endpoint.
+fn join_row(
+    d: u32,
+    retained: &RetainedIndex,
     mask: &EpochMask,
-    n: usize,
-    fresh: impl Iterator<Item = (u32, u32, f64)>,
-    added: &mut Vec<(u32, u32, f64)>,
+    row: impl Iterator<Item = (u32, f64)>,
+    keep: &impl Fn(u32, u32, f64) -> bool,
+    mut add: impl FnMut(u32, u32, f64),
     retracted: &mut Vec<(u32, u32)>,
 ) {
-    retained.ensure_nodes(n);
-    debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
-    let mut from_smaller: Vec<(u32, u32)> = Vec::new();
-    let mut from_larger: Vec<(u32, u32)> = Vec::new();
-    for &u in dirty {
-        for &v in retained.neighbours(u) {
-            if u < v {
-                from_smaller.push((u, v));
-            } else if !mask.contains(v) {
-                // A dirty smaller endpoint emits the pair itself.
-                from_larger.push((v, u));
+    let pair = |v: u32| if d < v { (d, v) } else { (v, d) };
+    let mut old = retained
+        .neighbours(d)
+        .iter()
+        .copied()
+        .filter(|&v| d < v || !mask.contains(v))
+        .peekable();
+    for (v, w) in row {
+        while let Some(x) = old.next_if(|&x| x < v) {
+            retracted.push(pair(x));
+        }
+        let was = old.next_if_eq(&v).is_some();
+        let (a, b) = pair(v);
+        let now = keep(a, b, w);
+        if now && !was {
+            add(a, b, w);
+        } else if was && !now {
+            retracted.push((a, b));
+        }
+    }
+    retracted.extend(old.map(pair));
+}
+
+/// The decision pass over the accumulate pass's own rows (WNP/BLAST under a
+/// weigher with no edge cache), on its chunk geometry. Each row is filtered
+/// in place down to the pairs that enter ([`TouchingPass::retain_rows`]),
+/// so the added side is written where the pass wrote the edges — on the
+/// structural tier, where every retained pair is added, no second copy of
+/// them is grown — and then read out as one canonical list.
+fn pass_row_flips(
+    mut pass: PassRows<'_>,
+    retained: &RetainedIndex,
+    mask: &EpochMask,
+    threads: usize,
+    keep: &(impl Fn(u32, u32, f64) -> bool + Sync),
+) -> Flips {
+    let parts = pass.retain_rows(threads, |d, row, retracted: &mut Vec<(u32, u32)>| {
+        let cells = Cell::from_mut(row).as_slice_of_cells();
+        // Each entry adds at most itself, so the write cursor never passes
+        // the entry being read.
+        let mut kept = 0;
+        let entries = cells.iter().map(|c| {
+            let (a, b, w) = c.get();
+            (if a == d { b } else { a }, w)
+        });
+        join_row(
+            d,
+            retained,
+            mask,
+            entries,
+            keep,
+            |a, b, w| {
+                cells[kept].set((a, b, w));
+                kept += 1;
+            },
+            retracted,
+        );
+        kept
+    });
+    let (added, _) = pass.into_canonical(edge_pair);
+    let mut retracted = parts.concat();
+    retracted.sort_unstable();
+    (added, retracted)
+}
+
+/// The decision pass over the patched edge cache's rows (WNP/BLAST under a
+/// weigher whose global statistics can drift, on every tier, the reweigh
+/// tier's all-node recompute set included): the same [`join_row`] per
+/// recomputed node, on the chunk geometry of the accumulate pass, the
+/// cache row filtered to the pairs the node owns. Only the flips are
+/// collected, and sorted.
+fn cache_row_flips(
+    adj: &EdgeAdjacency,
+    retained: &RetainedIndex,
+    nodes: &[u32],
+    mask: &EpochMask,
+    threads: usize,
+    keep: &(impl Fn(u32, u32, f64) -> bool + Sync),
+) -> Flips {
+    let len = nodes.len();
+    let parts = parallel_work_steal(
+        len,
+        threads,
+        chunk_len(len),
+        || (),
+        |_, range| {
+            let mut added: Vec<(u32, u32, f64)> = Vec::new();
+            let mut retracted: Vec<(u32, u32)> = Vec::new();
+            for &d in &nodes[range] {
+                let row = adj.weights(d).filter(|&(v, _)| d < v || !mask.contains(v));
+                join_row(
+                    d,
+                    retained,
+                    mask,
+                    row,
+                    keep,
+                    |a, b, w| added.push((a, b, w)),
+                    &mut retracted,
+                );
             }
-        }
-    }
-    let old = ordered_emission(from_smaller, from_larger, |&p| p);
-    // The decided pairs stream through the join; only the flips are kept.
-    let mut old = old.into_iter().peekable();
-    for e in fresh {
-        let pair = edge_pair(&e);
-        while let Some(p) = old.next_if(|&p| p < pair) {
-            retracted.push(p);
-        }
-        if old.next_if_eq(&pair).is_none() {
-            added.push(e);
-        }
-    }
-    retracted.extend(old);
-    for &(a, b) in retracted.iter() {
-        let removed = retained.remove(a, b);
-        debug_assert!(removed);
-    }
-    for &(a, b, _) in added.iter() {
-        let inserted = retained.insert(a, b);
-        debug_assert!(inserted);
-    }
+            (added, retracted)
+        },
+    );
+    let (added, retracted): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    let (mut added, mut retracted) = (added.concat(), retracted.concat());
+    // A pair read from its larger endpoint lands among the other rows'
+    // pairs out of order; with every node marked there is none.
+    added.sort_unstable_by_key(edge_pair);
+    retracted.sort_unstable();
+    (added, retracted)
 }
 
 /// CNP flip emission. A pair's listing count (how many of its endpoints
@@ -1300,14 +1393,14 @@ fn node_flips(
 /// count under the new ones, so a pair changed from both endpoints in one
 /// commit cannot emit both an add and a retract. `old_lists` is parallel
 /// to `recompute` (ascending); every other node's list is the same in both
-/// eras. Flips are pushed sorted, each added pair with the weight its
-/// decision read off `decide`.
+/// eras. Flips are pushed sorted, each added pair with `weight(a, b)`, the
+/// weight its decision read.
 fn list_flips(
     recompute: &[u32],
     old_lists: &[Vec<u32>],
     lists: &[Vec<u32>],
     need: u8,
-    decide: &[(u32, u32, f64)],
+    weight: impl Fn(u32, u32) -> f64,
     added: &mut Vec<(u32, u32, f64)>,
     retracted: &mut Vec<(u32, u32)>,
 ) {
@@ -1334,12 +1427,7 @@ fn list_flips(
             u8::from(lists[a as usize].contains(&b)) + u8::from(lists[b as usize].contains(&a));
         if (was >= need) != (now >= need) {
             if now >= need {
-                // A pair enters only through a recomputed node's new
-                // list, so its edge was decided this commit.
-                let i = decide
-                    .binary_search_by_key(&(a, b), edge_pair)
-                    .expect("a newly listed pair is a decided edge");
-                added.push((a, b, decide[i].2));
+                added.push((a, b, weight(a, b)));
             } else {
                 retracted.push((a, b));
             }
@@ -1410,26 +1498,62 @@ mod tests {
         assert_eq!(retracted, vec![(0, 1)]);
     }
 
+    /// The row-local decision at 1 and 4 threads (which must agree) over
+    /// explicit emitted rows — `rows[i]` is `nodes[i]`'s, `(neighbour, w)` —
+    /// read off an edge cache holding them, with the flips applied to
+    /// `retained`.
+    fn flips_of(
+        retained: &mut RetainedIndex,
+        nodes: &[u32],
+        mask: &EpochMask,
+        rows: &[Vec<(u32, f64)>],
+        keep: impl Fn(u32, u32, f64) -> bool + Sync,
+    ) -> Flips {
+        let mut adj = EdgeAdjacency::new();
+        adj.ensure_nodes(16);
+        for (&d, row) in nodes.iter().zip(rows) {
+            for &(v, w) in row {
+                adj.insert_edge(d.min(v), d.max(v), w, EdgeAccum::default());
+            }
+        }
+        let flips = cache_row_flips(&adj, retained, nodes, mask, 1, &keep);
+        assert_eq!(
+            cache_row_flips(&adj, retained, nodes, mask, 4, &keep),
+            flips,
+            "thread count must not matter"
+        );
+        for &(a, b) in &flips.1 {
+            assert!(retained.remove(a, b));
+        }
+        for &(a, b, _) in &flips.0 {
+            assert!(retained.insert(a, b));
+        }
+        flips
+    }
+
+    fn mask_of(n: usize, marked: &[u32]) -> EpochMask {
+        let mut mask = EpochMask::new();
+        mask.begin(n);
+        for &u in marked {
+            mask.mark(u);
+        }
+        mask
+    }
+
     #[test]
-    fn node_flips_diff_only_dirty_rows() {
+    fn row_flips_diff_only_dirty_rows() {
         let mut retained = RetainedIndex::new();
         retained.ensure_nodes(5);
         retained.insert(0, 1); // clean–clean: must survive untouched
         retained.insert(1, 2);
         retained.insert(2, 3);
-        let mut mask = EpochMask::new();
-        mask.begin(5);
-        mask.mark(2);
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        // Node 2 freshly retains (2,3) and (2,4); (1,2) is gone.
-        node_flips(
+        // Node 2's row: (1,2) now fails its test, (2,3) and (2,4) pass.
+        let (added, retracted) = flips_of(
             &mut retained,
             &[2],
-            &mask,
-            5,
-            [(2, 3, 1.5), (2, 4, 2.5)].into_iter(),
-            &mut added,
-            &mut retracted,
+            &mask_of(5, &[2]),
+            &[vec![(1, 0.5), (3, 1.5), (4, 2.5)]],
+            |_, _, w| w >= 1.0,
         );
         assert_eq!(added, vec![(2, 4, 2.5)], "with the decided weight");
         assert_eq!(retracted, vec![(1, 2)]);
@@ -1437,35 +1561,33 @@ mod tests {
         assert!(retained.contains(0, 1), "clean survivor untouched");
     }
 
-    /// Every shape the two-run old side takes: a pair with both endpoints
-    /// dirty (read once, from the smaller), a clean endpoint below the
-    /// dirty one (read from the larger endpoint, the sorted remainder) and
-    /// above it (the ordered run), and a dirty row that empties.
+    /// Every shape a row join takes: a pair with both endpoints dirty
+    /// (owned by the smaller), a clean endpoint below the dirty one (owned
+    /// by the dirty larger endpoint: its flips arrive out of order) and
+    /// above it, a decided edge that fails its test, and a dirty row that
+    /// empties.
     #[test]
-    fn node_flips_merge_ordered_and_remainder_runs() {
+    fn row_flips_join_owned_rows() {
         let mut retained = RetainedIndex::new();
         retained.ensure_nodes(8);
         for (a, b) in [(0, 1), (1, 4), (2, 5), (3, 5), (4, 5), (5, 7), (4, 6)] {
             retained.insert(a, b);
         }
         // Dirty: 4, 5, 6. Clean below: 1, 2, 3; clean above: 7.
-        let mut mask = EpochMask::new();
-        mask.begin(8);
-        for u in [4, 5, 6] {
-            mask.mark(u);
-        }
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        // Freshly decided, ascending: (2,5) and (5,7) survive, (3,4) is
-        // new below, (4,5) survives with both endpoints dirty, (1,4),
-        // (3,5) go — and (4,6) goes, which empties row 6.
-        node_flips(
+        let mut mask = mask_of(8, &[4, 5, 6]);
+        // The owned rows: (2,5) and (5,7) survive, (3,4) is new below,
+        // (4,5) survives in 4's row, (6,7) is decided and fails; (1,4),
+        // (3,5) go — and (4,6) goes from 4's row, which empties row 6.
+        let (added, retracted) = flips_of(
             &mut retained,
             &[4, 5, 6],
             &mask,
-            8,
-            [(2, 5, 1.0), (3, 4, 2.0), (4, 5, 3.0), (5, 7, 4.0)].into_iter(),
-            &mut added,
-            &mut retracted,
+            &[
+                vec![(3, 2.0), (5, 3.0)],
+                vec![(2, 1.0), (7, 4.0)],
+                vec![(7, 0.5)],
+            ],
+            |_, _, w| w >= 1.0,
         );
         assert_eq!(added, vec![(3, 4, 2.0)]);
         assert_eq!(retracted, vec![(1, 4), (3, 5), (4, 6)], "sorted, each once");
@@ -1480,18 +1602,13 @@ mod tests {
 
         // A second pass over an already-empty dirty row and an unchanged
         // one emits nothing.
-        mask.begin(8);
-        mask.mark(4);
-        mask.mark(6);
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        node_flips(
+        mask = mask_of(8, &[4, 6]);
+        let (added, retracted) = flips_of(
             &mut retained,
             &[4, 6],
             &mask,
-            8,
-            [(3, 4, 2.0), (4, 5, 3.0)].into_iter(),
-            &mut added,
-            &mut retracted,
+            &[vec![(3, 2.0), (5, 3.0)], vec![]],
+            |_, _, _| true,
         );
         assert!(added.is_empty() && retracted.is_empty());
     }
@@ -1503,13 +1620,19 @@ mod tests {
     #[test]
     fn list_flips_judge_a_pair_once_for_cnp1() {
         let decide = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)];
+        let weight = |a, b| {
+            let i = decide
+                .binary_search_by_key(&(a, b), edge_pair)
+                .expect("a decided edge");
+            decide[i].2
+        };
         let (mut added, mut retracted) = (Vec::new(), Vec::new());
         list_flips(
             &[0, 1],
             &[vec![1], vec![2]],
             &[vec![2], vec![0], vec![], vec![]],
             1,
-            &decide,
+            weight,
             &mut added,
             &mut retracted,
         );
@@ -1529,7 +1652,7 @@ mod tests {
             &[vec![1], vec![0], vec![3], vec![2]],
             &[vec![4], vec![0], vec![4], vec![4], vec![]],
             2,
-            &[],
+            |a, b| panic!("({a}, {b}) cannot enter"),
             &mut added,
             &mut retracted,
         );
@@ -1544,15 +1667,286 @@ mod tests {
         assert_eq!(events, vec![1, 2, 5, 6]);
     }
 
-    #[test]
-    fn merged_decide_edges_interleave_sorted() {
-        let swept = vec![(0, 3, 1.0, 1.5), (2, 4, 2.0, 2.5)];
-        let dirty = fresh(&[(0, 1, 9.0), (2, 3, 8.0)]);
-        let merged = merge_decide_edges(&swept, &dirty);
-        assert_eq!(
-            merged,
-            vec![(0, 1, 9.0), (0, 3, 1.5), (2, 3, 8.0), (2, 4, 2.5)],
-            "new weights, ascending (u, v)"
-        );
+    /// The global-sort decision the row-local pass replaced, kept as the
+    /// reference it must equal bit for bit.
+    mod reference {
+        use super::super::*;
+        use blast_graph::pruning::common::ordered_emission;
+
+        /// Diffs the retained pairs incident to the recomputed nodes (read
+        /// off the [`RetainedIndex`] rows in two-run order and sorted into
+        /// one global list) against the freshly decided pairs (one global
+        /// canonical list, each with the weight the decision tested),
+        /// applies the flips to the index and pushes them (sorted) onto
+        /// `added` / `retracted`.
+        pub fn node_flips(
+            retained: &mut RetainedIndex,
+            dirty: &[u32],
+            mask: &EpochMask,
+            n: usize,
+            fresh: impl Iterator<Item = (u32, u32, f64)>,
+            added: &mut Vec<(u32, u32, f64)>,
+            retracted: &mut Vec<(u32, u32)>,
+        ) {
+            retained.ensure_nodes(n);
+            let mut from_smaller: Vec<(u32, u32)> = Vec::new();
+            let mut from_larger: Vec<(u32, u32)> = Vec::new();
+            for &u in dirty {
+                for &v in retained.neighbours(u) {
+                    if u < v {
+                        from_smaller.push((u, v));
+                    } else if !mask.contains(v) {
+                        // A dirty smaller endpoint emits the pair itself.
+                        from_larger.push((v, u));
+                    }
+                }
+            }
+            let old = ordered_emission(from_smaller, from_larger, |&p| p);
+            let mut old = old.into_iter().peekable();
+            for e in fresh {
+                let pair = edge_pair(&e);
+                while let Some(p) = old.next_if(|&p| p < pair) {
+                    retracted.push(p);
+                }
+                if old.next_if_eq(&pair).is_none() {
+                    added.push(e);
+                }
+            }
+            retracted.extend(old);
+            for &(a, b) in retracted.iter() {
+                assert!(retained.remove(a, b));
+            }
+            for &(a, b, _) in added.iter() {
+                assert!(retained.insert(a, b));
+            }
+        }
+    }
+
+    /// The row-local WNP/BLAST decision against [`reference::node_flips`]
+    /// through whole commit histories of [`IncrementalMetaBlocker`].
+    mod row_local_properties {
+        use super::*;
+        use blast_blocking::block::Block;
+        use blast_blocking::collection::BlockCollection;
+        use blast_blocking::key::ClusterId;
+        use blast_core::weighting::ChiSquaredWeigher;
+        use blast_graph::pruning::common::collect_weighted_edges;
+        use blast_graph::weights::WeightingScheme;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// Profiles of a dirty store; a clean-clean store splits them in
+        /// half, the first half being the first source.
+        const N: u32 = 20;
+
+        fn collection(members: &[BTreeSet<u32>], clean: bool) -> BlockCollection {
+            let separator = if clean { N / 2 } else { u32::MAX };
+            let blocks = members
+                .iter()
+                .enumerate()
+                .map(|(i, set)| {
+                    Block::new(
+                        format!("b{i}"),
+                        ClusterId::GLUE,
+                        set.iter().map(|&p| ProfileId(p)).collect(),
+                        separator,
+                    )
+                })
+                .collect();
+            BlockCollection::new(blocks, clean, separator.min(N), N)
+        }
+
+        /// The dirty scope of moving from `old` to `new`: every member of a
+        /// block whose membership differs (a superset of the graph-dirty
+        /// nodes), the nodes whose |B_u| moved, and whether |B| moved.
+        fn scope_between(
+            (old, old_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
+            (new, new_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
+        ) -> DirtyScope {
+            let empty = BTreeSet::new();
+            let mut nodes = BTreeSet::new();
+            for i in 0..old.len().max(new.len()) {
+                let (a, b) = (old.get(i).unwrap_or(&empty), new.get(i).unwrap_or(&empty));
+                if a != b {
+                    nodes.extend(a | b);
+                }
+            }
+            DirtyScope {
+                lists_changed: (0..N)
+                    .filter(|&u| old_ctx.node_blocks(u) != new_ctx.node_blocks(u))
+                    .collect(),
+                nodes: nodes.into_iter().collect(),
+                total_blocks_changed: old_ctx.total_blocks() != new_ctx.total_blocks(),
+            }
+        }
+
+        /// Runs `history` through one blocker (the last commit forced onto
+        /// the full tier). After every commit the delta must equal the
+        /// reference decision — the same thresholds, every recomputed pair
+        /// decided off one global canonical list at its batch weight,
+        /// diffed against the index as it stood — bit for bit, the index
+        /// must equal the reference's, and the retained set batch's.
+        /// Returns the tiers the commits landed on.
+        fn check_history(
+            history: &[Vec<BTreeSet<u32>>],
+            clean: bool,
+            pruning: IncrementalPruning,
+            weigher: &dyn EdgeWeigher,
+            threads: usize,
+        ) -> Vec<RepairTier> {
+            let label = format!("{} clean={clean} threads={threads}", pruning.label());
+            let mut blocker = IncrementalMetaBlocker::new(pruning);
+            let mut tiers = Vec::new();
+            let mut prev: Option<(&[BTreeSet<u32>], GraphSnapshot)> = None;
+            for (step, members) in history.iter().enumerate() {
+                let mut ctx =
+                    GraphSnapshot::build(&collection(members, clean)).with_threads(threads);
+                let scope = match &prev {
+                    Some((old, old_ctx)) => scope_between((old, old_ctx), (members, &ctx)),
+                    None => DirtyScope::default(),
+                };
+                if step + 1 == history.len() {
+                    blocker.force_full_next();
+                }
+                let DecisionState::Node { retained } = &blocker.decision else {
+                    unreachable!("node-centric pruning")
+                };
+                let mut expect_index = retained.clone();
+                let (delta, stats) = blocker.refresh(&mut ctx, weigher, &scope);
+                tiers.push(stats.tier);
+
+                let n = N as usize;
+                let mask = &blocker.mask;
+                let recompute: Vec<u32> = (0..N).filter(|&u| mask.contains(u)).collect();
+                let keep =
+                    threshold_keep(pruning, blocker.node_centric_mode(), &blocker.thresholds);
+                let decided = collect_weighted_edges(&ctx, weigher)
+                    .into_iter()
+                    .filter(|&(u, v, w)| (mask.contains(u) || mask.contains(v)) && keep(u, v, w));
+                let (mut added, mut retracted) = (Vec::new(), Vec::new());
+                reference::node_flips(
+                    &mut expect_index,
+                    &recompute,
+                    mask,
+                    n,
+                    decided,
+                    &mut added,
+                    &mut retracted,
+                );
+                let got_added: Vec<(u32, u32, u64)> = delta
+                    .added_weighted()
+                    .map(|((a, b), w)| (a.0, b.0, w.to_bits()))
+                    .collect();
+                let want_added: Vec<(u32, u32, u64)> =
+                    added.iter().map(|&(a, b, w)| (a, b, w.to_bits())).collect();
+                assert_eq!(got_added, want_added, "{label} step {step}: added");
+                let got_retracted: Vec<(u32, u32)> =
+                    delta.retracted.iter().map(|&(a, b)| (a.0, b.0)).collect();
+                assert_eq!(got_retracted, retracted, "{label} step {step}: retracted");
+                let DecisionState::Node { retained } = &blocker.decision else {
+                    unreachable!("node-centric pruning")
+                };
+                assert_eq!(
+                    retained.to_pairs(),
+                    expect_index.to_pairs(),
+                    "{label} step {step}: index"
+                );
+                assert_eq!(
+                    blocker.retained().pairs(),
+                    pruning.batch_prune(&ctx, weigher).pairs(),
+                    "{label} step {step}: batch"
+                );
+                prev = Some((members, ctx));
+            }
+            tiers
+        }
+
+        /// Every WNP/BLAST variant over pass rows (CBS) and cache rows
+        /// (ECBS, χ²), at 1 and 4 threads.
+        fn check_grid(history: &[Vec<BTreeSet<u32>>], clean: bool) -> Vec<RepairTier> {
+            let chi = ChiSquaredWeigher::without_entropy();
+            let weighers: [&dyn EdgeWeigher; 3] =
+                [&WeightingScheme::Cbs, &WeightingScheme::Ecbs, &chi];
+            let mut tiers = Vec::new();
+            for pruning in [
+                IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+                IncrementalPruning::Traditional(PruningAlgorithm::Wnp2),
+                IncrementalPruning::blast(),
+            ] {
+                for weigher in weighers {
+                    for threads in [1, 4] {
+                        tiers.extend(check_history(history, clean, pruning, weigher, threads));
+                    }
+                }
+            }
+            tiers
+        }
+
+        /// A history: the base blocks; the same blocks with the listed
+        /// memberships toggled (|B| can stay put: the dirty tier for every
+        /// weigher); one more block (|B| moves: the reweigh tier under
+        /// ECBS and χ²); and another toggle, forced onto the full tier.
+        fn history(
+            base: Vec<BTreeSet<u32>>,
+            toggles: &[(usize, u32)],
+            extra: BTreeSet<u32>,
+        ) -> Vec<Vec<BTreeSet<u32>>> {
+            let toggled = |mut blocks: Vec<BTreeSet<u32>>, picks: &[(usize, u32)]| {
+                for &(i, p) in picks {
+                    let set = &mut blocks[i % base.len()];
+                    if !set.remove(&p) {
+                        set.insert(p);
+                    }
+                }
+                blocks
+            };
+            let half = toggles.len() / 2;
+            let edited = toggled(base.clone(), &toggles[..half]);
+            let mut grown = edited.clone();
+            grown.push(extra);
+            let last = toggled(grown.clone(), &toggles[half..]);
+            vec![base, edited, grown, last]
+        }
+
+        fn sets(blocks: &[&[u32]]) -> Vec<BTreeSet<u32>> {
+            blocks.iter().map(|b| b.iter().copied().collect()).collect()
+        }
+
+        /// One fixed history reaches every tier on both stores.
+        #[test]
+        fn row_local_flips_cover_every_tier() {
+            let base = sets(&[
+                &[0, 1, 2, 12],
+                &[1, 2, 13, 14],
+                &[3, 4, 12, 15],
+                &[0, 4, 5, 16, 17],
+            ]);
+            let blocks = history(
+                base,
+                &[(0, 13), (1, 3), (2, 16), (3, 1)],
+                [2, 5, 14, 18].into(),
+            );
+            for clean in [false, true] {
+                let tiers = check_grid(&blocks, clean);
+                for tier in [RepairTier::Full, RepairTier::Dirty, RepairTier::Reweigh] {
+                    assert!(tiers.contains(&tier), "clean={clean}: no {tier:?} commit");
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn prop_row_local_flips_equal_global_sort_reference(
+                base in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..N, 0..8), 1..12),
+                toggles in proptest::collection::vec((0usize..12, 0u32..N), 0..8),
+                extra in proptest::collection::btree_set(0u32..N, 2..6),
+                clean in 0u8..2,
+            ) {
+                check_grid(&history(base, &toggles, extra), clean == 1);
+            }
+        }
     }
 }

@@ -20,10 +20,12 @@
 # stay on the dirty repair tier — and ECBS, whose |B| drift puts them on
 # the reweigh tier; then for the node-centric variants: BLAST pruning
 # (χ² reads |B_u|, so its repairs expand over the co-members read off the
-# snapshot's slot memberships) and WNP1 under CBS (the streaming
-# benchmark's configuration); and once with cleaning off (raw token
-# blocks). Each run must print its `verify: incremental == batch` line,
-# and its 1- and 4-thread outputs must be byte-identical.
+# snapshot's slot memberships), WNP1 under CBS (the streaming benchmark's
+# configuration, decided off the accumulate pass's own rows), WNP2 under
+# CBS (the reciprocal rule on those rows) and WNP1 under ECBS (decided off
+# the edge cache's rows, on the reweigh tier); and once with cleaning off
+# (raw token blocks). Each run must print its `verify: incremental ==
+# batch` line, and its 1- and 4-thread outputs must be byte-identical.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
 set -euo pipefail
@@ -92,4 +94,6 @@ for pruning in wep cep cnp1 cnp2; do
 done
 stream_check blast --pruning blast
 stream_check wnp1-cbs --pruning wnp1 --scheme cbs
+stream_check wnp2-cbs --pruning wnp2 --scheme cbs
+stream_check wnp1-ecbs --pruning wnp1 --scheme ecbs
 stream_check wnp1-cbs-raw --pruning wnp1 --scheme cbs --no-cleaning

@@ -16,7 +16,9 @@ use blast_core::weighting::ChiSquaredWeigher;
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::{EdgeWeigher, WeightingScheme};
-use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, RepairTier};
+use blast_incremental::{
+    CleaningConfig, IncrementalPipeline, IncrementalPruning, PairDelta, RepairTier,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -46,6 +48,26 @@ fn all_prunings() -> Vec<IncrementalPruning> {
     v
 }
 
+/// The documented [`PairDelta`] order: `added` and `retracted` each
+/// strictly ascending, smaller id first, and disjoint.
+fn assert_delta_order(delta: &PairDelta, label: &str) {
+    for (side, pairs) in [("added", &delta.added), ("retracted", &delta.retracted)] {
+        assert!(
+            pairs.iter().all(|p| p.0 < p.1),
+            "{label}: {side} pair not smaller id first: {pairs:?}"
+        );
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "{label}: {side} not strictly ascending: {pairs:?}"
+        );
+    }
+    let retracted: BTreeSet<_> = delta.retracted.iter().collect();
+    assert!(
+        delta.added.iter().all(|p| !retracted.contains(p)),
+        "{label}: a pair both added and retracted"
+    );
+}
+
 /// Applies `ops` to a dirty-ER pipeline, committing every `commit_every`
 /// mutations, and asserts the contract at every commit.
 fn check_dirty_sequence(
@@ -71,6 +93,7 @@ fn check_dirty_sequence(
             p.batch_retained().pairs(),
             "{label}: batch mismatch after step {step}"
         );
+        assert_delta_order(&out.delta, &format!("{label} step {step}"));
         // Delta consistency: old ∪ added ∖ retracted = new.
         for r in &out.delta.retracted {
             assert!(mirror.remove(r), "{label}: retracted unknown pair {r:?}");

@@ -18,7 +18,7 @@
 //!   exactly the repair's own loads — publishing re-reads no block.
 //!
 //! The weight is attached where each flip is emitted, and the sites differ:
-//! the dirty-edge merge walk, the node-centric decide list, CNP's containment
+//! the dirty-edge merge walk, the node-centric row joins, CNP's containment
 //! crossings, the reweigh tier's swept edges and — in none of the commit's
 //! edge lists — the *clean* edges a moving WEP/CEP frontier crosses. The
 //! stream is checked to reach every one of them.

@@ -16,8 +16,11 @@ use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_datamodel::parallel::chunk_len;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::WeightingScheme;
-use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, ResidencyPolicy};
+use blast_incremental::{
+    CleaningConfig, IncrementalPipeline, IncrementalPruning, PairDelta, ResidencyPolicy,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One mutation: kind (insert/update/delete by `kind % 3`), a target
 /// selector for update/delete, and the token numbers of the new value.
@@ -53,6 +56,26 @@ struct Config {
     pruning: IncrementalPruning,
     cleaning: CleaningConfig,
     budget: bool,
+}
+
+/// The documented [`PairDelta`] order: `added` and `retracted` each
+/// strictly ascending, smaller id first, and disjoint.
+fn assert_delta_order(delta: &PairDelta, label: &str) {
+    for (side, pairs) in [("added", &delta.added), ("retracted", &delta.retracted)] {
+        assert!(
+            pairs.iter().all(|p| p.0 < p.1),
+            "{label}: {side} pair not smaller id first: {pairs:?}"
+        );
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "{label}: {side} not strictly ascending: {pairs:?}"
+        );
+    }
+    let retracted: BTreeSet<_> = delta.retracted.iter().collect();
+    assert!(
+        delta.added.iter().all(|p| !retracted.contains(p)),
+        "{label}: a pair both added and retracted"
+    );
 }
 
 /// Streams `batches` through a pipeline pinned to `threads` workers, one
@@ -98,6 +121,10 @@ fn run_traced(batches: &[&[Op]], config: &Config, threads: usize) -> Vec<CommitT
             }
         }
         let out = p.commit();
+        assert_delta_order(
+            &out.delta,
+            &format!("{config:?} threads={threads}: commit {}", trace.len()),
+        );
         // The other thread counts are compared against this run's trace.
         if threads == 1 {
             assert_eq!(
