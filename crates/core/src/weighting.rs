@@ -102,8 +102,9 @@ impl EdgeWeigher for ChiSquaredWeigher {
     }
 
     fn global_deps(&self) -> WeightDeps {
-        // The contingency table reads |B_u|, |B_v| and |B|.
-        WeightDeps::ALL
+        // The contingency table reads |B_u|, |B_v| and |B|; the entropy
+        // tally reads no block size.
+        WeightDeps::BLOCK_COUNTS
     }
 
     fn name(&self) -> &'static str {

@@ -68,7 +68,9 @@
 //!   (ARCS, CBS, ECBS, JS, EJS) behind the [`weights::EdgeWeigher`] trait,
 //!   which `blast-core` also implements for its χ²·entropy weighting, plus
 //!   [`weights::WeightDeps`] — the global-statistic dependencies that drive
-//!   the incremental fallback decision.
+//!   the incremental fallback decision — and [`weights::FactoredWeight`],
+//!   the per-endpoint split of ECBS and EJS that the incremental reweigh
+//!   sweep restates weights through.
 //! * [`pruning`] — WEP, CEP, redefined/reciprocal WNP and CNP.
 //! * [`meta`] — [`meta::MetaBlocker`]: scheme × pruning in one call.
 //! * [`retained`] — the retained comparisons (the restructured block

@@ -16,11 +16,11 @@ use crate::context::{EdgeAccum, GraphSnapshot};
 /// The *global* graph statistics a weighting formula reads besides the
 /// per-edge accumulator. Incremental repair uses this to decide how far a
 /// mutation's dirtiness propagates: a scheme reading only the accumulator
-/// (CBS, ARCS) is repaired from the mutated blocks alone, one reading
-/// per-node block counts (JS) additionally dirties the neighbourhoods of
-/// nodes whose block list changed, and one reading the total block count
-/// (ECBS, χ²) promotes any commit that moved |B| to the repair ladder's
-/// *reweigh* tier: every live edge's weight is re-derived from its cached
+/// (CBS) is repaired from the mutated blocks alone, one reading per-node
+/// block counts (JS) additionally dirties the neighbourhoods of nodes whose
+/// block list changed, and one reading the total block count (ECBS, χ²)
+/// promotes any commit that moved |B| to the repair ladder's *reweigh*
+/// tier: every live edge's weight is re-derived from its cached
 /// accumulator and the new |B| (see the factored-weight contract on
 /// [`EdgeWeigher`]), without re-traversing a single block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,24 +29,60 @@ pub struct WeightDeps {
     pub node_blocks: bool,
     /// Reads |B| (the total block count).
     pub total_blocks: bool,
+    /// Reads the block sizes ‖b‖ through the accumulator (ARCS's
+    /// Σ 1/‖b‖). A block whose membership moved then moves the accumulator
+    /// of every pair of its members, not only of the members whose block
+    /// list moved — so the incremental repair re-accumulates every member
+    /// of a changed block. Without it, only the accumulators of nodes whose
+    /// cleaned block list moved change (`common_blocks` and `entropy_sum`
+    /// read no block size), and an edge cache keeps no ARCS sum.
+    pub block_sizes: bool,
 }
 
 impl WeightDeps {
-    /// Accumulator-only weighting (CBS, ARCS).
+    /// Accumulator-only weighting that reads no block size (CBS).
     pub const NONE: WeightDeps = WeightDeps {
         node_blocks: false,
         total_blocks: false,
+        block_sizes: false,
     };
     /// Reads the per-node block counts but not |B| (JS).
     pub const NODE_BLOCKS: WeightDeps = WeightDeps {
         node_blocks: true,
-        total_blocks: false,
+        ..WeightDeps::NONE
+    };
+    /// Reads the per-node block counts and |B|, but no block size (ECBS,
+    /// EJS, χ²).
+    pub const BLOCK_COUNTS: WeightDeps = WeightDeps {
+        node_blocks: true,
+        total_blocks: true,
+        block_sizes: false,
+    };
+    /// Reads the block sizes and no global (ARCS).
+    pub const BLOCK_SIZES: WeightDeps = WeightDeps {
+        block_sizes: true,
+        ..WeightDeps::NONE
     };
     /// Reads everything — the conservative default for custom weighers.
     pub const ALL: WeightDeps = WeightDeps {
         node_blocks: true,
         total_blocks: true,
+        block_sizes: true,
     };
+}
+
+/// A weight that factors per endpoint: for a canonical edge `u < v`, the
+/// weigher's `weight(ctx, u, v, acc)` is bit for bit
+/// `(local(ctx, u, v, acc) * factor(ctx, u)) * factor(ctx, v)` — the same
+/// IEEE operations in the same order. A sweep that restates many weights at
+/// once (the incremental reweigh tier) computes each node's factor once and
+/// pays two multiplications per edge.
+pub trait FactoredWeight: Sync {
+    /// The edge-local part of the weight.
+    fn local(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64;
+
+    /// Node `u`'s factor.
+    fn factor(&self, ctx: &GraphSnapshot, u: u32) -> f64;
 }
 
 /// Computes the weight of one edge from its accumulator and the graph
@@ -85,6 +121,13 @@ pub trait EdgeWeigher: Sync {
     /// weighers fall back to full re-weighting when global statistics move.
     fn global_deps(&self) -> WeightDeps {
         WeightDeps::ALL
+    }
+
+    /// The per-endpoint factoring of this weigher's weight, if it has one
+    /// ([`FactoredWeight`]). The default is none: callers fall back to
+    /// [`EdgeWeigher::weight`].
+    fn factoring(&self) -> Option<&dyn FactoredWeight> {
+        None
     }
 
     /// Short name for reports.
@@ -140,20 +183,14 @@ impl EdgeWeigher for WeightingScheme {
             WeightingScheme::Arcs => acc.arcs,
             WeightingScheme::Cbs => acc.common_blocks as f64,
             WeightingScheme::Ecbs => {
-                let total = ctx.total_blocks() as f64;
-                let bu = ctx.node_blocks(u) as f64;
-                let bv = ctx.node_blocks(v) as f64;
-                acc.common_blocks as f64 * (total / bu).ln() * (total / bv).ln()
+                self.local(ctx, u, v, acc) * self.factor(ctx, u) * self.factor(ctx, v)
             }
             WeightingScheme::Js => Self::js(ctx, u, v, acc),
             WeightingScheme::Ejs => {
-                let edges = ctx.total_edges() as f64;
-                let du = ctx.degree(u) as f64;
-                let dv = ctx.degree(v) as f64;
-                if du <= 0.0 || dv <= 0.0 {
+                if ctx.degree(u) == 0 || ctx.degree(v) == 0 {
                     return 0.0;
                 }
-                Self::js(ctx, u, v, acc) * (edges / du).ln() * (edges / dv).ln()
+                self.local(ctx, u, v, acc) * self.factor(ctx, u) * self.factor(ctx, v)
             }
         }
     }
@@ -164,13 +201,18 @@ impl EdgeWeigher for WeightingScheme {
 
     fn global_deps(&self) -> WeightDeps {
         match self {
-            WeightingScheme::Arcs | WeightingScheme::Cbs => WeightDeps::NONE,
+            WeightingScheme::Cbs => WeightDeps::NONE,
+            WeightingScheme::Arcs => WeightDeps::BLOCK_SIZES,
             WeightingScheme::Js => WeightDeps::NODE_BLOCKS,
             // EJS additionally requires degrees; those are delta-maintained
             // by the incremental pipeline, so a degree/|E_G| move promotes a
             // commit to the reweigh tier instead of a degraded-full pass.
-            WeightingScheme::Ecbs | WeightingScheme::Ejs => WeightDeps::ALL,
+            WeightingScheme::Ecbs | WeightingScheme::Ejs => WeightDeps::BLOCK_COUNTS,
         }
+    }
+
+    fn factoring(&self) -> Option<&dyn FactoredWeight> {
+        matches!(self, WeightingScheme::Ecbs | WeightingScheme::Ejs).then_some(self as _)
     }
 
     fn name(&self) -> &'static str {
@@ -180,6 +222,35 @@ impl EdgeWeigher for WeightingScheme {
             WeightingScheme::Ecbs => "ECBS",
             WeightingScheme::Js => "JS",
             WeightingScheme::Ejs => "EJS",
+        }
+    }
+}
+
+/// ECBS: `|B_uv| · ln(|B|/|B_u|) · ln(|B|/|B_v|)`. EJS: `JS ·
+/// ln(|E_G|/deg(u)) · ln(|E_G|/deg(v))`, where a zero-degree endpoint
+/// makes the weight 0: its factor is 0, and every factor of an endpoint
+/// with an edge is finite and non-negative (deg ≤ |E_G|), so the product
+/// is +0.0 as the guard in [`EdgeWeigher::weight`] returns. The other
+/// schemes factor trivially (their weight times 1, times 1).
+impl FactoredWeight for WeightingScheme {
+    #[inline]
+    fn local(&self, ctx: &GraphSnapshot, u: u32, v: u32, acc: &EdgeAccum) -> f64 {
+        match self {
+            WeightingScheme::Ecbs => acc.common_blocks as f64,
+            WeightingScheme::Ejs => Self::js(ctx, u, v, acc),
+            _ => self.weight(ctx, u, v, acc),
+        }
+    }
+
+    #[inline]
+    fn factor(&self, ctx: &GraphSnapshot, u: u32) -> f64 {
+        match self {
+            WeightingScheme::Ecbs => (ctx.total_blocks() as f64 / ctx.node_blocks(u) as f64).ln(),
+            WeightingScheme::Ejs => match ctx.degree(u) {
+                0 => 0.0,
+                d => (ctx.total_edges() as f64 / d as f64).ln(),
+            },
+            _ => 1.0,
         }
     }
 }
@@ -283,13 +354,75 @@ mod tests {
         }
     }
 
+    /// The per-endpoint factoring is `weight()` bit for bit, for every
+    /// pair (both orientations) and accumulator, over the edge cases:
+    /// profile 0 is in every block (|B_0| = |B|, its ECBS factor is 0),
+    /// profile 5 is in none (zero degree: EJS's guard), and large shared-
+    /// block counts on a large |B|.
+    #[test]
+    fn factored_weight_equals_weight_bitwise() {
+        let collection = |blocks: u32| {
+            let b = (0..blocks)
+                .map(|i| {
+                    let other = 1 + i % 4; // profiles 1..=4
+                    Block::new(format!("b{i}"), ClusterId::GLUE, ids(&[0, other]), u32::MAX)
+                })
+                .collect();
+            BlockCollection::new(b, false, 6, 6)
+        };
+        let accs = [1u32, 2, 3, 1 << 20, u32::MAX].map(|common_blocks| EdgeAccum {
+            common_blocks,
+            arcs: 0.5,
+            entropy_sum: common_blocks as f64,
+        });
+        for blocks in [4, 9, 50_000] {
+            let mut ctx = GraphSnapshot::build(&collection(blocks));
+            ctx.ensure_degrees();
+            assert_eq!(ctx.node_blocks(0) as u64, ctx.total_blocks());
+            assert_eq!(ctx.degree(5), 0);
+            for scheme in [WeightingScheme::Ecbs, WeightingScheme::Ejs] {
+                let f = scheme.factoring().expect("ECBS and EJS factor");
+                for u in 0..6 {
+                    for v in 0..6 {
+                        for acc in &accs {
+                            let (a, b) = (u.min(v), u.max(v));
+                            let factored =
+                                f.local(&ctx, a, b, acc) * f.factor(&ctx, a) * f.factor(&ctx, b);
+                            assert_eq!(
+                                factored.to_bits(),
+                                scheme.weight(&ctx, a, b, acc).to_bits(),
+                                "{} |B|={blocks} ({a}, {b}) common={}",
+                                scheme.name(),
+                                acc.common_blocks
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for s in [
+            WeightingScheme::Arcs,
+            WeightingScheme::Cbs,
+            WeightingScheme::Js,
+        ] {
+            assert!(s.factoring().is_none(), "{} calls weight()", s.name());
+        }
+    }
+
     #[test]
     fn global_deps_match_formulas() {
         assert_eq!(WeightingScheme::Cbs.global_deps(), WeightDeps::NONE);
-        assert_eq!(WeightingScheme::Arcs.global_deps(), WeightDeps::NONE);
+        assert_eq!(WeightingScheme::Arcs.global_deps(), WeightDeps::BLOCK_SIZES);
         assert_eq!(WeightingScheme::Js.global_deps(), WeightDeps::NODE_BLOCKS);
-        assert_eq!(WeightingScheme::Ecbs.global_deps(), WeightDeps::ALL);
-        assert_eq!(WeightingScheme::Ejs.global_deps(), WeightDeps::ALL);
+        assert_eq!(
+            WeightingScheme::Ecbs.global_deps(),
+            WeightDeps::BLOCK_COUNTS
+        );
+        assert_eq!(WeightingScheme::Ejs.global_deps(), WeightDeps::BLOCK_COUNTS);
+        // Only ARCS (and every custom weigher) reads the block sizes.
+        for s in WeightingScheme::ALL {
+            assert_eq!(s.global_deps().block_sizes, s == WeightingScheme::Arcs);
+        }
         // Custom weighers default to the conservative ALL.
         struct Custom;
         impl EdgeWeigher for Custom {

@@ -14,7 +14,8 @@
 //! [`EdgeAdjacency`] holds per-node rows of `(neighbour, weight,
 //! accumulator)` for every live edge: a commit enumerates the *old*
 //! dirty-incident edges and their old weights off it without touching
-//! clean rows, and the reweigh tier re-derives the clean weights from it.
+//! clean rows, and the reweigh tier re-derives the clean weights from it,
+//! each row in place ([`EdgeAdjacency::reweigh_clean`]).
 //!
 //! Everything here is deterministic: every traversal runs in row order, a
 //! function of the live edge *set*, independent of insertion history.
@@ -23,6 +24,7 @@ use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
 use blast_graph::weights::EdgeWeigher;
+use std::sync::{Mutex, PoisonError};
 
 /// The total retention order of the decision stage: ascending `rank` is
 /// descending weight (see [`weight_rank_bits`]), ties broken by ascending
@@ -91,8 +93,13 @@ pub struct FreshEdge {
 /// One cached edge entry of an [`EdgeAdjacency`] row — the packed,
 /// padding-free layout (24 bytes, vs 40 for a naive
 /// `(v, w, EdgeAccum)`): the neighbour, the last decided weight, and the
-/// accumulator's shared-block count and ARCS reciprocal sum. The
-/// accumulator's entropy tally is *not* stored per entry: a snapshot with
+/// accumulator's shared-block count and ARCS reciprocal sum. The ARCS sum
+/// is kept only under a weigher that reads block sizes
+/// ([`blast_graph::weights::WeightDeps::block_sizes`]); every other cache
+/// stores 0.0 there. Such a cache's repair re-accumulates only the nodes
+/// whose cleaned block list moved, so the sum of a pair that stayed in a
+/// resized block would go stale — and a 0.0 that no weigher reads cannot.
+/// The accumulator's entropy tally is *not* stored per entry: a snapshot with
 /// no entropies attached accumulates exactly 1.0 per shared block
 /// (see [`EdgeAccum::entropy_sum`]), so `entropy_sum` is bit-exactly
 /// `common_blocks as f64` (integer sums of 1.0 are exact far beyond any
@@ -105,7 +112,8 @@ pub struct FreshEdge {
 struct CachedEdge {
     /// The last weight pushed through the decision stage.
     w: f64,
-    /// Σ over shared blocks of 1/‖b‖ (the ARCS component).
+    /// Σ over shared blocks of 1/‖b‖ (the ARCS component) under a weigher
+    /// that reads block sizes; 0.0 otherwise.
     arcs: f64,
     /// The neighbour on this row.
     v: u32,
@@ -120,8 +128,9 @@ struct CachedEdge {
 /// input: when a global scalar (|B|, degrees, |E_G|) drifts, every clean
 /// edge's weight is re-derived from its cached local factors and the
 /// patched snapshot ([`EdgeAdjacency::reweigh_clean`]) instead of
-/// re-accumulated from the blocks. Clean rows are patched by binary-search
-/// surgery proportional to the dirty neighbourhood. Entries are stored
+/// re-accumulated from the blocks. The rows of the re-accumulated edges'
+/// clean endpoints are patched by binary-search surgery proportional to
+/// those edges. Entries are stored
 /// packed (`CachedEdge`, 24 bytes) with the entropy tally elided until
 /// a pipeline actually attaches entropies — the dominant memory cost of
 /// the reweigh tier at scale.
@@ -189,19 +198,36 @@ impl EdgeAdjacency {
         }
     }
 
-    /// Reconstructs the full accumulator of entry `i` on row `u` —
-    /// bit-identical to the one it was cached with.
+    /// Reconstructs the full accumulator of entry `e`, the `i`-th of its
+    /// row, whose entropy side row is `ent` — bit-identical to the one it
+    /// was cached with.
     #[inline]
-    fn acc_at(&self, u: usize, i: usize) -> EdgeAccum {
-        let e = &self.rows[u][i];
+    fn accum(e: &CachedEdge, ent: Option<&[f64]>, i: usize) -> EdgeAccum {
         EdgeAccum {
             common_blocks: e.common_blocks,
             arcs: e.arcs,
-            entropy_sum: match &self.ent {
-                Some(ent) => ent[u][i],
-                None => Self::derived_entropy(e),
-            },
+            entropy_sum: ent.map_or_else(|| Self::derived_entropy(e), |ent| ent[i]),
         }
+    }
+
+    /// Every row entry, mirrors included, as `(row, neighbour, weight,
+    /// accumulator)` in row order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<(u32, u32, f64, EdgeAccum)> {
+        let mut out = Vec::new();
+        for (u, row) in (0u32..).zip(&self.rows) {
+            for (i, e) in row.iter().enumerate() {
+                out.push((u, e.v, e.w, self.acc_at(u as usize, i)));
+            }
+        }
+        out
+    }
+
+    /// The accumulator of entry `i` on row `u`.
+    #[cfg(test)]
+    fn acc_at(&self, u: usize, i: usize) -> EdgeAccum {
+        let (row, ent) = self.row(u as u32);
+        Self::accum(&row[i], ent, i)
     }
 
     /// Number of live edges in the cache (each mirrored entry pair counts
@@ -401,77 +427,199 @@ impl EdgeAdjacency {
     ) {
         let (row, ent) = self.row(u);
         for (i, entry) in row.iter().enumerate() {
-            let acc = EdgeAccum {
-                common_blocks: entry.common_blocks,
-                arcs: entry.arcs,
-                entropy_sum: ent.map_or_else(|| Self::derived_entropy(entry), |e| e[i]),
-            };
-            f(entry.v, weigher.weight(ctx, u, entry.v, &acc));
+            f(
+                entry.v,
+                weigher.weight(ctx, u, entry.v, &Self::accum(entry, ent, i)),
+            );
         }
     }
 
     /// The **reweigh tier's** sweep: re-derives the weight of every edge
     /// with *no* marked endpoint from its cached accumulator and the
     /// current snapshot statistics (the marked edges' fresh weights arrive
-    /// through the dirty merge instead), updates the cached weights in
-    /// place, and returns every clean edge as `(u, v, old w, new w)` in
-    /// canonical ascending order. No block is traversed; bit-identity to a
-    /// batch re-weighting follows from the factored-weight contract.
+    /// through the dirty merge instead). No block is traversed;
+    /// bit-identity to a batch re-weighting follows from the
+    /// factored-weight contract.
     ///
-    /// The weights are computed on the work-stealing scheduler over the row
-    /// range `0..n` (read-only). Rows ascend within a chunk and chunks
-    /// concatenate in chunk order, so the result is born in canonical
-    /// `(u, v)` order at every thread count — pinned bit-for-bit against a
-    /// serial scan by the unit test below. The moved weights are then
-    /// patched into both mirror rows.
+    /// Each node rewrites its own row in place: every entry to an unmarked
+    /// neighbour gets the edge's canonical-orientation weight
+    /// `weight(ctx, min, max, acc)`. Both mirrors of an edge compute it from
+    /// the same accumulator bits, so they get the same bits, and no row is
+    /// ever written by another node's pass. Rows are handed out in chunks
+    /// of [`chunk_len`] on the work-stealing scheduler, each chunk claimed
+    /// once. A weigher with a per-endpoint [`EdgeWeigher::factoring`]
+    /// (ECBS, EJS) has each node's factor computed once, and a weight costs
+    /// `(local · f_min) · f_max`, bit-equal to `weight()`; any other weigher
+    /// (χ², custom ones) calls `weight()` per entry.
+    ///
+    /// With `keep_old`, the returned [`Sweep`] carries the pre-sweep weight
+    /// of every restated edge, per row chunk, for
+    /// [`EdgeAdjacency::for_each_swept`].
     pub fn reweigh_clean(
         &mut self,
         ctx: &GraphSnapshot,
         weigher: &dyn EdgeWeigher,
         mask: &EpochMask,
         threads: usize,
-    ) -> Vec<(u32, u32, f64, f64)> {
+        keep_old: bool,
+    ) -> Sweep {
         let n = self.rows.len();
-        let this = &*self;
-        let chunks = parallel_work_steal(
+        let chunk = chunk_len(n);
+        let factoring = weigher.factoring();
+        // Each node's factor, once per commit (an isolated node's is never
+        // read).
+        let factors: Vec<f64> = match factoring {
+            Some(f) => {
+                let rows = &self.rows;
+                parallel_work_steal(
+                    n,
+                    threads,
+                    chunk,
+                    || (),
+                    |_, range| {
+                        range
+                            .map(|u| {
+                                if rows[u].is_empty() {
+                                    0.0
+                                } else {
+                                    f.factor(ctx, u as u32)
+                                }
+                            })
+                            .collect::<Vec<f64>>()
+                    },
+                )
+                .concat()
+            }
+            None => Vec::new(),
+        };
+        let Self { rows, ent } = self;
+        let ent = ent.as_deref();
+        // Each chunk is claimed exactly once, so no lock is ever contended
+        // or found poisoned: the mutex only hands its one worker the
+        // chunk's rows.
+        let cells: Vec<Mutex<&mut [Vec<CachedEdge>]>> =
+            rows.chunks_mut(chunk).map(Mutex::new).collect();
+        let parts = parallel_work_steal(
             n,
             threads,
-            chunk_len(n),
+            chunk,
             || (),
             |_, range| {
-                let mut out: Vec<(u32, u32, f64, f64)> = Vec::new();
-                for u in range {
-                    if mask.contains(u as u32) {
-                        continue;
-                    }
-                    for (i, e) in this.rows[u].iter().enumerate() {
-                        if e.v as usize <= u || mask.contains(e.v) {
-                            continue;
-                        }
-                        let acc = this.acc_at(u, i);
-                        out.push((u as u32, e.v, e.w, weigher.weight(ctx, u as u32, e.v, &acc)));
-                    }
+                let Some(cell) = cells.get(range.start / chunk) else {
+                    return SweepPart::default(); // no rows at all
+                };
+                let mut rows = cell.lock().unwrap_or_else(PoisonError::into_inner);
+                let rows = (range.start as u32..).zip(rows.iter_mut());
+                match factoring {
+                    Some(f) => sweep_rows(rows, ent, mask, keep_old, |a, b, acc| {
+                        f.local(ctx, a, b, acc) * factors[a as usize] * factors[b as usize]
+                    }),
+                    None => sweep_rows(rows, ent, mask, keep_old, |a, b, acc| {
+                        weigher.weight(ctx, a, b, acc)
+                    }),
                 }
-                out
             },
         );
-        let mut swept = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            swept.extend(c);
-        }
-        for &(u, v, ow, nw) in &swept {
-            if nw.to_bits() != ow.to_bits() {
-                for (x, y) in [(u, v), (v, u)] {
-                    let row = &mut self.rows[x as usize];
-                    let i = row
-                        .binary_search_by_key(&y, |m| m.v)
-                        .expect("rows must mirror");
-                    row[i].w = nw;
-                }
+        let mut sweep = Sweep {
+            chunk,
+            ..Sweep::default()
+        };
+        for part in parts {
+            sweep.swept += part.swept;
+            sweep.rekeyed += part.rekeyed;
+            if keep_old {
+                sweep.old.push(part.old);
             }
         }
-        swept
+        sweep
     }
+
+    /// Visits every edge a [`EdgeAdjacency::reweigh_clean`] run with
+    /// `keep_old` restated, as canonical `(u, v, old w, new w)` ascending —
+    /// the old weight read off the sweep's per-chunk output, the new one
+    /// off the rows. `mask` must mark what it marked then, and the rows
+    /// must not have moved since.
+    pub fn for_each_swept(
+        &self,
+        sweep: &Sweep,
+        mask: &EpochMask,
+        mut f: impl FnMut(u32, u32, f64, f64),
+    ) {
+        for (c, old) in sweep.old.iter().enumerate() {
+            let start = c * sweep.chunk;
+            let end = (start + sweep.chunk).min(self.rows.len());
+            let swept = (start as u32..end as u32)
+                .filter(|&u| !mask.contains(u))
+                .flat_map(|u| {
+                    self.rows[u as usize]
+                        .iter()
+                        .filter(move |e| u < e.v && !mask.contains(e.v))
+                        .map(move |e| (u, e.v, e.w))
+                });
+            for ((u, v, nw), &ow) in swept.zip(old) {
+                f(u, v, ow, nw);
+            }
+        }
+    }
+}
+
+/// What one [`EdgeAdjacency::reweigh_clean`] did.
+#[derive(Debug, Default)]
+pub struct Sweep {
+    /// Edges restated (each once, not once per mirror).
+    pub swept: usize,
+    /// Restated edges whose weight bits moved.
+    pub rekeyed: usize,
+    /// Rows per chunk of the sweep.
+    chunk: usize,
+    /// Per row chunk, with `keep_old`: the pre-sweep weight of every
+    /// restated edge a row of the chunk owns (`u < v`), in row order.
+    old: Vec<Vec<f64>>,
+}
+
+/// One row chunk's share of a [`Sweep`].
+#[derive(Debug, Default)]
+struct SweepPart {
+    swept: usize,
+    rekeyed: usize,
+    old: Vec<f64>,
+}
+
+/// Restates the unmarked entries of one chunk's rows in place —
+/// `rows` yields `(u, row u)` — each to `weigh(min, max, acc)`, the
+/// canonical orientation; an owned entry (`u < v`) counts the edge once.
+fn sweep_rows<'a>(
+    rows: impl Iterator<Item = (u32, &'a mut Vec<CachedEdge>)>,
+    ent: Option<&[Vec<f64>]>,
+    mask: &EpochMask,
+    keep_old: bool,
+    weigh: impl Fn(u32, u32, &EdgeAccum) -> f64,
+) -> SweepPart {
+    let mut part = SweepPart::default();
+    for (u, row) in rows {
+        if mask.contains(u) {
+            continue;
+        }
+        for (i, e) in row.iter_mut().enumerate() {
+            if mask.contains(e.v) {
+                continue;
+            }
+            let acc = EdgeAdjacency::accum(e, ent.map(|ent| ent[u as usize].as_slice()), i);
+            let w = if u < e.v {
+                let w = weigh(u, e.v, &acc);
+                part.swept += 1;
+                part.rekeyed += usize::from(w.to_bits() != e.w.to_bits());
+                if keep_old {
+                    part.old.push(e.w);
+                }
+                w
+            } else {
+                weigh(e.v, u, &acc)
+            };
+            e.w = w;
+        }
+    }
+    part
 }
 
 #[cfg(test)]
@@ -537,22 +685,46 @@ mod tests {
     /// A snapshot over `profiles` nodes whose |B| is `blocks` — the one
     /// global the test weighers read.
     fn snap(blocks: usize, profiles: u32) -> GraphSnapshot {
+        snap_of((0..blocks).map(|_| vec![0, 1]).collect(), profiles)
+    }
+
+    /// A dirty snapshot over `profiles` nodes with the given blocks.
+    fn snap_of(blocks: Vec<Vec<u32>>, profiles: u32) -> GraphSnapshot {
         use blast_blocking::block::Block;
         use blast_blocking::collection::BlockCollection;
         use blast_blocking::key::ClusterId;
         use blast_datamodel::entity::ProfileId;
 
-        let b = (0..blocks)
-            .map(|i| {
+        let b = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, members)| {
                 Block::new(
                     format!("b{i}"),
                     ClusterId::GLUE,
-                    vec![ProfileId(0), ProfileId(1)],
+                    members.into_iter().map(ProfileId).collect(),
                     u32::MAX,
                 )
             })
             .collect();
         GraphSnapshot::build(&BlockCollection::new(b, false, profiles, profiles))
+    }
+
+    /// Every row entry, mirrors included, as `(row, neighbour, weight
+    /// bits)`.
+    fn all_entries(adj: &EdgeAdjacency) -> Vec<(u32, u32, u64)> {
+        let mut out = Vec::new();
+        for u in 0..adj.rows.len() as u32 {
+            out.extend(adj.weights(u).map(|(v, w)| (u, v, w.to_bits())));
+        }
+        out
+    }
+
+    /// The edges a sweep restated, `(u, v, old w, new w)`.
+    fn swept_of(adj: &EdgeAdjacency, sweep: &Sweep, mask: &EpochMask) -> Vec<(u32, u32, f64, f64)> {
+        let mut out = Vec::new();
+        adj.for_each_swept(sweep, mask, |u, v, ow, nw| out.push((u, v, ow, nw)));
+        out
     }
 
     /// The reweigh sweep re-derives clean weights from cached accumulators
@@ -590,22 +762,27 @@ mod tests {
         // |B| drifts 1 → 2: the clean edge re-derives to 6; the masked
         // edge (2,3) is left for the dirty merge.
         let mask = mask_of(4, &[2]);
-        let swept = adj.reweigh_clean(&snap(2, 4), &TimesTotalBlocks, &mask, 1);
-        assert_eq!(swept, vec![(0, 1, 3.0, 6.0)]);
+        let sweep = adj.reweigh_clean(&snap(2, 4), &TimesTotalBlocks, &mask, 1, true);
+        assert_eq!((sweep.swept, sweep.rekeyed), (1, 1));
+        assert_eq!(swept_of(&adj, &sweep, &mask), vec![(0, 1, 3.0, 6.0)]);
         assert_eq!(
             all_edges(&adj),
             vec![(0, 1, 6.0), (2, 3, 3.0)],
             "cache weight updated in place; masked edge untouched"
         );
+        assert_eq!(adj.weight(1, 0), Some(6.0), "the mirror too");
         // Node-orientation artefact read: same weigher, row side first.
         let mut seen = Vec::new();
         adj.for_each_node_weight(1, &snap(2, 4), &TimesTotalBlocks, |v, w| seen.push((v, w)));
         assert_eq!(seen, vec![(0, 6.0)]);
     }
 
-    /// The parallel sweep is bit-identical to the serial reference — same
-    /// swept sequence (order included), same patched rows — at every
-    /// thread count, over a row range that is not a multiple of the chunk.
+    /// The in-place sweep is bit-identical to the serial reference — same
+    /// swept sequence (order included), same rows, mirrors included — at
+    /// every thread count, over a row range that is not a multiple of the
+    /// chunk: for a weigher that only has `weight()` and for the factored
+    /// ECBS and EJS, whose per-node factors the sweep computes once (node
+    /// 0 is in every block: its ECBS factor is ln 1 = 0).
     #[test]
     fn reweigh_clean_matches_serial_reference_bitwise() {
         struct TimesTotalBlocks;
@@ -614,6 +791,7 @@ mod tests {
                 ctx.total_blocks() as f64 * acc.common_blocks as f64 / (1.0 + (u + v) as f64)
             }
         }
+        use blast_graph::weights::WeightingScheme;
 
         // A deterministic pseudo-random graph over 101 nodes: four chunks
         // of the sweep's geometry, the last one short.
@@ -644,22 +822,66 @@ mod tests {
         edges.sort_unstable_by_key(|e| (e.u, e.v));
         edges.dedup_by_key(|e| (e.u, e.v));
         let mask = mask_of(n as usize, &[7, 20, 33, 64, 100]);
-        let ctx = snap(3, 128);
+        // Twelve blocks of varied sizes: every node is in at least one,
+        // node 0 in all of them.
+        let mut ctx = snap_of(
+            (0..12u32)
+                .map(|i| {
+                    (0..128)
+                        .filter(|u| u % (i + 2) == 0 || u % 13 == i)
+                        .collect()
+                })
+                .collect(),
+            128,
+        );
+        ctx.ensure_degrees();
 
-        let mut serial = EdgeAdjacency::new();
-        serial.ensure_nodes(n as usize);
-        serial.load(&edges);
-        let expected = reference::reweigh_clean(&mut serial, &ctx, &TimesTotalBlocks, &mask);
-        let expected_rows = all_edges(&serial);
-        assert!(!expected.is_empty());
+        let weighers: [&dyn EdgeWeigher; 3] = [
+            &TimesTotalBlocks,
+            &WeightingScheme::Ecbs,
+            &WeightingScheme::Ejs,
+        ];
+        for weigher in weighers {
+            let label = weigher.name();
+            assert_eq!(
+                weigher.factoring().is_some(),
+                label != "custom",
+                "{label}: both sweep kinds run"
+            );
+            let mut serial = EdgeAdjacency::new();
+            serial.ensure_nodes(n as usize);
+            serial.load(&edges);
+            let expected = reference::reweigh_clean(&mut serial, &ctx, weigher, &mask);
+            let expected_rows = all_entries(&serial);
+            let moved = expected
+                .iter()
+                .filter(|&&(_, _, ow, nw)| ow.to_bits() != nw.to_bits())
+                .count();
+            assert!(moved > 0, "{label}: the sweep moves weights");
 
-        for threads in [1usize, 2, 8] {
-            let mut adj = EdgeAdjacency::new();
-            adj.ensure_nodes(n as usize);
-            adj.load(&edges);
-            let swept = adj.reweigh_clean(&ctx, &TimesTotalBlocks, &mask, threads);
-            assert_eq!(swept, expected, "threads={threads}");
-            assert_eq!(all_edges(&adj), expected_rows, "threads={threads}");
+            for threads in [1usize, 2, 8] {
+                let mut adj = EdgeAdjacency::new();
+                adj.ensure_nodes(n as usize);
+                adj.load(&edges);
+                let sweep = adj.reweigh_clean(&ctx, weigher, &mask, threads, true);
+                let swept = swept_of(&adj, &sweep, &mask);
+                let bits = |l: &[(u32, u32, f64, f64)]| -> Vec<(u32, u32, u64, u64)> {
+                    l.iter()
+                        .map(|&(u, v, ow, nw)| (u, v, ow.to_bits(), nw.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&swept), bits(&expected), "{label} threads={threads}");
+                assert_eq!(
+                    (sweep.swept, sweep.rekeyed),
+                    (expected.len(), moved),
+                    "{label} threads={threads}"
+                );
+                assert_eq!(
+                    all_entries(&adj),
+                    expected_rows,
+                    "{label} threads={threads}: rows, mirrors included"
+                );
+            }
         }
     }
 
@@ -667,8 +889,9 @@ mod tests {
     mod reference {
         use super::super::*;
 
-        /// [`EdgeAdjacency::reweigh_clean`] as one pass in row order,
-        /// patching each moved weight as it is met.
+        /// The reweigh sweep as one pass in row order: each clean edge
+        /// weighed once, in canonical orientation, and each moved weight
+        /// patched into both mirrors as it is met.
         pub fn reweigh_clean(
             adj: &mut EdgeAdjacency,
             ctx: &GraphSnapshot,

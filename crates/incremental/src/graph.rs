@@ -4,15 +4,17 @@
 //! After a micro-batch, most of the blocking graph is untouched: an edge's
 //! accumulator changes only through a block that contains *both* endpoints,
 //! and such blocks make both endpoints graph-dirty. The repair therefore
-//! recomputes per-node pruning artefacts (thresholds, top-k lists) and edge
-//! weights **only** for the dirty nodes on the dense scratch engine — in a
-//! single traversal of their blocks — and takes the pruning *decisions*
-//! incrementally too. A commit lands on one
-//! of three tiers ([`RepairTier`]), chosen by what actually moved:
+//! re-accumulates edge weights **only** for the dirty nodes on the dense
+//! scratch engine — in a single traversal of their blocks — recomputes
+//! per-node pruning artefacts (thresholds, top-k lists) only where an edge
+//! they fold over moved, and takes the pruning *decisions* incrementally
+//! too. A commit lands on one of three tiers ([`RepairTier`]), chosen by
+//! what actually moved:
 //!
-//! 1. **Dirty** — no global statistic any weight reads moved: the classic
-//!    dirty-neighbourhood pass. No stage iterates all edges, all nodes, or
-//!    all retained pairs.
+//! 1. **Dirty** — no global statistic any weight reads moved: the
+//!    dirty-neighbourhood pass. Block reads, the cache patch and the
+//!    node-centric decisions follow the changed rows; WEP/CEP still restate
+//!    their frontier from every cached row (O(|E|), see below).
 //! 2. **Reweigh** — a *global scalar* drifted (|B| for χ²/ECBS; degrees /
 //!    |E_G| for EJS — any edge birth or death; the per-node top-k budget
 //!    for CNP) but nothing structural
@@ -20,8 +22,10 @@
 //!    per-edge accumulator plus O(1) snapshot statistics (the
 //!    factored-weight contract of [`EdgeWeigher`]), so the clean edges are
 //!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean`]) —
-//!    no block traversal, no quadratic re-accumulation — and the decision
-//!    stage decides every swept edge explicitly. EJS never
+//!    no block traversal, no quadratic re-accumulation: an O(|E|) sweep in
+//!    which each node rewrites its own row in place, with per-node factors
+//!    computed once where the weigher factors per endpoint (ECBS, EJS) —
+//!    and the decision stage decides every swept edge explicitly. EJS never
 //!    forces a full pass: node degrees are a delta-maintained field of
 //!    [`GraphSnapshot`], patched from this module's edge-existence diffs
 //!    (exact integer removal) before any weight is computed. Neither does
@@ -67,14 +71,17 @@
 //! ([`EdgeAdjacency::collect_touching`]), so no list of all dirty-incident
 //! edges is ever sorted.
 //!
-//! Two cases take their artefacts from the **cache rows** instead
+//! Three cases take their artefacts from the **cache rows** instead
 //! ([`EdgeAdjacency::for_each_node_weight`], once the rows are patched): a
 //! degree-reading weigher (EJS), whose edge-existence diff must patch the
 //! snapshot's degrees *between* accumulating and weighing — it takes
-//! accumulators from the pass and weighs afterwards; and the reweigh tier,
-//! whose recompute set is every node, not just the traversed ones. Either
-//! way a tier-1 commit performs exactly `dirty_nodes` adjacency loads
-//! ([`RepairStats::scratch_loads`], counted by the snapshot itself).
+//! accumulators from the pass and weighs afterwards; the reweigh tier,
+//! whose recompute set is every node, not just the traversed ones; and
+//! edge-delta repair (below), whose recompute set reaches past the
+//! traversed nodes to every node an accumulated edge reaches
+//! ([`RepairStats::artefact_nodes`]). Every way a tier-1 commit performs
+//! exactly `dirty_nodes` adjacency loads ([`RepairStats::scratch_loads`],
+//! counted by the snapshot itself).
 //!
 //! ## The decision stage
 //!
@@ -88,10 +95,11 @@
 //!   weight multiset, O(|E|). Every edge that can flip is then decided
 //!   explicitly, old key against the old frontier and new key against the
 //!   new one: the dirty-incident edges from the old/fresh lists, and the
-//!   clean edges from the reweigh tier's swept list or — on the dirty
-//!   tier, where a clean weight never moves and only a frontier move can
-//!   flip one — from the rows. A `retained()` read filters the rows by the
-//!   frontier.
+//!   clean edges from the rows — with their old weights from the reweigh
+//!   sweep's per-chunk output ([`EdgeAdjacency::for_each_swept`]), or, on
+//!   the dirty tier, where a clean weight never moves and only a frontier
+//!   move can flip one, as they stand. A `retained()` read filters the rows
+//!   by the frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
 //!   set from the artefacts above. The survivors live in a
 //!   [`blast_graph::retained::RetainedIndex`], and the decision is
@@ -131,17 +139,39 @@
 //!   they equal a from-scratch [`GraphSnapshot::ensure_degrees`] pass
 //!   bit-for-bit (pinned by `tests/degree_maintenance.rs`).
 //!
-//! Dirtiness propagation is scheme-aware via
-//! [`EdgeWeigher::global_deps`]: schemes reading per-node block counts
-//! (JS, χ²) additionally dirty the co-members of every node whose cleaned
-//! block list changed, because all of that node's incident edge weights
-//! moved even where the accumulators did not — and a clean neighbour's
-//! threshold or top-k list folds over such a weight. Where no artefact can
-//! go stale that way the expansion is skipped: WEP/CEP keep none, and a
-//! commit known to reweigh before accumulating re-derives them all from
-//! the cache.
+//! ## Dirtiness: what is re-accumulated, and what is re-derived
+//!
+//! Dirtiness propagation is scheme-aware via [`EdgeWeigher::global_deps`].
+//! An accumulator's `common_blocks` and `entropy_sum` move only where one
+//! endpoint's cleaned block list moved (the cleaner's `lists_changed`: a
+//! block gained or lost, a liveness flip included): two members that both
+//! stay in a resized block keep them. Only ARCS's Σ 1/‖b‖
+//! ([`blast_graph::weights::WeightDeps::block_sizes`]) moves for every
+//! pair of a resized block's members. So every variant that keeps an edge
+//! cache (WEP/CEP, CNP, and any variant under ECBS/EJS/χ²) repairs
+//! **edge-deltas** unless its weigher reads block sizes:
+//!
+//! * the **accumulate-dirty** set is `lists_changed`. Only these rows are
+//!   read from blocks ([`touching_pass`]), patched into the cache, and
+//!   diffed for EJS's degree events;
+//! * the **artefact-dirty** set is the rest of the cleaner's scope (the
+//!   members of the changed blocks, whose edges to the list-changed nodes
+//!   moved) plus, under a weigher reading per-node block counts (JS, χ²,
+//!   ECBS, EJS), the co-members of every list-changed node — all of whose
+//!   edge weights moved even where the accumulators did not. On the dirty
+//!   tier their thresholds and top-k lists are re-derived from the patched
+//!   cache rows (`cached_artefacts`), and the epoch mask grows to the
+//!   whole recompute set before the row-local decision runs.
+//!
+//! A weigher that reads block sizes (ARCS, and every custom weigher by
+//! default) keeps the wide dirty set: the cleaner's whole scope, all
+//! re-accumulated. So does a variant with no edge cache (WNP/BLAST under
+//! CBS, JS or ARCS), plus — for JS — the co-member expansion, since its
+//! neighbours' thresholds need their full rows. Where no artefact can go
+//! stale the expansion is skipped: WEP/CEP keep none, and a commit known to
+//! reweigh before accumulating re-derives them all from the cache.
 
-use crate::decision::{retained_under, EdgeAdjacency, EdgeKey, FreshEdge, Frontier};
+use crate::decision::{retained_under, EdgeAdjacency, EdgeKey, FreshEdge, Frontier, Sweep};
 use blast_core::pruning::BlastPruning;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
@@ -243,35 +273,31 @@ impl PairDelta {
 }
 
 /// What [`IncrementalMetaBlocker::refresh`] hands its decision pass: the
-/// commit's graph context and the edge lists the accumulate stage and the
-/// reweigh sweep produced.
+/// commit's graph context, the edge lists the accumulate stage produced,
+/// the reweigh sweep and the recompute set's artefacts.
 struct RepairCtx<'a> {
     ctx: &'a GraphSnapshot,
-    weigher: &'a dyn EdgeWeigher,
-    /// The node set whose artefacts are recomputed (the dirty set on tier
-    /// 1, every node on tiers 2–3), ascending — empty for WEP/CEP, which
-    /// keep none.
+    /// The node set whose artefacts are recomputed (on tier 1 the dirty
+    /// set, or under edge-delta repair every node an accumulated edge
+    /// reaches; every node on tiers 2–3), ascending — empty for WEP/CEP,
+    /// which keep none.
     recompute: &'a [u32],
     /// The old dirty-incident edges at their old weights, ascending
-    /// `(u, v)`: the old side of the adjacency patch and of WEP/CEP's
-    /// flip diff.
+    /// `(u, v)`: the old side of WEP/CEP's flip diff.
     old: &'a [(u32, u32, f64)],
     /// The fresh dirty-incident edges (weight + accumulator), ascending —
     /// empty for a variant with no edge cache.
     fresh: &'a [FreshEdge],
-    /// The clean edges the reweigh tier swept: `(u, v, old w, new w)`.
-    swept: &'a [(u32, u32, f64, f64)],
+    /// The reweigh tier's sweep of the clean edges, with their old weights
+    /// for WEP/CEP.
+    sweep: Option<Sweep>,
     /// The accumulate pass's emitted rows of `recompute` where no edge
     /// cache holds them (WNP/BLAST under a weigher with no drifting
     /// global); `None` reads them off the patched cache rows. Owned, so
     /// the decision drops them before it lays out its flips.
     rows: Option<PassRows<'a>>,
-    /// The per-node artefact rule; `None` for WEP/CEP.
-    rule: Option<ArtefactRule>,
-    /// The recompute set's artefacts under `rule` where the accumulate
-    /// pass produced them; `None` re-derives them from the cache rows once
-    /// those are patched.
-    artefacts: Option<Vec<Artefact>>,
+    /// The recompute set's artefacts, aligned with it; empty for WEP/CEP.
+    artefacts: Vec<Artefact>,
 }
 
 /// A decision pass's sorted flips: added pairs with the weight their
@@ -287,7 +313,9 @@ type PassRows<'a> = TouchingPass<'a, (u32, u32, f64), Artefact>;
 pub struct DirtyScope {
     /// Graph-dirty nodes (cleaned co-occurrence changed). Sorted.
     pub nodes: Vec<u32>,
-    /// Nodes whose cleaned block list (|B_u|) changed. Sorted.
+    /// Nodes whose cleaned block list changed — any block gained or lost,
+    /// a liveness flip included, not only |B_u|. Sorted. Under edge-delta
+    /// repair these are the only nodes re-accumulated from the blocks.
     pub lists_changed: Vec<u32>,
     /// Whether the cleaned |B| moved.
     pub total_blocks_changed: bool,
@@ -547,6 +575,10 @@ impl IncrementalMetaBlocker {
         // always for CNP, whose budget is itself a drifting global (every
         // top-k list is a pure function of the cached adjacency plus k).
         let cache_edges = edge_variant || lists_variant || needs_degrees || deps.total_blocks;
+        // Edge-delta repair: with an edge cache and accumulators that read
+        // no block size, only the rows whose cleaned block list moved are
+        // re-accumulated (see the module docs).
+        let narrow = cache_edges && !deps.block_sizes;
 
         let cnp_budget = match self.pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
@@ -569,16 +601,17 @@ impl IncrementalMetaBlocker {
         // move shows only in the edge diff below).
         let drifted_early = (deps.total_blocks && scope.total_blocks_changed) || budget_moved;
 
-        // The dirty set, under the reusable epoch mask: collected from the
-        // cleaning scope (plus co-members of |B_u|-changed nodes for
-        // schemes reading per-node block counts) — never by scanning all n
-        // nodes, except on the degraded-full path where dirty *is* all.
+        // The dirty set — the nodes whose rows are re-accumulated from the
+        // blocks — under the reusable epoch mask, collected from the
+        // cleaning scope, never by scanning all n nodes, except on the
+        // degraded-full path where dirty *is* all.
         //
-        // The co-member expansion exists for the per-node artefacts: a
-        // |B_u| move re-weighs every edge at `u` — `u` itself is in
-        // `scope.nodes` (`lists_changed` is a subset), so those edges are
-        // re-accumulated either way — and a *clean* neighbour's threshold
-        // or top-k list folds over that moved weight. WEP/CEP keep no such
+        // Edge-delta repair takes the nodes whose cleaned block list moved:
+        // no other accumulator moved. Otherwise it is the cleaner's whole
+        // scope, plus — for a weigher reading per-node block counts — the
+        // co-members of the list-changed nodes: a |B_u| move re-weighs
+        // every edge at `u`, and a *clean* neighbour's threshold or top-k
+        // list folds over that moved weight. WEP/CEP keep no such
         // artefact, and a commit already known to reweigh re-derives every
         // node's artefact from the cache: both skip the expansion (the
         // neighbours' other edges read only their own endpoints' |B|).
@@ -587,26 +620,20 @@ impl IncrementalMetaBlocker {
             self.mask.mark_all();
             (0..n as u32).collect()
         } else {
-            let mut d = Vec::with_capacity(scope.nodes.len());
-            for &u in &scope.nodes {
+            let accumulate = if narrow {
+                &scope.lists_changed
+            } else {
+                &scope.nodes
+            };
+            let mut d = Vec::with_capacity(accumulate.len());
+            for &u in accumulate {
                 if self.mask.mark(u) {
                     d.push(u);
                 }
             }
-            if deps.node_blocks && !edge_variant && !drifted_early {
-                let direct = d.len();
-                for &u in &scope.lists_changed {
-                    for &slot in ctx.index().blocks_of(u) {
-                        for p in ctx.slot_members(slot) {
-                            if self.mask.mark(p.0) {
-                                d.push(p.0);
-                            }
-                        }
-                    }
-                }
-                if d.len() > direct {
-                    d.sort_unstable();
-                }
+            if !narrow && deps.node_blocks && !edge_variant && !drifted_early {
+                self.mark_co_members(ctx, &scope.lists_changed, &mut d);
+                d.sort_unstable();
             }
             d
         };
@@ -643,14 +670,21 @@ impl IncrementalMetaBlocker {
         let loads_before = ctx.scratch_loads();
         // The per-node artefacts come out of the pass itself, from the
         // node-orientation weights — unless degrees must be patched
-        // between accumulating and weighing (EJS), or the commit is
-        // already known to reweigh (every node's artefact is re-derived
-        // then, not just the dirty ones'); both read them back from the
-        // patched cache rows instead.
+        // between accumulating and weighing (EJS), the commit is already
+        // known to reweigh (every node's artefact is re-derived then, not
+        // just the dirty ones'), or the repair is edge-delta (its
+        // recompute set reaches past the dirty nodes): all three read
+        // them back from the patched cache rows instead.
         let rule = self.artefact_rule(cnp_budget);
-        let in_pass = rule.filter(|_| !needs_degrees && (structural || !drifted_early));
+        let in_pass =
+            rule.filter(|_| !needs_degrees && (structural || (!drifted_early && !narrow)));
         let artefact = in_pass.map(|rule| move |_: u32, adj: &[(u32, f64)]| rule.of(adj));
         let mut artefacts: Option<Vec<Artefact>> = None;
+        // The accumulator a cache keeps (see `CachedEdge`).
+        let cached = |acc: &EdgeAccum| EdgeAccum {
+            arcs: if deps.block_sizes { acc.arcs } else { 0.0 },
+            ..*acc
+        };
         // Fresh edges of the variants that keep an edge cache to patch
         // (weight + accumulator), as one canonical list; the variants with
         // no cache (WNP/BLAST) decide off the pass's rows where they lie.
@@ -674,14 +708,19 @@ impl IncrementalMetaBlocker {
                 ctx.begin_degree_maintenance();
             }
             degree_secs = t_degrees.elapsed().as_secs_f64();
-            fresh = weigh_accums(ctx, weigher, &accs);
+            fresh = weigh_accums(ctx, weigher, &accs, cached);
         } else if cache_edges {
             let (edges, pass_artefacts) = touching_pass(
                 ctx,
                 weigher,
                 &dirty,
                 &self.mask,
-                |u, v, w, acc| FreshEdge { u, v, w, acc: *acc },
+                |u, v, w, acc| FreshEdge {
+                    u,
+                    v,
+                    w,
+                    acc: cached(acc),
+                },
                 artefact,
             )
             .into_canonical(fresh_pair);
@@ -721,54 +760,91 @@ impl IncrementalMetaBlocker {
             edges_reweighed: rows.as_ref().map_or(fresh.len(), TouchingPass::emitted),
             scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
+            reweigh_secs: degree_secs,
             ..RepairStats::default()
         };
 
-        // ---- reweigh tier: re-derive every clean edge from its cached
-        // accumulator (no block traversal), then hand the decision stage
-        // the full recompute set. ----
-        let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
-        let everything: Vec<u32>;
+        // Keep the cached adjacency rows current (weights + accumulators):
+        // merge-patch the dirty-incident edges — except on tier 3, which
+        // bulk-reloads.
+        if let Some(adj) = &mut self.adj {
+            if tier == RepairTier::Full {
+                adj.clear();
+                adj.load(&fresh);
+            } else {
+                patch_adjacency(adj, &old, &fresh);
+            }
+        }
+
+        // ---- reweigh tier: re-derive every clean edge in place from its
+        // cached accumulator (no block traversal), then recompute every
+        // node's artefact. On the dirty tier an edge-delta repair
+        // recomputes the artefacts of every node an accumulated edge
+        // reaches. ----
+        let mut sweep = None;
+        let grown: Vec<u32>;
         let recompute: &[u32] = match tier {
             RepairTier::Reweigh => {
                 let t_sweep = Instant::now();
                 let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
-                swept = adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads());
-                stats.edges_swept = swept.len();
-                stats.edges_rekeyed = swept
-                    .iter()
-                    .filter(|&&(_, _, ow, nw)| ow.to_bits() != nw.to_bits())
-                    .count();
-                stats.reweigh_secs = degree_secs + t_sweep.elapsed().as_secs_f64();
-                // From here on the decision stage recomputes everything:
-                // the mask covers all nodes, and the node-centric variants
-                // decide every live edge off the patched rows. WEP/CEP
-                // keep no per-node artefact and decide `swept` and `fresh`
-                // where they lie.
-                self.mask.mark_all();
+                let swept =
+                    adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads(), edge_variant);
+                stats.edges_swept = swept.swept;
+                stats.edges_rekeyed = swept.rekeyed;
+                stats.reweigh_secs += t_sweep.elapsed().as_secs_f64();
+                sweep = Some(swept);
+                // WEP/CEP keep no per-node artefact and decide the swept
+                // edges off the sweep, under the mask it ran with; the
+                // node-centric variants decide every live edge off the
+                // patched rows.
                 if edge_variant {
                     &[]
                 } else {
-                    everything = (0..n as u32).collect();
-                    &everything
+                    self.mask.mark_all();
+                    grown = (0..n as u32).collect();
+                    &grown
                 }
             }
-            _ => {
-                stats.reweigh_secs = degree_secs;
-                &dirty
+            RepairTier::Dirty if narrow && rule.is_some() => {
+                let mut recompute = dirty.clone();
+                for &u in &scope.nodes {
+                    if self.mask.mark(u) {
+                        recompute.push(u);
+                    }
+                }
+                if deps.node_blocks {
+                    self.mark_co_members(ctx, &dirty, &mut recompute);
+                }
+                recompute.sort_unstable();
+                grown = recompute;
+                &grown
             }
+            _ => &dirty,
+        };
+        if rule.is_some() {
+            stats.artefact_nodes = recompute.len() - stats.dirty_nodes;
+        }
+        // Artefacts the accumulate pass did not produce come from the
+        // cache rows, now that they are current.
+        let artefacts = match (artefacts, rule) {
+            (Some(artefacts), _) => artefacts,
+            (None, Some(rule)) => {
+                let adj = self.adj.as_ref().expect(
+                    "a reweigh commit, a degree-reading weigher or an edge-delta repair keeps the cache",
+                );
+                cached_artefacts(adj, ctx, weigher, recompute, rule)
+            }
+            (None, None) => Vec::new(),
         };
 
         let (added, retracted) = self.repair(
             RepairCtx {
                 ctx,
-                weigher,
                 recompute,
                 old: &old,
                 fresh: &fresh,
-                swept: &swept,
+                sweep,
                 rows,
-                rule,
                 artefacts,
             },
             &mut stats,
@@ -779,8 +855,22 @@ impl IncrementalMetaBlocker {
         // The pass's edge lists are the commit's memory peak (every edge,
         // on the structural tier): release them before the delta is laid
         // out, so the delta is never stacked on top of them.
-        drop((old, fresh, swept));
+        drop((old, fresh));
         (PairDelta::from_flips(added, retracted), stats)
+    }
+
+    /// Marks every co-member of `nodes` — every node sharing a cleaned
+    /// block with one — and appends the newly marked ones to `out`.
+    fn mark_co_members(&mut self, ctx: &GraphSnapshot, nodes: &[u32], out: &mut Vec<u32>) {
+        for &u in nodes {
+            for &slot in ctx.index().blocks_of(u) {
+                for p in ctx.slot_members(slot) {
+                    if self.mask.mark(p.0) {
+                        out.push(p.0);
+                    }
+                }
+            }
+        }
     }
 
     /// The per-variant decision pass over one commit's [`RepairCtx`].
@@ -790,13 +880,11 @@ impl IncrementalMetaBlocker {
     fn repair(&mut self, cx: RepairCtx<'_>, stats: &mut RepairStats) -> Flips {
         let RepairCtx {
             ctx,
-            weigher,
             recompute,
             old,
             fresh,
-            swept,
+            sweep,
             rows,
-            rule,
             artefacts,
         } = cx;
         let n = ctx.total_profiles() as usize;
@@ -804,31 +892,6 @@ impl IncrementalMetaBlocker {
         let tier = stats.tier;
         let mut added: Vec<(u32, u32, f64)> = Vec::new();
         let mut retracted: Vec<(u32, u32)> = Vec::new();
-
-        // Keep the cached adjacency rows current (weights + accumulators).
-        // The reweigh sweep already refreshed the clean rows; this merge
-        // patches the dirty ones — except for tier 3, which bulk-reloads.
-        if let Some(adj) = &mut self.adj {
-            if tier == RepairTier::Full {
-                adj.clear();
-                adj.load(fresh);
-            } else {
-                patch_adjacency(adj, old, fresh);
-            }
-        }
-        // Artefacts the accumulate pass did not produce come from the
-        // cache rows, now that they are current.
-        let artefacts = match (artefacts, rule) {
-            (Some(artefacts), _) => artefacts,
-            (None, Some(rule)) => {
-                let adj = self
-                    .adj
-                    .as_ref()
-                    .expect("a reweigh commit or a degree-reading weigher always keeps the cache");
-                cached_artefacts(adj, ctx, weigher, recompute, rule)
-            }
-            (None, None) => Vec::new(),
-        };
 
         match self.pruning {
             IncrementalPruning::Traditional(
@@ -870,21 +933,18 @@ impl IncrementalMetaBlocker {
                         }
                     }
                 };
-                match tier {
+                match (tier, &sweep) {
                     // A clean edge kept its weight, so only a frontier
                     // move can flip it.
-                    RepairTier::Dirty if old_frontier != new_frontier => {
+                    (RepairTier::Dirty, _) if old_frontier != new_frontier => {
                         adj.for_each_edge(|u, v, w| {
                             if !mask.contains(u) && !mask.contains(v) {
                                 decide_clean(u, v, w, w);
                             }
                         });
                     }
-                    RepairTier::Reweigh => {
-                        for &(u, v, ow, nw) in swept {
-                            decide_clean(u, v, ow, nw);
-                        }
-                    }
+                    // The reweigh tier swept every clean edge.
+                    (_, Some(sweep)) => adj.for_each_swept(sweep, mask, &mut decide_clean),
                     // Tier 3 marks every node: no edge is clean.
                     _ => {}
                 }
@@ -1082,7 +1142,8 @@ fn edge_frontier(
 }
 
 /// Weighs freshly accumulated edges once the snapshot's globals are
-/// current — the degree-reading weighers' separate weighing step.
+/// current — the degree-reading weighers' separate weighing step; `cached`
+/// gives the accumulator the cache keeps.
 /// Work-stealing parallel like the accumulation itself: on the full tier
 /// this is every edge, and per-edge weights are independent, so
 /// chunk-ordered merging keeps the output bit-identical.
@@ -1090,6 +1151,7 @@ fn weigh_accums(
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
     accs: &[(u32, u32, EdgeAccum)],
+    cached: impl Fn(&EdgeAccum) -> EdgeAccum + Sync,
 ) -> Vec<FreshEdge> {
     let len = accs.len();
     let chunks = parallel_work_steal(
@@ -1104,7 +1166,7 @@ fn weigh_accums(
                     u,
                     v,
                     w: weigher.weight(ctx, u, v, &acc),
-                    acc,
+                    acc: cached(&acc),
                 })
                 .collect::<Vec<_>>()
         },
@@ -1122,8 +1184,10 @@ fn weigh_accums(
 /// re-computed from the row owner's side — the batch node-pass orientation
 /// — so the artefacts are bit-identical to a scratch pass without touching
 /// a single block. The reweigh tier runs on this (its recompute set is
-/// every node), and so do the degree-reading weighers on every tier (their
-/// rows are patched, degrees current, by the time this runs).
+/// every node), so do the degree-reading weighers on every tier (their
+/// rows are patched, degrees current, by the time this runs), and so does
+/// edge-delta repair on the dirty tier (its recompute set reaches past the
+/// re-accumulated nodes).
 fn cached_artefacts(
     adj: &EdgeAdjacency,
     ctx: &GraphSnapshot,
@@ -1758,7 +1822,7 @@ mod tests {
 
         /// The dirty scope of moving from `old` to `new`: every member of a
         /// block whose membership differs (a superset of the graph-dirty
-        /// nodes), the nodes whose |B_u| moved, and whether |B| moved.
+        /// nodes), the nodes whose block list moved, and whether |B| moved.
         fn scope_between(
             (old, old_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
             (new, new_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
@@ -1773,7 +1837,7 @@ mod tests {
             }
             DirtyScope {
                 lists_changed: (0..N)
-                    .filter(|&u| old_ctx.node_blocks(u) != new_ctx.node_blocks(u))
+                    .filter(|&u| old_ctx.index().blocks_of(u) != new_ctx.index().blocks_of(u))
                     .collect(),
                 nodes: nodes.into_iter().collect(),
                 total_blocks_changed: old_ctx.total_blocks() != new_ctx.total_blocks(),
@@ -1946,6 +2010,296 @@ mod tests {
                 clean in 0u8..2,
             ) {
                 check_grid(&history(base, &toggles, extra), clean == 1);
+            }
+        }
+    }
+
+    /// Edge-delta repair keeps the edge cache equal to a from-scratch pass:
+    /// histories driven through one patched snapshot exactly as the
+    /// cleaner drives it (membership edits, slot restatements with their
+    /// liveness flips, row splices), checked after every commit against a
+    /// fresh [`touching_pass`] over every node of a snapshot built from
+    /// scratch.
+    mod cache_properties {
+        use super::*;
+        use blast_blocking::block::Block;
+        use blast_blocking::collection::BlockCollection;
+        use blast_blocking::key::ClusterId;
+        use blast_core::weighting::ChiSquaredWeigher;
+        use blast_graph::weights::WeightingScheme;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// Profiles; a clean-clean store splits them in half.
+        const N: u32 = 24;
+
+        /// Slot `k`'s (fixed) block entropy.
+        fn entropy(k: usize) -> f64 {
+            0.5 + 0.25 * (k % 5) as f64
+        }
+
+        /// A snapshot built from scratch over the live blocks of `blocks`
+        /// (slot order kept), with degrees and entropies.
+        fn fresh_snapshot(blocks: &[BTreeSet<u32>], clean: bool) -> GraphSnapshot {
+            let separator = if clean { N / 2 } else { u32::MAX };
+            let (mut live, mut entropies) = (Vec::new(), Vec::new());
+            for (k, set) in blocks.iter().enumerate() {
+                let block = Block::new(
+                    format!("b{k}"),
+                    ClusterId::GLUE,
+                    set.iter().map(|&p| ProfileId(p)).collect(),
+                    separator,
+                );
+                if block.cardinality(clean) > 0 {
+                    live.push(block);
+                    entropies.push(entropy(k));
+                }
+            }
+            let collection = BlockCollection::new(live, clean, separator.min(N), N);
+            let mut ctx = GraphSnapshot::build(&collection).with_block_entropies(entropies);
+            ctx.ensure_degrees();
+            ctx
+        }
+
+        /// Moves `snapshot` from `old` to `new` (slot k = block k) the way
+        /// `IncrementalCleaner::apply` does, returning the scope it reports:
+        /// the members of every edited slot plus the removed ones, the
+        /// nodes whose membership moved plus the members of every slot
+        /// whose liveness flipped, and whether |B| moved.
+        fn patch(
+            snapshot: &mut GraphSnapshot,
+            old: &[BTreeSet<u32>],
+            new: &[BTreeSet<u32>],
+        ) -> DirtyScope {
+            let blocks_before = snapshot.total_blocks();
+            snapshot.begin_patch(N, new.len());
+            let empty = BTreeSet::new();
+            let (mut nodes, mut lists) = (BTreeSet::new(), BTreeSet::new());
+            let mut changed = Vec::new();
+            for (k, now) in new.iter().enumerate() {
+                let was = old.get(k).unwrap_or(&empty);
+                for &p in was.difference(now) {
+                    snapshot.remove_member(k as u32, p);
+                    nodes.insert(p);
+                    lists.insert(p);
+                }
+                for &p in now.difference(was) {
+                    snapshot.insert_member(k as u32, p);
+                    lists.insert(p);
+                }
+                if was != now {
+                    changed.push(k);
+                    nodes.extend(now);
+                }
+            }
+            for k in changed {
+                if snapshot.restate_slot(k as u32, entropy(k)) {
+                    lists.extend(&new[k]);
+                    nodes.extend(&new[k]);
+                }
+            }
+            for &p in &lists {
+                let row: Vec<u32> = (0..new.len() as u32)
+                    .filter(|&k| snapshot.slot_is_live(k) && new[k as usize].contains(&p))
+                    .collect();
+                snapshot.splice_row(p, &row);
+            }
+            DirtyScope {
+                nodes: nodes.into_iter().collect(),
+                lists_changed: lists.into_iter().collect(),
+                total_blocks_changed: snapshot.total_blocks() != blocks_before,
+            }
+        }
+
+        /// Runs `history` through one blocker on one patched snapshot.
+        /// After every commit each cached entry, both mirrors, must equal
+        /// the fresh pass's: the weight bits, `common_blocks` and the
+        /// `entropy_sum` bits, and the ARCS sum under ARCS (0.0 under
+        /// every other weigher); and the retained set must equal batch's.
+        /// Returns the tiers the commits landed on.
+        fn check_cache(
+            history: &[Vec<BTreeSet<u32>>],
+            clean: bool,
+            pruning: IncrementalPruning,
+            weigher: &dyn EdgeWeigher,
+            threads: usize,
+        ) -> Vec<RepairTier> {
+            let label = format!(
+                "{}/{} clean={clean} threads={threads}",
+                weigher.name(),
+                pruning.label()
+            );
+            let arcs = weigher.global_deps().block_sizes;
+            let mut snapshot = GraphSnapshot::empty(clean, N / 2)
+                .with_entropies_enabled()
+                .with_threads(threads);
+            let mut blocker = IncrementalMetaBlocker::new(pruning);
+            let mut prev: &[BTreeSet<u32>] = &[];
+            let mut tiers = Vec::new();
+            for (step, blocks) in history.iter().enumerate() {
+                let scope = patch(&mut snapshot, prev, blocks);
+                let (_, stats) = blocker.refresh(&mut snapshot, weigher, &scope);
+                tiers.push(stats.tier);
+                prev = blocks;
+
+                let fresh = fresh_snapshot(blocks, clean);
+                let label = format!("{label} step {step} ({:?})", stats.tier);
+                assert_eq!(
+                    blocker.retained().pairs(),
+                    pruning.batch_prune(&fresh, weigher).pairs(),
+                    "{label}: batch"
+                );
+                let Some(adj) = &blocker.adj else {
+                    continue; // no edge cache to compare
+                };
+                let all: Vec<u32> = (0..N).collect();
+                let mut every = EpochMask::new();
+                every.begin(N as usize);
+                every.mark_all();
+                let (edges, _) = touching_pass(
+                    &fresh,
+                    weigher,
+                    &all,
+                    &every,
+                    |u, v, w, acc| (u, v, w, *acc),
+                    None::<fn(u32, &[(u32, f64)])>,
+                )
+                .into_canonical(|e| (e.0, e.1));
+                let mut want: Vec<(u32, u32, f64, EdgeAccum)> = edges
+                    .iter()
+                    .flat_map(|&(u, v, w, acc)| [(u, v, w, acc), (v, u, w, acc)])
+                    .collect();
+                want.sort_unstable_by_key(|e| (e.0, e.1));
+                let got = adj.entries();
+                let key = |&(u, v, w, acc): &(u32, u32, f64, EdgeAccum)| {
+                    (
+                        u,
+                        v,
+                        w.to_bits(),
+                        acc.common_blocks,
+                        acc.entropy_sum.to_bits(),
+                    )
+                };
+                assert_eq!(
+                    got.iter().map(key).collect::<Vec<_>>(),
+                    want.iter().map(key).collect::<Vec<_>>(),
+                    "{label}: cached entries"
+                );
+                for (g, w) in got.iter().zip(&want) {
+                    let expect = if arcs { w.3.arcs } else { 0.0 };
+                    assert_eq!(
+                        g.3.arcs.to_bits(),
+                        expect.to_bits(),
+                        "{label}: ({}, {}) arcs",
+                        g.0,
+                        g.1
+                    );
+                }
+            }
+            tiers
+        }
+
+        /// The history: the base blocks with one large block `large`; it
+        /// grows by `grow` and then loses `shrink`; slot `flip` dies (one
+        /// member left) and comes back alive with one member on each side;
+        /// and `deleted` leaves every block.
+        fn history(
+            mut base: Vec<BTreeSet<u32>>,
+            large: BTreeSet<u32>,
+            grow: &BTreeSet<u32>,
+            shrink: &BTreeSet<u32>,
+            flip: usize,
+            deleted: u32,
+        ) -> Vec<Vec<BTreeSet<u32>>> {
+            base.push(large);
+            let l = base.len() - 1;
+            let mut steps = vec![base.clone()];
+            let mut next = |edit: &mut dyn FnMut(&mut Vec<BTreeSet<u32>>)| {
+                let mut blocks = steps.last().expect("a base").clone();
+                edit(&mut blocks);
+                steps.push(blocks);
+            };
+            next(&mut |b| b[l].extend(grow));
+            next(&mut |b| b[l].retain(|p| !shrink.contains(p)));
+            let f = flip % l;
+            next(&mut |b| {
+                let keep = b[f].first().copied().unwrap_or(0);
+                b[f] = [keep].into();
+            });
+            next(&mut |b| b[f] = [flip as u32 % (N / 2), N / 2 + flip as u32 % (N / 2)].into());
+            next(&mut |b| {
+                for set in b.iter_mut() {
+                    set.remove(&deleted);
+                }
+            });
+            steps
+        }
+
+        /// Every variant × weigher × store × thread count the property
+        /// covers; returns the tiers the commits landed on.
+        fn check_all(history: &[Vec<BTreeSet<u32>>]) -> Vec<RepairTier> {
+            let chi = ChiSquaredWeigher::new();
+            let weighers: [&dyn EdgeWeigher; 4] = [
+                &WeightingScheme::Ecbs,
+                &chi,
+                &WeightingScheme::Ejs,
+                &WeightingScheme::Arcs,
+            ];
+            let mut tiers = Vec::new();
+            for pruning in [
+                IncrementalPruning::Traditional(PruningAlgorithm::Wep),
+                IncrementalPruning::Traditional(PruningAlgorithm::Cnp1),
+                IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
+                IncrementalPruning::blast(),
+            ] {
+                for weigher in weighers {
+                    for clean in [false, true] {
+                        for threads in [1, 4] {
+                            tiers.extend(check_cache(history, clean, pruning, weigher, threads));
+                        }
+                    }
+                }
+            }
+            tiers
+        }
+
+        fn sets(blocks: &[&[u32]]) -> Vec<BTreeSet<u32>> {
+            blocks.iter().map(|b| b.iter().copied().collect()).collect()
+        }
+
+        /// One fixed history reaches the dirty and the reweigh tier.
+        #[test]
+        fn cache_equals_fresh_pass_on_a_scripted_history() {
+            let base = sets(&[&[0, 1, 12, 13], &[2, 3, 14], &[4, 15, 16], &[1, 5, 17]]);
+            let large = (0..8).chain(12..20).collect();
+            let steps = history(
+                base,
+                large,
+                &[9, 10, 21, 22].into(),
+                &[3, 4, 14].into(),
+                1,
+                13,
+            );
+            let tiers = check_all(&steps);
+            for tier in [RepairTier::Full, RepairTier::Dirty, RepairTier::Reweigh] {
+                assert!(tiers.contains(&tier), "no {tier:?} commit");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn prop_edge_delta_cache_equals_fresh_pass(
+                base in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..N, 0..6), 1..8),
+                large in proptest::collection::btree_set(0u32..N, 8..16),
+                grow in proptest::collection::btree_set(0u32..N, 1..6),
+                shrink in proptest::collection::btree_set(0u32..N, 1..6),
+                flip in 0usize..N as usize,
+                deleted in 0u32..N,
+            ) {
+                check_all(&history(base, large, &grow, &shrink, flip, deleted));
             }
         }
     }

@@ -23,21 +23,25 @@
 //!
 //! ## Per-stage commit complexity
 //!
-//! With D = dirty nodes, E_D = their incident edges, F = retention flips
-//! and ‖B′‖ = retained comparisons, a non-degraded commit costs:
+//! With D = dirty nodes (under an edge cache: the nodes whose cleaned block
+//! list moved), E_D = their incident edges, R = the nodes whose artefacts
+//! those edges reach, F = retention flips and ‖B′‖ = retained comparisons,
+//! a non-degraded commit costs:
 //!
 //! | stage | work | cost |
 //! |-------|------|------|
 //! | index | token re-keying + posting diffs | O(batch tokens) |
 //! | cleaning | purging/filtering on dirty blocks | O(dirty blocks) |
 //! | snapshot | slot restatements + profile row splices | O(changed slots + rows) |
-//! | artefacts | re-weigh E_D, dirty thresholds / top-k lists | O(E_D log) |
+//! | repair | re-accumulate and patch E_D, re-derive R's thresholds / top-k lists | O(E_D log + edges of R) |
+//! | reweigh (tier 2) | restate every clean weight in place | O(\|E\|) |
 //! | decision | WNP/BLAST/CNP: flip emission + retained surgery | O((E_D + F) log \|E\|) |
 //! | decision | WEP/CEP: frontier restatement + clean-edge decisions | O(\|E\|) |
 //!
-//! Apart from WEP/CEP's decision — their frontier is an aggregate of every
-//! edge weight, restated from the adjacency rows each commit — no
-//! per-commit stage iterates all edges, all nodes, or all retained pairs;
+//! Apart from the reweigh sweep and WEP/CEP's decision — their frontier is
+//! an aggregate of every edge weight, restated from the adjacency rows each
+//! commit — no per-commit stage iterates all edges, all nodes, or all
+//! retained pairs;
 //! the flat [`blast_graph::retained::RetainedPairs`] view is
 //! materialised lazily on read and the [`graph::PairDelta`] is emitted
 //! from the flips directly. Degraded-full passes (see below) run the same

@@ -263,8 +263,15 @@ macro_rules! commit_stats {
 }
 
 commit_stats! {
-    /// Nodes whose neighbourhood was recomputed.
+    /// Nodes whose rows were re-accumulated from the blocks (under an edge
+    /// cache whose weigher reads no block size, the nodes whose cleaned
+    /// block list moved; otherwise every node whose co-occurrence moved).
     dirty_nodes: usize => dirty_nodes, Counter, "repair.dirty_nodes";
+    /// Nodes whose per-node artefact (threshold, top-k list) was
+    /// re-derived from the edge cache's rows without a block load: the
+    /// neighbours of the dirty nodes under edge-delta repair, every other
+    /// node on the reweigh tier. Zero for WEP/CEP, which keep none.
+    artefact_nodes: usize => artefact_nodes, Counter, "repair.artefact_nodes";
     /// Node adjacencies re-accumulated from the blocks (the snapshot's own
     /// `scratch_loads` across the repair) — exactly `dirty_nodes` on tier
     /// 1: one traversal of the dirty neighbourhood yields both its edges

@@ -24,7 +24,10 @@
 # configuration, decided off the accumulate pass's own rows), WNP2 under
 # CBS (the reciprocal rule on those rows) and WNP1 under ECBS (decided off
 # the edge cache's rows, on the reweigh tier); and once with cleaning off
-# (raw token blocks). Each run must print its `verify: incremental ==
+# (raw token blocks). Then the edge-delta repair's two sides: WEP under
+# ARCS (a weigher reading block sizes, which keeps the wide dirty set),
+# and WEP and WNP1 under EJS (degree events, with only the list-changed
+# rows re-accumulated). Each run must print its `verify: incremental ==
 # batch` line, and its 1- and 4-thread outputs must be byte-identical.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
@@ -97,3 +100,6 @@ stream_check wnp1-cbs --pruning wnp1 --scheme cbs
 stream_check wnp2-cbs --pruning wnp2 --scheme cbs
 stream_check wnp1-ecbs --pruning wnp1 --scheme ecbs
 stream_check wnp1-cbs-raw --pruning wnp1 --scheme cbs --no-cleaning
+stream_check wep-arcs --pruning wep --scheme arcs
+stream_check wep-ejs --pruning wep --scheme ejs
+stream_check wnp1-ejs --pruning wnp1 --scheme ejs

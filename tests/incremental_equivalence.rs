@@ -885,28 +885,29 @@ fn alternating_tiers_keep_wep_cep_at_batch_parity() {
     }
 }
 
-/// Where the co-member dirty-set expansion of a |B_u|-reading weigher must
-/// stay and where it must go, on [`alternating_tier_stream`].
+/// Where the co-member expansion of a |B_u|-reading weigher must stay and
+/// where it must go, on [`alternating_tier_stream`].
 ///
-/// * A node-centric variant on a commit that drifts no global (WNP/CNP ×
-///   JS — `node_blocks` without `total_blocks` — on every step; ECBS on the
-///   toggles) still expands: every co-member of a |B_u|-changed node folds
-///   the moved weight into its threshold or top-k list. A toggle dirties
-///   the whole `u1` block — the counts the parent commit reports.
-/// * WEP keeps no per-node artefact: its dirty set is the cleaner's own
-///   scope on every step (a toggle: `u2`'s members and `x3`).
+/// * Under an edge cache (every configuration here but WNP × JS, whose
+///   globals never drift), a commit re-accumulates from the blocks only
+///   the nodes whose cleaned block list moved: `x3` on a toggle, the new
+///   profile and `r7` on a reweigh step. No other accumulator moved.
+/// * A node-centric variant on a commit that drifts no global (CNP × JS on
+///   every step, WNP × ECBS on the toggles) still re-derives the artefact
+///   of every co-member of those nodes — from the cache rows, without a
+///   block load (`artefact_nodes`): every co-member folds the moved weight
+///   into its threshold or top-k list. A toggle reaches the whole `u1`
+///   block. WNP × JS keeps no cache, so it re-accumulates that whole set.
+/// * WEP keeps no per-node artefact: it re-derives none.
 /// * A commit already known to reweigh re-derives every artefact from the
-///   cache: ECBS's reweigh steps dirty the cleaner's scope only, WNP or
-///   WEP, leaving `r7`'s co-members to the sweep — and the ECBS/WEP stream
-///   as a whole re-accumulates fewer nodes than at the parent commit, for
-///   the identical flips.
+///   cache, and the ECBS/WEP stream as a whole re-accumulates fewer nodes
+///   than the wide dirty set did, for the identical flips.
 #[test]
 fn co_member_expansion_stays_for_artefacts_and_goes_elsewhere() {
-    /// Per-step `(step, tier, dirty_nodes)` and the stream's total flips.
-    fn run(
-        scheme: WeightingScheme,
-        algorithm: PruningAlgorithm,
-    ) -> (Vec<(Step, RepairTier, usize)>, usize) {
+    /// Per-step `(step, tier, dirty_nodes, artefact_nodes)` and the
+    /// stream's total flips.
+    type PerStep = Vec<(Step, RepairTier, usize, usize)>;
+    fn run(scheme: WeightingScheme, algorithm: PruningAlgorithm) -> (PerStep, usize) {
         let mut p = IncrementalPipeline::dirty(
             scheme,
             IncrementalPruning::Traditional(algorithm),
@@ -915,22 +916,31 @@ fn co_member_expansion_stays_for_artefacts_and_goes_elsewhere() {
         let (mut per_step, mut flips) = (Vec::new(), 0usize);
         alternating_tier_stream(&mut p, |p, out, step, _| {
             assert_eq!(p.retained().pairs(), p.batch_retained().pairs());
-            per_step.push((step, out.stats.tier, out.stats.dirty_nodes));
-            flips += out.stats.retention_flips;
+            let s = out.stats;
+            per_step.push((step, s.tier, s.dirty_nodes, s.artefact_nodes));
+            flips += s.retention_flips;
         });
         (per_step, flips)
     }
-    fn dirty_nodes_of(per_step: &[(Step, RepairTier, usize)], wanted: Step) -> Vec<usize> {
+    fn dirty_nodes_of(per_step: &PerStep, wanted: Step) -> Vec<usize> {
         per_step
             .iter()
             .filter(|(step, ..)| *step == wanted)
-            .map(|&(_, _, n)| n)
+            .map(|&(_, _, n, _)| n)
             .collect()
     }
-    let all_on = |per_step: &[(Step, RepairTier, usize)], wanted: Step, tier: RepairTier| {
+    /// Nodes whose artefact the step recomputed: loaded plus re-derived.
+    fn recomputed_of(per_step: &PerStep, wanted: Step) -> Vec<usize> {
         per_step
             .iter()
-            .all(|&(step, t, _)| step != wanted || t == tier)
+            .filter(|(step, ..)| *step == wanted)
+            .map(|&(_, _, n, a)| n + a)
+            .collect()
+    }
+    let all_on = |per_step: &PerStep, wanted: Step, tier: RepairTier| {
+        per_step
+            .iter()
+            .all(|&(step, t, ..)| step != wanted || t == tier)
     };
 
     let (js_wep, _) = run(WeightingScheme::Js, PruningAlgorithm::Wep);
@@ -943,48 +953,71 @@ fn co_member_expansion_stays_for_artefacts_and_goes_elsewhere() {
     // The u1 block when each toggle runs: x1..x4 plus one profile per
     // earlier reweigh step (2, 2, 3 and 5 of them).
     let u1_block = vec![6, 6, 7, 9];
-    // The cleaner's scope of a reweigh step: the grown u1 block and r7.
-    let scope = vec![6, 7, 8, 9, 10];
-    for algorithm in [PruningAlgorithm::Wnp1, PruningAlgorithm::Cnp1] {
-        let (js, _) = run(WeightingScheme::Js, algorithm);
-        let label = format!("js/{}", algorithm.label());
+    // r7's co-members on each reweigh step: the grown u1 block, r7's own
+    // blocks and the fresh n<k> blocks.
+    let r7_reach = vec![11, 12, 13, 14, 15];
+    // The nodes whose block list moved: x3 on a toggle; the new profile
+    // and r7 on a reweigh step.
+    let (toggled, paired) = (vec![1; 4], vec![2; 5]);
+    let (js_wnp, _) = run(WeightingScheme::Js, PruningAlgorithm::Wnp1);
+    let (js_cnp, _) = run(WeightingScheme::Js, PruningAlgorithm::Cnp1);
+    for (per_step, label) in [(&js_wnp, "js/wnp1"), (&js_cnp, "js/cnp1")] {
         assert!(
-            js.iter().all(|&(_, tier, _)| tier == RepairTier::Dirty),
+            per_step
+                .iter()
+                .all(|&(_, tier, ..)| tier == RepairTier::Dirty),
             "{label}: nothing drifts"
         );
         assert_eq!(
-            dirty_nodes_of(&js, Step::Dirty),
+            recomputed_of(per_step, Step::Dirty),
             u1_block,
             "{label}: toggles"
         );
         assert_eq!(
-            dirty_nodes_of(&js, Step::Reweigh),
-            vec![11, 12, 13, 14, 15],
+            recomputed_of(per_step, Step::Reweigh),
+            r7_reach,
             "{label}: r7's co-members ride along on a non-drifting commit"
         );
     }
     assert_eq!(
-        dirty_nodes_of(&ecbs_wnp, Step::Dirty),
+        dirty_nodes_of(&js_wnp, Step::Dirty),
         u1_block,
+        "js/wnp1: no cache"
+    );
+    assert_eq!(
+        dirty_nodes_of(&js_wnp, Step::Reweigh),
+        r7_reach,
+        "js/wnp1: no cache"
+    );
+    assert_eq!(dirty_nodes_of(&js_cnp, Step::Dirty), toggled, "js/cnp1");
+    assert_eq!(dirty_nodes_of(&js_cnp, Step::Reweigh), paired, "js/cnp1");
+    assert_eq!(dirty_nodes_of(&ecbs_wnp, Step::Dirty), toggled, "ecbs/wnp1");
+    assert_eq!(
+        recomputed_of(&ecbs_wnp, Step::Dirty),
+        u1_block,
+        "ecbs/wnp1: the toggles' artefacts still reach u1"
+    );
+    for (per_step, label) in [(&js_wep, "js/wep"), (&ecbs_wep, "ecbs/wep")] {
+        assert_eq!(dirty_nodes_of(per_step, Step::Dirty), toggled, "{label}");
+        assert_eq!(dirty_nodes_of(per_step, Step::Reweigh), paired, "{label}");
+        assert!(
+            per_step.iter().all(|&(.., a)| a == 0),
+            "{label}: no artefact to re-derive"
+        );
+    }
+    assert_eq!(
+        dirty_nodes_of(&ecbs_wnp, Step::Reweigh),
+        paired,
         "ecbs/wnp1"
     );
-    assert_eq!(
-        dirty_nodes_of(&js_wep, Step::Dirty),
-        vec![3, 3, 3, 3],
-        "js/wep"
-    );
-    assert_eq!(dirty_nodes_of(&ecbs_wep, Step::Dirty), vec![3, 3, 3, 3]);
-    assert_eq!(dirty_nodes_of(&js_wep, Step::Reweigh), scope, "js/wep");
-    assert_eq!(dirty_nodes_of(&ecbs_wep, Step::Reweigh), scope, "ecbs/wep");
-    assert_eq!(dirty_nodes_of(&ecbs_wnp, Step::Reweigh), scope, "ecbs/wnp1");
 
-    // At the parent commit (eeb9b3b), which expanded every |B_u| move to
-    // its co-members, the ECBS/WEP stream re-accumulated 93 nodes for 36
-    // retention flips.
-    let total: usize = ecbs_wep.iter().map(|&(_, _, n)| n).sum();
+    // The wide dirty set (every member of a changed block, as at 98e9862)
+    // re-accumulated 52 nodes over the ECBS/WEP stream for 36 retention
+    // flips (93 before co-member skipping).
+    let total: usize = ecbs_wep.iter().map(|&(_, _, n, _)| n).sum();
     assert_eq!(
-        total, 52,
-        "ecbs/wep: fewer dirty nodes than the parent's 93"
+        total, 14,
+        "ecbs/wep: fewer dirty nodes than the wide set's 52"
     );
     assert_eq!(ecbs_wep_flips, 36, "ecbs/wep: the same decisions");
 }

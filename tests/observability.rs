@@ -86,11 +86,11 @@ fn stream_trace_emits_one_valid_event_per_commit() {
             line.contains(&format!("\"seq\": {}", i + 1)),
             "seq order: {line}"
         );
-        // Every key the journal carried before the commit table existed:
-        // the table may add keys, never rename one, and drops one only
-        // with the state it described.
+        // Every key the journal carried before the commit table existed,
+        // and the ones the table added since: the table may add keys, never
+        // rename one, and drops one only with the state it described.
         for key in "seq batch_profiles tier added retracted retained blocks dirty_nodes \
-                    scratch_loads patched_rows retention_flips threshold_crossers \
+                    artefact_nodes scratch_loads patched_rows retention_flips threshold_crossers \
                     total_secs phases \
                     live_edges cached_accumulators interned_tokens resident_bytes \
                     cold_evictions cold_rehydrations cold_resident_bytes spilled_bytes"
@@ -201,20 +201,21 @@ fn registry_totals_match_hand_accumulated_outcomes() {
     assert!(totals.phases.total_secs() > 0.0);
 }
 
-/// Streams census rows through a WEP pipeline under a zero memory budget —
+/// Streams census rows through a pipeline under a zero memory budget —
 /// inserts in micro-batches, then single deletes — and hands every
-/// commit's outcome to `each`. Under ECBS the stream reweighs, defers and
-/// re-builds the ordered index; under JS it stays on the dirty tier, where
-/// a drifting mean flips clean edges. Either way rows are evicted and
-/// rehydrated every commit.
+/// commit's outcome to `each`. Under ECBS the stream reweighs; under JS it
+/// stays on the dirty tier, where a drifting mean flips WEP's clean edges.
+/// WNP re-derives per-node thresholds from the edge cache. Either way rows
+/// are evicted and rehydrated every commit.
 fn stream_census(
     scheme: WeightingScheme,
+    pruning: PruningAlgorithm,
     mut each: impl FnMut(&blast::incremental::CommitOutcome),
 ) -> IncrementalPipeline {
     let rows = census_rows(0.25);
     let mut pipeline = IncrementalPipeline::dirty(
         scheme,
-        IncrementalPruning::Traditional(PruningAlgorithm::Wep),
+        IncrementalPruning::Traditional(pruning),
         CleaningConfig::default(),
     )
     .with_residency(blast::incremental::ResidencyPolicy {
@@ -249,11 +250,15 @@ fn journal_value(event: &str, key: &str) -> Option<u64> {
 #[test]
 fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
     let mut moved = vec![false; COMMIT_STATS.len()];
-    for scheme in [WeightingScheme::Ecbs, WeightingScheme::Js] {
+    for (scheme, pruning) in [
+        (WeightingScheme::Ecbs, PruningAlgorithm::Wep),
+        (WeightingScheme::Js, PruningAlgorithm::Wep),
+        (WeightingScheme::Ecbs, PruningAlgorithm::Wnp1),
+    ] {
         let mut sums = vec![0u64; COMMIT_STATS.len()];
         let mut last = vec![0u64; COMMIT_STATS.len()];
         let mut journal_sums = vec![0u64; COMMIT_STATS.len()];
-        let pipeline = stream_census(scheme, |out| {
+        let pipeline = stream_census(scheme, pruning, |out| {
             let event = out.stats.journal(Default::default()).finish();
             assert!(is_valid_json(&event), "{event}");
             for (i, stat) in COMMIT_STATS.iter().enumerate() {
@@ -290,7 +295,7 @@ fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
             moved[i] |= sums[i] > 0;
         }
     }
-    // The two streams exercise the table rather than just walk it: every
+    // The three streams exercise the table rather than just walk it: every
     // row was non-zero on some commit.
     let idle: Vec<&str> = COMMIT_STATS
         .iter()
@@ -302,8 +307,8 @@ fn every_declared_statistic_reaches_the_page_the_journal_and_the_totals() {
 }
 
 /// The registry's series as they stood before the commit table existed,
-/// spelled out: the table may add to these, never rename one, and drops
-/// one only with the state it described. (The journal's keys are pinned
+/// and the ones the table added since, spelled out: the table may add to
+/// these, never rename one, and drops one only with the state it described. (The journal's keys are pinned
 /// the same way by the trace test above.)
 #[test]
 fn series_names_are_the_ones_published_before_the_table() {
@@ -313,7 +318,8 @@ fn series_names_are_the_ones_published_before_the_table() {
         commit.phase.index_secs commit.phase.repair_secs commit.phase.reweigh_secs \
         commit.phase.snapshot_secs commit.total_secs decision.retention_flips \
         decision.threshold_crossers interner.symbols pipeline.blocks \
-        pipeline.cached_accumulators pipeline.live_edges pipeline.retained repair.dirty_nodes \
+        pipeline.cached_accumulators pipeline.live_edges pipeline.retained repair.artefact_nodes \
+        repair.dirty_nodes \
         repair.edges_rekeyed repair.edges_reweighed repair.edges_swept repair.scratch_loads \
         repair.tier.dirty repair.tier.full repair.tier.reweigh serve.chunks_copied \
         serve.publish_secs serve.queries serve.read_latency_secs serve.rows_copied \
