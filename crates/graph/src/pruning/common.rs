@@ -171,11 +171,18 @@ struct RowChunk<E> {
 }
 
 impl<E, A> TouchingPass<'_, E, A> {
-    /// The emitted row of the `i`-th listed node, ascending by neighbour.
-    fn row(&self, i: usize) -> &[E] {
-        let chunk = &self.chunks[i / self.chunk];
-        let local = i % self.chunk;
-        &chunk.entries[chunk.offsets[local]..chunk.offsets[local + 1]]
+    /// Every listed node with its emitted row, `(node, row)`, in list
+    /// order; each row ascends by neighbour.
+    pub fn rows(&self) -> impl Iterator<Item = (u32, &[E])> + '_ {
+        self.chunks.iter().enumerate().flat_map(move |(c, chunk)| {
+            let nodes = &self.nodes[c * self.chunk..];
+            (0..chunk.offsets.len() - 1).map(move |i| {
+                (
+                    nodes[i],
+                    &chunk.entries[chunk.offsets[i]..chunk.offsets[i + 1]],
+                )
+            })
+        })
     }
 
     /// Number of emitted edges (every edge with a marked endpoint, once).
@@ -228,36 +235,6 @@ impl<E, A> TouchingPass<'_, E, A> {
             },
         )
     }
-
-    /// The emitted edges as one canonical list, ascending by pair, and the
-    /// artefacts. Nothing already ordered is sorted ([`ordered_emission`]):
-    /// nodes ascend and every row ascends, so the entries a node emits to
-    /// larger neighbours form a sorted run as they come, and only the
-    /// remainder — read from the larger endpoint, the smaller one unmarked
-    /// — is sorted. With every node marked the remainder is empty.
-    pub fn into_canonical(self, pair_of: impl Fn(&E) -> (u32, u32)) -> (Vec<E>, Vec<A>)
-    where
-        E: Copy,
-    {
-        // A row's entries to smaller neighbours (pair `(v, d)`) precede
-        // those to larger ones (pair `(d, v)`).
-        let split = |i: usize| {
-            let d = self.nodes[i];
-            self.row(i).partition_point(|e| pair_of(e).1 == d)
-        };
-        let n_larger: usize = (0..self.nodes.len()).map(split).sum();
-        let mut from_smaller = Vec::with_capacity(self.emitted() - n_larger);
-        let mut from_larger = Vec::with_capacity(n_larger);
-        for i in 0..self.nodes.len() {
-            let (larger, smaller) = self.row(i).split_at(split(i));
-            from_larger.extend_from_slice(larger);
-            from_smaller.extend_from_slice(smaller);
-        }
-        (
-            ordered_emission(from_smaller, from_larger, pair_of),
-            self.artefacts,
-        )
-    }
 }
 
 /// The repair pass of the incremental tiers that re-read blocks: **one**
@@ -277,10 +254,9 @@ impl<E, A> TouchingPass<'_, E, A> {
 /// ECBS, EJS, χ²). Without an artefact function the node-side weights of
 /// edges a marked smaller endpoint already emits are never computed.
 ///
-/// Nothing is concatenated or sorted here: a per-row consumer filters the
-/// rows where they lie, on the same chunk geometry
-/// ([`TouchingPass::retain_rows`]), and a consumer that needs one canonical
-/// list asks [`TouchingPass::into_canonical`].
+/// Nothing is concatenated or sorted here: a consumer reads the rows where
+/// they lie ([`TouchingPass::rows`]) or filters them in place on the same
+/// chunk geometry ([`TouchingPass::retain_rows`]).
 pub fn touching_pass<'a, E, A>(
     ctx: &GraphSnapshot,
     weigher: &dyn EdgeWeigher,
@@ -351,81 +327,6 @@ where
         chunks,
         artefacts,
     }
-}
-
-/// Puts an *ordered emission* into canonical pair order. When marked nodes
-/// are visited ascending and each reads an ascending row, the pairs read
-/// from their smaller endpoint (`from_smaller`) are sorted as they come;
-/// only the remainder read from the larger endpoint — the smaller one is
-/// unmarked — arrives out of order. So only `from_larger` is sorted, and the
-/// two runs are merged: nothing already ordered is sorted again.
-///
-/// The merge drains whichever run has the smaller head up to the other's
-/// head, so the long ordered run beside its sparse remainder moves in
-/// stretches at one comparison per element. Keys are unique across the two
-/// runs (canonical edges are), so the output is the order one scan over the
-/// union would have produced, whatever partitioned the input.
-pub fn ordered_emission<T, K: Ord>(
-    from_smaller: Vec<T>,
-    mut from_larger: Vec<T>,
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
-    from_larger.sort_unstable_by_key(&key);
-    if from_larger.is_empty() {
-        return from_smaller; // nothing arrived out of order
-    }
-    let mut out = Vec::with_capacity(from_smaller.len() + from_larger.len());
-    let mut a = from_smaller.into_iter().peekable();
-    let mut b = from_larger.into_iter().peekable();
-    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-        let (kx, ky) = (key(x), key(y));
-        if kx <= ky {
-            while let Some(x) = a.next_if(|x| key(x) <= ky) {
-                out.push(x);
-            }
-        } else {
-            while let Some(y) = b.next_if(|y| key(y) < kx) {
-                out.push(y);
-            }
-        }
-    }
-    out.extend(a);
-    out.extend(b);
-    out
-}
-
-/// "No artefacts" for [`touching_pass`], with the type spelled out.
-const NO_ARTEFACT: Option<ArtefactFn> = None;
-type ArtefactFn = fn(u32, &[(u32, f64)]);
-
-/// The edges with at least one endpoint in the marked set, as raw
-/// accumulators instead of weights, in canonical order — [`touching_pass`]
-/// for a weigher that cannot run yet: a
-/// degree-reading scheme (EJS) must diff edge existence and patch the
-/// snapshot's degrees *between* accumulation and weighing, so its repair
-/// takes the accumulators here, weighs afterwards, and reads its per-node
-/// artefacts back from the cached rows it has just patched.
-pub fn collect_accums_touching(
-    ctx: &GraphSnapshot,
-    nodes: &[u32],
-    mask: &EpochMask,
-) -> Vec<(u32, u32, EdgeAccum)> {
-    struct Unweighed;
-    impl EdgeWeigher for Unweighed {
-        fn weight(&self, _: &GraphSnapshot, _: u32, _: u32, _: &EdgeAccum) -> f64 {
-            0.0
-        }
-    }
-    touching_pass(
-        ctx,
-        &Unweighed,
-        nodes,
-        mask,
-        |u, v, _, acc| (u, v, *acc),
-        NO_ARTEFACT,
-    )
-    .into_canonical(|e| (e.0, e.1))
-    .0
 }
 
 /// Enumerates every edge exactly once (u < v), calling `f(u, v, w)` and
@@ -523,16 +424,28 @@ mod tests {
         nodes: &[u32],
         mask: &EpochMask,
     ) -> Vec<(u32, u32, f64)> {
-        touching_pass(
+        let pass = touching_pass(
             ctx,
             weigher,
             nodes,
             mask,
             |u, v, w, _| (u, v, w),
-            NO_ARTEFACT,
-        )
-        .into_canonical(|e| (e.0, e.1))
-        .0
+            None::<fn(u32, &[(u32, f64)])>,
+        );
+        canonical(&pass, |e| (e.0, e.1))
+    }
+
+    /// A pass's rows read out as one list, sorted by `pair_of`.
+    fn canonical<E: Copy, A>(
+        pass: &TouchingPass<E, A>,
+        pair_of: impl Fn(&E) -> (u32, u32),
+    ) -> Vec<E> {
+        let mut out: Vec<E> = pass
+            .rows()
+            .flat_map(|(_, row)| row.iter().copied())
+            .collect();
+        out.sort_unstable_by_key(pair_of);
+        out
     }
 
     /// The two-pass, sort-everything repair primitives [`touching_pass`]
@@ -840,9 +753,14 @@ mod tests {
                     emitted,
                     "{label}: rows partition the pass"
                 );
-                let (edges, artefacts) = rows.into_canonical(|e| (e.0, e.1));
-                assert_eq!(edges, expect_edges, "{label}: edges");
-                assert_eq!(artefacts, expect_adj, "{label}: node adjacencies");
+                let listed: Vec<u32> = rows.rows().map(|(d, _)| d).collect();
+                assert_eq!(listed, nodes, "{label}: one row per listed node, in order");
+                assert_eq!(
+                    canonical(&rows, |e| (e.0, e.1)),
+                    expect_edges,
+                    "{label}: edges"
+                );
+                assert_eq!(rows.artefacts, expect_adj, "{label}: node adjacencies");
                 // Rows filtered in place read out as the filtered list.
                 let odd = |e: &(u32, u32, u64, EdgeAccum)| (e.0 + e.1) % 2 == 1;
                 let mut rows = pass();
@@ -859,15 +777,9 @@ mod tests {
                 let expect_odd: Vec<_> = expect_edges.iter().copied().filter(odd).collect();
                 assert_eq!(rows.emitted(), expect_odd.len(), "{label}: filtered");
                 assert_eq!(
-                    rows.into_canonical(|e| (e.0, e.1)).0,
+                    canonical(&rows, |e| (e.0, e.1)),
                     expect_odd,
                     "{label}: filtered"
-                );
-
-                assert_eq!(
-                    collect_accums_touching(&ctx, nodes, &mask),
-                    accs,
-                    "{label}: accumulators"
                 );
                 let weighted = collect_edges_touching(&ctx, &scheme, nodes, &mask);
                 assert_eq!(weighted.len(), expect_edges.len());
@@ -937,23 +849,6 @@ mod tests {
                 assert_pass_matches_reference(&collection, &marked_nodes(20, &picks, full), full);
             }
         }
-    }
-
-    #[test]
-    fn merged_runs_restore_one_sorted_sequence() {
-        // The remainder arrives unsorted; the ordered run is merged as is.
-        let merged = ordered_emission(
-            vec![(0, 2), (3, 4), (3, 5), (7, 8)],
-            vec![(5, 6), (0, 1), (3, 9)],
-            |&p| p,
-        );
-        assert_eq!(
-            merged,
-            vec![(0, 1), (0, 2), (3, 4), (3, 5), (3, 9), (5, 6), (7, 8)]
-        );
-        assert_eq!(ordered_emission(vec![1, 4], vec![], |&p| p), vec![1, 4]);
-        assert_eq!(ordered_emission(vec![], vec![4, 1], |&p| p), vec![1, 4]);
-        assert!(ordered_emission(Vec::<u32>::new(), vec![], |&p| p).is_empty());
     }
 
     #[test]

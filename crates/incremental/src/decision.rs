@@ -12,17 +12,19 @@
 //! ordered structure is kept between commits.
 //!
 //! [`EdgeAdjacency`] holds per-node rows of `(neighbour, weight,
-//! accumulator)` for every live edge: a commit enumerates the *old*
-//! dirty-incident edges and their old weights off it without touching
-//! clean rows, and the reweigh tier re-derives the clean weights from it,
-//! each row in place ([`EdgeAdjacency::reweigh_clean`]).
+//! accumulator)` for every live edge. A commit splices each dirty node's
+//! row ([`EdgeAdjacency::splice`]), reading each owned edge's old weight as
+//! it merges the new row in and writing the mirrors into the neighbours'
+//! rows, so no list of old or fresh edges is gathered; the reweigh tier
+//! re-derives the clean weights from it, each row in place
+//! ([`EdgeAdjacency::reweigh_clean`]).
 //!
 //! Everything here is deterministic: every traversal runs in row order, a
 //! function of the live edge *set*, independent of insertion history.
 
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
-use blast_graph::pruning::common::{ordered_emission, weight_rank_bits, EpochMask};
+use blast_graph::pruning::common::{weight_rank_bits, EpochMask};
 use blast_graph::weights::EdgeWeigher;
 use std::sync::{Mutex, PoisonError};
 
@@ -74,21 +76,10 @@ pub fn retained_under(frontier: Frontier, key: EdgeKey) -> bool {
     frontier.is_some_and(|f| key <= f)
 }
 
-/// One freshly accumulated-and-weighted edge of a repair pass: the
-/// canonical pair, the weight, and the raw local accumulator the weight was
-/// derived from (cached so a later global-statistic drift can re-derive the
-/// weight without any block traversal).
-#[derive(Debug, Clone, Copy)]
-pub struct FreshEdge {
-    /// Canonical owner endpoint (smaller id).
-    pub u: u32,
-    /// The other endpoint.
-    pub v: u32,
-    /// The weight under the snapshot statistics at collection time.
-    pub w: f64,
-    /// The edge's local co-occurrence components.
-    pub acc: EdgeAccum,
-}
+/// One entry of a node's emitted row as [`EdgeAdjacency::splice`] takes it:
+/// the canonical pair `(u, v)`, `u < v`, the edge's weight, and the
+/// accumulator the cache keeps for it.
+pub type RowEdge = (u32, u32, f64, EdgeAccum);
 
 /// One cached edge entry of an [`EdgeAdjacency`] row — the packed,
 /// padding-free layout (24 bytes, vs 40 for a naive
@@ -123,17 +114,16 @@ struct CachedEdge {
 
 /// Per-node rows of `(neighbour, weight, accumulator)` covering every live
 /// edge (each edge stored at both endpoints, rows ascending by neighbour
-/// id): the commit-path source of the *old* dirty-incident edges and their
-/// old weights, and — through the cached accumulators — the reweigh tier's
-/// input: when a global scalar (|B|, degrees, |E_G|) drifts, every clean
-/// edge's weight is re-derived from its cached local factors and the
+/// id). A commit patches it one dirty row at a time
+/// ([`EdgeAdjacency::splice`]), reading each edge's old weight off the row
+/// as it goes; through the cached accumulators it is also the reweigh
+/// tier's input: when a global scalar (|B|, degrees, |E_G|) drifts, every
+/// clean edge's weight is re-derived from its cached local factors and the
 /// patched snapshot ([`EdgeAdjacency::reweigh_clean`]) instead of
-/// re-accumulated from the blocks. The rows of the re-accumulated edges'
-/// clean endpoints are patched by binary-search surgery proportional to
-/// those edges. Entries are stored
-/// packed (`CachedEdge`, 24 bytes) with the entropy tally elided until
-/// a pipeline actually attaches entropies — the dominant memory cost of
-/// the reweigh tier at scale.
+/// re-accumulated from the blocks. Entries are stored packed (`CachedEdge`,
+/// 24 bytes) with the entropy tally elided until a pipeline actually
+/// attaches entropies — the dominant memory cost of the reweigh tier at
+/// scale.
 #[derive(Debug, Default)]
 pub struct EdgeAdjacency {
     rows: Vec<Vec<CachedEdge>>,
@@ -142,6 +132,61 @@ pub struct EdgeAdjacency {
     /// accumulator's tally differs bitwise from the derived
     /// `common_blocks as f64` value (see `CachedEdge`).
     ent: Option<Vec<Vec<f64>>>,
+}
+
+/// One step of [`walk_row`].
+enum RowStep<'a> {
+    /// The old row's entry at this index is to a marked smaller neighbour:
+    /// that neighbour owns the edge, so the entry is its splice's to write.
+    Kept(usize),
+    /// The old row's entry at this index is an owned edge that no longer
+    /// exists.
+    Died(usize),
+    /// An owned edge that exists now: its old entry's index (`None` for a
+    /// birth) and its emitted entry.
+    Emitted(Option<usize>, &'a RowEdge),
+}
+
+/// Walks node `d`'s old row against its emitted row `new` (both ascending
+/// by neighbour) under the ownership rule of
+/// [`blast_graph::pruning::common::TouchingPass`]: `d` owns its edges to a
+/// larger neighbour or to an unmarked smaller one, and `new` holds exactly
+/// the owned edges that now exist. Each old entry and each emitted one is
+/// stepped once, in neighbour order.
+fn walk_row<'a>(
+    d: u32,
+    mask: &EpochMask,
+    old: &[CachedEdge],
+    new: &'a [RowEdge],
+    mut step: impl FnMut(RowStep<'a>),
+) {
+    let old_step = |i: usize| {
+        let v = old[i].v;
+        if v < d && mask.contains(v) {
+            RowStep::Kept(i)
+        } else {
+            RowStep::Died(i)
+        }
+    };
+    let mut i = 0;
+    for e in new {
+        let v = if e.0 == d { e.1 } else { e.0 };
+        while i < old.len() && old[i].v < v {
+            step(old_step(i));
+            i += 1;
+        }
+        // An emitted neighbour is owned, so an old entry to it is too.
+        let prev = if i < old.len() && old[i].v == v {
+            i += 1;
+            Some(i - 1)
+        } else {
+            None
+        };
+        step(RowStep::Emitted(prev, e));
+    }
+    for i in i..old.len() {
+        step(old_step(i));
+    }
 }
 
 impl EdgeAdjacency {
@@ -167,12 +212,6 @@ impl EdgeAdjacency {
     #[inline]
     fn derived_entropy(e: &CachedEdge) -> f64 {
         e.common_blocks as f64
-    }
-
-    /// Whether storing `acc` requires the entropy side rows.
-    #[inline]
-    fn needs_entropy(acc: &EdgeAccum) -> bool {
-        acc.entropy_sum.to_bits() != (acc.common_blocks as f64).to_bits()
     }
 
     /// Materialises the entropy side rows from the packed entries. Every
@@ -210,26 +249,6 @@ impl EdgeAdjacency {
         }
     }
 
-    /// Every row entry, mirrors included, as `(row, neighbour, weight,
-    /// accumulator)` in row order.
-    #[cfg(test)]
-    pub(crate) fn entries(&self) -> Vec<(u32, u32, f64, EdgeAccum)> {
-        let mut out = Vec::new();
-        for (u, row) in (0u32..).zip(&self.rows) {
-            for (i, e) in row.iter().enumerate() {
-                out.push((u, e.v, e.w, self.acc_at(u as usize, i)));
-            }
-        }
-        out
-    }
-
-    /// The accumulator of entry `i` on row `u`.
-    #[cfg(test)]
-    fn acc_at(&self, u: usize, i: usize) -> EdgeAccum {
-        let (row, ent) = self.row(u as u32);
-        Self::accum(&row[i], ent, i)
-    }
-
     /// Number of live edges in the cache (each mirrored entry pair counts
     /// once) — the `--stats` footprint counter. O(rows).
     pub fn live_edges(&self) -> usize {
@@ -259,32 +278,9 @@ impl EdgeAdjacency {
         entries + ent + headers
     }
 
-    /// The live edges with at least one endpoint in the mask, canonical
-    /// `(min, max, old weight)`, each exactly once, sorted — the old-side
-    /// counterpart of the accumulate pass (`touching_pass`), read in the same
-    /// [`ordered_emission`] (`dirty` ascends and so does every row), so
-    /// only the edges read from their larger endpoint are sorted.
-    pub fn collect_touching(&self, dirty: &[u32], mask: &EpochMask) -> Vec<(u32, u32, f64)> {
-        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]));
-        let mut from_smaller = Vec::new();
-        let mut from_larger = Vec::new();
-        for &u in dirty {
-            for e in self.row(u).0 {
-                if u < e.v {
-                    from_smaller.push((u, e.v, e.w));
-                } else if !mask.contains(e.v) {
-                    // A dirty smaller endpoint emits the edge itself.
-                    from_larger.push((e.v, u, e.w));
-                }
-            }
-        }
-        ordered_emission(from_smaller, from_larger, |&(a, b, _)| (a, b))
-    }
-
     /// Visits every live edge once, canonical `(u, v, weight)`, ascending
-    /// `(u, v)`. O(|E|): what the edge-centric rules restate their
-    /// frontier from, decide the clean edges over, and read the retained
-    /// prefix off.
+    /// `(u, v)`. O(|E|): what the edge-centric rules decide the clean
+    /// edges over and read the retained prefix off.
     pub fn for_each_edge(&self, mut f: impl FnMut(u32, u32, f64)) {
         for (u, row) in (0u32..).zip(&self.rows) {
             for e in row {
@@ -309,102 +305,147 @@ impl EdgeAdjacency {
         row.binary_search_by_key(&b, |e| e.v).ok().map(|i| row[i].w)
     }
 
-    /// Drops every edge, keeping row allocations (the degraded-full
-    /// rebuild path; O(rows), allowed there and only there).
-    pub fn clear(&mut self) {
-        for row in &mut self.rows {
-            row.clear();
-        }
-        if let Some(ent) = &mut self.ent {
-            for row in ent {
+    /// What [`EdgeAdjacency::splice`] would report for node `d`'s emitted
+    /// row `new`, without patching anything: `f(u, v, old, new)` for each
+    /// edge `d` owns, old and new weight, `None` for a birth's old side or
+    /// a death's new one. Every edge with a marked endpoint is reported
+    /// once over the marked nodes' rows, whatever their order, as long as
+    /// no row has been spliced yet: what a degree-reading weigher diffs
+    /// edge existence with before the rows are weighed.
+    pub fn diff_row(
+        &self,
+        d: u32,
+        mask: &EpochMask,
+        new: &[RowEdge],
+        mut f: impl FnMut(u32, u32, Option<f64>, Option<f64>),
+    ) {
+        let old = self.row(d).0;
+        walk_row(d, mask, old, new, |step| match step {
+            RowStep::Kept(_) => {}
+            RowStep::Died(i) => f(d.min(old[i].v), d.max(old[i].v), Some(old[i].w), None),
+            RowStep::Emitted(prev, e) => f(e.0, e.1, prev.map(|i| old[i].w), Some(e.2)),
+        });
+    }
+
+    /// Splices the rows of the marked nodes: `rows` yields each marked
+    /// node `d` with its emitted row (the edges it owns that now exist,
+    /// ascending by neighbour — a
+    /// [`blast_graph::pruning::common::TouchingPass`] row under `mask`),
+    /// with `d` ascending. Node by node, the splice
+    ///
+    /// * rebuilds `d`'s row by merging its emitted entries with its entries
+    ///   to marked smaller neighbours — those neighbours own the edges and
+    ///   were spliced first, so those entries are already current;
+    /// * reads the old entries of the edges `d` owns during that merge and
+    ///   reports each owned edge as `f(u, v, old, new)`, canonical `u < v`,
+    ///   the old and new weight, `None` for a birth's old side or a death's
+    ///   new one;
+    /// * writes each owned edge's mirror into the neighbour's row: one
+    ///   binary search there (a push past the row's last entry), then the
+    ///   entry is overwritten in place, or inserted or removed for a birth
+    ///   or a death.
+    ///
+    /// An accumulator is stored whenever an entry is, even where the weight
+    /// bits tie: a later reweigh must read current local factors.
+    pub fn splice<'r>(
+        &mut self,
+        mask: &EpochMask,
+        rows: impl IntoIterator<Item = (u32, &'r [RowEdge])>,
+        mut f: impl FnMut(u32, u32, Option<f64>, Option<f64>),
+    ) {
+        let mut new_row: Vec<CachedEdge> = Vec::new();
+        let mut new_ent: Vec<f64> = Vec::new();
+        for (d, emitted) in rows {
+            let di = d as usize;
+            // The old row leaves the table while the mirrors are written:
+            // no mirror lands on the row being spliced.
+            let mut old = std::mem::take(&mut self.rows[di]);
+            let mut old_ent = self.ent.as_mut().map(|ent| std::mem::take(&mut ent[di]));
+            new_row.clear();
+            new_ent.clear();
+            walk_row(d, mask, &old, emitted, |step| match step {
+                RowStep::Kept(i) => {
+                    new_row.push(old[i]);
+                    new_ent.push(
+                        old_ent
+                            .as_ref()
+                            .map_or_else(|| Self::derived_entropy(&old[i]), |ent| ent[i]),
+                    );
+                }
+                RowStep::Emitted(prev, &(a, b, w, acc)) => {
+                    let v = if a == d { b } else { a };
+                    f(a, b, prev.map(|i| old[i].w), Some(w));
+                    let entry = CachedEdge {
+                        w,
+                        arcs: acc.arcs,
+                        v,
+                        common_blocks: acc.common_blocks,
+                    };
+                    new_row.push(entry);
+                    new_ent.push(acc.entropy_sum);
+                    self.write_mirror(v, CachedEdge { v: d, ..entry }, acc.entropy_sum);
+                }
+                RowStep::Died(i) => {
+                    let v = old[i].v;
+                    f(d.min(v), d.max(v), Some(old[i].w), None);
+                    self.remove_mirror(v, d);
+                }
+            });
+            old.clear();
+            old.extend_from_slice(&new_row);
+            self.rows[di] = old;
+            // A mirror write may have promoted the side rows mid-splice;
+            // `new_ent` holds every entry's tally either way.
+            if let Some(ent) = &mut self.ent {
+                let mut row = old_ent.take().unwrap_or_default();
                 row.clear();
+                row.extend_from_slice(&new_ent);
+                ent[di] = row;
             }
         }
     }
 
-    /// Bulk-loads a full canonical fresh-edge list into cleared rows (the
-    /// degraded-full rebuild path). Scanning `fresh` in `(u, v)` order
-    /// pushes each row's partners ascending (all `y < u` arrive before all
-    /// `x > u`), so rows come out sorted without a sort.
-    pub fn load(&mut self, fresh: &[FreshEdge]) {
-        if self.ent.is_none() && fresh.iter().any(|e| Self::needs_entropy(&e.acc)) {
+    /// Writes the mirror `entry` (its neighbour `entry.v` is the node being
+    /// spliced) into row `x`: in place if the edge is cached, inserted
+    /// otherwise.
+    fn write_mirror(&mut self, x: u32, entry: CachedEdge, entropy: f64) {
+        if self.ent.is_none() && entropy.to_bits() != Self::derived_entropy(&entry).to_bits() {
             self.promote_entropy();
         }
-        for e in fresh {
-            let packed = CachedEdge {
-                w: e.w,
-                arcs: e.acc.arcs,
-                v: e.v,
-                common_blocks: e.acc.common_blocks,
-            };
-            self.rows[e.u as usize].push(CachedEdge { v: e.v, ..packed });
-            self.rows[e.v as usize].push(CachedEdge { v: e.u, ..packed });
-            if let Some(ent) = &mut self.ent {
-                ent[e.u as usize].push(e.acc.entropy_sum);
-                ent[e.v as usize].push(e.acc.entropy_sum);
+        let row = &mut self.rows[x as usize];
+        let ent = self.ent.as_mut().map(|ent| &mut ent[x as usize]);
+        // Past the row's last entry — every mirror of a full-tier splice
+        // into a row that holds nothing beyond the spliced node — is a
+        // push.
+        let at = match row.last() {
+            Some(last) if last.v >= entry.v => row.binary_search_by_key(&entry.v, |e| e.v),
+            _ => Err(row.len()),
+        };
+        match at {
+            Ok(i) => {
+                row[i] = entry;
+                if let Some(ent) = ent {
+                    ent[i] = entropy;
+                }
             }
-        }
-        debug_assert!(self
-            .rows
-            .iter()
-            .all(|row| row.windows(2).all(|w| w[0].v < w[1].v)));
-    }
-
-    /// Adds one edge (both mirror rows, binary-search insertion).
-    pub fn insert_edge(&mut self, a: u32, b: u32, w: f64, acc: EdgeAccum) {
-        if self.ent.is_none() && Self::needs_entropy(&acc) {
-            self.promote_entropy();
-        }
-        for (x, y) in [(a, b), (b, a)] {
-            let row = &mut self.rows[x as usize];
-            let i = row
-                .binary_search_by_key(&y, |e| e.v)
-                .expect_err("inserting a duplicate edge");
-            row.insert(
-                i,
-                CachedEdge {
-                    w,
-                    arcs: acc.arcs,
-                    v: y,
-                    common_blocks: acc.common_blocks,
-                },
-            );
-            if let Some(ent) = &mut self.ent {
-                ent[x as usize].insert(i, acc.entropy_sum);
+            Err(i) => {
+                row.insert(i, entry);
+                if let Some(ent) = ent {
+                    ent.insert(i, entropy);
+                }
             }
         }
     }
 
-    /// Removes one edge (both mirror rows).
-    pub fn remove_edge(&mut self, a: u32, b: u32) {
-        for (x, y) in [(a, b), (b, a)] {
-            let row = &mut self.rows[x as usize];
-            let i = row
-                .binary_search_by_key(&y, |e| e.v)
-                .expect("removing an absent edge");
+    /// Removes the entry for neighbour `y` from row `x`.
+    fn remove_mirror(&mut self, x: u32, y: u32) {
+        let row = &mut self.rows[x as usize];
+        let found = row.binary_search_by_key(&y, |e| e.v);
+        debug_assert!(found.is_ok(), "rows must mirror: ({x}, {y})");
+        if let Ok(i) = found {
             row.remove(i);
             if let Some(ent) = &mut self.ent {
                 ent[x as usize].remove(i);
-            }
-        }
-    }
-
-    /// Re-weights one edge in place (fresh accumulator included) — no row
-    /// shifting.
-    pub fn set_edge(&mut self, a: u32, b: u32, w: f64, acc: EdgeAccum) {
-        if self.ent.is_none() && Self::needs_entropy(&acc) {
-            self.promote_entropy();
-        }
-        for (x, y) in [(a, b), (b, a)] {
-            let row = &mut self.rows[x as usize];
-            let i = row
-                .binary_search_by_key(&y, |e| e.v)
-                .expect("re-weighting an absent edge");
-            row[i].w = w;
-            row[i].arcs = acc.arcs;
-            row[i].common_blocks = acc.common_blocks;
-            if let Some(ent) = &mut self.ent {
-                ent[x as usize][i] = acc.entropy_sum;
             }
         }
     }
@@ -437,7 +478,7 @@ impl EdgeAdjacency {
     /// The **reweigh tier's** sweep: re-derives the weight of every edge
     /// with *no* marked endpoint from its cached accumulator and the
     /// current snapshot statistics (the marked edges' fresh weights arrive
-    /// through the dirty merge instead). No block is traversed;
+    /// through [`EdgeAdjacency::splice`] instead). No block is traversed;
     /// bit-identity to a batch re-weighting follows from the
     /// factored-weight contract.
     ///
@@ -537,8 +578,9 @@ impl EdgeAdjacency {
     /// Visits every edge a [`EdgeAdjacency::reweigh_clean`] run with
     /// `keep_old` restated, as canonical `(u, v, old w, new w)` ascending —
     /// the old weight read off the sweep's per-chunk output, the new one
-    /// off the rows. `mask` must mark what it marked then, and the rows
-    /// must not have moved since.
+    /// off the rows. `mask` must mark what it marked then, and no entry
+    /// between two unmarked nodes may have moved since (a splice under the
+    /// same mask moves none).
     pub fn for_each_swept(
         &self,
         sweep: &Sweep,
@@ -623,8 +665,28 @@ fn sweep_rows<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl EdgeAdjacency {
+        /// Every row entry, mirrors included, as `(row, neighbour, weight,
+        /// accumulator)` in row order.
+        pub(crate) fn entries(&self) -> Vec<(u32, u32, f64, EdgeAccum)> {
+            let mut out = Vec::new();
+            for (u, row) in (0u32..).zip(&self.rows) {
+                for (i, e) in row.iter().enumerate() {
+                    out.push((u, e.v, e.w, self.acc_at(u as usize, i)));
+                }
+            }
+            out
+        }
+
+        /// The accumulator of entry `i` on row `u`.
+        fn acc_at(&self, u: usize, i: usize) -> EdgeAccum {
+            let (row, ent) = self.row(u as u32);
+            Self::accum(&row[i], ent, i)
+        }
+    }
 
     fn mask_of(n: usize, marked: &[u32]) -> EpochMask {
         let mut m = EpochMask::new();
@@ -642,44 +704,130 @@ mod tests {
         out
     }
 
-    fn edges(list: &[(u32, u32, f64)]) -> Vec<FreshEdge> {
+    /// `(u, v, w)` edges with an empty accumulator.
+    fn edges(list: &[(u32, u32, f64)]) -> Vec<RowEdge> {
         list.iter()
-            .map(|&(u, v, w)| FreshEdge {
-                u,
-                v,
-                w,
-                acc: EdgeAccum::default(),
+            .map(|&(u, v, w)| (u, v, w, EdgeAccum::default()))
+            .collect()
+    }
+
+    /// The emitted rows of `nodes` (ascending) under `mask`, cut out of
+    /// the canonical `edges` by the splice's ownership rule: a node owns
+    /// its edges to larger neighbours and to unmarked smaller ones.
+    pub(crate) fn rows_of(
+        nodes: &[u32],
+        mask: &EpochMask,
+        edges: &[RowEdge],
+    ) -> Vec<(u32, Vec<RowEdge>)> {
+        nodes
+            .iter()
+            .map(|&d| {
+                let mut row: Vec<RowEdge> = edges
+                    .iter()
+                    .filter(|e| e.0 == d || (e.1 == d && !mask.contains(e.0)))
+                    .copied()
+                    .collect();
+                row.sort_by_key(|e| if e.0 == d { e.1 } else { e.0 });
+                (d, row)
             })
             .collect()
     }
 
+    /// Splices `rows` under `mask`, returning the reported events with the
+    /// weights as bits.
+    fn splice(
+        adj: &mut EdgeAdjacency,
+        mask: &EpochMask,
+        rows: &[(u32, Vec<RowEdge>)],
+    ) -> Vec<(u32, u32, Option<f64>, Option<f64>)> {
+        let mut events = Vec::new();
+        adj.splice(
+            mask,
+            rows.iter().map(|(d, row)| (*d, row.as_slice())),
+            |u, v, ow, nw| events.push((u, v, ow, nw)),
+        );
+        events
+    }
+
+    /// An adjacency over `n` nodes holding `edges`, spliced in as the full
+    /// tier does: every node marked, every row spliced.
+    pub(crate) fn loaded(n: usize, edges: &[RowEdge]) -> EdgeAdjacency {
+        let mut adj = EdgeAdjacency::new();
+        adj.ensure_nodes(n);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let mut full = mask_of(n, &[]);
+        full.mark_all();
+        let events = splice(&mut adj, &full, &rows_of(&all, &full, edges));
+        assert!(events.iter().all(|e| e.2.is_none()), "births only");
+        assert_eq!(events.len(), edges.len());
+        adj
+    }
+
+    /// A splice of two dirty rows, 1 and 2: on row 1 a clean smaller
+    /// neighbour's edge `(0, 1)` and the dirty–dirty edge `(1, 2)` reweigh
+    /// (row 1 owns both); on row 2 the dirty–dirty entry stands as row 1
+    /// wrote it, `(2, 3)` vanishes and `(2, 4)` appears. The clean rows 0,
+    /// 3 and 4 take the mirrors, and the clean–clean `(0, 3)` is untouched.
     #[test]
     fn adjacency_patches_dirty_region() {
-        let mut adj = EdgeAdjacency::new();
-        adj.ensure_nodes(5);
-        let full = mask_of(5, &[0, 1, 2, 3, 4]);
-        adj.load(&edges(&[
-            (0, 1, 1.0),
-            (0, 3, 2.0),
-            (1, 2, 3.0),
-            (2, 3, 4.0),
-        ]));
-
-        // Node 2 dirty: (2,3) vanishes, (1,2) reweighted, (2,4) appears.
-        let mask = mask_of(5, &[2]);
-        let old = adj.collect_touching(&[2], &mask);
-        assert_eq!(old, vec![(1, 2, 3.0), (2, 3, 4.0)]);
-        adj.remove_edge(2, 3);
-        adj.set_edge(1, 2, 30.0, EdgeAccum::default());
-        adj.insert_edge(2, 4, 50.0, EdgeAccum::default());
-        let now = adj.collect_touching(&[0, 1, 2, 3, 4], &full);
-        assert_eq!(
-            now,
-            vec![(0, 1, 1.0), (0, 3, 2.0), (1, 2, 30.0), (2, 4, 50.0)]
+        let mut adj = loaded(
+            5,
+            &edges(&[(0, 1, 1.0), (0, 3, 2.0), (1, 2, 3.0), (2, 3, 4.0)]),
         );
-        assert_eq!(all_edges(&adj), now, "every edge ≡ full-mask collect");
-        adj.clear();
-        assert!(adj.collect_touching(&[0, 1, 2, 3, 4], &full).is_empty());
+        let mask = mask_of(5, &[1, 2]);
+        let now = edges(&[(0, 1, 10.0), (0, 3, 2.0), (1, 2, 30.0), (2, 4, 50.0)]);
+        let rows = rows_of(&[1, 2], &mask, &now);
+        assert_eq!(
+            rows.iter()
+                .map(|(d, row)| (*d, row.iter().map(|e| (e.0, e.1)).collect()))
+                .collect::<Vec<(u32, Vec<(u32, u32)>)>>(),
+            vec![(1, vec![(0, 1), (1, 2)]), (2, vec![(2, 4)])],
+            "the dirty–dirty edge is emitted by its smaller endpoint"
+        );
+        let want = vec![
+            (0, 1, Some(1.0), Some(10.0)),
+            (1, 2, Some(3.0), Some(30.0)),
+            (2, 3, Some(4.0), None),
+            (2, 4, None, Some(50.0)),
+        ];
+        // The read-only diff reports the same events, rows untouched.
+        let mut diffed = Vec::new();
+        for (d, row) in &rows {
+            adj.diff_row(*d, &mask, row, |u, v, ow, nw| diffed.push((u, v, ow, nw)));
+        }
+        assert_eq!(diffed, want);
+        assert_eq!(
+            all_edges(&adj),
+            vec![(0, 1, 1.0), (0, 3, 2.0), (1, 2, 3.0), (2, 3, 4.0)]
+        );
+
+        assert_eq!(splice(&mut adj, &mask, &rows), want);
+        assert_eq!(
+            all_edges(&adj),
+            vec![(0, 1, 10.0), (0, 3, 2.0), (1, 2, 30.0), (2, 4, 50.0)]
+        );
+        let entries: Vec<(u32, u32, f64)> = adj.entries().iter().map(|e| (e.0, e.1, e.2)).collect();
+        assert_eq!(
+            entries,
+            vec![
+                (0, 1, 10.0),
+                (0, 3, 2.0),
+                (1, 0, 10.0),
+                (1, 2, 30.0),
+                (2, 1, 30.0),
+                (2, 4, 50.0),
+                (3, 0, 2.0),
+                (4, 2, 50.0),
+            ],
+            "every mirror written, the dead one removed"
+        );
+        assert_eq!(adj.live_edges(), 4);
+
+        // Splicing the same rows again reweighs in place and reports no
+        // birth or death.
+        let again = splice(&mut adj, &mask, &rows);
+        assert!(again.iter().all(|e| e.2.is_some() && e.3.is_some()));
+        assert_eq!(adj.entries().len(), entries.len());
     }
 
     /// A snapshot over `profiles` nodes whose |B| is `blocks` — the one
@@ -739,28 +887,13 @@ mod tests {
             }
         }
 
-        let mut adj = EdgeAdjacency::new();
-        adj.ensure_nodes(4);
         let acc = EdgeAccum {
             common_blocks: 3,
             ..EdgeAccum::default()
         };
-        adj.load(&[
-            FreshEdge {
-                u: 0,
-                v: 1,
-                w: 3.0,
-                acc,
-            },
-            FreshEdge {
-                u: 2,
-                v: 3,
-                w: 3.0,
-                acc,
-            },
-        ]);
+        let mut adj = loaded(4, &[(0, 1, 3.0, acc), (2, 3, 3.0, acc)]);
         // |B| drifts 1 → 2: the clean edge re-derives to 6; the masked
-        // edge (2,3) is left for the dirty merge.
+        // edge (2,3) is left for the splice.
         let mask = mask_of(4, &[2]);
         let sweep = adj.reweigh_clean(&snap(2, 4), &TimesTotalBlocks, &mask, 1, true);
         assert_eq!((sweep.swept, sweep.rekeyed), (1, 1));
@@ -807,20 +940,16 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 let v = u + 1 + (x >> 33) as u32 % (step * 7 + 1);
                 if v < n {
-                    edges.push(FreshEdge {
-                        u,
-                        v,
-                        w: 1.0,
-                        acc: EdgeAccum {
-                            common_blocks: 1 + (x % 5) as u32,
-                            ..EdgeAccum::default()
-                        },
-                    });
+                    let acc = EdgeAccum {
+                        common_blocks: 1 + (x % 5) as u32,
+                        ..EdgeAccum::default()
+                    };
+                    edges.push((u, v, 1.0, acc));
                 }
             }
         }
-        edges.sort_unstable_by_key(|e| (e.u, e.v));
-        edges.dedup_by_key(|e| (e.u, e.v));
+        edges.sort_unstable_by_key(|e| (e.0, e.1));
+        edges.dedup_by_key(|e| (e.0, e.1));
         let mask = mask_of(n as usize, &[7, 20, 33, 64, 100]);
         // Twelve blocks of varied sizes: every node is in at least one,
         // node 0 in all of them.
@@ -848,9 +977,7 @@ mod tests {
                 label != "custom",
                 "{label}: both sweep kinds run"
             );
-            let mut serial = EdgeAdjacency::new();
-            serial.ensure_nodes(n as usize);
-            serial.load(&edges);
+            let mut serial = loaded(n as usize, &edges);
             let expected = reference::reweigh_clean(&mut serial, &ctx, weigher, &mask);
             let expected_rows = all_entries(&serial);
             let moved = expected
@@ -860,9 +987,7 @@ mod tests {
             assert!(moved > 0, "{label}: the sweep moves weights");
 
             for threads in [1usize, 2, 8] {
-                let mut adj = EdgeAdjacency::new();
-                adj.ensure_nodes(n as usize);
-                adj.load(&edges);
+                let mut adj = loaded(n as usize, &edges);
                 let sweep = adj.reweigh_clean(&ctx, weigher, &mask, threads, true);
                 let swept = swept_of(&adj, &sweep, &mask);
                 let bits = |l: &[(u32, u32, f64, f64)]| -> Vec<(u32, u32, u64, u64)> {
@@ -924,49 +1049,80 @@ mod tests {
     }
 
     /// The packed layout is 24 bytes and the entropy side rows appear
-    /// only when an accumulator actually carries a non-derived tally —
-    /// and the promotion is lossless: accumulators cached before the
-    /// promotion read back bit-identical afterwards.
+    /// only when a spliced accumulator actually carries a non-derived
+    /// tally — and the promotion is lossless: accumulators cached before
+    /// the promotion read back bit-identical afterwards, including those of
+    /// the row whose splice is under way when a mirror write promotes.
     #[test]
     fn packed_entries_promote_entropy_losslessly() {
         assert_eq!(std::mem::size_of::<CachedEdge>(), 24);
-        let mut adj = EdgeAdjacency::new();
-        adj.ensure_nodes(4);
         // Derived tally: entropy_sum ≡ common_blocks as f64 → no side rows.
         let plain = EdgeAccum {
             common_blocks: 3,
             arcs: 0.75,
             entropy_sum: 3.0,
         };
-        adj.insert_edge(0, 1, 1.5, plain);
+        let other = EdgeAccum {
+            common_blocks: 1,
+            arcs: 0.5,
+            entropy_sum: 1.0,
+        };
+        let mut adj = loaded(4, &[(0, 1, 1.5, plain)]);
         assert!(adj.ent.is_none(), "derived tallies stay packed");
         assert_eq!(adj.acc_at(0, 0), plain, "reconstructed bit-identical");
         assert_eq!(adj.live_edges(), 1);
         assert_eq!(adj.cached_accumulators(), 2);
         assert!(adj.resident_bytes() > 0);
 
-        // A real entropy tally promotes — and the pre-promotion entry
-        // still reads back exactly as inserted.
+        // Rows 0 and 2 spliced: row 0 adds the derived `(0, 2)`; then row
+        // 2 keeps that entry and adds the entropic `(2, 3)`, whose mirror
+        // write promotes while row 2 is out of the table.
         let entropic = EdgeAccum {
             common_blocks: 2,
             arcs: 0.5,
             entropy_sum: 1.375,
         };
-        adj.insert_edge(2, 3, 2.0, entropic);
+        let mask = mask_of(4, &[0, 2]);
+        let now = [
+            (0, 1, 1.5, plain),
+            (0, 2, 2.5, other),
+            (2, 3, 2.0, entropic),
+        ];
+        splice(&mut adj, &mask, &rows_of(&[0, 2], &mask, &now));
         assert!(adj.ent.is_some(), "non-derived tally promotes");
-        assert_eq!(adj.acc_at(0, 0), plain);
-        assert_eq!(adj.acc_at(2, 0), entropic);
-        // In-place re-weight with a fresh tally round-trips too.
+        let accs = |adj: &EdgeAdjacency| -> Vec<(u32, u32, EdgeAccum)> {
+            adj.entries().iter().map(|e| (e.0, e.1, e.3)).collect()
+        };
+        assert_eq!(
+            accs(&adj),
+            vec![
+                (0, 1, plain),
+                (0, 2, other),
+                (1, 0, plain),
+                (2, 0, other),
+                (2, 3, entropic),
+                (3, 2, entropic),
+            ]
+        );
+
+        // Row 3 reweighs `(2, 3)` in place with a fresh tally (row 3 owns
+        // it: 2 is unmarked) and row 1 loses `(0, 1)`.
         let moved = EdgeAccum {
             common_blocks: 4,
             arcs: 1.25,
             entropy_sum: 2.5,
         };
-        adj.set_edge(0, 1, 9.0, moved);
-        assert_eq!(adj.acc_at(1, 0), moved);
-        adj.remove_edge(2, 3);
-        assert_eq!(adj.live_edges(), 1);
-        adj.clear();
-        assert_eq!(adj.cached_accumulators(), 0);
+        let mask = mask_of(4, &[1, 3]);
+        let now = [(0, 2, 2.5, other), (2, 3, 9.0, moved)];
+        let events = splice(&mut adj, &mask, &rows_of(&[1, 3], &mask, &now));
+        assert_eq!(
+            events,
+            vec![(0, 1, Some(1.5), None), (2, 3, Some(2.0), Some(9.0))]
+        );
+        assert_eq!(
+            accs(&adj),
+            vec![(0, 2, other), (2, 0, other), (2, 3, moved), (3, 2, moved)]
+        );
+        assert_eq!(adj.live_edges(), 2);
     }
 }

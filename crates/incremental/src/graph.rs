@@ -27,8 +27,9 @@
 //!    computed once where the weigher factors per endpoint (ECBS, EJS) —
 //!    and the decision stage decides every swept edge explicitly. EJS never
 //!    forces a full pass: node degrees are a delta-maintained field of
-//!    [`GraphSnapshot`], patched from this module's edge-existence diffs
-//!    (exact integer removal) before any weight is computed. Neither does
+//!    [`GraphSnapshot`], patched from the births and deaths of the dirty
+//!    rows ([`EdgeAdjacency::diff_row`]; exact integer removal) before any
+//!    of their weights is computed. Neither does
 //!    CNP: a budget move re-derives every top-k list from the cached
 //!    adjacency rows and judges the changed pairs through the ordinary
 //!    list-diff machinery — no block traversal.
@@ -36,7 +37,7 @@
 //!    (nothing cached yet) or an explicit
 //!    [`IncrementalMetaBlocker::force_full_next`].
 //!    Runs the **identical flip-emitting code path** with every node
-//!    marked.
+//!    marked: every row is spliced.
 //!
 //! ## The accumulate stage: one traversal, row by row
 //!
@@ -60,16 +61,16 @@
 //! which differ in the last bit for about a fifth of ECBS edges — and
 //! bit-identity with batch is the invariant. Variants with no edge cache
 //! (WNP/BLAST under a weigher whose globals cannot drift) carry `(u, v, w)`
-//! only, and the decision stage reads the rows where they lie: nothing is
-//! concatenated or sorted. Variants with an edge cache to patch carry the
-//! accumulator too, and read the rows out as one canonical list
-//! ([`TouchingPass::into_canonical`]): the entries a node emits to larger
-//! neighbours form a sorted run as they come (nodes ascend, rows ascend);
-//! only the remainder — edges whose smaller endpoint is clean — is sorted,
-//! and the two runs are merged. The old side of the adjacency patch is
-//! read off the cache rows in the same two-run order
-//! ([`EdgeAdjacency::collect_touching`]), so no list of all dirty-incident
-//! edges is ever sorted.
+//! only, and the decision stage reads the rows where they lie. Variants
+//! with an edge cache carry the accumulator too, and the cache takes each
+//! row as a **row splice** ([`EdgeAdjacency::splice`]), dirty nodes
+//! ascending: the node's cache row is rebuilt by merging its emitted
+//! entries with its entries to marked smaller neighbours (whose splices ran
+//! first and wrote them), the old entries of the edges it owns are read
+//! during that merge, and each owned edge's mirror is written into the
+//! neighbour's row. The splice reports every owned edge's old and new
+//! weight, `None` for a birth or a death. No list of all dirty-incident
+//! edges, old or fresh, is ever built or sorted.
 //!
 //! Three cases take their artefacts from the **cache rows** instead
 //! ([`EdgeAdjacency::for_each_node_weight`], once the rows are patched): a
@@ -88,18 +89,18 @@
 //! It runs on the structures of [`crate::decision`]:
 //!
 //! * **WEP / CEP** — the state between commits is the retention
-//!   [`Frontier`] alone. Each commit patches the adjacency rows, then
-//!   restates the new frontier from them: the mean via
-//!   [`Wep::mean_from_sum`] over Σw accumulated exactly, or the rank-K key
-//!   by `select_nth_unstable` over the live keys — both aggregates of the
-//!   weight multiset, O(|E|). Every edge that can flip is then decided
-//!   explicitly, old key against the old frontier and new key against the
-//!   new one: the dirty-incident edges from the old/fresh lists, and the
-//!   clean edges from the rows — with their old weights from the reweigh
-//!   sweep's per-chunk output ([`EdgeAdjacency::for_each_swept`]), or, on
-//!   the dirty tier, where a clean weight never moves and only a frontier
-//!   move can flip one, as they stand. A `retained()` read filters the rows
-//!   by the frontier.
+//!   [`Frontier`] alone. Each commit restates the new frontier just before
+//!   the cache patch, from the clean edges' rows and the pass's emitted
+//!   rows: the mean via [`Wep::mean_from_sum`] over Σw accumulated exactly,
+//!   or the rank-K key by `select_nth_unstable` over the live keys — both
+//!   aggregates of the weight multiset, O(|E|). Every edge that can flip
+//!   is then decided explicitly, old key against the old frontier and new
+//!   key against the new one: the dirty-incident edges as the splice
+//!   reports them, and the clean edges from the rows — with their old
+//!   weights from the reweigh sweep's per-chunk output
+//!   ([`EdgeAdjacency::for_each_swept`]), or, on the dirty tier, where a
+//!   clean weight never moves and only a frontier move can flip one, as
+//!   they stand. A `retained()` read filters the rows by the frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
 //!   set from the artefacts above. The survivors live in a
 //!   [`blast_graph::retained::RetainedIndex`], and the decision is
@@ -171,16 +172,14 @@
 //! stale the expansion is skipped: WEP/CEP keep none, and a commit known to
 //! reweigh before accumulating re-derives them all from the cache.
 
-use crate::decision::{retained_under, EdgeAdjacency, EdgeKey, FreshEdge, Frontier, Sweep};
+use crate::decision::{retained_under, EdgeAdjacency, EdgeKey, Frontier, RowEdge, Sweep};
 use blast_core::pruning::BlastPruning;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::{chunk_len, parallel_work_steal};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::meta::PruningAlgorithm;
-use blast_graph::pruning::common::{
-    collect_accums_touching, touching_pass, EpochMask, TouchingPass,
-};
+use blast_graph::pruning::common::{touching_pass, EpochMask, TouchingPass};
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
@@ -273,8 +272,9 @@ impl PairDelta {
 }
 
 /// What [`IncrementalMetaBlocker::refresh`] hands its decision pass: the
-/// commit's graph context, the edge lists the accumulate stage produced,
-/// the reweigh sweep and the recompute set's artefacts.
+/// commit's graph context, what the cache patch decided, the accumulate
+/// pass's rows where no cache holds them, the reweigh sweep and the
+/// recompute set's artefacts.
 struct RepairCtx<'a> {
     ctx: &'a GraphSnapshot,
     /// The node set whose artefacts are recomputed (on tier 1 the dirty
@@ -282,12 +282,12 @@ struct RepairCtx<'a> {
     /// reaches; every node on tiers 2–3), ascending — empty for WEP/CEP,
     /// which keep none.
     recompute: &'a [u32],
-    /// The old dirty-incident edges at their old weights, ascending
-    /// `(u, v)`: the old side of WEP/CEP's flip diff.
-    old: &'a [(u32, u32, f64)],
-    /// The fresh dirty-incident edges (weight + accumulator), ascending —
-    /// empty for a variant with no edge cache.
-    fresh: &'a [FreshEdge],
+    /// WEP/CEP: the frontier before this commit (the state holds the new
+    /// one).
+    old_frontier: Frontier,
+    /// WEP/CEP: the dirty-incident edges' flips, decided as the splice
+    /// reported them (unsorted).
+    flips: Flips,
     /// The reweigh tier's sweep of the clean edges, with their old weights
     /// for WEP/CEP.
     sweep: Option<Sweep>,
@@ -300,13 +300,27 @@ struct RepairCtx<'a> {
     artefacts: Vec<Artefact>,
 }
 
-/// A decision pass's sorted flips: added pairs with the weight their
-/// decision read, and retracted pairs.
+/// A decision pass's flips: added pairs with the weight their decision
+/// read, and retracted pairs.
 type Flips = (Vec<(u32, u32, f64)>, Vec<(u32, u32)>);
 
 /// The accumulate pass of a variant with no edge cache: each dirty node's
 /// emitted row of canonical `(u, v, w)`.
 type PassRows<'a> = TouchingPass<'a, (u32, u32, f64), Artefact>;
+
+/// The accumulate pass of a variant with an edge cache: each dirty node's
+/// emitted row as [`EdgeAdjacency::splice`] takes it.
+type CachePass<'a> = TouchingPass<'a, RowEdge, Artefact>;
+
+/// The weigher of a pass that must not weigh yet (EJS's, before its
+/// degrees are patched): every weight reads 0.0 until the rows are weighed.
+struct Unweighed;
+
+impl EdgeWeigher for Unweighed {
+    fn weight(&self, _: &GraphSnapshot, _: u32, _: u32, _: &EdgeAccum) -> f64 {
+        0.0
+    }
+}
 
 /// What the cleaning stage reports into the repair.
 #[derive(Debug, Default)]
@@ -638,35 +652,18 @@ impl IncrementalMetaBlocker {
             d
         };
 
-        // The old dirty-incident edges (old weights), read off the cached
-        // adjacency rows: the old side of WEP/CEP's flip diff, the
-        // adjacency patch's input, and the degree maintainer's
-        // edge-existence baseline. Collected before any cache mutation.
-        if cache_edges && self.adj.is_none() {
-            // First pass of a cached non-edge variant: create the cache;
-            // the structural tier below bulk-loads it.
-            debug_assert!(structural, "the edge cache starts on the structural pass");
-            self.adj = Some(EdgeAdjacency::new());
+        if cache_edges {
+            // The first pass of a cached variant creates the cache; the
+            // structural tier below splices every row into it.
+            let adj = self.adj.get_or_insert_with(|| {
+                debug_assert!(structural, "the edge cache starts on the structural pass");
+                EdgeAdjacency::new()
+            });
+            adj.ensure_nodes(n);
         }
-        let old: Vec<(u32, u32, f64)> = match &mut self.adj {
-            // On a structural pass the cache is bulk-reloaded and the
-            // non-edge variants' flip diffs read the retained state, so
-            // the old side is only worth materialising when something
-            // consumes it: the edge variants' flips, the degree
-            // maintainer, or the non-full adjacency patch.
-            Some(adj) if edge_variant || needs_degrees || !structural => {
-                adj.ensure_nodes(n);
-                adj.collect_touching(&dirty, &self.mask)
-            }
-            Some(adj) => {
-                adj.ensure_nodes(n);
-                Vec::new()
-            }
-            None => Vec::new(),
-        };
 
         // ---- accumulate stage: ONE traversal of the dirty neighbourhood
-        // yields the fresh edges and the dirty nodes' own artefacts ----
+        // yields each dirty node's emitted row and its own artefact ----
         let loads_before = ctx.scratch_loads();
         // The per-node artefacts come out of the pass itself, from the
         // node-orientation weights — unless degrees must be patched
@@ -679,53 +676,59 @@ impl IncrementalMetaBlocker {
         let in_pass =
             rule.filter(|_| !needs_degrees && (structural || (!drifted_early && !narrow)));
         let artefact = in_pass.map(|rule| move |_: u32, adj: &[(u32, f64)]| rule.of(adj));
-        let mut artefacts: Option<Vec<Artefact>> = None;
-        // The accumulator a cache keeps (see `CachedEdge`).
-        let cached = |acc: &EdgeAccum| EdgeAccum {
-            arcs: if deps.block_sizes { acc.arcs } else { 0.0 },
-            ..*acc
-        };
-        // Fresh edges of the variants that keep an edge cache to patch
-        // (weight + accumulator), as one canonical list; the variants with
-        // no cache (WNP/BLAST) decide off the pass's rows where they lie.
-        let mut fresh: Vec<FreshEdge> = Vec::new();
+        let artefacts: Option<Vec<Artefact>>;
+        // The variants that keep an edge cache carry the accumulator the
+        // cache keeps (see `CachedEdge`) into the rows they splice; the
+        // variants with no cache (WNP/BLAST) decide off the pass's rows
+        // where they lie.
+        let mut spliced: Option<CachePass> = None;
         let mut rows: Option<PassRows> = None;
         let mut degree_secs = 0.0;
         let mut degrees_moved = false;
-        if needs_degrees {
-            // Degree maintenance (EJS): the edge-existence diff patches
-            // the snapshot's delta-maintained degrees *before* any weight
-            // is computed, so EJS never needs a full degree pass again.
-            let accs = collect_accums_touching(ctx, &dirty, &self.mask);
-            let t_degrees = Instant::now();
-            if ctx.degrees_maintained() {
-                degrees_moved = patch_degrees(ctx, &old, &accs);
-            } else {
-                debug_assert!(
-                    structural,
-                    "degree maintenance starts on the structural pass"
-                );
-                ctx.begin_degree_maintenance();
-            }
-            degree_secs = t_degrees.elapsed().as_secs_f64();
-            fresh = weigh_accums(ctx, weigher, &accs, cached);
-        } else if cache_edges {
-            let (edges, pass_artefacts) = touching_pass(
+        if cache_edges {
+            // A degree-reading weigher (EJS) accumulates unweighed: its
+            // edge-existence diff patches the snapshot's delta-maintained
+            // degrees *before* any weight is computed, so EJS never needs
+            // a full degree pass again.
+            let pass_weigher: &dyn EdgeWeigher = if needs_degrees { &Unweighed } else { weigher };
+            let mut pass = touching_pass(
                 ctx,
-                weigher,
+                pass_weigher,
                 &dirty,
                 &self.mask,
-                |u, v, w, acc| FreshEdge {
-                    u,
-                    v,
-                    w,
-                    acc: cached(acc),
+                |u, v, w, acc| {
+                    let arcs = if deps.block_sizes { acc.arcs } else { 0.0 };
+                    (u, v, w, EdgeAccum { arcs, ..*acc })
                 },
                 artefact,
-            )
-            .into_canonical(fresh_pair);
-            fresh = edges;
-            artefacts = in_pass.map(|_| pass_artefacts);
+            );
+            if needs_degrees {
+                let t_degrees = Instant::now();
+                match &self.adj {
+                    Some(adj) if ctx.degrees_maintained() => {
+                        degrees_moved = patch_degrees(ctx, adj, &pass, &self.mask);
+                    }
+                    _ => {
+                        debug_assert!(
+                            structural,
+                            "degree maintenance starts on the structural pass"
+                        );
+                        ctx.begin_degree_maintenance();
+                    }
+                }
+                degree_secs = t_degrees.elapsed().as_secs_f64();
+                // EJS reads no block size, so the kept accumulator weighs
+                // as the accumulated one does.
+                let ctx = &*ctx;
+                pass.retain_rows(ctx.threads(), |_, row, _: &mut ()| {
+                    for e in row.iter_mut() {
+                        e.2 = weigher.weight(ctx, e.0, e.1, &e.3);
+                    }
+                    row.len()
+                });
+            }
+            artefacts = in_pass.map(|_| std::mem::take(&mut pass.artefacts));
+            spliced = Some(pass);
         } else {
             let mut pass = touching_pass(
                 ctx,
@@ -757,53 +760,69 @@ impl IncrementalMetaBlocker {
 
         let mut stats = RepairStats {
             dirty_nodes: dirty.len(),
-            edges_reweighed: rows.as_ref().map_or(fresh.len(), TouchingPass::emitted),
+            edges_reweighed: match (&spliced, &rows) {
+                (Some(pass), _) => pass.emitted(),
+                (_, Some(pass)) => pass.emitted(),
+                _ => 0,
+            },
             scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
             reweigh_secs: degree_secs,
             ..RepairStats::default()
         };
 
-        // Keep the cached adjacency rows current (weights + accumulators):
-        // merge-patch the dirty-incident edges — except on tier 3, which
-        // bulk-reloads.
-        if let Some(adj) = &mut self.adj {
-            if tier == RepairTier::Full {
-                adj.clear();
-                adj.load(&fresh);
-            } else {
-                patch_adjacency(adj, &old, &fresh);
-            }
+        // ---- reweigh tier: re-derive every clean edge in place from its
+        // cached accumulator (no block traversal). The splice below writes
+        // only entries with a marked endpoint, which the sweep skips, so
+        // the two commute. ----
+        let mut sweep = None;
+        if tier == RepairTier::Reweigh {
+            let t_sweep = Instant::now();
+            let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
+            let swept = adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads(), edge_variant);
+            stats.edges_swept = swept.swept;
+            stats.edges_rekeyed = swept.rekeyed;
+            stats.reweigh_secs += t_sweep.elapsed().as_secs_f64();
+            sweep = Some(swept);
         }
 
-        // ---- reweigh tier: re-derive every clean edge in place from its
-        // cached accumulator (no block traversal), then recompute every
-        // node's artefact. On the dirty tier an edge-delta repair
-        // recomputes the artefacts of every node an accumulated edge
-        // reaches. ----
-        let mut sweep = None;
+        // ---- the cache patch: each dirty row spliced, ascending; WEP/CEP
+        // decide every dirty-incident edge as the splice reports it ----
+        let mut flips = Flips::default();
+        let mut old_frontier = None;
+        if let (Some(pass), Some(adj)) = (&spliced, &mut self.adj) {
+            let mask = &self.mask;
+            match (&mut self.decision, self.pruning) {
+                (DecisionState::Edge { frontier }, IncrementalPruning::Traditional(algorithm)) => {
+                    let t0 = Instant::now();
+                    let (old, new) = (*frontier, edge_frontier(algorithm, adj, mask, pass, ctx));
+                    (old_frontier, *frontier) = (old, new);
+                    stats.decision_secs = t0.elapsed().as_secs_f64();
+                    adj.splice(mask, pass.rows(), |u, v, ow, nw| {
+                        decide_edge((old, new), u, v, (ow, nw), &mut flips);
+                    });
+                }
+                _ => adj.splice(mask, pass.rows(), |_, _, _, _| {}),
+            }
+        }
+        // The pass's rows are the commit's memory peak (every edge, on the
+        // structural tier): release them before the flips are laid out.
+        drop(spliced);
+
+        // ---- the recompute set: every node on the reweigh tier; on the
+        // dirty tier an edge-delta repair reaches every node an accumulated
+        // edge reaches ----
         let grown: Vec<u32>;
         let recompute: &[u32] = match tier {
+            // WEP/CEP keep no per-node artefact and decide the swept
+            // edges off the sweep, under the mask it ran with; the
+            // node-centric variants decide every live edge off the
+            // patched rows.
+            RepairTier::Reweigh if edge_variant => &[],
             RepairTier::Reweigh => {
-                let t_sweep = Instant::now();
-                let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
-                let swept =
-                    adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads(), edge_variant);
-                stats.edges_swept = swept.swept;
-                stats.edges_rekeyed = swept.rekeyed;
-                stats.reweigh_secs += t_sweep.elapsed().as_secs_f64();
-                sweep = Some(swept);
-                // WEP/CEP keep no per-node artefact and decide the swept
-                // edges off the sweep, under the mask it ran with; the
-                // node-centric variants decide every live edge off the
-                // patched rows.
-                if edge_variant {
-                    &[]
-                } else {
-                    self.mask.mark_all();
-                    grown = (0..n as u32).collect();
-                    &grown
-                }
+                self.mask.mark_all();
+                grown = (0..n as u32).collect();
+                &grown
             }
             RepairTier::Dirty if narrow && rule.is_some() => {
                 let mut recompute = dirty.clone();
@@ -841,8 +860,8 @@ impl IncrementalMetaBlocker {
             RepairCtx {
                 ctx,
                 recompute,
-                old: &old,
-                fresh: &fresh,
+                old_frontier,
+                flips,
                 sweep,
                 rows,
                 artefacts,
@@ -852,10 +871,6 @@ impl IncrementalMetaBlocker {
         stats.retention_flips = added.len() + retracted.len();
         self.retained_len += added.len();
         self.retained_len -= retracted.len();
-        // The pass's edge lists are the commit's memory peak (every edge,
-        // on the structural tier): release them before the delta is laid
-        // out, so the delta is never stacked on top of them.
-        drop((old, fresh));
         (PairDelta::from_flips(added, retracted), stats)
     }
 
@@ -881,8 +896,8 @@ impl IncrementalMetaBlocker {
         let RepairCtx {
             ctx,
             recompute,
-            old,
-            fresh,
+            old_frontier,
+            flips,
             sweep,
             rows,
             artefacts,
@@ -890,47 +905,26 @@ impl IncrementalMetaBlocker {
         let n = ctx.total_profiles() as usize;
         let mask = &self.mask;
         let tier = stats.tier;
-        let mut added: Vec<(u32, u32, f64)> = Vec::new();
-        let mut retracted: Vec<(u32, u32)> = Vec::new();
+        let mut flips = flips;
 
         match self.pruning {
-            IncrementalPruning::Traditional(
-                algorithm @ (PruningAlgorithm::Wep | PruningAlgorithm::Cep),
-            ) => {
-                let DecisionState::Edge { frontier } = &mut self.decision else {
+            IncrementalPruning::Traditional(PruningAlgorithm::Wep | PruningAlgorithm::Cep) => {
+                let DecisionState::Edge { frontier } = &self.decision else {
                     unreachable!("edge-centric pruning carries edge state")
                 };
                 let adj = self.adj.as_ref().expect("edge variant carries the cache");
+                let new_frontier = *frontier;
 
+                // The dirty-incident edges were decided during the splice;
+                // the clean ones are decided the same way: old key against
+                // the old frontier, new key against the new one.
                 let t0 = Instant::now();
-                let old_frontier = *frontier;
-                let new_frontier = edge_frontier(algorithm, adj, ctx);
-                *frontier = new_frontier;
-
-                // Dirty flips: merge-walk the old vs fresh dirty-incident
-                // edges, deciding each against its era's frontier.
-                edge_flips(
-                    old,
-                    fresh,
-                    old_frontier,
-                    new_frontier,
-                    &mut added,
-                    &mut retracted,
-                );
-                // Clean flips, decided the same way: old key against the
-                // old frontier, new key against the new one.
                 let mut decide_clean = |u: u32, v: u32, ow: f64, nw: f64| {
-                    let was = retained_under(old_frontier, EdgeKey::new(u, v, ow));
-                    let now = retained_under(new_frontier, EdgeKey::new(u, v, nw));
-                    if was != now {
-                        if ow.to_bits() == nw.to_bits() {
-                            stats.threshold_crossers += 1;
-                        }
-                        if now {
-                            added.push((u, v, nw));
-                        } else {
-                            retracted.push((u, v));
-                        }
+                    let eras = (old_frontier, new_frontier);
+                    if decide_edge(eras, u, v, (Some(ow), Some(nw)), &mut flips)
+                        && ow.to_bits() == nw.to_bits()
+                    {
+                        stats.threshold_crossers += 1;
                     }
                 };
                 match (tier, &sweep) {
@@ -948,9 +942,10 @@ impl IncrementalMetaBlocker {
                     // Tier 3 marks every node: no edge is clean.
                     _ => {}
                 }
+                let (added, retracted) = &mut flips;
                 added.sort_unstable_by_key(edge_pair);
                 retracted.sort_unstable();
-                stats.decision_secs = t0.elapsed().as_secs_f64();
+                stats.decision_secs += t0.elapsed().as_secs_f64();
                 debug_assert_eq!(
                     {
                         let mut prefix = 0;
@@ -984,7 +979,7 @@ impl IncrementalMetaBlocker {
                 let keep = threshold_keep(pruning, mode, &self.thresholds);
                 retained.ensure_nodes(n);
                 let threads = ctx.threads();
-                (added, retracted) = match (rows, &self.adj) {
+                flips = match (rows, &self.adj) {
                     (Some(pass), _) => pass_row_flips(pass, retained, mask, threads, &keep),
                     (None, Some(adj)) => {
                         cache_row_flips(adj, retained, recompute, mask, threads, &keep)
@@ -993,11 +988,11 @@ impl IncrementalMetaBlocker {
                         unreachable!("a variant with no edge cache keeps its pass rows")
                     }
                 };
-                for &(a, b) in &retracted {
+                for &(a, b) in &flips.1 {
                     let removed = retained.remove(a, b);
                     debug_assert!(removed);
                 }
-                for &(a, b, _) in &added {
+                for &(a, b, _) in &flips.0 {
                     let inserted = retained.insert(a, b);
                     debug_assert!(inserted);
                 }
@@ -1032,13 +1027,13 @@ impl IncrementalMetaBlocker {
                         adj.and_then(|adj| adj.weight(a, b))
                             .expect("a newly listed pair is a live cached edge")
                     },
-                    &mut added,
-                    &mut retracted,
+                    &mut flips.0,
+                    &mut flips.1,
                 );
                 stats.decision_secs = t0.elapsed().as_secs_f64();
             }
         }
-        (added, retracted)
+        flips
     }
 }
 
@@ -1048,58 +1043,35 @@ fn edge_pair(e: &(u32, u32, f64)) -> (u32, u32) {
     (e.0, e.1)
 }
 
-/// Merge-patches the cached adjacency rows from the old vs fresh
-/// dirty-incident edge lists. The `Both` arm is unconditional: the
-/// accumulator can move even when the weight bits tie, and a later
-/// reweigh must read current local factors.
-fn patch_adjacency(adj: &mut EdgeAdjacency, old: &[(u32, u32, f64)], fresh: &[FreshEdge]) {
-    merge_join(old, fresh, edge_pair, fresh_pair, |step| match step {
-        Joined::Both(&(a, b, _), e) => adj.set_edge(a, b, e.w, e.acc),
-        Joined::Left(&(a, b, _)) => adj.remove_edge(a, b),
-        Joined::Right(e) => adj.insert_edge(e.u, e.v, e.w, e.acc),
-    });
-}
-
-/// The `(u, v)` join key of a fresh edge.
-#[inline]
-fn fresh_pair(e: &FreshEdge) -> (u32, u32) {
-    (e.u, e.v)
-}
-
-/// Diffs the old edge set against the freshly accumulated one and patches
-/// the snapshot's delta-maintained degrees: every edge death decrements
-/// both endpoints, every birth increments them, and |E_G| follows. Returns
-/// whether *any* degree event occurred — the EJS drift signal. (The
-/// degree-changed nodes themselves are always dirty, but their edges reach
-/// clean nodes whose node-centric artefacts average over the moved
-/// weights, so even an |E_G|-preserving birth + death must promote the
-/// commit to the reweigh tier.)
+/// Diffs edge existence over the dirty rows before they are spliced
+/// ([`EdgeAdjacency::diff_row`] against the pass's emitted rows) and
+/// patches the snapshot's delta-maintained degrees: every edge death
+/// decrements both endpoints, every birth increments them, and |E_G|
+/// follows. Returns whether *any* degree event occurred — the EJS drift
+/// signal. (The degree-changed nodes themselves are always dirty, but their
+/// edges reach clean nodes whose node-centric artefacts average over the
+/// moved weights, so even an |E_G|-preserving birth + death must promote
+/// the commit to the reweigh tier.)
 fn patch_degrees(
     ctx: &mut GraphSnapshot,
-    old: &[(u32, u32, f64)],
-    fresh: &[(u32, u32, EdgeAccum)],
+    adj: &EdgeAdjacency,
+    pass: &CachePass<'_>,
+    mask: &EpochMask,
 ) -> bool {
     let mut events: Vec<(u32, i32)> = Vec::new();
     let mut edge_delta: i64 = 0;
-    merge_join(
-        old,
-        fresh,
-        edge_pair,
-        |e: &(u32, u32, EdgeAccum)| (e.0, e.1),
-        |step| match step {
-            Joined::Both(..) => {}
-            Joined::Left(&(u, v, _)) => {
-                events.push((u, -1));
-                events.push((v, -1));
-                edge_delta -= 1;
-            }
-            Joined::Right(&(u, v, _)) => {
-                events.push((u, 1));
-                events.push((v, 1));
-                edge_delta += 1;
-            }
-        },
-    );
+    for (d, row) in pass.rows() {
+        adj.diff_row(d, mask, row, |u, v, ow, nw| {
+            let delta = match (ow, nw) {
+                (None, Some(_)) => 1,
+                (Some(_), None) => -1,
+                _ => return,
+            };
+            events.push((u, delta));
+            events.push((v, delta));
+            edge_delta += i64::from(delta);
+        });
+    }
     if events.is_empty() {
         return false;
     }
@@ -1116,66 +1088,72 @@ fn patch_degrees(
     true
 }
 
-/// The retention frontier of the live edge set, restated from the patched
-/// adjacency rows in O(|E|): WEP's mean over the exactly accumulated Σw, or
-/// CEP's rank-K key by selection over the live keys. Both are aggregates of
-/// the weight multiset, so they equal the batch pass's bit for bit.
+/// The retention frontier of the commit's live edge set, restated before
+/// the splice in O(|E|): the edges between two unmarked nodes off the cache
+/// rows (the reweigh tier's sweep has restated them), every other edge off
+/// the pass's emitted rows. WEP's mean comes from the exactly accumulated
+/// Σw, CEP's rank-K key by selection over the live keys. Both are
+/// aggregates of the weight multiset, so they equal the batch pass's bit
+/// for bit.
 fn edge_frontier(
     algorithm: PruningAlgorithm,
     adj: &EdgeAdjacency,
+    mask: &EpochMask,
+    pass: &CachePass<'_>,
     ctx: &GraphSnapshot,
 ) -> Frontier {
+    /// Every live edge once: the clean ones off the rows, the others off
+    /// the pass.
+    fn for_each_live(
+        adj: &EdgeAdjacency,
+        mask: &EpochMask,
+        pass: &CachePass<'_>,
+        mut f: impl FnMut(u32, u32, f64),
+    ) {
+        adj.for_each_edge(|u, v, w| {
+            if !mask.contains(u) && !mask.contains(v) {
+                f(u, v, w);
+            }
+        });
+        for &(u, v, w, _) in pass.rows().flat_map(|(_, row)| row) {
+            f(u, v, w);
+        }
+    }
     if algorithm == PruningAlgorithm::Wep {
         let (mut sum, mut len) = (ExactSum::new(), 0);
-        adj.for_each_edge(|_, _, w| {
+        for_each_live(adj, mask, pass, |_, _, w| {
             sum.add(w);
             len += 1;
         });
         return Wep::mean_from_sum(&sum, len).map(EdgeKey::mean_bound);
     }
     let mut keys = Vec::new();
-    adj.for_each_edge(|u, v, w| keys.push(EdgeKey::new(u, v, w)));
+    for_each_live(adj, mask, pass, |u, v, w| keys.push(EdgeKey::new(u, v, w)));
     match (Cep::new().budget(ctx) as usize).min(keys.len()) {
         0 => None,
         k => Some(*keys.select_nth_unstable(k - 1).1),
     }
 }
 
-/// Weighs freshly accumulated edges once the snapshot's globals are
-/// current — the degree-reading weighers' separate weighing step; `cached`
-/// gives the accumulator the cache keeps.
-/// Work-stealing parallel like the accumulation itself: on the full tier
-/// this is every edge, and per-edge weights are independent, so
-/// chunk-ordered merging keeps the output bit-identical.
-fn weigh_accums(
-    ctx: &GraphSnapshot,
-    weigher: &dyn EdgeWeigher,
-    accs: &[(u32, u32, EdgeAccum)],
-    cached: impl Fn(&EdgeAccum) -> EdgeAccum + Sync,
-) -> Vec<FreshEdge> {
-    let len = accs.len();
-    let chunks = parallel_work_steal(
-        len,
-        ctx.threads(),
-        chunk_len(len),
-        || (),
-        |_, range| {
-            accs[range]
-                .iter()
-                .map(|&(u, v, acc)| FreshEdge {
-                    u,
-                    v,
-                    w: weigher.weight(ctx, u, v, &acc),
-                    acc: cached(&acc),
-                })
-                .collect::<Vec<_>>()
-        },
-    );
-    let mut out = Vec::with_capacity(len);
-    for c in chunks {
-        out.extend(c);
+/// WEP/CEP's decision for one edge that may have flipped: its old key
+/// against the old frontier, its new key against the new one, `frontiers`
+/// and `weights` each `(old, new)`, a `None` weight for an edge absent in
+/// that era. Pushes the flip, the added pair at its new weight, and
+/// returns whether there was one.
+fn decide_edge(
+    (old_frontier, new_frontier): (Frontier, Frontier),
+    u: u32,
+    v: u32,
+    (ow, nw): (Option<f64>, Option<f64>),
+    (added, retracted): &mut Flips,
+) -> bool {
+    let was = ow.is_some_and(|w| retained_under(old_frontier, EdgeKey::new(u, v, w)));
+    match nw.filter(|&w| retained_under(new_frontier, EdgeKey::new(u, v, w))) {
+        Some(w) if !was => added.push((u, v, w)),
+        None if was => retracted.push((u, v)),
+        _ => return false,
     }
-    out
+    true
 }
 
 /// The recompute set's artefacts re-derived from the cached accumulators
@@ -1218,87 +1196,6 @@ fn cached_artefacts(
         out.extend(c);
     }
     out
-}
-
-/// One step of a [`merge_join`]: the key was on both sides, departed
-/// (left only), or arrived (right only).
-enum Joined<'a, L, R> {
-    Both(&'a L, &'a R),
-    Left(&'a L),
-    Right(&'a R),
-}
-
-/// Merge-joins two key-sorted sequences through a single event handler —
-/// the one sorted-merge loop behind every flip diff in this module.
-fn merge_join<L, R, K: Ord>(
-    left: &[L],
-    right: &[R],
-    key_l: impl Fn(&L) -> K,
-    key_r: impl Fn(&R) -> K,
-    mut f: impl FnMut(Joined<'_, L, R>),
-) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        match key_l(&left[i]).cmp(&key_r(&right[j])) {
-            std::cmp::Ordering::Equal => {
-                f(Joined::Both(&left[i], &right[j]));
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                f(Joined::Left(&left[i]));
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                f(Joined::Right(&right[j]));
-                j += 1;
-            }
-        }
-    }
-    for l in &left[i..] {
-        f(Joined::Left(l));
-    }
-    for r in &right[j..] {
-        f(Joined::Right(r));
-    }
-}
-
-/// Merge-walks the sorted old and fresh dirty-incident edge lists, deciding
-/// each edge against its era's frontier and emitting the flips (sorted,
-/// since both inputs are).
-fn edge_flips(
-    old: &[(u32, u32, f64)],
-    fresh: &[FreshEdge],
-    f_old: Frontier,
-    f_new: Frontier,
-    added: &mut Vec<(u32, u32, f64)>,
-    retracted: &mut Vec<(u32, u32)>,
-) {
-    merge_join(old, fresh, edge_pair, fresh_pair, |step| match step {
-        Joined::Both(&(u, v, ow), e) => {
-            let was = retained_under(f_old, EdgeKey::new(u, v, ow));
-            let now = retained_under(f_new, EdgeKey::new(u, v, e.w));
-            if was != now {
-                if now {
-                    added.push((u, v, e.w));
-                } else {
-                    retracted.push((u, v));
-                }
-            }
-        }
-        // Edge vanished.
-        Joined::Left(&(u, v, w)) => {
-            if retained_under(f_old, EdgeKey::new(u, v, w)) {
-                retracted.push((u, v));
-            }
-        }
-        // Edge appeared.
-        Joined::Right(e) => {
-            if retained_under(f_new, EdgeKey::new(e.u, e.v, e.w)) {
-                added.push((e.u, e.v, e.w));
-            }
-        }
-    });
 }
 
 /// Whether WNP/BLAST retain the canonical edge `(u, v)` at weight `w`
@@ -1397,7 +1294,11 @@ fn pass_row_flips(
         );
         kept
     });
-    let (added, _) = pass.into_canonical(edge_pair);
+    let mut added: Vec<(u32, u32, f64)> = pass
+        .rows()
+        .flat_map(|(_, row)| row.iter().copied())
+        .collect();
+    added.sort_unstable_by_key(edge_pair);
     let mut retracted = parts.concat();
     retracted.sort_unstable();
     (added, retracted)
@@ -1502,64 +1403,107 @@ fn list_flips(
 /// Diffs two sorted id lists, calling `f(id)` for every id on one side
 /// only: departures and arrivals alike.
 fn diff_sorted_ids(old: &[u32], new: &[u32], mut f: impl FnMut(u32)) {
-    merge_join(
-        old,
-        new,
-        |&v| v,
-        |&v| v,
-        |step| match step {
-            Joined::Both(..) => {}
-            Joined::Left(&v) | Joined::Right(&v) => f(v),
-        },
-    );
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Equal => (i, j) = (i + 1, j + 1),
+            std::cmp::Ordering::Less => {
+                f(old[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                f(new[j]);
+                j += 1;
+            }
+        }
+    }
+    old[i..].iter().chain(&new[j..]).for_each(|&v| f(v));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fresh(edges: &[(u32, u32, f64)]) -> Vec<FreshEdge> {
-        edges
-            .iter()
-            .map(|&(u, v, w)| FreshEdge {
-                u,
-                v,
-                w,
-                acc: EdgeAccum::default(),
-            })
+    use crate::decision::tests::{loaded, rows_of};
+
+    /// `(u, v, w)` edges with an empty accumulator.
+    fn row_edges(list: &[(u32, u32, f64)]) -> Vec<RowEdge> {
+        list.iter()
+            .map(|&(u, v, w)| (u, v, w, EdgeAccum::default()))
             .collect()
+    }
+
+    /// WEP/CEP's inline decision on a splice: a cache over 8 nodes holding
+    /// `old` splices the rows of `dirty` cut out of `new` (which must hold
+    /// every edge between two clean nodes of `old` unchanged), deciding
+    /// each reported edge between the `frontiers` as `refresh` does.
+    /// Returns the flips, sorted, and the rows' edges after the splice.
+    fn splice_flips(
+        old: &[(u32, u32, f64)],
+        new: &[(u32, u32, f64)],
+        dirty: &[u32],
+        frontiers: (Frontier, Frontier),
+    ) -> (Flips, Vec<(u32, u32, f64)>) {
+        let mut adj = loaded(8, &row_edges(old));
+        let mask = mask_of(8, dirty);
+        let rows = rows_of(dirty, &mask, &row_edges(new));
+        let mut flips = Flips::default();
+        adj.splice(
+            &mask,
+            rows.iter().map(|(d, row)| (*d, row.as_slice())),
+            |u, v, ow, nw| {
+                decide_edge(frontiers, u, v, (ow, nw), &mut flips);
+            },
+        );
+        flips.0.sort_unstable_by_key(edge_pair);
+        flips.1.sort_unstable();
+        let mut edges = Vec::new();
+        adj.for_each_edge(|u, v, w| edges.push((u, v, w)));
+        (flips, edges)
     }
 
     #[test]
     fn edge_flips_cover_all_transitions() {
         // Frontier = everything with w ≥ 2 retained, in both eras.
         let f = Some(EdgeKey::mean_bound(2.0));
-        let old = vec![(0, 1, 3.0), (0, 2, 1.0), (1, 2, 5.0), (2, 3, 2.0)];
+        let old = [
+            (0, 1, 3.0),
+            (0, 2, 1.0),
+            (1, 2, 5.0),
+            (2, 3, 2.0),
+            (3, 4, 7.0),
+        ];
         // (0,1) drops below; (0,2) rises above; (1,2) vanishes; (2,4) appears
-        // retained; (2,3) keeps its weight.
-        let new = fresh(&[(0, 1, 1.0), (0, 2, 4.0), (2, 3, 2.0), (2, 4, 9.0)]);
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        edge_flips(&old, &new, f, f, &mut added, &mut retracted);
+        // retained; (2,3) keeps its weight; the clean (3,4) is not reported.
+        let new = [
+            (0, 1, 1.0),
+            (0, 2, 4.0),
+            (2, 3, 2.0),
+            (2, 4, 9.0),
+            (3, 4, 7.0),
+        ];
+        let ((added, retracted), edges) = splice_flips(&old, &new, &[0, 1, 2], (f, f));
         assert_eq!(added, vec![(0, 2, 4.0), (2, 4, 9.0)], "at the fresh weight");
         assert_eq!(retracted, vec![(0, 1), (1, 2)]);
+        assert_eq!(edges, new, "the rows hold the new edges");
     }
 
     #[test]
     fn edge_flips_track_frontier_movement() {
-        // Same edge, same weight — retention flips because Θ moved.
-        let old = vec![(0, 1, 3.0)];
-        let new = fresh(&[(0, 1, 3.0)]);
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        edge_flips(
-            &old,
-            &new,
+        // Same edge, same weight — retention flips because Θ moved; the
+        // edge below both frontiers stays out, the one above both in.
+        let old = [(0, 1, 3.0), (0, 2, 1.0), (1, 2, 5.0)];
+        let eras = (
             Some(EdgeKey::mean_bound(2.0)),
             Some(EdgeKey::mean_bound(4.0)),
-            &mut added,
-            &mut retracted,
         );
+        let ((added, retracted), _) = splice_flips(&old, &old, &[0], eras);
         assert!(added.is_empty());
         assert_eq!(retracted, vec![(0, 1)]);
+        // And back: the frontier falls, the edge re-enters at its weight.
+        let ((added, retracted), _) = splice_flips(&old, &old, &[1], (eras.1, eras.0));
+        assert_eq!(added, vec![(0, 1, 3.0)]);
+        assert!(retracted.is_empty());
     }
 
     /// The row-local decision at 1 and 4 threads (which must agree) over
@@ -1573,13 +1517,14 @@ mod tests {
         rows: &[Vec<(u32, f64)>],
         keep: impl Fn(u32, u32, f64) -> bool + Sync,
     ) -> Flips {
-        let mut adj = EdgeAdjacency::new();
-        adj.ensure_nodes(16);
-        for (&d, row) in nodes.iter().zip(rows) {
-            for &(v, w) in row {
-                adj.insert_edge(d.min(v), d.max(v), w, EdgeAccum::default());
-            }
-        }
+        let mut edges: Vec<(u32, u32, f64)> = nodes
+            .iter()
+            .zip(rows)
+            .flat_map(|(&d, row)| row.iter().map(move |&(v, w)| (d.min(v), d.max(v), w)))
+            .collect();
+        edges.sort_unstable_by_key(edge_pair);
+        edges.dedup_by_key(|e| edge_pair(e));
+        let adj = loaded(16, &row_edges(&edges));
         let flips = cache_row_flips(&adj, retained, nodes, mask, 1, &keep);
         assert_eq!(
             cache_row_flips(&adj, retained, nodes, mask, 4, &keep),
@@ -1735,7 +1680,32 @@ mod tests {
     /// reference it must equal bit for bit.
     mod reference {
         use super::super::*;
-        use blast_graph::pruning::common::ordered_emission;
+
+        /// Puts an *ordered emission* into canonical pair order: the pairs
+        /// read from their smaller endpoint (`from_smaller`, marked nodes
+        /// ascending, each row ascending) are sorted as they come, so only
+        /// the remainder read from the larger endpoint is sorted, and the
+        /// two runs are merged.
+        pub fn ordered_emission<T, K: Ord>(
+            from_smaller: Vec<T>,
+            mut from_larger: Vec<T>,
+            key: impl Fn(&T) -> K,
+        ) -> Vec<T> {
+            from_larger.sort_unstable_by_key(&key);
+            let mut out = Vec::with_capacity(from_smaller.len() + from_larger.len());
+            let mut a = from_smaller.into_iter().peekable();
+            let mut b = from_larger.into_iter().peekable();
+            while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+                if key(x) <= key(y) {
+                    out.extend(a.next());
+                } else {
+                    out.extend(b.next());
+                }
+            }
+            out.extend(a);
+            out.extend(b);
+            out
+        }
 
         /// Diffs the retained pairs incident to the recomputed nodes (read
         /// off the [`RetainedIndex`] rows in two-run order and sorted into
@@ -1786,13 +1756,133 @@ mod tests {
         }
     }
 
-    /// The row-local WNP/BLAST decision against [`reference::node_flips`]
-    /// through whole commit histories of [`IncrementalMetaBlocker`].
-    mod row_local_properties {
+    #[test]
+    fn merged_runs_restore_one_sorted_sequence() {
+        use reference::ordered_emission;
+        // The remainder arrives unsorted; the ordered run is merged as is.
+        let merged = ordered_emission(
+            vec![(0, 2), (3, 4), (3, 5), (7, 8)],
+            vec![(5, 6), (0, 1), (3, 9)],
+            |&p| p,
+        );
+        assert_eq!(
+            merged,
+            vec![(0, 1), (0, 2), (3, 4), (3, 5), (3, 9), (5, 6), (7, 8)]
+        );
+        assert_eq!(ordered_emission(vec![1, 4], vec![], |&p| p), vec![1, 4]);
+        assert_eq!(ordered_emission(vec![], vec![4, 1], |&p| p), vec![1, 4]);
+        assert!(ordered_emission(Vec::<u32>::new(), vec![], |&p| p).is_empty());
+    }
+
+    /// Histories of cleaned blocks driven through one patched snapshot
+    /// exactly as the cleaner drives it (membership edits, slot
+    /// restatements with their liveness flips, row splices), beside a
+    /// snapshot built from scratch over the same blocks for the batch
+    /// oracle. Slot `k` holds block `k`; `n` profiles, a clean-clean store
+    /// splitting them in half.
+    mod harness {
         use super::*;
         use blast_blocking::block::Block;
         use blast_blocking::collection::BlockCollection;
         use blast_blocking::key::ClusterId;
+        use std::collections::BTreeSet;
+
+        /// Slot `k`'s (fixed) block entropy.
+        pub fn entropy(k: usize) -> f64 {
+            0.5 + 0.25 * (k % 5) as f64
+        }
+
+        /// An empty snapshot to patch histories into.
+        pub fn empty(n: u32, clean: bool, threads: usize) -> GraphSnapshot {
+            GraphSnapshot::empty(clean, n / 2)
+                .with_entropies_enabled()
+                .with_threads(threads)
+        }
+
+        /// A snapshot built from scratch over the live blocks of `blocks`
+        /// (slot order kept), with degrees and entropies.
+        pub fn fresh_snapshot(blocks: &[BTreeSet<u32>], n: u32, clean: bool) -> GraphSnapshot {
+            let separator = if clean { n / 2 } else { u32::MAX };
+            let (mut live, mut entropies) = (Vec::new(), Vec::new());
+            for (k, set) in blocks.iter().enumerate() {
+                let block = Block::new(
+                    format!("b{k}"),
+                    ClusterId::GLUE,
+                    set.iter().map(|&p| ProfileId(p)).collect(),
+                    separator,
+                );
+                if block.cardinality(clean) > 0 {
+                    live.push(block);
+                    entropies.push(entropy(k));
+                }
+            }
+            let collection = BlockCollection::new(live, clean, separator.min(n), n);
+            let mut ctx = GraphSnapshot::build(&collection).with_block_entropies(entropies);
+            ctx.ensure_degrees();
+            ctx
+        }
+
+        /// Moves `snapshot` from `old` to `new` the way
+        /// `IncrementalCleaner::apply` does, returning the scope it reports:
+        /// the members of every edited slot plus the removed ones, the
+        /// nodes whose membership moved plus the members of every slot
+        /// whose liveness flipped, and whether |B| moved.
+        pub fn patch(
+            snapshot: &mut GraphSnapshot,
+            n: u32,
+            old: &[BTreeSet<u32>],
+            new: &[BTreeSet<u32>],
+        ) -> DirtyScope {
+            let blocks_before = snapshot.total_blocks();
+            snapshot.begin_patch(n, new.len());
+            let empty = BTreeSet::new();
+            let (mut nodes, mut lists) = (BTreeSet::new(), BTreeSet::new());
+            let mut changed = Vec::new();
+            for (k, now) in new.iter().enumerate() {
+                let was = old.get(k).unwrap_or(&empty);
+                for &p in was.difference(now) {
+                    snapshot.remove_member(k as u32, p);
+                    nodes.insert(p);
+                    lists.insert(p);
+                }
+                for &p in now.difference(was) {
+                    snapshot.insert_member(k as u32, p);
+                    lists.insert(p);
+                }
+                if was != now {
+                    changed.push(k);
+                    nodes.extend(now);
+                }
+            }
+            for k in changed {
+                if snapshot.restate_slot(k as u32, entropy(k)) {
+                    lists.extend(&new[k]);
+                    nodes.extend(&new[k]);
+                }
+            }
+            for &p in &lists {
+                let row: Vec<u32> = (0..new.len() as u32)
+                    .filter(|&k| snapshot.slot_is_live(k) && new[k as usize].contains(&p))
+                    .collect();
+                snapshot.splice_row(p, &row);
+            }
+            DirtyScope {
+                nodes: nodes.into_iter().collect(),
+                lists_changed: lists.into_iter().collect(),
+                total_blocks_changed: snapshot.total_blocks() != blocks_before,
+            }
+        }
+
+        pub fn sets(blocks: &[&[u32]]) -> Vec<BTreeSet<u32>> {
+            blocks.iter().map(|b| b.iter().copied().collect()).collect()
+        }
+    }
+
+    /// The row-local WNP/BLAST decision against [`reference::node_flips`]
+    /// through whole commit histories of [`IncrementalMetaBlocker`].
+    mod row_local_properties {
+        use super::harness::{empty, fresh_snapshot, patch, sets};
+        use super::*;
         use blast_core::weighting::ChiSquaredWeigher;
         use blast_graph::pruning::common::collect_weighted_edges;
         use blast_graph::weights::WeightingScheme;
@@ -1803,54 +1893,13 @@ mod tests {
         /// half, the first half being the first source.
         const N: u32 = 20;
 
-        fn collection(members: &[BTreeSet<u32>], clean: bool) -> BlockCollection {
-            let separator = if clean { N / 2 } else { u32::MAX };
-            let blocks = members
-                .iter()
-                .enumerate()
-                .map(|(i, set)| {
-                    Block::new(
-                        format!("b{i}"),
-                        ClusterId::GLUE,
-                        set.iter().map(|&p| ProfileId(p)).collect(),
-                        separator,
-                    )
-                })
-                .collect();
-            BlockCollection::new(blocks, clean, separator.min(N), N)
-        }
-
-        /// The dirty scope of moving from `old` to `new`: every member of a
-        /// block whose membership differs (a superset of the graph-dirty
-        /// nodes), the nodes whose block list moved, and whether |B| moved.
-        fn scope_between(
-            (old, old_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
-            (new, new_ctx): (&[BTreeSet<u32>], &GraphSnapshot),
-        ) -> DirtyScope {
-            let empty = BTreeSet::new();
-            let mut nodes = BTreeSet::new();
-            for i in 0..old.len().max(new.len()) {
-                let (a, b) = (old.get(i).unwrap_or(&empty), new.get(i).unwrap_or(&empty));
-                if a != b {
-                    nodes.extend(a | b);
-                }
-            }
-            DirtyScope {
-                lists_changed: (0..N)
-                    .filter(|&u| old_ctx.index().blocks_of(u) != new_ctx.index().blocks_of(u))
-                    .collect(),
-                nodes: nodes.into_iter().collect(),
-                total_blocks_changed: old_ctx.total_blocks() != new_ctx.total_blocks(),
-            }
-        }
-
-        /// Runs `history` through one blocker (the last commit forced onto
-        /// the full tier). After every commit the delta must equal the
-        /// reference decision — the same thresholds, every recomputed pair
-        /// decided off one global canonical list at its batch weight,
-        /// diffed against the index as it stood — bit for bit, the index
-        /// must equal the reference's, and the retained set batch's.
-        /// Returns the tiers the commits landed on.
+        /// Runs `history` through one blocker on one patched snapshot (the
+        /// last commit forced onto the full tier). After every commit the
+        /// delta must equal the reference decision — the same thresholds,
+        /// every recomputed pair decided off one global canonical list at
+        /// its batch weight, diffed against the index as it stood — bit
+        /// for bit, the index must equal the reference's, and the retained
+        /// set batch's. Returns the tiers the commits landed on.
         fn check_history(
             history: &[Vec<BTreeSet<u32>>],
             clean: bool,
@@ -1858,17 +1907,18 @@ mod tests {
             weigher: &dyn EdgeWeigher,
             threads: usize,
         ) -> Vec<RepairTier> {
-            let label = format!("{} clean={clean} threads={threads}", pruning.label());
+            let label = format!(
+                "{}/{} clean={clean} threads={threads}",
+                weigher.name(),
+                pruning.label()
+            );
             let mut blocker = IncrementalMetaBlocker::new(pruning);
+            let mut snapshot = empty(N, clean, threads);
             let mut tiers = Vec::new();
-            let mut prev: Option<(&[BTreeSet<u32>], GraphSnapshot)> = None;
+            let mut prev: &[BTreeSet<u32>] = &[];
             for (step, members) in history.iter().enumerate() {
-                let mut ctx =
-                    GraphSnapshot::build(&collection(members, clean)).with_threads(threads);
-                let scope = match &prev {
-                    Some((old, old_ctx)) => scope_between((old, old_ctx), (members, &ctx)),
-                    None => DirtyScope::default(),
-                };
+                let scope = patch(&mut snapshot, N, prev, members);
+                prev = members;
                 if step + 1 == history.len() {
                     blocker.force_full_next();
                 }
@@ -1876,15 +1926,16 @@ mod tests {
                     unreachable!("node-centric pruning")
                 };
                 let mut expect_index = retained.clone();
-                let (delta, stats) = blocker.refresh(&mut ctx, weigher, &scope);
+                let (delta, stats) = blocker.refresh(&mut snapshot, weigher, &scope);
                 tiers.push(stats.tier);
 
+                let fresh = fresh_snapshot(members, N, clean);
                 let n = N as usize;
                 let mask = &blocker.mask;
                 let recompute: Vec<u32> = (0..N).filter(|&u| mask.contains(u)).collect();
                 let keep =
                     threshold_keep(pruning, blocker.node_centric_mode(), &blocker.thresholds);
-                let decided = collect_weighted_edges(&ctx, weigher)
+                let decided = collect_weighted_edges(&fresh, weigher)
                     .into_iter()
                     .filter(|&(u, v, w)| (mask.contains(u) || mask.contains(v)) && keep(u, v, w));
                 let (mut added, mut retracted) = (Vec::new(), Vec::new());
@@ -1917,20 +1968,23 @@ mod tests {
                 );
                 assert_eq!(
                     blocker.retained().pairs(),
-                    pruning.batch_prune(&ctx, weigher).pairs(),
+                    pruning.batch_prune(&fresh, weigher).pairs(),
                     "{label} step {step}: batch"
                 );
-                prev = Some((members, ctx));
             }
             tiers
         }
 
         /// Every WNP/BLAST variant over pass rows (CBS) and cache rows
-        /// (ECBS, χ²), at 1 and 4 threads.
+        /// (ECBS, χ², and EJS with its degree events), at 1 and 4 threads.
         fn check_grid(history: &[Vec<BTreeSet<u32>>], clean: bool) -> Vec<RepairTier> {
             let chi = ChiSquaredWeigher::without_entropy();
-            let weighers: [&dyn EdgeWeigher; 3] =
-                [&WeightingScheme::Cbs, &WeightingScheme::Ecbs, &chi];
+            let weighers: [&dyn EdgeWeigher; 4] = [
+                &WeightingScheme::Cbs,
+                &WeightingScheme::Ecbs,
+                &chi,
+                &WeightingScheme::Ejs,
+            ];
             let mut tiers = Vec::new();
             for pruning in [
                 IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
@@ -1970,10 +2024,6 @@ mod tests {
             grown.push(extra);
             let last = toggled(grown.clone(), &toggles[half..]);
             vec![base, edited, grown, last]
-        }
-
-        fn sets(blocks: &[&[u32]]) -> Vec<BTreeSet<u32>> {
-            blocks.iter().map(|b| b.iter().copied().collect()).collect()
         }
 
         /// One fixed history reaches every tier on both stores.
@@ -2021,95 +2071,15 @@ mod tests {
     /// fresh [`touching_pass`] over every node of a snapshot built from
     /// scratch.
     mod cache_properties {
+        use super::harness::{empty, fresh_snapshot, patch, sets};
         use super::*;
-        use blast_blocking::block::Block;
-        use blast_blocking::collection::BlockCollection;
-        use blast_blocking::key::ClusterId;
         use blast_core::weighting::ChiSquaredWeigher;
         use blast_graph::weights::WeightingScheme;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
 
         /// Profiles; a clean-clean store splits them in half.
-        const N: u32 = 24;
-
-        /// Slot `k`'s (fixed) block entropy.
-        fn entropy(k: usize) -> f64 {
-            0.5 + 0.25 * (k % 5) as f64
-        }
-
-        /// A snapshot built from scratch over the live blocks of `blocks`
-        /// (slot order kept), with degrees and entropies.
-        fn fresh_snapshot(blocks: &[BTreeSet<u32>], clean: bool) -> GraphSnapshot {
-            let separator = if clean { N / 2 } else { u32::MAX };
-            let (mut live, mut entropies) = (Vec::new(), Vec::new());
-            for (k, set) in blocks.iter().enumerate() {
-                let block = Block::new(
-                    format!("b{k}"),
-                    ClusterId::GLUE,
-                    set.iter().map(|&p| ProfileId(p)).collect(),
-                    separator,
-                );
-                if block.cardinality(clean) > 0 {
-                    live.push(block);
-                    entropies.push(entropy(k));
-                }
-            }
-            let collection = BlockCollection::new(live, clean, separator.min(N), N);
-            let mut ctx = GraphSnapshot::build(&collection).with_block_entropies(entropies);
-            ctx.ensure_degrees();
-            ctx
-        }
-
-        /// Moves `snapshot` from `old` to `new` (slot k = block k) the way
-        /// `IncrementalCleaner::apply` does, returning the scope it reports:
-        /// the members of every edited slot plus the removed ones, the
-        /// nodes whose membership moved plus the members of every slot
-        /// whose liveness flipped, and whether |B| moved.
-        fn patch(
-            snapshot: &mut GraphSnapshot,
-            old: &[BTreeSet<u32>],
-            new: &[BTreeSet<u32>],
-        ) -> DirtyScope {
-            let blocks_before = snapshot.total_blocks();
-            snapshot.begin_patch(N, new.len());
-            let empty = BTreeSet::new();
-            let (mut nodes, mut lists) = (BTreeSet::new(), BTreeSet::new());
-            let mut changed = Vec::new();
-            for (k, now) in new.iter().enumerate() {
-                let was = old.get(k).unwrap_or(&empty);
-                for &p in was.difference(now) {
-                    snapshot.remove_member(k as u32, p);
-                    nodes.insert(p);
-                    lists.insert(p);
-                }
-                for &p in now.difference(was) {
-                    snapshot.insert_member(k as u32, p);
-                    lists.insert(p);
-                }
-                if was != now {
-                    changed.push(k);
-                    nodes.extend(now);
-                }
-            }
-            for k in changed {
-                if snapshot.restate_slot(k as u32, entropy(k)) {
-                    lists.extend(&new[k]);
-                    nodes.extend(&new[k]);
-                }
-            }
-            for &p in &lists {
-                let row: Vec<u32> = (0..new.len() as u32)
-                    .filter(|&k| snapshot.slot_is_live(k) && new[k as usize].contains(&p))
-                    .collect();
-                snapshot.splice_row(p, &row);
-            }
-            DirtyScope {
-                nodes: nodes.into_iter().collect(),
-                lists_changed: lists.into_iter().collect(),
-                total_blocks_changed: snapshot.total_blocks() != blocks_before,
-            }
-        }
+        pub const N: u32 = 24;
 
         /// Runs `history` through one blocker on one patched snapshot.
         /// After every commit each cached entry, both mirrors, must equal
@@ -2130,19 +2100,17 @@ mod tests {
                 pruning.label()
             );
             let arcs = weigher.global_deps().block_sizes;
-            let mut snapshot = GraphSnapshot::empty(clean, N / 2)
-                .with_entropies_enabled()
-                .with_threads(threads);
+            let mut snapshot = empty(N, clean, threads);
             let mut blocker = IncrementalMetaBlocker::new(pruning);
             let mut prev: &[BTreeSet<u32>] = &[];
             let mut tiers = Vec::new();
             for (step, blocks) in history.iter().enumerate() {
-                let scope = patch(&mut snapshot, prev, blocks);
+                let scope = patch(&mut snapshot, N, prev, blocks);
                 let (_, stats) = blocker.refresh(&mut snapshot, weigher, &scope);
                 tiers.push(stats.tier);
                 prev = blocks;
 
-                let fresh = fresh_snapshot(blocks, clean);
+                let fresh = fresh_snapshot(blocks, N, clean);
                 let label = format!("{label} step {step} ({:?})", stats.tier);
                 assert_eq!(
                     blocker.retained().pairs(),
@@ -2156,17 +2124,17 @@ mod tests {
                 let mut every = EpochMask::new();
                 every.begin(N as usize);
                 every.mark_all();
-                let (edges, _) = touching_pass(
+                let pass = touching_pass(
                     &fresh,
                     weigher,
                     &all,
                     &every,
                     |u, v, w, acc| (u, v, w, *acc),
                     None::<fn(u32, &[(u32, f64)])>,
-                )
-                .into_canonical(|e| (e.0, e.1));
-                let mut want: Vec<(u32, u32, f64, EdgeAccum)> = edges
-                    .iter()
+                );
+                let mut want: Vec<(u32, u32, f64, EdgeAccum)> = pass
+                    .rows()
+                    .flat_map(|(_, row)| row)
                     .flat_map(|&(u, v, w, acc)| [(u, v, w, acc), (v, u, w, acc)])
                     .collect();
                 want.sort_unstable_by_key(|e| (e.0, e.1));
@@ -2203,7 +2171,7 @@ mod tests {
         /// grows by `grow` and then loses `shrink`; slot `flip` dies (one
         /// member left) and comes back alive with one member on each side;
         /// and `deleted` leaves every block.
-        fn history(
+        pub fn history(
             mut base: Vec<BTreeSet<u32>>,
             large: BTreeSet<u32>,
             grow: &BTreeSet<u32>,
@@ -2263,10 +2231,6 @@ mod tests {
             tiers
         }
 
-        fn sets(blocks: &[&[u32]]) -> Vec<BTreeSet<u32>> {
-            blocks.iter().map(|b| b.iter().copied().collect()).collect()
-        }
-
         /// One fixed history reaches the dirty and the reweigh tier.
         #[test]
         fn cache_equals_fresh_pass_on_a_scripted_history() {
@@ -2291,6 +2255,148 @@ mod tests {
 
             #[test]
             fn prop_edge_delta_cache_equals_fresh_pass(
+                base in proptest::collection::vec(
+                    proptest::collection::btree_set(0u32..N, 0..6), 1..8),
+                large in proptest::collection::btree_set(0u32..N, 8..16),
+                grow in proptest::collection::btree_set(0u32..N, 1..6),
+                shrink in proptest::collection::btree_set(0u32..N, 1..6),
+                flip in 0usize..N as usize,
+                deleted in 0u32..N,
+            ) {
+                check_all(&history(base, large, &grow, &shrink, flip, deleted));
+            }
+        }
+    }
+
+    /// The decisions of every variant that keeps an edge cache (WEP, CEP,
+    /// CNP1, CNP2), flip by flip, through histories driven into one patched
+    /// snapshot: after each commit the delta must be the set difference
+    /// between consecutive batch results, and each added pair must carry
+    /// the weight batch's edge pass gives it, bit for bit.
+    mod edge_flip_properties {
+        use super::cache_properties::{history, N};
+        use super::harness::{empty, fresh_snapshot, patch, sets};
+        use super::*;
+        use blast_core::weighting::ChiSquaredWeigher;
+        use blast_graph::pruning::common::collect_weighted_edges;
+        use blast_graph::weights::WeightingScheme;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// Runs `history` through one blocker, the last commit forced onto
+        /// the full tier, and checks every delta against batch. Returns
+        /// the tiers the commits landed on.
+        fn check_flips(
+            history: &[Vec<BTreeSet<u32>>],
+            clean: bool,
+            pruning: IncrementalPruning,
+            weigher: &dyn EdgeWeigher,
+            threads: usize,
+        ) -> Vec<RepairTier> {
+            let label = format!(
+                "{}/{} clean={clean} threads={threads}",
+                weigher.name(),
+                pruning.label()
+            );
+            let mut snapshot = empty(N, clean, threads);
+            let mut blocker = IncrementalMetaBlocker::new(pruning);
+            let mut prev: &[BTreeSet<u32>] = &[];
+            let mut retained: BTreeSet<(u32, u32)> = BTreeSet::new();
+            let mut tiers = Vec::new();
+            for (step, blocks) in history.iter().enumerate() {
+                let scope = patch(&mut snapshot, N, prev, blocks);
+                prev = blocks;
+                if step + 1 == history.len() {
+                    blocker.force_full_next();
+                }
+                let (delta, stats) = blocker.refresh(&mut snapshot, weigher, &scope);
+                tiers.push(stats.tier);
+                let label = format!("{label} step {step} ({:?})", stats.tier);
+
+                let fresh = fresh_snapshot(blocks, N, clean);
+                let batch: BTreeSet<(u32, u32)> = pruning
+                    .batch_prune(&fresh, weigher)
+                    .pairs()
+                    .iter()
+                    .map(|&(a, b)| (a.0, b.0))
+                    .collect();
+                let weights: BTreeMap<(u32, u32), u64> = collect_weighted_edges(&fresh, weigher)
+                    .into_iter()
+                    .map(|(u, v, w)| ((u, v), w.to_bits()))
+                    .collect();
+                let want_added: Vec<(u32, u32, u64)> = batch
+                    .difference(&retained)
+                    .map(|&(a, b)| (a, b, weights[&(a, b)]))
+                    .collect();
+                let want_retracted: Vec<(u32, u32)> =
+                    retained.difference(&batch).copied().collect();
+                let got_added: Vec<(u32, u32, u64)> = delta
+                    .added_weighted()
+                    .map(|((a, b), w)| (a.0, b.0, w.to_bits()))
+                    .collect();
+                let got_retracted: Vec<(u32, u32)> =
+                    delta.retracted.iter().map(|&(a, b)| (a.0, b.0)).collect();
+                assert_eq!(got_added, want_added, "{label}: added");
+                assert_eq!(got_retracted, want_retracted, "{label}: retracted");
+                assert_eq!(blocker.retained_len(), batch.len(), "{label}: count");
+                retained = batch;
+            }
+            tiers
+        }
+
+        /// Every cached variant × weigher × store × thread count; returns
+        /// the tiers the commits landed on.
+        fn check_all(history: &[Vec<BTreeSet<u32>>]) -> Vec<RepairTier> {
+            let chi = ChiSquaredWeigher::new();
+            let weighers: [&dyn EdgeWeigher; 4] = [
+                &WeightingScheme::Cbs,
+                &WeightingScheme::Ecbs,
+                &WeightingScheme::Ejs,
+                &chi,
+            ];
+            let mut tiers = Vec::new();
+            for algorithm in [
+                PruningAlgorithm::Wep,
+                PruningAlgorithm::Cep,
+                PruningAlgorithm::Cnp1,
+                PruningAlgorithm::Cnp2,
+            ] {
+                for weigher in weighers {
+                    for clean in [false, true] {
+                        for threads in [1, 4] {
+                            let pruning = IncrementalPruning::Traditional(algorithm);
+                            tiers.extend(check_flips(history, clean, pruning, weigher, threads));
+                        }
+                    }
+                }
+            }
+            tiers
+        }
+
+        /// One fixed history reaches every tier.
+        #[test]
+        fn cached_variant_flips_equal_batch_differences_on_a_scripted_history() {
+            let base = sets(&[&[0, 1, 12, 13], &[2, 3, 14], &[4, 15, 16], &[1, 5, 17]]);
+            let large = (0..8).chain(12..20).collect();
+            let steps = history(
+                base,
+                large,
+                &[9, 10, 21, 22].into(),
+                &[3, 4, 14].into(),
+                1,
+                13,
+            );
+            let tiers = check_all(&steps);
+            for tier in [RepairTier::Full, RepairTier::Dirty, RepairTier::Reweigh] {
+                assert!(tiers.contains(&tier), "no {tier:?} commit");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn prop_cached_variant_flips_equal_batch_differences(
                 base in proptest::collection::vec(
                     proptest::collection::btree_set(0u32..N, 0..6), 1..8),
                 large in proptest::collection::btree_set(0u32..N, 8..16),

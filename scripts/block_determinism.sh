@@ -27,7 +27,9 @@
 # (raw token blocks). Then the edge-delta repair's two sides: WEP under
 # ARCS (a weigher reading block sizes, which keeps the wide dirty set),
 # and WEP and WNP1 under EJS (degree events, with only the list-changed
-# rows re-accumulated). Each run must print its `verify: incremental ==
+# rows re-accumulated); then CEP and CNP1 under EJS, the two other readers
+# of the births and deaths a row splice reports: CEP's rank frontier and
+# CNP's top-k lists. Each run must print its `verify: incremental ==
 # batch` line, and its 1- and 4-thread outputs must be byte-identical.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
@@ -103,3 +105,5 @@ stream_check wnp1-cbs-raw --pruning wnp1 --scheme cbs --no-cleaning
 stream_check wep-arcs --pruning wep --scheme arcs
 stream_check wep-ejs --pruning wep --scheme ejs
 stream_check wnp1-ejs --pruning wnp1 --scheme ejs
+stream_check cep-ejs --pruning cep --scheme ejs
+stream_check cnp1-ejs --pruning cnp1 --scheme ejs
