@@ -93,6 +93,6 @@ pub use context::{EdgeAccum, GraphSnapshot};
 pub use exact_sum::ExactSum;
 pub use meta::{MetaBlocker, PruningAlgorithm};
 pub use pruning::common::EpochMask;
-pub use retained::{RetainedIndex, RetainedPairs};
+pub use retained::RetainedPairs;
 pub use traversal::NodeScratch;
 pub use weights::{EdgeWeigher, WeightingScheme};

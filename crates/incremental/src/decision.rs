@@ -12,11 +12,12 @@
 //! ordered structure is kept between commits.
 //!
 //! [`EdgeAdjacency`] holds per-node rows of `(neighbour, weight,
-//! accumulator)` for every live edge. A commit splices each dirty node's
-//! row ([`EdgeAdjacency::splice`]), reading each owned edge's old weight as
-//! it merges the new row in and writing the mirrors into the neighbours'
-//! rows, so no list of old or fresh edges is gathered; the reweigh tier
-//! re-derives the clean weights from it, each row in place
+//! accumulator)` for every live edge, and WNP/BLAST's retention as one bit
+//! of each entry. A commit splices each dirty node's row
+//! ([`EdgeAdjacency::splice`]), reading each owned edge's old weight and
+//! retention bit as it merges the new row in and writing the mirrors into
+//! the neighbours' rows, so no list of old or fresh edges is gathered; the
+//! reweigh tier re-derives the clean weights from it, each row in place
 //! ([`EdgeAdjacency::reweigh_clean`]).
 //!
 //! Everything here is deterministic: every traversal runs in row order, a
@@ -81,36 +82,75 @@ pub fn retained_under(frontier: Frontier, key: EdgeKey) -> bool {
 /// accumulator the cache keeps for it.
 pub type RowEdge = (u32, u32, f64, EdgeAccum);
 
-/// One cached edge entry of an [`EdgeAdjacency`] row — the packed,
-/// padding-free layout (24 bytes, vs 40 for a naive
-/// `(v, w, EdgeAccum)`): the neighbour, the last decided weight, and the
-/// accumulator's shared-block count and ARCS reciprocal sum. The ARCS sum
-/// is kept only under a weigher that reads block sizes
-/// ([`blast_graph::weights::WeightDeps::block_sizes`]); every other cache
-/// stores 0.0 there. Such a cache's repair re-accumulates only the nodes
+/// The top bit of [`CachedEdge::common_blocks`]: whether WNP/BLAST retain
+/// the pair. Both mirrors of an edge carry the same bit.
+const RETAINED: u32 = 1 << 31;
+
+/// One cached edge entry of an [`EdgeAdjacency`] row — 16 packed bytes:
+/// the neighbour, the last decided weight, and the accumulator's
+/// shared-block count, whose top bit holds the pair's WNP/BLAST retention
+/// ([`RETAINED`]; masked off wherever the count is read, and a count never
+/// reaches 2³¹). The rest of the accumulator is *not* stored per entry: a
+/// snapshot with no entropies attached accumulates exactly 1.0 per shared
+/// block (see [`EdgeAccum::entropy_sum`]), so `entropy_sum` is bit-exactly
+/// `common_blocks as f64` (integer sums of 1.0 are exact far beyond any
+/// feasible block count), and the ARCS sum is kept only under a weigher
+/// that reads block sizes
+/// ([`blast_graph::weights::WeightDeps::block_sizes`]) — every other cache
+/// stores 0.0 for it. Such a cache's repair re-accumulates only the nodes
 /// whose cleaned block list moved, so the sum of a pair that stayed in a
 /// resized block would go stale — and a 0.0 that no weigher reads cannot.
-/// The accumulator's entropy tally is *not* stored per entry: a snapshot with
-/// no entropies attached accumulates exactly 1.0 per shared block
-/// (see [`EdgeAccum::entropy_sum`]), so `entropy_sum` is bit-exactly
-/// `common_blocks as f64` (integer sums of 1.0 are exact far beyond any
-/// feasible block count) and is re-derived on read. Pipelines that attach
-/// real entropies promote the adjacency to carry index-aligned entropy
-/// side rows on first contact ([`EdgeAdjacency::promote_entropy`]) —
-/// losslessly, because every entry stored before the first non-derived
-/// tally must itself hold the derived value.
+/// Both are re-derived on read until an entry's pair differs bitwise from
+/// the derived `(common_blocks as f64, 0.0)`: then the adjacency is
+/// promoted to carry index-aligned `(entropy_sum, arcs)` side rows
+/// ([`EdgeAdjacency::promote_side`]) — losslessly, because every entry
+/// stored before it held the derived pair.
 #[derive(Debug, Clone, Copy)]
 struct CachedEdge {
     /// The last weight pushed through the decision stage.
     w: f64,
-    /// Σ over shared blocks of 1/‖b‖ (the ARCS component) under a weigher
-    /// that reads block sizes; 0.0 otherwise.
-    arcs: f64,
     /// The neighbour on this row.
     v: u32,
-    /// Number of shared blocks |B_ij|.
+    /// Number of shared blocks |B_ij|, with the [`RETAINED`] bit on top.
     common_blocks: u32,
 }
+
+impl CachedEdge {
+    /// The entry of an edge to `v` at weight `w`, with `acc`'s block count
+    /// and the retention bit `retained`.
+    #[inline]
+    fn new(v: u32, w: f64, acc: &EdgeAccum, retained: bool) -> Self {
+        debug_assert!(acc.common_blocks < RETAINED, "block count overflows");
+        let mut entry = CachedEdge {
+            w,
+            v,
+            common_blocks: acc.common_blocks,
+        };
+        entry.set_retained(retained);
+        entry
+    }
+
+    /// |B_ij|, the retention bit masked off.
+    #[inline]
+    fn blocks(&self) -> u32 {
+        self.common_blocks & !RETAINED
+    }
+
+    /// Whether WNP/BLAST retain the pair.
+    #[inline]
+    fn retained(&self) -> bool {
+        self.common_blocks & RETAINED != 0
+    }
+
+    /// Sets or clears the retention bit.
+    #[inline]
+    fn set_retained(&mut self, on: bool) {
+        self.common_blocks = self.blocks() | if on { RETAINED } else { 0 };
+    }
+}
+
+/// One side-row entry: an accumulator's `(entropy_sum, arcs)`.
+type Side = (f64, f64);
 
 /// Per-node rows of `(neighbour, weight, accumulator)` covering every live
 /// edge (each edge stored at both endpoints, rows ascending by neighbour
@@ -120,18 +160,17 @@ struct CachedEdge {
 /// tier's input: when a global scalar (|B|, degrees, |E_G|) drifts, every
 /// clean edge's weight is re-derived from its cached local factors and the
 /// patched snapshot ([`EdgeAdjacency::reweigh_clean`]) instead of
-/// re-accumulated from the blocks. Entries are stored packed (`CachedEdge`,
-/// 24 bytes) with the entropy tally elided until a pipeline actually
-/// attaches entropies — the dominant memory cost of the reweigh tier at
-/// scale.
+/// re-accumulated from the blocks. WNP/BLAST keep their retained set in it
+/// too, one bit per entry. Entries are stored packed (`CachedEdge`, 16
+/// bytes) with the entropy and ARCS sums elided until a pipeline actually
+/// attaches entropies or weighs by ARCS.
 #[derive(Debug, Default)]
 pub struct EdgeAdjacency {
     rows: Vec<Vec<CachedEdge>>,
-    /// Index-aligned entropy tallies (`EdgeAccum::entropy_sum`), one row
-    /// per node mirroring `rows`, present only once an inserted
-    /// accumulator's tally differs bitwise from the derived
-    /// `common_blocks as f64` value (see `CachedEdge`).
-    ent: Option<Vec<Vec<f64>>>,
+    /// Index-aligned `(entropy_sum, arcs)` pairs, one row per node
+    /// mirroring `rows`, present only once an inserted accumulator's pair
+    /// differs bitwise from the derived one (see `CachedEdge`).
+    side: Option<Vec<Vec<Side>>>,
 }
 
 /// One step of [`walk_row`].
@@ -200,52 +239,61 @@ impl EdgeAdjacency {
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
         }
-        if let Some(ent) = &mut self.ent {
-            if ent.len() < n {
-                ent.resize_with(n, Vec::new);
+        if let Some(side) = &mut self.side {
+            if side.len() < n {
+                side.resize_with(n, Vec::new);
             }
         }
     }
 
-    /// The entropy tally a no-entropy snapshot would have accumulated for
-    /// this entry — 1.0 per shared block, summed exactly.
+    /// The `(entropy_sum, arcs)` a no-entropy snapshot under a weigher that
+    /// reads no block size would have accumulated for this entry — 1.0 per
+    /// shared block, summed exactly, and no ARCS sum.
     #[inline]
-    fn derived_entropy(e: &CachedEdge) -> f64 {
-        e.common_blocks as f64
+    fn derived(e: &CachedEdge) -> Side {
+        (e.blocks() as f64, 0.0)
     }
 
-    /// Materialises the entropy side rows from the packed entries. Every
-    /// entry cached so far held the derived tally (otherwise this
-    /// promotion would already have run), so the materialised values are
-    /// bit-identical to the tallies the entries were inserted with.
-    fn promote_entropy(&mut self) {
-        debug_assert!(self.ent.is_none());
-        self.ent = Some(
+    /// Materialises the side rows from the packed entries. Every entry
+    /// cached so far held the derived pair (otherwise this promotion would
+    /// already have run), so the materialised values are bit-identical to
+    /// the ones the entries were inserted with.
+    fn promote_side(&mut self) {
+        debug_assert!(self.side.is_none());
+        self.side = Some(
             self.rows
                 .iter()
-                .map(|row| row.iter().map(Self::derived_entropy).collect())
+                .map(|row| row.iter().map(Self::derived).collect())
                 .collect(),
         );
     }
 
-    /// Node `u`'s row and entropy side row (empty past the row table).
-    fn row(&self, u: u32) -> (&[CachedEdge], Option<&[f64]>) {
+    /// Node `u`'s row and side row (empty past the row table).
+    fn row(&self, u: u32) -> (&[CachedEdge], Option<&[Side]>) {
         let ui = u as usize;
         match self.rows.get(ui) {
-            Some(row) => (row, self.ent.as_ref().map(|ent| ent[ui].as_slice())),
+            Some(row) => (row, self.side.as_ref().map(|side| side[ui].as_slice())),
             None => (&[], None),
         }
     }
 
-    /// Reconstructs the full accumulator of entry `e`, the `i`-th of its
-    /// row, whose entropy side row is `ent` — bit-identical to the one it
-    /// was cached with.
+    /// The side pair of entry `e`, the `i`-th of its row, whose side row
+    /// is `side`.
     #[inline]
-    fn accum(e: &CachedEdge, ent: Option<&[f64]>, i: usize) -> EdgeAccum {
+    fn side_of(e: &CachedEdge, side: Option<&[Side]>, i: usize) -> Side {
+        side.map_or_else(|| Self::derived(e), |side| side[i])
+    }
+
+    /// Reconstructs the full accumulator of entry `e`, the `i`-th of its
+    /// row, whose side row is `side` — bit-identical to the one it was
+    /// cached with.
+    #[inline]
+    fn accum(e: &CachedEdge, side: Option<&[Side]>, i: usize) -> EdgeAccum {
+        let (entropy_sum, arcs) = Self::side_of(e, side, i);
         EdgeAccum {
-            common_blocks: e.common_blocks,
-            arcs: e.arcs,
-            entropy_sum: ent.map_or_else(|| Self::derived_entropy(e), |ent| ent[i]),
+            common_blocks: e.blocks(),
+            arcs,
+            entropy_sum,
         }
     }
 
@@ -261,21 +309,22 @@ impl EdgeAdjacency {
     }
 
     /// Estimated resident heap footprint in bytes: packed entry capacity,
-    /// entropy side rows when promoted, and the row headers themselves.
+    /// side rows when promoted, and the row headers themselves.
     pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
         let entries: usize = self
             .rows
             .iter()
-            .map(|row| row.capacity() * std::mem::size_of::<CachedEdge>())
+            .map(|row| row.capacity() * size_of::<CachedEdge>())
             .sum();
-        let ent: usize = self.ent.as_ref().map_or(0, |ent| {
-            ent.iter()
-                .map(|row| row.capacity() * std::mem::size_of::<f64>())
+        let side: usize = self.side.as_ref().map_or(0, |side| {
+            side.iter()
+                .map(|row| row.capacity() * size_of::<Side>())
                 .sum()
         });
-        let headers = (self.rows.capacity() + self.ent.as_ref().map_or(0, Vec::capacity))
-            * std::mem::size_of::<Vec<f64>>();
-        entries + ent + headers
+        let headers = (self.rows.capacity() + self.side.as_ref().map_or(0, Vec::capacity))
+            * size_of::<Vec<Side>>();
+        entries + side + headers
     }
 
     /// Visits every live edge once, canonical `(u, v, weight)`, ascending
@@ -291,18 +340,44 @@ impl EdgeAdjacency {
         }
     }
 
-    /// Node `u`'s row as `(neighbour, weight)`, ascending neighbours. Both
-    /// mirrors of an edge cache its canonical weight (the one a decision
-    /// reads), so this is the node's emitted row wherever the cache holds
-    /// the current weights.
-    pub fn weights(&self, u: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.row(u).0.iter().map(|e| (e.v, e.w))
+    /// Visits every edge whose retention bit is set once, canonical
+    /// `(u, v)`, ascending: the WNP/BLAST retained set.
+    pub fn for_each_retained(&self, mut f: impl FnMut(u32, u32)) {
+        for (u, row) in (0u32..).zip(&self.rows) {
+            for e in row {
+                if e.v > u && e.retained() {
+                    f(u, e.v);
+                }
+            }
+        }
+    }
+
+    /// Node `u`'s row as `(neighbour, weight, retained)`, ascending
+    /// neighbours. Both mirrors of an edge cache its canonical weight (the
+    /// one a decision reads) and its retention bit, so this is the node's
+    /// emitted row, with each pair's standing, wherever the cache holds the
+    /// current weights.
+    pub fn decisions(&self, u: u32) -> impl Iterator<Item = (u32, f64, bool)> + '_ {
+        self.row(u).0.iter().map(|e| (e.v, e.w, e.retained()))
     }
 
     /// The cached canonical weight of the live edge `(a, b)`.
     pub fn weight(&self, a: u32, b: u32) -> Option<f64> {
         let row = self.row(a).0;
         row.binary_search_by_key(&b, |e| e.v).ok().map(|i| row[i].w)
+    }
+
+    /// Sets or clears the retention bit of the live edge `(a, b)` on both
+    /// mirrors.
+    pub fn set_retained(&mut self, a: u32, b: u32, on: bool) {
+        for (x, y) in [(a, b), (b, a)] {
+            let row = &mut self.rows[x as usize];
+            let found = row.binary_search_by_key(&y, |e| e.v);
+            debug_assert!(found.is_ok(), "a flipped pair is a live edge: ({x}, {y})");
+            if let Ok(i) = found {
+                row[i].set_retained(on);
+            }
+        }
     }
 
     /// What [`EdgeAdjacency::splice`] would report for node `d`'s emitted
@@ -337,13 +412,14 @@ impl EdgeAdjacency {
     ///   to marked smaller neighbours — those neighbours own the edges and
     ///   were spliced first, so those entries are already current;
     /// * reads the old entries of the edges `d` owns during that merge and
-    ///   reports each owned edge as `f(u, v, old, new)`, canonical `u < v`,
-    ///   the old and new weight, `None` for a birth's old side or a death's
-    ///   new one;
-    /// * writes each owned edge's mirror into the neighbour's row: one
-    ///   binary search there (a push past the row's last entry), then the
-    ///   entry is overwritten in place, or inserted or removed for a birth
-    ///   or a death.
+    ///   reports each owned edge as `f(u, v, old, new, retained)`,
+    ///   canonical `u < v`, the old and new weight, `None` for a birth's
+    ///   old side or a death's new one, and the old entry's retention bit
+    ///   (`false` for a birth), which a surviving edge keeps;
+    /// * writes each owned edge's mirror, retention bit included, into the
+    ///   neighbour's row: one binary search there (a push past the row's
+    ///   last entry), then the entry is overwritten in place, or inserted
+    ///   or removed for a birth or a death.
     ///
     /// An accumulator is stored whenever an entry is, even where the weight
     /// bits tie: a later reweigh must read current local factors.
@@ -351,69 +427,66 @@ impl EdgeAdjacency {
         &mut self,
         mask: &EpochMask,
         rows: impl IntoIterator<Item = (u32, &'r [RowEdge])>,
-        mut f: impl FnMut(u32, u32, Option<f64>, Option<f64>),
+        mut f: impl FnMut(u32, u32, Option<f64>, Option<f64>, bool),
     ) {
         let mut new_row: Vec<CachedEdge> = Vec::new();
-        let mut new_ent: Vec<f64> = Vec::new();
+        let mut new_side: Vec<Side> = Vec::new();
         for (d, emitted) in rows {
             let di = d as usize;
             // The old row leaves the table while the mirrors are written:
             // no mirror lands on the row being spliced.
             let mut old = std::mem::take(&mut self.rows[di]);
-            let mut old_ent = self.ent.as_mut().map(|ent| std::mem::take(&mut ent[di]));
+            let mut old_side = self.side.as_mut().map(|side| std::mem::take(&mut side[di]));
             new_row.clear();
-            new_ent.clear();
+            new_side.clear();
             walk_row(d, mask, &old, emitted, |step| match step {
                 RowStep::Kept(i) => {
                     new_row.push(old[i]);
-                    new_ent.push(
-                        old_ent
-                            .as_ref()
-                            .map_or_else(|| Self::derived_entropy(&old[i]), |ent| ent[i]),
-                    );
+                    new_side.push(Self::side_of(&old[i], old_side.as_deref(), i));
                 }
                 RowStep::Emitted(prev, &(a, b, w, acc)) => {
                     let v = if a == d { b } else { a };
-                    f(a, b, prev.map(|i| old[i].w), Some(w));
-                    let entry = CachedEdge {
-                        w,
-                        arcs: acc.arcs,
-                        v,
-                        common_blocks: acc.common_blocks,
-                    };
+                    let retained = prev.is_some_and(|i| old[i].retained());
+                    f(a, b, prev.map(|i| old[i].w), Some(w), retained);
+                    let entry = CachedEdge::new(v, w, &acc, retained);
+                    let side = (acc.entropy_sum, acc.arcs);
                     new_row.push(entry);
-                    new_ent.push(acc.entropy_sum);
-                    self.write_mirror(v, CachedEdge { v: d, ..entry }, acc.entropy_sum);
+                    new_side.push(side);
+                    self.write_mirror(v, CachedEdge { v: d, ..entry }, side);
                 }
                 RowStep::Died(i) => {
                     let v = old[i].v;
-                    f(d.min(v), d.max(v), Some(old[i].w), None);
+                    f(d.min(v), d.max(v), Some(old[i].w), None, old[i].retained());
                     self.remove_mirror(v, d);
                 }
             });
             old.clear();
+            fit(&mut old, new_row.len());
             old.extend_from_slice(&new_row);
             self.rows[di] = old;
             // A mirror write may have promoted the side rows mid-splice;
-            // `new_ent` holds every entry's tally either way.
-            if let Some(ent) = &mut self.ent {
-                let mut row = old_ent.take().unwrap_or_default();
+            // `new_side` holds every entry's pair either way.
+            if let Some(side) = &mut self.side {
+                let mut row = old_side.take().unwrap_or_default();
                 row.clear();
-                row.extend_from_slice(&new_ent);
-                ent[di] = row;
+                fit(&mut row, new_side.len());
+                row.extend_from_slice(&new_side);
+                side[di] = row;
             }
         }
     }
 
     /// Writes the mirror `entry` (its neighbour `entry.v` is the node being
     /// spliced) into row `x`: in place if the edge is cached, inserted
-    /// otherwise.
-    fn write_mirror(&mut self, x: u32, entry: CachedEdge, entropy: f64) {
-        if self.ent.is_none() && entropy.to_bits() != Self::derived_entropy(&entry).to_bits() {
-            self.promote_entropy();
+    /// otherwise. The entry carries the retention bit the owner's old entry
+    /// held, which is the bit the mirror holds.
+    fn write_mirror(&mut self, x: u32, entry: CachedEdge, side: Side) {
+        let bits = |(entropy_sum, arcs): Side| (entropy_sum.to_bits(), arcs.to_bits());
+        if self.side.is_none() && bits(side) != bits(Self::derived(&entry)) {
+            self.promote_side();
         }
         let row = &mut self.rows[x as usize];
-        let ent = self.ent.as_mut().map(|ent| &mut ent[x as usize]);
+        let side_row = self.side.as_mut().map(|s| &mut s[x as usize]);
         // Past the row's last entry — every mirror of a full-tier splice
         // into a row that holds nothing beyond the spliced node — is a
         // push.
@@ -423,15 +496,18 @@ impl EdgeAdjacency {
         };
         match at {
             Ok(i) => {
+                debug_assert_eq!(row[i].retained(), entry.retained(), "mirrors agree");
                 row[i] = entry;
-                if let Some(ent) = ent {
-                    ent[i] = entropy;
+                if let Some(side_row) = side_row {
+                    side_row[i] = side;
                 }
             }
             Err(i) => {
+                fit(row, row.len() + 1);
                 row.insert(i, entry);
-                if let Some(ent) = ent {
-                    ent.insert(i, entropy);
+                if let Some(side_row) = side_row {
+                    fit(side_row, side_row.len() + 1);
+                    side_row.insert(i, side);
                 }
             }
         }
@@ -444,8 +520,12 @@ impl EdgeAdjacency {
         debug_assert!(found.is_ok(), "rows must mirror: ({x}, {y})");
         if let Ok(i) = found {
             row.remove(i);
-            if let Some(ent) = &mut self.ent {
-                ent[x as usize].remove(i);
+            let len = row.len();
+            fit(row, len);
+            if let Some(side) = &mut self.side {
+                let side = &mut side[x as usize];
+                side.remove(i);
+                fit(side, len);
             }
         }
     }
@@ -466,11 +546,11 @@ impl EdgeAdjacency {
         weigher: &dyn EdgeWeigher,
         mut f: impl FnMut(u32, f64),
     ) {
-        let (row, ent) = self.row(u);
+        let (row, side) = self.row(u);
         for (i, entry) in row.iter().enumerate() {
             f(
                 entry.v,
-                weigher.weight(ctx, u, entry.v, &Self::accum(entry, ent, i)),
+                weigher.weight(ctx, u, entry.v, &Self::accum(entry, side, i)),
             );
         }
     }
@@ -533,8 +613,8 @@ impl EdgeAdjacency {
             }
             None => Vec::new(),
         };
-        let Self { rows, ent } = self;
-        let ent = ent.as_deref();
+        let Self { rows, side } = self;
+        let side = side.as_deref();
         // Each chunk is claimed exactly once, so no lock is ever contended
         // or found poisoned: the mutex only hands its one worker the
         // chunk's rows.
@@ -552,10 +632,10 @@ impl EdgeAdjacency {
                 let mut rows = cell.lock().unwrap_or_else(PoisonError::into_inner);
                 let rows = (range.start as u32..).zip(rows.iter_mut());
                 match factoring {
-                    Some(f) => sweep_rows(rows, ent, mask, keep_old, |a, b, acc| {
+                    Some(f) => sweep_rows(rows, side, mask, keep_old, |a, b, acc| {
                         f.local(ctx, a, b, acc) * factors[a as usize] * factors[b as usize]
                     }),
-                    None => sweep_rows(rows, ent, mask, keep_old, |a, b, acc| {
+                    None => sweep_rows(rows, side, mask, keep_old, |a, b, acc| {
                         weigher.weight(ctx, a, b, acc)
                     }),
                 }
@@ -605,6 +685,19 @@ impl EdgeAdjacency {
     }
 }
 
+/// Sizes `row` for `len` entries: a row that must grow gets a quarter of
+/// its new length as slack, not the doubling `Vec` would give it, and a row
+/// left with more than half its length spare is cut back to a quarter. The
+/// rows are the cache's bulk, and most grow or shrink a few entries at a
+/// time.
+fn fit<T>(row: &mut Vec<T>, len: usize) {
+    if row.capacity() < len {
+        row.reserve_exact(len + len / 4 - row.len());
+    } else if row.capacity() > len + len / 2 + 4 {
+        row.shrink_to(len + len / 4);
+    }
+}
+
 /// What one [`EdgeAdjacency::reweigh_clean`] did.
 #[derive(Debug, Default)]
 pub struct Sweep {
@@ -632,7 +725,7 @@ struct SweepPart {
 /// canonical orientation; an owned entry (`u < v`) counts the edge once.
 fn sweep_rows<'a>(
     rows: impl Iterator<Item = (u32, &'a mut Vec<CachedEdge>)>,
-    ent: Option<&[Vec<f64>]>,
+    side: Option<&[Vec<Side>]>,
     mask: &EpochMask,
     keep_old: bool,
     weigh: impl Fn(u32, u32, &EdgeAccum) -> f64,
@@ -646,7 +739,7 @@ fn sweep_rows<'a>(
             if mask.contains(e.v) {
                 continue;
             }
-            let acc = EdgeAdjacency::accum(e, ent.map(|ent| ent[u as usize].as_slice()), i);
+            let acc = EdgeAdjacency::accum(e, side.map(|side| side[u as usize].as_slice()), i);
             let w = if u < e.v {
                 let w = weigh(u, e.v, &acc);
                 part.swept += 1;
@@ -683,8 +776,8 @@ pub(crate) mod tests {
 
         /// The accumulator of entry `i` on row `u`.
         fn acc_at(&self, u: usize, i: usize) -> EdgeAccum {
-            let (row, ent) = self.row(u as u32);
-            Self::accum(&row[i], ent, i)
+            let (row, side) = self.row(u as u32);
+            Self::accum(&row[i], side, i)
         }
     }
 
@@ -733,18 +826,32 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Splices `rows` under `mask`, returning the reported events with the
-    /// weights as bits.
+    /// Splices `rows` under `mask`, returning the reported events.
     fn splice(
         adj: &mut EdgeAdjacency,
         mask: &EpochMask,
         rows: &[(u32, Vec<RowEdge>)],
     ) -> Vec<(u32, u32, Option<f64>, Option<f64>)> {
+        splice_bits(adj, mask, rows)
+            .into_iter()
+            .map(|(u, v, ow, nw, _)| (u, v, ow, nw))
+            .collect()
+    }
+
+    /// One splice event: `(u, v, old w, new w, old retention bit)`.
+    type Event = (u32, u32, Option<f64>, Option<f64>, bool);
+
+    /// [`splice`] with each event's old retention bit.
+    fn splice_bits(
+        adj: &mut EdgeAdjacency,
+        mask: &EpochMask,
+        rows: &[(u32, Vec<RowEdge>)],
+    ) -> Vec<Event> {
         let mut events = Vec::new();
         adj.splice(
             mask,
             rows.iter().map(|(d, row)| (*d, row.as_slice())),
-            |u, v, ow, nw| events.push((u, v, ow, nw)),
+            |u, v, ow, nw, kept| events.push((u, v, ow, nw, kept)),
         );
         events
     }
@@ -863,7 +970,7 @@ pub(crate) mod tests {
     fn all_entries(adj: &EdgeAdjacency) -> Vec<(u32, u32, u64)> {
         let mut out = Vec::new();
         for u in 0..adj.rows.len() as u32 {
-            out.extend(adj.weights(u).map(|(v, w)| (u, v, w.to_bits())));
+            out.extend(adj.decisions(u).map(|(v, w, _)| (u, v, w.to_bits())));
         }
         out
     }
@@ -1048,27 +1155,29 @@ pub(crate) mod tests {
         }
     }
 
-    /// The packed layout is 24 bytes and the entropy side rows appear
-    /// only when a spliced accumulator actually carries a non-derived
-    /// tally — and the promotion is lossless: accumulators cached before
-    /// the promotion read back bit-identical afterwards, including those of
-    /// the row whose splice is under way when a mirror write promotes.
+    /// The packed layout is 16 bytes and the side rows appear only when a
+    /// spliced accumulator actually carries a non-derived entropy tally or
+    /// ARCS sum — and the promotion is lossless: accumulators cached
+    /// before the promotion read back bit-identical afterwards, including
+    /// those of the row whose splice is under way when a mirror write
+    /// promotes.
     #[test]
     fn packed_entries_promote_entropy_losslessly() {
-        assert_eq!(std::mem::size_of::<CachedEdge>(), 24);
-        // Derived tally: entropy_sum ≡ common_blocks as f64 → no side rows.
+        assert_eq!(std::mem::size_of::<CachedEdge>(), 16);
+        // Derived pair: entropy_sum ≡ common_blocks as f64, no ARCS sum →
+        // no side rows.
         let plain = EdgeAccum {
             common_blocks: 3,
-            arcs: 0.75,
+            arcs: 0.0,
             entropy_sum: 3.0,
         };
         let other = EdgeAccum {
             common_blocks: 1,
-            arcs: 0.5,
+            arcs: 0.0,
             entropy_sum: 1.0,
         };
         let mut adj = loaded(4, &[(0, 1, 1.5, plain)]);
-        assert!(adj.ent.is_none(), "derived tallies stay packed");
+        assert!(adj.side.is_none(), "derived pairs stay packed");
         assert_eq!(adj.acc_at(0, 0), plain, "reconstructed bit-identical");
         assert_eq!(adj.live_edges(), 1);
         assert_eq!(adj.cached_accumulators(), 2);
@@ -1079,7 +1188,7 @@ pub(crate) mod tests {
         // write promotes while row 2 is out of the table.
         let entropic = EdgeAccum {
             common_blocks: 2,
-            arcs: 0.5,
+            arcs: 0.0,
             entropy_sum: 1.375,
         };
         let mask = mask_of(4, &[0, 2]);
@@ -1089,7 +1198,7 @@ pub(crate) mod tests {
             (2, 3, 2.0, entropic),
         ];
         splice(&mut adj, &mask, &rows_of(&[0, 2], &mask, &now));
-        assert!(adj.ent.is_some(), "non-derived tally promotes");
+        assert!(adj.side.is_some(), "non-derived tally promotes");
         let accs = |adj: &EdgeAdjacency| -> Vec<(u32, u32, EdgeAccum)> {
             adj.entries().iter().map(|e| (e.0, e.1, e.3)).collect()
         };
@@ -1105,8 +1214,8 @@ pub(crate) mod tests {
             ]
         );
 
-        // Row 3 reweighs `(2, 3)` in place with a fresh tally (row 3 owns
-        // it: 2 is unmarked) and row 1 loses `(0, 1)`.
+        // Row 3 reweighs `(2, 3)` in place with a fresh accumulator (row 3
+        // owns it: 2 is unmarked) and row 1 loses `(0, 1)`.
         let moved = EdgeAccum {
             common_blocks: 4,
             arcs: 1.25,
@@ -1124,5 +1233,99 @@ pub(crate) mod tests {
             vec![(0, 2, other), (2, 0, other), (2, 3, moved), (3, 2, moved)]
         );
         assert_eq!(adj.live_edges(), 2);
+
+        // An ARCS sum alone promotes too.
+        let arcs = EdgeAccum {
+            common_blocks: 2,
+            arcs: 0.75,
+            entropy_sum: 2.0,
+        };
+        let adj = loaded(3, &[(0, 1, 1.0, plain), (1, 2, 1.0, arcs)]);
+        assert!(adj.side.is_some(), "a non-zero ARCS sum promotes");
+        assert_eq!(
+            accs(&adj),
+            vec![(0, 1, plain), (1, 0, plain), (1, 2, arcs), (2, 1, arcs)]
+        );
+    }
+
+    /// The retention bit lives beside the block count without touching it,
+    /// on both mirrors: a splice carries it over on every surviving edge,
+    /// whether the row's own splice or a neighbour's mirror write rewrites
+    /// the entry, reports it on a death, and starts a birth without it.
+    #[test]
+    fn retention_bits_survive_splices() {
+        let acc = |blocks| EdgeAccum {
+            common_blocks: blocks,
+            arcs: 0.0,
+            entropy_sum: blocks as f64,
+        };
+        let mut adj = loaded(
+            5,
+            &[
+                (0, 1, 1.0, acc(1)),
+                (1, 2, 2.0, acc(2)),
+                (2, 3, 3.0, acc(3)),
+            ],
+        );
+        for (a, b) in [(0, 1), (1, 2), (3, 2)] {
+            adj.set_retained(a, b, true);
+        }
+        let retained = |adj: &EdgeAdjacency| {
+            let mut out = Vec::new();
+            adj.for_each_retained(|u, v| out.push((u, v)));
+            out
+        };
+        assert_eq!(retained(&adj), vec![(0, 1), (1, 2), (2, 3)]);
+        let bits = |adj: &EdgeAdjacency| -> Vec<(u32, u32, bool)> {
+            (0..5)
+                .flat_map(|u| adj.decisions(u).map(move |(v, _, r)| (u, v, r)))
+                .collect()
+        };
+
+        // Rows 1 and 2 marked: row 1 reweighs `(0, 1)` (a mirror write into
+        // clean row 0) and `(1, 2)`; row 2 keeps `(1, 2)` as row 1 wrote
+        // it, loses the retained `(2, 3)` and gains `(2, 4)`.
+        let mask = mask_of(5, &[1, 2]);
+        let now = [
+            (0, 1, 5.0, acc(4)),
+            (1, 2, 6.0, acc(5)),
+            (2, 4, 7.0, acc(1)),
+        ];
+        let events = splice_bits(&mut adj, &mask, &rows_of(&[1, 2], &mask, &now));
+        assert_eq!(
+            events,
+            vec![
+                (0, 1, Some(1.0), Some(5.0), true),
+                (1, 2, Some(2.0), Some(6.0), true),
+                (2, 3, Some(3.0), None, true),
+                (2, 4, None, Some(7.0), false),
+            ]
+        );
+        assert_eq!(
+            bits(&adj),
+            vec![
+                (0, 1, true),
+                (1, 0, true),
+                (1, 2, true),
+                (2, 1, true),
+                (2, 4, false),
+                (4, 2, false),
+            ]
+        );
+        assert_eq!(retained(&adj), vec![(0, 1), (1, 2)]);
+        let blocks: Vec<u32> = adj.entries().iter().map(|e| e.3.common_blocks).collect();
+        assert_eq!(blocks, vec![4, 4, 5, 5, 1, 1], "the bit never leaks");
+
+        // A clean row's splice rewrites the mirror in a marked-free commit:
+        // row 0 owns `(0, 1)` now that 1 is unmarked.
+        adj.set_retained(1, 2, false);
+        let mask = mask_of(5, &[0]);
+        splice(
+            &mut adj,
+            &mask,
+            &rows_of(&[0], &mask, &[(0, 1, 8.0, acc(4))]),
+        );
+        assert_eq!(retained(&adj), vec![(0, 1)], "both mirrors keep the bit");
+        assert_eq!(adj.weight(1, 0), Some(8.0));
     }
 }

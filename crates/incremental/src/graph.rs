@@ -59,18 +59,21 @@
 //! in for the other: a weigher that multiplies per-endpoint factors (ECBS,
 //! EJS, χ²) gives `(c·a)·b` from one side and `(c·b)·a` from the other,
 //! which differ in the last bit for about a fifth of ECBS edges — and
-//! bit-identity with batch is the invariant. Variants with no edge cache
-//! (WNP/BLAST under a weigher whose globals cannot drift) carry `(u, v, w)`
-//! only, and the decision stage reads the rows where they lie. Variants
-//! with an edge cache carry the accumulator too, and the cache takes each
+//! bit-identity with batch is the invariant. Every variant keeps an edge
+//! cache, so the rows carry the accumulator too, and the cache takes each
 //! row as a **row splice** ([`EdgeAdjacency::splice`]), dirty nodes
 //! ascending: the node's cache row is rebuilt by merging its emitted
 //! entries with its entries to marked smaller neighbours (whose splices ran
 //! first and wrote them), the old entries of the edges it owns are read
 //! during that merge, and each owned edge's mirror is written into the
 //! neighbour's row. The splice reports every owned edge's old and new
-//! weight, `None` for a birth or a death. No list of all dirty-incident
-//! edges, old or fresh, is ever built or sorted.
+//! weight, `None` for a birth or a death, and its old retention bit. No
+//! list of all dirty-incident edges, old or fresh, is ever built or
+//! sorted. Where no row is read before its splice — every variant but
+//! WEP/CEP (whose frontier) and a degree-reading weigher (whose edge diff)
+//! — the dirty set is accumulated and spliced a slice at a time, so a
+//! structural pass never holds every edge's emitted entry beside the cache
+//! it builds.
 //!
 //! Three cases take their artefacts from the **cache rows** instead
 //! ([`EdgeAdjacency::for_each_node_weight`], once the rows are patched): a
@@ -102,18 +105,15 @@
 //!   clean weight never moves and only a frontier move can flip one, as
 //!   they stand. A `retained()` read filters the rows by the frontier.
 //! * **WNP / BLAST** — per-node thresholds, overwritten for the recompute
-//!   set from the artefacts above. The survivors live in a
-//!   [`blast_graph::retained::RetainedIndex`], and the decision is
-//!   row-local: a second work-steal pass on the accumulate pass's chunk
-//!   geometry merge-joins each recomputed node's emitted row against the
-//!   same node's index row under the same ownership rule, deciding every
-//!   pair against the two thresholds (`join_row`). The rows are the
-//!   accumulate pass's own where no edge cache exists — filtered in place
-//!   down to the pairs that enter — and otherwise the patched cache rows
-//!   with their canonical weights (every commit under ECBS/EJS/χ², and
-//!   every node on the reweigh tier). Clean survivors are never visited,
-//!   no list of all decided pairs is built, and only the flips are sorted
-//!   and touch the index.
+//!   set from the artefacts above. The survivors are one bit of each cache
+//!   entry, set on both mirrors, and the decision is row-local: a
+//!   work-steal pass walks each recomputed node's patched cache row under
+//!   the splice's ownership rule, deciding every pair at its canonical
+//!   weight against the two thresholds and its bit (`join_row`). A
+//!   retained pair that dies is retracted where the splice reports its
+//!   death. Clean survivors are never visited, no list of all decided
+//!   pairs is built, and only the flips are sorted and written back to the
+//!   bits. A `retained()` read filters the rows by the bit.
 //! * **CNP** — per-node top-k lists, replaced for the recompute set from
 //!   the artefacts above. A pair's retention can move only where one of
 //!   those nodes' lists changed, so the changed pairs are the list
@@ -148,9 +148,9 @@
 //! block gained or lost, a liveness flip included): two members that both
 //! stay in a resized block keep them. Only ARCS's Σ 1/‖b‖
 //! ([`blast_graph::weights::WeightDeps::block_sizes`]) moves for every
-//! pair of a resized block's members. So every variant that keeps an edge
-//! cache (WEP/CEP, CNP, and any variant under ECBS/EJS/χ²) repairs
-//! **edge-deltas** unless its weigher reads block sizes:
+//! pair of a resized block's members. So every variant repairs
+//! **edge-deltas** off its edge cache unless its weigher reads block
+//! sizes:
 //!
 //! * the **accumulate-dirty** set is `lists_changed`. Only these rows are
 //!   read from blocks ([`touching_pass`]), patched into the cache, and
@@ -166,9 +166,9 @@
 //!
 //! A weigher that reads block sizes (ARCS, and every custom weigher by
 //! default) keeps the wide dirty set: the cleaner's whole scope, all
-//! re-accumulated. So does a variant with no edge cache (WNP/BLAST under
-//! CBS, JS or ARCS), plus — for JS — the co-member expansion, since its
-//! neighbours' thresholds need their full rows. Where no artefact can go
+//! re-accumulated, plus — for a weigher that also reads per-node block
+//! counts — the co-members of the list-changed nodes, whose artefacts the
+//! pass then recomputes from their full rows. Where no artefact can go
 //! stale the expansion is skipped: WEP/CEP keep none, and a commit known to
 //! reweigh before accumulating re-derives them all from the cache.
 
@@ -181,10 +181,10 @@ use blast_graph::exact_sum::ExactSum;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::pruning::common::{touching_pass, EpochMask, TouchingPass};
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
-use blast_graph::retained::{RetainedIndex, RetainedPairs};
+use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
 pub use blast_obs::{RepairStats, RepairTier};
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::time::Instant;
 
 /// The pruning variant an incremental pipeline maintains.
@@ -272,9 +272,8 @@ impl PairDelta {
 }
 
 /// What [`IncrementalMetaBlocker::refresh`] hands its decision pass: the
-/// commit's graph context, what the cache patch decided, the accumulate
-/// pass's rows where no cache holds them, the reweigh sweep and the
-/// recompute set's artefacts.
+/// commit's graph context, what the cache patch decided, the reweigh sweep
+/// and the recompute set's artefacts.
 struct RepairCtx<'a> {
     ctx: &'a GraphSnapshot,
     /// The node set whose artefacts are recomputed (on tier 1 the dirty
@@ -286,16 +285,12 @@ struct RepairCtx<'a> {
     /// one).
     old_frontier: Frontier,
     /// WEP/CEP: the dirty-incident edges' flips, decided as the splice
-    /// reported them (unsorted).
+    /// reported them; WNP/BLAST: the retained pairs that died in the
+    /// splice (unsorted).
     flips: Flips,
     /// The reweigh tier's sweep of the clean edges, with their old weights
     /// for WEP/CEP.
     sweep: Option<Sweep>,
-    /// The accumulate pass's emitted rows of `recompute` where no edge
-    /// cache holds them (WNP/BLAST under a weigher with no drifting
-    /// global); `None` reads them off the patched cache rows. Owned, so
-    /// the decision drops them before it lays out its flips.
-    rows: Option<PassRows<'a>>,
     /// The recompute set's artefacts, aligned with it; empty for WEP/CEP.
     artefacts: Vec<Artefact>,
 }
@@ -304,13 +299,15 @@ struct RepairCtx<'a> {
 /// read, and retracted pairs.
 type Flips = (Vec<(u32, u32, f64)>, Vec<(u32, u32)>);
 
-/// The accumulate pass of a variant with no edge cache: each dirty node's
-/// emitted row of canonical `(u, v, w)`.
-type PassRows<'a> = TouchingPass<'a, (u32, u32, f64), Artefact>;
-
-/// The accumulate pass of a variant with an edge cache: each dirty node's
-/// emitted row as [`EdgeAdjacency::splice`] takes it.
+/// The accumulate pass: each dirty node's emitted row as
+/// [`EdgeAdjacency::splice`] takes it.
 type CachePass<'a> = TouchingPass<'a, RowEdge, Artefact>;
+
+/// Dirty nodes accumulated and spliced per slice where no row is read
+/// before the splice: what bounds the emitted rows a structural pass holds
+/// beside the cache it builds. Unit tests take tiny slices, so that their
+/// histories splice across slice boundaries.
+const SPLICE_SLICE: usize = if cfg!(test) { 3 } else { 1024 };
 
 /// The weigher of a pass that must not weigh yet (EJS's, before its
 /// degrees are patched): every weight reads 0.0 until the rows are weighed.
@@ -395,8 +392,9 @@ impl ArtefactRule {
 enum DecisionState {
     /// WEP/CEP: the retention frontier of the last commit.
     Edge { frontier: Frontier },
-    /// WNP/BLAST: indexed survivors.
-    Node { retained: RetainedIndex },
+    /// WNP/BLAST: nothing beyond the per-node thresholds and the edge
+    /// cache's retention bits.
+    Node,
     /// CNP: nothing beyond the per-node top-k lists.
     Lists,
 }
@@ -411,13 +409,12 @@ pub struct IncrementalMetaBlocker {
     /// Per-node top-k lists (CNP). Empty otherwise.
     lists: Vec<Vec<u32>>,
     decision: DecisionState,
-    /// The live-edge adjacency with cached accumulators: always present
-    /// for WEP/CEP (old-side flip enumeration and the frontier, which is
-    /// restated from the rows every commit), created on the first pass
-    /// for CNP (whose top-k lists re-derive from it on a budget move) and
-    /// for every other variant whose weigher can drift a global scalar
-    /// (the reweigh tier's cache and the degree maintainer's edge diff).
-    adj: Option<EdgeAdjacency>,
+    /// The live-edge adjacency with cached accumulators, every variant's:
+    /// what the repair patches edge-deltas into and re-derives artefacts
+    /// from, the reweigh tier's input, the degree maintainer's edge diff,
+    /// WEP/CEP's frontier and old-side flips, and WNP/BLAST's retained set
+    /// (one bit per entry).
+    adj: EdgeAdjacency,
     /// |retained|, maintained from the flips (no full-set scan).
     retained_len: usize,
     /// The flat sorted view, materialised lazily on read.
@@ -442,17 +439,14 @@ impl IncrementalMetaBlocker {
             }
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
             | IncrementalPruning::Traditional(PruningAlgorithm::Cnp2) => DecisionState::Lists,
-            _ => DecisionState::Node {
-                retained: RetainedIndex::new(),
-            },
+            _ => DecisionState::Node,
         };
-        let edge_variant = matches!(decision, DecisionState::Edge { .. });
         Self {
             pruning,
             thresholds: Vec::new(),
             lists: Vec::new(),
             decision,
-            adj: edge_variant.then(EdgeAdjacency::new),
+            adj: EdgeAdjacency::new(),
             retained_len: 0,
             cache: OnceCell::new(),
             mask: EpochMask::new(),
@@ -487,16 +481,20 @@ impl IncrementalMetaBlocker {
             // The prefix is read off the adjacency rows, which visit the
             // edges in the flat view's own `(u, v)` order.
             DecisionState::Edge { frontier } => {
-                let adj = self.adj.as_ref().expect("edge variant carries the cache");
                 let mut pairs = Vec::with_capacity(self.retained_len);
-                adj.for_each_edge(|u, v, w| {
+                self.adj.for_each_edge(|u, v, w| {
                     if retained_under(*frontier, EdgeKey::new(u, v, w)) {
                         pairs.push((ProfileId(u), ProfileId(v)));
                     }
                 });
                 RetainedPairs::from_sorted(pairs)
             }
-            DecisionState::Node { retained } => retained.to_pairs(),
+            DecisionState::Node => {
+                let mut pairs = Vec::with_capacity(self.retained_len);
+                self.adj
+                    .for_each_retained(|u, v| pairs.push((ProfileId(u), ProfileId(v))));
+                RetainedPairs::from_sorted(pairs)
+            }
             DecisionState::Lists => Cnp {
                 mode: self.node_centric_mode(),
                 k: None,
@@ -505,31 +503,23 @@ impl IncrementalMetaBlocker {
         })
     }
 
-    /// Number of live edges in the adjacency cache (0 for a variant that
-    /// keeps none).
+    /// Number of live edges in the adjacency cache.
     pub fn live_edges(&self) -> usize {
-        self.adj.as_ref().map_or(0, EdgeAdjacency::live_edges)
+        self.adj.live_edges()
     }
 
     /// Number of packed accumulator entries cached in the adjacency
-    /// (2 per undirected live edge when caching is on).
+    /// (2 per undirected live edge).
     pub fn cached_accumulators(&self) -> usize {
-        self.adj
-            .as_ref()
-            .map_or(0, EdgeAdjacency::cached_accumulators)
+        self.adj.cached_accumulators()
     }
 
     /// Estimated resident heap footprint of the blocker in bytes: the
-    /// edge-accumulator adjacency, the variant's decision structure, the
+    /// edge-accumulator adjacency (WNP/BLAST's retained set included), the
     /// per-node artefacts and the lazily cached flat retained view.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let decision = match &self.decision {
-            DecisionState::Node { retained } => retained.resident_bytes(),
-            DecisionState::Edge { .. } | DecisionState::Lists => 0,
-        };
-        self.adj.as_ref().map_or(0, EdgeAdjacency::resident_bytes)
-            + decision
+        self.adj.resident_bytes()
             + self.thresholds.capacity() * size_of::<f64>()
             + self
                 .lists
@@ -582,17 +572,10 @@ impl IncrementalMetaBlocker {
         let deps = weigher.global_deps();
         let needs_degrees = weigher.requires_degrees();
         let edge_variant = matches!(self.decision, DecisionState::Edge { .. });
-        let lists_variant = matches!(self.decision, DecisionState::Lists);
-        // The edge cache is maintained whenever a global scalar the
-        // weigher reads can drift (the reweigh tier's input) — always for
-        // WEP/CEP, which decide off the rows, and
-        // always for CNP, whose budget is itself a drifting global (every
-        // top-k list is a pure function of the cached adjacency plus k).
-        let cache_edges = edge_variant || lists_variant || needs_degrees || deps.total_blocks;
-        // Edge-delta repair: with an edge cache and accumulators that read
-        // no block size, only the rows whose cleaned block list moved are
-        // re-accumulated (see the module docs).
-        let narrow = cache_edges && !deps.block_sizes;
+        // Edge-delta repair: with accumulators that read no block size,
+        // only the rows whose cleaned block list moved are re-accumulated
+        // (see the module docs).
+        let narrow = !deps.block_sizes;
 
         let cnp_budget = match self.pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
@@ -621,14 +604,15 @@ impl IncrementalMetaBlocker {
         // degraded-full path where dirty *is* all.
         //
         // Edge-delta repair takes the nodes whose cleaned block list moved:
-        // no other accumulator moved. Otherwise it is the cleaner's whole
-        // scope, plus — for a weigher reading per-node block counts — the
-        // co-members of the list-changed nodes: a |B_u| move re-weighs
-        // every edge at `u`, and a *clean* neighbour's threshold or top-k
-        // list folds over that moved weight. WEP/CEP keep no such
-        // artefact, and a commit already known to reweigh re-derives every
-        // node's artefact from the cache: both skip the expansion (the
-        // neighbours' other edges read only their own endpoints' |B|).
+        // no other accumulator moved. A weigher reading block sizes takes
+        // the cleaner's whole scope, plus — for a weigher reading per-node
+        // block counts — the co-members of the list-changed nodes: a |B_u|
+        // move re-weighs every edge at `u`, and a *clean* neighbour's
+        // threshold or top-k list folds over that moved weight. WEP/CEP
+        // keep no such artefact, and a commit already known to reweigh
+        // re-derives every node's artefact from the cache: both skip the
+        // expansion (the neighbours' other edges read only their own
+        // endpoints' |B|).
         self.mask.begin(n);
         let dirty: Vec<u32> = if structural {
             self.mask.mark_all();
@@ -651,16 +635,7 @@ impl IncrementalMetaBlocker {
             }
             d
         };
-
-        if cache_edges {
-            // The first pass of a cached variant creates the cache; the
-            // structural tier below splices every row into it.
-            let adj = self.adj.get_or_insert_with(|| {
-                debug_assert!(structural, "the edge cache starts on the structural pass");
-                EdgeAdjacency::new()
-            });
-            adj.ensure_nodes(n);
-        }
+        self.adj.ensure_nodes(n);
 
         // ---- accumulate stage: ONE traversal of the dirty neighbourhood
         // yields each dirty node's emitted row and its own artefact ----
@@ -676,71 +651,57 @@ impl IncrementalMetaBlocker {
         let in_pass =
             rule.filter(|_| !needs_degrees && (structural || (!drifted_early && !narrow)));
         let artefact = in_pass.map(|rule| move |_: u32, adj: &[(u32, f64)]| rule.of(adj));
-        let artefacts: Option<Vec<Artefact>>;
-        // The variants that keep an edge cache carry the accumulator the
-        // cache keeps (see `CachedEdge`) into the rows they splice; the
-        // variants with no cache (WNP/BLAST) decide off the pass's rows
-        // where they lie.
-        let mut spliced: Option<CachePass> = None;
-        let mut rows: Option<PassRows> = None;
-        let mut degree_secs = 0.0;
-        let mut degrees_moved = false;
-        if cache_edges {
-            // A degree-reading weigher (EJS) accumulates unweighed: its
-            // edge-existence diff patches the snapshot's delta-maintained
-            // degrees *before* any weight is computed, so EJS never needs
-            // a full degree pass again.
-            let pass_weigher: &dyn EdgeWeigher = if needs_degrees { &Unweighed } else { weigher };
-            let mut pass = touching_pass(
+        // A degree-reading weigher (EJS) accumulates unweighed: its
+        // edge-existence diff patches the snapshot's delta-maintained
+        // degrees *before* any weight is computed, so EJS never needs a
+        // full degree pass again.
+        let pass_weigher: &dyn EdgeWeigher = if needs_degrees { &Unweighed } else { weigher };
+        let accumulate = |ctx: &GraphSnapshot, nodes, mask| {
+            touching_pass(
                 ctx,
                 pass_weigher,
-                &dirty,
-                &self.mask,
+                nodes,
+                mask,
                 |u, v, w, acc| {
                     let arcs = if deps.block_sizes { acc.arcs } else { 0.0 };
                     (u, v, w, EdgeAccum { arcs, ..*acc })
                 },
                 artefact,
-            );
-            if needs_degrees {
-                let t_degrees = Instant::now();
-                match &self.adj {
-                    Some(adj) if ctx.degrees_maintained() => {
-                        degrees_moved = patch_degrees(ctx, adj, &pass, &self.mask);
-                    }
-                    _ => {
-                        debug_assert!(
-                            structural,
-                            "degree maintenance starts on the structural pass"
-                        );
-                        ctx.begin_degree_maintenance();
-                    }
-                }
-                degree_secs = t_degrees.elapsed().as_secs_f64();
-                // EJS reads no block size, so the kept accumulator weighs
-                // as the accumulated one does.
-                let ctx = &*ctx;
-                pass.retain_rows(ctx.threads(), |_, row, _: &mut ()| {
-                    for e in row.iter_mut() {
-                        e.2 = weigher.weight(ctx, e.0, e.1, &e.3);
-                    }
-                    row.len()
-                });
+            )
+        };
+        // WEP/CEP's frontier and a degree-reading weigher's edge diff read
+        // every dirty row before the first splice, so they accumulate the
+        // dirty set in one pass. Every other variant accumulates and
+        // splices it a slice at a time (below), so that a structural pass
+        // never holds every edge's emitted entry beside the cache it
+        // builds.
+        let mut whole =
+            (edge_variant || needs_degrees).then(|| accumulate(ctx, &dirty, &self.mask));
+        let mut degree_secs = 0.0;
+        let mut degrees_moved = false;
+        if let (true, Some(pass)) = (needs_degrees, &mut whole) {
+            let t_degrees = Instant::now();
+            if ctx.degrees_maintained() {
+                degrees_moved = patch_degrees(ctx, &self.adj, pass, &self.mask);
+            } else {
+                debug_assert!(
+                    structural,
+                    "degree maintenance starts on the structural pass"
+                );
+                ctx.begin_degree_maintenance();
             }
-            artefacts = in_pass.map(|_| std::mem::take(&mut pass.artefacts));
-            spliced = Some(pass);
-        } else {
-            let mut pass = touching_pass(
-                ctx,
-                weigher,
-                &dirty,
-                &self.mask,
-                |u, v, w, _| (u, v, w),
-                artefact,
-            );
-            artefacts = in_pass.map(|_| std::mem::take(&mut pass.artefacts));
-            rows = Some(pass);
+            degree_secs = t_degrees.elapsed().as_secs_f64();
+            // EJS reads no block size, so the kept accumulator weighs as
+            // the accumulated one does.
+            let ctx = &*ctx;
+            pass.retain_rows(ctx.threads(), |_, row, _: &mut ()| {
+                for e in row.iter_mut() {
+                    e.2 = weigher.weight(ctx, e.0, e.1, &e.3);
+                }
+                row.len()
+            });
         }
+        let ctx = &*ctx;
 
         // ---- tier selection ----
         // Any degree event promotes a degree-reading weigher: a dirty
@@ -760,26 +721,21 @@ impl IncrementalMetaBlocker {
 
         let mut stats = RepairStats {
             dirty_nodes: dirty.len(),
-            edges_reweighed: match (&spliced, &rows) {
-                (Some(pass), _) => pass.emitted(),
-                (_, Some(pass)) => pass.emitted(),
-                _ => 0,
-            },
-            scratch_loads: (ctx.scratch_loads() - loads_before) as usize,
             tier,
             reweigh_secs: degree_secs,
             ..RepairStats::default()
         };
 
         // ---- reweigh tier: re-derive every clean edge in place from its
-        // cached accumulator (no block traversal). The splice below writes
+        // cached accumulator (no block traversal). The splices below write
         // only entries with a marked endpoint, which the sweep skips, so
         // the two commute. ----
         let mut sweep = None;
         if tier == RepairTier::Reweigh {
             let t_sweep = Instant::now();
-            let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
-            let swept = adj.reweigh_clean(ctx, weigher, &self.mask, ctx.threads(), edge_variant);
+            let swept =
+                self.adj
+                    .reweigh_clean(ctx, weigher, &self.mask, ctx.threads(), edge_variant);
             stats.edges_swept = swept.swept;
             stats.edges_rekeyed = swept.rekeyed;
             stats.reweigh_secs += t_sweep.elapsed().as_secs_f64();
@@ -787,27 +743,50 @@ impl IncrementalMetaBlocker {
         }
 
         // ---- the cache patch: each dirty row spliced, ascending; WEP/CEP
-        // decide every dirty-incident edge as the splice reports it ----
+        // decide every dirty-incident edge as the splice reports it, and
+        // WNP/BLAST retract every retained pair that dies ----
         let mut flips = Flips::default();
         let mut old_frontier = None;
-        if let (Some(pass), Some(adj)) = (&spliced, &mut self.adj) {
-            let mask = &self.mask;
+        let mut artefacts = in_pass.map(|_| Vec::with_capacity(dirty.len()));
+        let (adj, mask) = (&mut self.adj, &self.mask);
+        let mut splice = |pass: &mut CachePass, flips: &mut Flips| {
+            if let Some(artefacts) = &mut artefacts {
+                artefacts.append(&mut pass.artefacts);
+            }
+            stats.edges_reweighed += pass.emitted();
             match (&mut self.decision, self.pruning) {
                 (DecisionState::Edge { frontier }, IncrementalPruning::Traditional(algorithm)) => {
                     let t0 = Instant::now();
                     let (old, new) = (*frontier, edge_frontier(algorithm, adj, mask, pass, ctx));
                     (old_frontier, *frontier) = (old, new);
                     stats.decision_secs = t0.elapsed().as_secs_f64();
-                    adj.splice(mask, pass.rows(), |u, v, ow, nw| {
-                        decide_edge((old, new), u, v, (ow, nw), &mut flips);
+                    adj.splice(mask, pass.rows(), |u, v, ow, nw, _| {
+                        decide_edge((old, new), u, v, (ow, nw), flips);
                     });
                 }
-                _ => adj.splice(mask, pass.rows(), |_, _, _, _| {}),
+                (DecisionState::Node, _) => {
+                    adj.splice(mask, pass.rows(), |u, v, _, nw, retained| {
+                        if retained && nw.is_none() {
+                            flips.1.push((u, v));
+                        }
+                    })
+                }
+                _ => adj.splice(mask, pass.rows(), |_, _, _, _, _| {}),
+            }
+        };
+        match &mut whole {
+            Some(pass) => splice(pass, &mut flips),
+            None => {
+                for slice in dirty.chunks(SPLICE_SLICE) {
+                    splice(&mut accumulate(ctx, slice, mask), &mut flips);
+                }
             }
         }
-        // The pass's rows are the commit's memory peak (every edge, on the
-        // structural tier): release them before the flips are laid out.
-        drop(spliced);
+        // A whole-set pass's rows are the commit's memory peak (every
+        // edge, on the structural tier): release them before the flips are
+        // laid out.
+        drop(whole);
+        stats.scratch_loads = (ctx.scratch_loads() - loads_before) as usize;
 
         // ---- the recompute set: every node on the reweigh tier; on the
         // dirty tier an edge-delta repair reaches every node an accumulated
@@ -847,12 +826,7 @@ impl IncrementalMetaBlocker {
         // cache rows, now that they are current.
         let artefacts = match (artefacts, rule) {
             (Some(artefacts), _) => artefacts,
-            (None, Some(rule)) => {
-                let adj = self.adj.as_ref().expect(
-                    "a reweigh commit, a degree-reading weigher or an edge-delta repair keeps the cache",
-                );
-                cached_artefacts(adj, ctx, weigher, recompute, rule)
-            }
+            (None, Some(rule)) => cached_artefacts(&self.adj, ctx, weigher, recompute, rule),
             (None, None) => Vec::new(),
         };
 
@@ -863,7 +837,6 @@ impl IncrementalMetaBlocker {
                 old_frontier,
                 flips,
                 sweep,
-                rows,
                 artefacts,
             },
             &mut stats,
@@ -899,7 +872,6 @@ impl IncrementalMetaBlocker {
             old_frontier,
             flips,
             sweep,
-            rows,
             artefacts,
         } = cx;
         let n = ctx.total_profiles() as usize;
@@ -912,7 +884,7 @@ impl IncrementalMetaBlocker {
                 let DecisionState::Edge { frontier } = &self.decision else {
                     unreachable!("edge-centric pruning carries edge state")
                 };
-                let adj = self.adj.as_ref().expect("edge variant carries the cache");
+                let adj = &self.adj;
                 let new_frontier = *frontier;
 
                 // The dirty-incident edges were decided during the splice;
@@ -963,10 +935,6 @@ impl IncrementalMetaBlocker {
             | IncrementalPruning::Traditional(PruningAlgorithm::Wnp2)
             | IncrementalPruning::Blast { .. } => {
                 let mode = self.node_centric_mode();
-                let pruning = self.pruning;
-                let DecisionState::Node { retained } = &mut self.decision else {
-                    unreachable!("threshold pruning carries a retained index")
-                };
                 self.thresholds.resize(n, f64::INFINITY);
                 for (&u, artefact) in recompute.iter().zip(artefacts) {
                     let Artefact::Threshold(theta) = artefact else {
@@ -976,26 +944,19 @@ impl IncrementalMetaBlocker {
                 }
 
                 let t0 = Instant::now();
-                let keep = threshold_keep(pruning, mode, &self.thresholds);
-                retained.ensure_nodes(n);
-                let threads = ctx.threads();
-                flips = match (rows, &self.adj) {
-                    (Some(pass), _) => pass_row_flips(pass, retained, mask, threads, &keep),
-                    (None, Some(adj)) => {
-                        cache_row_flips(adj, retained, recompute, mask, threads, &keep)
-                    }
-                    (None, None) => {
-                        unreachable!("a variant with no edge cache keeps its pass rows")
-                    }
-                };
-                for &(a, b) in &flips.1 {
-                    let removed = retained.remove(a, b);
-                    debug_assert!(removed);
+                let keep = threshold_keep(self.pruning, mode, &self.thresholds);
+                let (added, mut retracted) =
+                    cache_row_flips(&self.adj, recompute, mask, ctx.threads(), &keep);
+                for &(a, b) in &retracted {
+                    self.adj.set_retained(a, b, false);
                 }
-                for &(a, b, _) in &flips.0 {
-                    let inserted = retained.insert(a, b);
-                    debug_assert!(inserted);
+                for &(a, b, _) in &added {
+                    self.adj.set_retained(a, b, true);
                 }
+                // The retained pairs that died in the splice leave too.
+                retracted.append(&mut flips.1);
+                retracted.sort_unstable();
+                flips = (added, retracted);
                 stats.decision_secs = t0.elapsed().as_secs_f64();
             }
             IncrementalPruning::Traditional(PruningAlgorithm::Cnp1)
@@ -1017,14 +978,14 @@ impl IncrementalMetaBlocker {
                     .collect();
                 // An added pair's weight is the one its decision read:
                 // the patched cache row's canonical weight.
-                let adj = self.adj.as_ref();
+                let adj = &self.adj;
                 list_flips(
                     recompute,
                     &old_lists,
                     &self.lists,
                     need,
                     |a, b| {
-                        adj.and_then(|adj| adj.weight(a, b))
+                        adj.weight(a, b)
                             .expect("a newly listed pair is a live cached edge")
                     },
                     &mut flips.0,
@@ -1216,103 +1177,42 @@ fn threshold_keep(
     }
 }
 
-/// The WNP/BLAST decision for one recomputed node `d`, row-local: merge-joins
-/// its emitted row — `row` streams `(neighbour, canonical weight)` ascending,
-/// one entry per pair the node owns (a larger neighbour, or an unmarked
-/// smaller one) — against the same node's [`RetainedIndex`] row under the
-/// same ownership rule. So every pair with a recomputed endpoint is judged
-/// exactly once, and clean survivors are never visited. `keep(u, v, w)`
-/// decides the canonical pair against the thresholds; `add(u, v, w)` takes
-/// each pair that enters, and each pair that leaves is pushed onto
-/// `retracted`. Flips come in row order: ascending `(u, v)` except where
-/// `d` is the larger endpoint.
+/// The WNP/BLAST decision for one recomputed node `d`, row-local: walks its
+/// cache row — `(neighbour, canonical weight, retention bit)`, ascending —
+/// over the pairs the node owns (a larger neighbour, or an unmarked smaller
+/// one). So every live pair with a recomputed endpoint is judged exactly
+/// once, and clean survivors are never visited. `keep(u, v, w)` decides the
+/// canonical pair against the thresholds; each pair that enters is pushed
+/// onto `added` with its weight, each that leaves onto `retracted`. Flips
+/// come in row order: ascending `(u, v)` except where `d` is the larger
+/// endpoint. A retained pair that died is not in the row: the splice
+/// reported it.
 fn join_row(
     d: u32,
-    retained: &RetainedIndex,
+    adj: &EdgeAdjacency,
     mask: &EpochMask,
-    row: impl Iterator<Item = (u32, f64)>,
     keep: &impl Fn(u32, u32, f64) -> bool,
-    mut add: impl FnMut(u32, u32, f64),
-    retracted: &mut Vec<(u32, u32)>,
+    (added, retracted): &mut Flips,
 ) {
-    let pair = |v: u32| if d < v { (d, v) } else { (v, d) };
-    let mut old = retained
-        .neighbours(d)
-        .iter()
-        .copied()
-        .filter(|&v| d < v || !mask.contains(v))
-        .peekable();
-    for (v, w) in row {
-        while let Some(x) = old.next_if(|&x| x < v) {
-            retracted.push(pair(x));
+    for (v, w, was) in adj.decisions(d) {
+        if v < d && mask.contains(v) {
+            continue; // the smaller recomputed endpoint judges the pair
         }
-        let was = old.next_if_eq(&v).is_some();
-        let (a, b) = pair(v);
-        let now = keep(a, b, w);
-        if now && !was {
-            add(a, b, w);
-        } else if was && !now {
-            retracted.push((a, b));
+        let (a, b) = if d < v { (d, v) } else { (v, d) };
+        match (was, keep(a, b, w)) {
+            (false, true) => added.push((a, b, w)),
+            (true, false) => retracted.push((a, b)),
+            _ => {}
         }
     }
-    retracted.extend(old.map(pair));
 }
 
-/// The decision pass over the accumulate pass's own rows (WNP/BLAST under a
-/// weigher with no edge cache), on its chunk geometry. Each row is filtered
-/// in place down to the pairs that enter ([`TouchingPass::retain_rows`]),
-/// so the added side is written where the pass wrote the edges — on the
-/// structural tier, where every retained pair is added, no second copy of
-/// them is grown — and then read out as one canonical list.
-fn pass_row_flips(
-    mut pass: PassRows<'_>,
-    retained: &RetainedIndex,
-    mask: &EpochMask,
-    threads: usize,
-    keep: &(impl Fn(u32, u32, f64) -> bool + Sync),
-) -> Flips {
-    let parts = pass.retain_rows(threads, |d, row, retracted: &mut Vec<(u32, u32)>| {
-        let cells = Cell::from_mut(row).as_slice_of_cells();
-        // Each entry adds at most itself, so the write cursor never passes
-        // the entry being read.
-        let mut kept = 0;
-        let entries = cells.iter().map(|c| {
-            let (a, b, w) = c.get();
-            (if a == d { b } else { a }, w)
-        });
-        join_row(
-            d,
-            retained,
-            mask,
-            entries,
-            keep,
-            |a, b, w| {
-                cells[kept].set((a, b, w));
-                kept += 1;
-            },
-            retracted,
-        );
-        kept
-    });
-    let mut added: Vec<(u32, u32, f64)> = pass
-        .rows()
-        .flat_map(|(_, row)| row.iter().copied())
-        .collect();
-    added.sort_unstable_by_key(edge_pair);
-    let mut retracted = parts.concat();
-    retracted.sort_unstable();
-    (added, retracted)
-}
-
-/// The decision pass over the patched edge cache's rows (WNP/BLAST under a
-/// weigher whose global statistics can drift, on every tier, the reweigh
-/// tier's all-node recompute set included): the same [`join_row`] per
-/// recomputed node, on the chunk geometry of the accumulate pass, the
-/// cache row filtered to the pairs the node owns. Only the flips are
-/// collected, and sorted.
+/// The WNP/BLAST decision pass over the patched edge cache's rows, on every
+/// tier (the reweigh tier's all-node recompute set included): [`join_row`]
+/// per recomputed node on the work-steal chunk geometry. Only the flips
+/// are collected, and sorted.
 fn cache_row_flips(
     adj: &EdgeAdjacency,
-    retained: &RetainedIndex,
     nodes: &[u32],
     mask: &EpochMask,
     threads: usize,
@@ -1325,21 +1225,11 @@ fn cache_row_flips(
         chunk_len(len),
         || (),
         |_, range| {
-            let mut added: Vec<(u32, u32, f64)> = Vec::new();
-            let mut retracted: Vec<(u32, u32)> = Vec::new();
+            let mut flips = Flips::default();
             for &d in &nodes[range] {
-                let row = adj.weights(d).filter(|&(v, _)| d < v || !mask.contains(v));
-                join_row(
-                    d,
-                    retained,
-                    mask,
-                    row,
-                    keep,
-                    |a, b, w| added.push((a, b, w)),
-                    &mut retracted,
-                );
+                join_row(d, adj, mask, keep, &mut flips);
             }
-            (added, retracted)
+            flips
         },
     );
     let (added, retracted): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
@@ -1451,7 +1341,7 @@ mod tests {
         adj.splice(
             &mask,
             rows.iter().map(|(d, row)| (*d, row.as_slice())),
-            |u, v, ow, nw| {
+            |u, v, ow, nw, _| {
                 decide_edge(frontiers, u, v, (ow, nw), &mut flips);
             },
         );
@@ -1507,37 +1397,36 @@ mod tests {
     }
 
     /// The row-local decision at 1 and 4 threads (which must agree) over
-    /// explicit emitted rows — `rows[i]` is `nodes[i]`'s, `(neighbour, w)` —
-    /// read off an edge cache holding them, with the flips applied to
-    /// `retained`.
+    /// an edge cache holding the canonical `edges`, with the pairs of
+    /// `retained` carrying the retention bit, deciding the rows of `nodes`
+    /// under `mask`. Returns the flips and the retained set once they are
+    /// applied to the bits.
     fn flips_of(
-        retained: &mut RetainedIndex,
+        edges: &[(u32, u32, f64)],
+        retained: &[(u32, u32)],
         nodes: &[u32],
         mask: &EpochMask,
-        rows: &[Vec<(u32, f64)>],
         keep: impl Fn(u32, u32, f64) -> bool + Sync,
-    ) -> Flips {
-        let mut edges: Vec<(u32, u32, f64)> = nodes
-            .iter()
-            .zip(rows)
-            .flat_map(|(&d, row)| row.iter().map(move |&(v, w)| (d.min(v), d.max(v), w)))
-            .collect();
-        edges.sort_unstable_by_key(edge_pair);
-        edges.dedup_by_key(|e| edge_pair(e));
-        let adj = loaded(16, &row_edges(&edges));
-        let flips = cache_row_flips(&adj, retained, nodes, mask, 1, &keep);
+    ) -> (Flips, Vec<(u32, u32)>) {
+        let mut adj = loaded(16, &row_edges(edges));
+        for &(a, b) in retained {
+            adj.set_retained(a, b, true);
+        }
+        let flips = cache_row_flips(&adj, nodes, mask, 1, &keep);
         assert_eq!(
-            cache_row_flips(&adj, retained, nodes, mask, 4, &keep),
+            cache_row_flips(&adj, nodes, mask, 4, &keep),
             flips,
             "thread count must not matter"
         );
         for &(a, b) in &flips.1 {
-            assert!(retained.remove(a, b));
+            adj.set_retained(a, b, false);
         }
         for &(a, b, _) in &flips.0 {
-            assert!(retained.insert(a, b));
+            adj.set_retained(a, b, true);
         }
-        flips
+        let mut now = Vec::new();
+        adj.for_each_retained(|a, b| now.push((a, b)));
+        (flips, now)
     }
 
     fn mask_of(n: usize, marked: &[u32]) -> EpochMask {
@@ -1551,75 +1440,66 @@ mod tests {
 
     #[test]
     fn row_flips_diff_only_dirty_rows() {
-        let mut retained = RetainedIndex::new();
-        retained.ensure_nodes(5);
-        retained.insert(0, 1); // clean–clean: must survive untouched
-        retained.insert(1, 2);
-        retained.insert(2, 3);
-        // Node 2's row: (1,2) now fails its test, (2,3) and (2,4) pass.
-        let (added, retracted) = flips_of(
-            &mut retained,
+        // Node 2's row: (1,2) now fails its test, (2,3) and (2,4) pass;
+        // the clean–clean (0,1) is retained at a weight that would fail.
+        let edges = [(0, 1, 0.1), (1, 2, 0.5), (2, 3, 1.5), (2, 4, 2.5)];
+        let ((added, retracted), now) = flips_of(
+            &edges,
+            &[(0, 1), (1, 2), (2, 3)],
             &[2],
             &mask_of(5, &[2]),
-            &[vec![(1, 0.5), (3, 1.5), (4, 2.5)]],
             |_, _, w| w >= 1.0,
         );
         assert_eq!(added, vec![(2, 4, 2.5)], "with the decided weight");
         assert_eq!(retracted, vec![(1, 2)]);
-        assert_eq!(retained.len(), 3);
-        assert!(retained.contains(0, 1), "clean survivor untouched");
+        assert_eq!(
+            now,
+            vec![(0, 1), (2, 3), (2, 4)],
+            "clean survivor untouched"
+        );
     }
 
-    /// Every shape a row join takes: a pair with both endpoints dirty
+    /// Every shape a row walk takes: a pair with both endpoints dirty
     /// (owned by the smaller), a clean endpoint below the dirty one (owned
     /// by the dirty larger endpoint: its flips arrive out of order) and
-    /// above it, a decided edge that fails its test, and a dirty row that
-    /// empties.
+    /// above it, a decided edge that fails its test, and a dirty row whose
+    /// survivors all leave.
     #[test]
     fn row_flips_join_owned_rows() {
-        let mut retained = RetainedIndex::new();
-        retained.ensure_nodes(8);
-        for (a, b) in [(0, 1), (1, 4), (2, 5), (3, 5), (4, 5), (5, 7), (4, 6)] {
-            retained.insert(a, b);
-        }
         // Dirty: 4, 5, 6. Clean below: 1, 2, 3; clean above: 7.
-        let mut mask = mask_of(8, &[4, 5, 6]);
-        // The owned rows: (2,5) and (5,7) survive, (3,4) is new below,
-        // (4,5) survives in 4's row, (6,7) is decided and fails; (1,4),
-        // (3,5) go — and (4,6) goes from 4's row, which empties row 6.
-        let (added, retracted) = flips_of(
-            &mut retained,
+        let edges = [
+            (0, 1, 0.1),
+            (1, 4, 0.5),
+            (2, 5, 1.0),
+            (3, 4, 2.0),
+            (3, 5, 0.5),
+            (4, 5, 3.0),
+            (4, 6, 0.5),
+            (5, 7, 4.0),
+            (6, 7, 0.5),
+        ];
+        let retained = [(0, 1), (1, 4), (2, 5), (3, 5), (4, 5), (5, 7), (4, 6)];
+        // (2,5), (4,5) and (5,7) survive, (3,4) enters from below, (6,7)
+        // is decided and stays out; (1,4), (3,5) and (4,6) leave — the last
+        // from 4's row, which empties row 6 of survivors.
+        let ((added, retracted), now) = flips_of(
+            &edges,
+            &retained,
             &[4, 5, 6],
-            &mask,
-            &[
-                vec![(3, 2.0), (5, 3.0)],
-                vec![(2, 1.0), (7, 4.0)],
-                vec![(7, 0.5)],
-            ],
+            &mask_of(8, &[4, 5, 6]),
             |_, _, w| w >= 1.0,
         );
         assert_eq!(added, vec![(3, 4, 2.0)]);
         assert_eq!(retracted, vec![(1, 4), (3, 5), (4, 6)], "sorted, each once");
-        assert!(retained.neighbours(6).is_empty(), "row 6 emptied");
-        assert!(retained.contains(0, 1), "clean–clean pair untouched");
-        assert_eq!(
-            retained.to_pairs().pairs(),
-            [(0, 1), (2, 5), (3, 4), (4, 5), (5, 7)]
-                .map(|(a, b)| (ProfileId(a), ProfileId(b)))
-                .as_slice()
-        );
+        assert_eq!(now, vec![(0, 1), (2, 5), (3, 4), (4, 5), (5, 7)]);
 
-        // A second pass over an already-empty dirty row and an unchanged
-        // one emits nothing.
-        mask = mask_of(8, &[4, 6]);
-        let (added, retracted) = flips_of(
-            &mut retained,
-            &[4, 6],
-            &mask,
-            &[vec![(3, 2.0), (5, 3.0)], vec![]],
-            |_, _, _| true,
-        );
+        // A second pass over the decided rows emits nothing.
+        let ((added, retracted), again) =
+            flips_of(&edges, &now, &[4, 6], &mask_of(8, &[4, 6]), |_, _, w| {
+                w >= 1.0
+            });
         assert!(added.is_empty() && retracted.is_empty());
+        assert_eq!(again, now);
     }
 
     /// Both endpoints of a pair recomputed in one commit: each changed
@@ -1679,99 +1559,36 @@ mod tests {
     /// The global-sort decision the row-local pass replaced, kept as the
     /// reference it must equal bit for bit.
     mod reference {
-        use super::super::*;
+        use super::super::Flips;
+        use std::collections::BTreeSet;
 
-        /// Puts an *ordered emission* into canonical pair order: the pairs
-        /// read from their smaller endpoint (`from_smaller`, marked nodes
-        /// ascending, each row ascending) are sorted as they come, so only
-        /// the remainder read from the larger endpoint is sorted, and the
-        /// two runs are merged.
-        pub fn ordered_emission<T, K: Ord>(
-            from_smaller: Vec<T>,
-            mut from_larger: Vec<T>,
-            key: impl Fn(&T) -> K,
-        ) -> Vec<T> {
-            from_larger.sort_unstable_by_key(&key);
-            let mut out = Vec::with_capacity(from_smaller.len() + from_larger.len());
-            let mut a = from_smaller.into_iter().peekable();
-            let mut b = from_larger.into_iter().peekable();
-            while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-                if key(x) <= key(y) {
-                    out.extend(a.next());
-                } else {
-                    out.extend(b.next());
-                }
-            }
-            out.extend(a);
-            out.extend(b);
-            out
-        }
-
-        /// Diffs the retained pairs incident to the recomputed nodes (read
-        /// off the [`RetainedIndex`] rows in two-run order and sorted into
-        /// one global list) against the freshly decided pairs (one global
-        /// canonical list, each with the weight the decision tested),
-        /// applies the flips to the index and pushes them (sorted) onto
-        /// `added` / `retracted`.
+        /// Diffs the retained pairs incident to the recomputed nodes (those
+        /// of `before`, the retained set as it stood, with a marked
+        /// endpoint) against the freshly decided pairs (one global
+        /// canonical list, each with the weight the decision tested), and
+        /// returns the flips, sorted.
         pub fn node_flips(
-            retained: &mut RetainedIndex,
-            dirty: &[u32],
-            mask: &EpochMask,
-            n: usize,
+            before: &BTreeSet<(u32, u32)>,
+            marked: impl Fn(u32) -> bool,
             fresh: impl Iterator<Item = (u32, u32, f64)>,
-            added: &mut Vec<(u32, u32, f64)>,
-            retracted: &mut Vec<(u32, u32)>,
-        ) {
-            retained.ensure_nodes(n);
-            let mut from_smaller: Vec<(u32, u32)> = Vec::new();
-            let mut from_larger: Vec<(u32, u32)> = Vec::new();
-            for &u in dirty {
-                for &v in retained.neighbours(u) {
-                    if u < v {
-                        from_smaller.push((u, v));
-                    } else if !mask.contains(v) {
-                        // A dirty smaller endpoint emits the pair itself.
-                        from_larger.push((v, u));
-                    }
-                }
-            }
-            let old = ordered_emission(from_smaller, from_larger, |&p| p);
-            let mut old = old.into_iter().peekable();
-            for e in fresh {
-                let pair = edge_pair(&e);
-                while let Some(p) = old.next_if(|&p| p < pair) {
+        ) -> Flips {
+            let (mut added, mut retracted) = (Vec::new(), Vec::new());
+            let mut old = before
+                .iter()
+                .copied()
+                .filter(|&(a, b)| marked(a) || marked(b))
+                .peekable();
+            for (u, v, w) in fresh {
+                while let Some(p) = old.next_if(|&p| p < (u, v)) {
                     retracted.push(p);
                 }
-                if old.next_if_eq(&pair).is_none() {
-                    added.push(e);
+                if old.next_if_eq(&(u, v)).is_none() {
+                    added.push((u, v, w));
                 }
             }
             retracted.extend(old);
-            for &(a, b) in retracted.iter() {
-                assert!(retained.remove(a, b));
-            }
-            for &(a, b, _) in added.iter() {
-                assert!(retained.insert(a, b));
-            }
+            (added, retracted)
         }
-    }
-
-    #[test]
-    fn merged_runs_restore_one_sorted_sequence() {
-        use reference::ordered_emission;
-        // The remainder arrives unsorted; the ordered run is merged as is.
-        let merged = ordered_emission(
-            vec![(0, 2), (3, 4), (3, 5), (7, 8)],
-            vec![(5, 6), (0, 1), (3, 9)],
-            |&p| p,
-        );
-        assert_eq!(
-            merged,
-            vec![(0, 1), (0, 2), (3, 4), (3, 5), (3, 9), (5, 6), (7, 8)]
-        );
-        assert_eq!(ordered_emission(vec![1, 4], vec![], |&p| p), vec![1, 4]);
-        assert_eq!(ordered_emission(vec![], vec![4, 1], |&p| p), vec![1, 4]);
-        assert!(ordered_emission(Vec::<u32>::new(), vec![], |&p| p).is_empty());
     }
 
     /// Histories of cleaned blocks driven through one patched snapshot
@@ -1897,9 +1714,10 @@ mod tests {
         /// last commit forced onto the full tier). After every commit the
         /// delta must equal the reference decision — the same thresholds,
         /// every recomputed pair decided off one global canonical list at
-        /// its batch weight, diffed against the index as it stood — bit
-        /// for bit, the index must equal the reference's, and the retained
-        /// set batch's. Returns the tiers the commits landed on.
+        /// its batch weight, diffed against the retained set as it stood —
+        /// bit for bit, the retention bits must hold the reference's set,
+        /// and that set must be batch's. Returns the tiers the commits
+        /// landed on.
         fn check_history(
             history: &[Vec<BTreeSet<u32>>],
             clean: bool,
@@ -1922,32 +1740,22 @@ mod tests {
                 if step + 1 == history.len() {
                     blocker.force_full_next();
                 }
-                let DecisionState::Node { retained } = &blocker.decision else {
-                    unreachable!("node-centric pruning")
+                let pairs = |blocker: &IncrementalMetaBlocker| -> BTreeSet<(u32, u32)> {
+                    blocker.retained().iter().map(|(a, b)| (a.0, b.0)).collect()
                 };
-                let mut expect_index = retained.clone();
+                let before = pairs(&blocker);
                 let (delta, stats) = blocker.refresh(&mut snapshot, weigher, &scope);
                 tiers.push(stats.tier);
 
                 let fresh = fresh_snapshot(members, N, clean);
-                let n = N as usize;
                 let mask = &blocker.mask;
-                let recompute: Vec<u32> = (0..N).filter(|&u| mask.contains(u)).collect();
                 let keep =
                     threshold_keep(pruning, blocker.node_centric_mode(), &blocker.thresholds);
                 let decided = collect_weighted_edges(&fresh, weigher)
                     .into_iter()
                     .filter(|&(u, v, w)| (mask.contains(u) || mask.contains(v)) && keep(u, v, w));
-                let (mut added, mut retracted) = (Vec::new(), Vec::new());
-                reference::node_flips(
-                    &mut expect_index,
-                    &recompute,
-                    mask,
-                    n,
-                    decided,
-                    &mut added,
-                    &mut retracted,
-                );
+                let (added, retracted) =
+                    reference::node_flips(&before, |u| mask.contains(u), decided);
                 let got_added: Vec<(u32, u32, u64)> = delta
                     .added_weighted()
                     .map(|((a, b), w)| (a.0, b.0, w.to_bits()))
@@ -1958,13 +1766,15 @@ mod tests {
                 let got_retracted: Vec<(u32, u32)> =
                     delta.retracted.iter().map(|&(a, b)| (a.0, b.0)).collect();
                 assert_eq!(got_retracted, retracted, "{label} step {step}: retracted");
-                let DecisionState::Node { retained } = &blocker.decision else {
-                    unreachable!("node-centric pruning")
-                };
+                let mut expect = before;
+                for p in &retracted {
+                    expect.remove(p);
+                }
+                expect.extend(added.iter().map(|&(a, b, _)| (a, b)));
                 assert_eq!(
-                    retained.to_pairs(),
-                    expect_index.to_pairs(),
-                    "{label} step {step}: index"
+                    pairs(&blocker),
+                    expect,
+                    "{label} step {step}: retention bits"
                 );
                 assert_eq!(
                     blocker.retained().pairs(),
@@ -1975,12 +1785,15 @@ mod tests {
             tiers
         }
 
-        /// Every WNP/BLAST variant over pass rows (CBS) and cache rows
-        /// (ECBS, χ², and EJS with its degree events), at 1 and 4 threads.
+        /// Every WNP/BLAST variant under edge-delta repair (CBS, JS, ECBS,
+        /// χ², and EJS with its degree events) and under the wide dirty set
+        /// of a weigher reading block sizes (ARCS), at 1 and 4 threads.
         fn check_grid(history: &[Vec<BTreeSet<u32>>], clean: bool) -> Vec<RepairTier> {
             let chi = ChiSquaredWeigher::without_entropy();
-            let weighers: [&dyn EdgeWeigher; 4] = [
+            let weighers: [&dyn EdgeWeigher; 6] = [
                 &WeightingScheme::Cbs,
+                &WeightingScheme::Js,
+                &WeightingScheme::Arcs,
                 &WeightingScheme::Ecbs,
                 &chi,
                 &WeightingScheme::Ejs,
@@ -2117,9 +1930,7 @@ mod tests {
                     pruning.batch_prune(&fresh, weigher).pairs(),
                     "{label}: batch"
                 );
-                let Some(adj) = &blocker.adj else {
-                    continue; // no edge cache to compare
-                };
+                let adj = &blocker.adj;
                 let all: Vec<u32> = (0..N).collect();
                 let mut every = EpochMask::new();
                 every.begin(N as usize);
@@ -2207,7 +2018,9 @@ mod tests {
         /// covers; returns the tiers the commits landed on.
         fn check_all(history: &[Vec<BTreeSet<u32>>]) -> Vec<RepairTier> {
             let chi = ChiSquaredWeigher::new();
-            let weighers: [&dyn EdgeWeigher; 4] = [
+            let weighers: [&dyn EdgeWeigher; 6] = [
+                &WeightingScheme::Cbs,
+                &WeightingScheme::Js,
                 &WeightingScheme::Ecbs,
                 &chi,
                 &WeightingScheme::Ejs,
@@ -2268,8 +2081,8 @@ mod tests {
         }
     }
 
-    /// The decisions of every variant that keeps an edge cache (WEP, CEP,
-    /// CNP1, CNP2), flip by flip, through histories driven into one patched
+    /// The decisions of every variant (WEP, CEP, WNP1, WNP2, BLAST, CNP1,
+    /// CNP2), flip by flip, through histories driven into one patched
     /// snapshot: after each commit the delta must be the set difference
     /// between consecutive batch results, and each added pair must carry
     /// the weight batch's edge pass gives it, bit for bit.
@@ -2344,8 +2157,8 @@ mod tests {
             tiers
         }
 
-        /// Every cached variant × weigher × store × thread count; returns
-        /// the tiers the commits landed on.
+        /// Every variant × weigher × store × thread count; returns the
+        /// tiers the commits landed on.
         fn check_all(history: &[Vec<BTreeSet<u32>>]) -> Vec<RepairTier> {
             let chi = ChiSquaredWeigher::new();
             let weighers: [&dyn EdgeWeigher; 4] = [
@@ -2355,16 +2168,19 @@ mod tests {
                 &chi,
             ];
             let mut tiers = Vec::new();
-            for algorithm in [
+            let traditional = [
                 PruningAlgorithm::Wep,
                 PruningAlgorithm::Cep,
+                PruningAlgorithm::Wnp1,
+                PruningAlgorithm::Wnp2,
                 PruningAlgorithm::Cnp1,
                 PruningAlgorithm::Cnp2,
-            ] {
+            ]
+            .map(IncrementalPruning::Traditional);
+            for pruning in traditional.into_iter().chain([IncrementalPruning::blast()]) {
                 for weigher in weighers {
                     for clean in [false, true] {
                         for threads in [1, 4] {
-                            let pruning = IncrementalPruning::Traditional(algorithm);
                             tiers.extend(check_flips(history, clean, pruning, weigher, threads));
                         }
                     }

@@ -23,8 +23,9 @@
 //!
 //! ## Per-stage commit complexity
 //!
-//! With D = dirty nodes (under an edge cache: the nodes whose cleaned block
-//! list moved), E_D = their incident edges, R = the nodes whose artefacts
+//! With D = dirty nodes (the nodes whose cleaned block list moved; the
+//! cleaner's whole scope under a weigher reading block sizes), E_D = their
+//! incident edges, R = the nodes whose artefacts
 //! those edges reach, F = retention flips and ‖B′‖ = retained comparisons,
 //! a non-degraded commit costs:
 //!
@@ -35,7 +36,7 @@
 //! | snapshot | slot restatements + profile row splices | O(changed slots + rows) |
 //! | repair | re-accumulate and patch E_D, re-derive R's thresholds / top-k lists | O(E_D log + edges of R) |
 //! | reweigh (tier 2) | restate every clean weight in place | O(\|E\|) |
-//! | decision | WNP/BLAST/CNP: flip emission + retained surgery | O((E_D + F) log \|E\|) |
+//! | decision | WNP/BLAST/CNP: flip emission + retention-bit writes | O((E_D + F) log \|E\|) |
 //! | decision | WEP/CEP: frontier restatement + clean-edge decisions | O(\|E\|) |
 //!
 //! Apart from the reweigh sweep and WEP/CEP's decision — their frontier is

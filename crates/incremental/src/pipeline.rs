@@ -66,7 +66,7 @@ pub use blast_obs::CommitPhases as CommitTimings;
 /// alongside them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoryFootprint {
-    /// Live (retention-relevant) edges in the decision state.
+    /// Live edges in the blocker's edge cache (every variant keeps one).
     pub live_edges: usize,
     /// Packed accumulator entries cached in the edge adjacency.
     pub cached_accumulators: usize,

@@ -18,19 +18,23 @@
 # census100k rows in micro-batches of 64, for every edge- and
 # list-centric pruning (wep, cep, cnp1, cnp2) under CBS — whose streams
 # stay on the dirty repair tier — and ECBS, whose |B| drift puts them on
-# the reweigh tier; then for the node-centric variants: BLAST pruning
-# (χ² reads |B_u|, so its repairs expand over the co-members read off the
-# snapshot's slot memberships), WNP1 under CBS (the streaming benchmark's
-# configuration, decided off the accumulate pass's own rows), WNP2 under
-# CBS (the reciprocal rule on those rows) and WNP1 under ECBS (decided off
-# the edge cache's rows, on the reweigh tier); and once with cleaning off
-# (raw token blocks). Then the edge-delta repair's two sides: WEP under
-# ARCS (a weigher reading block sizes, which keeps the wide dirty set),
-# and WEP and WNP1 under EJS (degree events, with only the list-changed
-# rows re-accumulated); then CEP and CNP1 under EJS, the two other readers
-# of the births and deaths a row splice reports: CEP's rank frontier and
-# CNP's top-k lists. Each run must print its `verify: incremental ==
-# batch` line, and its 1- and 4-thread outputs must be byte-identical.
+# the reweigh tier; then for the node-centric variants, every one decided
+# off the edge cache's rows and retention bits: BLAST pruning (χ² reads
+# |B_u|, so its artefacts reach the co-members read off the snapshot's
+# slot memberships), WNP1 under CBS (the streaming benchmark's
+# configuration), WNP2 under CBS (the reciprocal rule) and WNP1 under
+# ECBS (on the reweigh tier); and once with cleaning off (raw token
+# blocks). Then the edge-delta repair's two sides: WEP under ARCS (a
+# weigher reading block sizes, which keeps the wide dirty set), and WEP
+# and WNP1 under EJS (degree events, with only the list-changed rows
+# re-accumulated); then CEP and CNP1 under EJS, the two other readers of
+# the births and deaths a row splice reports: CEP's rank frontier and
+# CNP's top-k lists. Then the node-centric variants under the weighers no
+# stream above pairs them with: WNP2 under JS (|B_u| with no drifting
+# global: the co-member artefacts on the dirty tier), WNP1 under ARCS (the
+# wide dirty set) and BLAST under CBS. Each run (21 configurations) must
+# print its `verify: incremental == batch` line, and its 1- and 4-thread
+# outputs must be byte-identical.
 #
 # Usage: scripts/block_determinism.sh [SCALE]
 set -euo pipefail
@@ -107,3 +111,6 @@ stream_check wep-ejs --pruning wep --scheme ejs
 stream_check wnp1-ejs --pruning wnp1 --scheme ejs
 stream_check cep-ejs --pruning cep --scheme ejs
 stream_check cnp1-ejs --pruning cnp1 --scheme ejs
+stream_check wnp2-js --pruning wnp2 --scheme js
+stream_check wnp1-arcs --pruning wnp1 --scheme arcs
+stream_check blast-cbs --pruning blast --scheme cbs
